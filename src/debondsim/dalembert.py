@@ -21,11 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .fields import HData
-from .geometry import GeometryError
-
-
-def _asarray(x):
-    return np.asarray(x, dtype=float)
+from .geometry import GeometryError, _asarray
 
 
 @dataclass(frozen=True)
@@ -79,8 +75,7 @@ def traveling_decomposition(hdata: HData, front) -> TravelingWaves:
         direct = s <= rho0
         out = np.where(direct, 0.5 * h0(clip0(s)) + 0.5 * H1(clip0(s)), 0.0)
         if np.any(~direct):
-            back = clip0(-front._omega_unchecked(np.where(direct, rho0, s))
-                         if hasattr(front, "_omega_unchecked") else -front.omega(np.where(direct, rho0, s)))
+            back = clip0(-front._omega_unchecked(np.where(direct, rho0, s)))
             out = np.where(direct, out, -0.5 * h0(back) + 0.5 * H1(back))
         return out
 
@@ -99,8 +94,7 @@ def traveling_decomposition(hdata: HData, front) -> TravelingWaves:
         out = np.where(direct, 0.5 * (h0d(clip0(s)) + h1(clip0(s))), 0.0)
         if np.any(~direct):
             sc = np.where(direct, rho0, s)
-            back = clip0(-(front._omega_unchecked(sc)
-                           if hasattr(front, "_omega_unchecked") else front.omega(sc)))
+            back = clip0(-front._omega_unchecked(sc))
             wd = front.omega_dot(sc)
             out = np.where(direct, out, 0.5 * wd * (h0d(back) - h1(back)))
         return out
@@ -157,8 +151,7 @@ def free_solution(hdata: HData, front, t, r, check: bool = True):
         out = np.where(case2, z(np.maximum(t - r, 0.0)) - 0.5 * h0(a_lo) + common, out)
     if np.any(case3):
         eta_c = np.where(case3, eta, rho0)
-        back = clip0(-(front._omega_unchecked(eta_c)
-                       if hasattr(front, "_omega_unchecked") else front.omega(eta_c)))
+        back = clip0(-front._omega_unchecked(eta_c))
         out = np.where(case3,
                        0.5 * h0(a_lo) - 0.5 * h0(back) + 0.5 * (H1(back) - H1(a_lo)),
                        out)

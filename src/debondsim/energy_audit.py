@@ -16,17 +16,17 @@ The audited identities:
   * maximality: rho' is the largest admissible speed, in closed form
     rho' = max(0, (G0 - kappa)/(G0 + kappa)).
 
-Complementarity holds for almost every t, so a piecewise-linear front is
-checked once per segment, at the segment's midpoint: there its slope
-matches rho' to second order, while at a row up to half a segment away
-the mismatch is first order.
+Complementarity and maximality hold for almost every t, so a
+piecewise-linear front is checked once per segment, at the segment's
+midpoint: there its slope matches rho' to second order, while at a row up
+to half a segment away the mismatch is first order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 
@@ -139,7 +139,6 @@ def _patch_wavefronts(plist):
     ts, rhos = [], []
     for p in plist:
         loc = p.lattice.front
-        keep = np.concatenate(([True], np.diff(loc.t_knots) > 0))
         for tk, rk in zip(loc.t_knots, loc.rho_knots):
             tg = p.t0 + tk
             if not ts or tg > ts[-1] + 1e-14:
@@ -227,7 +226,6 @@ def energy_rate(patches, front, data: ProblemData, t: float,
     """
     patch = locate_patch(_as_patches(patches), t)
     t_loc = t - patch.t0
-    rho_t = float(front.rho(t))
     rd = float(front.rho_dot(t))
     bracket = patch.front_bracket(t_loc)
     first = (-math.pi * rd * (1.0 - rd) / (1.0 + rd)
@@ -236,26 +234,6 @@ def energy_rate(patches, front, data: ProblemData, t: float,
         return first
     w_dot = float(data.w.deriv(t))
     return first + w_dot * q_power(patches, data, t, w_dot)
-
-
-def energy_rate_v_form(patches, front, data: ProblemData, t: float) -> float:
-    """The same derivative written in unweighted variables, with every
-    v-trace obtained through the weight transform (algebraic identity
-    with :func:`energy_rate`, kept as a structural cross-check)."""
-    patch = locate_patch(_as_patches(patches), t)
-    hd = patch.hdata
-    t_loc = t - patch.t0
-    R, alpha = hd.R, hd.alpha
-    rho_t = float(front.rho(t))
-    rd = float(front.rho_dot(t))
-    b_v = (math.exp(-0.5 * alpha * t_loc) / math.sqrt(R - rho_t)
-           * patch.front_bracket(t_loc))
-    first = -math.pi * rd * (1.0 - rd) / (1.0 + rd) * (R - rho_t) * b_v * b_v
-    w_t = float(data.w(t))
-    w_dot = float(data.w.deriv(t))
-    x_v = (math.exp(-0.5 * alpha * t_loc) / math.sqrt(R) * patch.rim_bracket(t_loc)
-           - 0.5 * (alpha - 1.0 / R) * w_t)
-    return first + 2.0 * math.pi * R * w_dot * (w_dot - x_v)
 
 
 def external_work(data: ProblemData, patches, t: float) -> float:
@@ -272,7 +250,7 @@ def external_work(data: ProblemData, patches, t: float) -> float:
     return float(np.trapezoid(vals, ts))
 
 
-def err_g0(patches, front, data, t: float) -> float:
+def err_g0(patches, front, t: float) -> float:
     """Quasistatic-limit release rate at t (always nonnegative)."""
     patch = locate_patch(_as_patches(patches), t)
     t_loc = t - patch.t0
@@ -322,15 +300,13 @@ class EnergyLedger:
     G0: np.ndarray
     kappa_front: np.ndarray
     edp_residual: np.ndarray
-    # the complementarity residual of the front segment holding each row,
-    # evaluated at that segment's midpoint (not at the row itself)
+    # the complementarity residual and the maximality gap of the front
+    # segment holding each row, evaluated at that segment's midpoint (not
+    # at the row itself)
     kkt_residual: np.ndarray
     mdp_gap: np.ndarray
     mdp_flags: np.ndarray
     mdp_tol: float
-
-    CSV_COLUMNS = ("t", "rho", "rho_dot", "E", "A_fric", "T_total", "W",
-                   "D_debond", "G0", "edp_residual", "kkt_residual")
 
     def rows(self):
         for k in range(len(self.times)):
@@ -346,37 +322,40 @@ class EnergyLedger:
         return float(np.max(np.abs(self.edp_residual))) / scale
 
 
-def _segment_kkt(front, tough: Toughness, times: np.ndarray,
-                 G0: np.ndarray) -> np.ndarray:
-    """Complementarity residual of each front segment, spread over its rows.
+def _segment_residuals(front, tough: Toughness, times: np.ndarray, G0: np.ndarray):
+    """Complementarity residual and maximality gap of each front segment,
+    spread over its rows.
 
     Each segment's slope sigma is checked at its midpoint (see the module
     docstring), with G0 linearly interpolated from the row series and
-    kappa at rho(midpoint).  Segments are clipped to the audited rows, and
-    every row takes the residual of the segment holding it
-    (right-continuous, as rho_dot).
+    kappa at rho(midpoint): against the release rate at speed sigma for
+    complementarity, and against the closed-form speed for maximality.
+    Segments are clipped to the audited rows, and every row takes the
+    values of the segment holding it (right-continuous, as rho_dot).
     """
     sigma = front.rho_dot(front.t_knots[:-1])
     lo = np.clip(front.t_knots[:-1], times[0], times[-1])
     hi = np.clip(front.t_knots[1:], times[0], times[-1])
     mid = 0.5 * (lo + hi)
     kap = kappa_eval(tough, np.minimum(front.rho(mid), tough.R - 1e-12))
-    g_rd = (1.0 - sigma) / (1.0 + sigma) * np.interp(mid, times, G0)
+    g0 = np.interp(mid, times, G0)
+    g_rd = (1.0 - sigma) / (1.0 + sigma) * g0
     kkt = np.maximum(0.0, g_rd - kap) + np.abs((g_rd - kap) * sigma)
-    seg = np.searchsorted(front.t_knots, times, side="right") - 1
-    return kkt[np.clip(seg, 0, len(kkt) - 1)]
+    mdp = np.abs(sigma - np.maximum(0.0, (g0 - kap) / (g0 + kap)))
+    seg = np.clip(np.searchsorted(front.t_knots, times, side="right") - 1, 0, len(sigma) - 1)
+    return kkt[seg], mdp[seg]
 
 
 def audit(patches, front, data: ProblemData, tough: Toughness,
           mdp_tol: float = 1e-3) -> EnergyLedger:
     """Fill the ledger for a solved run.
 
-    The balance residual is T(t) + D(t) - T(0) - W(t); the
+    The balance residual is T(t) + D(t) - T(0) - W(t).  The
     complementarity residual combines the overshoot of the rate above the
-    toughness with the stationarity defect, evaluated at the midpoint of
-    the front segment that holds each row (see :func:`_segment_kkt`); the
-    maximality gap compares every front-interval slope with the
-    closed-form speed from G0.
+    toughness with the stationarity defect, and the maximality gap
+    compares the front slope with the closed-form speed from G0; both are
+    evaluated at the midpoint of the front segment that holds each row
+    (see :func:`_segment_residuals`).
     """
     plist = _as_patches(patches)
     rows = _global_rows(plist)
@@ -393,7 +372,7 @@ def audit(patches, front, data: ProblemData, tough: Toughness,
         E[k], a_int[k] = _row_radial_integrals(p, i, wf)
         w_dot = float(data.w.deriv(tt))
         qw[k] = w_dot * q_power(p, data, tt, w_dot) if w_dot != 0.0 else 0.0
-        G0[k] = err_g0(p, front, data, tt)
+        G0[k] = err_g0(p, front, tt)
 
     A = np.zeros(n)
     W = np.zeros(n)
@@ -409,16 +388,7 @@ def audit(patches, front, data: ProblemData, tough: Toughness,
     kap = kappa_eval(tough, np.minimum(rho, tough.R - 1e-12))
 
     edp = T + D - T[0] - W
-    kkt = _segment_kkt(front, tough, times, G0)
-
-    # maximality: interval slope against the trapezoid-averaged closed form
-    speed_star = np.maximum(0.0, (G0 - kap) / (G0 + kap))
-    mdp_gap = np.zeros(n)
-    if n > 1:
-        slopes = np.diff(rho) / np.diff(times)
-        target = 0.5 * (speed_star[1:] + speed_star[:-1])
-        mdp_gap[:-1] = np.abs(slopes - target)
-        mdp_gap[-1] = mdp_gap[-2]
+    kkt, mdp_gap = _segment_residuals(front, tough, times, G0)
     flags = mdp_gap <= mdp_tol
 
     return EnergyLedger(times=times, rho=rho, rho_dot=rho_dot, E=E, A_fric=A,

@@ -13,7 +13,7 @@ are built from, the toughness model, and the two source kernels
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.interpolate import CubicSpline, PchipInterpolator
@@ -44,13 +44,12 @@ class Profile:
     """
 
     def __init__(self, value, deriv=None, cumint=None, domain=(0.0, np.inf),
-                 kind="callable", params=None):
+                 kind="callable"):
         self._value = value
         self._deriv = deriv
         self._cumint = cumint
         self.domain = (float(domain[0]), float(domain[1]))
         self.kind = kind
-        self.params = params or {}
 
     def __call__(self, x):
         return _asarray(self._value(_asarray(x)))
@@ -100,7 +99,7 @@ class Profile:
         return cls(lambda x: np.full_like(_asarray(x), c),
                    deriv=lambda x: np.zeros_like(_asarray(x)),
                    cumint=lambda x: c * _asarray(x),
-                   kind="constant", params={"c": c})
+                   kind="constant")
 
     @classmethod
     def affine(cls, a: float, b: float):
@@ -109,7 +108,7 @@ class Profile:
         return cls(lambda x: a + b * _asarray(x),
                    deriv=lambda x: np.full_like(_asarray(x), b),
                    cumint=lambda x: a * _asarray(x) + 0.5 * b * _asarray(x) ** 2,
-                   kind="affine", params={"a": a, "b": b})
+                   kind="affine")
 
     @classmethod
     def poly(cls, coeffs: Sequence[float]):
@@ -121,7 +120,7 @@ class Profile:
                    deriv=lambda x: np.polynomial.polynomial.polyval(_asarray(x), dc)
                    if len(dc) else np.zeros_like(_asarray(x)),
                    cumint=lambda x: np.polynomial.polynomial.polyval(_asarray(x), ic),
-                   kind="poly", params={"coeffs": tuple(float(v) for v in c)})
+                   kind="poly")
 
     @classmethod
     def sine_bump(cls, amp: float, width: float):
@@ -132,7 +131,7 @@ class Profile:
                    deriv=lambda x: amp * k * np.cos(k * _asarray(x)),
                    cumint=lambda x: amp / k * (1.0 - np.cos(k * _asarray(x))),
                    domain=(0.0, width),
-                   kind="sine_bump", params={"amp": amp, "width": width})
+                   kind="sine_bump")
 
     @classmethod
     def sine(cls, amp: float, freq: float):
@@ -141,7 +140,7 @@ class Profile:
         return cls(lambda x: amp * np.sin(freq * _asarray(x)),
                    deriv=lambda x: amp * freq * np.cos(freq * _asarray(x)),
                    cumint=lambda x: amp / freq * (1.0 - np.cos(freq * _asarray(x))),
-                   kind="sine", params={"amp": amp, "freq": freq})
+                   kind="sine")
 
     @classmethod
     def from_samples(cls, x, y, method: str = "pchip", deriv_samples=None):
@@ -173,31 +172,6 @@ class Profile:
             d = _asarray(deriv_samples)
             prof._deriv = lambda s: np.interp(_asarray(s), x, d)
         return prof
-
-    def shifted(self, t0: float) -> "Profile":
-        """The profile x -> self(x + t0), derivative included."""
-        d = (lambda x: self.deriv(_asarray(x) + t0)) if self.has_deriv else None
-        return Profile(lambda x: self(_asarray(x) + t0), deriv=d,
-                       domain=(self.domain[0] - t0, self.domain[1] - t0),
-                       kind=f"shifted({self.kind})")
-
-
-PRESETS = {
-    "zero": lambda: Profile.zero(),
-    "constant": lambda c: Profile.constant(c),
-    "affine": lambda a, b: Profile.affine(a, b),
-    "poly": lambda *coeffs: Profile.poly(coeffs),
-    "sine_bump": lambda amp, width: Profile.sine_bump(amp, width),
-    "sine": lambda amp, freq: Profile.sine(amp, freq),
-}
-
-
-def make_preset(name: str, *params: float) -> Profile:
-    try:
-        factory = PRESETS[name]
-    except KeyError:
-        raise ValueError(f"unknown profile preset {name!r}") from None
-    return factory(*params)
 
 
 # ---------------------------------------------------------------------------
@@ -309,24 +283,6 @@ def f_kernel(h_value, sigma, R: float, alpha: float):
 def g_kernel(v_t, v_r, sigma, R: float, alpha: float):
     sigma = _asarray(sigma)
     return -_asarray(v_r) / (R - sigma) - alpha * _asarray(v_t)
-
-
-@dataclass(frozen=True)
-class KernelSample:
-    """One kernel evaluation, tagged by which chain it belongs to."""
-
-    kind: str  # "F_kernel" | "G_kernel"
-    tau: float
-    sigma: float
-    value: float
-
-    @classmethod
-    def f_at(cls, tau, sigma, h_value, R, alpha):
-        return cls("F_kernel", tau, sigma, float(f_kernel(h_value, sigma, R, alpha)))
-
-    @classmethod
-    def g_at(cls, tau, sigma, v_t, v_r, R, alpha):
-        return cls("G_kernel", tau, sigma, float(g_kernel(v_t, v_r, sigma, R, alpha)))
 
 
 # ---------------------------------------------------------------------------

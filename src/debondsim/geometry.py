@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 
 class GeometryError(ValueError):
@@ -173,70 +172,6 @@ class FrontCurve:
         return FrontCurve(ts - t0, rhos, self.R)
 
 
-class ClosedFormFront:
-    """Front given by callables; inverse maps fall back to bisection.
-
-    Mirrors the :class:`FrontCurve` interface for user-supplied analytic
-    fronts.  Only scalar-or-array evaluation of the forward maps is exact;
-    psi_inverse / lambda_of solve the defining equations numerically.
-    """
-
-    def __init__(self, rho, rho_dot, horizon: float, R: float):
-        self._rho = rho
-        self._rho_dot = rho_dot
-        self.horizon = float(horizon)
-        self.R = float(R)
-        self.rho0 = float(rho(0.0))
-        if not (0 < self.rho0 < R):
-            raise GeometryError("inadmissible front width at t = 0")
-
-    def rho(self, t):
-        return _asarray(self._rho(_asarray(t)))
-
-    def rho_dot(self, t):
-        return _asarray(self._rho_dot(_asarray(t)))
-
-    def phi(self, t):
-        return _asarray(t) - self.rho(t)
-
-    def psi(self, t):
-        return _asarray(t) + self.rho(t)
-
-    def _invert(self, fwd, s):
-        lo, hi = 0.0, self.horizon
-        flo, fhi = fwd(lo), fwd(hi)
-        if not (flo - 1e-10 <= s <= fhi + 1e-10):
-            raise GeometryError("value outside the map range")
-        s = min(max(s, flo), fhi)
-        if s == flo:
-            return lo
-        if s == fhi:
-            return hi
-        return brentq(lambda t: fwd(t) - s, lo, hi, xtol=1e-14)
-
-    def psi_inverse(self, s):
-        f = np.vectorize(lambda v: self._invert(lambda t: float(self.psi(t)), v))
-        return f(_asarray(s))
-
-    def lambda_of(self, s):
-        f = np.vectorize(lambda v: self._invert(lambda t: float(self.phi(t)), v))
-        return f(_asarray(s))
-
-    def omega(self, s):
-        s = _asarray(s)
-        out = np.where(s < self.rho0, -self.rho0, 0.0)
-        past = s >= self.rho0
-        if np.any(past):
-            tt = self.psi_inverse(np.where(past, s, self.rho0))
-            out = np.where(past, self.phi(tt), out)
-        return out
-
-    def omega_dot(self, s):
-        s = _asarray(s)
-        rd = self.rho_dot(self.psi_inverse(np.clip(s, self.psi(0.0), None)))
-        return np.where(s < self.rho0, 0.0, (1.0 - rd) / (1.0 + rd))
-
-
 # -- dependence cones -----------------------------------------------------
 
 OMEGA1, OMEGA2, OMEGA3 = "Omega1", "Omega2", "Omega3"
@@ -263,9 +198,6 @@ class ConeRegion:
     def eta_flat(self) -> float:
         return max(self.xi_hi, 0.0)
 
-    def eta_lo(self, xi):
-        return np.maximum(np.abs(_asarray(xi)), self.eta_flat)
-
     @property
     def is_empty(self) -> bool:
         return self.xi_hi - self.xi_lo <= _TOL
@@ -288,24 +220,6 @@ def cone_region(front, t: float, r: float) -> ConeRegion:
         tag = OMEGA3
         xi_lo = float(front._omega_unchecked(np.array(eta)))
     return ConeRegion(apex=(t, r), case_tag=tag, xi_lo=xi_lo, xi_hi=xi, eta_hi=eta)
-
-
-def region_area(region: ConeRegion) -> float:
-    """Exact area of the truncated cone in (t, r) coordinates."""
-    if region.is_empty:
-        return 0.0
-    xi_lo, xi_hi, eta_hi = region.xi_lo, region.xi_hi, region.eta_hi
-    c = region.eta_flat
-    area_char = 0.0
-    # wedge part, eta from |xi| down: integrand eta_hi + xi on xi < -c
-    a, b = xi_lo, min(xi_hi, -c)
-    if b > a:
-        area_char += (eta_hi * (b - a) + 0.5 * (b * b - a * a))
-    # flat part, eta from c: integrand eta_hi - c on xi in [-c, xi_hi]
-    a2 = max(xi_lo, -c)
-    if xi_hi > a2:
-        area_char += (eta_hi - c) * (xi_hi - a2)
-    return 0.5 * area_char
 
 
 def annulus_area_derivative(rho: float, R: float) -> float:

@@ -31,14 +31,15 @@ field is one global prescribed solve against the assembled front.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
-from .fields import HData, ProblemData, Profile, Toughness, kappa_eval, to_h_data
+from .fields import HData, ProblemData, Toughness, kappa_eval, to_h_data
 from .geometry import FrontCurve, GeometryError, corner_wavefronts, jump_radii
 from .prescribed import (ConvergenceError, FieldPatch, _seam_data, march)
+from .quadrature import column_cumulative, sheared_cone_integrals
 
 SLOPE_CAP = 1.0 - 1e-9
 
@@ -72,7 +73,6 @@ class StripWorkspace:
         self.y = m * delta
 
         ll = np.arange(self.L + 1)[:, None] * delta
-        kk = np.arange(m + 1)[None, :]
         self.t_grid = np.broadcast_to(ll, (self.L + 1, m + 1))
         self.r_grid = self.t_grid - self.s[None, :]
         self.eta_grid = self.t_grid + self.r_grid
@@ -122,55 +122,16 @@ class StripWorkspace:
         return np.where(direct, a_direct, a_refl)
 
     def cone_integrals(self, lam: np.ndarray, F: np.ndarray) -> np.ndarray:
-        """Phi[F] at every strip node, cut at the induced front."""
+        """Phi[F] at every strip node, cut at the induced front.
+
+        The strip is already in sheared layout (column k is the diagonal
+        s_k), and every anti-diagonal past rho0 starts on column 0.
+        """
         d = self.delta
-        L, m = self.L, self.m
-        C = np.zeros_like(F)  # line integral along each diagonal, dtau units
-        for l in range(1, L + 1):
-            C[l] = C[l - 1] + 0.5 * d * (F[l - 1] + F[l])
-
-        J = self.blank()
-        lamc = self._lam_capped(lam)
-        u = 2.0 * lamc - self.s
-        for g in range(-m, 2 * L + 1):
-            l_lo = max(0, (g + 1) // 2)
-            l_hi = min(L, (g + m) // 2)
-            if l_lo > l_hi:
-                continue
-            k_min = max(0, -g)
-            k_max = min(m, 2 * L - g)
-            ks = np.arange(k_min, k_max + 1)
-            lp2 = g + ks  # = 2 * l'(k): even entries are node rows
-            I = np.empty(len(ks))
-            even = (lp2 % 2) == 0
-            le = (lp2[even] // 2)
-            I[even] = 2.0 * C[le, ks[even]]
-            odd = ~even
-            if np.any(odd):
-                lo = (lp2[odd] - 1) // 2
-                ko = ks[odd]
-                I[odd] = (2.0 * C[lo, ko]
-                          + d * (3.0 * F[lo, ko] + F[np.minimum(lo + 1, L), ko]) / 4.0)
-            A = np.empty(len(ks))
-            A[0] = 0.0
-            np.cumsum(0.5 * d * (I[:-1] + I[1:]), out=A[1:])
-
-            eta_g = self.rho0 + g * d
-            cut = 0.0
-            if eta_g > self.rho0 + 1e-12:
-                om = float(np.interp(min(max(eta_g, u[0]), u[-1]), u, self.s))
-                pos = (om + self.rho0) / d - k_min
-                q0 = int(math.floor(pos + 1e-12))
-                sfrac = pos - q0
-                if q0 >= len(A) - 1:
-                    cut = A[-1]
-                elif q0 >= 0:
-                    cut = A[q0] + d * (sfrac * I[q0]
-                                       + 0.5 * sfrac * sfrac * (I[q0 + 1] - I[q0]))
-            ls = np.arange(l_lo, l_hi + 1)
-            kk = 2 * ls - g
-            J[ls, kk] = 0.5 * (A[kk - k_min] - cut)
-        return J
+        eta = self.rho0 + d * np.arange(-self.m, 2 * self.L + 1)
+        om = self.omega_of(lam, eta)
+        cut = np.where(eta > self.rho0 + 1e-12, (om + self.rho0) / d, 0.0)
+        return sheared_cone_integrals(F, d, cut)
 
     def psi1(self, h: np.ndarray, lam: np.ndarray) -> np.ndarray:
         """Field update: free solution plus half the cone integral of the
@@ -187,9 +148,7 @@ class StripWorkspace:
         hd, tough = self.hd, self.tough
         lamc = self._lam_capped(lam)
         F = self.kern * h
-        C = np.zeros_like(F)
-        for l in range(1, self.L + 1):
-            C[l] = C[l - 1] + 0.5 * d * (F[l - 1] + F[l])
+        C = column_cumulative(F, d)
         lf = np.clip(np.floor(lamc / d + 1e-12).astype(int), 0, self.L)
         cols = np.arange(self.m + 1)
         line = C[lf, cols]
@@ -230,46 +189,12 @@ class StripWorkspace:
         return max(dh, dl)
 
 
-@dataclass
-class CoupledWindow:
-    """One coupled marching window: strip geometry and iteration caps."""
-
-    t_start: float
-    T: float
-    y: float
-    delta: float
-    M: float
-    metric_tol: float
-    workspace: StripWorkspace = field(repr=False, compare=False, default=None)
-
-    @property
-    def s_range(self):
-        rho0 = self.workspace.rho0 if self.workspace else None
-        return (-rho0, -rho0 + self.y) if rho0 else None
-
-
-def lambda_rhs(window: CoupledWindow, h: np.ndarray, lam: np.ndarray, s: float) -> float:
-    """Crossing-time slope at s: (1 + max(Lam(s), 1)) / 2, in [1, inf)."""
-    ws = window.workspace
-    big = ws.rate_ratio(h, lam)
-    val = float(np.interp(s, ws.s, big))
-    return 0.5 * (1.0 + max(val, 1.0))
-
-
-def psi1(window: CoupledWindow, h: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    return window.workspace.psi1(h, lam)
-
-
-def psi2(window: CoupledWindow, h: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    return window.workspace.psi2(h, lam)
-
-
-def solve_coupled_window(window: CoupledWindow, hdata: HData, tough: Toughness,
+def solve_coupled_window(ws: StripWorkspace, M: float, t_start: float,
                          tol: float = 1e-10, max_iter: int = 200):
-    """Alternate the field and rate updates until the product metric
-    settles.  Raises _Shrink when the sup cap or the measured contraction
-    says the strip is too wide."""
-    ws = window.workspace
+    """Alternate the field and rate updates on the strip of a window
+    starting at ``t_start`` until the product metric settles.  Raises
+    _Shrink when the sup cap M or the measured contraction says the strip
+    is too wide."""
     lam = np.minimum(ws.s + ws.rho0, ws.T)  # unit-slope start: front at rest
     h = ws.psi1(ws.blank(), lam)            # free solution on the strip
     history = []
@@ -279,7 +204,7 @@ def solve_coupled_window(window: CoupledWindow, hdata: HData, tough: Toughness,
         d = ws.metric(h_new, lam_new, h, lam)
         history.append(d)
         h, lam = h_new, lam_new
-        if float(np.max(np.abs(h))) > window.M:
+        if float(np.max(np.abs(h))) > M:
             raise _Shrink("field escaped the sup cap")
         if d < tol:
             break
@@ -287,7 +212,7 @@ def solve_coupled_window(window: CoupledWindow, hdata: HData, tough: Toughness,
             raise _Shrink("measured contraction factor >= 0.9")
     else:
         raise ConvergenceError(
-            f"coupled window at t = {window.t_start:.6g} did not converge "
+            f"coupled window at t = {t_start:.6g} did not converge "
             f"(last metric {history[-1]:.3e}, factors "
             f"{[round(b / a, 3) for a, b in zip(history[:-1], history[1:])][-3:]})")
     factors = [b / a for a, b in zip(history[:-1], history[1:]) if a > 0]
@@ -488,10 +413,8 @@ def run(data: ProblemData, tough: Toughness, horizon: float,
         shrink_count = 0
         while True:
             ws = StripWorkspace(local, tough_w, T, m, delta)
-            window = CoupledWindow(t_start=rows_done * delta, T=ws.T, y=ws.y,
-                                   delta=delta, M=M, metric_tol=tol, workspace=ws)
             try:
-                h_strip, lam, wdiag = solve_coupled_window(window, local, tough_w,
+                h_strip, lam, wdiag = solve_coupled_window(ws, M, rows_done * delta,
                                                            tol=tol, max_iter=max_iter)
                 break
             except _Shrink as exc:

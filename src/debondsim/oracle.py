@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .fields import HData, ProblemData, kernel_prefactor, to_h_data
+from .fields import HData, kernel_prefactor, to_h_data
 from .geometry import GeometryError
 
 

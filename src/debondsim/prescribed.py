@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -24,8 +24,8 @@ import numpy as np
 from .dalembert import TravelingWaves, free_derivatives, free_solution, traveling_decomposition
 from .fields import HData, ProblemData, Profile, kernel_prefactor, to_h_data, v_from_h
 from .geometry import GeometryError, corner_wavefronts, jump_radii
-from .quadrature import (CharLattice, cone_integrals_batch, diag_cumulatives,
-                         g_row_batch, phi_time_trace)
+from .quadrature import (CharLattice, _diag_line_integral, cone_integrals_batch,
+                         diag_cumulatives, g_row_batch, phi_time_trace)
 
 
 class ConvergenceError(RuntimeError):
@@ -87,10 +87,8 @@ def contraction_bound(rho_k: float, R: float, alpha: float, T: float) -> float:
 
 
 def plan_windows(front, data: HData, alpha: float, horizon: float,
-                 delta: float = 1.0 / 128, multiplier: float = 1.0) -> List[WindowPlan]:
+                 delta: float = 1.0 / 128) -> List[WindowPlan]:
     """Cover [0, horizon] with certified windows snapped to the lattice."""
-    if not (0 < multiplier <= 1.0):
-        raise ValueError("window multiplier must be in (0, 1]")
     n_total = int(round(horizon / delta))
     if abs(n_total * delta - horizon) > 1e-9 * max(1.0, horizon):
         n_total = int(math.ceil(horizon / delta - 1e-9))
@@ -102,7 +100,7 @@ def plan_windows(front, data: HData, alpha: float, horizon: float,
     while i0 < n_total:
         t0 = i0 * delta
         rho_k = float(front.rho(t0))
-        steps = int(math.floor(multiplier * certified_step(rho_k, R, alpha) / delta + 1e-9))
+        steps = int(math.floor(certified_step(rho_k, R, alpha) / delta + 1e-9))
         steps = max(1, min(steps, n_total - i0))
         while True:
             T = steps * delta
@@ -146,7 +144,6 @@ class FieldPatch:
     D_F: np.ndarray
     free_grid: np.ndarray
     diagnostics: dict
-    trace_t0: dict
 
     @property
     def t0(self) -> float:
@@ -198,27 +195,15 @@ class FieldPatch:
         rho_t = float(self.rho_local(t_loc))
         s = rho_t - t_loc
         hd = self.hdata
-        line = _char_line_plus(self.lattice, self.F, -s, t_loc)
+        line = _diag_line_integral(self.lattice, self.F, 0.0, s, +1, t_loc)
         return float(hd.h0_dot(s)) - float(hd.h1(s)) - line
 
     def rim_bracket(self, t_loc: float) -> float:
         """The trace h_r + h_t at the rim, from window data and the
         reflected characteristic line integral of F."""
         hd = self.hdata
-        line = _char_line_minus(self.lattice, self.F, t_loc)
+        line = _diag_line_integral(self.lattice, self.F, 0.0, t_loc, -1, t_loc)
         return float(hd.h0_dot(t_loc)) + float(hd.h1(t_loc)) + line
-
-
-def _char_line_plus(lat: CharLattice, values: np.ndarray, xi: float, t_end: float) -> float:
-    """Integral of the field along r = tau - xi from tau = 0 to t_end."""
-    from .quadrature import _diag_line_integral
-    return _diag_line_integral(lat, values, 0.0, -xi, +1, t_end)
-
-
-def _char_line_minus(lat: CharLattice, values: np.ndarray, t_end: float) -> float:
-    """Integral of the field along r = t_end - tau from tau = 0 to t_end."""
-    from .quadrature import _diag_line_integral
-    return _diag_line_integral(lat, values, 0.0, t_end, -1, t_end)
 
 
 class _Workspace:
@@ -288,10 +273,9 @@ def solve_window(hdata: HData, front, window: WindowPlan,
         "contraction_bound": window.contraction_bound,
         "measured_factor": max(measured) if measured else 0.0,
     }
-    trace_t0 = {"h0": h[0, :].copy(), "h1": None}
     return FieldPatch(lattice=lat, window=window, hdata=hdata, waves=ws.waves,
                       scale=scale, kern=ws.kern, F=F, C_F=C_F, D_F=D_F,
-                      free_grid=ws.free_grid, diagnostics=diag, trace_t0=trace_t0)
+                      free_grid=ws.free_grid, diagnostics=diag)
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +348,7 @@ def _seam_data(patch: FieldPatch, seam_jumps=()) -> HData:
 
 
 def march(data, front, horizon: float, tol: float = DEFAULT_TOL,
-          delta: float = 1.0 / 128, max_iter: int = DEFAULT_MAX_ITER,
-          multiplier: float = 1.0) -> List[FieldPatch]:
+          delta: float = 1.0 / 128, max_iter: int = DEFAULT_MAX_ITER) -> List[FieldPatch]:
     """Solve up to the horizon by sequential certified windows.
 
     ``data`` may be the physical problem data or ready-made weighted data.
@@ -374,7 +357,7 @@ def march(data, front, horizon: float, tol: float = DEFAULT_TOL,
     the stored values stay O(data).
     """
     hd = to_h_data(data) if isinstance(data, ProblemData) else data
-    plans = plan_windows(front, hd, hd.alpha, horizon, delta, multiplier)
+    plans = plan_windows(front, hd, hd.alpha, horizon, delta)
     wavefronts = corner_wavefronts(front, plans[-1].t_end)
     patches: List[FieldPatch] = []
     local = hd

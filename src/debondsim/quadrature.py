@@ -7,15 +7,23 @@ The memory operator of the representation formula,
 is evaluated in characteristic coordinates xi = t - r, eta = t + r, where
 every cone edge except the reflected bound xi = omega(eta_hi) lies on
 lattice diagonals (the lattice keeps dt = dr, so diagonals are grid
-lines).  The partial derivatives of Phi reduce to two boundary line
-integrals g1, g2 along characteristics; those are one-dimensional
-trapezoid sums over the same node values, so no re-interpolation layer
-sits between the field and its derivative traces.
+lines).  One kernel, :func:`sheared_cone_integrals`, computes Phi for a
+field in sheared layout: row l at t = l*delta, column k on the diagonal
+xi = xi0 + k*delta.  Two adapters map their grids onto it:
+:func:`cone_integrals_batch` shears the (t, r) lattice and removes the
+sub-cone below the rim echo, and ``griffith.StripWorkspace.cone_integrals``
+passes its strip, whose columns are already diagonals.  Both supply the
+omega cut of each anti-diagonal as a fractional slot.
+
+The partial derivatives of Phi reduce to two boundary line integrals g1,
+g2 along characteristics; those are one-dimensional trapezoid sums over
+the same node values, so no re-interpolation layer sits between the field
+and its derivative traces.
 
 All quadrature here integrates the piecewise-linear interpolant of the
 node values; off-lattice cuts (the omega edge, fractional endpoints) are
-clipped cell by cell, and batch and single-point paths agree to rounding
-wherever they both apply.
+clipped cell by cell.  The single-apex cone integral that the batch path
+is tested against lives in :mod:`debondsim.reference`.
 """
 
 from __future__ import annotations
@@ -25,11 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ConeRegion, GeometryError
-
-
-def _asarray(x):
-    return np.asarray(x, dtype=float)
+from .geometry import GeometryError, _asarray
 
 
 # ---------------------------------------------------------------------------
@@ -70,14 +74,6 @@ class CharLattice:
     @property
     def radii(self) -> np.ndarray:
         return np.arange(self.j_ext + 1) * self.delta
-
-    @property
-    def t_range(self):
-        return (0.0, self.nt * self.delta)
-
-    @property
-    def r_range(self):
-        return (0.0, self.j_ext * self.delta)
 
     def blank(self) -> np.ndarray:
         return np.zeros((self.nt + 1, self.j_ext + 1))
@@ -146,79 +142,86 @@ def diag_cumulatives(values: np.ndarray, delta: float):
 # batch cone integrals
 # ---------------------------------------------------------------------------
 
-def cone_integrals_batch(lat: CharLattice, values: np.ndarray,
-                         C: np.ndarray = None) -> np.ndarray:
+def column_cumulative(F: np.ndarray, delta: float) -> np.ndarray:
+    """Trapezoid integrals (in dtau units) down every column of F from row 0."""
+    C = np.zeros_like(F)
+    np.cumsum(0.5 * delta * (F[:-1] + F[1:]), axis=0, out=C[1:])
+    return C
+
+
+def sheared_cone_integrals(F: np.ndarray, delta: float, cut: np.ndarray) -> np.ndarray:
+    """Phi[F] at every node of a field in sheared layout.
+
+    Row l sits at t = l*delta and column k on the diagonal xi = xi0 + k*delta,
+    so anti-diagonal g = 2l - k is the line eta = g*delta - xi0, for g in
+    -K..2L.  Its slots are the columns it crosses, at node rows (g + k even)
+    or half rows (g + k odd), from its first slot on row 0 or column 0.
+    Each slot's eta-integral comes from the column cumulative (plus a half
+    cell at half rows), and one running trapezoid in xi per anti-diagonal
+    serves every apex on it.  ``cut[g + K]`` is the fractional slot, counted
+    from the anti-diagonal's first slot, of the lower xi-limit of its cones
+    (the omega cut); the integral up to there is subtracted, so 0 cuts
+    nothing.
+    """
+    d = delta
+    L, K = F.shape[0] - 1, F.shape[1] - 1
+    P = 2 * L + 1
+    C = column_cumulative(F, d)
+    Y = np.zeros((P, K + 1 + P))  # inner integral at half row p of column K - j
+    Y[0::2, K::-1] = 2.0 * C
+    Y[1::2, K::-1] = 2.0 * C[:-1] + d * (3.0 * F[:-1] + F[1:]) / 4.0
+    # one column per anti-diagonal, I[p, g + K] = inner integral at half row
+    # p of column p - g (0 off the layout): re-cutting the flat padded array
+    # shifts row p by p columns
+    I = Y.ravel()[:-P].reshape(P, P + K)
+    inc = 0.5 * d * (I[:-1] + I[1:])
+    # anti-diagonals g > 0 start on column 0 at p = g, after a zero slot: keep
+    # their first slot at exactly 0 (the cut would cancel it up to rounding)
+    inc[np.arange(P - 1), np.arange(K + 1, K + P)] = 0.0
+    A = np.zeros_like(I)
+    np.cumsum(inc, axis=0, out=A[1:])
+
+    g = np.arange(-K, P)
+    first = np.maximum(g, 0)
+    span = np.minimum(P - 1, g + K) - first
+    q = np.floor(cut + 1e-12).astype(int)
+    s = np.where((q < 0) | (q >= span), 0.0, cut - q)
+    cols = np.arange(len(g))
+    q0 = first + np.clip(q, 0, span)
+    q1 = np.minimum(q0 + 1, P - 1)
+    A_cut = A[q0, cols] + d * (s * I[q0, cols] + 0.5 * s * s * (I[q1, cols] - I[q0, cols]))
+
+    rows = 2 * np.arange(L + 1)[:, None]
+    gk = rows - np.arange(K + 1) + K  # anti-diagonal column of each node
+    return 0.5 * (A[rows, gk] - A_cut[gk])
+
+
+def cone_integrals_batch(lat: CharLattice, values: np.ndarray) -> np.ndarray:
     """Phi[H] at every lattice node inside the domain (0 outside).
 
-    Works anti-diagonal by anti-diagonal: along eta = const the inner
-    eta-integrals of all crossing diagonals come from the per-diagonal
-    cumulatives (half-cell interpolation where the parity differs), then
-    one running trapezoid in xi serves every apex on that anti-diagonal.
-    The omega cut enters as a fractional lower xi-limit; the region behind
-    the rim reflection is removed as a whole sub-cone.
+    Shears the lattice so that column k holds the diagonal
+    xi = (k - j_ext)*delta, zero where r < 0 or r > j_ext*delta, and runs
+    :func:`sheared_cone_integrals` with the omega cut past rho0.  Below rho0
+    an apex behind the rim echo (t > r) sees the data cone, not the sheared
+    one: the sub-cone under the echo, the cone of the rim apex (t - r, 0),
+    is removed, and with it the half cells the zeros before the rim add.
     """
-    d = lat.delta
-    V = values
-    if C is None:
-        C, _ = diag_cumulatives(V, d)
-    nt, jx = lat.nt, lat.j_ext
-    rho0 = lat.front.rho0
-    n_anti = nt + jx + 1
+    d, nt, jx = lat.delta, lat.nt, lat.j_ext
+    ii = np.arange(nt + 1)[:, None]
+    jj = np.arange(jx + 1)
+    kk = ii - jj + jx
+    S = np.zeros((nt + 1, nt + jx + 1))
+    S[ii, kk] = values
 
-    A_list = [None] * n_anti
-    I_list = [None] * n_anti
+    m = np.arange(-nt - jx, 2 * nt + 1) + jx  # anti-diagonal eta = m*delta
+    eta = m * d
+    refl = eta > lat.front.rho0 + 1e-12
+    cut = np.where(refl, lat.front._omega_unchecked(eta) / d + m, 0.0)
+    J = sheared_cone_integrals(S, d, cut)[ii, kk]
 
-    for m in range(n_anti):
-        i_hi = min(nt, m)
-        if m > jx:  # no inside apex lives this far out
-            continue
-        ii = np.arange(0, i_hi + 1)
-        I = np.empty(2 * i_hi + 1)
-        I[0::2] = 2.0 * C[ii, m - ii]
-        if i_hi:
-            io = ii[:-1]
-            ja = m - 1 - io
-            I[1::2] = 2.0 * C[io, ja] + d * (3.0 * V[io, ja] + V[io + 1, ja + 1]) / 4.0
-        A = np.empty_like(I)
-        A[0] = 0.0
-        np.cumsum(0.5 * d * (I[:-1] + I[1:]), out=A[1:])
-        A_list[m], I_list[m] = A, I
-
-    J = lat.blank()
-    for m in range(min(n_anti - 1, jx) + 1):
-        A, I = A_list[m], I_list[m]
-        if A is None:
-            continue
-        i_hi = min(nt, m)
-        ii = np.arange(0, i_hi + 1)
-        jj = m - ii
-        ok = lat.inside[ii, jj]
-        if not np.any(ok):
-            continue
-        ii, jj = ii[ok], jj[ok]
-        Jf = 0.5 * A[2 * ii]  # xi = (i-j)*d sits at slot 2i (base slot is -m)
-        eta = m * d
-        if eta > rho0 + 1e-12:
-            kappa = float(lat.front._omega_unchecked(np.array(eta))) / d
-            pos = kappa + m  # offset from the base diagonal xi = -eta
-            q0 = int(np.floor(pos + 1e-12))
-            s = pos - q0
-            if q0 >= len(A) - 1:
-                A_cut = A[-1]
-            elif q0 < 0:
-                A_cut = 0.0
-            else:
-                A_cut = A[q0] + d * (s * I[q0] + 0.5 * s * s * (I[q0 + 1] - I[q0]))
-            Jf = Jf - 0.5 * A_cut
-        else:
-            behind = ii > jj  # t > r: remove the sub-cone below the rim echo
-            if np.any(behind):
-                kb = ii[behind] - jj[behind]
-                corr = np.array([0.5 * A_list[k][2 * k] for k in kb])
-                Jf = Jf.copy()
-                Jf[behind] -= corr
-        J[ii, jj] = Jf
-    return J
+    behind = (ii > jj) & ((ii + jj) * d <= lat.front.rho0 + 1e-12)
+    J = np.where(behind, J - J[np.maximum(ii - jj, 0), 0], J)
+    return np.where(lat.inside, J, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -285,70 +288,6 @@ def line_integral_along_characteristic(lat: CharLattice, values: np.ndarray,
     if min(r0, r_end) < -1e-12 or t0 < -1e-12 or t0 + length > lat.nt * lat.delta + 1e-9:
         raise GeometryError("characteristic segment leaves the lattice")
     return _diag_line_integral(lat, values, t0, r0, sgn, length)
-
-
-# ---------------------------------------------------------------------------
-# single-apex cone integral
-# ---------------------------------------------------------------------------
-
-def phi_of(lat: CharLattice, values: np.ndarray, region: ConeRegion) -> float:
-    """Double integral of the field over one truncated cone.
-
-    Iterated trapezoid in characteristic coordinates: an eta-integral
-    along every lattice diagonal crossing the region (sampled at row
-    crossings), then a xi-trapezoid over the diagonals with clipped end
-    cells at the off-lattice edges.
-    """
-    if region.is_empty:
-        return 0.0
-    d = lat.delta
-    xi_lo, xi_hi, eta_hi = region.xi_lo, region.xi_hi, region.eta_hi
-    if (eta_hi > (lat.nt + lat.j_ext) * d + 1e-9
-            or 0.5 * (xi_hi + eta_hi) > lat.nt * d + 1e-9):
-        raise GeometryError("lattice does not cover the cone")
-    c = region.eta_flat
-
-    def diag_value(xi, t, r, on_diag):
-        if on_diag:
-            i_f = t / d
-            ia = int(math.floor(i_f + 1e-12))
-            f = i_f - ia
-            k = int(round(xi / d))
-            ja = ia - k
-
-            def node(i, j):
-                return float(values[i, j]) if 0 <= j <= lat.j_ext and 0 <= i <= lat.nt else 0.0
-
-            if f < 1e-9:
-                return node(ia, ja)
-            return (1.0 - f) * node(ia, ja) + f * node(ia + 1, ja + 1)
-        return float(lat.sample(values, t, r, taper=False))
-
-    def inner(xi: float) -> float:
-        eta_lo = max(abs(xi), c)
-        if eta_hi - eta_lo <= 1e-14:
-            return 0.0
-        on_diag = abs(xi / d - round(xi / d)) < 1e-9
-        i_first = int(math.ceil((eta_lo + xi) / (2 * d) - 1e-12))
-        i_last = int(math.floor((eta_hi + xi) / (2 * d) + 1e-12))
-        etas = ([eta_lo]
-                + [2 * i * d - xi for i in range(i_first, i_last + 1)
-                   if eta_lo + 1e-13 < 2 * i * d - xi < eta_hi - 1e-13]
-                + [eta_hi])
-        etas = np.array(etas)
-        vs = np.array([diag_value(xi, 0.5 * (e + xi), 0.5 * (e - xi), on_diag)
-                       for e in etas])
-        return float(np.trapezoid(vs, etas))
-
-    k_first = int(math.ceil(xi_lo / d - 1e-12))
-    k_last = int(math.floor(xi_hi / d + 1e-12))
-    xis = ([xi_lo]
-           + [k * d for k in range(k_first, k_last + 1)
-              if xi_lo + 1e-13 < k * d < xi_hi - 1e-13]
-           + [xi_hi])
-    xis = np.array(xis)
-    ivals = np.array([inner(float(x)) for x in xis])
-    return 0.5 * float(np.trapezoid(ivals, xis))
 
 
 # ---------------------------------------------------------------------------

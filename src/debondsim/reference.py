@@ -1,0 +1,196 @@
+"""Independent reference computations that the tests compare against.
+
+Each one evaluates a quantity the production path also computes, by a
+different route: the cone integral of one apex by iterated quadrature, the
+exact cone area, the energy rate in unweighted variables, and a front given
+by callables with numerically inverted maps.  No production module imports
+this one.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from scipy.optimize import brentq
+
+from .energy_audit import _as_patches
+from .fields import ProblemData
+from .geometry import ConeRegion, GeometryError, _asarray
+from .prescribed import locate_patch
+from .quadrature import CharLattice
+
+
+# ---------------------------------------------------------------------------
+# cones
+# ---------------------------------------------------------------------------
+
+def phi_of(lat: CharLattice, values: np.ndarray, region: ConeRegion) -> float:
+    """Double integral of the field over one truncated cone.
+
+    Iterated trapezoid in characteristic coordinates: an eta-integral
+    along every lattice diagonal crossing the region (sampled at row
+    crossings), then a xi-trapezoid over the diagonals with clipped end
+    cells at the off-lattice edges.
+    """
+    if region.is_empty:
+        return 0.0
+    d = lat.delta
+    xi_lo, xi_hi, eta_hi = region.xi_lo, region.xi_hi, region.eta_hi
+    if (eta_hi > (lat.nt + lat.j_ext) * d + 1e-9
+            or 0.5 * (xi_hi + eta_hi) > lat.nt * d + 1e-9):
+        raise GeometryError("lattice does not cover the cone")
+    c = region.eta_flat
+
+    def diag_value(xi, t, r, on_diag):
+        if on_diag:
+            i_f = t / d
+            ia = int(math.floor(i_f + 1e-12))
+            f = i_f - ia
+            k = int(round(xi / d))
+            ja = ia - k
+
+            def node(i, j):
+                return float(values[i, j]) if 0 <= j <= lat.j_ext and 0 <= i <= lat.nt else 0.0
+
+            if f < 1e-9:
+                return node(ia, ja)
+            return (1.0 - f) * node(ia, ja) + f * node(ia + 1, ja + 1)
+        return float(lat.sample(values, t, r, taper=False))
+
+    def inner(xi: float) -> float:
+        eta_lo = max(abs(xi), c)
+        if eta_hi - eta_lo <= 1e-14:
+            return 0.0
+        on_diag = abs(xi / d - round(xi / d)) < 1e-9
+        i_first = int(math.ceil((eta_lo + xi) / (2 * d) - 1e-12))
+        i_last = int(math.floor((eta_hi + xi) / (2 * d) + 1e-12))
+        etas = ([eta_lo]
+                + [2 * i * d - xi for i in range(i_first, i_last + 1)
+                   if eta_lo + 1e-13 < 2 * i * d - xi < eta_hi - 1e-13]
+                + [eta_hi])
+        etas = np.array(etas)
+        vs = np.array([diag_value(xi, 0.5 * (e + xi), 0.5 * (e - xi), on_diag)
+                       for e in etas])
+        return float(np.trapezoid(vs, etas))
+
+    k_first = int(math.ceil(xi_lo / d - 1e-12))
+    k_last = int(math.floor(xi_hi / d + 1e-12))
+    xis = ([xi_lo]
+           + [k * d for k in range(k_first, k_last + 1)
+              if xi_lo + 1e-13 < k * d < xi_hi - 1e-13]
+           + [xi_hi])
+    xis = np.array(xis)
+    ivals = np.array([inner(float(x)) for x in xis])
+    return 0.5 * float(np.trapezoid(ivals, xis))
+
+
+def region_area(region: ConeRegion) -> float:
+    """Exact area of the truncated cone in (t, r) coordinates."""
+    if region.is_empty:
+        return 0.0
+    xi_lo, xi_hi, eta_hi = region.xi_lo, region.xi_hi, region.eta_hi
+    c = region.eta_flat
+    area_char = 0.0
+    # wedge part, eta from |xi| down: integrand eta_hi + xi on xi < -c
+    a, b = xi_lo, min(xi_hi, -c)
+    if b > a:
+        area_char += (eta_hi * (b - a) + 0.5 * (b * b - a * a))
+    # flat part, eta from c: integrand eta_hi - c on xi in [-c, xi_hi]
+    a2 = max(xi_lo, -c)
+    if xi_hi > a2:
+        area_char += (eta_hi - c) * (xi_hi - a2)
+    return 0.5 * area_char
+
+
+# ---------------------------------------------------------------------------
+# energy rate
+# ---------------------------------------------------------------------------
+
+def energy_rate_v_form(patches, front, data: ProblemData, t: float) -> float:
+    """The closed-form energy rate written in unweighted variables, with
+    every v-trace obtained through the weight transform (an algebraic
+    identity with :func:`debondsim.energy_audit.energy_rate`, kept as a
+    structural cross-check)."""
+    patch = locate_patch(_as_patches(patches), t)
+    hd = patch.hdata
+    t_loc = t - patch.t0
+    R, alpha = hd.R, hd.alpha
+    rho_t = float(front.rho(t))
+    rd = float(front.rho_dot(t))
+    b_v = (math.exp(-0.5 * alpha * t_loc) / math.sqrt(R - rho_t)
+           * patch.front_bracket(t_loc))
+    first = -math.pi * rd * (1.0 - rd) / (1.0 + rd) * (R - rho_t) * b_v * b_v
+    w_t = float(data.w(t))
+    w_dot = float(data.w.deriv(t))
+    x_v = (math.exp(-0.5 * alpha * t_loc) / math.sqrt(R) * patch.rim_bracket(t_loc)
+           - 0.5 * (alpha - 1.0 / R) * w_t)
+    return first + 2.0 * math.pi * R * w_dot * (w_dot - x_v)
+
+
+# ---------------------------------------------------------------------------
+# fronts
+# ---------------------------------------------------------------------------
+
+class ClosedFormFront:
+    """Front given by callables; inverse maps fall back to bisection.
+
+    Mirrors the maps of :class:`debondsim.geometry.FrontCurve`, whose exact
+    piecewise inversion is checked against it.  Only the forward maps are
+    exact; psi_inverse / lambda_of solve the defining equations numerically.
+    """
+
+    def __init__(self, rho, rho_dot, horizon: float, R: float):
+        self._rho = rho
+        self._rho_dot = rho_dot
+        self.horizon = float(horizon)
+        self.R = float(R)
+        self.rho0 = float(rho(0.0))
+        if not (0 < self.rho0 < R):
+            raise GeometryError("inadmissible front width at t = 0")
+
+    def rho(self, t):
+        return _asarray(self._rho(_asarray(t)))
+
+    def rho_dot(self, t):
+        return _asarray(self._rho_dot(_asarray(t)))
+
+    def phi(self, t):
+        return _asarray(t) - self.rho(t)
+
+    def psi(self, t):
+        return _asarray(t) + self.rho(t)
+
+    def _invert(self, fwd, s):
+        lo, hi = 0.0, self.horizon
+        flo, fhi = fwd(lo), fwd(hi)
+        if not (flo - 1e-10 <= s <= fhi + 1e-10):
+            raise GeometryError("value outside the map range")
+        s = min(max(s, flo), fhi)
+        if s == flo:
+            return lo
+        if s == fhi:
+            return hi
+        return brentq(lambda t: fwd(t) - s, lo, hi, xtol=1e-14)
+
+    def psi_inverse(self, s):
+        f = np.vectorize(lambda v: self._invert(lambda t: float(self.psi(t)), v))
+        return f(_asarray(s))
+
+    def lambda_of(self, s):
+        f = np.vectorize(lambda v: self._invert(lambda t: float(self.phi(t)), v))
+        return f(_asarray(s))
+
+    def omega(self, s):
+        s = _asarray(s)
+        out = np.where(s < self.rho0, -self.rho0, 0.0)
+        past = s >= self.rho0
+        if np.any(past):
+            tt = self.psi_inverse(np.where(past, s, self.rho0))
+            out = np.where(past, self.phi(tt), out)
+        return out
+
+    def omega_dot(self, s):
+        s = _asarray(s)
+        rd = self.rho_dot(self.psi_inverse(np.clip(s, self.psi(0.0), None)))
+        return np.where(s < self.rho0, 0.0, (1.0 - rd) / (1.0 + rd))

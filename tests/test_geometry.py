@@ -4,9 +4,9 @@ from scipy.optimize import brentq
 
 from debondsim.geometry import (
     OMEGA1, OMEGA2, OMEGA3,
-    ClosedFormFront, FrontCurve, GeometryError,
-    annulus_area_derivative, cone_region, region_area,
+    FrontCurve, GeometryError, annulus_area_derivative, cone_region,
 )
+from debondsim.reference import ClosedFormFront, region_area
 
 
 def make_front(kind="piecewise", R=3.0):

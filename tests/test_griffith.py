@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from debondsim.energy_audit import audit, err_g0
+from debondsim.energy_audit import audit
 from debondsim.fields import ProblemData, Profile, Toughness, to_h_data
 from debondsim.geometry import FrontCurve
 from debondsim.griffith import (
-    CoupledWindow, GriffithRun, StripWorkspace, _front_point, lambda_rhs,
-    psi1, psi2, run, solve_coupled_window,
+    GriffithRun, StripWorkspace, _front_point, run, solve_coupled_window,
 )
 from debondsim.prescribed import evaluate_field, march
 
@@ -20,11 +19,8 @@ def bump_data(R=3.0, rho0=1.0, alpha=0.0, amp=0.4, v1=None, w=None):
                        v1=v1 or Profile.zero())
 
 
-def make_window(data, tough, T=0.25, m=16, delta=1.0 / 64):
-    hd = to_h_data(data)
-    ws = StripWorkspace(hd, tough, T, m, delta)
-    return CoupledWindow(t_start=0.0, T=ws.T, y=ws.y, delta=delta,
-                         M=1e3, metric_tol=1e-10, workspace=ws), hd
+def make_workspace(data, tough, T=0.25, m=16, delta=1.0 / 64):
+    return StripWorkspace(to_h_data(data), tough, T, m, delta)
 
 
 # -- rate law -----------------------------------------------------------------
@@ -32,11 +28,10 @@ def make_window(data, tough, T=0.25, m=16, delta=1.0 / 64):
 def test_lambda_rhs_stationary_branch():
     data = bump_data(amp=0.05)
     tough = Toughness.constant(100.0, rho0=1.0, R=3.0)  # far above the rate
-    window, hd = make_window(data, tough)
-    ws = window.workspace
+    ws = make_workspace(data, tough)
     lam = np.minimum(ws.s + ws.rho0, ws.T)
     h = ws.psi1(ws.blank(), lam)
-    assert lambda_rhs(window, h, lam, float(ws.s[0])) == pytest.approx(1.0)
+    assert ws.rate_slopes(h, lam)[0] == pytest.approx(1.0)
 
 
 def test_lambda_rhs_moving_branch():
@@ -46,33 +41,30 @@ def test_lambda_rhs_moving_branch():
     bracket = float(hd.h0_dot(1.0)) - float(hd.h1(1.0))
     g0 = bracket ** 2 / (2.0 * 2.0)
     tough = Toughness.constant(g0 / 3.0, rho0=1.0, R=3.0)
-    window, _ = make_window(data, tough)
-    ws = window.workspace
+    ws = make_workspace(data, tough)
     lam = np.minimum(ws.s + ws.rho0, ws.T)
     h = ws.psi1(ws.blank(), lam)
     # at the left end of the strip lambda = 0: no line integral, data only
-    assert lambda_rhs(window, h, lam, float(ws.s[0])) == pytest.approx(2.0, rel=1e-9)
+    assert ws.rate_slopes(h, lam)[0] == pytest.approx(2.0, rel=1e-9)
 
 
 def test_psi2_unit_slope_for_zero_field():
     data = ProblemData(R=3.0, rho0=1.0, alpha=0.0, horizon=8.0,
                        w=Profile.zero(), v0=Profile.zero(), v1=Profile.zero())
     tough = Toughness.constant(1.0, rho0=1.0, R=3.0)
-    window, _ = make_window(data, tough)
-    ws = window.workspace
+    ws = make_workspace(data, tough)
     lam0 = np.minimum(ws.s + ws.rho0, ws.T)
-    lam = psi2(window, ws.blank(), lam0)
+    lam = ws.psi2(ws.blank(), lam0)
     assert np.allclose(lam, np.minimum(ws.s - ws.s[0], ws.T), atol=1e-14)
 
 
 def test_psi2_slope_at_least_one():
     data = bump_data(amp=0.5)
     tough = Toughness.constant(0.05, rho0=1.0, R=3.0)
-    window, _ = make_window(data, tough)
-    ws = window.workspace
+    ws = make_workspace(data, tough)
     lam0 = np.minimum(ws.s + ws.rho0, ws.T)
-    h = psi1(window, ws.blank(), lam0)
-    lam = psi2(window, h, lam0)
+    h = ws.psi1(ws.blank(), lam0)
+    lam = ws.psi2(h, lam0)
     grow = np.diff(lam) / ws.delta
     capped = lam[1:] >= ws.T - 1e-12
     assert np.all(grow[~capped[0:]] >= 1.0 - 1e-12)
@@ -83,10 +75,9 @@ def test_psi1_zero_data_zero_field():
     data = ProblemData(R=3.0, rho0=1.0, alpha=0.5, horizon=8.0,
                        w=Profile.zero(), v0=Profile.zero(), v1=Profile.zero())
     tough = Toughness.constant(1.0, rho0=1.0, R=3.0)
-    window, _ = make_window(data, tough)
-    ws = window.workspace
+    ws = make_workspace(data, tough)
     lam0 = np.minimum(ws.s + ws.rho0, ws.T)
-    assert np.all(psi1(window, ws.blank(), lam0) == 0.0)
+    assert np.all(ws.psi1(ws.blank(), lam0) == 0.0)
 
 
 def test_psi1_matches_prescribed_solver_on_strip():
@@ -97,8 +88,7 @@ def test_psi1_matches_prescribed_solver_on_strip():
     front = FrontCurve.constant(1.0, 3.0, 3.0)
     delta = 1.0 / 64
     patches = march(data, front, horizon=0.25, delta=delta)
-    window, hd = make_window(data, tough, T=0.25, m=12, delta=delta)
-    ws = window.workspace
+    ws = make_workspace(data, tough, T=0.25, m=12, delta=delta)
     lam = np.minimum(ws.s + ws.rho0, ws.T)  # the static front in s-form
     h = ws.psi1(ws.blank(), lam)
     for _ in range(60):
@@ -118,8 +108,8 @@ def test_psi1_matches_prescribed_solver_on_strip():
 def test_window_converges_and_reports():
     data = bump_data(amp=0.4)
     tough = Toughness.constant(0.1, rho0=1.0, R=3.0)
-    window, hd = make_window(data, tough, m=12)
-    h, lam, diag = solve_coupled_window(window, hd, tough)
+    ws = make_workspace(data, tough, m=12)
+    h, lam, diag = solve_coupled_window(ws, M=1e3, t_start=0.0)
     assert diag["final_metric"] < 1e-10
     assert diag["measured_factor"] < 0.9
     assert lam[0] == 0.0
@@ -129,9 +119,8 @@ def test_window_converges_and_reports():
 def test_window_stationary_for_huge_toughness():
     data = bump_data(amp=0.3)
     tough = Toughness.constant(1e6, rho0=1.0, R=3.0)
-    window, hd = make_window(data, tough, m=8)
-    h, lam, diag = solve_coupled_window(window, hd, tough)
-    ws = window.workspace
+    ws = make_workspace(data, tough, m=8)
+    h, lam, diag = solve_coupled_window(ws, M=1e3, t_start=0.0)
     assert np.allclose(lam, np.minimum(ws.s - ws.s[0], ws.T), atol=1e-12)
 
 
@@ -140,9 +129,9 @@ def test_front_point_lies_on_the_crossing_curve():
     # inside an uncapped cell lands on that curve, not on the cell's chord
     data = bump_data(amp=0.4)
     tough = Toughness.constant(0.1, rho0=1.0, R=3.0)
-    window, hd = make_window(data, tough, T=1.0, m=12)
-    _, _, diag = solve_coupled_window(window, hd, tough)
-    ws, lam_raw, slopes = window.workspace, diag["lam_raw"], diag["slopes"]
+    ws = make_workspace(data, tough, T=1.0, m=12)
+    _, _, diag = solve_coupled_window(ws, M=1e3, t_start=0.0)
+    lam_raw, slopes = diag["lam_raw"], diag["slopes"]
     assert lam_raw[-1] < ws.T  # no capped cell
 
     def crossing_time(s):
@@ -217,16 +206,20 @@ def test_run_kkt_residual_small():
 
 def test_run_kkt_residual_second_order():
     # the scenario above under delta-refinement: each halving of delta
-    # divides the maximum complementarity residual by at least 2.8, where a
-    # first-order residual would give 2
+    # divides the maximum complementarity residual and the maximum
+    # maximality gap by at least 2.8, where a first-order residual would
+    # give 2
     data = bump_data(amp=0.4, alpha=0.5)
     tough = Toughness.constant(0.15, rho0=1.0, R=3.0)
-    maxima = []
+    kkt, mdp = [], []
     for delta in (1.0 / 64, 1.0 / 128, 1.0 / 256):
         res = run(data, tough, horizon=0.375, delta=delta)
-        maxima.append(float(np.max(audit(res.patches, res.front, data, tough).kkt_residual)))
-    assert maxima[0] / maxima[1] >= 2.8
-    assert maxima[1] / maxima[2] >= 2.8
+        led = audit(res.patches, res.front, data, tough)
+        kkt.append(float(np.max(led.kkt_residual)))
+        mdp.append(float(np.max(led.mdp_gap)))
+    for maxima in (kkt, mdp):
+        assert maxima[0] / maxima[1] >= 2.8
+        assert maxima[1] / maxima[2] >= 2.8
 
 
 def test_run_consistency_with_prescribed():

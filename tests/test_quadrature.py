@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from debondsim.geometry import FrontCurve, GeometryError, cone_region, region_area
+from debondsim.fields import ProblemData, Profile, Toughness, to_h_data
+from debondsim.geometry import FrontCurve, GeometryError, cone_region
+from debondsim.griffith import StripWorkspace
 from debondsim.quadrature import (
     CharLattice, cone_integrals_batch, diag_cumulatives, g_row_batch,
-    line_integral_along_characteristic, phi_of, phi_time_trace,
+    line_integral_along_characteristic, phi_time_trace, sheared_cone_integrals,
 )
+from debondsim.reference import phi_of, region_area
 
 
 def make_lattice(delta=1.0 / 64, nt=16, speed=0.25, rho0=1.0, R=3.0):
@@ -130,6 +135,73 @@ def test_batch_matches_single_apex():
             # differently (both second order); elsewhere they coincide
             tol = 1e-12 if t + r <= lat.front.rho0 + 1e-12 else 0.05 * lat.delta ** 2
             assert J[i, j] == pytest.approx(ref, abs=tol), (i, j)
+
+
+def test_sheared_kernel_exact_for_constant_field():
+    # the kernel on its own: for F = 1 the trapezoid sums are exact, and with
+    # xi0 = 0 and no cut node (l, k) has eta = (2l - k) delta and
+    # Phi = 1/2 int (eta + xi) dxi over xi in [max(0, -eta), k delta], on
+    # anti-diagonals starting on row 0 (eta < 0) and on column 0 (eta > 0)
+    d, L, K = 1.0 / 16, 6, 9
+    J = sheared_cone_integrals(np.ones((L + 1, K + 1)), d, np.zeros(2 * L + K + 1))
+    l, k = np.meshgrid(np.arange(L + 1), np.arange(K + 1), indexing="ij")
+    eta, b = (2 * l - k) * d, k * d
+    a = np.maximum(0.0, -eta)
+    assert np.allclose(J, 0.5 * (eta * (b - a) + 0.5 * (b * b - a * a)), rtol=0.0, atol=1e-14)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(interior=st.lists(st.floats(0.02, 0.58), max_size=2, unique=True),
+       slopes=st.lists(st.floats(0.0, 0.6), min_size=3, max_size=3),
+       coef=st.tuples(st.floats(0.0, 1.5), st.floats(-3.0, 3.0), st.floats(0.0, 1.5),
+                      st.floats(-3.0, 3.0), st.floats(-1.0, 1.0)))
+def test_batch_matches_single_apex_on_random_fronts(interior, slopes, coef):
+    # the lattice index map of the sheared kernel against the iterated
+    # single-apex quadrature, on fronts with 2-4 knots; the fields are of
+    # unit size, the scale of the absolute reflected-cone bound above
+    ts = np.array([0.0] + sorted(interior) + [0.6])
+    rhos = 1.0 + np.concatenate(([0.0], np.cumsum(np.array(slopes[:len(ts) - 1]) * np.diff(ts))))
+    lat = CharLattice(FrontCurve(ts, rhos, 3.0), 1.0 / 32, 8)
+    b, c, e, f, g = coef
+    H = fill(lat, lambda t, r: np.sin(b * t + c) * np.cos(e * r + f) + g * t * r)
+    J = cone_integrals_batch(lat, H)
+    rho0 = lat.front.rho0
+    for i in range(lat.nt + 1):
+        t = i * lat.delta
+        for j in np.flatnonzero(lat.inside[i]):
+            r = j * lat.delta
+            if t > r and t + r > rho0:
+                continue
+            ref = phi_of(lat, H, cone_region(lat.front, t, r))
+            tol = 1e-12 if t + r <= rho0 + 1e-12 else 0.05 * lat.delta ** 2
+            assert J[i, j] == pytest.approx(ref, abs=tol), (i, j)
+
+
+@pytest.mark.parametrize("speed", [0.0, 0.3])
+def test_strip_matches_lattice(speed):
+    # the strip index map of the sheared kernel against the lattice one at
+    # every inside strip node; the front crosses every strip diagonal
+    # before T, so the strip's induced front is the lattice's front
+    delta, m = 1.0 / 128, 9
+    data = ProblemData(R=3.0, rho0=1.0, alpha=0.5, horizon=8.0, w=Profile.zero(),
+                       v0=Profile.sine_bump(0.4, 1.0), v1=Profile.zero())
+    ws = StripWorkspace(to_h_data(data), Toughness.constant(1.0, rho0=1.0, R=3.0),
+                        0.3, m, delta)
+    lam = (ws.s + ws.rho0) / (1.0 - speed)  # crossing time of t - r = s_k
+    assert lam[-1] < ws.T
+    lat = CharLattice(FrontCurve.affine(1.0, speed, 1.0, 3.0), delta, ws.L)
+
+    def field(t, r):
+        return np.cos(2.0 * t + 0.3) * np.sin(1.7 * r + 0.2) + t * r
+
+    inside = ws.inside_mask(lam)
+    J_strip = ws.cone_integrals(lam, np.where(inside, field(ws.t_grid, ws.r_grid), 0.0))
+    J_lat = cone_integrals_batch(lat, fill(lat, field))
+    ll, kk = np.nonzero(inside)
+    jj = np.rint(ws.r_grid[ll, kk] / delta).astype(int)
+    ref = J_lat[ll, jj]
+    assert np.all(lat.inside[ll, jj])
+    assert np.max(np.abs(J_strip[ll, kk] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_batch_zero_outside():
