@@ -54,83 +54,97 @@ def _energy_integrands(patch: FieldPatch, t_loc: float, h, h_t, h_r, r):
     return e, a
 
 
-def _point_integrands(patch: FieldPatch, t_loc: float, r: float):
-    h, h_t, h_r = patch.local_traces(t_loc, r)
-    e, a = _energy_integrands(patch, t_loc, np.asarray(h), np.asarray(h_t),
-                              np.asarray(h_r), np.asarray(r, dtype=float))
-    return float(e), float(a)
-
-
 _JUMP_EPS = 1e-9
 
 
-def _row_radial_integrals(patch: FieldPatch, i: int, wavefronts=None):
-    """(E_row, a_row) at lattice row i of one patch:
+def _row_radial_integrals(patch: FieldPatch, rows, wavefronts=None):
+    """(E, a) of one patch at row coordinates ``rows`` = t_loc / delta
+    (floats for one row, arrays for many; off the rows a coordinate is
+    fractional):
 
-        E_row = pi * int (R - r) (v_t^2 + v_r^2) dr
-        a_row =      int (R - r) v_t^2 dr
+        E = pi * int (R - r) (v_t^2 + v_r^2) dr
+        a =      int (R - r) v_t^2 dr
 
-    Composite trapezoid over the row nodes and the clipped front cell.
+    Composite trapezoid over the lattice radii and the clipped front cell.
     Cells crossed by a corner wavefront are split there, with one-sided
     trace evaluations on both banks: the derivative fields genuinely jump
     across those characteristics and a straddling trapezoid cell would
-    cost an order of accuracy.
+    cost an order of accuracy.  On a lattice row the node traces come from
+    the row's batch; every other radius (the banks, the front point, and
+    all radii at a time off the rows) goes to one ``local_traces`` call for
+    the whole patch.
     """
     lat = patch.lattice
-    t_loc = i * lat.delta
-    t_glob = patch.t0 + t_loc
-    rho_t = float(patch.rho_local(t_loc))
-    j_in = int(math.floor(rho_t / lat.delta + 1e-12))
+    d = lat.delta
+    pts_t, pts_r = [], []
 
-    h, h_t, h_r = patch.row_traces(i)
-    r = lat.radii[: j_in + 1]
-    e_int, a_int = _energy_integrands(patch, t_loc, h[: j_in + 1],
-                                      h_t[: j_in + 1], h_r[: j_in + 1], r)
+    def points(t, r):
+        """Queue radii r at time t; returns their slice of the point list."""
+        r = np.atleast_1d(r)
+        pts_t.extend([t] * r.size)
+        pts_r.extend(r)
+        return slice(len(pts_r) - r.size, len(pts_r))
 
-    splits = jump_radii(wavefronts, t_glob, rho_t) if wavefronts else []
-    edges = [0.0] + splits + [rho_t]
+    plans = []
+    for x in np.atleast_1d(np.asarray(rows, dtype=float)):
+        i = int(round(x))
+        row = i if 0 <= i <= lat.nt and abs(i - x) * d < 1e-9 else None
+        t = i * d if row is not None else float(x * d)
+        rho_t = float(patch.rho_local(t))
+        j_in = int(math.floor(rho_t / d + 1e-12))
+        # off a row the nodes are points too
+        nodes = points(t, lat.radii[: j_in + 1]) if row is None else None
 
-    E = 0.0
-    a = 0.0
-    for a_edge, b_edge in zip(edges[:-1], edges[1:]):
-        if b_edge - a_edge <= 2 * _JUMP_EPS:
-            continue
-        lo = a_edge + (_JUMP_EPS if a_edge > 0.0 else 0.0)
-        hi = b_edge - (_JUMP_EPS if b_edge < rho_t else 0.0)
-        j_lo = int(math.ceil(lo / lat.delta - 1e-12))
-        j_hi = int(math.floor(hi / lat.delta + 1e-12))
-        rs, es, as_ = [], [], []
-        if j_lo * lat.delta - lo > 1e-12 or j_lo > j_hi:
-            ev, av = _point_integrands(patch, t_loc, lo)
-            rs.append(lo), es.append(ev), as_.append(av)
-        for j in range(max(j_lo, 0), min(j_hi, j_in) + 1):
-            rs.append(r[j]), es.append(e_int[j]), as_.append(a_int[j])
-        if not rs or hi - rs[-1] > 1e-12:
-            ev, av = _point_integrands(patch, t_loc, hi)
-            rs.append(hi), es.append(ev), as_.append(av)
-        rs = np.asarray(rs)
-        E += float(np.trapezoid(np.asarray(es), rs))
-        a += float(np.trapezoid(np.asarray(as_), rs))
-    return math.pi * E, a
+        splits = jump_radii(wavefronts, patch.t0 + t, rho_t) if wavefronts else []
+        edges = [0.0] + splits + [rho_t]
+        segs = []
+        for a_edge, b_edge in zip(edges[:-1], edges[1:]):
+            if b_edge - a_edge <= 2 * _JUMP_EPS:
+                continue
+            lo = a_edge + (_JUMP_EPS if a_edge > 0.0 else 0.0)
+            hi = b_edge - (_JUMP_EPS if b_edge < rho_t else 0.0)
+            j_lo = int(math.ceil(lo / d - 1e-12))
+            j_hi = int(math.floor(hi / d + 1e-12))
+            j0, j1 = max(j_lo, 0), min(j_hi, j_in)
+            lead = j_lo * d - lo > 1e-12 or j_lo > j_hi
+            head = points(t, lo) if lead else slice(0, 0)
+            last = j1 * d if j1 >= j0 else (lo if lead else None)
+            tail = points(t, hi) if last is None or hi - last > 1e-12 else slice(0, 0)
+            segs.append((head, j0, j1, tail))
+        plans.append((t, row, j_in, nodes, segs))
+
+    pt, pr = np.asarray(pts_t), np.asarray(pts_r)
+    e_pt = a_pt = np.zeros(0)
+    if pts_r:
+        e_pt, a_pt = _energy_integrands(patch, pt, *patch.local_traces(pt, pr), pr)
+    E = np.empty(len(plans))
+    A = np.empty(len(plans))
+    for k, (t, row, j_in, nodes, segs) in enumerate(plans):
+        r = lat.radii[: j_in + 1]
+        if row is not None:
+            h, h_t, h_r = patch.row_traces(row)
+            e_n, a_n = _energy_integrands(patch, t, h[: j_in + 1], h_t[: j_in + 1],
+                                          h_r[: j_in + 1], r)
+        else:
+            e_n, a_n = e_pt[nodes], a_pt[nodes]
+        E[k] = A[k] = 0.0
+        for head, j0, j1, tail in segs:
+            rs, es, as_ = (np.concatenate((pts[head], nodes[j0:j1 + 1], pts[tail]))
+                           for pts, nodes in ((pr, r), (e_pt, e_n), (a_pt, a_n)))
+            E[k] += float(np.trapezoid(es, rs))
+            A[k] += float(np.trapezoid(as_, rs))
+    if np.ndim(rows) == 0:
+        return math.pi * float(E[0]), float(A[0])
+    return math.pi * E, A
 
 
 def internal_energy(patches, t: float, front=None) -> float:
-    """Internal (kinetic + membrane) energy at time t."""
+    """Internal (kinetic + membrane) energy at time t, on or off the rows."""
     plist = _as_patches(patches)
     patch = locate_patch(plist, t)
     wf = corner_wavefronts(front, plist[-1].t1) if front is not None else \
         _patch_wavefronts(plist)
-    i, t_loc = _nearest_row(patch, t)
-    if i is not None:
-        return _row_radial_integrals(patch, i, wf)[0]
-    # off-row: trapezoid over the same radii using pointwise traces
-    lat = patch.lattice
-    rho_t = float(patch.rho_local(t_loc))
-    rs = list(lat.radii[lat.radii < rho_t - 1e-12]) + [rho_t]
-    vals = [(r, *_point_integrands(patch, t_loc, float(r))) for r in rs]
-    rr = np.array([v[0] for v in vals])
-    ee = np.array([v[1] for v in vals])
-    return math.pi * float(np.trapezoid(ee, rr))
+    return _row_radial_integrals(patch, (t - patch.t0) / patch.lattice.delta, wf)[0]
 
 
 def _patch_wavefronts(plist):
@@ -148,23 +162,19 @@ def _patch_wavefronts(plist):
     return corner_wavefronts(glob, plist[-1].t1)
 
 
-def _nearest_row(patch: FieldPatch, t: float):
-    t_loc = t - patch.t0
-    i = int(round(t_loc / patch.lattice.delta))
-    if 0 <= i <= patch.lattice.nt and abs(i * patch.lattice.delta - t_loc) < 1e-9:
-        return i, t_loc
-    return None, t_loc
-
-
-def _global_rows(patches: List[FieldPatch]):
-    """(times, owner patch, local row) for every global lattice row; seam
-    rows belong to the later window, whose data are freshly re-based."""
-    rows = []
+def _global_rows(patches: List[FieldPatch], t_end: float = np.inf):
+    """(patch, local row indices, global times) covering every global
+    lattice row up to t_end; seam rows belong to the later window, whose
+    data are freshly re-based."""
+    out = []
     for k, p in enumerate(patches):
         last = p.lattice.nt + 1 if k == len(patches) - 1 else p.lattice.nt
-        for i in range(last):
-            rows.append((p.t0 + i * p.lattice.delta, p, i))
-    return rows
+        rows = np.arange(last)
+        times = p.t0 + rows * p.lattice.delta
+        keep = times <= t_end + 1e-12
+        if np.any(keep):
+            out.append((p, rows[keep], times[keep]))
+    return out
 
 
 def friction_dissipation(patches, t: float) -> float:
@@ -174,45 +184,61 @@ def friction_dissipation(patches, t: float) -> float:
     if alpha == 0.0:
         return 0.0
     wf = _patch_wavefronts(plist)
-    rows = [(tt, p, i) for tt, p, i in _global_rows(plist) if tt <= t + 1e-12]
-    ts = np.array([r[0] for r in rows])
-    a_vals = np.array([_row_radial_integrals(p, i, wf)[1] for _, p, i in rows])
+    rows = _global_rows(plist, t)
+    ts = np.concatenate([tt for _, _, tt in rows])
+    a_vals = np.concatenate([_row_radial_integrals(p, ii, wf)[1] for p, ii, _ in rows])
     return 2.0 * math.pi * alpha * float(np.trapezoid(a_vals, ts))
 
 
-def debond_dissipation(front, tough: Toughness, t: float) -> float:
-    """Energy spent breaking the bond from the initial width to rho(t)."""
-    rho_t = float(front.rho(t))
+def debond_dissipation(front, tough: Toughness, t):
+    """Energy spent breaking the bond from the initial width to rho(t).
+
+    t may be an array: every time integrates its pieces with the same
+    Simpson nodes as alone, in one pass per toughness piece.
+    """
+    scalar = np.ndim(t) == 0
+    rho_t = np.atleast_1d(np.asarray(front.rho(t), dtype=float))
     rho0 = front.rho0
-    if rho_t <= rho0 + 1e-15:
-        return 0.0
     R = tough.R
-    edges = [rho0] + [float(b) for b in tough.breakpoints if rho0 < b < rho_t] + [rho_t]
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        n = 64
-        xs = np.linspace(a, b, 2 * n + 1)
+    n = 64
+    # piece m runs from knots[m] to the next knot or rho(t), when it starts
+    # below rho(t); a breakpoint at rho(t) itself starts no piece
+    knots = [rho0] + [float(b) for b in tough.breakpoints if b > rho0] + [np.inf]
+    total = np.zeros(rho_t.shape)
+    for a, b_next in zip(knots[:-1], knots[1:]):
+        live = rho_t > max(a, rho0 + 1e-15)
+        if not np.any(live):
+            break
+        b = np.minimum(b_next, rho_t[live])
+        xs = np.linspace(np.full(b.shape, a), b, 2 * n + 1, axis=-1)
         ys = (R - xs) * kappa_eval(tough, np.minimum(xs, R - 1e-12))
         hstep = (b - a) / (2 * n)
-        total += float(np.sum((ys[:-2:2] + 4 * ys[1:-1:2] + ys[2::2]) * hstep / 3.0))
-    return 2.0 * math.pi * total
+        terms = (ys[:, :-2:2] + 4 * ys[:, 1:-1:2] + ys[:, 2::2]) * hstep[:, None] / 3.0
+        # summed time by time: a 2-D reduction may add in another order, and
+        # each time keeps the value of its scalar call to the last bit
+        total[live] += [np.sum(row) for row in terms]
+    out = 2.0 * math.pi * total
+    return float(out[0]) if scalar else out
 
 
 # ---------------------------------------------------------------------------
 # energy rate, boundary power, release rate
 # ---------------------------------------------------------------------------
 
-def q_power(patches, data: ProblemData, t: float, gamma: float) -> float:
-    """Rim power factor Q(t, gamma); gamma stands in for the opening rate."""
-    patch = locate_patch(_as_patches(patches), t)
+def _rim_power(patch: FieldPatch, data: ProblemData, t, gamma):
+    """Rim power factor Q at global times t of one patch (arrays allowed)."""
     hd = patch.hdata
     t_loc = t - patch.t0
     x_hat = patch.rim_bracket(t_loc)
     R, alpha = hd.R, hd.alpha
-    w_t = float(data.w(t))
     return 2.0 * math.pi * R * (
-        gamma + 0.5 * (alpha - 1.0 / R) * w_t
-        - math.exp(-0.5 * alpha * t_loc) / math.sqrt(R) * x_hat)
+        gamma + 0.5 * (alpha - 1.0 / R) * data.w(t)
+        - np.exp(-0.5 * alpha * t_loc) / math.sqrt(R) * x_hat)
+
+
+def q_power(patches, data: ProblemData, t: float, gamma: float) -> float:
+    """Rim power factor Q(t, gamma); gamma stands in for the opening rate."""
+    return float(_rim_power(locate_patch(_as_patches(patches), t), data, t, gamma))
 
 
 def energy_rate(patches, front, data: ProblemData, t: float,
@@ -236,28 +262,34 @@ def energy_rate(patches, front, data: ProblemData, t: float,
     return first + w_dot * q_power(patches, data, t, w_dot)
 
 
+def _rim_work_rates(patch: FieldPatch, data: ProblemData, t):
+    """Rim power w_dot * Q(t, w_dot) at global times t of one patch
+    (exactly 0 where the opening rate is 0)."""
+    w_dot = data.w.deriv(t)
+    return np.where(w_dot != 0.0, w_dot * _rim_power(patch, data, t, w_dot), 0.0)
+
+
 def external_work(data: ProblemData, patches, t: float) -> float:
     """Work of the rim load up to t: the cumulative rim power."""
     plist = _as_patches(patches)
     if data.w.kind in ("zero", "constant"):
         return 0.0
-    rows = [(tt, p, i) for tt, p, i in _global_rows(plist) if tt <= t + 1e-12]
-    ts = np.array([r[0] for r in rows])
-    vals = np.empty(len(rows))
-    for k, (tt, p, i) in enumerate(rows):
-        w_dot = float(data.w.deriv(tt))
-        vals[k] = w_dot * q_power(p, data, tt, w_dot)
-    return float(np.trapezoid(vals, ts))
+    rows = _global_rows(plist, t)
+    vals = np.concatenate([_rim_work_rates(p, data, tt) for p, _, tt in rows])
+    return float(np.trapezoid(vals, np.concatenate([tt for _, _, tt in rows])))
+
+
+def _release_rate(patch: FieldPatch, front, t):
+    """G0 at global times t of one patch (arrays allowed)."""
+    t_loc = t - patch.t0
+    bracket = patch.front_bracket(t_loc)
+    return (np.exp(-patch.hdata.alpha * t_loc) * bracket * bracket
+            / (2.0 * (patch.hdata.R - front.rho(t))))
 
 
 def err_g0(patches, front, t: float) -> float:
     """Quasistatic-limit release rate at t (always nonnegative)."""
-    patch = locate_patch(_as_patches(patches), t)
-    t_loc = t - patch.t0
-    rho_t = float(front.rho(t))
-    bracket = patch.front_bracket(t_loc)
-    return (math.exp(-patch.hdata.alpha * t_loc) * bracket * bracket
-            / (2.0 * (patch.hdata.R - rho_t)))
+    return float(_release_rate(locate_patch(_as_patches(patches), t), front, t))
 
 
 def err_gbeta(g0: float, beta: float) -> float:
@@ -359,20 +391,20 @@ def audit(patches, front, data: ProblemData, tough: Toughness,
     """
     plist = _as_patches(patches)
     rows = _global_rows(plist)
-    n = len(rows)
-    times = np.array([r[0] for r in rows])
+    times = np.concatenate([tt for _, _, tt in rows])
+    n = len(times)
     alpha = plist[0].hdata.alpha
 
+    # every per-row quantity of a patch comes from one batched call
     wf = corner_wavefronts(front, times[-1])
-    E = np.empty(n)
-    a_int = np.empty(n)
-    qw = np.empty(n)
-    G0 = np.empty(n)
-    for k, (tt, p, i) in enumerate(rows):
-        E[k], a_int[k] = _row_radial_integrals(p, i, wf)
-        w_dot = float(data.w.deriv(tt))
-        qw[k] = w_dot * q_power(p, data, tt, w_dot) if w_dot != 0.0 else 0.0
-        G0[k] = err_g0(p, front, tt)
+    E, a_int, qw, G0 = [], [], [], []
+    for p, ii, tt in rows:
+        e, a = _row_radial_integrals(p, ii, wf)
+        E.append(e)
+        a_int.append(a)
+        qw.append(_rim_work_rates(p, data, tt))
+        G0.append(_release_rate(p, front, tt))
+    E, a_int, qw, G0 = (np.concatenate(x) for x in (E, a_int, qw, G0))
 
     A = np.zeros(n)
     W = np.zeros(n)
@@ -384,7 +416,7 @@ def audit(patches, front, data: ProblemData, tough: Toughness,
 
     rho = np.asarray(front.rho(times), dtype=float)
     rho_dot = np.asarray(front.rho_dot(times), dtype=float)
-    D = np.array([debond_dissipation(front, tough, tt) for tt in times])
+    D = debond_dissipation(front, tough, times)
     kap = kappa_eval(tough, np.minimum(rho, tough.R - 1e-12))
 
     edp = T + D - T[0] - W

@@ -24,7 +24,7 @@ import numpy as np
 from .dalembert import TravelingWaves, free_derivatives, free_solution, traveling_decomposition
 from .fields import HData, ProblemData, Profile, kernel_prefactor, to_h_data, v_from_h
 from .geometry import GeometryError, corner_wavefronts, jump_radii
-from .quadrature import (CharLattice, _diag_line_integral, cone_integrals_batch,
+from .quadrature import (CharLattice, char_line_integrals, cone_integrals_batch,
                          diag_cumulatives, g_row_batch, phi_time_trace)
 
 
@@ -158,23 +158,27 @@ class FieldPatch:
 
     # -- local evaluation ---------------------------------------------------
 
-    def local_value(self, t_loc: float, r: float) -> float:
-        return float(self.lattice.sample(self.lattice.values, t_loc, r))
+    def local_value(self, t_loc, r):
+        """Field value at window-local points (t_loc and r broadcast)."""
+        return self.lattice.sample(self.lattice.values, t_loc, r)
 
-    def local_traces(self, t_loc: float, r: float):
-        """(h, h_t, h_r) in window-local variables, exact trace formulas."""
-        rho_t = float(self.rho_local(t_loc))
-        if r > rho_t + 1e-9:
+    def local_traces(self, t_loc, r):
+        """(h, h_t, h_r) in window-local variables, exact trace formulas, at
+        one point (floats) or at arrays of points (t_loc and r broadcast)."""
+        scalar = np.ndim(t_loc) == 0 and np.ndim(r) == 0
+        t_loc, r = np.broadcast_arrays(np.asarray(t_loc, dtype=float),
+                                       np.asarray(r, dtype=float))
+        rho_t = np.asarray(self.rho_local(t_loc), dtype=float)
+        if np.any(r > rho_t + 1e-9):
             raise GeometryError("point beyond the front")
-        r = min(r, rho_t)
+        r = np.minimum(r, rho_t)
         d_t, d_r = free_derivatives(self.waves, t_loc, r)
         g1, g2 = phi_time_trace(self.lattice, self.F, t_loc, r)
-        h_t = float(d_t) + 0.5 * (g1 + g2)
-        h_r = float(d_r) + 0.5 * (g1 - g2)
-        if abs(r - rho_t) < 1e-14:
-            h = 0.0
-        else:
-            h = self.local_value(t_loc, r)
+        h_t = d_t + 0.5 * (g1 + g2)
+        h_r = d_r + 0.5 * (g1 - g2)
+        h = np.where(np.abs(r - rho_t) < 1e-14, 0.0, self.local_value(t_loc, r))
+        if scalar:
+            return float(h), float(h_t), float(h_r)
         return h, h_t, h_r
 
     def row_traces(self, i: int):
@@ -189,21 +193,25 @@ class FieldPatch:
         h_r = np.where(inside, d_r + 0.5 * (g1 - g2), 0.0)
         return lat.values[i].copy(), h_t, h_r
 
-    def front_bracket(self, t_loc: float) -> float:
+    def front_bracket(self, t_loc):
         """The squared-bracket trace h_r - h_t at the front point, from
-        window data and the characteristic line integral of F."""
-        rho_t = float(self.rho_local(t_loc))
+        window data and the characteristic line integral of F; t_loc may be
+        an array of window-local times."""
+        rho_t = self.rho_local(t_loc)
         s = rho_t - t_loc
         hd = self.hdata
-        line = _diag_line_integral(self.lattice, self.F, 0.0, s, +1, t_loc)
-        return float(hd.h0_dot(s)) - float(hd.h1(s)) - line
+        line = char_line_integrals(self.lattice, self.F, 1.0, s, 0.0, t_loc)
+        out = hd.h0_dot(s) - hd.h1(s) - line
+        return float(out) if np.ndim(t_loc) == 0 else out
 
-    def rim_bracket(self, t_loc: float) -> float:
+    def rim_bracket(self, t_loc):
         """The trace h_r + h_t at the rim, from window data and the
-        reflected characteristic line integral of F."""
+        reflected characteristic line integral of F (on lattice rows, the
+        -45 cumulative D_F[i, 0]); t_loc may be an array."""
         hd = self.hdata
-        line = _diag_line_integral(self.lattice, self.F, 0.0, t_loc, -1, t_loc)
-        return float(hd.h0_dot(t_loc)) + float(hd.h1(t_loc)) + line
+        line = char_line_integrals(self.lattice, self.F, -1.0, t_loc, 0.0, t_loc)
+        out = hd.h0_dot(t_loc) + hd.h1(t_loc) + line
+        return float(out) if np.ndim(t_loc) == 0 else out
 
 
 class _Workspace:
@@ -298,42 +306,26 @@ def _seam_data(patch: FieldPatch, seam_jumps=()) -> HData:
     j_in = int(math.floor(rho_end / lat.delta + 1e-12))
     h_row, ht_row, hr_row = patch.row_traces(nt)
 
-    rs = list(lat.radii[: j_in + 1])
-    h0_s = list(h_row[: j_in + 1])
-    h1_s = list(ht_row[: j_in + 1])
-    hd0_s = list(hr_row[: j_in + 1])
-    for r_star in seam_jumps:
-        for r_side in (r_star - 1e-9, r_star + 1e-9):
-            h, h_t, h_r = patch.local_traces(t_end, r_side)
-            rs.append(r_side)
-            h0_s.append(h)
-            h1_s.append(h_t)
-            hd0_s.append(h_r)
-    if seam_jumps:
-        order = np.argsort(rs, kind="stable")
-        rs = [rs[k] for k in order]
-        h0_s = [h0_s[k] for k in order]
-        h1_s = [h1_s[k] for k in order]
-        hd0_s = [hd0_s[k] for k in order]
-        keep = [0] + [k for k in range(1, len(rs)) if rs[k] - rs[k - 1] > 1e-12]
-        rs = [rs[k] for k in keep]
-        h0_s = [h0_s[k] for k in keep]
-        h1_s = [h1_s[k] for k in keep]
-        hd0_s = [hd0_s[k] for k in keep]
+    # the banks of every seam jump and the front point, in one trace call
+    r_pts = [r_star + side for r_star in seam_jumps for side in (-1e-9, 1e-9)] + [rho_end]
+    h_pts, ht_pts, hr_pts = patch.local_traces(t_end, np.array(r_pts))
+
+    rs = np.concatenate((lat.radii[: j_in + 1], r_pts[:-1]))
+    order = np.argsort(rs, kind="stable")
+    order = order[np.concatenate(([True], np.diff(rs[order]) > 1e-12))]
+    rs = rs[order]
+    h0_s, h1_s, hd0_s = (np.concatenate((row[: j_in + 1], pts[:-1]))[order]
+                         for row, pts in ((h_row, h_pts), (ht_row, ht_pts), (hr_row, hr_pts)))
     if rho_end - rs[-1] > 1e-10:
-        h, h_t, h_r = patch.local_traces(t_end, rho_end)
-        rs.append(rho_end)
-        h0_s.append(0.0)
-        h1_s.append(h_t)
-        hd0_s.append(h_r)
+        rs = np.append(rs, rho_end)
+        h0_s = np.append(h0_s, 0.0)
+        h1_s = np.append(h1_s, ht_pts[-1])
+        hd0_s = np.append(hd0_s, hr_pts[-1])
     else:
         h0_s[-1] = 0.0
 
     decay = math.exp(-0.5 * hd.alpha * patch.window.length)
-    rs = np.asarray(rs)
-    h0_s = decay * np.asarray(h0_s)
-    h1_s = decay * np.asarray(h1_s)
-    hd0_s = decay * np.asarray(hd0_s)
+    h0_s, h1_s, hd0_s = decay * h0_s, decay * h1_s, decay * hd0_s
 
     dT = patch.window.length
     z_prev = hd.z

@@ -18,12 +18,19 @@ omega cut of each anti-diagonal as a fractional slot.
 The partial derivatives of Phi reduce to two boundary line integrals g1,
 g2 along characteristics; those are one-dimensional trapezoid sums over
 the same node values, so no re-interpolation layer sits between the field
-and its derivative traces.
+and its derivative traces.  On lattice rows the per-diagonal cumulatives
+of :func:`diag_cumulatives` give most of them; one kernel,
+:func:`char_line_integrals`, computes every other characteristic line
+integral: a batch of +-45 segments, on or between diagonals, from and to
+any time, in one (rows x segments) gather.  The derivative traces of
+:func:`phi_time_trace`, the reflected part of :func:`g_row_batch` and the
+front and rim brackets of ``prescribed.FieldPatch`` are all calls to it.
 
 All quadrature here integrates the piecewise-linear interpolant of the
 node values; off-lattice cuts (the omega edge, fractional endpoints) are
-clipped cell by cell.  The single-apex cone integral that the batch path
-is tested against lives in :mod:`debondsim.reference`.
+clipped cell by cell.  The single-apex cone integral and the per-sample
+line integral that the batch paths are tested against live in
+:mod:`debondsim.reference`.
 """
 
 from __future__ import annotations
@@ -83,18 +90,17 @@ class CharLattice:
 
     # -- interpolation ----------------------------------------------------
 
-    def row_value(self, arr: np.ndarray, i: int, r, taper: bool = True):
-        """Linear-in-r value at row i.  With ``taper`` the interpolant in
-        the cell cut by the front goes to 0 at the front position instead
-        of at the next node."""
+    def row_value(self, arr: np.ndarray, i, r, taper: bool = True):
+        """Linear-in-r value at row(s) i (broadcast against r).  With
+        ``taper`` the interpolant in the cell cut by the front goes to 0 at
+        the front position instead of at the next node."""
         r = _asarray(r)
         d = self.delta
-        rho_i = self.rho_rows[i]
-        j = np.clip(np.floor(r / d + 1e-12).astype(int), 0, self.j_ext - 1)
-        frac = r / d - j
-        plain = arr[i, j] * (1.0 - frac) + arr[i, j + 1] * frac
+        plain = _row_interp(arr, i, r / d)
         if not taper:
             return plain
+        rho_i = self.rho_rows[i]
+        j = np.clip(np.floor(r / d + 1e-12).astype(int), 0, self.j_ext - 1)
         r_j = j * d
         cut = (r_j <= rho_i + 1e-12) & (r_j + d > rho_i + 1e-12) & (r > r_j)
         width = np.maximum(rho_i - r_j, 1e-300)
@@ -103,23 +109,27 @@ class CharLattice:
         return np.where(r > rho_i + 1e-12, 0.0, out)
 
     def sample(self, arr: np.ndarray, t, r, taper: bool = True):
-        """Bilinear sample (front-aware in r when tapering)."""
+        """Bilinear sample (front-aware in r when tapering): linear in t
+        between the row values of the two rows around t."""
         scalar = np.ndim(t) == 0 and np.ndim(r) == 0
-        t = np.atleast_1d(_asarray(t))
-        r = np.atleast_1d(_asarray(r))
-        t, r = np.broadcast_arrays(t, r)
+        t, r = np.broadcast_arrays(_asarray(t), _asarray(r))
         d = self.delta
-        out = np.empty(t.shape)
-        for idx in np.ndindex(t.shape):
-            i = min(max(int(math.floor(t[idx] / d + 1e-12)), 0), max(self.nt - 1, 0))
-            f = t[idx] / d - i
-            v0 = float(self.row_value(arr, i, float(r[idx]), taper))
-            if f <= 1e-12 or self.nt == 0:
-                out[idx] = v0
-            else:
-                v1 = float(self.row_value(arr, i + 1, float(r[idx]), taper))
-                out[idx] = (1.0 - f) * v0 + f * v1
-        return float(out[0]) if scalar else out
+        i = np.clip(np.floor(t / d + 1e-12).astype(int), 0, max(self.nt - 1, 0))
+        f = t / d - i
+        out = self.row_value(arr, i, r, taper)
+        blend = (f > 1e-12) & (self.nt > 0)
+        if np.any(blend):
+            v1 = self.row_value(arr, np.minimum(i + 1, self.nt), r, taper)
+            out = np.where(blend, (1.0 - f) * out + f * v1, out)
+        return float(out) if scalar else out
+
+
+def _row_interp(arr: np.ndarray, i, p):
+    """Plain linear interpolation of row(s) i of arr at column coordinate(s)
+    p = r / delta, extrapolating linearly past the first and last cell."""
+    j = np.clip(np.floor(p + 1e-12).astype(int), 0, arr.shape[1] - 2)
+    frac = p - j
+    return arr[i, j] * (1.0 - frac) + arr[i, j + 1] * frac
 
 
 def diag_cumulatives(values: np.ndarray, delta: float):
@@ -228,49 +238,72 @@ def cone_integrals_batch(lat: CharLattice, values: np.ndarray) -> np.ndarray:
 # characteristic line integrals
 # ---------------------------------------------------------------------------
 
+def char_line_integrals(lat: CharLattice, values: np.ndarray, direction, offset,
+                        t_start, t_end) -> np.ndarray:
+    """Trapezoid integrals of the field along the characteristic segments
+    r = offset + direction * tau, tau in [t_start, t_end], direction = +-1.
+
+    The arguments broadcast together, one segment per element.  Each
+    segment is sampled at its two end points and at every lattice row
+    strictly between them.  A line on a lattice diagonal (offset within
+    1e-9 cells of a node) reads node values on rows and interpolates along
+    the diagonal between rows; any other line reads linear-in-r row values,
+    and its end points between rows the bilinear sample there.  Segments
+    must lie in [0, nt * delta]; the work is one (rows x segments) gather.
+    """
+    d = lat.delta
+    direction, offset, ta, tb = np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in (direction, offset, t_start, t_end)))
+    shape = ta.shape
+    direction, offset, ta, tb = (a.ravel() for a in (direction, offset, ta, tb))
+    if ta.size == 0:
+        return np.zeros(shape)
+    nt = values.shape[0] - 1
+    lmax = min(nt, int(math.floor(float(np.max(tb)) / d + 1e-9)) + 1)
+    rows = np.arange(lmax + 1)[:, None]
+    cols = np.arange(ta.size)
+
+    k = offset / d
+    k_node = np.rint(k)
+    aligned = np.abs(k - k_node) < 1e-9
+    # each line on each row: exact node columns on diagonals
+    V = _row_interp(values, rows, np.where(aligned, k_node + direction * rows,
+                                           (offset + direction * (rows * d)) / d))
+
+    def end_value(t):
+        i_f = t / d
+        i_r = np.rint(i_f)
+        on_row = np.abs(i_f - i_r) < 1e-9
+        ia = np.clip(np.where(on_row, i_r, np.floor(i_f + 1e-12)), 0, max(lmax - 1, 0))
+        f = np.where(on_row, i_r, i_f) - ia
+        ia = ia.astype(int)
+        ib = np.minimum(ia + 1, lmax)
+        along = (1.0 - f) * V[ia, cols] + f * V[ib, cols]
+        p = (offset + direction * t) / d
+        across = (1.0 - f) * _row_interp(values, ia, p) + f * _row_interp(values, ib, p)
+        return np.where(aligned, along, across)
+
+    va, vb = end_value(ta), end_value(tb)
+    lo = np.ceil(ta / d - 1e-12)  # first and last row strictly inside
+    lo = lo + (lo * d <= ta + 1e-13)
+    hi = np.floor(tb / d + 1e-12)
+    hi = hi - (hi * d >= tb - 1e-13)
+    lo_i = np.clip(lo, 0, lmax).astype(int)
+    hi_i = np.clip(hi, 0, lmax).astype(int)
+    cells = 0.5 * d * (V[:-1] + V[1:])
+    inner = np.where((rows[:-1] >= lo) & (rows[:-1] < hi), cells, 0.0).sum(axis=0)
+    split = (0.5 * (lo * d - ta) * (va + V[lo_i, cols]) + inner
+             + 0.5 * (tb - hi * d) * (V[hi_i, cols] + vb))
+    out = np.where(lo <= hi, split, 0.5 * (tb - ta) * (va + vb))
+    return np.where(tb - ta <= 1e-15, 0.0, out).reshape(shape)
+
+
 def _diag_line_integral(lat: CharLattice, arr: np.ndarray, t0: float, r0: float,
                         direction: int, length: float) -> float:
     """Trapezoid of the field along the segment r(tau) = r0 + direction*(tau - t0),
-    tau in [t0, t0 + length], sampling every crossed lattice row.
-
-    On lattice-aligned diagonals the samples are node values and the
-    fractional endpoints interpolate along the diagonal itself; otherwise
-    rows are sampled with plain linear-in-r interpolation.
-    """
-    if length <= 1e-15:
-        return 0.0
-    d = lat.delta
-    t1 = t0 + length
-    r_base = r0 - direction * t0  # column offset of the diagonal at t = 0
-    k_base = r_base / d
-    aligned = abs(k_base - round(k_base)) < 1e-9
-    jx, ntop = lat.j_ext, lat.nt
-
-    def node(i, j):
-        return float(arr[i, j]) if 0 <= j <= jx and 0 <= i <= ntop else 0.0
-
-    def val(t):
-        r = r_base + direction * t
-        i_f = t / d
-        i0 = int(round(i_f))
-        if abs(i_f - i0) < 1e-9:
-            if aligned:
-                return node(i0, int(round(r / d)))
-            return float(lat.sample(arr, i0 * d, r, taper=False))
-        if aligned:
-            ia = int(math.floor(i_f + 1e-12))
-            f = i_f - ia
-            ja = int(round(k_base)) + direction * ia
-            return (1.0 - f) * node(ia, ja) + f * node(ia + 1, ja + direction)
-        return float(lat.sample(arr, t, r, taper=False))
-
-    i_first = int(math.ceil(t0 / d - 1e-12))
-    i_last = int(math.floor(t1 / d + 1e-12))
-    ts = [t0] + [k * d for k in range(i_first, i_last + 1)
-                 if t0 + 1e-13 < k * d < t1 - 1e-13] + [t1]
-    ts = np.array(ts)
-    vs = np.array([val(float(t)) for t in ts])
-    return float(np.trapezoid(vs, ts))
+    tau in [t0, t0 + length]: one segment of :func:`char_line_integrals`."""
+    return float(char_line_integrals(lat, arr, direction, r0 - direction * t0,
+                                     t0, t0 + length))
 
 
 def line_integral_along_characteristic(lat: CharLattice, values: np.ndarray,
@@ -294,76 +327,50 @@ def line_integral_along_characteristic(lat: CharLattice, values: np.ndarray,
 # derivative traces
 # ---------------------------------------------------------------------------
 
-def phi_time_trace(lat: CharLattice, values: np.ndarray, t: float, r: float):
+def phi_time_trace(lat: CharLattice, values: np.ndarray, t, r):
     """Boundary line integrals (g1, g2) with Phi_t = g1 + g2 and
-    Phi_r = g1 - g2 inside the domain (window-local: t <= rho0 / 2)."""
+    Phi_r = g1 - g2 inside the domain (window-local: t <= rho0 / 2).
+
+    t and r broadcast: floats for one point, arrays for many, whose four
+    characteristic segments each go to one :func:`char_line_integrals`
+    call.
+    """
     front = lat.front
     rho0 = front.rho0
-    if t > 0.5 * rho0 + 1e-9:
+    scalar = np.ndim(t) == 0 and np.ndim(r) == 0
+    t, r = np.broadcast_arrays(_asarray(t), _asarray(r))
+    if np.any(t > 0.5 * rho0 + 1e-9):
         raise GeometryError("trace formulas are window-local (t <= rho0/2)")
-    rho_t = float(front.rho(t))
-    if r < -1e-12 or r > rho_t + 1e-9:
+    rho_t = _asarray(front.rho(t))
+    if np.any(r < -1e-12) or np.any(r > rho_t + 1e-9):
         raise GeometryError("trace point beyond the front")
-    r = min(max(r, 0.0), rho_t)
+    r = np.clip(r, 0.0, rho_t)
 
+    # g1: the -45 line through (t, r), from t = 0 or, past the reflection,
+    # from its crossing t_star with the front, plus -omega'(eta) times the
+    # reflected +45 line from (0, -omega(eta)) up to t_star
     eta = t + r
-    if r <= rho0 - t + 1e-14:
-        g1 = _diag_line_integral(lat, values, 0.0, eta, -1, t)
-    else:
-        t_star = float(front.psi_inverse(eta))
-        om = float(front._omega_unchecked(np.array(eta)))
-        om_dot = float(front.omega_dot(eta))
-        part1 = _diag_line_integral(lat, values, 0.0, -om, +1, t_star)
-        part2 = _diag_line_integral(lat, values, t_star, eta - t_star, -1, t - t_star)
-        g1 = -om_dot * part1 + part2
-
-    if r >= t - 1e-14:
-        g2 = _diag_line_integral(lat, values, 0.0, r - t, +1, t)
-    else:
-        g2 = (-_diag_line_integral(lat, values, 0.0, t - r, -1, t - r)
-              + _diag_line_integral(lat, values, t - r, 0.0, +1, r))
+    refl = r > rho0 - t + 1e-14
+    t_star, om, om_dot = (np.zeros(t.shape) for _ in range(3))
+    if np.any(refl):
+        e = eta[refl]
+        t_star[refl] = front.psi_inverse(e)
+        om[refl] = front._omega_unchecked(e)
+        om_dot[refl] = front.omega_dot(e)
+    # g2: the +45 line through (t, r), from t = 0 or, behind the rim echo,
+    # from the rim at t - r, less the -45 echo leg ending there
+    s = np.where(r < t - 1e-14, t - r, 0.0)
+    zero = np.zeros(t.shape)
+    L = char_line_integrals(lat, values,
+                            np.reshape([-1.0, 1.0, 1.0, -1.0], (4,) + (1,) * t.ndim),
+                            np.stack((eta, -om, r - t, t - r)),
+                            np.stack((t_star, zero, s, zero)),
+                            np.stack((t, t_star, t, s)))
+    g1 = -om_dot * L[1] + L[0]
+    g2 = -L[3] + L[2]
+    if scalar:
+        return float(g1), float(g2)
     return g1, g2
-
-
-def char_lines_plus_batch(values: np.ndarray, delta: float, nt: int,
-                          xi_offsets: np.ndarray, t_ends: np.ndarray) -> np.ndarray:
-    """Integrals of the field along the +45 lines r = tau - xi_j from
-    tau = 0 to t_ends[j]; the lines may sit between lattice diagonals."""
-    d = delta
-    xi = _asarray(xi_offsets)
-    te = _asarray(t_ends)
-    nj = xi.size
-    if nj == 0:
-        return np.zeros(0)
-    lmax = min(int(math.floor(float(np.max(te)) / d + 1e-12)), nt)
-    rows = np.arange(lmax + 1)
-    jx = values.shape[1] - 1
-
-    p = rows[:, None] - xi[None, :] / d
-    jc = np.clip(np.floor(p + 1e-12).astype(int), 0, jx - 1)
-    fr = p - jc
-    Vl = values[rows[:, None], jc] * (1.0 - fr) + values[rows[:, None], jc + 1] * fr
-
-    cum = np.zeros((lmax + 1, nj))
-    if lmax >= 1:
-        np.cumsum(0.5 * d * (Vl[:-1] + Vl[1:]), axis=0, out=cum[1:])
-    lf = np.clip(np.floor(te / d + 1e-12).astype(int), 0, lmax)
-    cols = np.arange(nj)
-    out = cum[lf, cols]
-
-    rem = te - lf * d
-    has = rem > 1e-13
-    if np.any(has):
-        ft = rem / d
-        l2 = np.minimum(lf + 1, values.shape[0] - 1)
-        p_end = (te - xi) / d
-        jct = np.clip(np.floor(p_end + 1e-12).astype(int), 0, jx - 1)
-        frt = p_end - jct
-        v_lo = values[lf, jct] * (1.0 - frt) + values[lf, jct + 1] * frt
-        v_hi = values[l2, jct] * (1.0 - frt) + values[l2, jct + 1] * frt
-        v_end = (1.0 - ft) * v_lo + ft * v_hi
-        out = np.where(has, out + 0.5 * rem * (Vl[lf, cols] + v_end), out)
-    return out
 
 
 def g_row_batch(lat: CharLattice, values: np.ndarray, C: np.ndarray,
@@ -393,7 +400,7 @@ def g_row_batch(lat: CharLattice, values: np.ndarray, C: np.ndarray,
         t_star = np.asarray(front.psi_inverse(eta), dtype=float)
         om = np.asarray(front._omega_unchecked(eta), dtype=float)
         om_dot = np.asarray(front.omega_dot(eta), dtype=float)
-        part1 = char_lines_plus_batch(values, d, lat.nt, om, t_star)
+        part1 = char_line_integrals(lat, values, 1.0, -om, 0.0, t_star)
 
         lf = np.clip(np.floor(t_star / d + 1e-12).astype(int), 0, i)
         jstar = (i + cols) - lf

@@ -2,8 +2,9 @@
 
 Each one evaluates a quantity the production path also computes, by a
 different route: the cone integral of one apex by iterated quadrature, the
-exact cone area, the energy rate in unweighted variables, and a front given
-by callables with numerically inverted maps.  No production module imports
+exact cone area, a characteristic line integral sample by sample, the
+energy rate in unweighted variables, and a front given by callables with
+numerically inverted maps.  No production module imports
 this one.
 """
 
@@ -101,6 +102,56 @@ def region_area(region: ConeRegion) -> float:
     if xi_hi > a2:
         area_char += (eta_hi - c) * (xi_hi - a2)
     return 0.5 * area_char
+
+
+# ---------------------------------------------------------------------------
+# characteristic lines
+# ---------------------------------------------------------------------------
+
+def diag_line_integral(lat: CharLattice, arr: np.ndarray, t0: float, r0: float,
+                       direction: int, length: float) -> float:
+    """Trapezoid of the field along the segment r(tau) = r0 + direction*(tau - t0),
+    tau in [t0, t0 + length], one scalar sample per crossed lattice row.
+
+    On lattice-aligned diagonals the samples are node values and the
+    fractional endpoints interpolate along the diagonal itself; otherwise
+    rows are sampled with plain linear-in-r interpolation and off-row end
+    points bilinearly.
+    """
+    if length <= 1e-15:
+        return 0.0
+    d = lat.delta
+    t1 = t0 + length
+    r_base = r0 - direction * t0  # column offset of the diagonal at t = 0
+    k_base = r_base / d
+    aligned = abs(k_base - round(k_base)) < 1e-9
+    jx, ntop = lat.j_ext, lat.nt
+
+    def node(i, j):
+        return float(arr[i, j]) if 0 <= j <= jx and 0 <= i <= ntop else 0.0
+
+    def val(t):
+        r = r_base + direction * t
+        i_f = t / d
+        i0 = int(round(i_f))
+        if abs(i_f - i0) < 1e-9:
+            if aligned:
+                return node(i0, int(round(r / d)))
+            return float(lat.sample(arr, i0 * d, r, taper=False))
+        if aligned:
+            ia = int(math.floor(i_f + 1e-12))
+            f = i_f - ia
+            ja = int(round(k_base)) + direction * ia
+            return (1.0 - f) * node(ia, ja) + f * node(ia + 1, ja + direction)
+        return float(lat.sample(arr, t, r, taper=False))
+
+    i_first = int(math.ceil(t0 / d - 1e-12))
+    i_last = int(math.floor(t1 / d + 1e-12))
+    ts = [t0] + [k * d for k in range(i_first, i_last + 1)
+                 if t0 + 1e-13 < k * d < t1 - 1e-13] + [t1]
+    ts = np.array(ts)
+    vs = np.array([val(float(t)) for t in ts])
+    return float(np.trapezoid(vs, ts))
 
 
 # ---------------------------------------------------------------------------

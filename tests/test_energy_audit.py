@@ -8,9 +8,12 @@ from debondsim.energy_audit import (
     err_g0, err_gbeta, external_work, friction_dissipation, internal_energy,
     q_power,
 )
+from debondsim import prescribed, quadrature
 from debondsim.fields import ProblemData, Profile, Toughness, to_h_data
 from debondsim.geometry import FrontCurve, GeometryError
-from debondsim.prescribed import march
+from debondsim.griffith import run
+from debondsim.prescribed import FieldPatch, march
+from debondsim.quadrature import CharLattice
 from debondsim.reference import energy_rate_v_form
 
 
@@ -54,6 +57,16 @@ def test_internal_energy_off_row():
     on = internal_energy(patches, 0.125)
     off = internal_energy(patches, 0.125 + 0.3 / 64)
     assert off == pytest.approx(on, rel=5e-3)
+    # moving front, kinetic data not vanishing at the front: both corner
+    # wavefronts cross the row, and off the rows the cells they cross are
+    # split as on the rows (an unsplit trapezoid is off by 1.6e-3 here);
+    # the reference is the cubic through the four nearest rows
+    data = bump_data(v1=Profile.constant(0.2))
+    front = FrontCurve.affine(1.0, 0.3, 2.0, 3.0)
+    patches = march(data, front, horizon=0.25, delta=1.0 / 64)
+    rows = [internal_energy(patches, (8 + k) / 64) for k in (-1, 0, 1, 2)]
+    cubic = np.polyval(np.polyfit([-1.0, 0.0, 1.0, 2.0], rows, 3), 0.3)
+    assert internal_energy(patches, (8 + 0.3) / 64) == pytest.approx(cubic, rel=1e-4)
 
 
 # -- dissipations -------------------------------------------------------------
@@ -106,6 +119,18 @@ def test_debond_dissipation_additive():
     tough2 = Toughness.from_pieces([(float(front.rho(0.7)), Profile.affine(1.0, 0.3))], R=3.0)
     rest = debond_dissipation(rest_front, tough2, 0.7)
     assert whole == pytest.approx(part + rest, rel=1e-12)
+
+
+def test_debond_dissipation_array_matches_scalar_calls():
+    # times before and after the front starts, on both sides of a toughness
+    # breakpoint and at it: one array call gives every scalar call's value
+    front = FrontCurve(np.array([0.0, 0.3, 1.5]), np.array([1.0, 1.0, 1.6]), 3.0)
+    tough = Toughness.from_pieces([(1.0, Profile.affine(1.0, 0.3)),
+                                   (1.3, Profile.constant(2.0))], R=3.0)
+    times = np.concatenate((np.linspace(0.0, 1.5, 31), [0.9]))  # rho(0.9) = 1.3
+    got = debond_dissipation(front, tough, times)
+    assert np.array_equal(got, [debond_dissipation(front, tough, float(t)) for t in times])
+    assert got[0] == 0.0 and np.all(np.diff(got[:-1]) >= 0.0)
 
 
 # -- energy rate and boundary power --------------------------------------------
@@ -285,6 +310,37 @@ def test_audit_conservation_first_order_for_jump_data():
     assert rels[0] < 2e-2
     assert rels[1] < 0.65 * rels[0]
     assert rels[2] < 0.65 * rels[1]
+
+
+def test_audit_batches_traces_per_patch(monkeypatch):
+    # the KKT test scenario: the audit takes every trace and bracket of a
+    # patch from one batched call, whatever its row count; a per-row or
+    # per-point loop multiplies these counts by the rows or the points
+    data = bump_data(amp=0.4, alpha=0.5)
+    tough = Toughness.constant(0.15, rho0=1.0, R=3.0)
+    res = run(data, tough, horizon=0.375, delta=1.0 / 128)
+    calls = {}
+
+    def count(owner, name):
+        orig = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return orig(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    count(CharLattice, "sample")
+    count(prescribed, "phi_time_trace")
+    count(quadrature, "_diag_line_integral")
+    for name in ("local_traces", "front_bracket", "rim_bracket"):
+        count(FieldPatch, name)
+    led = audit(res.patches, res.front, data, tough)
+    n = len(res.patches)
+    assert len(led.times) > 20 * n
+    assert calls.get("_diag_line_integral", 0) == 0
+    # local_traces reads h at the wavefront banks with one sample call
+    for name in ("sample", "phi_time_trace", "local_traces", "front_bracket", "rim_bracket"):
+        assert calls.get(name, 0) <= n, name
 
 
 def test_audit_series_shapes():

@@ -4,13 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from debondsim.fields import ProblemData, Profile, Toughness, to_h_data
-from debondsim.geometry import FrontCurve, GeometryError, cone_region
+from debondsim.geometry import FrontCurve, GeometryError, cone_region, corner_wavefronts, jump_radii
 from debondsim.griffith import StripWorkspace
+from debondsim.prescribed import march
 from debondsim.quadrature import (
-    CharLattice, cone_integrals_batch, diag_cumulatives, g_row_batch,
+    CharLattice, char_line_integrals, cone_integrals_batch, diag_cumulatives, g_row_batch,
     line_integral_along_characteristic, phi_time_trace, sheared_cone_integrals,
 )
-from debondsim.reference import phi_of, region_area
+from debondsim.reference import diag_line_integral, phi_of, region_area
 
 
 def make_lattice(delta=1.0 / 64, nt=16, speed=0.25, rho0=1.0, R=3.0):
@@ -48,6 +49,30 @@ def test_row_value_tapers_to_front():
     assert lat.row_value(vals, 0, 0.5) == pytest.approx(1.0)
     assert lat.row_value(vals, 0, rho + 0.1) == 0.0
     assert lat.row_value(vals, 0, rho - 0.002) == pytest.approx(0.32, abs=1e-12)
+
+
+def test_sample_matches_pointwise_loop():
+    # the vectorised bilinear sample against the per-point loop it replaced,
+    # on rows, between rows, on the last row, in the front cell and beyond
+    # the front, with and without the taper
+    lat = make_lattice(delta=1.0 / 32, nt=8, speed=0.3, rho0=1.0 + 0.4 / 32)
+    H = fill(lat, lambda t, r: np.cos(1.3 * t + 0.2) * (1.0 + r * r))
+    d = lat.delta
+    ts = np.array([0.0, 0.5 * d, 3 * d, 3.7 * d, 8 * d - 1e-14, 8 * d])
+    rs = np.linspace(0.0, float(lat.front.rho(8 * d)) + 2 * d, 23)
+    T, Rr = np.meshgrid(ts, rs, indexing="ij")
+    for taper in (True, False):
+        ref = np.empty(T.shape)
+        for idx in np.ndindex(T.shape):
+            t, r = T[idx], Rr[idx]
+            i = min(max(int(np.floor(t / d + 1e-12)), 0), lat.nt - 1)
+            f = t / d - i
+            v0 = float(lat.row_value(H, i, r, taper))
+            ref[idx] = v0 if f <= 1e-12 else (1.0 - f) * v0 + f * float(
+                lat.row_value(H, i + 1, r, taper))
+        got = lat.sample(H, T, Rr, taper)
+        assert np.max(np.abs(got - ref)) <= 1e-15
+        assert lat.sample(H, float(T[2, 5]), float(Rr[2, 5]), taper) == got[2, 5]
 
 
 # -- single-apex cone integrals ----------------------------------------------
@@ -234,6 +259,94 @@ def test_line_integral_additive():
     a = line_integral_along_characteristic(lat, H, (0.0, 0.25), "+45", split)
     b = line_integral_along_characteristic(lat, H, (split, 0.25 + split), "+45", 0.4 - split)
     assert whole == pytest.approx(a + b, abs=1e-13)
+
+
+def test_rim_line_is_the_diagonal_cumulative():
+    # on rows the -45 line from (0, t) to the rim is aligned: the kernel's
+    # node values give the -45 cumulative D[i, 0]
+    lat = make_lattice(nt=24, speed=0.2)
+    H = fill(lat, lambda t, r: np.sin(2.0 * t + 0.3) * np.cos(1.1 * r) + t)
+    _, D = diag_cumulatives(H, lat.delta)
+    lines = char_line_integrals(lat, H, -1.0, lat.times, 0.0, lat.times)
+    assert np.max(np.abs(lines - D[:, 0])) <= 1e-15
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(interior=st.lists(st.floats(0.02, 0.58), max_size=2, unique=True),
+       slopes=st.lists(st.floats(0.0, 0.6), min_size=3, max_size=3),
+       coef=st.tuples(st.floats(0.0, 1.5), st.floats(-3.0, 3.0), st.floats(0.0, 1.5),
+                      st.floats(-3.0, 3.0), st.floats(-1.0, 1.0)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_line_kernel_matches_scalar_oracle(interior, slopes, coef, seed):
+    # one batch of segments of both directions, on diagonals and between
+    # them, with ends on and off the rows, against the scalar per-sample
+    # trapezoid; then the batched derivative traces against one call per
+    # point at the banks of the corner wavefronts and at the front point
+    ts = np.array([0.0] + sorted(interior) + [0.6])
+    rhos = 1.0 + np.concatenate(([0.0], np.cumsum(np.array(slopes[:len(ts) - 1]) * np.diff(ts))))
+    front = FrontCurve(ts, rhos, 3.0)
+    lat = CharLattice(front, 1.0 / 32, 8)
+    b, c, e, f, g = coef
+    H = fill(lat, lambda t, r: np.sin(b * t + c) * np.cos(e * r + f) + g * t * r)
+    d, T, r_top = lat.delta, lat.nt * lat.delta, lat.j_ext * lat.delta
+
+    rng = np.random.default_rng(seed)
+    n = 60
+    direction = rng.choice([-1.0, 1.0], n)
+    t_a, t_b = np.sort(rng.uniform(0.0, T, (2, n)), axis=0)
+    on_rows = rng.random((2, n)) < 0.3
+    t_a = np.where(on_rows[0], np.floor(t_a / d) * d, t_a)
+    t_b = np.where(on_rows[1], np.ceil(t_b / d) * d, t_b)
+    span = t_b - t_a
+    r_a = np.where(direction > 0, rng.uniform(0.0, r_top - span), rng.uniform(span, r_top))
+    offset = r_a - direction * t_a
+    offset = np.where(rng.random(n) < 0.3, np.round(offset / d) * d, offset)  # diagonals
+    offset = np.clip(offset, np.where(direction > 0, -t_a, t_b),
+                     np.where(direction > 0, r_top - t_b, r_top + t_a))
+    got = char_line_integrals(lat, H, direction, offset, t_a, t_b)
+    for k in range(n):
+        ref = diag_line_integral(lat, H, t_a[k], offset[k] + direction[k] * t_a[k],
+                                 int(direction[k]), t_b[k] - t_a[k])
+        assert got[k] == pytest.approx(ref, abs=1e-13), k
+
+    wf = corner_wavefronts(front, T)
+    pts_t, pts_r = [], []
+    for t in (0.0, 3 * d, 5.5 * d, T):
+        rho_t = float(front.rho(t))
+        for r_star in jump_radii(wf, t, rho_t):
+            pts_t += [t, t]
+            pts_r += [r_star - 1e-9, r_star + 1e-9]
+        pts_t.append(t)
+        pts_r.append(rho_t)
+    g1, g2 = phi_time_trace(lat, H, np.array(pts_t), np.array(pts_r))
+    for k, (t, r) in enumerate(zip(pts_t, pts_r)):
+        one = phi_time_trace(lat, H, t, r)
+        assert (g1[k], g2[k]) == pytest.approx(one, abs=1e-13), (t, r)
+
+
+def test_local_traces_batch_matches_points():
+    # every bank of a corner wavefront and every front point of every row
+    # of a moving-front march, in one call per patch and one call per point
+    data = ProblemData(R=3.0, rho0=1.0, alpha=0.5, horizon=4.0, w=Profile.zero(),
+                       v0=Profile.sine_bump(0.4, 1.0), v1=Profile.constant(0.2))
+    front = FrontCurve.affine(1.0, 0.3, 2.0, 3.0)
+    patches = march(data, front, horizon=0.375, delta=1.0 / 64)
+    wf = corner_wavefronts(front, 0.375)
+    assert len(patches) > 1
+    for p in patches:
+        pts_t, pts_r = [], []
+        for t_loc in p.lattice.times:
+            rho_t = float(p.rho_local(t_loc))
+            for r_star in jump_radii(wf, p.t0 + t_loc, rho_t):
+                pts_t += [t_loc, t_loc]
+                pts_r += [r_star - 1e-9, r_star + 1e-9]
+            pts_t.append(t_loc)
+            pts_r.append(rho_t)
+        batch = np.array(p.local_traces(np.array(pts_t), np.array(pts_r)))
+        one = np.array([p.local_traces(t, r) for t, r in zip(pts_t, pts_r)]).T
+        assert np.max(np.abs(batch - one)) <= 1e-13
+        assert np.all(batch[0, np.isclose(pts_r, p.rho_local(np.array(pts_t)),
+                                          rtol=0.0, atol=1e-15)] == 0.0)
 
 
 def test_line_integral_domain_check():
