@@ -69,31 +69,31 @@ def _row_radial_integrals(patch: FieldPatch, rows, wavefronts=None):
     Cells crossed by a corner wavefront are split there, with one-sided
     trace evaluations on both banks: the derivative fields genuinely jump
     across those characteristics and a straddling trapezoid cell would
-    cost an order of accuracy.  On a lattice row the node traces come from
-    the row's batch; every other radius (the banks, the front point, and
-    all radii at a time off the rows) goes to one ``local_traces`` call for
-    the whole patch.
+    cost an order of accuracy.  Every radius of every row (the lattice
+    radii, the banks and the front point) goes to one ``local_traces`` call
+    for the whole patch.
     """
     lat = patch.lattice
     d = lat.delta
     pts_t, pts_r = [], []
+    n_pts = 0
 
     def points(t, r):
         """Queue radii r at time t; returns their slice of the point list."""
+        nonlocal n_pts
         r = np.atleast_1d(r)
-        pts_t.extend([t] * r.size)
-        pts_r.extend(r)
-        return slice(len(pts_r) - r.size, len(pts_r))
+        pts_t.append(np.full(r.size, t))
+        pts_r.append(r)
+        n_pts += r.size
+        return slice(n_pts - r.size, n_pts)
 
     plans = []
     for x in np.atleast_1d(np.asarray(rows, dtype=float)):
         i = int(round(x))
-        row = i if 0 <= i <= lat.nt and abs(i - x) * d < 1e-9 else None
-        t = i * d if row is not None else float(x * d)
+        t = i * d if abs(i - x) * d < 1e-9 else float(x * d)
         rho_t = float(patch.rho_local(t))
         j_in = int(math.floor(rho_t / d + 1e-12))
-        # off a row the nodes are points too
-        nodes = points(t, lat.radii[: j_in + 1]) if row is None else None
+        nodes = points(t, lat.radii[: j_in + 1]).start
 
         splits = jump_radii(wavefronts, patch.t0 + t, rho_t) if wavefronts else []
         edges = [0.0] + splits + [rho_t]
@@ -110,29 +110,14 @@ def _row_radial_integrals(patch: FieldPatch, rows, wavefronts=None):
             head = points(t, lo) if lead else slice(0, 0)
             last = j1 * d if j1 >= j0 else (lo if lead else None)
             tail = points(t, hi) if last is None or hi - last > 1e-12 else slice(0, 0)
-            segs.append((head, j0, j1, tail))
-        plans.append((t, row, j_in, nodes, segs))
+            # the segment's radii in order: head bank, nodes j0..j1, tail bank
+            segs.append(np.r_[head, nodes + j0:nodes + j1 + 1, tail])
+        plans.append(segs)
 
-    pt, pr = np.asarray(pts_t), np.asarray(pts_r)
-    e_pt = a_pt = np.zeros(0)
-    if pts_r:
-        e_pt, a_pt = _energy_integrands(patch, pt, *patch.local_traces(pt, pr), pr)
-    E = np.empty(len(plans))
-    A = np.empty(len(plans))
-    for k, (t, row, j_in, nodes, segs) in enumerate(plans):
-        r = lat.radii[: j_in + 1]
-        if row is not None:
-            h, h_t, h_r = patch.row_traces(row)
-            e_n, a_n = _energy_integrands(patch, t, h[: j_in + 1], h_t[: j_in + 1],
-                                          h_r[: j_in + 1], r)
-        else:
-            e_n, a_n = e_pt[nodes], a_pt[nodes]
-        E[k] = A[k] = 0.0
-        for head, j0, j1, tail in segs:
-            rs, es, as_ = (np.concatenate((pts[head], nodes[j0:j1 + 1], pts[tail]))
-                           for pts, nodes in ((pr, r), (e_pt, e_n), (a_pt, a_n)))
-            E[k] += float(np.trapezoid(es, rs))
-            A[k] += float(np.trapezoid(as_, rs))
+    pt, pr = np.concatenate(pts_t), np.concatenate(pts_r)
+    e_pt, a_pt = _energy_integrands(patch, pt, *patch.local_traces(pt, pr), pr)
+    E, A = (np.array([sum(float(np.trapezoid(v[idx], pr[idx])) for idx in segs)
+                      for segs in plans]) for v in (e_pt, a_pt))
     if np.ndim(rows) == 0:
         return math.pi * float(E[0]), float(A[0])
     return math.pi * E, A

@@ -17,15 +17,14 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from .dalembert import TravelingWaves, free_derivatives, free_solution, traveling_decomposition
 from .fields import HData, ProblemData, Profile, kernel_prefactor, to_h_data, v_from_h
 from .geometry import GeometryError, corner_wavefronts, jump_radii
-from .quadrature import (CharLattice, char_line_integrals, cone_integrals_batch,
-                         diag_cumulatives, g_row_batch, phi_time_trace)
+from .quadrature import CharLattice, char_line_integrals, cone_integrals_batch, phi_time_trace
 
 
 class ConvergenceError(RuntimeError):
@@ -138,11 +137,7 @@ class FieldPatch:
     hdata: HData
     waves: TravelingWaves
     scale: float
-    kern: np.ndarray
     F: np.ndarray
-    C_F: np.ndarray
-    D_F: np.ndarray
-    free_grid: np.ndarray
     diagnostics: dict
 
     @property
@@ -181,18 +176,6 @@ class FieldPatch:
             return float(h), float(h_t), float(h_r)
         return h, h_t, h_r
 
-    def row_traces(self, i: int):
-        """(h, h_t, h_r) arrays over all lattice columns at row i (zeros
-        beyond the front)."""
-        lat = self.lattice
-        t_loc = i * lat.delta
-        d_t, d_r = free_derivatives(self.waves, t_loc, lat.radii)
-        g1, g2 = g_row_batch(lat, self.F, self.C_F, self.D_F, i)
-        inside = lat.inside[i]
-        h_t = np.where(inside, d_t + 0.5 * (g1 + g2), 0.0)
-        h_r = np.where(inside, d_r + 0.5 * (g1 - g2), 0.0)
-        return lat.values[i].copy(), h_t, h_r
-
     def front_bracket(self, t_loc):
         """The squared-bracket trace h_r - h_t at the front point, from
         window data and the characteristic line integral of F; t_loc may be
@@ -206,8 +189,8 @@ class FieldPatch:
 
     def rim_bracket(self, t_loc):
         """The trace h_r + h_t at the rim, from window data and the
-        reflected characteristic line integral of F (on lattice rows, the
-        -45 cumulative D_F[i, 0]); t_loc may be an array."""
+        reflected characteristic line integral of F, the -45 line from
+        (0, t_loc) to the rim; t_loc may be an array."""
         hd = self.hdata
         line = char_line_integrals(self.lattice, self.F, -1.0, t_loc, 0.0, t_loc)
         out = hd.h0_dot(t_loc) + hd.h1(t_loc) + line
@@ -230,18 +213,15 @@ class _Workspace:
         self.z_col = np.asarray(hdata.z(lat.times), dtype=float)
 
 
-def apply_L(h: np.ndarray, hdata: HData, front, window: WindowPlan,
-            workspace: Optional[_Workspace] = None) -> np.ndarray:
+def apply_L(h: np.ndarray, ws: _Workspace) -> np.ndarray:
     """One application of the window operator: free solution plus half the
     cone integral of the kernel field, boundary and initial rows reimposed."""
-    if workspace is None:
-        workspace = _Workspace(hdata, front.window(window.t_start, window.t_end), window)
-    lat = workspace.lattice
-    F = workspace.kern * lat.masked(h)
+    lat = ws.lattice
+    F = ws.kern * lat.masked(h)
     J = cone_integrals_batch(lat, F)
-    out = lat.masked(workspace.free_grid + 0.5 * J)
-    out[:, 0] = workspace.z_col
-    out[0, :] = workspace.free_grid[0, :]
+    out = lat.masked(ws.free_grid + 0.5 * J)
+    out[:, 0] = ws.z_col
+    out[0, :] = ws.free_grid[0, :]
     return out
 
 
@@ -258,7 +238,7 @@ def solve_window(hdata: HData, front, window: WindowPlan,
     h[:, 0] = ws.z_col
     residuals = []
     for it in range(1, max_iter + 1):
-        h_new = apply_L(h, hdata, front, window, workspace=ws)
+        h_new = apply_L(h, ws)
         res = float(np.max(np.abs(h_new - h)))
         residuals.append(res)
         h = h_new
@@ -273,8 +253,6 @@ def solve_window(hdata: HData, front, window: WindowPlan,
     measured = [residuals[i + 1] / residuals[i] for i in range(len(residuals) - 1)
                 if residuals[i] > 0]
     lat.values = h
-    F = ws.kern * h
-    C_F, D_F = diag_cumulatives(F, lat.delta)
     diag = {
         "iterations": len(residuals),
         "final_update": residuals[-1],
@@ -282,8 +260,7 @@ def solve_window(hdata: HData, front, window: WindowPlan,
         "measured_factor": max(measured) if measured else 0.0,
     }
     return FieldPatch(lattice=lat, window=window, hdata=hdata, waves=ws.waves,
-                      scale=scale, kern=ws.kern, F=F, C_F=C_F, D_F=D_F,
-                      free_grid=ws.free_grid, diagnostics=diag)
+                      scale=scale, F=ws.kern * h, diagnostics=diag)
 
 
 # ---------------------------------------------------------------------------
@@ -299,23 +276,22 @@ def _seam_data(patch: FieldPatch, seam_jumps=()) -> HData:
     smeared cell.
     """
     lat = patch.lattice
-    nt = lat.nt
     hd = patch.hdata
-    t_end = nt * lat.delta
+    t_end = lat.nt * lat.delta
     rho_end = float(patch.rho_local(t_end))
     j_in = int(math.floor(rho_end / lat.delta + 1e-12))
-    h_row, ht_row, hr_row = patch.row_traces(nt)
 
-    # the banks of every seam jump and the front point, in one trace call
-    r_pts = [r_star + side for r_star in seam_jumps for side in (-1e-9, 1e-9)] + [rho_end]
-    h_pts, ht_pts, hr_pts = patch.local_traces(t_end, np.array(r_pts))
+    # the end row's nodes, the banks of every seam jump and the front point,
+    # in one trace call
+    banks = [r_star + side for r_star in seam_jumps for side in (-1e-9, 1e-9)]
+    r_pts = np.concatenate((lat.radii[: j_in + 1], banks, [rho_end]))
+    h_pts, ht_pts, hr_pts = patch.local_traces(t_end, r_pts)
 
-    rs = np.concatenate((lat.radii[: j_in + 1], r_pts[:-1]))
+    rs = r_pts[:-1]
     order = np.argsort(rs, kind="stable")
     order = order[np.concatenate(([True], np.diff(rs[order]) > 1e-12))]
     rs = rs[order]
-    h0_s, h1_s, hd0_s = (np.concatenate((row[: j_in + 1], pts[:-1]))[order]
-                         for row, pts in ((h_row, h_pts), (ht_row, ht_pts), (hr_row, hr_pts)))
+    h0_s, h1_s, hd0_s = (pts[:-1][order] for pts in (h_pts, ht_pts, hr_pts))
     if rho_end - rs[-1] > 1e-10:
         rs = np.append(rs, rho_end)
         h0_s = np.append(h0_s, 0.0)

@@ -18,19 +18,20 @@ omega cut of each anti-diagonal as a fractional slot.
 The partial derivatives of Phi reduce to two boundary line integrals g1,
 g2 along characteristics; those are one-dimensional trapezoid sums over
 the same node values, so no re-interpolation layer sits between the field
-and its derivative traces.  On lattice rows the per-diagonal cumulatives
-of :func:`diag_cumulatives` give most of them; one kernel,
-:func:`char_line_integrals`, computes every other characteristic line
-integral: a batch of +-45 segments, on or between diagonals, from and to
-any time, in one (rows x segments) gather.  The derivative traces of
-:func:`phi_time_trace`, the reflected part of :func:`g_row_batch` and the
-front and rim brackets of ``prescribed.FieldPatch`` are all calls to it.
+and its derivative traces.  One kernel, :func:`char_line_integrals`,
+computes every characteristic line integral: a batch of +-45 segments, on
+or between diagonals, from and to any time.  It reads the rows inside a
+segment from the column cumulative of the field's sheared layout along the
+segment's family, the cumulative the cone-sum kernel uses, so its work is
+O(segments).  The derivative traces of :func:`phi_time_trace`, at lattice
+nodes and between them, and the front and rim brackets of
+``prescribed.FieldPatch`` are all calls to it.
 
 All quadrature here integrates the piecewise-linear interpolant of the
 node values; off-lattice cuts (the omega edge, fractional endpoints) are
-clipped cell by cell.  The single-apex cone integral and the per-sample
-line integral that the batch paths are tested against live in
-:mod:`debondsim.reference`.
+clipped cell by cell.  The single-apex cone integral, the per-sample line
+integral and the row-by-row diagonal cumulatives that the batch paths are
+tested against live in :mod:`debondsim.reference`.
 """
 
 from __future__ import annotations
@@ -127,25 +128,24 @@ class CharLattice:
 def _row_interp(arr: np.ndarray, i, p):
     """Plain linear interpolation of row(s) i of arr at column coordinate(s)
     p = r / delta, extrapolating linearly past the first and last cell."""
-    j = np.clip(np.floor(p + 1e-12).astype(int), 0, arr.shape[1] - 2)
+    j = np.minimum(np.maximum(np.floor(p + 1e-12).astype(int), 0), arr.shape[1] - 2)
     frac = p - j
     return arr[i, j] * (1.0 - frac) + arr[i, j + 1] * frac
 
 
-def diag_cumulatives(values: np.ndarray, delta: float):
-    """Cumulative line integrals (in dtau units) along both characteristic
-    families, measured from each diagonal's entry into the domain.
-
-    C[i, j] integrates along the +45 line through (i, j) from its base
-    (t = 0 or r = 0); D[i, j] along the -45 line from its t = 0 base.
+def _sheared(values: np.ndarray, signs) -> np.ndarray:
+    """Lattice values in the sheared layouts of the characteristic families
+    ``signs`` (+1 for +45, -1 for -45): S[l, f, q] is row l of family
+    signs[f] on the line r - sgn*t = (q - q0)*delta, with q0 = nt for +45
+    and 0 for -45.  Node (l, j) goes to q = j - sgn*l + q0; slots off the
+    lattice's columns are 0.
     """
-    C = np.zeros_like(values)
-    D = np.zeros_like(values)
-    half = 0.5 * delta
-    for i in range(1, values.shape[0]):
-        C[i, 1:] = C[i - 1, :-1] + half * (values[i - 1, :-1] + values[i, 1:])
-        D[i, :-1] = D[i - 1, 1:] + half * (values[i - 1, 1:] + values[i, :-1])
-    return C, D
+    nt, jx = values.shape[0] - 1, values.shape[1] - 1
+    ii = np.arange(nt + 1)[:, None]
+    S = np.zeros((nt + 1, len(signs), nt + jx + 1))
+    for f, sgn in enumerate(signs):
+        S[ii, f, np.arange(jx + 1) - sgn * ii + (nt if sgn > 0 else 0)] = values
+    return S
 
 
 # ---------------------------------------------------------------------------
@@ -153,9 +153,13 @@ def diag_cumulatives(values: np.ndarray, delta: float):
 # ---------------------------------------------------------------------------
 
 def column_cumulative(F: np.ndarray, delta: float) -> np.ndarray:
-    """Trapezoid integrals (in dtau units) down every column of F from row 0."""
+    """Trapezoid integrals (in dtau units) down every column of F from row 0;
+    on a :func:`_sheared` layout, the line integrals along every diagonal.
+    Built in place: one array of F's size is allocated."""
     C = np.zeros_like(F)
-    np.cumsum(0.5 * delta * (F[:-1] + F[1:]), axis=0, out=C[1:])
+    np.add(F[:-1], F[1:], out=C[1:])
+    C[1:] *= 0.5 * delta
+    np.cumsum(C[1:], axis=0, out=C[1:])
     return C
 
 
@@ -219,15 +223,13 @@ def cone_integrals_batch(lat: CharLattice, values: np.ndarray) -> np.ndarray:
     d, nt, jx = lat.delta, lat.nt, lat.j_ext
     ii = np.arange(nt + 1)[:, None]
     jj = np.arange(jx + 1)
-    kk = ii - jj + jx
-    S = np.zeros((nt + 1, nt + jx + 1))
-    S[ii, kk] = values
+    kk = ii - jj + jx  # the +45 family's layout, columns reversed
 
     m = np.arange(-nt - jx, 2 * nt + 1) + jx  # anti-diagonal eta = m*delta
     eta = m * d
     refl = eta > lat.front.rho0 + 1e-12
     cut = np.where(refl, lat.front._omega_unchecked(eta) / d + m, 0.0)
-    J = sheared_cone_integrals(S, d, cut)[ii, kk]
+    J = sheared_cone_integrals(_sheared(values, (1,))[:, 0, ::-1], d, cut)[ii, kk]
 
     behind = (ii > jj) & ((ii + jj) * d <= lat.front.rho0 + 1e-12)
     J = np.where(behind, J - J[np.maximum(ii - jj, 0), 0], J)
@@ -237,6 +239,9 @@ def cone_integrals_batch(lat: CharLattice, values: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # characteristic line integrals
 # ---------------------------------------------------------------------------
+
+_BLOCK = 8192  # segments per pass of the line kernel
+
 
 def char_line_integrals(lat: CharLattice, values: np.ndarray, direction, offset,
                         t_start, t_end) -> np.ndarray:
@@ -248,54 +253,82 @@ def char_line_integrals(lat: CharLattice, values: np.ndarray, direction, offset,
     strictly between them.  A line on a lattice diagonal (offset within
     1e-9 cells of a node) reads node values on rows and interpolates along
     the diagonal between rows; any other line reads linear-in-r row values,
-    and its end points between rows the bilinear sample there.  Segments
-    must lie in [0, nt * delta]; the work is one (rows x segments) gather.
+    and its end points between rows the bilinear sample there.
+
+    The cells between a segment's first and last inside rows are the
+    difference of two reads of the column cumulative of its family's
+    sheared layout, on its diagonal, or weighted between the two diagonals
+    around the line; only the two end cells read row values.  So past one
+    cumulative per family the work is O(segments), done in blocks of
+    segments so that the temporaries stay a few MB for any batch.
+    Segments must lie in [0, nt * delta]; a line off its family's layout
+    raises GeometryError.
     """
-    d = lat.delta
-    direction, offset, ta, tb = np.broadcast_arrays(
+    args = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (direction, offset, t_start, t_end)))
-    shape = ta.shape
-    direction, offset, ta, tb = (a.ravel() for a in (direction, offset, ta, tb))
-    if ta.size == 0:
-        return np.zeros(shape)
+    shape = args[0].shape
+    args = [a.ravel() for a in args]
+    # C[:, 0] holds the -45 family's cumulatives, C[:, 1] the +45 family's
+    C = column_cumulative(_sheared(values, (-1, 1)), lat.delta)
+    out = np.empty(args[0].size)
+    for b in range(0, out.size, _BLOCK):
+        out[b:b + _BLOCK] = _line_block(values, lat.delta, C, *(a[b:b + _BLOCK] for a in args))
+    return out.reshape(shape)
+
+
+def _line_block(values, d, C, direction, offset, ta, tb):
+    """:func:`char_line_integrals` of one block of segments, given both
+    families' cumulatives C."""
     nt = values.shape[0] - 1
-    lmax = min(nt, int(math.floor(float(np.max(tb)) / d + 1e-9)) + 1)
-    rows = np.arange(lmax + 1)[:, None]
-    cols = np.arange(ta.size)
+    last = C.shape[2] - 1  # last column of a family's layout
+    fam = (direction > 0).astype(int)
 
     k = offset / d
     k_node = np.rint(k)
     aligned = np.abs(k - k_node) < 1e-9
-    # each line on each row: exact node columns on diagonals
-    V = _row_interp(values, rows, np.where(aligned, k_node + direction * rows,
-                                           (offset + direction * (rows * d)) / d))
+    base = np.where(aligned, k_node, np.floor(k))  # diagonal on or below the line
+    w = np.where(aligned, 0.0, k - base)  # weight of the diagonal above
+    q = base + fam * nt
+    live = tb - ta > 1e-15
+    if np.any(live & ((q < 0) | (q + ~aligned > last))):
+        raise GeometryError("characteristic line outside the lattice")
+    qa = np.minimum(np.maximum(q, 0), last).astype(int)
+    qb = np.minimum(qa + 1, last)
+
+    def line_value(l, p):
+        """Each segment's value on its row l: the node on its diagonal, or
+        the row interpolant at column coordinate p between diagonals."""
+        return _row_interp(values, l, np.where(aligned, k_node + direction * l, p))
+
+    def row_value(l):
+        return line_value(l, (offset + direction * (l * d)) / d)
 
     def end_value(t):
+        """Along the diagonal, or bilinear between diagonals, between the
+        rows around t."""
         i_f = t / d
         i_r = np.rint(i_f)
         on_row = np.abs(i_f - i_r) < 1e-9
-        ia = np.clip(np.where(on_row, i_r, np.floor(i_f + 1e-12)), 0, max(lmax - 1, 0))
+        ia = np.minimum(np.maximum(np.where(on_row, i_r, np.floor(i_f + 1e-12)), 0),
+                        max(nt - 1, 0))
         f = np.where(on_row, i_r, i_f) - ia
         ia = ia.astype(int)
-        ib = np.minimum(ia + 1, lmax)
-        along = (1.0 - f) * V[ia, cols] + f * V[ib, cols]
         p = (offset + direction * t) / d
-        across = (1.0 - f) * _row_interp(values, ia, p) + f * _row_interp(values, ib, p)
-        return np.where(aligned, along, across)
+        return (1.0 - f) * line_value(ia, p) + f * line_value(np.minimum(ia + 1, nt), p)
 
     va, vb = end_value(ta), end_value(tb)
     lo = np.ceil(ta / d - 1e-12)  # first and last row strictly inside
     lo = lo + (lo * d <= ta + 1e-13)
     hi = np.floor(tb / d + 1e-12)
     hi = hi - (hi * d >= tb - 1e-13)
-    lo_i = np.clip(lo, 0, lmax).astype(int)
-    hi_i = np.clip(hi, 0, lmax).astype(int)
-    cells = 0.5 * d * (V[:-1] + V[1:])
-    inner = np.where((rows[:-1] >= lo) & (rows[:-1] < hi), cells, 0.0).sum(axis=0)
-    split = (0.5 * (lo * d - ta) * (va + V[lo_i, cols]) + inner
-             + 0.5 * (tb - hi * d) * (V[hi_i, cols] + vb))
+    lo_i = np.minimum(np.maximum(lo, 0), nt).astype(int)
+    hi_i = np.minimum(np.maximum(hi, 0), nt).astype(int)
+    inner = ((1.0 - w) * (C[hi_i, fam, qa] - C[lo_i, fam, qa])
+             + w * (C[hi_i, fam, qb] - C[lo_i, fam, qb]))
+    split = (0.5 * (lo * d - ta) * (va + row_value(lo_i)) + inner
+             + 0.5 * (tb - hi * d) * (row_value(hi_i) + vb))
     out = np.where(lo <= hi, split, 0.5 * (tb - ta) * (va + vb))
-    return np.where(tb - ta <= 1e-15, 0.0, out).reshape(shape)
+    return np.where(live, out, 0.0)
 
 
 def _diag_line_integral(lat: CharLattice, arr: np.ndarray, t0: float, r0: float,
@@ -318,7 +351,8 @@ def line_integral_along_characteristic(lat: CharLattice, values: np.ndarray,
     if length < 0:
         raise ValueError("segment length must be nonnegative")
     r_end = r0 + sgn * length
-    if min(r0, r_end) < -1e-12 or t0 < -1e-12 or t0 + length > lat.nt * lat.delta + 1e-9:
+    if (min(r0, r_end) < -1e-12 or max(r0, r_end) > lat.j_ext * lat.delta + 1e-12
+            or t0 < -1e-12 or t0 + length > lat.nt * lat.delta + 1e-9):
         raise GeometryError("characteristic segment leaves the lattice")
     return _diag_line_integral(lat, values, t0, r0, sgn, length)
 
@@ -370,52 +404,4 @@ def phi_time_trace(lat: CharLattice, values: np.ndarray, t, r):
     g2 = -L[3] + L[2]
     if scalar:
         return float(g1), float(g2)
-    return g1, g2
-
-
-def g_row_batch(lat: CharLattice, values: np.ndarray, C: np.ndarray,
-                D: np.ndarray, i: int):
-    """(g1, g2) for every inside column of lattice row i, from the cached
-    per-diagonal cumulatives; only the reflected part of g1 needs fresh
-    off-lattice line integrals."""
-    d = lat.delta
-    front = lat.front
-    rho0 = front.rho0
-    t = i * d
-    jj = np.arange(lat.j_ext + 1)
-    inside = lat.inside[i]
-
-    g2 = C[i, :].copy()
-    behind = (jj < i) & inside
-    if np.any(behind):
-        # g2 = -int over the echo leg + int from (t - r, 0); C already
-        # starts at the r = 0 base of this diagonal
-        g2[behind] -= D[i - jj[behind], 0]
-
-    g1 = D[i, :].copy()
-    refl = (jj * d > rho0 - t + 1e-14) & inside
-    if np.any(refl):
-        cols = jj[refl]
-        eta = t + cols * d
-        t_star = np.asarray(front.psi_inverse(eta), dtype=float)
-        om = np.asarray(front._omega_unchecked(eta), dtype=float)
-        om_dot = np.asarray(front.omega_dot(eta), dtype=float)
-        part1 = char_line_integrals(lat, values, 1.0, -om, 0.0, t_star)
-
-        lf = np.clip(np.floor(t_star / d + 1e-12).astype(int), 0, i)
-        jstar = (i + cols) - lf
-        d_at = D[lf, np.clip(jstar, 0, lat.j_ext)].astype(float)
-        rem = t_star - lf * d
-        has = rem > 1e-13
-        if np.any(has):
-            ft = rem / d
-            a = values[lf, np.clip(jstar, 0, lat.j_ext)]
-            l2 = np.minimum(lf + 1, lat.nt)
-            b = values[l2, np.clip(jstar - 1, 0, lat.j_ext)]
-            v_mid = (1.0 - ft) * a + ft * b
-            d_at = np.where(has, d_at + 0.5 * rem * (a + v_mid), d_at)
-        part2 = D[i, cols] - d_at
-        g1[refl] = -om_dot * part1 + part2
-    g1[~inside] = 0.0
-    g2[~inside] = 0.0
     return g1, g2

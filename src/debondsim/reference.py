@@ -3,9 +3,9 @@
 Each one evaluates a quantity the production path also computes, by a
 different route: the cone integral of one apex by iterated quadrature, the
 exact cone area, a characteristic line integral sample by sample, the
-energy rate in unweighted variables, and a front given by callables with
-numerically inverted maps.  No production module imports
-this one.
+diagonal cumulatives row by row, the energy rate in unweighted variables,
+and a front given by callables with numerically inverted maps.  No
+production module imports this one.
 """
 
 from __future__ import annotations
@@ -152,6 +152,23 @@ def diag_line_integral(lat: CharLattice, arr: np.ndarray, t0: float, r0: float,
     ts = np.array(ts)
     vs = np.array([val(float(t)) for t in ts])
     return float(np.trapezoid(vs, ts))
+
+
+def diag_cumulatives(values: np.ndarray, delta: float):
+    """Cumulative line integrals (in dtau units) along both characteristic
+    families, measured from each diagonal's entry into the domain, built
+    row by row.
+
+    C[i, j] integrates along the +45 line through (i, j) from its base
+    (t = 0 or r = 0); D[i, j] along the -45 line from its t = 0 base.
+    """
+    C = np.zeros_like(values)
+    D = np.zeros_like(values)
+    half = 0.5 * delta
+    for i in range(1, values.shape[0]):
+        C[i, 1:] = C[i - 1, :-1] + half * (values[i - 1, :-1] + values[i, 1:])
+        D[i, :-1] = D[i - 1, 1:] + half * (values[i - 1, 1:] + values[i, :-1])
+    return C, D
 
 
 # ---------------------------------------------------------------------------

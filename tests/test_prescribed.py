@@ -76,7 +76,7 @@ def test_apply_L_zero():
     front = FrontCurve.constant(1.0, 3.0, 3.0)
     plan = plan_windows(front, hd, 0.0, 0.25, delta=1.0 / 32)[0]
     ws = _Workspace(hd, front.window(0.0, 0.25), plan)
-    out = apply_L(ws.lattice.blank(), hd, front, plan, workspace=ws)
+    out = apply_L(ws.lattice.blank(), ws)
     assert np.all(out == 0.0)
 
 
@@ -95,8 +95,7 @@ def test_measured_contraction_below_bound():
         d12 = ws.lattice.masked(d12)
         h1 = ws.free_grid + d12
         h2 = ws.free_grid
-        out = (apply_L(h1, hd, front, plan, workspace=ws)
-               - apply_L(h2, hd, front, plan, workspace=ws))
+        out = apply_L(h1, ws) - apply_L(h2, ws)
         num = float(np.max(np.abs(out)))
         den = float(np.max(np.abs(d12)))
         assert num <= plan.contraction_bound * den * (1 + 1e-10)
@@ -118,7 +117,7 @@ def test_solve_window_fixed_point_residual():
     tol = 1e-10
     patch = solve_window(hd, front, plan, tol=tol)
     ws = _Workspace(hd, front.window(plan.t_start, plan.t_end), plan)
-    again = apply_L(patch.lattice.values, hd, front, plan, workspace=ws)
+    again = apply_L(patch.lattice.values, ws)
     residual = float(np.max(np.abs(again - patch.lattice.values)))
     assert residual <= 10 * tol
 
@@ -154,7 +153,7 @@ def test_zeroed_kernel_reproduces_free_solution_exactly():
     plan = plan_windows(front, hd, 0.0, 0.25, delta=1.0 / 32)[0]
     ws = _Workspace(hd, front.window(0.0, 0.25), plan)
     ws.kern = np.zeros_like(ws.kern)
-    out = apply_L(ws.free_grid, hd, front, plan, workspace=ws)
+    out = apply_L(ws.free_grid, ws)
     assert np.allclose(out, ws.free_grid, atol=1e-15)
 
 

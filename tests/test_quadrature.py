@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,10 +10,10 @@ from debondsim.geometry import FrontCurve, GeometryError, cone_region, corner_wa
 from debondsim.griffith import StripWorkspace
 from debondsim.prescribed import march
 from debondsim.quadrature import (
-    CharLattice, char_line_integrals, cone_integrals_batch, diag_cumulatives, g_row_batch,
-    line_integral_along_characteristic, phi_time_trace, sheared_cone_integrals,
+    CharLattice, char_line_integrals, cone_integrals_batch, line_integral_along_characteristic,
+    phi_time_trace, sheared_cone_integrals,
 )
-from debondsim.reference import diag_line_integral, phi_of, region_area
+from debondsim.reference import diag_cumulatives, diag_line_integral, phi_of, region_area
 
 
 def make_lattice(delta=1.0 / 64, nt=16, speed=0.25, rho0=1.0, R=3.0):
@@ -276,16 +278,18 @@ def test_rim_line_is_the_diagonal_cumulative():
        slopes=st.lists(st.floats(0.0, 0.6), min_size=3, max_size=3),
        coef=st.tuples(st.floats(0.0, 1.5), st.floats(-3.0, 3.0), st.floats(0.0, 1.5),
                       st.floats(-3.0, 3.0), st.floats(-1.0, 1.0)),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_line_kernel_matches_scalar_oracle(interior, slopes, coef, seed):
+       seed=st.integers(0, 2 ** 32 - 1), nt=st.sampled_from([1, 2, 8, 40]))
+def test_line_kernel_matches_scalar_oracle(interior, slopes, coef, seed, nt):
     # one batch of segments of both directions, on diagonals and between
     # them, with ends on and off the rows, against the scalar per-sample
     # trapezoid; then the batched derivative traces against one call per
-    # point at the banks of the corner wavefronts and at the front point
-    ts = np.array([0.0] + sorted(interior) + [0.6])
+    # point at the banks of the corner wavefronts and at the front point.
+    # The heights include 1-row lattices and a tall one, where the
+    # kernel's cumulative differences are largest
+    ts = np.array([0.0] + sorted(interior) + [max(0.6, nt / 32)])
     rhos = 1.0 + np.concatenate(([0.0], np.cumsum(np.array(slopes[:len(ts) - 1]) * np.diff(ts))))
     front = FrontCurve(ts, rhos, 3.0)
-    lat = CharLattice(front, 1.0 / 32, 8)
+    lat = CharLattice(front, 1.0 / 32, nt)
     b, c, e, f, g = coef
     H = fill(lat, lambda t, r: np.sin(b * t + c) * np.cos(e * r + f) + g * t * r)
     d, T, r_top = lat.delta, lat.nt * lat.delta, lat.j_ext * lat.delta
@@ -309,9 +313,10 @@ def test_line_kernel_matches_scalar_oracle(interior, slopes, coef, seed):
                                  int(direction[k]), t_b[k] - t_a[k])
         assert got[k] == pytest.approx(ref, abs=1e-13), k
 
+    T = min(T, 0.5 * front.rho0)  # the traces are window-local
     wf = corner_wavefronts(front, T)
     pts_t, pts_r = [], []
-    for t in (0.0, 3 * d, 5.5 * d, T):
+    for t in (0.0, 0.375 * T, 0.6875 * T, T):
         rho_t = float(front.rho(t))
         for r_star in jump_radii(wf, t, rho_t):
             pts_t += [t, t]
@@ -355,6 +360,46 @@ def test_line_integral_domain_check():
         line_integral_along_characteristic(lat, const_field(lat), (0.0, 0.1), "-45", 0.5)
 
 
+def test_line_integral_refuses_segments_past_the_columns():
+    # the columns end at r = 43/32: a segment past them has no values to
+    # read, and the kernel refuses a line outside its family's layout
+    # rather than clip or wrap it
+    lat = make_lattice(delta=1.0 / 32, nt=8)
+    H = np.ones((lat.nt + 1, lat.j_ext + 1))
+    assert lat.j_ext * lat.delta == pytest.approx(1.34375)
+    for start, length in (((0.0, 2.0), 0.1), ((0.0, 1.3), 0.2)):
+        with pytest.raises(GeometryError):
+            line_integral_along_characteristic(lat, H, start, "+45", length)
+    for direction, offset in ((1.0, 2.0), (1.0, -0.5), (-1.0, -0.5), (-1.0, 2.0)):
+        with pytest.raises(GeometryError):
+            char_line_integrals(lat, H, direction, offset, 0.0, 0.1)
+    assert line_integral_along_characteristic(lat, H, (0.0, 1.3), "+45", 0.04375) == \
+        pytest.approx(0.04375, abs=1e-15)
+
+
+def test_line_kernel_memory_is_linear_in_segments():
+    # 20k full-height segments between diagonals: a (rows x segments)
+    # gather would hold 65 row values per segment, near 60 MB at its peak
+    lat = make_lattice(delta=1.0 / 256, nt=64)
+    H = fill(lat, lambda t, r: np.sin(2.0 * t + 0.3) * np.cos(1.1 * r))
+    d, T, r_top = lat.delta, lat.nt * lat.delta, lat.j_ext * lat.delta
+    rng = np.random.default_rng(5)
+    n = 20000
+    direction = rng.choice([-1.0, 1.0], n)
+    offset = (np.floor(rng.uniform(0.0, r_top - T, n) / d) + rng.uniform(0.1, 0.9, n)) * d
+    offset = np.where(direction > 0, offset, offset + T)
+    tracemalloc.start()
+    try:
+        got = char_line_integrals(lat, H, direction, offset, 0.0, T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    for k in range(0, n, 1000):
+        ref = diag_line_integral(lat, H, 0.0, offset[k], int(direction[k]), T)
+        assert got[k] == pytest.approx(ref, abs=1e-13), k
+
+
 # -- derivative traces --------------------------------------------------------
 
 def test_trace_zero_field():
@@ -375,18 +420,27 @@ def test_trace_g2_echo_branch_constant():
 
 
 def test_trace_matches_row_batch():
+    # every inside node of four rows in one batched call, against one call
+    # per node and, where g1 needs no reflected leg, against the row-by-row
+    # diagonal cumulatives: g1 = D[i, j], and g2 = C[i, j] less the echo
+    # leg D[i - j, 0] behind the rim echo (j < i)
     lat = make_lattice(delta=1.0 / 64, nt=16, speed=0.3)
     H = fill(lat, lambda t, r: np.sin(2.0 * t + 0.3) * np.cos(1.1 * r))
     C, D = diag_cumulatives(H, lat.delta)
-    for i in (0, 3, 9, 16):
-        g1_row, g2_row = g_row_batch(lat, H, C, D, i)
-        t = i * lat.delta
-        for j in range(lat.j_ext + 1):
-            if not lat.inside[i, j]:
-                continue
-            g1, g2 = phi_time_trace(lat, H, t, j * lat.delta)
-            assert g1_row[j] == pytest.approx(g1, abs=1e-12), (i, j)
-            assert g2_row[j] == pytest.approx(g2, abs=1e-12), (i, j)
+    ii, jj = np.nonzero(lat.inside[[0, 3, 9, 16]])
+    ii = np.array([0, 3, 9, 16])[ii]
+    g1_batch, g2_batch = phi_time_trace(lat, H, ii * lat.delta, jj * lat.delta)
+    direct = 0
+    for k, (i, j) in enumerate(zip(ii, jj)):
+        g1, g2 = phi_time_trace(lat, H, i * lat.delta, j * lat.delta)
+        assert g1_batch[k] == pytest.approx(g1, abs=1e-12), (i, j)
+        assert g2_batch[k] == pytest.approx(g2, abs=1e-12), (i, j)
+        if i + j <= lat.front.rho0 / lat.delta:
+            direct += 1
+            assert g1_batch[k] == pytest.approx(D[i, j], abs=1e-12), (i, j)
+            echo = D[i - j, 0] if j < i else 0.0
+            assert g2_batch[k] == pytest.approx(C[i, j] - echo, abs=1e-12), (i, j)
+    assert direct > 100
 
 
 def test_trace_consistent_with_cone_difference():
