@@ -1,12 +1,14 @@
 """Energy bookkeeping: internal energy, dissipations, work, release rate.
 
-All series are assembled on the global lattice rows from the solved
-patches.  Derivative-bearing quantities (the energy rate, the release
-rate, the boundary power) are evaluated window-locally: the closed-form
-expressions hold for small times past the owning window's seam and use
-that window's data traces plus one characteristic line integral of the
-kernel field, never a numerical time difference.  Centered differences of
-the total energy appear only as diagnostics next to the closed form.
+:func:`audit` is the only route to these quantities: it fills an
+:class:`EnergyLedger` with every series on the global lattice rows, each
+computed once per solved patch in one batched call.  Derivative-bearing
+quantities (the release rate, the boundary power) are evaluated
+window-locally: the closed-form expressions hold for small times past the
+owning window's seam and use that window's data traces plus one
+characteristic line integral of the kernel field, never a numerical time
+difference.  The closed-form energy rate and the two release-rate routes
+that the ledger is checked against live in :mod:`debondsim.reference`.
 
 The audited identities:
 
@@ -31,13 +33,8 @@ from typing import List
 import numpy as np
 
 from .fields import ProblemData, Toughness, kappa_eval
-from .geometry import (GeometryError, annulus_area_derivative,
-                       corner_wavefronts, jump_radii)
-from .prescribed import FieldPatch, locate_patch
-
-
-def _as_patches(patches) -> List[FieldPatch]:
-    return [patches] if isinstance(patches, FieldPatch) else list(patches)
+from .geometry import corner_wavefronts, jump_radii
+from .prescribed import FieldPatch
 
 
 # ---------------------------------------------------------------------------
@@ -58,9 +55,7 @@ _JUMP_EPS = 1e-9
 
 
 def _row_radial_integrals(patch: FieldPatch, rows, wavefronts=None):
-    """(E, a) of one patch at row coordinates ``rows`` = t_loc / delta
-    (floats for one row, arrays for many; off the rows a coordinate is
-    fractional):
+    """(E, a) of one patch at its local lattice rows ``rows``:
 
         E = pi * int (R - r) (v_t^2 + v_r^2) dr
         a =      int (R - r) v_t^2 dr
@@ -88,9 +83,8 @@ def _row_radial_integrals(patch: FieldPatch, rows, wavefronts=None):
         return slice(n_pts - r.size, n_pts)
 
     plans = []
-    for x in np.atleast_1d(np.asarray(rows, dtype=float)):
-        i = int(round(x))
-        t = i * d if abs(i - x) * d < 1e-9 else float(x * d)
+    for i in rows:
+        t = int(i) * d
         rho_t = float(patch.rho_local(t))
         j_in = int(math.floor(rho_t / d + 1e-12))
         nodes = points(t, lat.radii[: j_in + 1]).start
@@ -118,61 +112,19 @@ def _row_radial_integrals(patch: FieldPatch, rows, wavefronts=None):
     e_pt, a_pt = _energy_integrands(patch, pt, *patch.local_traces(pt, pr), pr)
     E, A = (np.array([sum(float(np.trapezoid(v[idx], pr[idx])) for idx in segs)
                       for segs in plans]) for v in (e_pt, a_pt))
-    if np.ndim(rows) == 0:
-        return math.pi * float(E[0]), float(A[0])
     return math.pi * E, A
 
 
-def internal_energy(patches, t: float, front=None) -> float:
-    """Internal (kinetic + membrane) energy at time t, on or off the rows."""
-    plist = _as_patches(patches)
-    patch = locate_patch(plist, t)
-    wf = corner_wavefronts(front, plist[-1].t1) if front is not None else \
-        _patch_wavefronts(plist)
-    return _row_radial_integrals(patch, (t - patch.t0) / patch.lattice.delta, wf)[0]
-
-
-def _patch_wavefronts(plist):
-    """Wavefront tracking needs the global front; rebuild it from the
-    per-window local fronts."""
-    ts, rhos = [], []
-    for p in plist:
-        loc = p.lattice.front
-        for tk, rk in zip(loc.t_knots, loc.rho_knots):
-            tg = p.t0 + tk
-            if not ts or tg > ts[-1] + 1e-14:
-                ts.append(tg), rhos.append(rk)
-    from .geometry import FrontCurve
-    glob = FrontCurve(np.array(ts), np.array(rhos), plist[0].hdata.R)
-    return corner_wavefronts(glob, plist[-1].t1)
-
-
-def _global_rows(patches: List[FieldPatch], t_end: float = np.inf):
+def _global_rows(patches: List[FieldPatch]):
     """(patch, local row indices, global times) covering every global
-    lattice row up to t_end; seam rows belong to the later window, whose
-    data are freshly re-based."""
+    lattice row; seam rows belong to the later window, whose data are
+    freshly re-based."""
     out = []
     for k, p in enumerate(patches):
         last = p.lattice.nt + 1 if k == len(patches) - 1 else p.lattice.nt
         rows = np.arange(last)
-        times = p.t0 + rows * p.lattice.delta
-        keep = times <= t_end + 1e-12
-        if np.any(keep):
-            out.append((p, rows[keep], times[keep]))
+        out.append((p, rows, p.t0 + rows * p.lattice.delta))
     return out
-
-
-def friction_dissipation(patches, t: float) -> float:
-    """Damping dissipation up to time t (exactly 0 for alpha = 0)."""
-    plist = _as_patches(patches)
-    alpha = plist[0].hdata.alpha
-    if alpha == 0.0:
-        return 0.0
-    wf = _patch_wavefronts(plist)
-    rows = _global_rows(plist, t)
-    ts = np.concatenate([tt for _, _, tt in rows])
-    a_vals = np.concatenate([_row_radial_integrals(p, ii, wf)[1] for p, ii, _ in rows])
-    return 2.0 * math.pi * alpha * float(np.trapezoid(a_vals, ts))
 
 
 def debond_dissipation(front, tough: Toughness, t):
@@ -207,7 +159,7 @@ def debond_dissipation(front, tough: Toughness, t):
 
 
 # ---------------------------------------------------------------------------
-# energy rate, boundary power, release rate
+# boundary power, release rate
 # ---------------------------------------------------------------------------
 
 def _rim_power(patch: FieldPatch, data: ProblemData, t, gamma):
@@ -221,47 +173,11 @@ def _rim_power(patch: FieldPatch, data: ProblemData, t, gamma):
         - np.exp(-0.5 * alpha * t_loc) / math.sqrt(R) * x_hat)
 
 
-def q_power(patches, data: ProblemData, t: float, gamma: float) -> float:
-    """Rim power factor Q(t, gamma); gamma stands in for the opening rate."""
-    return float(_rim_power(locate_patch(_as_patches(patches), t), data, t, gamma))
-
-
-def energy_rate(patches, front, data: ProblemData, t: float,
-                freeze_load: bool = False) -> float:
-    """Closed-form time derivative of the total energy at t (weighted form).
-
-    Uses the owning window's data traces and the characteristic line
-    integral of the kernel field; ``freeze_load`` drops the rim-power term
-    (the opening held fixed past t), which is the variant entering the
-    release-rate quotient.
-    """
-    patch = locate_patch(_as_patches(patches), t)
-    t_loc = t - patch.t0
-    rd = float(front.rho_dot(t))
-    bracket = patch.front_bracket(t_loc)
-    first = (-math.pi * rd * (1.0 - rd) / (1.0 + rd)
-             * math.exp(-patch.hdata.alpha * t_loc) * bracket * bracket)
-    if freeze_load:
-        return first
-    w_dot = float(data.w.deriv(t))
-    return first + w_dot * q_power(patches, data, t, w_dot)
-
-
 def _rim_work_rates(patch: FieldPatch, data: ProblemData, t):
     """Rim power w_dot * Q(t, w_dot) at global times t of one patch
     (exactly 0 where the opening rate is 0)."""
     w_dot = data.w.deriv(t)
     return np.where(w_dot != 0.0, w_dot * _rim_power(patch, data, t, w_dot), 0.0)
-
-
-def external_work(data: ProblemData, patches, t: float) -> float:
-    """Work of the rim load up to t: the cumulative rim power."""
-    plist = _as_patches(patches)
-    if data.w.kind in ("zero", "constant"):
-        return 0.0
-    rows = _global_rows(plist, t)
-    vals = np.concatenate([_rim_work_rates(p, data, tt) for p, _, tt in rows])
-    return float(np.trapezoid(vals, np.concatenate([tt for _, _, tt in rows])))
 
 
 def _release_rate(patch: FieldPatch, front, t):
@@ -270,32 +186,6 @@ def _release_rate(patch: FieldPatch, front, t):
     bracket = patch.front_bracket(t_loc)
     return (np.exp(-patch.hdata.alpha * t_loc) * bracket * bracket
             / (2.0 * (patch.hdata.R - front.rho(t))))
-
-
-def err_g0(patches, front, t: float) -> float:
-    """Quasistatic-limit release rate at t (always nonnegative)."""
-    return float(_release_rate(locate_patch(_as_patches(patches), t), front, t))
-
-
-def err_gbeta(g0: float, beta: float) -> float:
-    """Release rate at front speed beta: the kinetic factor (1-b)/(1+b)."""
-    if not (0.0 <= beta < 1.0):
-        raise ValueError("front speed must lie in [0, 1)")
-    return (1.0 - beta) / (1.0 + beta) * g0
-
-
-def err_from_energy_quotient(front, t: float, Tdot: float) -> float:
-    """Release rate as energy decrease per newly debonded area.
-
-    ``Tdot`` must be the load-frozen energy rate; the caller chooses how
-    to produce it (closed form or a differenced energy series), which
-    keeps this an independent validation path.
-    """
-    rd = float(front.rho_dot(t))
-    if rd <= 0.0:
-        raise GeometryError("the quotient needs a moving front")
-    rho_t = float(front.rho(t))
-    return -Tdot / (rd * annulus_area_derivative(rho_t, front.R))
 
 
 # ---------------------------------------------------------------------------
@@ -324,13 +214,6 @@ class EnergyLedger:
     mdp_gap: np.ndarray
     mdp_flags: np.ndarray
     mdp_tol: float
-
-    def rows(self):
-        for k in range(len(self.times)):
-            yield (self.times[k], self.rho[k], self.rho_dot[k], self.E[k],
-                   self.A_fric[k], self.T_total[k], self.W_ext[k],
-                   self.D_debond[k], self.G0[k], self.edp_residual[k],
-                   self.kkt_residual[k])
 
     @property
     def max_rel_edp(self) -> float:
@@ -363,9 +246,9 @@ def _segment_residuals(front, tough: Toughness, times: np.ndarray, G0: np.ndarra
     return kkt[seg], mdp[seg]
 
 
-def audit(patches, front, data: ProblemData, tough: Toughness,
+def audit(patches: List[FieldPatch], front, data: ProblemData, tough: Toughness,
           mdp_tol: float = 1e-3) -> EnergyLedger:
-    """Fill the ledger for a solved run.
+    """Fill the ledger for a solved run from its list of patches.
 
     The balance residual is T(t) + D(t) - T(0) - W(t).  The
     complementarity residual combines the overshoot of the rate above the
@@ -374,11 +257,10 @@ def audit(patches, front, data: ProblemData, tough: Toughness,
     evaluated at the midpoint of the front segment that holds each row
     (see :func:`_segment_residuals`).
     """
-    plist = _as_patches(patches)
-    rows = _global_rows(plist)
+    rows = _global_rows(patches)
     times = np.concatenate([tt for _, _, tt in rows])
     n = len(times)
-    alpha = plist[0].hdata.alpha
+    alpha = patches[0].hdata.alpha
 
     # every per-row quantity of a patch comes from one batched call
     wf = corner_wavefronts(front, times[-1])

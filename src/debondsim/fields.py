@@ -1,13 +1,13 @@
-"""Problem data and the u <-> v <-> h transformation chain.
+"""Problem data and the v <-> h transformation.
 
 ``v(t, r)`` is the transverse displacement read at distance ``r`` inward
 from the rim, and ``h = sqrt(R - r) * exp(alpha t / 2) * v`` is the
 weighted unknown whose equation has no first-order terms.  This module
 owns the data containers, the closed-form/sampled scalar profiles they
-are built from, the toughness model, and the two source kernels
+are built from, the toughness model, and the prefactor of the source
+kernel
 
     F(tau, sigma) = (alpha^2 + 1/(R - sigma)^2) / 4 * h(tau, sigma)
-    G(tau, sigma) = -v_r(tau, sigma)/(R - sigma) - alpha * v_t(tau, sigma)
 """
 
 from __future__ import annotations
@@ -18,15 +18,13 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.interpolate import CubicSpline, PchipInterpolator
 
-COMPAT_TOL = 1e-10
+from .geometry import _asarray
+
+_COMPAT_TOL = 1e-10
 
 
 class CompatibilityError(ValueError):
     """Raised when boundary/initial data fail the corner conditions."""
-
-
-def _asarray(x):
-    return np.asarray(x, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +193,9 @@ class ProblemData:
             raise CompatibilityError("need 0 < rho0 < R")
         if self.alpha < 0:
             raise CompatibilityError("damping coefficient must be nonnegative")
-        if abs(float(self.v0(0.0)) - float(self.w(0.0))) > COMPAT_TOL:
+        if abs(float(self.v0(0.0)) - float(self.w(0.0))) > _COMPAT_TOL:
             raise CompatibilityError("v0(0) must equal w(0)")
-        if abs(float(self.v0(self.rho0))) > COMPAT_TOL:
+        if abs(float(self.v0(self.rho0))) > _COMPAT_TOL:
             raise CompatibilityError("v0 must vanish at the front")
 
 
@@ -214,9 +212,9 @@ class HData:
     h0_dot: Callable
 
     def __post_init__(self):
-        if abs(float(self.h0(0.0)) - float(self.z(0.0))) > COMPAT_TOL * np.sqrt(self.R):
+        if abs(float(self.h0(0.0)) - float(self.z(0.0))) > _COMPAT_TOL * np.sqrt(self.R):
             raise CompatibilityError("h0(0) must equal z(0)")
-        if abs(float(self.h0(self.rho0))) > COMPAT_TOL * np.sqrt(self.R):
+        if abs(float(self.h0(self.rho0))) > _COMPAT_TOL * np.sqrt(self.R):
             raise CompatibilityError("h0 must vanish at the front")
 
 
@@ -258,14 +256,6 @@ def v_from_h(h_value, h_t, h_r, t, r, R: float, alpha: float):
     return v, v_t, v_r
 
 
-def u_from_v(v, r, R: float):
-    """Place the radial value back in the plane: returns (|x|, u)."""
-    r = _asarray(r)
-    if np.any(r < 0) or np.any(r > R):
-        raise ValueError("radial offset outside [0, R]")
-    return R - r, _asarray(v)
-
-
 # ---------------------------------------------------------------------------
 # kernels
 # ---------------------------------------------------------------------------
@@ -274,15 +264,6 @@ def kernel_prefactor(sigma, R: float, alpha: float):
     """The zero-order coefficient (alpha^2 + 1/(R - sigma)^2) / 4."""
     sigma = _asarray(sigma)
     return 0.25 * (alpha * alpha + 1.0 / (R - sigma) ** 2)
-
-
-def f_kernel(h_value, sigma, R: float, alpha: float):
-    return kernel_prefactor(sigma, R, alpha) * _asarray(h_value)
-
-
-def g_kernel(v_t, v_r, sigma, R: float, alpha: float):
-    sigma = _asarray(sigma)
-    return -_asarray(v_r) / (R - sigma) - alpha * _asarray(v_t)
 
 
 # ---------------------------------------------------------------------------

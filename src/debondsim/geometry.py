@@ -17,7 +17,6 @@ strictly increasing and omega a contraction slope-wise.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,63 +169,6 @@ class FrontCurve:
         ts = np.concatenate(([t0], self.t_knots[interior], [t1]))
         rhos = np.interp(ts, self.t_knots, self.rho_knots)
         return FrontCurve(ts - t0, rhos, self.R)
-
-
-# -- dependence cones -----------------------------------------------------
-
-OMEGA1, OMEGA2, OMEGA3 = "Omega1", "Omega2", "Omega3"
-
-
-@dataclass(frozen=True)
-class ConeRegion:
-    """Truncated dependence cone of an apex, in characteristic coordinates
-    xi = t - r, eta = t + r.
-
-    The region is { xi_lo <= xi <= xi_hi, max(|xi|, eta_flat) <= eta <= eta_hi }
-    with eta_flat = max(xi_hi, 0).  The only boundary that can fall off a
-    characteristic-aligned lattice is xi_lo, which carries the reflected
-    bound omega(eta_hi) when the apex sees the moving front.
-    """
-
-    apex: tuple
-    case_tag: str
-    xi_lo: float
-    xi_hi: float
-    eta_hi: float
-
-    @property
-    def eta_flat(self) -> float:
-        return max(self.xi_hi, 0.0)
-
-    @property
-    def is_empty(self) -> bool:
-        return self.xi_hi - self.xi_lo <= _TOL
-
-
-def cone_region(front, t: float, r: float) -> ConeRegion:
-    """Classify the apex (t, r) and return its truncated cone."""
-    rho_t = float(front.rho(t))
-    if r < -1e-10 or r > rho_t + 1e-10:
-        raise GeometryError("apex outside the space-time domain")
-    xi = t - r
-    eta = t + r
-    rho0 = front.rho0
-    if t > r and eta > rho0 + 1e-12:
-        raise GeometryError("apex beyond the first reflection family")
-    if eta <= rho0 + _TOL:
-        tag = OMEGA1 if t <= r else OMEGA2
-        xi_lo = -eta
-    else:
-        tag = OMEGA3
-        xi_lo = float(front._omega_unchecked(np.array(eta)))
-    return ConeRegion(apex=(t, r), case_tag=tag, xi_lo=xi_lo, xi_hi=xi, eta_hi=eta)
-
-
-def annulus_area_derivative(rho: float, R: float) -> float:
-    """Rate of change of the debonded annulus area with the front width."""
-    if rho < 0 or rho >= R:
-        raise GeometryError("front width must lie in [0, R)")
-    return 2.0 * math.pi * (R - rho)
 
 
 # -- corner wavefronts ------------------------------------------------------

@@ -38,10 +38,10 @@ import numpy as np
 
 from .fields import HData, ProblemData, Toughness, kappa_eval, to_h_data
 from .geometry import FrontCurve, GeometryError, corner_wavefronts, jump_radii
-from .prescribed import (ConvergenceError, FieldPatch, _seam_data, march)
+from .prescribed import ConvergenceError, FieldPatch, _row_count, _seam_data, march
 from .quadrature import column_cumulative, sheared_cone_integrals
 
-SLOPE_CAP = 1.0 - 1e-9
+_SLOPE_CAP = 1.0 - 1e-9
 
 
 class _Shrink(Exception):
@@ -356,7 +356,7 @@ def _front_knots(ws: StripWorkspace, lam_raw: np.ndarray,
     rho = ts - np.append(ss[keep], s_end)
     rho = np.maximum.accumulate(rho)
     dts = np.diff(ts)
-    seg = np.clip(np.diff(rho) / dts, 0.0, SLOPE_CAP)
+    seg = np.clip(np.diff(rho) / dts, 0.0, _SLOPE_CAP)
     rho = np.concatenate(([rho[0]], rho[0] + np.cumsum(seg * dts)))
     return ts, rho
 
@@ -377,9 +377,7 @@ def run(data: ProblemData, tough: Toughness, horizon: float,
     R = hd.R
     if R - hd.rho0 <= stop_margin:
         raise ValueError("the annulus is already within the stop margin")
-    n_total = int(round(horizon / delta))
-    if abs(n_total * delta - horizon) > 1e-9 * max(horizon, 1.0):
-        n_total = int(math.ceil(horizon / delta - 1e-9))
+    n_total = _row_count(horizon, delta)
     if n_total < 1:
         raise ValueError("horizon must cover at least one lattice step")
 

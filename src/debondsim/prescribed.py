@@ -31,8 +31,8 @@ class ConvergenceError(RuntimeError):
     """Raised when a fixed-point iteration fails to reach tolerance."""
 
 
-DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 200
+_DEFAULT_TOL = 1e-10
+_DEFAULT_MAX_ITER = 200
 
 
 # ---------------------------------------------------------------------------
@@ -85,12 +85,19 @@ def contraction_bound(rho_k: float, R: float, alpha: float, T: float) -> float:
     return best
 
 
+def _row_count(horizon: float, delta: float) -> int:
+    """Lattice rows covering [0, horizon]: the nearest whole count when the
+    horizon is a lattice time to rounding, else the next one up."""
+    n = int(round(horizon / delta))
+    if abs(n * delta - horizon) > 1e-9 * max(1.0, horizon):
+        n = int(math.ceil(horizon / delta - 1e-9))
+    return n
+
+
 def plan_windows(front, data: HData, alpha: float, horizon: float,
                  delta: float = 1.0 / 128) -> List[WindowPlan]:
     """Cover [0, horizon] with certified windows snapped to the lattice."""
-    n_total = int(round(horizon / delta))
-    if abs(n_total * delta - horizon) > 1e-9 * max(1.0, horizon):
-        n_total = int(math.ceil(horizon / delta - 1e-9))
+    n_total = _row_count(horizon, delta)
     if n_total * delta > front.horizon + 1e-9:
         raise GeometryError("horizon exceeds the front domain")
     R = data.R
@@ -226,7 +233,7 @@ def apply_L(h: np.ndarray, ws: _Workspace) -> np.ndarray:
 
 
 def solve_window(hdata: HData, front, window: WindowPlan,
-                 tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
+                 tol: float = _DEFAULT_TOL, max_iter: int = _DEFAULT_MAX_ITER,
                  scale: float = 1.0) -> FieldPatch:
     """Picard-iterate the window operator from the free solution until the
     sup-norm update drops below tol."""
@@ -315,8 +322,8 @@ def _seam_data(patch: FieldPatch, seam_jumps=()) -> HData:
                  h0=h0, h1=h1, h0_dot=h0.deriv)
 
 
-def march(data, front, horizon: float, tol: float = DEFAULT_TOL,
-          delta: float = 1.0 / 128, max_iter: int = DEFAULT_MAX_ITER) -> List[FieldPatch]:
+def march(data, front, horizon: float, tol: float = _DEFAULT_TOL,
+          delta: float = 1.0 / 128, max_iter: int = _DEFAULT_MAX_ITER) -> List[FieldPatch]:
     """Solve up to the horizon by sequential certified windows.
 
     ``data`` may be the physical problem data or ready-made weighted data.
@@ -350,15 +357,13 @@ def locate_patch(patches: List[FieldPatch], t: float) -> FieldPatch:
     raise GeometryError(f"time {t} is not covered by the solved windows")
 
 
-def evaluate_field(patches, t: float, r: float) -> FieldSample:
+def evaluate_field(patches: List[FieldPatch], t: float, r: float) -> FieldSample:
     """Global field values and exact derivatives at one solved point.
 
     Derivatives combine the analytic traveling-wave derivatives with the
     boundary line integrals of the kernel field; the value interpolates
     the window lattice.  Output is in unweighted (global) variables.
     """
-    if isinstance(patches, FieldPatch):
-        patches = [patches]
     patch = locate_patch(patches, t)
     t_loc = t - patch.t0
     hd = patch.hdata
@@ -368,47 +373,3 @@ def evaluate_field(patches, t: float, r: float) -> FieldSample:
     v, v_t, v_r = v_from_h(h, h_t, h_r, t, r, hd.R, hd.alpha)
     return FieldSample(h=float(h), h_t=float(h_t), h_r=float(h_r),
                        v=float(v), v_t=float(v_t), v_r=float(v_r), u=float(v))
-
-
-@dataclass
-class SolveReport:
-    """Per-window convergence diagnostics of one marching run."""
-
-    window_starts: list
-    window_ends: list
-    rho_at_start: list
-    contraction_bounds: list
-    measured_factors: list
-    iterations: list
-    final_updates: list
-    stop_reason: str = "horizon"
-
-    @classmethod
-    def from_patches(cls, patches: List[FieldPatch], stop_reason: str = "horizon"):
-        return cls(
-            window_starts=[p.t0 for p in patches],
-            window_ends=[p.t1 for p in patches],
-            rho_at_start=[p.window.rho_at_start for p in patches],
-            contraction_bounds=[p.diagnostics["contraction_bound"] for p in patches],
-            measured_factors=[p.diagnostics["measured_factor"] for p in patches],
-            iterations=[p.diagnostics["iterations"] for p in patches],
-            final_updates=[p.diagnostics["final_update"] for p in patches],
-            stop_reason=stop_reason,
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "stop_reason": self.stop_reason,
-            "windows": [
-                {
-                    "t_start": self.window_starts[i],
-                    "t_end": self.window_ends[i],
-                    "rho_at_start": self.rho_at_start[i],
-                    "contraction_bound": self.contraction_bounds[i],
-                    "measured_factor": self.measured_factors[i],
-                    "iterations": self.iterations[i],
-                    "final_update": self.final_updates[i],
-                }
-                for i in range(len(self.window_starts))
-            ],
-        }

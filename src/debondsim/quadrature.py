@@ -29,9 +29,10 @@ nodes and between them, and the front and rim brackets of
 
 All quadrature here integrates the piecewise-linear interpolant of the
 node values; off-lattice cuts (the omega edge, fractional endpoints) are
-clipped cell by cell.  The single-apex cone integral, the per-sample line
-integral and the row-by-row diagonal cumulatives that the batch paths are
-tested against live in :mod:`debondsim.reference`.
+clipped cell by cell.  The oracles the batch paths are tested against
+live in :mod:`debondsim.reference`: the truncated cone of one apex and its
+integral by iterated quadrature, the per-sample line integral and the
+row-by-row diagonal cumulatives.
 """
 
 from __future__ import annotations
@@ -73,7 +74,10 @@ class CharLattice:
         self.inside = self.radii[None, :] <= self.rho_rows[:, None] + 1e-12
         if self.values is None:
             self.values = np.zeros((self.nt + 1, self.j_ext + 1))
-        assert self.values.shape == (self.nt + 1, self.j_ext + 1)
+        shape = (self.nt + 1, self.j_ext + 1)
+        if self.values.shape != shape:
+            raise GeometryError(f"lattice values must have shape {shape}, "
+                                f"not {self.values.shape}")
 
     @property
     def times(self) -> np.ndarray:
@@ -329,32 +333,6 @@ def _line_block(values, d, C, direction, offset, ta, tb):
              + 0.5 * (tb - hi * d) * (row_value(hi_i) + vb))
     out = np.where(lo <= hi, split, 0.5 * (tb - ta) * (va + vb))
     return np.where(live, out, 0.0)
-
-
-def _diag_line_integral(lat: CharLattice, arr: np.ndarray, t0: float, r0: float,
-                        direction: int, length: float) -> float:
-    """Trapezoid of the field along the segment r(tau) = r0 + direction*(tau - t0),
-    tau in [t0, t0 + length]: one segment of :func:`char_line_integrals`."""
-    return float(char_line_integrals(lat, arr, direction, r0 - direction * t0,
-                                     t0, t0 + length))
-
-
-def line_integral_along_characteristic(lat: CharLattice, values: np.ndarray,
-                                       start: tuple, direction: str,
-                                       length: float) -> float:
-    """Composite trapezoid of the field along a +-45 degree segment."""
-    t0, r0 = start
-    try:
-        sgn = {"+45": 1, "-45": -1}[direction]
-    except KeyError:
-        raise ValueError("direction must be '+45' or '-45'") from None
-    if length < 0:
-        raise ValueError("segment length must be nonnegative")
-    r_end = r0 + sgn * length
-    if (min(r0, r_end) < -1e-12 or max(r0, r_end) > lat.j_ext * lat.delta + 1e-12
-            or t0 < -1e-12 or t0 + length > lat.nt * lat.delta + 1e-9):
-        raise GeometryError("characteristic segment leaves the lattice")
-    return _diag_line_integral(lat, values, t0, r0, sgn, length)
 
 
 # ---------------------------------------------------------------------------

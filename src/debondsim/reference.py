@@ -1,23 +1,33 @@
 """Independent reference computations that the tests compare against.
 
 Each one evaluates a quantity the production path also computes, by a
-different route: the cone integral of one apex by iterated quadrature, the
-exact cone area, a characteristic line integral sample by sample, the
-diagonal cumulatives row by row, the energy rate in unweighted variables,
-and a front given by callables with numerically inverted maps.  No
-production module imports this one.
+different route, or states an identity the production results must obey:
+
+  * the truncated dependence cone of one apex (:func:`cone_region`), its
+    integral by iterated quadrature and its exact area;
+  * a characteristic line integral sample by sample, and the diagonal
+    cumulatives row by row;
+  * the closed-form energy rate at one time, in weighted and in unweighted
+    variables;
+  * the two routes to the release rate at front speed beta: the kinetic
+    factor (1 - beta)/(1 + beta) times G0, and the energy quotient;
+  * a front given by callables with numerically inverted maps.
+
+No production module imports this one, and ``import debondsim`` does not
+load it.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .energy_audit import _as_patches
+from .energy_audit import _rim_power
 from .fields import ProblemData
-from .geometry import ConeRegion, GeometryError, _asarray
+from .geometry import _TOL, GeometryError, _asarray
 from .prescribed import locate_patch
 from .quadrature import CharLattice
 
@@ -25,6 +35,54 @@ from .quadrature import CharLattice
 # ---------------------------------------------------------------------------
 # cones
 # ---------------------------------------------------------------------------
+
+OMEGA1, OMEGA2, OMEGA3 = "Omega1", "Omega2", "Omega3"
+
+
+@dataclass(frozen=True)
+class ConeRegion:
+    """Truncated dependence cone of an apex, in characteristic coordinates
+    xi = t - r, eta = t + r.
+
+    The region is { xi_lo <= xi <= xi_hi, max(|xi|, eta_flat) <= eta <= eta_hi }
+    with eta_flat = max(xi_hi, 0).  The only boundary that can fall off a
+    characteristic-aligned lattice is xi_lo, which carries the reflected
+    bound omega(eta_hi) when the apex sees the moving front.
+    """
+
+    apex: tuple
+    case_tag: str
+    xi_lo: float
+    xi_hi: float
+    eta_hi: float
+
+    @property
+    def eta_flat(self) -> float:
+        return max(self.xi_hi, 0.0)
+
+    @property
+    def is_empty(self) -> bool:
+        return self.xi_hi - self.xi_lo <= _TOL
+
+
+def cone_region(front, t: float, r: float) -> ConeRegion:
+    """Classify the apex (t, r) and return its truncated cone."""
+    rho_t = float(front.rho(t))
+    if r < -1e-10 or r > rho_t + 1e-10:
+        raise GeometryError("apex outside the space-time domain")
+    xi = t - r
+    eta = t + r
+    rho0 = front.rho0
+    if t > r and eta > rho0 + 1e-12:
+        raise GeometryError("apex beyond the first reflection family")
+    if eta <= rho0 + _TOL:
+        tag = OMEGA1 if t <= r else OMEGA2
+        xi_lo = -eta
+    else:
+        tag = OMEGA3
+        xi_lo = float(front._omega_unchecked(np.array(eta)))
+    return ConeRegion(apex=(t, r), case_tag=tag, xi_lo=xi_lo, xi_hi=xi, eta_hi=eta)
+
 
 def phi_of(lat: CharLattice, values: np.ndarray, region: ConeRegion) -> float:
     """Double integral of the field over one truncated cone.
@@ -172,15 +230,30 @@ def diag_cumulatives(values: np.ndarray, delta: float):
 
 
 # ---------------------------------------------------------------------------
-# energy rate
+# energy rate and release rate
 # ---------------------------------------------------------------------------
+
+def energy_rate(patches, front, data: ProblemData, t: float) -> float:
+    """Closed-form time derivative of the total energy at t (weighted form).
+
+    Uses the owning window's data traces and the characteristic line
+    integral of the kernel field, plus the rim power of the ledger.
+    """
+    patch = locate_patch(patches, t)
+    t_loc = t - patch.t0
+    rd = float(front.rho_dot(t))
+    bracket = patch.front_bracket(t_loc)
+    first = (-math.pi * rd * (1.0 - rd) / (1.0 + rd)
+             * math.exp(-patch.hdata.alpha * t_loc) * bracket * bracket)
+    w_dot = float(data.w.deriv(t))
+    return first + w_dot * float(_rim_power(patch, data, t, w_dot))
+
 
 def energy_rate_v_form(patches, front, data: ProblemData, t: float) -> float:
     """The closed-form energy rate written in unweighted variables, with
     every v-trace obtained through the weight transform (an algebraic
-    identity with :func:`debondsim.energy_audit.energy_rate`, kept as a
-    structural cross-check)."""
-    patch = locate_patch(_as_patches(patches), t)
+    identity with :func:`energy_rate`, kept as a structural cross-check)."""
+    patch = locate_patch(patches, t)
     hd = patch.hdata
     t_loc = t - patch.t0
     R, alpha = hd.R, hd.alpha
@@ -194,6 +267,34 @@ def energy_rate_v_form(patches, front, data: ProblemData, t: float) -> float:
     x_v = (math.exp(-0.5 * alpha * t_loc) / math.sqrt(R) * patch.rim_bracket(t_loc)
            - 0.5 * (alpha - 1.0 / R) * w_t)
     return first + 2.0 * math.pi * R * w_dot * (w_dot - x_v)
+
+
+def annulus_area_derivative(rho: float, R: float) -> float:
+    """Rate of change of the debonded annulus area with the front width."""
+    if rho < 0 or rho >= R:
+        raise GeometryError("front width must lie in [0, R)")
+    return 2.0 * math.pi * (R - rho)
+
+
+def err_gbeta(g0: float, beta: float) -> float:
+    """Release rate at front speed beta: the kinetic factor (1-b)/(1+b)."""
+    if not (0.0 <= beta < 1.0):
+        raise ValueError("front speed must lie in [0, 1)")
+    return (1.0 - beta) / (1.0 + beta) * g0
+
+
+def err_from_energy_quotient(front, t: float, Tdot: float) -> float:
+    """Release rate as energy decrease per newly debonded area.
+
+    ``Tdot`` must be the load-frozen energy rate; the caller chooses how
+    to produce it (closed form or a differenced energy series), which
+    keeps this an independent validation path.
+    """
+    rd = float(front.rho_dot(t))
+    if rd <= 0.0:
+        raise GeometryError("the quotient needs a moving front")
+    rho_t = float(front.rho(t))
+    return -Tdot / (rd * annulus_area_derivative(rho_t, front.R))
 
 
 # ---------------------------------------------------------------------------

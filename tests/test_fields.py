@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from debondsim.fields import (
-    CompatibilityError, HData, Profile, ProblemData, Toughness,
-    f_kernel, g_kernel, kappa_eval, kernel_prefactor, to_h_data,
-    u_from_v, v_from_h,
+    CompatibilityError, Profile, ProblemData, Toughness,
+    kappa_eval, kernel_prefactor, to_h_data, v_from_h,
 )
 
 
@@ -128,34 +127,12 @@ def test_v_from_h_weight_inversion():
         v_from_h(1.0, 0.0, 0.0, 0.0, 2.0, R=2.0, alpha=0.0)
 
 
-def test_u_from_v_placement():
-    radius, u = u_from_v(1.0, 0.0, R=3.0)
-    assert radius == pytest.approx(3.0) and u == pytest.approx(1.0)
-    radius, u = u_from_v(0.25, 1.2, R=3.0)
-    assert radius == pytest.approx(1.8) and u == pytest.approx(0.25)
-
-
 # -- kernels ----------------------------------------------------------------
-
-def test_f_kernel_linear_in_h():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        a = rng.normal()
-        h = rng.normal()
-        s = rng.uniform(0, 1.5)
-        assert f_kernel(a * h, s, 2.0, 0.5) == pytest.approx(
-            a * f_kernel(h, s, 2.0, 0.5), rel=1e-14)
-
 
 def test_kernel_prefactor_monotone():
     ss = np.linspace(0.0, 2.9, 400)
     pf = kernel_prefactor(ss, R=3.0, alpha=1.0)
     assert np.all(np.diff(pf) > 0)
-
-
-def test_g_kernel_uses_first_derivatives():
-    assert g_kernel(1.0, 0.0, 1.0, R=2.0, alpha=0.5) == pytest.approx(-0.5)
-    assert g_kernel(0.0, 2.0, 1.0, R=2.0, alpha=0.5) == pytest.approx(-2.0)
 
 
 # -- toughness --------------------------------------------------------------

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from debondsim.geometry import (
+from debondsim.geometry import FrontCurve, GeometryError
+from debondsim.reference import (
     OMEGA1, OMEGA2, OMEGA3,
-    FrontCurve, GeometryError, annulus_area_derivative, cone_region,
+    ClosedFormFront, annulus_area_derivative, cone_region, region_area,
 )
-from debondsim.reference import ClosedFormFront, region_area
 
 
 def make_front(kind="piecewise", R=3.0):
@@ -146,6 +148,78 @@ def test_closed_form_front_matches_piecewise():
     for s in [1.0, 1.4, 2.3, 3.1]:
         assert float(cf.omega(s)) == pytest.approx(float(pl.omega(s)), abs=1e-10)
     assert float(cf.lambda_of(-0.2)) == pytest.approx(float(pl.lambda_of(-0.2)), abs=1e-10)
+
+
+# -- properties over random admissible fronts ---------------------------------
+
+@st.composite
+def admissible_fronts(draw):
+    """2-12 knots with steps in [0.1, 1], segment slopes in [0, 0.99] and
+    rho0 in [0.1, 1]; R lies past the last knot's width."""
+    n = draw(st.integers(2, 12))
+    dts = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=n - 1, max_size=n - 1)))
+    slopes = np.array(draw(st.lists(st.floats(0.0, 0.99), min_size=n - 1, max_size=n - 1)))
+    rho0 = draw(st.floats(0.1, 1.0))
+    ts = np.concatenate(([0.0], np.cumsum(dts)))
+    rhos = rho0 + np.concatenate(([0.0], np.cumsum(slopes * dts)))
+    return FrontCurve(ts, rhos, float(rhos[-1]) + draw(st.floats(0.01, 2.0)))
+
+
+# a probe time is a knot or a fraction of the horizon
+probes = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20)
+PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
+
+
+def probe_times(front, fractions):
+    return np.concatenate((front.t_knots, np.array(fractions) * front.horizon))
+
+
+@PROPERTY_SETTINGS
+@given(front=admissible_fronts(), fractions=probes)
+def test_lambda_inverts_phi_on_random_fronts(front, fractions):
+    t = probe_times(front, fractions)
+    assert np.max(np.abs(front.lambda_of(front.phi(t)) - t)) <= 1e-12 * front.horizon
+
+
+@PROPERTY_SETTINGS
+@given(front=admissible_fronts(), fractions=probes)
+def test_psi_inverse_inverts_psi_on_random_fronts(front, fractions):
+    t = probe_times(front, fractions)
+    assert np.max(np.abs(front.psi_inverse(front.psi(t)) - t)) <= 1e-12 * front.horizon
+
+
+@PROPERTY_SETTINGS
+@given(front=admissible_fronts(), fractions=probes)
+def test_omega_dot_stays_in_its_slope_range(front, fractions):
+    # 0 on the flat branch, else (1 - rho')/(1 + rho') for a segment slope rho'
+    s_max = float(np.max(front.rho_dot(front.t_knots[:-1])))
+    s = np.concatenate((front.psi_knots, np.array(fractions) * front.psi_knots[-1]))
+    wd = front.omega_dot(s)
+    flat = wd == 0.0
+    assert np.all(s[flat] < front.rho0)
+    assert np.all((wd[~flat] >= (1.0 - s_max) / (1.0 + s_max)) & (wd[~flat] <= 1.0))
+
+
+@PROPERTY_SETTINGS
+@given(front=admissible_fronts(), k=st.integers(0, 10), slope=st.floats(1.0, 3.0))
+def test_constructor_rejects_sonic_segments(front, k, slope):
+    ts, rhos = front.t_knots, front.rho_knots.copy()
+    k = k % (len(ts) - 1)
+    rhos[k + 1:] += slope * (ts[k + 1] - ts[k]) - (rhos[k + 1] - rhos[k])
+    # at slope 1 the knots may round to a segment just below it
+    assume((rhos[k + 1] - rhos[k]) / (ts[k + 1] - ts[k]) >= 1.0)
+    with pytest.raises(GeometryError):
+        FrontCurve(ts, rhos, float(rhos[-1]) + 1.0)
+
+
+@PROPERTY_SETTINGS
+@given(front=admissible_fronts(), k=st.integers(0, 10), back=st.floats(0.0, 1.0))
+def test_constructor_rejects_knots_not_increasing(front, k, back):
+    ts = front.t_knots.copy()
+    k = 1 + k % (len(ts) - 1)
+    ts[k] = ts[k - 1] - back * (ts[k] - ts[k - 1])  # equal to or before its predecessor
+    with pytest.raises(GeometryError):
+        FrontCurve(ts, front.rho_knots, front.R)
 
 
 # -- cones ------------------------------------------------------------------

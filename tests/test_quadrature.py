@@ -6,14 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from debondsim.fields import ProblemData, Profile, Toughness, to_h_data
-from debondsim.geometry import FrontCurve, GeometryError, cone_region, corner_wavefronts, jump_radii
+from debondsim.geometry import FrontCurve, GeometryError, corner_wavefronts, jump_radii
 from debondsim.griffith import StripWorkspace
 from debondsim.prescribed import march
 from debondsim.quadrature import (
-    CharLattice, char_line_integrals, cone_integrals_batch, line_integral_along_characteristic,
-    phi_time_trace, sheared_cone_integrals,
+    CharLattice, char_line_integrals, cone_integrals_batch, phi_time_trace,
+    sheared_cone_integrals,
 )
-from debondsim.reference import diag_cumulatives, diag_line_integral, phi_of, region_area
+from debondsim.reference import (
+    cone_region, diag_cumulatives, diag_line_integral, phi_of, region_area,
+)
 
 
 def make_lattice(delta=1.0 / 64, nt=16, speed=0.25, rho0=1.0, R=3.0):
@@ -39,6 +41,15 @@ def test_lattice_geometry():
     vals = const_field(lat)
     assert np.all(vals[~lat.inside] == 0.0)
     assert lat.j_ext * lat.delta >= lat.nt * lat.delta + float(lat.front.rho(lat.nt * lat.delta))
+
+
+def test_lattice_rejects_misshaped_values():
+    # the check is an exception, not an assert, so it survives python -O
+    lat = make_lattice(nt=8)
+    shape = (lat.nt + 1, lat.j_ext + 1)
+    with pytest.raises(GeometryError, match=rf"shape \({shape[0]}, {shape[1]}\).*\(9, 3\)"):
+        CharLattice(lat.front, lat.delta, lat.nt, values=np.zeros((9, 3)))
+    assert CharLattice(lat.front, lat.delta, lat.nt, values=np.ones(shape)).values.shape == shape
 
 
 def test_row_value_tapers_to_front():
@@ -241,7 +252,7 @@ def test_batch_zero_outside():
 
 def test_line_integral_constant():
     lat = make_lattice(nt=64)
-    val = line_integral_along_characteristic(lat, const_field(lat), (0.0, 0.1), "+45", 0.7)
+    val = char_line_integrals(lat, const_field(lat), 1.0, 0.1, 0.0, 0.7)
     assert val == pytest.approx(0.7, abs=1e-13)
 
 
@@ -249,7 +260,7 @@ def test_line_integral_linear_exact():
     lat = make_lattice(nt=32)
     H = fill(lat, lambda t, r: t * np.ones_like(r))
     t_len = 0.375
-    val = line_integral_along_characteristic(lat, H, (0.0, 0.25), "+45", t_len)
+    val = char_line_integrals(lat, H, 1.0, 0.25, 0.0, t_len)
     assert val == pytest.approx(t_len ** 2 / 2.0, abs=1e-13)
 
 
@@ -257,9 +268,9 @@ def test_line_integral_additive():
     lat = make_lattice(nt=32)
     H = fill(lat, lambda t, r: np.cos(t) * (1 + r))
     split = 10 * lat.delta
-    whole = line_integral_along_characteristic(lat, H, (0.0, 0.25), "+45", 0.4)
-    a = line_integral_along_characteristic(lat, H, (0.0, 0.25), "+45", split)
-    b = line_integral_along_characteristic(lat, H, (split, 0.25 + split), "+45", 0.4 - split)
+    whole = char_line_integrals(lat, H, 1.0, 0.25, 0.0, 0.4)
+    a = char_line_integrals(lat, H, 1.0, 0.25, 0.0, split)
+    b = char_line_integrals(lat, H, 1.0, 0.25, split, 0.4)
     assert whole == pytest.approx(a + b, abs=1e-13)
 
 
@@ -354,12 +365,6 @@ def test_local_traces_batch_matches_points():
                                           rtol=0.0, atol=1e-15)] == 0.0)
 
 
-def test_line_integral_domain_check():
-    lat = make_lattice(nt=8)
-    with pytest.raises(GeometryError):
-        line_integral_along_characteristic(lat, const_field(lat), (0.0, 0.1), "-45", 0.5)
-
-
 def test_line_integral_refuses_segments_past_the_columns():
     # the columns end at r = 43/32: a segment past them has no values to
     # read, and the kernel refuses a line outside its family's layout
@@ -367,13 +372,10 @@ def test_line_integral_refuses_segments_past_the_columns():
     lat = make_lattice(delta=1.0 / 32, nt=8)
     H = np.ones((lat.nt + 1, lat.j_ext + 1))
     assert lat.j_ext * lat.delta == pytest.approx(1.34375)
-    for start, length in (((0.0, 2.0), 0.1), ((0.0, 1.3), 0.2)):
-        with pytest.raises(GeometryError):
-            line_integral_along_characteristic(lat, H, start, "+45", length)
     for direction, offset in ((1.0, 2.0), (1.0, -0.5), (-1.0, -0.5), (-1.0, 2.0)):
         with pytest.raises(GeometryError):
             char_line_integrals(lat, H, direction, offset, 0.0, 0.1)
-    assert line_integral_along_characteristic(lat, H, (0.0, 1.3), "+45", 0.04375) == \
+    assert char_line_integrals(lat, H, 1.0, 1.3, 0.0, 0.04375) == \
         pytest.approx(0.04375, abs=1e-15)
 
 
