@@ -66,32 +66,32 @@ def _row_radial_integrals(patch: FieldPatch, rows, wavefronts=None):
     across those characteristics and a straddling trapezoid cell would
     cost an order of accuracy.  Every radius of every row (the lattice
     radii, the banks and the front point) goes to one ``local_traces`` call
-    for the whole patch.
+    for the whole patch, and every cell to one per-row reduction.
     """
     lat = patch.lattice
     d = lat.delta
     pts_t, pts_r = [], []
     n_pts = 0
+    # each segment is a run of pieces, each piece a range of the point list
+    starts, counts, piece_seg, seg_row = [], [], [], []
 
     def points(t, r):
-        """Queue radii r at time t; returns their slice of the point list."""
+        """Queue radii r at time t; returns the index of the first."""
         nonlocal n_pts
         r = np.atleast_1d(r)
         pts_t.append(np.full(r.size, t))
         pts_r.append(r)
         n_pts += r.size
-        return slice(n_pts - r.size, n_pts)
+        return n_pts - r.size
 
-    plans = []
-    for i in rows:
+    for k, i in enumerate(rows):
         t = int(i) * d
         rho_t = float(patch.rho_local(t))
         j_in = int(math.floor(rho_t / d + 1e-12))
-        nodes = points(t, lat.radii[: j_in + 1]).start
+        nodes = points(t, lat.radii[: j_in + 1])
 
         splits = jump_radii(wavefronts, patch.t0 + t, rho_t) if wavefronts else []
         edges = [0.0] + splits + [rho_t]
-        segs = []
         for a_edge, b_edge in zip(edges[:-1], edges[1:]):
             if b_edge - a_edge <= 2 * _JUMP_EPS:
                 continue
@@ -101,17 +101,34 @@ def _row_radial_integrals(patch: FieldPatch, rows, wavefronts=None):
             j_hi = int(math.floor(hi / d + 1e-12))
             j0, j1 = max(j_lo, 0), min(j_hi, j_in)
             lead = j_lo * d - lo > 1e-12 or j_lo > j_hi
-            head = points(t, lo) if lead else slice(0, 0)
             last = j1 * d if j1 >= j0 else (lo if lead else None)
-            tail = points(t, hi) if last is None or hi - last > 1e-12 else slice(0, 0)
             # the segment's radii in order: head bank, nodes j0..j1, tail bank
-            segs.append(np.r_[head, nodes + j0:nodes + j1 + 1, tail])
-        plans.append(segs)
+            pieces = []
+            if lead:
+                pieces.append((points(t, lo), 1))
+            if j1 >= j0:
+                pieces.append((nodes + j0, j1 - j0 + 1))
+            if last is None or hi - last > 1e-12:
+                pieces.append((points(t, hi), 1))
+            for start, count in pieces:
+                starts.append(start)
+                counts.append(count)
+                piece_seg.append(len(seg_row))
+            seg_row.append(k)
 
     pt, pr = np.concatenate(pts_t), np.concatenate(pts_r)
     e_pt, a_pt = _energy_integrands(patch, pt, *patch.local_traces(pt, pr), pr)
-    E, A = (np.array([sum(float(np.trapezoid(v[idx], pr[idx])) for idx in segs)
-                      for segs in plans]) for v in (e_pt, a_pt))
+    # every trapezoid cell of every segment, summed per row in one reduction
+    starts, counts, piece_seg, seg_row = (np.asarray(x, dtype=int) for x in
+                                          (starts, counts, piece_seg, seg_row))
+    idx = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+    seg = np.repeat(piece_seg, counts)
+    cell = seg[1:] == seg[:-1]
+    lo_pt, hi_pt = idx[:-1][cell], idx[1:][cell]
+    row = seg_row[seg[:-1][cell]]
+    dr = pr[hi_pt] - pr[lo_pt]
+    E, A = (np.bincount(row, weights=dr * (v[hi_pt] + v[lo_pt]) / 2.0, minlength=len(rows))
+            for v in (e_pt, a_pt))
     return math.pi * E, A
 
 

@@ -82,6 +82,12 @@ class Profile:
         offset = float(spline(0.0)) if lo <= 0.0 <= hi else float(spline(lo))
         return lambda x: spline(x) - offset
 
+    def shifted(self, dt: float, factor: float = 1.0) -> "Profile":
+        """x -> factor * self(x + dt), with its derivative.  Shifting the
+        result again composes onto this profile, so a chain of shifts
+        evaluates with one call of the original."""
+        return _Shifted(self, float(dt), float(factor))
+
     # -- presets ----------------------------------------------------------
 
     @classmethod
@@ -170,6 +176,20 @@ class Profile:
             d = _asarray(deriv_samples)
             prof._deriv = lambda s: np.interp(_asarray(s), x, d)
         return prof
+
+
+class _Shifted(Profile):
+    """x -> factor * base(x + dt); see :meth:`Profile.shifted`."""
+
+    def __init__(self, base: Profile, dt: float, factor: float):
+        super().__init__(lambda x: factor * base(x + dt),
+                         deriv=(lambda x: factor * base.deriv(x + dt))
+                         if base.has_deriv else None,
+                         kind=base.kind)
+        self.base, self.dt, self.factor = base, dt, factor
+
+    def shifted(self, dt: float, factor: float = 1.0) -> Profile:
+        return _Shifted(self.base, self.dt + float(dt), self.factor * float(factor))
 
 
 # ---------------------------------------------------------------------------

@@ -23,15 +23,16 @@ slope behind the front.  A window whose front would outrun its own time
 horizon is capped: the lambda iterate is frozen at the horizon, which
 leaves every in-window formula untouched (the strip never looks past its
 last row) and lets fast fronts advance a full window per step.  After each
-window the full-annulus field is re-solved with the produced front
-prescribed, giving exact seam traces for the next window; the final output
-field is one global prescribed solve against the assembled front.
+window the full-annulus field is solved with the produced front
+prescribed, its seams split at the run's corner wavefronts; that solve
+gives exact seam traces for the next window and is also the run's output
+field there, so the field is solved once per run.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional
 
 import numpy as np
@@ -268,8 +269,13 @@ def _seed_width(hd: HData, tough: Toughness, T: float, M: float,
 
 @dataclass
 class GriffithRun:
-    """Result of a coupled run: the produced front, the field re-solved
-    against it, and the stopping information."""
+    """Result of a coupled run: the produced front, the field solved
+    against it, and the stopping information.
+
+    ``patches`` are the prescribed solves of the coupled windows, in
+    global time with the composed weight scale: the prescribed solve of
+    ``front`` with its windows cut at the coupled-window seams.
+    """
 
     front: FrontCurve
     patches: List[FieldPatch]
@@ -367,9 +373,10 @@ def run(data: ProblemData, tough: Toughness, horizon: float,
     """March the coupled problem until the horizon or full debonding.
 
     Each window solves the strip fixed point with the toughness clamped
-    past its next breakpoint (so no window straddles one), re-bases the
-    data from a certified prescribed solve of the produced front, and
-    stops when the bonded disk is within the stop margin of vanishing.
+    past its next breakpoint (so no window straddles one), solves the
+    field on the produced front by certified prescribed windows, keeps
+    them as the run's patches, re-bases the data from the last of them,
+    and stops when the bonded disk is within the stop margin of vanishing.
     """
     if stop_margin is None:
         stop_margin = 2.0 * delta
@@ -384,6 +391,8 @@ def run(data: ProblemData, tough: Toughness, horizon: float,
     t_knots = [0.0]
     rho_knots = [hd.rho0]
     local = hd
+    patches: List[FieldPatch] = []
+    scale = 1.0
     diags: List[dict] = []
     rows_done = 0
     stop_reason = "horizon"
@@ -436,36 +445,40 @@ def run(data: ProblemData, tough: Toughness, horizon: float,
                 adv_rows = max(1, int(math.ceil(t_cross / delta - 1e-9)))
         tw, rw = _front_knots(ws, lam_raw, slopes, adv_rows * delta)
 
-        wdiag.update(t_start=rows_done * delta, T=ws.T, y=ws.y, m=m,
-                     rows=adv_rows, shrinks=shrink_count,
-                     rho_end=float(rw[-1]))
+        t0 = rows_done * delta
+        wdiag.update(t_start=t0, T=ws.T, y=ws.y, m=m, rows=adv_rows,
+                     shrinks=shrink_count, rho_end=float(rw[-1]))
         diags.append(wdiag)
 
-        # window field, solved against the produced front, for seam traces
-        front_w = FrontCurve(tw, rw, R)
-        patches_w = march(local, front_w, horizon=adv_rows * delta,
-                          tol=tol, delta=delta, max_iter=max_iter)
-
-        t0 = rows_done * delta
         for tk, rk in zip(tw[1:], rw[1:]):
             t_knots.append(t0 + float(tk))
             rho_knots.append(float(rk))
         rows_done += adv_rows
+        front = FrontCurve(np.asarray(t_knots), np.asarray(rho_knots), R)
+        wf = corner_wavefronts(front, front.horizon)
+
+        # the window's field, solved against the produced front with the
+        # run's corner wavefronts in window time (both leg kinds shift c by
+        # t0), is the run's field there: its patches move to global time and
+        # take the composed weight scale
+        wf_w = [(ta - t0, tb - t0, kind, c - t0) for ta, tb, kind, c in wf]
+        patches_w = march(local, FrontCurve(tw, rw, R), horizon=adv_rows * delta,
+                          tol=tol, delta=delta, max_iter=max_iter, wavefronts=wf_w)
+        for p in patches_w:
+            w = p.window
+            patches.append(replace(p, scale=scale, window=replace(
+                w, t_start=w.t_start + t0, t_end=w.t_end + t0)))
+            scale *= math.exp(0.5 * hd.alpha * w.length)
 
         if rows_done < n_total and R - rho_knots[-1] > stop_margin + 1e-12:
-            front_glob = FrontCurve(np.asarray(t_knots), np.asarray(rho_knots), R)
-            wf = corner_wavefronts(front_glob, front_glob.horizon)
-            seam_jumps = jump_radii(wf, rows_done * delta, rho_knots[-1])
             # jump radii are global; the seam data live on the same radii
-            local = _seam_data(patches_w[-1], seam_jumps)
+            local = _seam_data(patches_w[-1], jump_radii(wf, rows_done * delta,
+                                                         rho_knots[-1]))
 
     t_star = rows_done * delta
     if R - rho_knots[-1] <= stop_margin + 1e-12:
         stop_reason = "fully_debonded"
 
-    front = FrontCurve(np.asarray(t_knots), np.asarray(rho_knots), R)
-    patches = march(data, front, horizon=t_star, tol=tol, delta=delta,
-                    max_iter=max_iter)
     return GriffithRun(front=front, patches=patches, t_star=t_star,
                        stop_reason=stop_reason, data=data, tough=tough,
                        delta=delta, stop_margin=stop_margin,

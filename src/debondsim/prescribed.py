@@ -310,11 +310,7 @@ def _seam_data(patch: FieldPatch, seam_jumps=()) -> HData:
     decay = math.exp(-0.5 * hd.alpha * patch.window.length)
     h0_s, h1_s, hd0_s = decay * h0_s, decay * h1_s, decay * hd0_s
 
-    dT = patch.window.length
-    z_prev = hd.z
-    z_next = Profile(lambda s: decay * z_prev(np.asarray(s, dtype=float) + dT),
-                     deriv=lambda s: decay * z_prev.deriv(np.asarray(s, dtype=float) + dT),
-                     kind="z")
+    z_next = hd.z.shifted(patch.window.length, decay)
     h0_s[0] = float(z_next(0.0))  # seam compatibility, exact
     h0 = Profile.from_samples(rs, h0_s, method="linear", deriv_samples=hd0_s)
     h1 = Profile.from_samples(rs, h1_s, method="linear")
@@ -323,17 +319,26 @@ def _seam_data(patch: FieldPatch, seam_jumps=()) -> HData:
 
 
 def march(data, front, horizon: float, tol: float = _DEFAULT_TOL,
-          delta: float = 1.0 / 128, max_iter: int = _DEFAULT_MAX_ITER) -> List[FieldPatch]:
+          delta: float = 1.0 / 128, max_iter: int = _DEFAULT_MAX_ITER,
+          wavefronts=None) -> List[FieldPatch]:
     """Solve up to the horizon by sequential certified windows.
 
     ``data`` may be the physical problem data or ready-made weighted data.
     Seam traces are taken from the exact derivative formulas of the
     previous patch, and the local fields absorb the exponential weight so
     the stored values stay O(data).
+
+    ``wavefronts`` are the corner-wavefront segments, in the front's own
+    time and in the form :func:`~debondsim.geometry.corner_wavefronts`
+    returns, whose jump radii split the seams; by default the front's own.
+    A caller solving one stretch of a longer front passes that front's
+    segments shifted to the stretch's time, so the jumps emitted before
+    the stretch keep their double knots at every seam.
     """
     hd = to_h_data(data) if isinstance(data, ProblemData) else data
     plans = plan_windows(front, hd, hd.alpha, horizon, delta)
-    wavefronts = corner_wavefronts(front, plans[-1].t_end)
+    if wavefronts is None:
+        wavefronts = corner_wavefronts(front, plans[-1].t_end)
     patches: List[FieldPatch] = []
     local = hd
     scale = 1.0

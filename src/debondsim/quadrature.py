@@ -265,8 +265,8 @@ def char_line_integrals(lat: CharLattice, values: np.ndarray, direction, offset,
     around the line; only the two end cells read row values.  So past one
     cumulative per family the work is O(segments), done in blocks of
     segments so that the temporaries stay a few MB for any batch.
-    Segments must lie in [0, nt * delta]; a line off its family's layout
-    raises GeometryError.
+    Segments must lie in [0, nt * delta]; one reaching past the columns
+    [0, j_ext * delta], even partway, raises GeometryError.
     """
     args = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (direction, offset, t_start, t_end)))
@@ -294,8 +294,13 @@ def _line_block(values, d, C, direction, offset, ta, tb):
     w = np.where(aligned, 0.0, k - base)  # weight of the diagonal above
     q = base + fam * nt
     live = tb - ta > 1e-15
-    if np.any(live & ((q < 0) | (q + ~aligned > last))):
-        raise GeometryError("characteristic line outside the lattice")
+    # both end radii on the columns [0, j_ext*delta]: past them the lattice
+    # has no values, and for times in [0, nt*delta] this also keeps the
+    # line on its family's layout
+    r_a, r_b = offset + direction * ta, offset + direction * tb
+    if np.any(live & ((np.minimum(r_a, r_b) < -1e-9 * d)
+                      | (np.maximum(r_a, r_b) > (values.shape[1] - 1 + 1e-9) * d))):
+        raise GeometryError("characteristic segment outside the lattice's columns")
     qa = np.minimum(np.maximum(q, 0), last).astype(int)
     qb = np.minimum(qa + 1, last)
 

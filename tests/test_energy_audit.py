@@ -300,9 +300,10 @@ def test_audit_batches_traces_per_patch(monkeypatch):
     # the KKT test scenario: the audit takes every trace and bracket of a
     # patch from one batched call, whatever its row count; a per-row or
     # per-point loop multiplies these counts by the rows or the points
+    # (at this step the scenario has 4 patches for 97 rows)
     data = bump_data(amp=0.4, alpha=0.5)
     tough = Toughness.constant(0.15, rho0=1.0, R=3.0)
-    res = run(data, tough, horizon=0.375, delta=1.0 / 128)
+    res = run(data, tough, horizon=0.375, delta=1.0 / 256)
     calls = {}
 
     def count(owner, name):

@@ -54,6 +54,39 @@ def test_pchip_samples_have_derivative():
     assert p.cumint(1.0) == pytest.approx(1.0 / 3.0, abs=1e-3)
 
 
+def test_repeated_shifts_match_direct_evaluation():
+    # 40 seam re-bases of a rim load: each shifts by a window length and
+    # decays by its weight factor
+    rng = np.random.default_rng(3)
+    lengths = rng.integers(1, 24, 40) / 256
+    decays = np.exp(-0.25 * lengths)
+    p = Profile.sine(0.1, 2.0)
+    for dt, f in zip(lengths, decays):
+        p = p.shifted(dt, f)
+    shift, factor = float(np.sum(lengths)), float(np.exp(-0.25 * np.sum(lengths)))
+    xs = np.linspace(0.0, 0.4, 41)
+    assert np.max(np.abs(p(xs) - factor * 0.1 * np.sin(2.0 * (xs + shift)))) <= 1e-15
+    assert np.max(np.abs(p.deriv(xs) - factor * 0.2 * np.cos(2.0 * (xs + shift)))) <= 1e-15
+
+
+def test_repeated_shifts_evaluate_the_original_once():
+    calls = []
+
+    def value(x):
+        calls.append("value")
+        return np.sin(x)
+
+    def deriv(x):
+        calls.append("deriv")
+        return np.cos(x)
+    p = Profile(value, deriv=deriv)
+    for _ in range(40):
+        p = p.shifted(1.0 / 64, 0.99)
+    p(0.1)
+    p.deriv(np.linspace(0.0, 1.0, 5))
+    assert calls == ["value", "deriv"]
+
+
 # -- problem data and the weighted transform --------------------------------
 
 def make_data(R=2.0, rho0=1.0, alpha=0.0, amp=0.5):

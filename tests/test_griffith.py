@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from debondsim import prescribed
 from debondsim.energy_audit import audit
 from debondsim.fields import ProblemData, Profile, Toughness, to_h_data
-from debondsim.geometry import FrontCurve
+from debondsim.geometry import FrontCurve, corner_wavefronts, jump_radii
 from debondsim.griffith import (
     GriffithRun, StripWorkspace, _front_point, run, solve_coupled_window,
 )
-from debondsim.prescribed import evaluate_field, march
+from debondsim.prescribed import _seam_data, evaluate_field, march
 
 
 def bump_data(R=3.0, rho0=1.0, alpha=0.0, amp=0.4, v1=None, w=None):
@@ -223,19 +224,56 @@ def test_run_kkt_residual_second_order():
 
 
 def test_run_consistency_with_prescribed():
-    # feeding the produced front back reproduces the field (same machinery,
-    # but the front resample and re-bases must round-trip)
-    data = bump_data(amp=0.4)
+    # the run's field is the prescribed solve of the produced front with
+    # its windows cut at the coupled-window seams: a chain of prescribed
+    # marches over those windows, re-based at each seam and split at the
+    # run's corner wavefronts, reproduces it (the front resample, the seam
+    # re-bases and, with damping, the weight scales must round-trip)
     tough = Toughness.constant(0.2, rho0=1.0, R=3.0)
-    res = run(data, tough, horizon=0.25, delta=1.0 / 64)
-    again = march(data, res.front, horizon=res.t_star, delta=1.0 / 64)
+    delta = 1.0 / 64
     rng = np.random.default_rng(12)
-    for _ in range(40):
-        t = rng.uniform(0.0, res.t_star)
-        r = rng.uniform(0.0, float(res.front.rho(t)) - 1e-9)
-        a = evaluate_field(res.patches, t, r)
-        b = evaluate_field(again, t, r)
-        assert a.h == pytest.approx(b.h, abs=1e-9)
+    for alpha in (0.0, 0.5):
+        data = bump_data(amp=0.4, alpha=alpha)
+        res = run(data, tough, horizon=0.25, delta=delta)
+        assert len(res.window_diagnostics) > 1
+        wf = corner_wavefronts(res.front, res.front.horizon)
+        chain, local = [], to_h_data(data)
+        for wd in res.window_diagnostics:
+            a = wd["t_start"]
+            b = a + wd["rows"] * delta
+            wf_w = [(ta - a, tb - a, kind, c - a) for ta, tb, kind, c in wf]
+            patches = march(local, res.front.window(a, b), horizon=b - a,
+                            delta=delta, wavefronts=wf_w)
+            chain.append((a, b, patches))
+            if b < res.t_star - 1e-12:
+                local = _seam_data(patches[-1], jump_radii(wf, b, float(res.front.rho(b))))
+        assert len(res.patches) == sum(len(p) for _, _, p in chain)
+        for _ in range(40):
+            t = rng.uniform(0.0, res.t_star)
+            r = rng.uniform(0.0, float(res.front.rho(t)) - 1e-9)
+            a, _, patches = next(c for c in chain if t <= c[1] + 1e-12)
+            ref = math.exp(0.5 * alpha * a) * evaluate_field(patches, t - a, r).h
+            assert evaluate_field(res.patches, t, r).h == pytest.approx(ref, abs=1e-9)
+
+
+def test_run_solves_each_window_once(monkeypatch):
+    # the run's patches are the ones its windows solve for their seam
+    # traces: no prescribed window is solved twice
+    calls = []
+    orig = prescribed.solve_window
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return orig(*args, **kwargs)
+    monkeypatch.setattr(prescribed, "solve_window", counted)
+    data = bump_data(amp=0.4, alpha=0.5)
+    tough = Toughness.constant(0.15, rho0=1.0, R=3.0)
+    res = run(data, tough, horizon=0.375, delta=1.0 / 128)
+    assert len(res.window_diagnostics) > 1
+    assert len(calls) == len(res.patches)
+    for prev, nxt in zip(res.patches[:-1], res.patches[1:]):
+        assert nxt.t0 == pytest.approx(prev.t1, abs=1e-12)
+    assert res.patches[-1].t1 == pytest.approx(res.t_star, abs=1e-12)
 
 
 def test_run_edp_balance():

@@ -367,14 +367,17 @@ def test_local_traces_batch_matches_points():
 
 def test_line_integral_refuses_segments_past_the_columns():
     # the columns end at r = 43/32: a segment past them has no values to
-    # read, and the kernel refuses a line outside its family's layout
-    # rather than clip or wrap it
+    # read, and the kernel refuses a line outside its family's layout, or
+    # one on it that leaves the columns partway, rather than clip or wrap it
     lat = make_lattice(delta=1.0 / 32, nt=8)
     H = np.ones((lat.nt + 1, lat.j_ext + 1))
     assert lat.j_ext * lat.delta == pytest.approx(1.34375)
     for direction, offset in ((1.0, 2.0), (1.0, -0.5), (-1.0, -0.5), (-1.0, 2.0)):
         with pytest.raises(GeometryError):
             char_line_integrals(lat, H, direction, offset, 0.0, 0.1)
+    for direction, offset, length in ((1.0, 1.3, 0.2), (-1.0, 0.1, 0.25)):
+        with pytest.raises(GeometryError):
+            char_line_integrals(lat, H, direction, offset, 0.0, length)
     assert char_line_integrals(lat, H, 1.0, 1.3, 0.0, 0.04375) == \
         pytest.approx(0.04375, abs=1e-15)
 
