@@ -59,7 +59,12 @@ class StripWorkspace:
     Node (l, k) sits at t = l*delta on the diagonal t - r = s_k, with
     s_k = -rho0 + k*delta, k = 0..m; the physical radius is t - s_k.
     Everything the two updates need (data columns, kernel columns, the
-    induced reflection map) lives here.
+    induced reflection map) lives here.  The terms that do not depend on
+    the lambda iterate are built once, here: the direct branch of the free
+    solution (nodes with t + r <= rho0, which see no reflection) and the
+    anti-diagonals eta of the cone sum.  The strip is narrow (m + 1 columns
+    against 2L + 1 half rows), so the cone-sum kernel indexes each
+    anti-diagonal by column and its work is O(L * m).
     """
 
     def __init__(self, hd: HData, tough: Toughness, T: float, m: int, delta: float):
@@ -88,6 +93,14 @@ class StripWorkspace:
         self.h0d_col = np.asarray(hd.h0_dot(-self.s), dtype=float)
         self.h1_col = np.asarray(hd.h1(-self.s), dtype=float)
 
+        # lambda-independent terms of the two updates
+        self.direct = self.eta_grid <= self.rho0 + 1e-14
+        eta_d = np.clip(self.eta_grid, 0.0, self.rho0)
+        self.a_direct = (0.5 * self.h0_col[None, :] + 0.5 * hd.h0(eta_d)
+                         + 0.5 * (hd.h1.cumint(eta_d) - self.H1_col[None, :]))
+        self.cone_eta = self.rho0 + delta * np.arange(-m, 2 * self.L + 1)
+        self.cone_refl = self.cone_eta > self.rho0 + 1e-12
+
     def blank(self) -> np.ndarray:
         return np.zeros((self.L + 1, self.m + 1))
 
@@ -101,26 +114,28 @@ class StripWorkspace:
 
     def omega_of(self, lam: np.ndarray, eta: np.ndarray) -> np.ndarray:
         """Reflected-characteristic map induced by the lambda iterate:
-        the front point with t + r = eta has t - r = omega(eta)."""
+        the front point with t + r = eta has t - r = omega(eta).
+
+        u = 2 min(lambda, T) - s increases in s up to the first capped
+        column and decreases past it, where np.interp cannot read it, so the
+        table stops there: no strip node on or behind the front has eta
+        above that column's u."""
         lamc = self._lam_capped(lam)
-        u = 2.0 * lamc - self.s  # increasing in s
+        capped = np.flatnonzero(lamc >= self.T)
+        n = capped[0] + 1 if len(capped) else len(lamc)
+        u = 2.0 * lamc[:n] - self.s[:n]
         eta_c = np.clip(eta, u[0], u[-1])
-        out = np.interp(eta_c, u, self.s)
+        out = np.interp(eta_c, u, self.s[:n])
         return np.where(eta <= self.rho0, -self.rho0, out)
 
     # -- field update ---------------------------------------------------------
 
     def free_solution(self, lam: np.ndarray) -> np.ndarray:
         hd = self.hd
-        eta = self.eta_grid
-        direct = eta <= self.rho0 + 1e-14
-        eta_d = np.clip(eta, 0.0, self.rho0)
-        a_direct = (0.5 * self.h0_col[None, :] + 0.5 * hd.h0(eta_d)
-                    + 0.5 * (hd.h1.cumint(eta_d) - self.H1_col[None, :]))
-        q = np.clip(-self.omega_of(lam, eta), 0.0, self.rho0)
+        q = np.clip(-self.omega_of(lam, self.eta_grid), 0.0, self.rho0)
         a_refl = (0.5 * self.h0_col[None, :] - 0.5 * hd.h0(q)
                   + 0.5 * (hd.h1.cumint(q) - self.H1_col[None, :]))
-        return np.where(direct, a_direct, a_refl)
+        return np.where(self.direct, self.a_direct, a_refl)
 
     def cone_integrals(self, lam: np.ndarray, F: np.ndarray) -> np.ndarray:
         """Phi[F] at every strip node, cut at the induced front.
@@ -129,9 +144,8 @@ class StripWorkspace:
         s_k), and every anti-diagonal past rho0 starts on column 0.
         """
         d = self.delta
-        eta = self.rho0 + d * np.arange(-self.m, 2 * self.L + 1)
-        om = self.omega_of(lam, eta)
-        cut = np.where(eta > self.rho0 + 1e-12, (om + self.rho0) / d, 0.0)
+        om = self.omega_of(lam, self.cone_eta)
+        cut = np.where(self.cone_refl, (om + self.rho0) / d, 0.0)
         return sheared_cone_integrals(F, d, cut)
 
     def psi1(self, h: np.ndarray, lam: np.ndarray) -> np.ndarray:

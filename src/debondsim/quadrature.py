@@ -13,7 +13,11 @@ xi = xi0 + k*delta.  Two adapters map their grids onto it:
 :func:`cone_integrals_batch` shears the (t, r) lattice and removes the
 sub-cone below the rim echo, and ``griffith.StripWorkspace.cone_integrals``
 passes its strip, whose columns are already diagonals.  Both supply the
-omega cut of each anti-diagonal as a fractional slot.
+omega cut of each anti-diagonal as a fractional slot.  The kernel indexes
+each anti-diagonal's slots by column when the field has fewer columns than
+half rows (the strip: m + 1 columns against a few hundred half rows) and
+by half row otherwise (the lattice), so neither carries the other's zero
+padding; the two orientations agree bitwise.
 
 The partial derivatives of Phi reduce to two boundary line integrals g1,
 g2 along characteristics; those are one-dimensional trapezoid sums over
@@ -132,9 +136,12 @@ class CharLattice:
 def _row_interp(arr: np.ndarray, i, p):
     """Plain linear interpolation of row(s) i of arr at column coordinate(s)
     p = r / delta, extrapolating linearly past the first and last cell."""
-    j = np.minimum(np.maximum(np.floor(p + 1e-12).astype(int), 0), arr.shape[1] - 2)
+    n = arr.shape[1]
+    j = np.minimum(np.maximum(np.floor(p + 1e-12).astype(int), 0), n - 2)
     frac = p - j
-    return arr[i, j] * (1.0 - frac) + arr[i, j + 1] * frac
+    flat = arr.ravel()
+    idx = np.asarray(i) * n + j  # one flat index for both gathers
+    return flat.take(idx) * (1.0 - frac) + flat.take(idx + 1) * frac
 
 
 def _sheared(values: np.ndarray, signs) -> np.ndarray:
@@ -180,38 +187,60 @@ def sheared_cone_integrals(F: np.ndarray, delta: float, cut: np.ndarray) -> np.n
     from the anti-diagonal's first slot, of the lower xi-limit of its cones
     (the omega cut); the integral up to there is subtracted, so 0 cuts
     nothing.
+
+    The slots of each anti-diagonal are indexed by the shorter of its two
+    index ranges: by column (K + 1 slots) when K + 1 < 2L + 1, as on a
+    narrow strip, and by half row (2L + 1 slots) otherwise, as on the
+    lattice.  Both sum the same terms in the same order, so they agree
+    bitwise, and the work and memory are O((L + K) * min(K, L)).
     """
     d = delta
     L, K = F.shape[0] - 1, F.shape[1] - 1
     P = 2 * L + 1
+    by_column = K + 1 < P
+    # half[p, k] = inner integral at half row p of column k, seen through
+    # I[slot, g + K], one column per anti-diagonal (0 off the layout)
+    if by_column:
+        # K zero rows at each end; slot k of anti-diagonal g is
+        # Z[g + K + k, k], a skewed view
+        Z = np.zeros((P + 2 * K, K + 1))
+        half = Z[K:K + P]
+        s0, s1 = Z.strides
+        I = np.lib.stride_tricks.as_strided(Z, (K + 1, P + K), (s0 + s1, s0),
+                                            writeable=False)
+    else:
+        # columns reversed and zero past column K; slot p is half row p of
+        # column p - g: re-cutting the flat padded array shifts row p by p
+        # columns
+        Y = np.zeros((P, K + 1 + P))
+        half = Y[:, K::-1]
+        I = Y.ravel()[:-P].reshape(P, P + K)
     C = column_cumulative(F, d)
-    Y = np.zeros((P, K + 1 + P))  # inner integral at half row p of column K - j
-    Y[0::2, K::-1] = 2.0 * C
-    Y[1::2, K::-1] = 2.0 * C[:-1] + d * (3.0 * F[:-1] + F[1:]) / 4.0
-    # one column per anti-diagonal, I[p, g + K] = inner integral at half row
-    # p of column p - g (0 off the layout): re-cutting the flat padded array
-    # shifts row p by p columns
-    I = Y.ravel()[:-P].reshape(P, P + K)
-    inc = 0.5 * d * (I[:-1] + I[1:])
-    # anti-diagonals g > 0 start on column 0 at p = g, after a zero slot: keep
-    # their first slot at exactly 0 (the cut would cancel it up to rounding)
-    inc[np.arange(P - 1), np.arange(K + 1, K + P)] = 0.0
-    A = np.zeros_like(I)
-    np.cumsum(inc, axis=0, out=A[1:])
+    half[0::2] = 2.0 * C
+    half[1::2] = 2.0 * C[:-1] + d * (3.0 * F[:-1] + F[1:]) / 4.0
 
     g = np.arange(-K, P)
-    first = np.maximum(g, 0)
-    span = np.minimum(P - 1, g + K) - first
+    cols = np.arange(len(g))
+    first = np.maximum(-g, 0) if by_column else np.maximum(g, 0)
+    span = np.minimum(P - 1, g + K) - np.maximum(g, 0)
+    inc = 0.5 * d * (I[:-1] + I[1:])
+    # an anti-diagonal whose first slot is not slot 0 follows a zero slot:
+    # keep its first slot at exactly 0 (the cut would cancel it up to rounding)
+    late = first > 0
+    inc[first[late] - 1, cols[late]] = 0.0
+    A = np.zeros(I.shape)
+    np.cumsum(inc, axis=0, out=A[1:])
+
     q = np.floor(cut + 1e-12).astype(int)
     s = np.where((q < 0) | (q >= span), 0.0, cut - q)
-    cols = np.arange(len(g))
     q0 = first + np.clip(q, 0, span)
-    q1 = np.minimum(q0 + 1, P - 1)
+    q1 = np.minimum(q0 + 1, I.shape[0] - 1)
     A_cut = A[q0, cols] + d * (s * I[q0, cols] + 0.5 * s * s * (I[q1, cols] - I[q0, cols]))
 
     rows = 2 * np.arange(L + 1)[:, None]
     gk = rows - np.arange(K + 1) + K  # anti-diagonal column of each node
-    return 0.5 * (A[rows, gk] - A_cut[gk])
+    slot = np.arange(K + 1) if by_column else rows
+    return 0.5 * (A[slot, gk] - A_cut[gk])
 
 
 def cone_integrals_batch(lat: CharLattice, values: np.ndarray) -> np.ndarray:
@@ -304,10 +333,11 @@ def _line_block(values, d, C, direction, offset, ta, tb):
     qa = np.minimum(np.maximum(q, 0), last).astype(int)
     qb = np.minimum(qa + 1, last)
 
-    def line_value(l, p):
-        """Each segment's value on its row l: the node on its diagonal, or
-        the row interpolant at column coordinate p between diagonals."""
-        return _row_interp(values, l, np.where(aligned, k_node + direction * l, p))
+    def line_value(l, p, sel=slice(None)):
+        """The value of segments ``sel`` on their rows l: the node on the
+        diagonal, or the row interpolant at column coordinate p between
+        diagonals."""
+        return _row_interp(values, l, np.where(aligned[sel], k_node[sel] + direction[sel] * l, p))
 
     def row_value(l):
         return line_value(l, (offset + direction * (l * d)) / d)
@@ -323,7 +353,13 @@ def _line_block(values, d, C, direction, offset, ta, tb):
         f = np.where(on_row, i_r, i_f) - ia
         ia = ia.astype(int)
         p = (offset + direction * t) / d
-        return (1.0 - f) * line_value(ia, p) + f * line_value(np.minimum(ia + 1, nt), p)
+        v = line_value(ia, p)
+        # the row above only where t is off the rows: (1 - 0) v + 0 v1 = v
+        up = np.flatnonzero(f != 0.0)
+        if up.size:
+            v1 = line_value(np.minimum(ia[up] + 1, nt), p[up], up)
+            v[up] = (1.0 - f[up]) * v[up] + f[up] * v1
+        return v
 
     va, vb = end_value(ta), end_value(tb)
     lo = np.ceil(ta / d - 1e-12)  # first and last row strictly inside

@@ -117,6 +117,20 @@ def test_window_converges_and_reports():
     assert np.all(np.diff(lam) >= -1e-15)
 
 
+def test_omega_inverts_the_front_past_capped_columns():
+    # with several columns capped at T, u = 2 min(lambda, T) - s turns down
+    # past the first of them; omega must still map each uncapped front
+    # point's eta = u_k back to s_k
+    data = bump_data(amp=0.4)
+    tough = Toughness.constant(0.1, rho0=1.0, R=3.0)
+    ws = make_workspace(data, tough, m=12)
+    _, lam, _ = solve_coupled_window(ws, M=1e3, t_start=0.0)
+    free = lam < ws.T
+    assert np.count_nonzero(~free) >= 2
+    u = 2.0 * lam[free] - ws.s[free]
+    assert np.max(np.abs(ws.omega_of(lam, u) - ws.s[free])) <= 1e-14
+
+
 def test_window_stationary_for_huge_toughness():
     data = bump_data(amp=0.3)
     tough = Toughness.constant(1e6, rho0=1.0, R=3.0)

@@ -215,6 +215,63 @@ def test_batch_matches_single_apex_on_random_fronts(interior, slopes, coef):
             assert J[i, j] == pytest.approx(ref, abs=tol), (i, j)
 
 
+def _cuts(rng, L, K):
+    # fractional cuts in [0, span) of each anti-diagonal, some exactly 0
+    g = np.arange(-K, 2 * L + 1)
+    span = np.minimum(2 * L, g + K) - np.maximum(g, 0)
+    cut = rng.uniform(0.0, 1.0, len(g)) * span
+    cut[rng.uniform(size=len(g)) < 0.3] = 0.0
+    return cut
+
+
+def _row_oriented(F, d, cut):
+    # the same call with F padded by zero columns to K' >= 2L + 1, which
+    # forces the half-row orientation; the new anti-diagonals g < -K get
+    # zero cuts, and the padding changes no sum at the original nodes
+    L, K = F.shape[0] - 1, F.shape[1] - 1
+    Kp = max(K, 2 * L + 1)
+    Fp = np.zeros((L + 1, Kp + 1))
+    Fp[:, :K + 1] = F
+    return sheared_cone_integrals(Fp, d, np.concatenate((np.zeros(Kp - K), cut)))[:, :K + 1]
+
+
+@pytest.mark.parametrize("L,K", [(0, 3), (1, 0), (2, 1), (74, 1), (159, 19), (10, 20), (10, 21)])
+def test_column_orientation_matches_row_orientation(L, K):
+    # K + 1 < 2L + 1 indexes each anti-diagonal by column, otherwise by
+    # half row; both sum the same terms in the same order
+    rng = np.random.default_rng(L * 100 + K)
+    F = rng.standard_normal((L + 1, K + 1))
+    cut = _cuts(rng, L, K)
+    J = sheared_cone_integrals(F, 1.0 / 128, cut)
+    assert np.array_equal(J, _row_oriented(F, 1.0 / 128, cut))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(L=st.integers(0, 40), K=st.integers(0, 30), seed=st.integers(0, 2 ** 16))
+def test_column_orientation_matches_row_orientation_drawn(L, K, seed):
+    rng = np.random.default_rng(seed)
+    F = rng.standard_normal((L + 1, K + 1))
+    cut = _cuts(rng, L, K)
+    J = sheared_cone_integrals(F, 1.0 / 64, cut)
+    assert np.array_equal(J, _row_oriented(F, 1.0 / 64, cut))
+
+
+def test_strip_kernel_memory_is_linear_in_the_strip():
+    # a tall narrow strip: the half-row layout would hold (2L + 1)(2L + K + 1)
+    # slots, near 40 MB, for (L + 1)(K + 1) nodes
+    L, K = 640, 8
+    rng = np.random.default_rng(7)
+    F = rng.standard_normal((L + 1, K + 1))
+    cut = _cuts(rng, L, K)
+    tracemalloc.start()
+    try:
+        sheared_cone_integrals(F, 1.0 / 256, cut)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
 @pytest.mark.parametrize("speed", [0.0, 0.3])
 def test_strip_matches_lattice(speed):
     # the strip index map of the sheared kernel against the lattice one at
