@@ -28,37 +28,16 @@ from .geometry import GeometryError, _asarray
 class TravelingWaves:
     """Traveling-wave split of the free solution.
 
-    ``f_plus`` lives on (0, 2 t_star) in s = t + r, ``f_minus`` on
-    (-rho0, rho0) in s = t - r; kinks at s = 0 and s = rho0 are evaluated
-    one-sidedly.
+    ``f_plus`` takes s = t + r and reflects at the front past s = rho0;
+    ``f_minus`` takes s = t - r and reflects at the rim past s = 0; kinks
+    at s = 0 and s = rho0 are evaluated one-sidedly.
     """
 
     f_plus: Callable
     f_minus: Callable
     df_plus: Callable
     df_minus: Callable
-    t_star: float
-    hdata: HData
     front: object
-
-
-def _t_star(front) -> float:
-    """Endpoint for the decomposition: the horizon, or the earlier time at
-    which the front line t = rho(t) is crossed."""
-    T = front.horizon
-    if float(front.rho(T)) > T:
-        return T
-    ts = np.linspace(0.0, T, 1025)
-    gap = front.rho(ts) - ts
-    k = int(np.argmax(gap <= 0))
-    a, b = ts[k - 1], ts[k]
-    for _ in range(80):
-        m = 0.5 * (a + b)
-        if float(front.rho(m)) - m > 0:
-            a = m
-        else:
-            b = m
-    return 0.5 * (a + b)
 
 
 def traveling_decomposition(hdata: HData, front) -> TravelingWaves:
@@ -109,53 +88,23 @@ def traveling_decomposition(hdata: HData, front) -> TravelingWaves:
         return out
 
     return TravelingWaves(f_plus=f_plus, f_minus=f_minus,
-                          df_plus=df_plus, df_minus=df_minus,
-                          t_star=_t_star(front), hdata=hdata, front=front)
+                          df_plus=df_plus, df_minus=df_minus, front=front)
 
 
 def free_solution(hdata: HData, front, t, r, check: bool = True):
-    """Piecewise d'Alembert value of the free solution at (t, r).
-
-    Three cases: pure initial data, rim reflection through z, and front
-    reflection through omega.  With ``check=False`` points beyond the
-    front evaluate to 0 (the standard extension).
+    """d'Alembert value f_plus(t + r) + f_minus(t - r) of the free solution
+    at (t, r), which covers pure initial data, the rim reflection through z
+    and the front reflection through omega.  With ``check=False`` points
+    beyond the front evaluate to 0 (the standard extension).
     """
-    t = _asarray(t)
-    r = _asarray(r)
-    t, r = np.broadcast_arrays(t, r)
-    rho0 = hdata.rho0
-    rho_t = front.rho(t)
-    inside = r <= rho_t + 1e-12
+    t, r = np.broadcast_arrays(_asarray(t), _asarray(r))
+    inside = r <= front.rho(t) + 1e-12
     if check and not np.all(inside):
         raise GeometryError("free solution requested beyond the front")
-    eta = t + r
-    reflected = eta > rho0
-    if check and np.any((t > r + 1e-12) & reflected):
+    if check and np.any((t > r + 1e-12) & (t + r > hdata.rho0)):
         raise GeometryError("point beyond the first reflection family")
-
-    h0, H1, z = hdata.h0, hdata.h1.cumint, hdata.z
-
-    def clip0(x):
-        return np.clip(x, 0.0, rho0)
-
-    a_lo = clip0(np.abs(t - r))  # |t - r| is the data-side argument
-    out = np.zeros_like(t, dtype=float)
-
-    case1 = inside & ~reflected & (t <= r)
-    case2 = inside & ~reflected & (t > r)
-    case3 = inside & reflected
-    if np.any(case1 | case2):
-        hi = clip0(eta)
-        common = 0.5 * h0(hi) + 0.5 * (H1(hi) - H1(a_lo))
-        out = np.where(case1, 0.5 * h0(a_lo) + common, out)
-        out = np.where(case2, z(np.maximum(t - r, 0.0)) - 0.5 * h0(a_lo) + common, out)
-    if np.any(case3):
-        eta_c = np.where(case3, eta, rho0)
-        back = clip0(-front._omega_unchecked(eta_c))
-        out = np.where(case3,
-                       0.5 * h0(a_lo) - 0.5 * h0(back) + 0.5 * (H1(back) - H1(a_lo)),
-                       out)
-    return np.where(inside, out, 0.0)
+    waves = traveling_decomposition(hdata, front)
+    return np.where(inside, waves.f_plus(t + r) + waves.f_minus(t - r), 0.0)
 
 
 def free_derivatives(waves: TravelingWaves, t, r):

@@ -32,7 +32,7 @@ from typing import List
 
 import numpy as np
 
-from .fields import ProblemData, Toughness, kappa_eval
+from .fields import ProblemData, Toughness, kappa_eval, v_from_h
 from .geometry import corner_wavefronts, jump_radii
 from .prescribed import FieldPatch
 
@@ -43,9 +43,7 @@ from .prescribed import FieldPatch
 
 def _energy_integrands(patch: FieldPatch, t_loc: float, h, h_t, h_r, r):
     hd = patch.hdata
-    wgt = np.exp(-0.5 * hd.alpha * t_loc) / np.sqrt(hd.R - r)
-    v_t = wgt * (h_t - 0.5 * hd.alpha * h)
-    v_r = wgt * (h_r + 0.5 * h / (hd.R - r))
+    _, v_t, v_r = v_from_h(h, h_t, h_r, t_loc, r, hd.R, hd.alpha)
     e = (hd.R - r) * (v_t * v_t + v_r * v_r)
     a = (hd.R - r) * v_t * v_t
     return e, a
@@ -194,6 +192,8 @@ def _rim_work_rates(patch: FieldPatch, data: ProblemData, t):
     """Rim power w_dot * Q(t, w_dot) at global times t of one patch
     (exactly 0 where the opening rate is 0)."""
     w_dot = data.w.deriv(t)
+    if not np.any(w_dot):
+        return np.zeros_like(w_dot)  # a rim at rest: no bracket to trace
     return np.where(w_dot != 0.0, w_dot * _rim_power(patch, data, t, w_dot), 0.0)
 
 

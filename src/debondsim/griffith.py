@@ -23,23 +23,23 @@ slope behind the front.  A window whose front would outrun its own time
 horizon is capped: the lambda iterate is frozen at the horizon, which
 leaves every in-window formula untouched (the strip never looks past its
 last row) and lets fast fronts advance a full window per step.  After each
-window the full-annulus field is solved with the produced front
-prescribed, its seams split at the run's corner wavefronts; that solve
-gives exact seam traces for the next window and is also the run's output
-field there, so the field is solved once per run.
+window the prescribed window loop extends the run's patches over the
+produced front, in global time, with its seams split at the run's corner
+wavefronts; those patches give exact seam traces for the next window and
+are the run's output field, so the field is solved once per run.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
-from .fields import HData, ProblemData, Toughness, kappa_eval, to_h_data
-from .geometry import FrontCurve, GeometryError, corner_wavefronts, jump_radii
-from .prescribed import ConvergenceError, FieldPatch, _row_count, _seam_data, march
+from .fields import HData, ProblemData, Toughness, kappa_eval, kernel_prefactor, to_h_data
+from .geometry import FrontCurve, GeometryError, corner_wavefronts
+from .prescribed import ConvergenceError, FieldPatch, _extend, _row_count, _seam_data
 from .quadrature import column_cumulative, sheared_cone_integrals
 
 _SLOPE_CAP = 1.0 - 1e-9
@@ -86,7 +86,7 @@ class StripWorkspace:
         R, alpha = hd.R, hd.alpha
         if np.max(self.r_grid) >= R:
             raise GeometryError("strip reaches the rim radius")
-        self.kern = 0.25 * (alpha * alpha + 1.0 / (R - self.r_grid) ** 2)
+        self.kern = kernel_prefactor(self.r_grid, R, alpha)
 
         self.h0_col = np.asarray(hd.h0(-self.s), dtype=float)
         self.H1_col = np.asarray(hd.h1.cumint(-self.s), dtype=float)
@@ -286,9 +286,9 @@ class GriffithRun:
     """Result of a coupled run: the produced front, the field solved
     against it, and the stopping information.
 
-    ``patches`` are the prescribed solves of the coupled windows, in
-    global time with the composed weight scale: the prescribed solve of
-    ``front`` with its windows cut at the coupled-window seams.
+    ``patches`` are the prescribed solve of ``front`` with its windows cut
+    at the coupled-window seams, in global time with the composed weight
+    scale.
     """
 
     front: FrontCurve
@@ -387,10 +387,10 @@ def run(data: ProblemData, tough: Toughness, horizon: float,
     """March the coupled problem until the horizon or full debonding.
 
     Each window solves the strip fixed point with the toughness clamped
-    past its next breakpoint (so no window straddles one), solves the
-    field on the produced front by certified prescribed windows, keeps
-    them as the run's patches, re-bases the data from the last of them,
-    and stops when the bonded disk is within the stop margin of vanishing.
+    past its next breakpoint (so no window straddles one), extends the
+    run's patches over the produced front by certified prescribed windows,
+    re-bases the data from the last of them, and stops when the bonded
+    disk is within the stop margin of vanishing.
     """
     if stop_margin is None:
         stop_margin = 2.0 * delta
@@ -406,7 +406,6 @@ def run(data: ProblemData, tough: Toughness, horizon: float,
     rho_knots = [hd.rho0]
     local = hd
     patches: List[FieldPatch] = []
-    scale = 1.0
     diags: List[dict] = []
     rows_done = 0
     stop_reason = "horizon"
@@ -469,25 +468,12 @@ def run(data: ProblemData, tough: Toughness, horizon: float,
             rho_knots.append(float(rk))
         rows_done += adv_rows
         front = FrontCurve(np.asarray(t_knots), np.asarray(rho_knots), R)
-        wf = corner_wavefronts(front, front.horizon)
 
-        # the window's field, solved against the produced front with the
-        # run's corner wavefronts in window time (both leg kinds shift c by
-        # t0), is the run's field there: its patches move to global time and
-        # take the composed weight scale
-        wf_w = [(ta - t0, tb - t0, kind, c - t0) for ta, tb, kind, c in wf]
-        patches_w = march(local, FrontCurve(tw, rw, R), horizon=adv_rows * delta,
-                          tol=tol, delta=delta, max_iter=max_iter, wavefronts=wf_w)
-        for p in patches_w:
-            w = p.window
-            patches.append(replace(p, scale=scale, window=replace(
-                w, t_start=w.t_start + t0, t_end=w.t_end + t0)))
-            scale *= math.exp(0.5 * hd.alpha * w.length)
-
+        # the window's field: the prescribed solve of the produced front,
+        # continued from the last seam, is the run's field there
+        _extend(patches, local, front, rows_done, delta, tol, max_iter)
         if rows_done < n_total and R - rho_knots[-1] > stop_margin + 1e-12:
-            # jump radii are global; the seam data live on the same radii
-            local = _seam_data(patches_w[-1], jump_radii(wf, rows_done * delta,
-                                                         rho_knots[-1]))
+            local = _seam_data(patches[-1], corner_wavefronts(front, front.horizon))
 
     t_star = rows_done * delta
     if R - rho_knots[-1] <= stop_margin + 1e-12:

@@ -6,10 +6,12 @@ Each marching window solves the representation identity
 
 by Picard iteration on a characteristic lattice, starting from the free
 solution A.  Window lengths are chosen so the iteration is a certified
-contraction; marching re-bases the data at every seam using the exact
-derivative trace formulas (never finite differences), and rescales the
-exponential weight so each window works with well-conditioned local
-values.
+contraction.  One window loop marches a front in global time: it re-bases
+the data at every seam using the exact derivative trace formulas (never
+finite differences), with double knots where a corner wavefront crosses
+the seam, and composes the exponential weight so each window works with
+well-conditioned local values.  :func:`march` runs it from t = 0; the
+coupled solver extends its patches with it after every coupled window.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ class WindowPlan:
 
     t_start: float
     t_end: float
-    rho_at_start: float
     contraction_bound: float
     delta: float
 
@@ -94,20 +95,19 @@ def _row_count(horizon: float, delta: float) -> int:
     return n
 
 
-def plan_windows(front, data: HData, alpha: float, horizon: float,
-                 delta: float = 1.0 / 128) -> List[WindowPlan]:
-    """Cover [0, horizon] with certified windows snapped to the lattice."""
-    n_total = _row_count(horizon, delta)
-    if n_total * delta > front.horizon + 1e-9:
+def plan_windows(front, alpha: float, i0: int, i1: int,
+                 delta: float) -> List[WindowPlan]:
+    """Cover lattice rows i0..i1 of the front's time with certified
+    windows snapped to the lattice."""
+    if i1 * delta > front.horizon + 1e-9:
         raise GeometryError("horizon exceeds the front domain")
-    R = data.R
+    R = front.R
     plans: List[WindowPlan] = []
-    i0 = 0
-    while i0 < n_total:
+    while i0 < i1:
         t0 = i0 * delta
         rho_k = float(front.rho(t0))
         steps = int(math.floor(certified_step(rho_k, R, alpha) / delta + 1e-9))
-        steps = max(1, min(steps, n_total - i0))
+        steps = max(1, min(steps, i1 - i0))
         while True:
             T = steps * delta
             q = contraction_bound(rho_k, R, alpha, T)
@@ -118,7 +118,7 @@ def plan_windows(front, data: HData, alpha: float, horizon: float,
             raise ConvergenceError(
                 f"no certified window at t = {t0:.6g} (front too close to the rim)")
         plans.append(WindowPlan(t_start=t0, t_end=(i0 + steps) * delta,
-                                rho_at_start=rho_k, contraction_bound=q, delta=delta))
+                                contraction_bound=q, delta=delta))
         i0 += steps
     return plans
 
@@ -274,13 +274,15 @@ def solve_window(hdata: HData, front, window: WindowPlan,
 # marching
 # ---------------------------------------------------------------------------
 
-def _seam_data(patch: FieldPatch, seam_jumps=()) -> HData:
-    """Window data for the next seam from the exact end-row traces.
+def _seam_data(patch: FieldPatch, wavefronts) -> HData:
+    """Window data for the seam at the patch's end from the exact end-row
+    traces.
 
-    ``seam_jumps`` lists radii where the derivative fields jump (corner
-    wavefronts crossing the seam row); the sampled profiles get a double
-    knot there so the next window inherits a sharp jump instead of a
-    smeared cell.
+    ``wavefronts`` are the run's corner-wavefront segments, in the form
+    :func:`~debondsim.geometry.corner_wavefronts` returns; where one
+    crosses the seam row the derivative fields jump, and the sampled
+    profiles get a double knot there so the next window inherits a sharp
+    jump instead of a smeared cell.
     """
     lat = patch.lattice
     hd = patch.hdata
@@ -290,7 +292,8 @@ def _seam_data(patch: FieldPatch, seam_jumps=()) -> HData:
 
     # the end row's nodes, the banks of every seam jump and the front point,
     # in one trace call
-    banks = [r_star + side for r_star in seam_jumps for side in (-1e-9, 1e-9)]
+    banks = [r_star + side for r_star in jump_radii(wavefronts, patch.t1, rho_end)
+             for side in (-1e-9, 1e-9)]
     r_pts = np.concatenate((lat.radii[: j_in + 1], banks, [rho_end]))
     h_pts, ht_pts, hr_pts = patch.local_traces(t_end, r_pts)
 
@@ -318,39 +321,38 @@ def _seam_data(patch: FieldPatch, seam_jumps=()) -> HData:
                  h0=h0, h1=h1, h0_dot=h0.deriv)
 
 
-def march(data, front, horizon: float, tol: float = _DEFAULT_TOL,
-          delta: float = 1.0 / 128, max_iter: int = _DEFAULT_MAX_ITER,
-          wavefronts=None) -> List[FieldPatch]:
+def _extend(patches: List[FieldPatch], data: HData, front, i1: int,
+            delta: float, tol: float, max_iter: int) -> List[FieldPatch]:
+    """Append the certified windows of ``front`` (global time) from the end
+    of the last patch, or row 0, to lattice row i1.
+
+    ``data`` is the window data at that start.  Every later seam is
+    re-based from the previous patch, split at the front's corner
+    wavefronts, and each window's weight ``scale`` follows the previous
+    patch's as scale * exp(alpha * length / 2).
+    """
+    i0 = int(round(patches[-1].t1 / delta)) if patches else 0
+    plans = plan_windows(front, data.alpha, i0, i1, delta)
+    wavefronts = corner_wavefronts(front, plans[-1].t_end)
+    for k, plan in enumerate(plans):
+        prev = patches[-1] if patches else None
+        scale = prev.scale * math.exp(0.5 * data.alpha * prev.window.length) if prev else 1.0
+        local = _seam_data(prev, wavefronts) if k else data
+        patches.append(solve_window(local, front, plan, tol=tol, max_iter=max_iter,
+                                    scale=scale))
+    return patches
+
+
+def march(data: ProblemData, front, horizon: float, tol: float = _DEFAULT_TOL,
+          delta: float = 1.0 / 128, max_iter: int = _DEFAULT_MAX_ITER) -> List[FieldPatch]:
     """Solve up to the horizon by sequential certified windows.
 
-    ``data`` may be the physical problem data or ready-made weighted data.
     Seam traces are taken from the exact derivative formulas of the
     previous patch, and the local fields absorb the exponential weight so
     the stored values stay O(data).
-
-    ``wavefronts`` are the corner-wavefront segments, in the front's own
-    time and in the form :func:`~debondsim.geometry.corner_wavefronts`
-    returns, whose jump radii split the seams; by default the front's own.
-    A caller solving one stretch of a longer front passes that front's
-    segments shifted to the stretch's time, so the jumps emitted before
-    the stretch keep their double knots at every seam.
     """
-    hd = to_h_data(data) if isinstance(data, ProblemData) else data
-    plans = plan_windows(front, hd, hd.alpha, horizon, delta)
-    if wavefronts is None:
-        wavefronts = corner_wavefronts(front, plans[-1].t_end)
-    patches: List[FieldPatch] = []
-    local = hd
-    scale = 1.0
-    for k, plan in enumerate(plans):
-        patch = solve_window(local, front, plan, tol=tol, max_iter=max_iter, scale=scale)
-        patches.append(patch)
-        if k + 1 < len(plans):
-            seam_jumps = jump_radii(wavefronts, plan.t_end,
-                                    float(front.rho(plan.t_end)))
-            local = _seam_data(patch, seam_jumps)
-            scale *= math.exp(0.5 * hd.alpha * plan.length)
-    return patches
+    return _extend([], to_h_data(data), front, _row_count(horizon, delta),
+                   delta, tol, max_iter)
 
 
 def locate_patch(patches: List[FieldPatch], t: float) -> FieldPatch:

@@ -198,6 +198,20 @@ def test_external_work_constant_w():
     assert led.W_ext[-1] == 0.0 and led.times[-1] == 0.25
 
 
+def test_audit_of_a_rim_at_rest_traces_no_rim_bracket(monkeypatch):
+    # w = 0: the rim power multiplies w' = 0 on every row, so the audit
+    # never traces the rim bracket and the external work is exactly 0
+    data = bump_data(amp=0.4, alpha=0.5)
+    tough = Toughness.constant(0.15, rho0=1.0, R=3.0)
+    res = run(data, tough, horizon=0.25, delta=1.0 / 64)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("rim bracket traced for a rim at rest")
+    monkeypatch.setattr(FieldPatch, "rim_bracket", refuse)
+    led = audit(res.patches, res.front, data, tough)
+    assert np.all(led.W_ext == 0.0)
+
+
 # -- release rate ---------------------------------------------------------------
 
 def test_err_g0_zero_data():

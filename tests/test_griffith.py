@@ -1,16 +1,14 @@
-import math
-
 import numpy as np
 import pytest
 
 from debondsim import prescribed
 from debondsim.energy_audit import audit
 from debondsim.fields import ProblemData, Profile, Toughness, to_h_data
-from debondsim.geometry import FrontCurve, corner_wavefronts, jump_radii
+from debondsim.geometry import FrontCurve, corner_wavefronts
 from debondsim.griffith import (
     GriffithRun, StripWorkspace, _front_point, run, solve_coupled_window,
 )
-from debondsim.prescribed import _seam_data, evaluate_field, march
+from debondsim.prescribed import _extend, _seam_data, evaluate_field, march
 
 
 def bump_data(R=3.0, rho0=1.0, alpha=0.0, amp=0.4, v1=None, w=None):
@@ -238,36 +236,27 @@ def test_run_kkt_residual_second_order():
 
 
 def test_run_consistency_with_prescribed():
-    # the run's field is the prescribed solve of the produced front with
-    # its windows cut at the coupled-window seams: a chain of prescribed
-    # marches over those windows, re-based at each seam and split at the
-    # run's corner wavefronts, reproduces it (the front resample, the seam
-    # re-bases and, with damping, the weight scales must round-trip)
+    # the run's field is the prescribed solve of its final front with the
+    # windows cut at the coupled-window seams: the window loop chained over
+    # that front, re-based at each cut, reproduces every patch bit for bit
+    # (so the run never rewrites a knot that an earlier window solved on)
     tough = Toughness.constant(0.2, rho0=1.0, R=3.0)
-    delta = 1.0 / 64
-    rng = np.random.default_rng(12)
+    delta, tol, max_iter = 1.0 / 64, 1e-10, 200
     for alpha in (0.0, 0.5):
         data = bump_data(amp=0.4, alpha=alpha)
-        res = run(data, tough, horizon=0.25, delta=delta)
+        res = run(data, tough, horizon=0.25, delta=delta, tol=tol, max_iter=max_iter)
         assert len(res.window_diagnostics) > 1
         wf = corner_wavefronts(res.front, res.front.horizon)
-        chain, local = [], to_h_data(data)
+        chain, local, row = [], to_h_data(data), 0
         for wd in res.window_diagnostics:
-            a = wd["t_start"]
-            b = a + wd["rows"] * delta
-            wf_w = [(ta - a, tb - a, kind, c - a) for ta, tb, kind, c in wf]
-            patches = march(local, res.front.window(a, b), horizon=b - a,
-                            delta=delta, wavefronts=wf_w)
-            chain.append((a, b, patches))
-            if b < res.t_star - 1e-12:
-                local = _seam_data(patches[-1], jump_radii(wf, b, float(res.front.rho(b))))
-        assert len(res.patches) == sum(len(p) for _, _, p in chain)
-        for _ in range(40):
-            t = rng.uniform(0.0, res.t_star)
-            r = rng.uniform(0.0, float(res.front.rho(t)) - 1e-9)
-            a, _, patches = next(c for c in chain if t <= c[1] + 1e-12)
-            ref = math.exp(0.5 * alpha * a) * evaluate_field(patches, t - a, r).h
-            assert evaluate_field(res.patches, t, r).h == pytest.approx(ref, abs=1e-9)
+            if chain:
+                local = _seam_data(chain[-1], wf)
+            row += wd["rows"]
+            _extend(chain, local, res.front, row, delta, tol, max_iter)
+        assert len(chain) == len(res.patches)
+        for mine, theirs in zip(chain, res.patches):
+            assert np.array_equal(mine.lattice.values, theirs.lattice.values)
+            assert (mine.scale, mine.t0, mine.t1) == (theirs.scale, theirs.t0, theirs.t1)
 
 
 def test_run_solves_each_window_once(monkeypatch):

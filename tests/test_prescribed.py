@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from debondsim.dalembert import free_solution
 from debondsim.fields import HData, ProblemData, Profile, to_h_data
@@ -40,9 +42,8 @@ def test_window_shrinks_with_damping():
 
 
 def test_plan_covers_horizon():
-    hd = to_h_data(make_data())
     front = FrontCurve.affine(1.0, 0.3, 3.0, 3.0)
-    plans = plan_windows(front, hd, 0.0, 1.0, delta=1.0 / 64)
+    plans = plan_windows(front, 0.0, 0, 64, delta=1.0 / 64)
     assert plans[0].t_start == 0.0
     assert plans[-1].t_end == pytest.approx(1.0)
     for a, b in zip(plans[:-1], plans[1:]):
@@ -51,16 +52,15 @@ def test_plan_covers_horizon():
 
 
 def test_short_horizon_truncates():
-    hd = to_h_data(make_data())
     front = FrontCurve.constant(1.0, 3.0, 3.0)
-    plans = plan_windows(front, hd, 0.0, 0.125, delta=1.0 / 64)
+    plans = plan_windows(front, 0.0, 0, 8, delta=1.0 / 64)
     assert len(plans) == 1 and plans[0].t_end == pytest.approx(0.125)
 
 
 def test_window_plan_rejects_uncertified():
     with pytest.raises(ConvergenceError):
-        WindowPlan(t_start=0.0, t_end=1.0, rho_at_start=1.0,
-                   contraction_bound=1.5, delta=1.0 / 64)
+        WindowPlan(t_start=0.0, t_end=1.0, contraction_bound=1.5,
+                   delta=1.0 / 64)
 
 
 def test_contraction_bound_under_one_for_certified_step():
@@ -74,7 +74,7 @@ def test_contraction_bound_under_one_for_certified_step():
 def test_apply_L_zero():
     hd = to_h_data(zero_data())
     front = FrontCurve.constant(1.0, 3.0, 3.0)
-    plan = plan_windows(front, hd, 0.0, 0.25, delta=1.0 / 32)[0]
+    plan = plan_windows(front, 0.0, 0, 8, delta=1.0 / 32)[0]
     ws = _Workspace(hd, front.window(0.0, 0.25), plan)
     out = apply_L(ws.lattice.blank(), ws)
     assert np.all(out == 0.0)
@@ -84,7 +84,7 @@ def test_measured_contraction_below_bound():
     # sup-norm factor over random pairs sharing boundary data
     hd = to_h_data(make_data(alpha=1.0))
     front = FrontCurve.affine(1.0, 0.25, 3.0, 3.0)
-    plan = plan_windows(front, hd, 0.0, 1.0, delta=1.0 / 32)[0]
+    plan = plan_windows(front, 0.0, 0, 32, delta=1.0 / 32)[0]
     ws = _Workspace(hd, front.window(plan.t_start, plan.t_end), plan)
     rng = np.random.default_rng(17)
     shape = ws.lattice.values.shape
@@ -104,7 +104,7 @@ def test_measured_contraction_below_bound():
 def test_solve_window_zero_data_immediate():
     hd = to_h_data(zero_data())
     front = FrontCurve.constant(1.0, 3.0, 3.0)
-    plan = plan_windows(front, hd, 0.0, 0.25, delta=1.0 / 32)[0]
+    plan = plan_windows(front, 0.0, 0, 8, delta=1.0 / 32)[0]
     patch = solve_window(hd, front, plan)
     assert patch.diagnostics["iterations"] == 1
     assert np.all(patch.lattice.values == 0.0)
@@ -113,7 +113,7 @@ def test_solve_window_zero_data_immediate():
 def test_solve_window_fixed_point_residual():
     hd = to_h_data(make_data(alpha=1.0))
     front = FrontCurve.affine(1.0, 0.2, 3.0, 3.0)
-    plan = plan_windows(front, hd, 0.0, 1.0, delta=1.0 / 64)[0]
+    plan = plan_windows(front, 0.0, 0, 64, delta=1.0 / 64)[0]
     tol = 1e-10
     patch = solve_window(hd, front, plan, tol=tol)
     ws = _Workspace(hd, front.window(plan.t_start, plan.t_end), plan)
@@ -125,7 +125,7 @@ def test_solve_window_fixed_point_residual():
 def test_iteration_count_geometric_bound():
     hd = to_h_data(make_data(alpha=1.0))
     front = FrontCurve.constant(1.0, 3.0, 3.0)
-    plan = plan_windows(front, hd, 0.0, 1.0, delta=1.0 / 64)[0]
+    plan = plan_windows(front, 0.0, 0, 64, delta=1.0 / 64)[0]
     tol = 1e-10
     patch = solve_window(hd, front, plan, tol=tol)
     q = plan.contraction_bound
@@ -141,7 +141,7 @@ def test_large_radius_free_limit():
                        v1=Profile.zero())
     hd = to_h_data(data)
     front = FrontCurve.constant(1.0, 2.0, 1000.0)
-    plan = plan_windows(front, hd, 0.0, 0.25, delta=1.0 / 32)[0]
+    plan = plan_windows(front, 0.0, 0, 8, delta=1.0 / 32)[0]
     patch = solve_window(hd, front, plan)
     ws = _Workspace(hd, front.window(0.0, 0.25), plan)
     assert float(np.max(np.abs(patch.lattice.values - ws.free_grid))) < 1e-6
@@ -150,7 +150,7 @@ def test_large_radius_free_limit():
 def test_zeroed_kernel_reproduces_free_solution_exactly():
     hd = to_h_data(make_data(alpha=1.0))
     front = FrontCurve.constant(1.0, 3.0, 3.0)
-    plan = plan_windows(front, hd, 0.0, 0.25, delta=1.0 / 32)[0]
+    plan = plan_windows(front, 0.0, 0, 8, delta=1.0 / 32)[0]
     ws = _Workspace(hd, front.window(0.0, 0.25), plan)
     ws.kern = np.zeros_like(ws.kern)
     out = apply_L(ws.free_grid, ws)
@@ -163,7 +163,7 @@ def test_march_single_window_matches_solve_window():
     hd = to_h_data(make_data())
     front = FrontCurve.constant(1.0, 3.0, 3.0)
     patches = march(make_data(), front, horizon=0.25, delta=1.0 / 32)
-    plan = plan_windows(front, hd, 0.0, 0.25, delta=1.0 / 32)[0]
+    plan = plan_windows(front, 0.0, 0, 8, delta=1.0 / 32)[0]
     direct = solve_window(hd, front, plan)
     assert len(patches) == 1
     assert np.allclose(patches[0].lattice.values, direct.lattice.values, atol=1e-14)
@@ -199,6 +199,42 @@ def test_solve_report_shape():
     assert all(w["contraction_bound"] < 1 for w in windows)
     assert all(w["measured_factor"] <= w["contraction_bound"] * (1 + 1e-6)
                for w in windows)
+
+
+@st.composite
+def march_inputs(draw):
+    """An admissible front of 1-6 segments (steps in [0.05, 0.2], slopes in
+    [0, 0.9], rho0 in [0.5, 1.5], R = 3), a damping alpha in [0, 1] and a
+    sine-bump amplitude."""
+    n = draw(st.integers(1, 6))
+    dts = np.array(draw(st.lists(st.floats(0.05, 0.2), min_size=n, max_size=n)))
+    slopes = np.array(draw(st.lists(st.floats(0.0, 0.9), min_size=n, max_size=n)))
+    rho0 = draw(st.floats(0.5, 1.5))
+    ts = np.concatenate(([0.0], np.cumsum(dts)))
+    rhos = rho0 + np.concatenate(([0.0], np.cumsum(slopes * dts)))
+    data = ProblemData(R=3.0, rho0=rho0, alpha=draw(st.floats(0.0, 1.0)), horizon=4.0,
+                       w=Profile.zero(), v0=Profile.sine_bump(draw(st.floats(-1.0, 1.0)), rho0),
+                       v1=Profile.zero())
+    return data, FrontCurve(ts, rhos, 3.0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(inputs=march_inputs())
+def test_march_tiles_random_fronts(inputs):
+    # on admissible input the certified plan always solves: the patches tile
+    # [0, horizon], the weight scale composes across seams, and no window
+    # contracts slower than its certified bound
+    data, front = inputs
+    delta = 1.0 / 32
+    horizon = math.floor(front.horizon / delta) * delta
+    patches = march(data, front, horizon=horizon, delta=delta)
+    assert patches[0].t0 == 0.0 and patches[0].scale == 1.0
+    assert patches[-1].t1 == horizon
+    for prev, nxt in zip(patches[:-1], patches[1:]):
+        assert nxt.t0 == prev.t1
+        assert nxt.scale == prev.scale * math.exp(0.5 * data.alpha * prev.window.length)
+    for p in patches:
+        assert p.diagnostics["measured_factor"] <= p.diagnostics["contraction_bound"] * (1 + 1e-6)
 
 
 # -- evaluation ---------------------------------------------------------------
