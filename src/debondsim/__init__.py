@@ -18,7 +18,9 @@ The supported surface is what this module exports:
 Two modules are validation-only and are not loaded by ``import debondsim``:
 :mod:`debondsim.reference` holds the independent cross-checks the tests
 compare against, and :mod:`debondsim.oracle` a finite-difference reference
-solver.
+solver.  They, and sampled profiles built with
+``Profile.from_samples(..., method="pchip")``, are the only users of scipy:
+a solve and its audit run on numpy alone.
 """
 
 from .energy_audit import EnergyLedger, audit

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from .geometry import _asarray
 
@@ -37,8 +36,10 @@ class Profile:
 
     Closed-form presets keep analytic derivatives and antiderivatives;
     sampled tables interpolate (monotone cubic by default, linear for
-    solver-internal traces) and integrate their interpolant exactly or via
-    a dense cached spline.
+    solver-internal traces) and integrate their interpolant exactly.  Any
+    other profile on a bounded domain gets a cached cumulative on first
+    use: Simpson sums on a dense grid joined by a cubic Hermite whose node
+    slopes are the profile itself.
     """
 
     def __init__(self, value, deriv=None, cumint=None, domain=(0.0, np.inf),
@@ -62,7 +63,10 @@ class Profile:
         return _asarray(self._deriv(_asarray(x)))
 
     def cumint(self, x):
-        """Integral of the profile from 0 to x."""
+        """Integral of the profile from max(0, lo) to x, where lo is the
+        lower end of its domain (from lo if the whole domain is below 0);
+        profiles from :meth:`from_samples` integrate from their first
+        sample."""
         if self._cumint is None:
             self._cumint = self._build_cached_cumint()
         return _asarray(self._cumint(_asarray(x)))
@@ -71,16 +75,36 @@ class Profile:
         lo, hi = self.domain
         if not np.isfinite(hi):
             raise ValueError("cannot cache a cumulative integral on an unbounded domain")
-        # composite Simpson on a dense grid, then a C^2 spline through the
-        # cumulative values; error is far below the solver tolerances
+        # composite Simpson on a dense grid gives the cumulative values at
+        # the panel ends; a cubic Hermite joins them, with the profile as
+        # the node slopes (the derivative of a cumulative integral is the
+        # integrand).  Both errors are fourth order and far below the
+        # solver tolerances.
         xs = np.linspace(lo, hi, 2 * panels + 1)
         ys = self(xs)
         h = (hi - lo) / (2 * panels)
         chunks = (ys[0:-2:2] + 4.0 * ys[1:-1:2] + ys[2::2]) * (h / 3.0)
         cum = np.concatenate(([0.0], np.cumsum(chunks)))
-        spline = CubicSpline(xs[::2], cum)
-        offset = float(spline(0.0)) if lo <= 0.0 <= hi else float(spline(lo))
-        return lambda x: spline(x) - offset
+        # per-panel coefficients in the unit coordinate u in [0, 1); the
+        # edge panels extend as polynomials past the domain
+        step = 2.0 * h
+        m0, m1 = step * ys[0:-2:2], step * ys[2::2]
+        jump = np.diff(cum)
+        c0, c1 = cum[:-1], m0
+        c2 = 3.0 * jump - 2.0 * m0 - m1
+        c3 = m0 + m1 - 2.0 * jump
+        inv_step, last = 1.0 / step, panels - 1
+
+        def hermite(x):
+            w = (x - lo) * inv_step
+            k = np.minimum(np.maximum(w.astype(np.intp), 0), last)
+            u = w - k
+            return ((c3.take(k) * u + c2.take(k)) * u + c1.take(k)) * u + c0.take(k)
+
+        if lo < 0.0 <= hi:
+            off = float(hermite(_asarray(0.0)))
+            return lambda x: hermite(x) - off
+        return hermite
 
     def shifted(self, dt: float, factor: float = 1.0) -> "Profile":
         """x -> factor * self(x + dt), with its derivative.  Shifting the
@@ -148,9 +172,16 @@ class Profile:
 
     @classmethod
     def from_samples(cls, x, y, method: str = "pchip", deriv_samples=None):
+        """Interpolate samples y at increasing x: ``"pchip"`` (monotone
+        cubic, with derivative, needs scipy) or ``"linear"`` (numpy only,
+        what the solver's seams use).  ``deriv_samples`` gives a piecewise
+        linear derivative."""
         x = _asarray(x)
         y = _asarray(y)
         if method == "pchip":
+            # imported here so that the solver never loads scipy
+            from scipy.interpolate import PchipInterpolator
+
             interp = PchipInterpolator(x, y, extrapolate=True)
             dfun = interp.derivative()
             ifun = interp.antiderivative()
@@ -159,14 +190,14 @@ class Profile:
                        domain=(x[0], x[-1]), kind="pchip")
         elif method == "linear":
             cum = np.concatenate(([0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))))
+            slopes = (y[1:] - y[:-1]) / (x[1:] - x[:-1])
+            last = len(x) - 2
 
-            def lin_cum(s, x=x, y=y, cum=cum):
+            def lin_cum(s):
                 s = _asarray(s)
-                idx = np.clip(np.searchsorted(x, s, side="right") - 1, 0, len(x) - 2)
-                x0, y0 = x[idx], y[idx]
-                slope = (y[idx + 1] - y0) / (x[idx + 1] - x0)
-                ds = s - x0
-                return cum[idx] + y0 * ds + 0.5 * slope * ds * ds
+                idx = np.minimum(np.maximum(np.searchsorted(x, s, side="right") - 1, 0), last)
+                ds = s - x.take(idx)
+                return cum.take(idx) + y.take(idx) * ds + 0.5 * slopes.take(idx) * ds * ds
 
             prof = cls(lambda s: np.interp(_asarray(s), x, y),
                        cumint=lin_cum, domain=(x[0], x[-1]), kind="linear")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from debondsim.fields import (
     CompatibilityError, Profile, ProblemData, Toughness,
@@ -33,9 +35,49 @@ def test_sine_bump_vanishes_at_ends():
 
 def test_cached_cumint_matches_closed_form():
     p = Profile(lambda x: np.sin(3.0 * np.asarray(x)), domain=(0.0, 2.0))
-    xs = np.linspace(0, 2, 17)
+    xs = np.linspace(0, 2, 1001)
     exact = (1 - np.cos(3 * xs)) / 3.0
-    assert np.allclose(p.cumint(xs), exact, atol=1e-12)
+    assert np.max(np.abs(p.cumint(xs) - exact)) <= 1e-13
+    # a domain reaching below 0 integrates from 0, not from its lower end
+    q = Profile(lambda x: np.exp(np.asarray(x)), domain=(-1.0, 1.5))
+    xs = np.linspace(-1.0, 1.5, 1001)
+    assert np.max(np.abs(q.cumint(xs) - np.expm1(xs))) <= 1e-13
+    assert q.cumint(0.0) == 0.0
+
+
+def test_cached_cumint_of_a_scalar_is_0d():
+    p = Profile(lambda x: np.cos(np.asarray(x)), domain=(0.0, 1.0))
+    out = p.cumint(0.7)
+    assert out.shape == () and abs(float(out) - np.sin(0.7)) <= 1e-13
+
+
+def test_cached_cumint_is_fourth_order_in_panels():
+    p = Profile(lambda x: np.sin(3.0 * np.asarray(x)), domain=(0.0, 2.0))
+    xs = np.linspace(0, 2, 1001)
+    exact = (1 - np.cos(3 * xs)) / 3.0
+    errs = np.array([np.max(np.abs(p._build_cached_cumint(panels=n)(xs) - exact))
+                     for n in (8, 16, 32, 64)])
+    ratios = errs[:-1] / errs[1:]
+    assert np.all((ratios > 14.0) & (ratios < 18.0)), ratios
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.integers(2, 40), seed=st.integers(0, 2 ** 16))
+def test_linear_cumint_matches_per_element_slopes(n, seed):
+    rng = np.random.default_rng(seed)
+    x = np.cumsum(rng.uniform(1e-3, 1.0, n)) - 0.5
+    y = rng.normal(size=n)
+    s = rng.uniform(x[0] - 0.5, x[-1] + 0.5, 200)
+    # the interpolant's integral with each slope formed where it is used
+    cum = np.concatenate(([0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))))
+    idx = np.clip(np.searchsorted(x, s, side="right") - 1, 0, len(x) - 2)
+    x0, y0 = x[idx], y[idx]
+    slope = (y[idx + 1] - y0) / (x[idx + 1] - x0)
+    ds = s - x0
+    expect = cum[idx] + y0 * ds + 0.5 * slope * ds * ds
+    p = Profile.from_samples(x, y, method="linear")
+    assert np.array_equal(p.cumint(s), expect)
+    assert p.cumint(s[0]).shape == () and p.cumint(s[0]) == expect[0]
 
 
 def test_linear_samples_exact_pl_integral():
