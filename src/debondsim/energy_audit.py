@@ -33,7 +33,7 @@ from typing import List
 import numpy as np
 
 from .fields import ProblemData, Toughness, kappa_eval, v_from_h
-from .geometry import corner_wavefronts, jump_radii
+from .geometry import corner_wavefronts
 from .prescribed import FieldPatch
 
 
@@ -52,6 +52,21 @@ def _energy_integrands(patch: FieldPatch, t_loc: float, h, h_t, h_r, r):
 _JUMP_EPS = 1e-9
 
 
+def _row_splits(patch: FieldPatch, t: np.ndarray, rho: np.ndarray, wavefronts):
+    """Radii in (0, rho) where a corner wavefront crosses each of the rows
+    at window-local times t, from one pass over the wavefront segments for
+    all rows: row k's radii ascending, padded with rho[k] to the most any
+    row has.  Two wavefronts crossing at one radius give it twice."""
+    T = patch.t0 + t
+    X = np.repeat(rho[:, None], len(wavefronts or ()), axis=1)
+    for w, (ta, tb, kind, c) in enumerate(wavefronts or ()):
+        r = c - T if kind == "-" else T - c
+        hit = (ta - 1e-12 <= T) & (T <= tb + 1e-12) & (1e-9 < r) & (r < rho - 1e-9)
+        X[hit, w] = r[hit]
+    X.sort(axis=1)
+    return X[:, :np.count_nonzero(X < rho[:, None], axis=1).max(initial=0)]
+
+
 def _row_radial_integrals(patch: FieldPatch, rows, wavefronts=None):
     """(E, a) of one patch at its local lattice rows ``rows``:
 
@@ -62,70 +77,68 @@ def _row_radial_integrals(patch: FieldPatch, rows, wavefronts=None):
     Cells crossed by a corner wavefront are split there, with one-sided
     trace evaluations on both banks: the derivative fields genuinely jump
     across those characteristics and a straddling trapezoid cell would
-    cost an order of accuracy.  Every radius of every row (the lattice
-    radii, the banks and the front point) goes to one ``local_traces`` call
-    for the whole patch, and every cell to one per-row reduction.
+    cost an order of accuracy.
+
+    No step loops over rows.  The lattice radii of all rows are one 2-D
+    node mask (row i, columns up to j_in(i) = floor(rho(t_i)/delta +
+    1e-12)).  One pass over the wavefront segments finds every row's jump
+    radii (:func:`_row_splits`), and the jumps cut the rows into segments,
+    handled for all rows at once by segment index, a few per row; edges
+    closer than two bank widths bound no segment, so a radius crossed twice
+    splits its row once.  A segment's points are its head bank, its nodes
+    and its tail bank (the front point on a row's last segment), a bank
+    only where no node lies within 1e-12 of it.  A node in no segment,
+    within a bank's width of a jump, is traced but bounds no cell.  Every
+    point goes to one ``local_traces`` call for the whole patch.  Sorted by
+    row and radius, consecutive points of one segment bound a cell, and one
+    reduction sums the cells of all rows, each row in ascending radius.
     """
     lat = patch.lattice
     d = lat.delta
-    pts_t, pts_r = [], []
-    n_pts = 0
-    # each segment is a run of pieces, each piece a range of the point list
-    starts, counts, piece_seg, seg_row = [], [], [], []
+    rows = np.asarray(rows, dtype=int)
+    t = rows * d
+    rho = np.asarray(patch.rho_local(t), dtype=float)
+    j_in = np.floor(rho / d + 1e-12).astype(int)
 
-    def points(t, r):
-        """Queue radii r at time t; returns the index of the first."""
-        nonlocal n_pts
-        r = np.atleast_1d(r)
-        pts_t.append(np.full(r.size, t))
-        pts_r.append(r)
-        n_pts += r.size
-        return n_pts - r.size
+    # segment s of row k runs from edge s to edge s + 1 of: 0, the jumps,
+    # rho; the padding repeats rho and leaves empty segments
+    edges = np.concatenate((np.zeros((rows.size, 1)), _row_splits(patch, t, rho, wavefronts),
+                            rho[:, None]), axis=1)
+    a_edge, b_edge = edges[:, :-1], edges[:, 1:]
+    valid = b_edge - a_edge > 2 * _JUMP_EPS
+    lo = np.where(a_edge > 0.0, a_edge + _JUMP_EPS, a_edge)
+    hi = np.where(b_edge < rho[:, None], b_edge - _JUMP_EPS, b_edge)
+    j_lo = np.ceil(lo / d - 1e-12)
+    j_hi = np.floor(hi / d + 1e-12)
+    lead = valid & (j_lo * d - lo > 1e-12)
+    tail = valid & (hi - np.where(j_lo <= j_hi, j_hi * d, lo) > 1e-12)
 
-    for k, i in enumerate(rows):
-        t = int(i) * d
-        rho_t = float(patch.rho_local(t))
-        j_in = int(math.floor(rho_t / d + 1e-12))
-        nodes = points(t, lat.radii[: j_in + 1])
-
-        splits = jump_radii(wavefronts, patch.t0 + t, rho_t) if wavefronts else []
-        edges = [0.0] + splits + [rho_t]
-        for a_edge, b_edge in zip(edges[:-1], edges[1:]):
-            if b_edge - a_edge <= 2 * _JUMP_EPS:
-                continue
-            lo = a_edge + (_JUMP_EPS if a_edge > 0.0 else 0.0)
-            hi = b_edge - (_JUMP_EPS if b_edge < rho_t else 0.0)
-            j_lo = int(math.ceil(lo / d - 1e-12))
-            j_hi = int(math.floor(hi / d + 1e-12))
-            j0, j1 = max(j_lo, 0), min(j_hi, j_in)
-            lead = j_lo * d - lo > 1e-12 or j_lo > j_hi
-            last = j1 * d if j1 >= j0 else (lo if lead else None)
-            # the segment's radii in order: head bank, nodes j0..j1, tail bank
-            pieces = []
-            if lead:
-                pieces.append((points(t, lo), 1))
-            if j1 >= j0:
-                pieces.append((nodes + j0, j1 - j0 + 1))
-            if last is None or hi - last > 1e-12:
-                pieces.append((points(t, hi), 1))
-            for start, count in pieces:
-                starts.append(start)
-                counts.append(count)
-                piece_seg.append(len(seg_row))
-            seg_row.append(k)
-
-    pt, pr = np.concatenate(pts_t), np.concatenate(pts_r)
+    # every point: the nodes, then the lead banks, then the tail banks
+    # (the front point on a row's last segment), with its row and segment;
+    # a node in no segment gets segment -1
+    jj = np.arange(int(j_in.max()) + 1)
+    in_row = jj[None, :] <= j_in[:, None]
+    node_seg = np.full(in_row.shape, -1)
+    for s in range(edges.shape[1] - 1):
+        node_seg[valid[:, s, None] & (jj >= j_lo[:, s, None]) & (jj <= j_hi[:, s, None])] = s
+    k_node, j_node = np.nonzero(in_row)
+    k_lead, s_lead = np.nonzero(lead)
+    k_tail, s_tail = np.nonzero(tail)
+    p_row = np.concatenate((k_node, k_lead, k_tail))
+    pr = np.concatenate((j_node * d, lo[lead], hi[tail]))
+    p_seg = np.concatenate((node_seg[in_row], s_lead, s_tail))
+    pt = t[p_row]
     e_pt, a_pt = _energy_integrands(patch, pt, *patch.local_traces(pt, pr), pr)
-    # every trapezoid cell of every segment, summed per row in one reduction
-    starts, counts, piece_seg, seg_row = (np.asarray(x, dtype=int) for x in
-                                          (starts, counts, piece_seg, seg_row))
-    idx = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-    seg = np.repeat(piece_seg, counts)
-    cell = seg[1:] == seg[:-1]
-    lo_pt, hi_pt = idx[:-1][cell], idx[1:][cell]
-    row = seg_row[seg[:-1][cell]]
+
+    # consecutive points of one segment of one row bound a cell; a node in
+    # no segment sits between a jump's two banks, so it bounds none
+    order = np.lexsort((pr, p_row))
+    lo_pt, hi_pt = order[:-1], order[1:]
+    cell = (p_row[lo_pt] == p_row[hi_pt]) & (p_seg[lo_pt] == p_seg[hi_pt])
+    lo_pt, hi_pt = lo_pt[cell], hi_pt[cell]
+    row = p_row[lo_pt]
     dr = pr[hi_pt] - pr[lo_pt]
-    E, A = (np.bincount(row, weights=dr * (v[hi_pt] + v[lo_pt]) / 2.0, minlength=len(rows))
+    E, A = (np.bincount(row, weights=dr * (v[hi_pt] + v[lo_pt]) / 2.0, minlength=rows.size)
             for v in (e_pt, a_pt))
     return math.pi * E, A
 

@@ -166,19 +166,30 @@ class FieldPatch:
 
     def local_traces(self, t_loc, r):
         """(h, h_t, h_r) in window-local variables, exact trace formulas, at
-        one point (floats) or at arrays of points (t_loc and r broadcast)."""
+        one point (floats) or at arrays of points (t_loc and r broadcast).
+        At a lattice node h is the node value; elsewhere it is the
+        lattice's sample, and 0 on the front."""
         scalar = np.ndim(t_loc) == 0 and np.ndim(r) == 0
         t_loc, r = np.broadcast_arrays(np.asarray(t_loc, dtype=float),
                                        np.asarray(r, dtype=float))
         rho_t = np.asarray(self.rho_local(t_loc), dtype=float)
-        if np.any(r > rho_t + 1e-9):
-            raise GeometryError("point beyond the front")
+        beyond = r > rho_t + 1e-9
+        if np.any(beyond):
+            k = np.flatnonzero(beyond.ravel())[0]
+            raise GeometryError(
+                f"point beyond the front: window-local (t, r) = ({t_loc.flat[k]:.6g}, "
+                f"{r.flat[k]:.6g}) is past rho(t) = {rho_t.flat[k]:.6g}")
         r = np.minimum(r, rho_t)
         d_t, d_r = free_derivatives(self.waves, t_loc, r)
         g1, g2 = phi_time_trace(self.lattice, self.F, t_loc, r)
         h_t = d_t + 0.5 * (g1 + g2)
         h_r = d_r + 0.5 * (g1 - g2)
-        h = np.where(np.abs(r - rho_t) < 1e-14, 0.0, self.local_value(t_loc, r))
+        i, j, node = self.lattice.node_index(t_loc, r)
+        h = np.array(self.lattice.values[i, j])  # replaced off the nodes
+        off = ~node
+        if np.any(off):
+            h[off] = self.local_value(t_loc[off], r[off])
+        h = np.where(np.abs(r - rho_t) < 1e-14, 0.0, h)
         if scalar:
             return float(h), float(h_t), float(h_r)
         return h, h_t, h_r

@@ -27,9 +27,13 @@ computes every characteristic line integral: a batch of +-45 segments, on
 or between diagonals, from and to any time.  It reads the rows inside a
 segment from the column cumulative of the field's sheared layout along the
 segment's family, the cumulative the cone-sum kernel uses, so its work is
-O(segments).  The derivative traces of :func:`phi_time_trace`, at lattice
-nodes and between them, and the front and rim brackets of
-``prescribed.FieldPatch`` are all calls to it.
+O(segments), and only a segment's two end cells read row values.
+:func:`phi_time_trace` reads the same cumulatives: at a lattice node,
+where almost all of the audit's trace points lie, each of its segments
+runs along a diagonal from row to row, so its integral is the difference
+of two cumulative reads and reads no row value; only node-free and
+reflected points go through the kernel's end cells.  The front and rim
+brackets of ``prescribed.FieldPatch`` are calls to the kernel too.
 
 All quadrature here integrates the piecewise-linear interpolant of the
 node values; off-lattice cuts (the omega edge, fractional endpoints) are
@@ -96,6 +100,13 @@ class CharLattice:
 
     def masked(self, arr: np.ndarray) -> np.ndarray:
         return np.where(self.inside, arr, 0.0)
+
+    def node_index(self, t, r):
+        """Row and column (i, j) of the node nearest to each point (t, r),
+        and whether the point is that node (i * delta, j * delta) exactly."""
+        d = self.delta
+        i, j = np.rint(_asarray(t) / d), np.rint(_asarray(r) / d)
+        return i.astype(int), j.astype(int), (i * d == t) & (j * d == r)
 
     # -- interpolation ----------------------------------------------------
 
@@ -290,23 +301,58 @@ def char_line_integrals(lat: CharLattice, values: np.ndarray, direction, offset,
 
     The cells between a segment's first and last inside rows are the
     difference of two reads of the column cumulative of its family's
-    sheared layout, on its diagonal, or weighted between the two diagonals
-    around the line; only the two end cells read row values.  So past one
-    cumulative per family the work is O(segments), done in blocks of
-    segments so that the temporaries stay a few MB for any batch.
-    Segments must lie in [0, nt * delta]; one reaching past the columns
-    [0, j_ext * delta], even partway, raises GeometryError.
+    sheared layout (:func:`_line_cumulatives`), on its diagonal, or
+    weighted between the two diagonals around the line; only the two end
+    cells read row values.  A segment along a diagonal whose ends are nodes
+    is exactly such a difference; :func:`phi_time_trace` reads those off
+    the same cumulatives without forming segments.  So past one cumulative
+    per family the work is O(segments), done in blocks of segments so that
+    the temporaries stay a few MB for any batch.  Segments must lie in
+    [0, nt * delta]; one reaching past the columns [0, j_ext * delta], even
+    partway, raises GeometryError, naming its end point and the bound.
     """
+    return _segment_integrals(lat, values, _line_cumulatives(values, lat.delta),
+                              direction, offset, t_start, t_end)
+
+
+def _line_cumulatives(values: np.ndarray, delta: float) -> np.ndarray:
+    """Both families' diagonal cumulatives: C[l, 0, q] integrates the -45
+    line r = (q - l) * delta and C[l, 1, q] the +45 line
+    r = (q - nt + l) * delta from row 0 to row l (see :func:`_sheared`)."""
+    return column_cumulative(_sheared(values, (-1, 1)), delta)
+
+
+def _segment_integrals(lat, values, C, direction, offset, t_start, t_end):
+    """:func:`char_line_integrals` given both families' cumulatives C."""
     args = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (direction, offset, t_start, t_end)))
     shape = args[0].shape
     args = [a.ravel() for a in args]
-    # C[:, 0] holds the -45 family's cumulatives, C[:, 1] the +45 family's
-    C = column_cumulative(_sheared(values, (-1, 1)), lat.delta)
     out = np.empty(args[0].size)
     for b in range(0, out.size, _BLOCK):
-        out[b:b + _BLOCK] = _line_block(values, lat.delta, C, *(a[b:b + _BLOCK] for a in args))
+        block = [a[b:b + _BLOCK] for a in args]
+        _check_columns(lat, *block)
+        out[b:b + _BLOCK] = _line_block(values, lat.delta, C, *block)
     return out.reshape(shape)
+
+
+def _check_columns(lat: CharLattice, direction, offset, ta, tb):
+    """Raise GeometryError, naming the first end point and the bound it
+    breaks, if a live segment reaches past the columns [0, j_ext * delta]:
+    past them the lattice has no values, and for times in [0, nt * delta]
+    this also keeps the line on its family's layout."""
+    r_a, r_b = offset + direction * ta, offset + direction * tb
+    r_max = lat.j_ext * lat.delta
+    slack = 1e-9 * lat.delta
+    off_a = (r_a < -slack) | (r_a > r_max + slack)
+    off_b = (r_b < -slack) | (r_b > r_max + slack)
+    bad = np.flatnonzero((tb - ta > 1e-15) & (off_a | off_b))
+    if bad.size:
+        k = bad[0]
+        t, r = (ta[k], r_a[k]) if off_a[k] else (tb[k], r_b[k])
+        raise GeometryError(
+            f"characteristic segment outside the lattice's columns: its end "
+            f"(t, r) = ({t:.6g}, {r:.6g}) is outside [0, {r_max:.6g}]")
 
 
 def _line_block(values, d, C, direction, offset, ta, tb):
@@ -323,13 +369,6 @@ def _line_block(values, d, C, direction, offset, ta, tb):
     w = np.where(aligned, 0.0, k - base)  # weight of the diagonal above
     q = base + fam * nt
     live = tb - ta > 1e-15
-    # both end radii on the columns [0, j_ext*delta]: past them the lattice
-    # has no values, and for times in [0, nt*delta] this also keeps the
-    # line on its family's layout
-    r_a, r_b = offset + direction * ta, offset + direction * tb
-    if np.any(live & ((np.minimum(r_a, r_b) < -1e-9 * d)
-                      | (np.maximum(r_a, r_b) > (values.shape[1] - 1 + 1e-9) * d))):
-        raise GeometryError("characteristic segment outside the lattice's columns")
     qa = np.minimum(np.maximum(q, 0), last).astype(int)
     qb = np.minimum(qa + 1, last)
 
@@ -384,24 +423,58 @@ def phi_time_trace(lat: CharLattice, values: np.ndarray, t, r):
     """Boundary line integrals (g1, g2) with Phi_t = g1 + g2 and
     Phi_r = g1 - g2 inside the domain (window-local: t <= rho0 / 2).
 
-    t and r broadcast: floats for one point, arrays for many, whose four
-    characteristic segments each go to one :func:`char_line_integrals`
-    call.
+    t and r broadcast: floats for one point, arrays for many.  Whether a
+    point is a lattice node (i, j) is decided once, from its row and
+    column.  At a node off the reflection band (i + j <= rho0 / delta)
+    every segment runs along a diagonal from row to row, so with C and D
+    the +45 and -45 cumulatives of the line kernel (row by row in
+    ``reference.diag_cumulatives``), g1 = D[i, j] and
+    g2 = C[i, j] - D[i - j, 0], the echo leg only behind the rim echo
+    (j < i), each a difference of cumulative reads.  Every other point
+    (reflected, or off the nodes) sends its four characteristic segments
+    through the kernel's segments, all in one batch, on the same
+    cumulatives.
     """
     front = lat.front
     rho0 = front.rho0
     scalar = np.ndim(t) == 0 and np.ndim(r) == 0
     t, r = np.broadcast_arrays(_asarray(t), _asarray(r))
-    if np.any(t > 0.5 * rho0 + 1e-9):
-        raise GeometryError("trace formulas are window-local (t <= rho0/2)")
+    late = t > 0.5 * rho0 + 1e-9
+    if np.any(late):
+        k = np.flatnonzero(late.ravel())[0]
+        raise GeometryError(
+            f"trace formulas are window-local: the point (t, r) = "
+            f"({t.flat[k]:.6g}, {r.flat[k]:.6g}) is past t = rho0/2 = {0.5 * rho0:.6g}")
     rho_t = _asarray(front.rho(t))
-    if np.any(r < -1e-12) or np.any(r > rho_t + 1e-9):
-        raise GeometryError("trace point beyond the front")
+    beyond = (r < -1e-12) | (r > rho_t + 1e-9)
+    if np.any(beyond):
+        k = np.flatnonzero(beyond.ravel())[0]
+        raise GeometryError(
+            f"trace point beyond the front: (t, r) = ({t.flat[k]:.6g}, "
+            f"{r.flat[k]:.6g}) is outside [0, rho(t)] = [0, {rho_t.flat[k]:.6g}]")
     r = np.clip(r, 0.0, rho_t)
 
-    # g1: the -45 line through (t, r), from t = 0 or, past the reflection,
-    # from its crossing t_star with the front, plus -omega'(eta) times the
-    # reflected +45 line from (0, -omega(eta)) up to t_star
+    d, nt = lat.delta, lat.nt
+    C = _line_cumulatives(values, d)
+    g1, g2 = np.empty(t.shape), np.empty(t.shape)
+    i, j, node = lat.node_index(t, r)
+    # a node off the reflection band: g1 = D[i, j] is its -45 diagonal from
+    # row 0, where the cumulatives are 0; g2 is its +45 diagonal from row
+    # i_rim = i - j, where it leaves the rim behind the rim echo (from row 0
+    # otherwise), less the echo leg D[i_rim, 0]
+    node &= ~(r > rho0 - t + 1e-14)
+    i, j = i[node], j[node]
+    i_rim = np.maximum(i - j, 0)
+    q = j - i + nt
+    g1[node] = C[i, 0, i + j]
+    g2[node] = C[i, 1, q] - C[i_rim, 1, q] - C[i_rim, 0, i_rim]
+
+    # every other point through its four segments, in one batch.  g1: the
+    # -45 line through (t, r), from t = 0 or, past the reflection, from its
+    # crossing t_star with the front, plus -omega'(eta) times the reflected
+    # +45 line from (0, -omega(eta)) up to t_star
+    far = ~node
+    t, r = t[far], r[far]
     eta = t + r
     refl = r > rho0 - t + 1e-14
     t_star, om, om_dot = (np.zeros(t.shape) for _ in range(3))
@@ -411,16 +484,15 @@ def phi_time_trace(lat: CharLattice, values: np.ndarray, t, r):
         om[refl] = front._omega_unchecked(e)
         om_dot[refl] = front.omega_dot(e)
     # g2: the +45 line through (t, r), from t = 0 or, behind the rim echo,
-    # from the rim at t - r, less the -45 echo leg ending there
+    # from the rim at s = t - r, less the -45 echo leg from (0, s) to the rim
     s = np.where(r < t - 1e-14, t - r, 0.0)
     zero = np.zeros(t.shape)
-    L = char_line_integrals(lat, values,
-                            np.reshape([-1.0, 1.0, 1.0, -1.0], (4,) + (1,) * t.ndim),
-                            np.stack((eta, -om, r - t, t - r)),
-                            np.stack((t_star, zero, s, zero)),
-                            np.stack((t, t_star, t, s)))
-    g1 = -om_dot * L[1] + L[0]
-    g2 = -L[3] + L[2]
+    L = _segment_integrals(lat, values, C, np.array([-1.0, 1.0, 1.0, -1.0])[:, None],
+                           np.stack((eta, -om, r - t, s)),
+                           np.stack((t_star, zero, s, zero)),
+                           np.stack((t, t_star, t, s)))
+    g1[far] = -om_dot * L[1] + L[0]
+    g2[far] = -L[3] + L[2]
     if scalar:
         return float(g1), float(g2)
     return g1, g2

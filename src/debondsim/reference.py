@@ -7,6 +7,7 @@ different route, or states an identity the production results must obey:
     integral by iterated quadrature and its exact area;
   * a characteristic line integral sample by sample, and the diagonal
     cumulatives row by row;
+  * the audit's radial energy integrals row by row and segment by segment;
   * the closed-form energy rate at one time, in weighted and in unweighted
     variables;
   * the two routes to the release rate at front speed beta: the kinetic
@@ -25,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .energy_audit import _rim_power
+from .energy_audit import _JUMP_EPS, _energy_integrands, _rim_power
 from .fields import ProblemData
-from .geometry import _TOL, GeometryError, _asarray
+from .geometry import _TOL, GeometryError, _asarray, jump_radii
 from .prescribed import locate_patch
 from .quadrature import CharLattice
 
@@ -227,6 +228,39 @@ def diag_cumulatives(values: np.ndarray, delta: float):
         C[i, 1:] = C[i - 1, :-1] + half * (values[i - 1, :-1] + values[i, 1:])
         D[i, :-1] = D[i - 1, 1:] + half * (values[i - 1, 1:] + values[i, :-1])
     return C, D
+
+
+def row_radial_integrals(patch, rows, wavefronts=()):
+    """(E, a) of ``energy_audit._row_radial_integrals``, one row and one
+    segment at a time: the jump radii of a row (:func:`jump_radii`) cut
+    [0, rho] into segments, each opened and closed by a bank 1e-9 inside
+    its jumps; a segment's trapezoid runs over its bank, its nodes and its
+    bank (or the front point), a bank dropped where a node lies within
+    1e-12 of it, and segments narrower than two banks are left out."""
+    d = patch.lattice.delta
+    E, A = [], []
+    for i in rows:
+        t = int(i) * d
+        rho = float(patch.rho_local(t))
+        edges = [0.0] + jump_radii(wavefronts, patch.t0 + t, rho) + [rho]
+        e_row = a_row = 0.0
+        for a, b in zip(edges[:-1], edges[1:]):
+            if b - a <= 2 * _JUMP_EPS:
+                continue
+            lo = a + _JUMP_EPS if a > 0.0 else a
+            hi = b - _JUMP_EPS if b < rho else b
+            rs = [j * d for j in range(math.ceil(lo / d - 1e-12), math.floor(hi / d + 1e-12) + 1)]
+            if not rs or rs[0] - lo > 1e-12:
+                rs.insert(0, lo)
+            if hi - rs[-1] > 1e-12:
+                rs.append(hi)
+            rs = np.array(rs)
+            e, a_ = _energy_integrands(patch, t, *patch.local_traces(t, rs), rs)
+            e_row += float(np.sum(np.diff(rs) * (e[1:] + e[:-1]) / 2.0))
+            a_row += float(np.sum(np.diff(rs) * (a_[1:] + a_[:-1]) / 2.0))
+        E.append(math.pi * e_row)
+        A.append(a_row)
+    return np.array(E), np.array(A)
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,13 @@ from debondsim.energy_audit import (
 )
 from debondsim import prescribed, quadrature
 from debondsim.fields import ProblemData, Profile, Toughness, to_h_data
-from debondsim.geometry import FrontCurve, GeometryError
+from debondsim.geometry import FrontCurve, GeometryError, corner_wavefronts
 from debondsim.griffith import run
 from debondsim.prescribed import FieldPatch, locate_patch, march
 from debondsim.quadrature import CharLattice
 from debondsim.reference import (
     energy_rate, energy_rate_v_form, err_from_energy_quotient, err_gbeta,
+    row_radial_integrals,
 )
 
 
@@ -80,6 +81,27 @@ def test_friction_nondecreasing_and_consistent():
     fd = (led.A_fric[i + 2] - led.A_fric[i - 2]) / (2 * step)
     a_mid = _row_radial_integrals(patches[0], [i])[1][0]
     assert fd == pytest.approx(2 * math.pi * 1.0 * a_mid, rel=2e-2)
+
+
+def test_row_integrals_match_the_per_row_construction():
+    # the audit builds every row's cells at once; one row and one segment
+    # at a time gives the same sums.  Beside the corner wavefronts, extra
+    # jump lines cross every row at a node, within a bank's width of one,
+    # twice in one cell, twice at one radius and in the front cell
+    data = bump_data(alpha=0.5, v1=Profile.constant(0.2))
+    front = FrontCurve.affine(1.0, 0.3, 2.0, 3.0)
+    d = 1.0 / 64
+    patches = march(data, front, horizon=0.375, delta=d)
+    # (the front cell: rho = (64 + 0.3 k) d on row k, which 70.3 d - t
+    # crosses on row 5 and 73.05 d - t on row 7)
+    extra = [(0.0, 0.375, "-", c * d) for c in (40, 24 + 5e-10 / d, 20.3, 20.6, 70.3, 73.05)]
+    extra += [(0.0, 0.375, "+", c) for c in (-10.5 * d, -10.5 * d, -1.0 + 0.2 * d)]
+    for wavefronts in ([], corner_wavefronts(front, 0.375) + extra):
+        for p in patches:
+            rows = np.arange(p.lattice.nt + 1)
+            for got, ref in zip(_row_radial_integrals(p, rows, wavefronts),
+                                row_radial_integrals(p, rows, wavefronts)):
+                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_debond_dissipation_static_front():
@@ -308,6 +330,22 @@ def test_audit_conservation_first_order_for_jump_data():
     assert rels[0] < 2e-2
     assert rels[1] < 0.65 * rels[0]
     assert rels[2] < 0.65 * rels[1]
+
+
+def test_static_load_edp_second_order():
+    # the static_load benchmark scenario: a rim load on a front that never
+    # moves; its balance defect falls by 4.0 per halving of the step
+    data = ProblemData(R=3.0, rho0=1.0, alpha=0.5, horizon=0.75, w=Profile.sine(0.1, 2.0),
+                       v0=Profile.sine_bump(0.3, 1.0), v1=Profile.zero())
+    tough = Toughness.constant(1e6, rho0=1.0, R=3.0)
+    rels = []
+    for delta in (1.0 / 128, 1.0 / 256, 1.0 / 512):
+        res = run(data, tough, horizon=0.75, delta=delta)
+        assert np.all(res.front.rho_knots == 1.0)
+        rels.append(audit(res.patches, res.front, data, tough).max_rel_edp)
+    assert rels[0] < 2e-5
+    assert rels[1] < rels[0] / 3.5
+    assert rels[2] < rels[1] / 3.5
 
 
 def test_audit_batches_traces_per_patch(monkeypatch):

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from debondsim import quadrature
+from debondsim.dalembert import free_derivatives
 from debondsim.fields import ProblemData, Profile, Toughness, to_h_data
 from debondsim.geometry import FrontCurve, GeometryError, corner_wavefronts, jump_radii
 from debondsim.griffith import StripWorkspace
@@ -505,6 +507,54 @@ def test_trace_matches_row_batch():
     assert direct > 100
 
 
+def test_node_traces_read_the_diagonal_cumulatives(monkeypatch):
+    # every inside node of a patch: rows 0 and nt, column 0 behind the rim
+    # echo (j < i), zero-length legs (all four on row 0, the echo leg where
+    # j >= i), the reflected nodes past i + j = rho0 / delta and a static
+    # front on the lattice column j = 32, where h = 0.  Off the reflection
+    # band the traces are the row-by-row diagonal cumulatives, and only the
+    # reflected nodes send segments through the kernel's end cells
+    data = ProblemData(R=3.0, rho0=0.5, alpha=0.5, horizon=4.0, w=Profile.zero(),
+                       v0=Profile.sine_bump(0.4, 0.5), v1=Profile.constant(0.2))
+    patch = march(data, FrontCurve.constant(0.5, 2.0, 3.0), horizon=0.125,
+                  delta=1.0 / 64)[0]
+    lat, d, F = patch.lattice, patch.lattice.delta, patch.F
+    ii, jj = np.nonzero(lat.inside)
+    t, r = ii * d, jj * d
+    refl = ii + jj > 32
+    front = jj == 32
+    assert lat.nt == 8 and np.count_nonzero(front) == lat.nt + 1
+    assert np.any(refl) and np.any((jj == 0) & (ii > 0)) and np.any((jj >= ii) & (ii > 0))
+
+    segments = []
+    block = quadrature._line_block
+
+    def counted(values, d, C, direction, *args):
+        segments.append(direction.size)
+        return block(values, d, C, direction, *args)
+    monkeypatch.setattr(quadrature, "_line_block", counted)
+    g1, g2 = phi_time_trace(lat, F, t, r)
+    assert sum(segments) == 4 * np.count_nonzero(refl)
+
+    C, D = diag_cumulatives(F, d)
+    echo = np.where(jj < ii, D[np.maximum(ii - jj, 0), 0], 0.0)
+    assert np.max(np.abs(g1 - D[ii, jj])[~refl]) <= 1e-13
+    assert np.max(np.abs(g2 - (C[ii, jj] - echo))[~refl]) <= 1e-13
+    assert np.all(g1[ii == 0] == 0.0) and np.all(g2[ii == 0] == 0.0)
+
+    h, h_t, h_r = patch.local_traces(t, r)
+    d_t, d_r = free_derivatives(patch.waves, t, r)
+    ref_t = d_t + 0.5 * (D[ii, jj] + C[ii, jj] - echo)
+    ref_r = d_r + 0.5 * (D[ii, jj] - C[ii, jj] + echo)
+    assert np.max(np.abs(h_t - ref_t)[~refl]) <= 1e-13
+    assert np.max(np.abs(h_r - ref_r)[~refl]) <= 1e-13
+    assert np.all(h[front] == 0.0)
+    assert np.all(h[~front] == lat.values[ii, jj][~front])
+    for k in np.flatnonzero(refl):
+        assert (g1[k], g2[k]) == pytest.approx(phi_time_trace(lat, F, t[k], r[k]), abs=1e-13)
+        assert (h[k], h_t[k], h_r[k]) == pytest.approx(patch.local_traces(t[k], r[k]), abs=1e-13)
+
+
 def test_trace_consistent_with_cone_difference():
     # centered lattice-step difference of Phi in t approaches g1 + g2 at
     # second order for a smooth field vanishing at the front
@@ -539,3 +589,28 @@ def test_trace_window_precondition():
     lat = make_lattice(nt=64)
     with pytest.raises(GeometryError):
         phi_time_trace(lat, const_field(lat), 0.9, 0.1)
+
+
+def test_trace_errors_name_the_point_and_the_bound():
+    # the first offending point of a batch, with the bound it breaks
+    lat = make_lattice(nt=64)
+    H = const_field(lat)
+    with pytest.raises(GeometryError, match=r"window-local.*\(t, r\) = \(0\.6, 0\.2\)"
+                                            r".*rho0/2 = 0\.5"):
+        phi_time_trace(lat, H, np.array([0.25, 0.6, 0.9]), np.array([0.1, 0.2, 0.3]))
+    with pytest.raises(GeometryError, match=r"beyond the front.*\(t, r\) = \(0\.25, 1\.1\)"
+                                            r".*\[0, 1\.0625\]"):
+        phi_time_trace(lat, H, 0.25, np.array([0.5, 1.1, 1.2]))
+    # the columns end at r = 145/64
+    for direction, end in ((1.0, r"\(0, 2\.5\)"), (-1.0, r"\(0\.1, -0\.05\)")):
+        with pytest.raises(GeometryError, match=r"outside the lattice's columns.*"
+                                                rf"\(t, r\) = {end}.*\[0, 2\.26562\]"):
+            char_line_integrals(lat, H, direction, np.array([0.5, 2.5 if direction > 0 else 0.05]),
+                                0.0, 0.1)
+    data = ProblemData(R=3.0, rho0=1.0, alpha=0.0, horizon=4.0, w=Profile.zero(),
+                       v0=Profile.sine_bump(0.4, 1.0), v1=Profile.zero())
+    patch = march(data, FrontCurve.affine(1.0, 0.5, 2.0, 3.0), horizon=0.125,
+                  delta=1.0 / 32)[0]
+    with pytest.raises(GeometryError, match=r"beyond the front.*\(t, r\) = \(0\.125, 1\.1\)"
+                                            r".*rho\(t\) = 1\.0625"):
+        patch.local_traces(0.125, np.array([0.5, 1.1]))
