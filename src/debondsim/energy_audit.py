@@ -58,8 +58,9 @@ def _row_splits(patch: FieldPatch, t: np.ndarray, rho: np.ndarray, wavefronts):
     all rows: row k's radii ascending, padded with rho[k] to the most any
     row has.  Two wavefronts crossing at one radius give it twice."""
     T = patch.t0 + t
-    X = np.repeat(rho[:, None], len(wavefronts or ()), axis=1)
-    for w, (ta, tb, kind, c) in enumerate(wavefronts or ()):
+    wavefronts = wavefronts or ()
+    X = np.repeat(rho[:, None], len(wavefronts), axis=1)
+    for w, (ta, tb, kind, c) in enumerate(wavefronts):
         r = c - T if kind == "-" else T - c
         hit = (ta - 1e-12 <= T) & (T <= tb + 1e-12) & (1e-9 < r) & (r < rho - 1e-9)
         X[hit, w] = r[hit]
