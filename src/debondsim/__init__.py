@@ -15,12 +15,11 @@ The supported surface is what this module exports:
     :class:`Toughness`, and the errors :class:`GeometryError`,
     :class:`ConvergenceError` and :class:`CompatibilityError`.
 
-Two modules are validation-only and are not loaded by ``import debondsim``:
-:mod:`debondsim.reference` holds the independent cross-checks the tests
-compare against, and :mod:`debondsim.oracle` a finite-difference reference
-solver.  They, and sampled profiles built with
-``Profile.from_samples(..., method="pchip")``, are the only users of scipy:
-a solve and its audit run on numpy alone.
+One module is validation-only and is not loaded by ``import debondsim``:
+:mod:`debondsim.oracle`, a finite-difference reference solver.  It is the
+only user of scipy, which the ``validation`` extra installs; a solve and
+its audit run on numpy alone.  The independent cross-checks the tests
+compare against live with the tests, in ``tests/reference.py``.
 """
 
 from .energy_audit import EnergyLedger, audit

@@ -8,7 +8,8 @@ window-locally: the closed-form expressions hold for small times past the
 owning window's seam and use that window's data traces plus one
 characteristic line integral of the kernel field, never a numerical time
 difference.  The closed-form energy rate and the two release-rate routes
-that the ledger is checked against live in :mod:`debondsim.reference`.
+that the ledger is checked against live with the tests, in
+``tests/reference.py``.
 
 The audited identities:
 
@@ -33,7 +34,7 @@ from typing import List
 import numpy as np
 
 from .fields import ProblemData, Toughness, kappa_eval, v_from_h
-from .geometry import corner_wavefronts
+from .geometry import corner_wavefronts, jump_radii
 from .prescribed import FieldPatch
 
 
@@ -52,23 +53,7 @@ def _energy_integrands(patch: FieldPatch, t_loc: float, h, h_t, h_r, r):
 _JUMP_EPS = 1e-9
 
 
-def _row_splits(patch: FieldPatch, t: np.ndarray, rho: np.ndarray, wavefronts):
-    """Radii in (0, rho) where a corner wavefront crosses each of the rows
-    at window-local times t, from one pass over the wavefront segments for
-    all rows: row k's radii ascending, padded with rho[k] to the most any
-    row has.  Two wavefronts crossing at one radius give it twice."""
-    T = patch.t0 + t
-    wavefronts = wavefronts or ()
-    X = np.repeat(rho[:, None], len(wavefronts), axis=1)
-    for w, (ta, tb, kind, c) in enumerate(wavefronts):
-        r = c - T if kind == "-" else T - c
-        hit = (ta - 1e-12 <= T) & (T <= tb + 1e-12) & (1e-9 < r) & (r < rho - 1e-9)
-        X[hit, w] = r[hit]
-    X.sort(axis=1)
-    return X[:, :np.count_nonzero(X < rho[:, None], axis=1).max(initial=0)]
-
-
-def _row_radial_integrals(patch: FieldPatch, rows, wavefronts=None):
+def _row_radial_integrals(patch: FieldPatch, rows, wavefronts=()):
     """(E, a) of one patch at its local lattice rows ``rows``:
 
         E = pi * int (R - r) (v_t^2 + v_r^2) dr
@@ -83,16 +68,17 @@ def _row_radial_integrals(patch: FieldPatch, rows, wavefronts=None):
     No step loops over rows.  The lattice radii of all rows are one 2-D
     node mask (row i, columns up to j_in(i) = floor(rho(t_i)/delta +
     1e-12)).  One pass over the wavefront segments finds every row's jump
-    radii (:func:`_row_splits`), and the jumps cut the rows into segments,
-    handled for all rows at once by segment index, a few per row; edges
-    closer than two bank widths bound no segment, so a radius crossed twice
-    splits its row once.  A segment's points are its head bank, its nodes
-    and its tail bank (the front point on a row's last segment), a bank
-    only where no node lies within 1e-12 of it.  A node in no segment,
-    within a bank's width of a jump, is traced but bounds no cell.  Every
-    point goes to one ``local_traces`` call for the whole patch.  Sorted by
-    row and radius, consecutive points of one segment bound a cell, and one
-    reduction sums the cells of all rows, each row in ascending radius.
+    radii (:func:`~debondsim.geometry.jump_radii`), and the jumps cut the
+    rows into segments, handled for all rows at once by segment index, a
+    few per row; edges closer than two bank widths bound no segment, so a
+    radius crossed twice splits its row once.  A segment's points are its
+    head bank, its nodes and its tail bank (the front point on a row's last
+    segment), a bank only where no node lies within 1e-12 of it.  A node in
+    no segment, within a bank's width of a jump, is traced but bounds no
+    cell.  Every point goes to one ``local_traces`` call for the whole
+    patch.  Sorted by row and radius, consecutive points of one segment
+    bound a cell, and one reduction sums the cells of all rows, each row in
+    ascending radius.
     """
     lat = patch.lattice
     d = lat.delta
@@ -103,8 +89,8 @@ def _row_radial_integrals(patch: FieldPatch, rows, wavefronts=None):
 
     # segment s of row k runs from edge s to edge s + 1 of: 0, the jumps,
     # rho; the padding repeats rho and leaves empty segments
-    edges = np.concatenate((np.zeros((rows.size, 1)), _row_splits(patch, t, rho, wavefronts),
-                            rho[:, None]), axis=1)
+    jumps = jump_radii(wavefronts, patch.t0 + t, rho)
+    edges = np.concatenate((np.zeros((rows.size, 1)), jumps, rho[:, None]), axis=1)
     a_edge, b_edge = edges[:, :-1], edges[:, 1:]
     valid = b_edge - a_edge > 2 * _JUMP_EPS
     lo = np.where(a_edge > 0.0, a_edge + _JUMP_EPS, a_edge)

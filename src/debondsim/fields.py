@@ -35,11 +35,10 @@ class Profile:
     exact-or-cached cumulative integral from 0.
 
     Closed-form presets keep analytic derivatives and antiderivatives;
-    sampled tables interpolate (monotone cubic by default, linear for
-    solver-internal traces) and integrate their interpolant exactly.  Any
-    other profile on a bounded domain gets a cached cumulative on first
-    use: Simpson sums on a dense grid joined by a cubic Hermite whose node
-    slopes are the profile itself.
+    sampled tables interpolate linearly and integrate their interpolant
+    exactly.  Any other profile on a bounded domain gets a cached
+    cumulative on first use: Simpson sums on a dense grid joined by a cubic
+    Hermite whose node slopes are the profile itself.
     """
 
     def __init__(self, value, deriv=None, cumint=None, domain=(0.0, np.inf),
@@ -171,38 +170,24 @@ class Profile:
                    kind="sine")
 
     @classmethod
-    def from_samples(cls, x, y, method: str = "pchip", deriv_samples=None):
-        """Interpolate samples y at increasing x: ``"pchip"`` (monotone
-        cubic, with derivative, needs scipy) or ``"linear"`` (numpy only,
-        what the solver's seams use).  ``deriv_samples`` gives a piecewise
-        linear derivative."""
+    def from_samples(cls, x, y, deriv_samples=None):
+        """Linear interpolant of samples y at increasing x, integrated
+        exactly; the solver's seam data are built this way.
+        ``deriv_samples`` gives a piecewise linear derivative."""
         x = _asarray(x)
         y = _asarray(y)
-        if method == "pchip":
-            # imported here so that the solver never loads scipy
-            from scipy.interpolate import PchipInterpolator
+        cum = np.concatenate(([0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))))
+        slopes = (y[1:] - y[:-1]) / (x[1:] - x[:-1])
+        last = len(x) - 2
 
-            interp = PchipInterpolator(x, y, extrapolate=True)
-            dfun = interp.derivative()
-            ifun = interp.antiderivative()
-            off = float(ifun(x[0]))
-            prof = cls(interp, deriv=dfun, cumint=lambda s: ifun(s) - off,
-                       domain=(x[0], x[-1]), kind="pchip")
-        elif method == "linear":
-            cum = np.concatenate(([0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))))
-            slopes = (y[1:] - y[:-1]) / (x[1:] - x[:-1])
-            last = len(x) - 2
+        def lin_cum(s):
+            s = _asarray(s)
+            idx = np.minimum(np.maximum(np.searchsorted(x, s, side="right") - 1, 0), last)
+            ds = s - x.take(idx)
+            return cum.take(idx) + y.take(idx) * ds + 0.5 * slopes.take(idx) * ds * ds
 
-            def lin_cum(s):
-                s = _asarray(s)
-                idx = np.minimum(np.maximum(np.searchsorted(x, s, side="right") - 1, 0), last)
-                ds = s - x.take(idx)
-                return cum.take(idx) + y.take(idx) * ds + 0.5 * slopes.take(idx) * ds * ds
-
-            prof = cls(lambda s: np.interp(_asarray(s), x, y),
-                       cumint=lin_cum, domain=(x[0], x[-1]), kind="linear")
-        else:
-            raise ValueError(f"unknown sample interpolation {method!r}")
+        prof = cls(lambda s: np.interp(_asarray(s), x, y),
+                   cumint=lin_cum, domain=(x[0], x[-1]), kind="linear")
         if deriv_samples is not None:
             d = _asarray(deriv_samples)
             prof._deriv = lambda s: np.interp(_asarray(s), x, d)
@@ -385,8 +370,11 @@ def kappa_eval(tough: Toughness, r):
     """Right-continuous evaluation of the toughness at radius offset r."""
     r = _asarray(r)
     lo = tough.breakpoints[0]
-    if np.any(r < lo - 1e-10) or np.any(r >= tough.R):
-        raise ValueError("toughness evaluated outside [rho0, R)")
+    bad = (r < lo - 1e-10) | (r >= tough.R)
+    if np.any(bad):
+        k = np.flatnonzero(bad)[0]
+        raise ValueError(f"toughness evaluated outside [rho0, R): r = {r.flat[k]:.6g} "
+                         f"is outside [{lo:.6g}, {tough.R:.6g})")
     r = np.maximum(r, lo)
     idx = tough.piece_index(r)
     out = np.empty_like(r, dtype=float)

@@ -208,17 +208,17 @@ def corner_wavefronts(front, horizon: float):
     return segs
 
 
-def jump_radii(segs, t: float, rho_t: float):
-    """Radii in (0, rho_t) crossed by a corner wavefront at time t."""
-    out = []
-    for ta, tb, kind, c in segs:
-        if ta - 1e-12 <= t <= tb + 1e-12:
-            r = c - t if kind == "-" else t - c
-            if 1e-9 < r < rho_t - 1e-9:
-                out.append(r)
-    out.sort()
-    dedup = []
-    for r in out:
-        if not dedup or r - dedup[-1] > 1e-10:
-            dedup.append(r)
-    return dedup
+def jump_radii(segs, t, rho_t):
+    """Radii in (0, rho_t) where a corner wavefront crosses each row, at the
+    times ``t`` (1-D) with front widths ``rho_t``, from one pass over the
+    wavefront segments ``segs`` (:func:`corner_wavefronts`) for all rows:
+    row k's radii ascending, padded with rho_t[k] to the most any row has.
+    Two wavefronts crossing at one radius give it twice."""
+    t, rho_t = _asarray(t), _asarray(rho_t)
+    X = np.repeat(rho_t[:, None], len(segs), axis=1)
+    for w, (ta, tb, kind, c) in enumerate(segs):
+        r = c - t if kind == "-" else t - c
+        hit = (ta - 1e-12 <= t) & (t <= tb + 1e-12) & (1e-9 < r) & (r < rho_t - 1e-9)
+        X[hit, w] = r[hit]
+    X.sort(axis=1)
+    return X[:, :np.count_nonzero(X < rho_t[:, None], axis=1).max(initial=0)]

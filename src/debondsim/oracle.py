@@ -21,7 +21,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+
+try:
+    from scipy.linalg import solve_banded
+except ImportError as exc:  # scipy is an optional dependency
+    raise ImportError("debondsim.oracle needs scipy; install it with "
+                      "pip install 'debondsim[validation]'") from exc
 
 from .fields import HData, kernel_prefactor, to_h_data
 from .geometry import GeometryError

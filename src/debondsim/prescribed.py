@@ -16,6 +16,7 @@ coupled solver extends its patches with it after every coupled window.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -26,7 +27,9 @@ import numpy as np
 from .dalembert import TravelingWaves, free_derivatives, free_solution, traveling_decomposition
 from .fields import HData, ProblemData, Profile, kernel_prefactor, to_h_data, v_from_h
 from .geometry import GeometryError, corner_wavefronts, jump_radii
-from .quadrature import CharLattice, char_line_integrals, cone_integrals_batch, phi_time_trace
+from .quadrature import (
+    CharLattice, _line_cumulatives, char_line_integrals, cone_integrals_batch, phi_time_trace,
+)
 
 
 class ConvergenceError(RuntimeError):
@@ -52,7 +55,9 @@ class WindowPlan:
 
     def __post_init__(self):
         if self.contraction_bound >= 1.0:
-            raise ConvergenceError("window is not a certified contraction")
+            raise ConvergenceError(
+                f"window at t_start = {self.t_start:.6g} is not a certified contraction: "
+                f"bound {self.contraction_bound:.6g} >= 1")
 
     @property
     def length(self) -> float:
@@ -127,7 +132,7 @@ def plan_windows(front, alpha: float, i0: int, i1: int,
 # one window
 # ---------------------------------------------------------------------------
 
-FieldSample = namedtuple("FieldSample", "h h_t h_r v v_t v_r u")
+FieldSample = namedtuple("FieldSample", "h h_t h_r v v_t v_r")
 
 
 @dataclass
@@ -158,6 +163,12 @@ class FieldPatch:
     def rho_local(self, t_loc):
         return self.lattice.front.rho(t_loc)
 
+    @functools.cached_property
+    def cumulatives(self) -> np.ndarray:
+        """Both characteristic families' diagonal cumulatives of F, built on
+        first use; the traces and both brackets read them."""
+        return _line_cumulatives(self.F, self.lattice.delta)
+
     # -- local evaluation ---------------------------------------------------
 
     def local_value(self, t_loc, r):
@@ -181,7 +192,7 @@ class FieldPatch:
                 f"{r.flat[k]:.6g}) is past rho(t) = {rho_t.flat[k]:.6g}")
         r = np.minimum(r, rho_t)
         d_t, d_r = free_derivatives(self.waves, t_loc, r)
-        g1, g2 = phi_time_trace(self.lattice, self.F, t_loc, r)
+        g1, g2 = phi_time_trace(self.lattice, self.F, self.cumulatives, t_loc, r)
         h_t = d_t + 0.5 * (g1 + g2)
         h_r = d_r + 0.5 * (g1 - g2)
         i, j, node = self.lattice.node_index(t_loc, r)
@@ -201,7 +212,7 @@ class FieldPatch:
         rho_t = self.rho_local(t_loc)
         s = rho_t - t_loc
         hd = self.hdata
-        line = char_line_integrals(self.lattice, self.F, 1.0, s, 0.0, t_loc)
+        line = char_line_integrals(self.lattice, self.F, self.cumulatives, 1.0, s, 0.0, t_loc)
         out = hd.h0_dot(s) - hd.h1(s) - line
         return float(out) if np.ndim(t_loc) == 0 else out
 
@@ -210,7 +221,7 @@ class FieldPatch:
         reflected characteristic line integral of F, the -45 line from
         (0, t_loc) to the rim; t_loc may be an array."""
         hd = self.hdata
-        line = char_line_integrals(self.lattice, self.F, -1.0, t_loc, 0.0, t_loc)
+        line = char_line_integrals(self.lattice, self.F, self.cumulatives, -1.0, t_loc, 0.0, t_loc)
         out = hd.h0_dot(t_loc) + hd.h1(t_loc) + line
         return float(out) if np.ndim(t_loc) == 0 else out
 
@@ -303,8 +314,8 @@ def _seam_data(patch: FieldPatch, wavefronts) -> HData:
 
     # the end row's nodes, the banks of every seam jump and the front point,
     # in one trace call
-    banks = [r_star + side for r_star in jump_radii(wavefronts, patch.t1, rho_end)
-             for side in (-1e-9, 1e-9)]
+    jumps = jump_radii(wavefronts, [patch.t1], [rho_end])[0]
+    banks = [r_star + side for r_star in jumps[jumps < rho_end] for side in (-1e-9, 1e-9)]
     r_pts = np.concatenate((lat.radii[: j_in + 1], banks, [rho_end]))
     h_pts, ht_pts, hr_pts = patch.local_traces(t_end, r_pts)
 
@@ -326,8 +337,8 @@ def _seam_data(patch: FieldPatch, wavefronts) -> HData:
 
     z_next = hd.z.shifted(patch.window.length, decay)
     h0_s[0] = float(z_next(0.0))  # seam compatibility, exact
-    h0 = Profile.from_samples(rs, h0_s, method="linear", deriv_samples=hd0_s)
-    h1 = Profile.from_samples(rs, h1_s, method="linear")
+    h0 = Profile.from_samples(rs, h0_s, deriv_samples=hd0_s)
+    h1 = Profile.from_samples(rs, h1_s)
     return HData(R=hd.R, rho0=rho_end, alpha=hd.alpha, z=z_next,
                  h0=h0, h1=h1, h0_dot=h0.deriv)
 
@@ -390,4 +401,4 @@ def evaluate_field(patches: List[FieldPatch], t: float, r: float) -> FieldSample
     h, h_t, h_r = s * h_loc, s * ht_loc, s * hr_loc
     v, v_t, v_r = v_from_h(h, h_t, h_r, t, r, hd.R, hd.alpha)
     return FieldSample(h=float(h), h_t=float(h_t), h_r=float(h_r),
-                       v=float(v), v_t=float(v_t), v_r=float(v_r), u=float(v))
+                       v=float(v), v_t=float(v_t), v_r=float(v_r))

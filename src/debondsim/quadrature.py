@@ -33,14 +33,15 @@ where almost all of the audit's trace points lie, each of its segments
 runs along a diagonal from row to row, so its integral is the difference
 of two cumulative reads and reads no row value; only node-free and
 reflected points go through the kernel's end cells.  The front and rim
-brackets of ``prescribed.FieldPatch`` are calls to the kernel too.
+brackets of ``prescribed.FieldPatch`` are calls to the kernel too, and a
+patch builds its cumulatives once for its traces and both brackets.
 
 All quadrature here integrates the piecewise-linear interpolant of the
 node values; off-lattice cuts (the omega edge, fractional endpoints) are
 clipped cell by cell.  The oracles the batch paths are tested against
-live in :mod:`debondsim.reference`: the truncated cone of one apex and its
-integral by iterated quadrature, the per-sample line integral and the
-row-by-row diagonal cumulatives.
+live with the tests, in ``tests/reference.py``: the truncated cone of one
+apex and its integral by iterated quadrature, the per-sample line integral
+and the row-by-row diagonal cumulatives.
 """
 
 from __future__ import annotations
@@ -110,15 +111,14 @@ class CharLattice:
 
     # -- interpolation ----------------------------------------------------
 
-    def row_value(self, arr: np.ndarray, i, r, taper: bool = True):
-        """Linear-in-r value at row(s) i (broadcast against r).  With
-        ``taper`` the interpolant in the cell cut by the front goes to 0 at
-        the front position instead of at the next node."""
+    def row_value(self, arr: np.ndarray, i, r):
+        """Linear-in-r value at row(s) i (broadcast against r), tapered at
+        the front: in the cell the front cuts the interpolant goes to 0 at
+        the front position instead of at the next node, and past the front
+        the value is 0."""
         r = _asarray(r)
         d = self.delta
         plain = _row_interp(arr, i, r / d)
-        if not taper:
-            return plain
         rho_i = self.rho_rows[i]
         j = np.clip(np.floor(r / d + 1e-12).astype(int), 0, self.j_ext - 1)
         r_j = j * d
@@ -128,18 +128,20 @@ class CharLattice:
         out = np.where(cut, tapered, plain)
         return np.where(r > rho_i + 1e-12, 0.0, out)
 
-    def sample(self, arr: np.ndarray, t, r, taper: bool = True):
-        """Bilinear sample (front-aware in r when tapering): linear in t
-        between the row values of the two rows around t."""
+    def sample(self, arr: np.ndarray, t, r):
+        """Bilinear sample, tapered at the front in r (:meth:`row_value`):
+        linear in t between the row values of the two rows around t.  The
+        cone and line oracles of ``tests/reference.py`` read an untapered
+        one of their own."""
         scalar = np.ndim(t) == 0 and np.ndim(r) == 0
         t, r = np.broadcast_arrays(_asarray(t), _asarray(r))
         d = self.delta
         i = np.clip(np.floor(t / d + 1e-12).astype(int), 0, max(self.nt - 1, 0))
         f = t / d - i
-        out = self.row_value(arr, i, r, taper)
+        out = self.row_value(arr, i, r)
         blend = (f > 1e-12) & (self.nt > 0)
         if np.any(blend):
-            v1 = self.row_value(arr, np.minimum(i + 1, self.nt), r, taper)
+            v1 = self.row_value(arr, np.minimum(i + 1, self.nt), r)
             out = np.where(blend, (1.0 - f) * out + f * v1, out)
         return float(out) if scalar else out
 
@@ -287,34 +289,6 @@ def cone_integrals_batch(lat: CharLattice, values: np.ndarray) -> np.ndarray:
 _BLOCK = 8192  # segments per pass of the line kernel
 
 
-def char_line_integrals(lat: CharLattice, values: np.ndarray, direction, offset,
-                        t_start, t_end) -> np.ndarray:
-    """Trapezoid integrals of the field along the characteristic segments
-    r = offset + direction * tau, tau in [t_start, t_end], direction = +-1.
-
-    The arguments broadcast together, one segment per element.  Each
-    segment is sampled at its two end points and at every lattice row
-    strictly between them.  A line on a lattice diagonal (offset within
-    1e-9 cells of a node) reads node values on rows and interpolates along
-    the diagonal between rows; any other line reads linear-in-r row values,
-    and its end points between rows the bilinear sample there.
-
-    The cells between a segment's first and last inside rows are the
-    difference of two reads of the column cumulative of its family's
-    sheared layout (:func:`_line_cumulatives`), on its diagonal, or
-    weighted between the two diagonals around the line; only the two end
-    cells read row values.  A segment along a diagonal whose ends are nodes
-    is exactly such a difference; :func:`phi_time_trace` reads those off
-    the same cumulatives without forming segments.  So past one cumulative
-    per family the work is O(segments), done in blocks of segments so that
-    the temporaries stay a few MB for any batch.  Segments must lie in
-    [0, nt * delta]; one reaching past the columns [0, j_ext * delta], even
-    partway, raises GeometryError, naming its end point and the bound.
-    """
-    return _segment_integrals(lat, values, _line_cumulatives(values, lat.delta),
-                              direction, offset, t_start, t_end)
-
-
 def _line_cumulatives(values: np.ndarray, delta: float) -> np.ndarray:
     """Both families' diagonal cumulatives: C[l, 0, q] integrates the -45
     line r = (q - l) * delta and C[l, 1, q] the +45 line
@@ -322,8 +296,31 @@ def _line_cumulatives(values: np.ndarray, delta: float) -> np.ndarray:
     return column_cumulative(_sheared(values, (-1, 1)), delta)
 
 
-def _segment_integrals(lat, values, C, direction, offset, t_start, t_end):
-    """:func:`char_line_integrals` given both families' cumulatives C."""
+def char_line_integrals(lat: CharLattice, values: np.ndarray, C: np.ndarray, direction,
+                        offset, t_start, t_end) -> np.ndarray:
+    """Trapezoid integrals of the field along the characteristic segments
+    r = offset + direction * tau, tau in [t_start, t_end], direction = +-1.
+
+    C is both families' diagonal cumulatives of ``values``
+    (:func:`_line_cumulatives`), which the caller builds once and keeps.
+    The other arguments broadcast together, one segment per element.  Each
+    segment is sampled at its two end points and at every lattice row
+    strictly between them.  A line on a lattice diagonal (offset within
+    1e-9 cells of a node) reads node values on rows and interpolates along
+    the diagonal between rows; any other line reads linear-in-r row values,
+    and its end points between rows the bilinear sample there.
+
+    The cells between a segment's first and last inside rows are the
+    difference of two reads of C along its family, on its diagonal, or
+    weighted between the two diagonals around the line; only the two end
+    cells read row values.  A segment along a diagonal whose ends are nodes
+    is exactly such a difference; :func:`phi_time_trace` reads those off
+    the same cumulatives without forming segments.  So past the cumulatives
+    the work is O(segments), done in blocks of segments so that the
+    temporaries stay a few MB for any batch.  Segments must lie in
+    [0, nt * delta]; one reaching past the columns [0, j_ext * delta], even
+    partway, raises GeometryError, naming its end point and the bound.
+    """
     args = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (direction, offset, t_start, t_end)))
     shape = args[0].shape
@@ -419,17 +416,19 @@ def _line_block(values, d, C, direction, offset, ta, tb):
 # derivative traces
 # ---------------------------------------------------------------------------
 
-def phi_time_trace(lat: CharLattice, values: np.ndarray, t, r):
+def phi_time_trace(lat: CharLattice, values: np.ndarray, C: np.ndarray, t, r):
     """Boundary line integrals (g1, g2) with Phi_t = g1 + g2 and
     Phi_r = g1 - g2 inside the domain (window-local: t <= rho0 / 2).
 
+    C is both families' diagonal cumulatives of ``values``
+    (:func:`_line_cumulatives`), which the caller builds once and keeps.
     t and r broadcast: floats for one point, arrays for many.  Whether a
     point is a lattice node (i, j) is decided once, from its row and
     column.  At a node off the reflection band (i + j <= rho0 / delta)
-    every segment runs along a diagonal from row to row, so with C and D
-    the +45 and -45 cumulatives of the line kernel (row by row in
-    ``reference.diag_cumulatives``), g1 = D[i, j] and
-    g2 = C[i, j] - D[i - j, 0], the echo leg only behind the rim echo
+    every segment runs along a diagonal from row to row, so with P and M
+    the +45 and -45 cumulatives of C indexed by lattice node (row by row
+    in ``diag_cumulatives`` of ``tests/reference.py``), g1 = M[i, j] and
+    g2 = P[i, j] - M[i - j, 0], the echo leg only behind the rim echo
     (j < i), each a difference of cumulative reads.  Every other point
     (reflected, or off the nodes) sends its four characteristic segments
     through the kernel's segments, all in one batch, on the same
@@ -454,14 +453,13 @@ def phi_time_trace(lat: CharLattice, values: np.ndarray, t, r):
             f"{r.flat[k]:.6g}) is outside [0, rho(t)] = [0, {rho_t.flat[k]:.6g}]")
     r = np.clip(r, 0.0, rho_t)
 
-    d, nt = lat.delta, lat.nt
-    C = _line_cumulatives(values, d)
+    nt = lat.nt
     g1, g2 = np.empty(t.shape), np.empty(t.shape)
     i, j, node = lat.node_index(t, r)
-    # a node off the reflection band: g1 = D[i, j] is its -45 diagonal from
+    # a node off the reflection band: g1 = M[i, j] is its -45 diagonal from
     # row 0, where the cumulatives are 0; g2 is its +45 diagonal from row
     # i_rim = i - j, where it leaves the rim behind the rim echo (from row 0
-    # otherwise), less the echo leg D[i_rim, 0]
+    # otherwise), less the echo leg M[i_rim, 0]
     node &= ~(r > rho0 - t + 1e-14)
     i, j = i[node], j[node]
     i_rim = np.maximum(i - j, 0)
@@ -487,7 +485,7 @@ def phi_time_trace(lat: CharLattice, values: np.ndarray, t, r):
     # from the rim at s = t - r, less the -45 echo leg from (0, s) to the rim
     s = np.where(r < t - 1e-14, t - r, 0.0)
     zero = np.zeros(t.shape)
-    L = _segment_integrals(lat, values, C, np.array([-1.0, 1.0, 1.0, -1.0])[:, None],
+    L = char_line_integrals(lat, values, C, np.array([-1.0, 1.0, 1.0, -1.0])[:, None],
                            np.stack((eta, -om, r - t, s)),
                            np.stack((t_star, zero, s, zero)),
                            np.stack((t, t_star, t, s)))

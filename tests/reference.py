@@ -7,15 +7,15 @@ different route, or states an identity the production results must obey:
     integral by iterated quadrature and its exact area;
   * a characteristic line integral sample by sample, and the diagonal
     cumulatives row by row;
-  * the audit's radial energy integrals row by row and segment by segment;
+  * the radii where a corner wavefront crosses one row, and the audit's
+    radial energy integrals row by row and segment by segment;
   * the closed-form energy rate at one time, in weighted and in unweighted
     variables;
   * the two routes to the release rate at front speed beta: the kinetic
     factor (1 - beta)/(1 + beta) times G0, and the energy quotient;
   * a front given by callables with numerically inverted maps.
 
-No production module imports this one, and ``import debondsim`` does not
-load it.
+It lives with the tests and is not part of the installed package.
 """
 
 from __future__ import annotations
@@ -26,11 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .energy_audit import _JUMP_EPS, _energy_integrands, _rim_power
-from .fields import ProblemData
-from .geometry import _TOL, GeometryError, _asarray, jump_radii
-from .prescribed import locate_patch
-from .quadrature import CharLattice
+from debondsim.energy_audit import _JUMP_EPS, _energy_integrands, _rim_power
+from debondsim.fields import ProblemData
+from debondsim.geometry import _TOL, GeometryError, _asarray
+from debondsim.prescribed import locate_patch
+from debondsim.quadrature import CharLattice, _row_interp
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +116,7 @@ def phi_of(lat: CharLattice, values: np.ndarray, region: ConeRegion) -> float:
             if f < 1e-9:
                 return node(ia, ja)
             return (1.0 - f) * node(ia, ja) + f * node(ia + 1, ja + 1)
-        return float(lat.sample(values, t, r, taper=False))
+        return plain_sample(lat, values, t, r)
 
     def inner(xi: float) -> float:
         eta_lo = max(abs(xi), c)
@@ -167,6 +167,18 @@ def region_area(region: ConeRegion) -> float:
 # characteristic lines
 # ---------------------------------------------------------------------------
 
+def plain_sample(lat: CharLattice, arr: np.ndarray, t: float, r: float) -> float:
+    """Bilinear sample at one point with no taper at the front: the plain
+    linear-in-r interpolant of the two rows around t, linear in t."""
+    d = lat.delta
+    i = min(max(int(math.floor(t / d + 1e-12)), 0), max(lat.nt - 1, 0))
+    f = t / d - i
+    v = float(_row_interp(arr, i, r / d))
+    if f > 1e-12 and lat.nt > 0:
+        v = (1.0 - f) * v + f * float(_row_interp(arr, min(i + 1, lat.nt), r / d))
+    return v
+
+
 def diag_line_integral(lat: CharLattice, arr: np.ndarray, t0: float, r0: float,
                        direction: int, length: float) -> float:
     """Trapezoid of the field along the segment r(tau) = r0 + direction*(tau - t0),
@@ -196,13 +208,13 @@ def diag_line_integral(lat: CharLattice, arr: np.ndarray, t0: float, r0: float,
         if abs(i_f - i0) < 1e-9:
             if aligned:
                 return node(i0, int(round(r / d)))
-            return float(lat.sample(arr, i0 * d, r, taper=False))
+            return plain_sample(lat, arr, i0 * d, r)
         if aligned:
             ia = int(math.floor(i_f + 1e-12))
             f = i_f - ia
             ja = int(round(k_base)) + direction * ia
             return (1.0 - f) * node(ia, ja) + f * node(ia + 1, ja + direction)
-        return float(lat.sample(arr, t, r, taper=False))
+        return plain_sample(lat, arr, t, r)
 
     i_first = int(math.ceil(t0 / d - 1e-12))
     i_last = int(math.floor(t1 / d + 1e-12))
@@ -228,6 +240,23 @@ def diag_cumulatives(values: np.ndarray, delta: float):
         C[i, 1:] = C[i - 1, :-1] + half * (values[i - 1, :-1] + values[i, 1:])
         D[i, :-1] = D[i - 1, 1:] + half * (values[i - 1, 1:] + values[i, :-1])
     return C, D
+
+
+def jump_radii(segs, t: float, rho_t: float):
+    """Radii in (0, rho_t) crossed by a corner wavefront at time t, one
+    segment at a time, ascending, radii within 1e-10 of each other merged."""
+    out = []
+    for ta, tb, kind, c in segs:
+        if ta - 1e-12 <= t <= tb + 1e-12:
+            r = c - t if kind == "-" else t - c
+            if 1e-9 < r < rho_t - 1e-9:
+                out.append(r)
+    out.sort()
+    dedup = []
+    for r in out:
+        if not dedup or r - dedup[-1] > 1e-10:
+            dedup.append(r)
+    return dedup
 
 
 def row_radial_integrals(patch, rows, wavefronts=()):

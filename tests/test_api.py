@@ -2,14 +2,18 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import debondsim
 
 PACKAGE = Path(debondsim.__file__).resolve().parent
-VALIDATION_ONLY = ("reference", "oracle")
+TESTS = Path(__file__).resolve().parent
+VALIDATION_ONLY = ("oracle",)
 
 SURFACE = [
     "run", "audit", "march", "evaluate_field",
@@ -25,14 +29,19 @@ def test_all_is_pinned_and_resolves():
         assert getattr(debondsim, name) is not None, name
 
 
-def fresh_modules(code: str) -> list:
-    """Run ``code`` in a fresh interpreter with this package on its path
-    and return the sorted names in its ``sys.modules`` afterwards."""
-    code += "\nimport sys\nprint(sorted(sys.modules))"
+def fresh(*args) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with ``args`` and this package on its path."""
     path = os.pathsep.join(filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": path}).stdout
-    return ast.literal_eval(out.strip().splitlines()[-1])
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+def fresh_modules(code: str) -> list:
+    """The sorted names in a fresh interpreter's ``sys.modules`` after it
+    runs ``code``."""
+    done = fresh("-c", code + "\nimport sys\nprint(sorted(sys.modules))")
+    done.check_returncode()
+    return ast.literal_eval(done.stdout.strip().splitlines()[-1])
 
 
 def test_import_does_not_load_validation_modules():
@@ -43,30 +52,44 @@ def test_import_does_not_load_validation_modules():
 
 
 def test_run_and_audit_load_no_scipy():
-    # scipy is needed by the validation modules and by sampled profiles
-    # with method="pchip" only; a solve and its audit must not import it
-    loaded = fresh_modules("""
-import debondsim as ds
-data = ds.ProblemData(R=2.0, rho0=1.0, alpha=0.5, horizon=0.25, w=ds.Profile.zero(),
-                      v0=ds.Profile.sine_bump(0.9, 1.0), v1=ds.Profile.constant(-0.8))
-tough = ds.Toughness.constant(0.02, rho0=1.0, R=2.0)
-res = ds.run(data, tough, horizon=0.25, delta=1.0 / 32)
-assert res.front.rho_knots[-1] > 1.0
-ds.audit(res.patches, res.front, data, tough)
-""")
-    assert "debondsim.energy_audit" in loaded
-    assert not [m for m in loaded if m == "scipy" or m.startswith("scipy.")]
+    # a fresh interpreter refuses every scipy import through sys.meta_path,
+    # then imports the package, solves and audits (tests/scipy_free_run.py;
+    # CI runs the same script against a bare install)
+    done = fresh(str(TESTS / "scipy_free_run.py"))
+    assert done.returncode == 0, done.stderr
+    assert str(PACKAGE) in done.stdout and "without scipy" in done.stdout
 
 
-def test_no_production_module_imports_reference():
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.stem == "reference":
+def third_party_imports(path: Path) -> set:
+    """Top-level names of the absolute imports in one module that are
+    neither the standard library nor this package."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
             continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ImportFrom):
-                names = [node.module or ""] + [a.name for a in node.names]
-            elif isinstance(node, ast.Import):
-                names = [a.name for a in node.names]
-            else:
-                continue
-            assert not any(n.split(".")[-1] == "reference" for n in names), path.name
+        found |= {n.split(".")[0] for n in names}
+    return found - set(sys.stdlib_module_names) - {"debondsim"}
+
+
+def requirement_names(reqs) -> set:
+    return {re.match(r"[A-Za-z0-9_.-]+", r).group().lower().replace("-", "_") for r in reqs}
+
+
+def test_every_third_party_import_is_declared():
+    # the runtime modules import only what `dependencies` installs; the
+    # validation modules may also import what the `validation` extra adds
+    tomllib = pytest.importorskip("tomllib")
+    with (TESTS.parent / "pyproject.toml").open("rb") as fh:
+        project = tomllib.load(fh)["project"]
+    runtime = requirement_names(project["dependencies"])
+    validation = requirement_names(project["optional-dependencies"]["validation"])
+    assert runtime == {"numpy"}
+    assert validation == {"scipy"}
+    for path in sorted(PACKAGE.glob("*.py")):
+        allowed = runtime | validation if path.stem in VALIDATION_ONLY else runtime
+        assert third_party_imports(path) <= allowed, path.name
+    assert third_party_imports(PACKAGE / "oracle.py") == {"numpy", "scipy"}

@@ -12,7 +12,7 @@ from debondsim.geometry import FrontCurve, GeometryError, corner_wavefronts
 from debondsim.griffith import run
 from debondsim.prescribed import FieldPatch, locate_patch, march
 from debondsim.quadrature import CharLattice
-from debondsim.reference import (
+from reference import (
     energy_rate, energy_rate_v_form, err_from_energy_quotient, err_gbeta,
     row_radial_integrals,
 )
@@ -381,6 +381,27 @@ def test_audit_batches_traces_per_patch(monkeypatch):
     # local_traces reads h at the wavefront banks with one sample call
     for name in ("sample", "phi_time_trace", "local_traces", "front_bracket", "rim_bracket"):
         assert calls.get(name, 0) <= n, name
+
+
+def test_one_cumulative_build_per_patch(monkeypatch):
+    # a patch's traces, front bracket and rim bracket (the rim load makes
+    # the audit read it) share one cached build of its diagonal
+    # cumulatives: over a run and its audit, at most one build per patch
+    data = bump_data(amp=0.3, alpha=0.5, w=Profile.sine(0.1, 2.0))
+    tough = Toughness.constant(0.15, rho0=1.0, R=3.0)
+    builds = []
+    build = quadrature._line_cumulatives
+
+    def counted(values, delta):
+        builds.append(values.shape)
+        return build(values, delta)
+    monkeypatch.setattr(quadrature, "_line_cumulatives", counted)
+    monkeypatch.setattr(prescribed, "_line_cumulatives", counted)
+    res = run(data, tough, horizon=0.375, delta=1.0 / 128)
+    audit(res.patches, res.front, data, tough)
+    assert len(res.patches) > 1
+    assert len(builds) <= len(res.patches)
+    assert sorted(builds) == sorted(p.F.shape for p in res.patches)
 
 
 def test_audit_series_shapes():

@@ -75,7 +75,7 @@ def test_linear_cumint_matches_per_element_slopes(n, seed):
     slope = (y[idx + 1] - y0) / (x[idx + 1] - x0)
     ds = s - x0
     expect = cum[idx] + y0 * ds + 0.5 * slope * ds * ds
-    p = Profile.from_samples(x, y, method="linear")
+    p = Profile.from_samples(x, y)
     assert np.array_equal(p.cumint(s), expect)
     assert p.cumint(s[0]).shape == () and p.cumint(s[0]) == expect[0]
 
@@ -83,17 +83,10 @@ def test_linear_cumint_matches_per_element_slopes(n, seed):
 def test_linear_samples_exact_pl_integral():
     x = np.array([0.0, 0.5, 1.0, 2.0])
     y = np.array([1.0, 2.0, 0.0, 4.0])
-    p = Profile.from_samples(x, y, method="linear")
+    p = Profile.from_samples(x, y)
     assert p.cumint(0.25) == pytest.approx(0.25 * (1.0 + 1.5) / 2)
     assert p.cumint(1.0) == pytest.approx(0.75 + 0.5)
     assert p(0.75) == pytest.approx(1.0)
-
-
-def test_pchip_samples_have_derivative():
-    x = np.linspace(0, 1, 9)
-    p = Profile.from_samples(x, x ** 2, method="pchip")
-    assert p.deriv(0.5) == pytest.approx(1.0, abs=5e-2)
-    assert p.cumint(1.0) == pytest.approx(1.0 / 3.0, abs=1e-3)
 
 
 def test_repeated_shifts_match_direct_evaluation():

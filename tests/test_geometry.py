@@ -4,11 +4,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from debondsim.geometry import FrontCurve, GeometryError
-from debondsim.reference import (
+from debondsim.geometry import FrontCurve, GeometryError, corner_wavefronts, jump_radii
+from reference import (
     OMEGA1, OMEGA2, OMEGA3,
     ClosedFormFront, annulus_area_derivative, cone_region, region_area,
 )
+from reference import jump_radii as jump_radii_one_row
 
 
 def make_front(kind="piecewise", R=3.0):
@@ -333,3 +334,25 @@ def test_annulus_area_derivative_finite_difference():
     eps = 1e-6
     fd = (area(0.5 + eps) - area(0.5 - eps)) / (2 * eps)
     assert annulus_area_derivative(0.5, R) == pytest.approx(fd, rel=1e-9)
+
+
+# -- corner wavefronts --------------------------------------------------------
+
+def test_jump_radii_of_all_rows_match_the_row_loop():
+    # every row of a front off which both corner wavefronts bounce, in one
+    # call, against the one-row loop, which merges radii within 1e-10 of
+    # each other; the two wavefronts cross at r = 0.5 on row 64
+    front = make_front()
+    wf = corner_wavefronts(front, 2.0)
+    assert len(wf) == 4
+    t = np.arange(257) / 128
+    rho = front.rho(t)
+    X = jump_radii(wf, t, rho)
+    assert X.shape[1] >= 2
+    for k in range(t.size):
+        row = X[k][X[k] < rho[k]]
+        assert np.all(X[k][row.size:] == rho[k])
+        merged = row[np.diff(row, prepend=-1.0) > 1e-10]
+        assert merged.tolist() == jump_radii_one_row(wf, t[k], rho[k])
+    assert X[64].tolist() == [0.5, 0.5]
+    assert jump_radii((), t, rho).shape == (t.size, 0)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from debondsim.dalembert import free_solution
-from debondsim.fields import HData, ProblemData, Profile, to_h_data
+from debondsim.fields import HData, ProblemData, Profile, Toughness, kappa_eval, to_h_data
 from debondsim.geometry import FrontCurve, GeometryError
 from debondsim.prescribed import (
     ConvergenceError, WindowPlan, _Workspace, apply_L,
@@ -61,6 +61,18 @@ def test_window_plan_rejects_uncertified():
     with pytest.raises(ConvergenceError):
         WindowPlan(t_start=0.0, t_end=1.0, contraction_bound=1.5,
                    delta=1.0 / 64)
+
+
+def test_errors_name_where_they_happened():
+    # the uncertified window names its start and its bound; the toughness
+    # names the first radius outside its interval and both ends
+    with pytest.raises(ConvergenceError, match=r"t_start = 0\.25 .*bound 1\.5 >= 1"):
+        WindowPlan(t_start=0.25, t_end=0.5, contraction_bound=1.5, delta=1.0 / 64)
+    tough = Toughness.constant(1.0, rho0=1.0, R=3.0)
+    with pytest.raises(ValueError, match=r"outside \[rho0, R\): r = 0\.5 is outside \[1, 3\)"):
+        kappa_eval(tough, np.array([1.5, 0.5, 3.5]))
+    with pytest.raises(ValueError, match=r"r = 3 is outside \[1, 3\)"):
+        kappa_eval(tough, 3.0)
 
 
 def test_contraction_bound_under_one_for_certified_step():
@@ -260,7 +272,7 @@ def test_evaluate_front_value_zero():
     for t in (0.1, 0.2):
         s = evaluate_field(patches, t, float(front.rho(t)))
         assert abs(s.h) < 1e-10
-        assert abs(s.u) < 1e-10
+        assert abs(s.v) < 1e-10
 
 
 def test_evaluate_outside_raises():

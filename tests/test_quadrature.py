@@ -8,15 +8,15 @@ from hypothesis import strategies as st
 from debondsim import quadrature
 from debondsim.dalembert import free_derivatives
 from debondsim.fields import ProblemData, Profile, Toughness, to_h_data
-from debondsim.geometry import FrontCurve, GeometryError, corner_wavefronts, jump_radii
+from debondsim.geometry import FrontCurve, GeometryError, corner_wavefronts
 from debondsim.griffith import StripWorkspace
 from debondsim.prescribed import march
 from debondsim.quadrature import (
     CharLattice, char_line_integrals, cone_integrals_batch, phi_time_trace,
     sheared_cone_integrals,
 )
-from debondsim.reference import (
-    cone_region, diag_cumulatives, diag_line_integral, phi_of, region_area,
+from reference import (
+    cone_region, diag_cumulatives, diag_line_integral, jump_radii, phi_of, region_area,
 )
 
 
@@ -33,6 +33,17 @@ def fill(lat, fun):
 
 def const_field(lat, c=1.0):
     return lat.masked(np.full((lat.nt + 1, lat.j_ext + 1), c))
+
+
+def line_integrals(lat, values, *segments):
+    """char_line_integrals with the cumulatives built for this one call."""
+    return char_line_integrals(lat, values, quadrature._line_cumulatives(values, lat.delta),
+                               *segments)
+
+
+def trace(lat, values, t, r):
+    """phi_time_trace with the cumulatives built for this one call."""
+    return phi_time_trace(lat, values, quadrature._line_cumulatives(values, lat.delta), t, r)
 
 
 # -- lattice ----------------------------------------------------------------
@@ -69,25 +80,23 @@ def test_row_value_tapers_to_front():
 def test_sample_matches_pointwise_loop():
     # the vectorised bilinear sample against the per-point loop it replaced,
     # on rows, between rows, on the last row, in the front cell and beyond
-    # the front, with and without the taper
+    # the front
     lat = make_lattice(delta=1.0 / 32, nt=8, speed=0.3, rho0=1.0 + 0.4 / 32)
     H = fill(lat, lambda t, r: np.cos(1.3 * t + 0.2) * (1.0 + r * r))
     d = lat.delta
     ts = np.array([0.0, 0.5 * d, 3 * d, 3.7 * d, 8 * d - 1e-14, 8 * d])
     rs = np.linspace(0.0, float(lat.front.rho(8 * d)) + 2 * d, 23)
     T, Rr = np.meshgrid(ts, rs, indexing="ij")
-    for taper in (True, False):
-        ref = np.empty(T.shape)
-        for idx in np.ndindex(T.shape):
-            t, r = T[idx], Rr[idx]
-            i = min(max(int(np.floor(t / d + 1e-12)), 0), lat.nt - 1)
-            f = t / d - i
-            v0 = float(lat.row_value(H, i, r, taper))
-            ref[idx] = v0 if f <= 1e-12 else (1.0 - f) * v0 + f * float(
-                lat.row_value(H, i + 1, r, taper))
-        got = lat.sample(H, T, Rr, taper)
-        assert np.max(np.abs(got - ref)) <= 1e-15
-        assert lat.sample(H, float(T[2, 5]), float(Rr[2, 5]), taper) == got[2, 5]
+    ref = np.empty(T.shape)
+    for idx in np.ndindex(T.shape):
+        t, r = T[idx], Rr[idx]
+        i = min(max(int(np.floor(t / d + 1e-12)), 0), lat.nt - 1)
+        f = t / d - i
+        v0 = float(lat.row_value(H, i, r))
+        ref[idx] = v0 if f <= 1e-12 else (1.0 - f) * v0 + f * float(lat.row_value(H, i + 1, r))
+    got = lat.sample(H, T, Rr)
+    assert np.max(np.abs(got - ref)) <= 1e-15
+    assert lat.sample(H, float(T[2, 5]), float(Rr[2, 5])) == got[2, 5]
 
 
 # -- single-apex cone integrals ----------------------------------------------
@@ -311,7 +320,7 @@ def test_batch_zero_outside():
 
 def test_line_integral_constant():
     lat = make_lattice(nt=64)
-    val = char_line_integrals(lat, const_field(lat), 1.0, 0.1, 0.0, 0.7)
+    val = line_integrals(lat, const_field(lat), 1.0, 0.1, 0.0, 0.7)
     assert val == pytest.approx(0.7, abs=1e-13)
 
 
@@ -319,7 +328,7 @@ def test_line_integral_linear_exact():
     lat = make_lattice(nt=32)
     H = fill(lat, lambda t, r: t * np.ones_like(r))
     t_len = 0.375
-    val = char_line_integrals(lat, H, 1.0, 0.25, 0.0, t_len)
+    val = line_integrals(lat, H, 1.0, 0.25, 0.0, t_len)
     assert val == pytest.approx(t_len ** 2 / 2.0, abs=1e-13)
 
 
@@ -327,9 +336,9 @@ def test_line_integral_additive():
     lat = make_lattice(nt=32)
     H = fill(lat, lambda t, r: np.cos(t) * (1 + r))
     split = 10 * lat.delta
-    whole = char_line_integrals(lat, H, 1.0, 0.25, 0.0, 0.4)
-    a = char_line_integrals(lat, H, 1.0, 0.25, 0.0, split)
-    b = char_line_integrals(lat, H, 1.0, 0.25, split, 0.4)
+    whole = line_integrals(lat, H, 1.0, 0.25, 0.0, 0.4)
+    a = line_integrals(lat, H, 1.0, 0.25, 0.0, split)
+    b = line_integrals(lat, H, 1.0, 0.25, split, 0.4)
     assert whole == pytest.approx(a + b, abs=1e-13)
 
 
@@ -339,7 +348,7 @@ def test_rim_line_is_the_diagonal_cumulative():
     lat = make_lattice(nt=24, speed=0.2)
     H = fill(lat, lambda t, r: np.sin(2.0 * t + 0.3) * np.cos(1.1 * r) + t)
     _, D = diag_cumulatives(H, lat.delta)
-    lines = char_line_integrals(lat, H, -1.0, lat.times, 0.0, lat.times)
+    lines = line_integrals(lat, H, -1.0, lat.times, 0.0, lat.times)
     assert np.max(np.abs(lines - D[:, 0])) <= 1e-15
 
 
@@ -377,7 +386,7 @@ def test_line_kernel_matches_scalar_oracle(interior, slopes, coef, seed, nt):
     offset = np.where(rng.random(n) < 0.3, np.round(offset / d) * d, offset)  # diagonals
     offset = np.clip(offset, np.where(direction > 0, -t_a, t_b),
                      np.where(direction > 0, r_top - t_b, r_top + t_a))
-    got = char_line_integrals(lat, H, direction, offset, t_a, t_b)
+    got = line_integrals(lat, H, direction, offset, t_a, t_b)
     for k in range(n):
         ref = diag_line_integral(lat, H, t_a[k], offset[k] + direction[k] * t_a[k],
                                  int(direction[k]), t_b[k] - t_a[k])
@@ -393,9 +402,9 @@ def test_line_kernel_matches_scalar_oracle(interior, slopes, coef, seed, nt):
             pts_r += [r_star - 1e-9, r_star + 1e-9]
         pts_t.append(t)
         pts_r.append(rho_t)
-    g1, g2 = phi_time_trace(lat, H, np.array(pts_t), np.array(pts_r))
+    g1, g2 = trace(lat, H, np.array(pts_t), np.array(pts_r))
     for k, (t, r) in enumerate(zip(pts_t, pts_r)):
-        one = phi_time_trace(lat, H, t, r)
+        one = trace(lat, H, t, r)
         assert (g1[k], g2[k]) == pytest.approx(one, abs=1e-13), (t, r)
 
 
@@ -433,11 +442,11 @@ def test_line_integral_refuses_segments_past_the_columns():
     assert lat.j_ext * lat.delta == pytest.approx(1.34375)
     for direction, offset in ((1.0, 2.0), (1.0, -0.5), (-1.0, -0.5), (-1.0, 2.0)):
         with pytest.raises(GeometryError):
-            char_line_integrals(lat, H, direction, offset, 0.0, 0.1)
+            line_integrals(lat, H, direction, offset, 0.0, 0.1)
     for direction, offset, length in ((1.0, 1.3, 0.2), (-1.0, 0.1, 0.25)):
         with pytest.raises(GeometryError):
-            char_line_integrals(lat, H, direction, offset, 0.0, length)
-    assert char_line_integrals(lat, H, 1.0, 1.3, 0.0, 0.04375) == \
+            line_integrals(lat, H, direction, offset, 0.0, length)
+    assert line_integrals(lat, H, 1.0, 1.3, 0.0, 0.04375) == \
         pytest.approx(0.04375, abs=1e-15)
 
 
@@ -454,7 +463,7 @@ def test_line_kernel_memory_is_linear_in_segments():
     offset = np.where(direction > 0, offset, offset + T)
     tracemalloc.start()
     try:
-        got = char_line_integrals(lat, H, direction, offset, 0.0, T)
+        got = line_integrals(lat, H, direction, offset, 0.0, T)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -468,18 +477,18 @@ def test_line_kernel_memory_is_linear_in_segments():
 
 def test_trace_zero_field():
     lat = make_lattice(nt=16)
-    assert phi_time_trace(lat, lat.blank(), 0.25, 0.5) == (0.0, 0.0)
+    assert trace(lat, lat.blank(), 0.25, 0.5) == (0.0, 0.0)
 
 
 def test_trace_g1_first_branch_constant():
     lat = make_lattice(nt=32, speed=0.2)
-    g1, _ = phi_time_trace(lat, const_field(lat), 0.4, 0.3)
+    g1, _ = trace(lat, const_field(lat), 0.4, 0.3)
     assert g1 == pytest.approx(0.4, abs=1e-13)
 
 
 def test_trace_g2_echo_branch_constant():
     lat = make_lattice(nt=32, speed=0.2)
-    _, g2 = phi_time_trace(lat, const_field(lat), 0.5, 0.2)
+    _, g2 = trace(lat, const_field(lat), 0.5, 0.2)
     assert g2 == pytest.approx(2 * 0.2 - 0.5, abs=1e-13)
 
 
@@ -493,10 +502,10 @@ def test_trace_matches_row_batch():
     C, D = diag_cumulatives(H, lat.delta)
     ii, jj = np.nonzero(lat.inside[[0, 3, 9, 16]])
     ii = np.array([0, 3, 9, 16])[ii]
-    g1_batch, g2_batch = phi_time_trace(lat, H, ii * lat.delta, jj * lat.delta)
+    g1_batch, g2_batch = trace(lat, H, ii * lat.delta, jj * lat.delta)
     direct = 0
     for k, (i, j) in enumerate(zip(ii, jj)):
-        g1, g2 = phi_time_trace(lat, H, i * lat.delta, j * lat.delta)
+        g1, g2 = trace(lat, H, i * lat.delta, j * lat.delta)
         assert g1_batch[k] == pytest.approx(g1, abs=1e-12), (i, j)
         assert g2_batch[k] == pytest.approx(g2, abs=1e-12), (i, j)
         if i + j <= lat.front.rho0 / lat.delta:
@@ -533,7 +542,7 @@ def test_node_traces_read_the_diagonal_cumulatives(monkeypatch):
         segments.append(direction.size)
         return block(values, d, C, direction, *args)
     monkeypatch.setattr(quadrature, "_line_block", counted)
-    g1, g2 = phi_time_trace(lat, F, t, r)
+    g1, g2 = phi_time_trace(lat, F, patch.cumulatives, t, r)
     assert sum(segments) == 4 * np.count_nonzero(refl)
 
     C, D = diag_cumulatives(F, d)
@@ -551,7 +560,7 @@ def test_node_traces_read_the_diagonal_cumulatives(monkeypatch):
     assert np.all(h[front] == 0.0)
     assert np.all(h[~front] == lat.values[ii, jj][~front])
     for k in np.flatnonzero(refl):
-        assert (g1[k], g2[k]) == pytest.approx(phi_time_trace(lat, F, t[k], r[k]), abs=1e-13)
+        assert (g1[k], g2[k]) == pytest.approx(trace(lat, F, t[k], r[k]), abs=1e-13)
         assert (h[k], h_t[k], h_r[k]) == pytest.approx(patch.local_traces(t[k], r[k]), abs=1e-13)
 
 
@@ -567,7 +576,7 @@ def test_trace_consistent_with_cone_difference():
         reg_p = cone_region(lat.front, (i0 + 1) * delta, r0)
         reg_m = cone_region(lat.front, (i0 - 1) * delta, r0)
         fd = (phi_of(lat, H, reg_p) - phi_of(lat, H, reg_m)) / (2 * delta)
-        g1, g2 = phi_time_trace(lat, H, t0, r0)
+        g1, g2 = trace(lat, H, t0, r0)
         errs.append(abs(fd - (g1 + g2)))
     assert errs[1] < 0.35 * errs[0] + 1e-12
 
@@ -581,14 +590,14 @@ def test_trace_r_derivative_against_difference():
     reg_p = cone_region(lat.front, t0, (j0 + 1) * delta)
     reg_m = cone_region(lat.front, t0, (j0 - 1) * delta)
     fd = (phi_of(lat, H, reg_p) - phi_of(lat, H, reg_m)) / (2 * delta)
-    g1, g2 = phi_time_trace(lat, H, t0, r0)
+    g1, g2 = trace(lat, H, t0, r0)
     assert fd == pytest.approx(g1 - g2, abs=2e-4)
 
 
 def test_trace_window_precondition():
     lat = make_lattice(nt=64)
     with pytest.raises(GeometryError):
-        phi_time_trace(lat, const_field(lat), 0.9, 0.1)
+        trace(lat, const_field(lat), 0.9, 0.1)
 
 
 def test_trace_errors_name_the_point_and_the_bound():
@@ -597,15 +606,15 @@ def test_trace_errors_name_the_point_and_the_bound():
     H = const_field(lat)
     with pytest.raises(GeometryError, match=r"window-local.*\(t, r\) = \(0\.6, 0\.2\)"
                                             r".*rho0/2 = 0\.5"):
-        phi_time_trace(lat, H, np.array([0.25, 0.6, 0.9]), np.array([0.1, 0.2, 0.3]))
+        trace(lat, H, np.array([0.25, 0.6, 0.9]), np.array([0.1, 0.2, 0.3]))
     with pytest.raises(GeometryError, match=r"beyond the front.*\(t, r\) = \(0\.25, 1\.1\)"
                                             r".*\[0, 1\.0625\]"):
-        phi_time_trace(lat, H, 0.25, np.array([0.5, 1.1, 1.2]))
+        trace(lat, H, 0.25, np.array([0.5, 1.1, 1.2]))
     # the columns end at r = 145/64
     for direction, end in ((1.0, r"\(0, 2\.5\)"), (-1.0, r"\(0\.1, -0\.05\)")):
         with pytest.raises(GeometryError, match=r"outside the lattice's columns.*"
                                                 rf"\(t, r\) = {end}.*\[0, 2\.26562\]"):
-            char_line_integrals(lat, H, direction, np.array([0.5, 2.5 if direction > 0 else 0.05]),
+            line_integrals(lat, H, direction, np.array([0.5, 2.5 if direction > 0 else 0.05]),
                                 0.0, 0.1)
     data = ProblemData(R=3.0, rho0=1.0, alpha=0.0, horizon=4.0, w=Profile.zero(),
                        v0=Profile.sine_bump(0.4, 1.0), v1=Profile.zero())
