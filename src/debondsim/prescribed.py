@@ -5,9 +5,11 @@ Each marching window solves the representation identity
     h = A + (1/2) Phi[F[h]],      F[h] = (alpha^2 + 1/(R-r)^2)/4 * h
 
 by Picard iteration on a characteristic lattice, starting from the free
-solution A.  Window lengths are chosen so the iteration is a certified
-contraction.  One window loop marches a front in global time: it re-bases
-the data at every seam using the exact derivative trace formulas (never
+solution A.  Each window is the longest whole number of rows, up to a
+geometric cap, whose analytic contraction bound (the smaller of a strip
+estimate and a cone-area bound) is at most 1/2, so every iteration is a
+certified contraction.  One window loop marches a front in global time: it
+re-bases the data at every seam using the exact derivative trace formulas (never
 finite differences), with double knots where a corner wavefront crosses
 the seam, and composes the exponential weight so each window works with
 well-conditioned local values.  :func:`march` runs it from t = 0; the
@@ -68,19 +70,25 @@ class WindowPlan:
         return int(round(self.length / self.delta))
 
 
-def certified_step(rho_k: float, R: float, alpha: float) -> float:
-    """Marching step with a guaranteed contraction, from the window
-    recursion: half the min of rho_k/2, (R-rho_k)/2 and the kernel bound."""
-    kern_term = (4.0 / rho_k) / (alpha * alpha + 4.0 / (R - rho_k) ** 2)
-    return 0.5 * min(0.5 * rho_k, 0.5 * (R - rho_k), kern_term)
+def certified_step(rho_k: float, R: float) -> float:
+    """Geometric cap on a window's length: a quarter of the front's distance
+    to the centre or to the rim, whichever is nearer.  Within twice the cap
+    the strip estimate of :func:`contraction_bound` holds."""
+    return 0.25 * min(rho_k, R - rho_k)
 
 
 def contraction_bound(rho_k: float, R: float, alpha: float, T: float) -> float:
-    """Analytic sup-norm Lipschitz bound of the window operator.
+    """Analytic sup-norm Lipschitz bound of the operator of a window of
+    length T starting with the front at rho_k: the smaller of two bounds.
 
-    The strip estimate rho_k*T/4*(alpha^2 + 4/(R-rho_k)^2) applies for
-    window lengths within the planning cap; very short windows near full
-    debonding fall back on the sharper cone-area bound T^2/8 * max-kernel.
+    The strip estimate rho_k*T/4*(alpha^2 + 4/(R-rho_k)^2) holds for T up to
+    twice the cap of :func:`certified_step`.  The cone-area bound
+    T^2/8 * (alpha^2 + 1/(R-rho_k-T)^2) holds while rho_k + T < R: the
+    backward cone of a point inside the window has area at most T^2, and
+    since the front is subsonic the window stays within r <= rho_k + T,
+    where the kernel (alpha^2 + 1/(R-r)^2)/4, increasing in r, takes its
+    largest value; half the cone integral then gives the T^2/8.  Both are
+    nondecreasing in T, and so is their minimum.
     """
     best = np.inf
     if T <= min(0.5 * rho_k, 0.5 * (R - rho_k)) + 1e-12:
@@ -103,7 +111,13 @@ def _row_count(horizon: float, delta: float) -> int:
 def plan_windows(front, alpha: float, i0: int, i1: int,
                  delta: float) -> List[WindowPlan]:
     """Cover lattice rows i0..i1 of the front's time with certified
-    windows snapped to the lattice."""
+    windows snapped to the lattice.
+
+    Each window takes the most rows, up to the cap of
+    :func:`certified_step`, whose :func:`contraction_bound` is at most 1/2;
+    the bound is nondecreasing in the length, so a bisection finds that
+    count.  A one-row window is accepted with any bound below 0.999.
+    """
     if i1 * delta > front.horizon + 1e-9:
         raise GeometryError("horizon exceeds the front domain")
     R = front.R
@@ -111,20 +125,22 @@ def plan_windows(front, alpha: float, i0: int, i1: int,
     while i0 < i1:
         t0 = i0 * delta
         rho_k = float(front.rho(t0))
-        steps = int(math.floor(certified_step(rho_k, R, alpha) / delta + 1e-9))
-        steps = max(1, min(steps, i1 - i0))
-        while True:
-            T = steps * delta
-            q = contraction_bound(rho_k, R, alpha, T)
-            if q < 0.999 or steps == 1:
-                break
-            steps = max(1, steps // 2)
+        cap = int(math.floor(certified_step(rho_k, R) / delta + 1e-9))
+        lo, hi = 1, max(1, min(cap, i1 - i0))
+        while lo < hi:  # the largest count in [lo, hi] bounded by 1/2, or 1
+            mid = (lo + hi + 1) // 2
+            if contraction_bound(rho_k, R, alpha, mid * delta) <= 0.5:
+                lo = mid
+            else:
+                hi = mid - 1
+        q = contraction_bound(rho_k, R, alpha, lo * delta)
         if q >= 0.999:
             raise ConvergenceError(
-                f"no certified window at t = {t0:.6g} (front too close to the rim)")
-        plans.append(WindowPlan(t_start=t0, t_end=(i0 + steps) * delta,
+                f"no certified window at t = {t0:.6g}: the front at rho = {rho_k:.6g} "
+                f"is too close to the rim R = {R:.6g} (one-row bound {q:.6g} >= 0.999)")
+        plans.append(WindowPlan(t_start=t0, t_end=(i0 + lo) * delta,
                                 contraction_bound=q, delta=delta))
-        i0 += steps
+        i0 += lo
     return plans
 
 

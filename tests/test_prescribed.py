@@ -30,15 +30,19 @@ def zero_data(R=3.0, rho0=1.0, alpha=0.0):
 # -- planning ---------------------------------------------------------------
 
 def test_first_window_length():
-    assert certified_step(1.0, 3.0, 0.0) == pytest.approx(0.25)
+    assert certified_step(1.0, 3.0) == pytest.approx(0.25)
 
 
 def test_window_shrinks_with_damping():
-    # at large alpha the kernel term dominates and the step scales ~ 1/alpha^2
-    s10 = certified_step(1.0, 3.0, 10.0)
-    s20 = certified_step(1.0, 3.0, 20.0)
-    assert s10 == pytest.approx(0.5 * 4.0 / (100.0 + 1.0), rel=1e-12)
-    assert s20 / s10 == pytest.approx(0.25, rel=0.02)
+    # at large alpha the cone-area bound T^2/8 * alpha^2 <= 1/2 sets the
+    # length, which scales ~ 1/alpha (the strip estimate's ~ 1/alpha^2 no
+    # longer limits it)
+    front = FrontCurve.constant(1.0, 1.0, 3.0)
+    lengths = [plan_windows(front, alpha, 0, 256, 1.0 / 1024)[0].length
+               for alpha in (10.0, 20.0, 40.0)]
+    assert lengths[0] == pytest.approx(2.0 / 10.0, rel=0.03)
+    assert lengths[1] / lengths[0] == pytest.approx(0.5, rel=0.05)
+    assert lengths[2] / lengths[1] == pytest.approx(0.5, rel=0.05)
 
 
 def test_plan_covers_horizon():
@@ -73,12 +77,70 @@ def test_errors_name_where_they_happened():
         kappa_eval(tough, np.array([1.5, 0.5, 3.5]))
     with pytest.raises(ValueError, match=r"r = 3 is outside \[1, 3\)"):
         kappa_eval(tough, 3.0)
+    # a front within a lattice step of the rim: no one-row window contracts
+    front = FrontCurve.constant(2.98, 1.0, 3.0)
+    with pytest.raises(ConvergenceError, match=r"no certified window at t = 0\.5: the front at "
+                       r"rho = 2\.98 is too close to the rim R = 3 \(one-row bound 1\.59\d* "
+                       r">= 0\.999\)"):
+        plan_windows(front, 0.0, 32, 64, delta=1.0 / 64)
 
 
-def test_contraction_bound_under_one_for_certified_step():
-    for rho_k, R, alpha in [(1.0, 3.0, 0.0), (1.0, 3.0, 1.0), (2.5, 3.0, 0.5)]:
-        T = certified_step(rho_k, R, alpha)
-        assert contraction_bound(rho_k, R, alpha, T) <= 0.5 + 1e-12
+def _old_first_window_rows(rho_k, R, alpha, rows, delta):
+    """Rows of the first window under the former rule: the strip estimate's
+    step (half the min of rho_k/2, (R-rho_k)/2 and the kernel term), halved
+    while its bound is not below 0.999."""
+    kern_term = (4.0 / rho_k) / (alpha * alpha + 4.0 / (R - rho_k) ** 2)
+    step = 0.5 * min(0.5 * rho_k, 0.5 * (R - rho_k), kern_term)
+    steps = max(1, min(int(math.floor(step / delta + 1e-9)), rows))
+    while steps > 1 and contraction_bound(rho_k, R, alpha, steps * delta) >= 0.999:
+        steps //= 2
+    return steps
+
+
+PLANNER_GRID = [(rho_k, R, alpha, delta)
+                for R in (2.0, 3.0)
+                for rho_k in (0.3, 1.0, R - 1.0, R - 0.5, R - 0.2, R - 0.05)
+                for alpha in (0.0, 0.5, 2.0, 10.0)
+                for delta in (1.0 / 64, 1.0 / 256)]
+
+
+def test_planned_windows_never_shorter_than_the_strip_rule():
+    for rho_k, R, alpha, delta in PLANNER_GRID:
+        front = FrontCurve.constant(rho_k, 1.0, R)
+        plan = plan_windows(front, alpha, 0, 64, delta)[0]
+        assert plan.nt >= _old_first_window_rows(rho_k, R, alpha, 64, delta), \
+            (rho_k, R, alpha, delta)
+
+
+def test_planned_windows_are_the_longest_bounded_by_one_half():
+    # every window of more than one row has a bound of at most 1/2, and one
+    # row more would pass the cap, the rows left or that bound
+    for rho_k, R, alpha, delta in PLANNER_GRID:
+        speed = min(0.9, (R - rho_k - 2 * delta) / 0.5)
+        front = FrontCurve.affine(rho_k, speed, 0.5, R)
+        i1 = int(0.5 / delta)
+        for plan in plan_windows(front, alpha, 0, i1, delta):
+            rho = float(front.rho(plan.t_start))
+            rows_left = i1 - int(round(plan.t_start / delta))
+            cap = int(math.floor(certified_step(rho, R) / delta + 1e-9))
+            q = contraction_bound(rho, R, alpha, plan.nt * delta)
+            assert plan.contraction_bound == q
+            if plan.nt > 1:
+                assert q <= 0.5, (rho_k, R, alpha, delta)
+            if plan.nt < min(cap, rows_left):
+                longer = (plan.nt + 1) * delta
+                assert contraction_bound(rho, R, alpha, longer) > 0.5, (rho_k, R, alpha, delta)
+
+
+def test_window_count_grows_like_log_of_rim_distance():
+    # a near-sonic front that runs to 2 delta of the rim: windows shrink
+    # geometrically towards the rim, so each halving of delta adds a few
+    counts = []
+    for delta in (1.0 / 128, 1.0 / 256, 1.0 / 512):
+        horizon = (1.0 - 2 * delta) / 0.99
+        front = FrontCurve.affine(1.0, 0.99, horizon, 2.0)
+        counts.append(len(plan_windows(front, 0.0, 0, int(horizon / delta), delta)))
+    assert all(b - a <= 4 for a, b in zip(counts[:-1], counts[1:])), counts
 
 
 # -- the window operator ------------------------------------------------------
@@ -93,24 +155,34 @@ def test_apply_L_zero():
 
 
 def test_measured_contraction_below_bound():
-    # sup-norm factor over random pairs sharing boundary data
-    hd = to_h_data(make_data(alpha=1.0))
-    front = FrontCurve.affine(1.0, 0.25, 3.0, 3.0)
-    plan = plan_windows(front, 0.0, 0, 32, delta=1.0 / 32)[0]
-    ws = _Workspace(hd, front.window(plan.t_start, plan.t_end), plan)
-    rng = np.random.default_rng(17)
-    shape = ws.lattice.values.shape
-    for _ in range(20):
-        d12 = rng.normal(size=shape)
-        d12[0, :] = 0.0
-        d12[:, 0] = 0.0
-        d12 = ws.lattice.masked(d12)
-        h1 = ws.free_grid + d12
-        h2 = ws.free_grid
-        out = apply_L(h1, ws) - apply_L(h2, ws)
-        num = float(np.max(np.abs(out)))
-        den = float(np.max(np.abs(d12)))
-        assert num <= plan.contraction_bound * den * (1 + 1e-10)
+    # sup-norm factor over random pairs sharing boundary data; the last
+    # perturbation has one sign, so the cone integrals cannot cancel
+    cases = [  # rho0, alpha, delta, planned rows, strip estimate certifies
+        (1.0, 1.0, 1.0 / 32, 8, True),  # the strip estimate certifies too
+        (2.8, 0.0, 1.0 / 256, 12, False),  # near the rim: only the cone-area bound certifies
+        (1.0, 10.0, 1.0 / 64, 12, False),  # strong damping: likewise
+    ]
+    for rho0, alpha, delta, rows, strip_certifies in cases:
+        hd = to_h_data(make_data(rho0=rho0, alpha=alpha))
+        front = FrontCurve.affine(rho0, 0.25, 0.25, 3.0)
+        plan = plan_windows(front, alpha, 0, int(0.25 / delta), delta)[0]
+        assert plan.nt == rows
+        strip = 0.25 * rho0 * plan.length * (alpha * alpha + 4.0 / (3.0 - rho0) ** 2)
+        assert (strip < 0.999) == strip_certifies
+        ws = _Workspace(hd, front.window(plan.t_start, plan.t_end), plan)
+        rng = np.random.default_rng(17)
+        shape = ws.lattice.values.shape
+        for k in range(20):
+            d12 = rng.normal(size=shape) if k < 19 else np.ones(shape)
+            d12[0, :] = 0.0
+            d12[:, 0] = 0.0
+            d12 = ws.lattice.masked(d12)
+            h1 = ws.free_grid + d12
+            h2 = ws.free_grid
+            out = apply_L(h1, ws) - apply_L(h2, ws)
+            num = float(np.max(np.abs(out)))
+            den = float(np.max(np.abs(d12)))
+            assert num <= plan.contraction_bound * den * (1 + 1e-10), (rho0, alpha)
 
 
 def test_solve_window_zero_data_immediate():
@@ -216,15 +288,20 @@ def test_solve_report_shape():
 @st.composite
 def march_inputs(draw):
     """An admissible front of 1-6 segments (steps in [0.05, 0.2], slopes in
-    [0, 0.9], rho0 in [0.5, 1.5], R = 3), a damping alpha in [0, 1] and a
-    sine-bump amplitude."""
+    [0, 0.9], rho0 in [0.5, 2.7], R = 3), a damping alpha in [0, 10] and a
+    sine-bump amplitude.  Slopes are scaled down where the front would
+    otherwise come within 1/16 (two rows) of the rim."""
     n = draw(st.integers(1, 6))
     dts = np.array(draw(st.lists(st.floats(0.05, 0.2), min_size=n, max_size=n)))
     slopes = np.array(draw(st.lists(st.floats(0.0, 0.9), min_size=n, max_size=n)))
-    rho0 = draw(st.floats(0.5, 1.5))
+    rho0 = draw(st.floats(0.5, 2.7))
+    rise = float(np.sum(slopes * dts))
+    room = 3.0 - 1.0 / 16 - rho0
+    if rise > room:
+        slopes *= room / rise
     ts = np.concatenate(([0.0], np.cumsum(dts)))
     rhos = rho0 + np.concatenate(([0.0], np.cumsum(slopes * dts)))
-    data = ProblemData(R=3.0, rho0=rho0, alpha=draw(st.floats(0.0, 1.0)), horizon=4.0,
+    data = ProblemData(R=3.0, rho0=rho0, alpha=draw(st.floats(0.0, 10.0)), horizon=4.0,
                        w=Profile.zero(), v0=Profile.sine_bump(draw(st.floats(-1.0, 1.0)), rho0),
                        v1=Profile.zero())
     return data, FrontCurve(ts, rhos, 3.0)
