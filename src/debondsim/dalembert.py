@@ -11,6 +11,20 @@ reflection at the moving front via the map omega.  The derivatives of the
 branches are assembled analytically (chain rule through omega), never by
 differencing: the boundary traces feeding the energy rate and the release
 rate must carry no numerical noise.
+
+On a window lattice (dt = dr = delta) each branch takes one value per
+characteristic: node (i, j) lies on the anti-diagonal t + r = (i + j) delta
+and the diagonal t - r = (i - j) delta.  :func:`free_solution` therefore
+evaluates f_plus and f_minus once per line and gathers the node grid from
+the two 1-D arrays; (i + j) delta equals i delta + j delta exactly when
+delta is a power of two, and to rounding otherwise.
+:func:`free_derivatives` takes arbitrary points, so it evaluates each
+branch once per distinct argument value: nodes on one characteristic
+share their argument to the last bit when delta is a power of two, and
+the other points (banks, front points) mostly have values of their own.
+The result is the pointwise one, bitwise, for any delta.  The pointwise
+free solution, with its checks, is the test oracle ``free_solution`` in
+``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -21,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .fields import HData
-from .geometry import GeometryError, _asarray
+from .geometry import _asarray
 
 
 @dataclass(frozen=True)
@@ -91,30 +105,38 @@ def traveling_decomposition(hdata: HData, front) -> TravelingWaves:
                           df_plus=df_plus, df_minus=df_minus, front=front)
 
 
-def free_solution(hdata: HData, front, t, r, check: bool = True):
-    """d'Alembert value f_plus(t + r) + f_minus(t - r) of the free solution
-    at (t, r), which covers pure initial data, the rim reflection through z
-    and the front reflection through omega.  With ``check=False`` points
-    beyond the front evaluate to 0 (the standard extension).
-    """
-    t, r = np.broadcast_arrays(_asarray(t), _asarray(r))
-    inside = r <= front.rho(t) + 1e-12
-    if check and not np.all(inside):
-        raise GeometryError("free solution requested beyond the front")
-    if check and np.any((t > r + 1e-12) & (t + r > hdata.rho0)):
-        raise GeometryError("point beyond the first reflection family")
-    waves = traveling_decomposition(hdata, front)
-    return np.where(inside, waves.f_plus(t + r) + waves.f_minus(t - r), 0.0)
+def free_solution(waves: TravelingWaves, lat) -> np.ndarray:
+    """The free solution at every node of the window lattice ``lat``, 0
+    beyond the front: f_plus on the nt + j_ext + 1 anti-diagonals
+    (i + j) delta, f_minus on the nt + j_ext + 1 diagonals (i - j) delta,
+    gathered as fp[i + j] + fm[i - j + j_ext]."""
+    d, nt, jx = lat.delta, lat.nt, lat.j_ext
+    fp = waves.f_plus(np.arange(nt + jx + 1) * d)
+    fm = waves.f_minus(np.arange(-jx, nt + 1) * d)
+    i, j = np.arange(nt + 1)[:, None], np.arange(jx + 1)
+    return lat.masked(fp[i + j] + fm[i - j + jx])
+
+
+def _once_per_value(branch: Callable, s: np.ndarray) -> np.ndarray:
+    """branch(s) from one call that takes each distinct value of s once."""
+    order = np.argsort(s, axis=None, kind="stable")  # merges the rows' sorted runs
+    ss = s.ravel()[order]
+    first = np.empty(ss.shape, dtype=bool)
+    first[:1] = True
+    np.not_equal(ss[1:], ss[:-1], out=first[1:])
+    out = np.empty(ss.shape)
+    out[order] = branch(ss[first])[np.cumsum(first) - 1]
+    return out.reshape(s.shape)
 
 
 def free_derivatives(waves: TravelingWaves, t, r):
-    """(d_t, d_r) of the free solution; zero beyond the front."""
-    t = _asarray(t)
-    r = _asarray(r)
-    t, r = np.broadcast_arrays(t, r)
+    """(d_t, d_r) of the free solution; zero beyond the front.  Each branch
+    derivative is evaluated once per distinct argument: once per
+    characteristic that lattice nodes share, and once at each other point."""
+    t, r = np.broadcast_arrays(_asarray(t), _asarray(r))
     inside = r <= waves.front.rho(t) + 1e-12
-    fp = waves.df_plus(t + r)
-    fm = waves.df_minus(t - r)
+    fp = _once_per_value(waves.df_plus, t + r)
+    fm = _once_per_value(waves.df_minus, t - r)
     d_t = np.where(inside, fp + fm, 0.0)
     d_r = np.where(inside, fp - fm, 0.0)
     return d_t, d_r

@@ -28,7 +28,7 @@ except ImportError as exc:  # scipy is an optional dependency
     raise ImportError("debondsim.oracle needs scipy; install it with "
                       "pip install 'debondsim[validation]'") from exc
 
-from .fields import HData, kernel_prefactor, to_h_data
+from .fields import HData, kernel_prefactor
 from .geometry import GeometryError
 
 
@@ -106,15 +106,16 @@ class OracleSolution:
         return float((1 - ft) * row0 + ft * row1)
 
 
-def solve_reference(data, front, horizon: float, dy: float,
+def solve_reference(hd: HData, front, horizon: float, dy: float,
                     dt_cfl: float = None) -> OracleSolution:
     """March the transformed equation with an explicit scheme.
 
     Dirichlet rows come from the rim value and the bonded front; the first
     step is seeded from the transformed initial velocity and the equation's
     own initial acceleration.  Raises on CFL or coercivity violations.
+    ``hd`` is the weighted data, :func:`~debondsim.fields.to_h_data` of
+    the problem data.
     """
-    hd = data if isinstance(data, HData) else to_h_data(data)
     rho0, R, alpha = hd.rho0, hd.R, hd.alpha
     if horizon > front.horizon + 1e-12:
         raise GeometryError("horizon exceeds the front domain")

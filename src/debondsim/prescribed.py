@@ -195,7 +195,10 @@ class FieldPatch:
         """(h, h_t, h_r) in window-local variables, exact trace formulas, at
         one point (floats) or at arrays of points (t_loc and r broadcast).
         At a lattice node h is the node value; elsewhere it is the
-        lattice's sample, and 0 on the front."""
+        lattice's sample, and 0 on the front.  The free part comes from one
+        :func:`~debondsim.dalembert.free_derivatives` call, which evaluates
+        each branch once per characteristic the nodes share and once per
+        off-node point (banks, front points)."""
         scalar = np.ndim(t_loc) == 0 and np.ndim(r) == 0
         t_loc, r = np.broadcast_arrays(np.asarray(t_loc, dtype=float),
                                        np.asarray(r, dtype=float))
@@ -243,15 +246,18 @@ class FieldPatch:
 
 
 class _Workspace:
-    """Grids shared by all Picard sweeps of one window."""
+    """Grids shared by all Picard sweeps of one window: the lattice, the
+    window's traveling waves (kept by its patch for the traces), the free
+    solution at every node, the kernel prefactor row and the rim column.
+    The free grid costs one branch evaluation per characteristic of the
+    lattice, not one per node (:func:`~debondsim.dalembert.free_solution`).
+    """
 
     def __init__(self, hdata: HData, front_local, plan: WindowPlan):
         self.lattice = CharLattice(front_local, plan.delta, plan.nt)
         lat = self.lattice
         self.waves = traveling_decomposition(hdata, front_local)
-        tt = lat.times[:, None]
-        rr = lat.radii[None, :]
-        self.free_grid = lat.masked(free_solution(hdata, front_local, tt, rr, check=False))
+        self.free_grid = free_solution(self.waves, lat)
         sigma = np.minimum(lat.radii, hdata.R - 1e-9)
         kern_row = kernel_prefactor(sigma, hdata.R, hdata.alpha)
         self.kern = np.where(lat.radii < hdata.R - 1e-9, kern_row, 0.0)[None, :]

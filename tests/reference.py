@@ -3,6 +3,8 @@
 Each one evaluates a quantity the production path also computes, by a
 different route, or states an identity the production results must obey:
 
+  * the free solution point by point (:func:`free_solution`), each point
+    with its own branch arguments t + r and t - r;
   * the truncated dependence cone of one apex (:func:`cone_region`), its
     integral by iterated quadrature and its exact area;
   * a characteristic line integral sample by sample, and the diagonal
@@ -26,11 +28,31 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
+from debondsim.dalembert import traveling_decomposition
 from debondsim.energy_audit import _JUMP_EPS, _energy_integrands, _rim_power
 from debondsim.fields import ProblemData
 from debondsim.geometry import _TOL, GeometryError, _asarray
 from debondsim.prescribed import locate_patch
 from debondsim.quadrature import CharLattice, _row_interp
+
+
+# ---------------------------------------------------------------------------
+# free solution
+# ---------------------------------------------------------------------------
+
+def free_solution(hdata, front, t, r):
+    """d'Alembert value f_plus(t + r) + f_minus(t - r) of the free solution
+    at points (t, r), which covers pure initial data, the rim reflection
+    through z and the front reflection through omega.  Raises for a point
+    beyond the front or beyond the first reflection family (t > r and
+    t + r > rho0), where the formula no longer holds."""
+    t, r = np.broadcast_arrays(_asarray(t), _asarray(r))
+    if np.any(r > front.rho(t) + 1e-12):
+        raise GeometryError("free solution requested beyond the front")
+    if np.any((t > r + 1e-12) & (t + r > hdata.rho0)):
+        raise GeometryError("point beyond the first reflection family")
+    waves = traveling_decomposition(hdata, front)
+    return waves.f_plus(t + r) + waves.f_minus(t - r)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from debondsim.dalembert import free_derivatives, free_solution, traveling_decomposition
+from debondsim import dalembert
+from debondsim.dalembert import free_derivatives, traveling_decomposition
 from debondsim.fields import HData, Profile
 from debondsim.geometry import FrontCurve, GeometryError
+from debondsim.quadrature import CharLattice
+from reference import free_solution
 
 
 def hdata_zero(rho0=1.0, R=3.0, alpha=0.0):
@@ -24,6 +29,19 @@ def hdata_rich(rho0=1.0, R=3.0):
     h0 = Profile.sine_bump(0.4, rho0)
     return HData(R=R, rho0=rho0, alpha=0.0, z=Profile.sine(0.3, 2.0),
                  h0=h0, h1=Profile.constant(0.25), h0_dot=h0.deriv)
+
+
+def hdata_seam(rho0=1.0, R=3.0):
+    """Data of the kind a seam hands the next window: sampled h0 with a
+    sampled derivative, sampled h1 with a kink, a shifted rim load."""
+    z = Profile.sine(0.3, 2.0).shifted(0.375, 0.9)
+    rs = np.concatenate((np.linspace(0.0, 0.4, 14), np.linspace(0.4 + 1e-9, rho0, 23)))
+    bump = 0.4 * np.sin(np.pi * rs / rho0)
+    h0 = Profile.from_samples(rs, float(z(0.0)) * (1.0 - rs / rho0) + bump,
+                              deriv_samples=-float(z(0.0)) / rho0
+                              + 0.4 * np.pi / rho0 * np.cos(np.pi * rs / rho0))
+    h1 = Profile.from_samples(rs, np.where(rs < 0.4, 0.25, -0.1) * (rho0 - rs))
+    return HData(R=R, rho0=rho0, alpha=0.5, z=z, h0=h0, h1=h1, h0_dot=h0.deriv)
 
 
 def test_zero_data_zero_everywhere():
@@ -172,3 +190,71 @@ def test_wave_operator_stencil_residual_second_order():
 
     r1, r2 = residual(1e-3), residual(5e-4)
     assert r2 < 0.5 * r1 + 1e-9
+
+
+# -- the lattice form -----------------------------------------------------------
+
+@pytest.mark.parametrize("delta, rows", [(1.0 / 64, 32), (1.0 / 100, 50)])
+def test_free_grid_matches_pointwise_oracle(delta, rows):
+    # a moving front reflecting past rho0, the rim echo t > r and a rim
+    # load: at delta = 1/64, (i + j) delta is i delta + j delta to the bit
+    hd = hdata_seam()
+    f = FrontCurve.affine(1.0, 0.3, 0.5, 3.0)
+    lat = CharLattice(f, delta, rows)
+    grid = dalembert.free_solution(traveling_decomposition(hd, f), lat)
+    t = np.broadcast_to(lat.times[:, None], grid.shape)[lat.inside]
+    r = np.broadcast_to(lat.radii[None, :], grid.shape)[lat.inside]
+    assert np.any(t + r > hd.rho0) and np.any(t > r) and np.any(hd.z(t[r == 0.0]) != 0.0)
+    ref = free_solution(hd, f, t, r)
+    assert np.all(grid[~lat.inside] == 0.0)
+    if delta == 1.0 / 64:
+        assert np.array_equal(grid[lat.inside], ref)
+    else:
+        assert np.max(np.abs(grid[lat.inside] - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def direct_derivatives(waves, t, r):
+    """free_derivatives with each branch evaluated at every point."""
+    t, r = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(r, dtype=float))
+    inside = r <= waves.front.rho(t) + 1e-12
+    fp, fm = waves.df_plus(t + r), waves.df_minus(t - r)
+    return np.where(inside, fp + fm, 0.0), np.where(inside, fp - fm, 0.0)
+
+
+def assert_bitwise(got, want):
+    assert np.shape(got[0]) == np.shape(want[0])
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(delta=st.sampled_from([1.0 / 64, 1.0 / 100, 1.0 / 128]),
+       nodes=st.lists(st.tuples(st.integers(0, 64), st.integers(0, 160)), max_size=80),
+       off=st.lists(st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 1.3)), max_size=12),
+       data=st.data())
+def test_free_derivatives_on_mixed_points_are_the_direct_branches(delta, nodes, off, data):
+    # lattice nodes (many sharing a characteristic), off-node points and
+    # points beyond the front, in drawn order
+    hd = hdata_seam()
+    f = FrontCurve.affine(1.0, 0.3, 0.5, 3.0)
+    waves = traveling_decomposition(hd, f)
+    pts = [(i * delta, j * delta) for i, j in nodes if i * delta <= 0.5] + off
+    order = data.draw(st.permutations(range(len(pts))))
+    t = np.array([pts[k][0] for k in order], dtype=float)
+    r = np.array([pts[k][1] for k in order], dtype=float)
+    assert_bitwise(free_derivatives(waves, t, r), direct_derivatives(waves, t, r))
+
+
+def test_free_derivatives_scalars_empty_and_broadcast():
+    hd = hdata_seam()
+    f = FrontCurve.affine(1.0, 0.3, 0.5, 3.0)
+    delta = 1.0 / 64
+    waves = traveling_decomposition(hd, f)
+    for t, r in [(0.25, 0.5), (0.2501, 0.3), (0.0, 0.0), (0.5, 1.15), (0.1, 1.4)]:
+        got = free_derivatives(waves, t, r)
+        assert np.ndim(got[0]) == 0
+        assert_bitwise(got, direct_derivatives(waves, t, r))
+    got = free_derivatives(waves, np.array([]), np.array([]))
+    assert got[0].shape == (0,) and got[1].shape == (0,)
+    t = np.arange(0, 33)[:, None] * delta
+    r = np.concatenate((np.arange(0, 70) * delta, [0.3, 0.71]))
+    assert_bitwise(free_derivatives(waves, t, r), direct_derivatives(waves, t, r))

@@ -77,7 +77,7 @@ def test_zero_data_zero_history():
     data = ProblemData(R=3.0, rho0=1.0, alpha=0.5, horizon=1.0,
                        w=Profile.zero(), v0=Profile.zero(), v1=Profile.zero())
     f = FrontCurve.affine(1.0, 0.2, 1.0, 3.0)
-    sol = solve_reference(data, f, horizon=0.5, dy=1.0 / 32)
+    sol = solve_reference(to_h_data(data), f, horizon=0.5, dy=1.0 / 32)
     assert np.all(sol.H == 0.0)
 
 
@@ -87,7 +87,7 @@ def test_boundary_rows_exact():
                        v1=Profile.zero())
     hd = to_h_data(data)
     f = FrontCurve.affine(1.0, 0.3, 1.0, 3.0)
-    sol = solve_reference(data, f, horizon=0.5, dy=1.0 / 32)
+    sol = solve_reference(hd, f, horizon=0.5, dy=1.0 / 32)
     assert np.allclose(sol.H[:, -1], 0.0)
     assert np.allclose(sol.H[:, 0], hd.z(sol.times), atol=1e-12)
     # mapped back: the front row is exactly the bonded edge
@@ -99,7 +99,7 @@ def test_cfl_guard():
     data = bump_data()
     f = FrontCurve.constant(1.0, 1.0, 3.0)
     with pytest.raises(CFLError):
-        solve_reference(data, f, horizon=0.5, dy=1.0 / 32, dt_cfl=1.0 / 16)
+        solve_reference(to_h_data(data), f, horizon=0.5, dy=1.0 / 32, dt_cfl=1.0 / 16)
 
 
 def test_leapfrog_energy_drift_static():
@@ -109,7 +109,7 @@ def test_leapfrog_energy_drift_static():
     f = FrontCurve.constant(1.0, 2.0, 3.0)
     drifts = []
     for dy in (1.0 / 32, 1.0 / 64):
-        sol = solve_reference(data, f, horizon=1.0, dy=dy)
+        sol = solve_reference(to_h_data(data), f, horizon=1.0, dy=dy)
         dt = sol.times[1] - sol.times[0]
         dyy = sol.y[1] - sol.y[0]
         c1 = 0.25 / (3.0 - sol.y) ** 2
@@ -134,7 +134,7 @@ def test_matches_representation_solver_static():
     horizon = 0.5
     gaps = []
     for k, dy in enumerate((1.0 / 16, 1.0 / 32, 1.0 / 64)):
-        sol = solve_reference(data, f, horizon=horizon, dy=dy)
+        sol = solve_reference(to_h_data(data), f, horizon=horizon, dy=dy)
         patches = march(data, f, horizon=horizon, delta=dy)
         n = len(sol.times) - 1
         t = float(sol.times[n])
@@ -153,7 +153,7 @@ def test_matches_representation_solver_moving():
     f = FrontCurve.affine(1.0, 0.4, 2.0, 3.0)
     horizon = 0.5
     dy = 1.0 / 64
-    sol = solve_reference(data, f, horizon=horizon, dy=dy)
+    sol = solve_reference(to_h_data(data), f, horizon=horizon, dy=dy)
     patches = march(data, f, horizon=horizon, delta=dy)
     n = len(sol.times) - 1
     t = float(sol.times[n])

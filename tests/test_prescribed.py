@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from debondsim.dalembert import free_solution
 from debondsim.fields import HData, ProblemData, Profile, Toughness, kappa_eval, to_h_data
 from debondsim.geometry import FrontCurve, GeometryError
 from debondsim.prescribed import (
@@ -239,6 +239,57 @@ def test_zeroed_kernel_reproduces_free_solution_exactly():
     ws.kern = np.zeros_like(ws.kern)
     out = apply_L(ws.free_grid, ws)
     assert np.allclose(out, ws.free_grid, atol=1e-15)
+
+
+def counting(fn, tally, key):
+    """fn, adding the number of arguments of each call to tally[key]."""
+    def call(x):
+        tally[key] = tally.get(key, 0) + np.size(x)
+        return fn(x)
+    return call
+
+
+def test_free_layer_cost_scales_with_characteristics():
+    # the free grid evaluates the data profiles once per characteristic of
+    # the window lattice, not once per node; the node traces evaluate the
+    # branch derivatives once per characteristic the nodes share
+    hd = to_h_data(make_data(alpha=0.5, w=Profile.sine(0.1, 2.0)))
+    front = FrontCurve.affine(1.0, 0.3, 2.0, 3.0)
+    delta = 1.0 / 64
+    plan = plan_windows(front, hd.alpha, 0, 64, delta)[0]
+    tally = {}
+    counted = HData(
+        R=hd.R, rho0=hd.rho0, alpha=hd.alpha,
+        z=Profile(counting(hd.z, tally, "z"), deriv=hd.z.deriv),
+        h0=Profile(counting(hd.h0, tally, "h0"), deriv=hd.h0.deriv, domain=hd.h0.domain),
+        h1=Profile(hd.h1, cumint=counting(hd.h1.cumint, tally, "H1"), domain=hd.h1.domain),
+        h0_dot=hd.h0_dot)
+    tally.clear()
+    patch = solve_window(counted, front, plan)
+    lat = patch.lattice
+    lines = lat.nt + lat.j_ext + 1
+    assert lat.nt == 16 and 4 * lines < (lat.nt + 1) * (lat.j_ext + 1) / 3
+    assert set(tally) == {"z", "h0", "H1"}
+    assert all(n <= 4 * lines for n in tally.values()), (tally, lines)
+
+    # every node of five rows up to the front, plus off-node points: a
+    # bank beside each row's node and the front point of each row
+    rows = np.array([0, 3, 8, 12, 16])
+    rho = lat.rho_rows[rows]
+    t = np.concatenate([np.full(int(rho_i / delta) + 1, i * delta) for i, rho_i in zip(rows, rho)])
+    r = np.concatenate([np.arange(int(rho_i / delta) + 1) * delta for rho_i in rho])
+    t = np.concatenate((t, rows * delta, rows * delta))
+    r = np.concatenate((r, np.full(len(rows), 0.3 + 1e-9), rho))
+    i, j, node = lat.node_index(t, r)
+    off = np.count_nonzero(~node)
+    assert off >= len(rows) and np.count_nonzero(node) > 300
+    tally.clear()
+    patch.waves = dataclasses.replace(
+        patch.waves, df_plus=counting(patch.waves.df_plus, tally, "df_plus"),
+        df_minus=counting(patch.waves.df_minus, tally, "df_minus"))
+    patch.local_traces(t, r)
+    assert tally["df_plus"] <= len(np.unique((i + j)[node])) + off
+    assert tally["df_minus"] <= len(np.unique((i - j)[node])) + off
 
 
 # -- marching -----------------------------------------------------------------
