@@ -34,7 +34,7 @@ from typing import List
 import numpy as np
 
 from .fields import ProblemData, Toughness, kappa_eval, v_from_h
-from .geometry import corner_wavefronts, jump_radii
+from .geometry import corner_wavefronts
 from .prescribed import FieldPatch
 
 
@@ -50,79 +50,29 @@ def _energy_integrands(patch: FieldPatch, t_loc: float, h, h_t, h_r, r):
     return e, a
 
 
-_JUMP_EPS = 1e-9
-
-
-def _row_radial_integrals(patch: FieldPatch, rows, wavefronts=()):
+def _row_radial_integrals(patch: FieldPatch, rows, wavefronts):
     """(E, a) of one patch at its local lattice rows ``rows``:
 
         E = pi * int (R - r) (v_t^2 + v_r^2) dr
         a =      int (R - r) v_t^2 dr
 
-    Composite trapezoid over the lattice radii and the clipped front cell.
-    Cells crossed by a corner wavefront are split there, with one-sided
-    trace evaluations on both banks: the derivative fields genuinely jump
-    across those characteristics and a straddling trapezoid cell would
-    cost an order of accuracy.
-
-    No step loops over rows.  The lattice radii of all rows are one 2-D
-    node mask (row i, columns up to j_in(i) = floor(rho(t_i)/delta +
-    1e-12)).  One pass over the wavefront segments finds every row's jump
-    radii (:func:`~debondsim.geometry.jump_radii`), and the jumps cut the
-    rows into segments, handled for all rows at once by segment index, a
-    few per row; edges closer than two bank widths bound no segment, so a
-    radius crossed twice splits its row once.  A segment's points are its
-    head bank, its nodes and its tail bank (the front point on a row's last
-    segment), a bank only where no node lies within 1e-12 of it.  A node in
-    no segment, within a bank's width of a jump, is traced but bounds no
-    cell.  Every point goes to one ``local_traces`` call for the whole
-    patch.  Sorted by row and radius, consecutive points of one segment
-    bound a cell, and one reduction sums the cells of all rows, each row in
-    ascending radius.
+    Composite trapezoid over the points of :meth:`FieldPatch.row_points`:
+    the lattice radii, the clipped front cell, and cells crossed by a
+    corner wavefront split there, with one-sided trace evaluations on both
+    banks: the derivative fields genuinely jump across those
+    characteristics and a straddling trapezoid cell would cost an order of
+    accuracy.  Every point goes to one ``local_traces`` call for the whole
+    patch; consecutive points of one segment of one row bound a cell, and
+    one reduction sums the cells of all rows, each row in ascending radius.
     """
-    lat = patch.lattice
-    d = lat.delta
     rows = np.asarray(rows, dtype=int)
-    t = rows * d
-    rho = np.asarray(patch.rho_local(t), dtype=float)
-    j_in = np.floor(rho / d + 1e-12).astype(int)
-
-    # segment s of row k runs from edge s to edge s + 1 of: 0, the jumps,
-    # rho; the padding repeats rho and leaves empty segments
-    jumps = jump_radii(wavefronts, patch.t0 + t, rho)
-    edges = np.concatenate((np.zeros((rows.size, 1)), jumps, rho[:, None]), axis=1)
-    a_edge, b_edge = edges[:, :-1], edges[:, 1:]
-    valid = b_edge - a_edge > 2 * _JUMP_EPS
-    lo = np.where(a_edge > 0.0, a_edge + _JUMP_EPS, a_edge)
-    hi = np.where(b_edge < rho[:, None], b_edge - _JUMP_EPS, b_edge)
-    j_lo = np.ceil(lo / d - 1e-12)
-    j_hi = np.floor(hi / d + 1e-12)
-    lead = valid & (j_lo * d - lo > 1e-12)
-    tail = valid & (hi - np.where(j_lo <= j_hi, j_hi * d, lo) > 1e-12)
-
-    # every point: the nodes, then the lead banks, then the tail banks
-    # (the front point on a row's last segment), with its row and segment;
-    # a node in no segment gets segment -1
-    jj = np.arange(int(j_in.max()) + 1)
-    in_row = jj[None, :] <= j_in[:, None]
-    node_seg = np.full(in_row.shape, -1)
-    for s in range(edges.shape[1] - 1):
-        node_seg[valid[:, s, None] & (jj >= j_lo[:, s, None]) & (jj <= j_hi[:, s, None])] = s
-    k_node, j_node = np.nonzero(in_row)
-    k_lead, s_lead = np.nonzero(lead)
-    k_tail, s_tail = np.nonzero(tail)
-    p_row = np.concatenate((k_node, k_lead, k_tail))
-    pr = np.concatenate((j_node * d, lo[lead], hi[tail]))
-    p_seg = np.concatenate((node_seg[in_row], s_lead, s_tail))
-    pt = t[p_row]
+    p_row, pr, p_seg = patch.row_points(rows, wavefronts)
+    pt = rows[p_row] * patch.lattice.delta
     e_pt, a_pt = _energy_integrands(patch, pt, *patch.local_traces(pt, pr), pr)
 
-    # consecutive points of one segment of one row bound a cell; a node in
-    # no segment sits between a jump's two banks, so it bounds none
-    order = np.lexsort((pr, p_row))
-    lo_pt, hi_pt = order[:-1], order[1:]
-    cell = (p_row[lo_pt] == p_row[hi_pt]) & (p_seg[lo_pt] == p_seg[hi_pt])
-    lo_pt, hi_pt = lo_pt[cell], hi_pt[cell]
+    # a node in no segment sits between a jump's two banks, so it bounds no cell
+    lo_pt = np.flatnonzero((p_row[:-1] == p_row[1:]) & (p_seg[:-1] == p_seg[1:]))
+    hi_pt = lo_pt + 1
     row = p_row[lo_pt]
     dr = pr[hi_pt] - pr[lo_pt]
     E, A = (np.bincount(row, weights=dr * (v[hi_pt] + v[lo_pt]) / 2.0, minlength=rows.size)
@@ -229,8 +179,6 @@ class EnergyLedger:
     # at the row itself)
     kkt_residual: np.ndarray
     mdp_gap: np.ndarray
-    mdp_flags: np.ndarray
-    mdp_tol: float
 
     @property
     def max_rel_edp(self) -> float:
@@ -263,8 +211,8 @@ def _segment_residuals(front, tough: Toughness, times: np.ndarray, G0: np.ndarra
     return kkt[seg], mdp[seg]
 
 
-def audit(patches: List[FieldPatch], front, data: ProblemData, tough: Toughness,
-          mdp_tol: float = 1e-3) -> EnergyLedger:
+def audit(patches: List[FieldPatch], front, data: ProblemData,
+          tough: Toughness) -> EnergyLedger:
     """Fill the ledger for a solved run from its list of patches.
 
     The balance residual is T(t) + D(t) - T(0) - W(t).  The
@@ -305,9 +253,8 @@ def audit(patches: List[FieldPatch], front, data: ProblemData, tough: Toughness,
 
     edp = T + D - T[0] - W
     kkt, mdp_gap = _segment_residuals(front, tough, times, G0)
-    flags = mdp_gap <= mdp_tol
 
     return EnergyLedger(times=times, rho=rho, rho_dot=rho_dot, E=E, A_fric=A,
                         T_total=T, W_ext=W, D_debond=D, G0=G0,
                         kappa_front=kap, edp_residual=edp, kkt_residual=kkt,
-                        mdp_gap=mdp_gap, mdp_flags=flags, mdp_tol=mdp_tol)
+                        mdp_gap=mdp_gap)

@@ -353,9 +353,6 @@ class Toughness:
         return np.clip(np.searchsorted(self.breakpoints, r, side="right") - 1,
                        0, len(self.pieces) - 1)
 
-    def __call__(self, r):
-        return kappa_eval(self, r)
-
     def clamped_after(self, r_clamp: float) -> "Toughness":
         """Constant extension past r_clamp with the left-limit value there;
         used so one solver window never straddles a breakpoint."""

@@ -13,7 +13,9 @@ integral, cut off at the current front) and the lambda update (cumulative
 quadrature of the rate law).  The pair contracts in the product metric
 max(L2 field distance, sup lambda distance) once the strip is narrow
 enough; the width starts from the analytic sufficiency bounds and halves
-whenever the measured factor misbehaves.
+whenever the measured factor misbehaves.  The pair stops by the rule of the
+prescribed Picard iteration, with its constants ``_TOL`` and ``_MAX_ITER``
+(see :mod:`debondsim.prescribed`).
 
 A window's time horizon is set by geometry alone (0.45 rho and
 0.9 (R - rho)), never by the run's horizon: the last window is solved to
@@ -39,7 +41,9 @@ import numpy as np
 
 from .fields import HData, ProblemData, Toughness, kappa_eval, kernel_prefactor, to_h_data
 from .geometry import FrontCurve, GeometryError, corner_wavefronts
-from .prescribed import ConvergenceError, FieldPatch, _extend, _row_count, _seam_data
+from .prescribed import (
+    _MAX_ITER, _TOL, ConvergenceError, FieldPatch, _extend, _row_count, _seam_data,
+)
 from .quadrature import column_cumulative, sheared_cone_integrals
 
 _SLOPE_CAP = 1.0 - 1e-9
@@ -204,16 +208,15 @@ class StripWorkspace:
         return max(dh, dl)
 
 
-def solve_coupled_window(ws: StripWorkspace, M: float, t_start: float,
-                         tol: float = 1e-10, max_iter: int = 200):
+def solve_coupled_window(ws: StripWorkspace, M: float, t_start: float):
     """Alternate the field and rate updates on the strip of a window
-    starting at ``t_start`` until the product metric settles.  Raises
-    _Shrink when the sup cap M or the measured contraction says the strip
-    is too wide."""
+    starting at ``t_start`` until the product metric drops below ``_TOL``.
+    Raises _Shrink when the sup cap M or the measured contraction says the
+    strip is too wide."""
     lam = np.minimum(ws.s + ws.rho0, ws.T)  # unit-slope start: front at rest
     h = ws.psi1(ws.blank(), lam)            # free solution on the strip
     history = []
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         h_new = ws.psi1(h, lam)
         lam_new = ws.psi2(h_new, lam)
         d = ws.metric(h_new, lam_new, h, lam)
@@ -221,7 +224,7 @@ def solve_coupled_window(ws: StripWorkspace, M: float, t_start: float,
         h, lam = h_new, lam_new
         if float(np.max(np.abs(h))) > M:
             raise _Shrink("field escaped the sup cap")
-        if d < tol:
+        if d < _TOL:
             break
         if it >= 5 and history[-2] > 0 and d / history[-2] >= 0.9:
             raise _Shrink("measured contraction factor >= 0.9")
@@ -231,15 +234,10 @@ def solve_coupled_window(ws: StripWorkspace, M: float, t_start: float,
             f"(last metric {history[-1]:.3e}, factors "
             f"{[round(b / a, 3) for a, b in zip(history[:-1], history[1:])][-3:]})")
     factors = [b / a for a, b in zip(history[:-1], history[1:]) if a > 0]
-    slopes = ws.rate_slopes(h, lam)
-    lam_raw = ws.lambda_cumulative(slopes)
     diag = {
         "iterations": len(history),
-        "final_metric": history[-1] if history else 0.0,
+        "final_metric": history[-1],
         "measured_factor": max(factors) if factors else 0.0,
-        "capped": bool(lam_raw[-1] >= ws.T - 1e-12),
-        "lam_raw": lam_raw,
-        "slopes": slopes,
     }
     return h, lam, diag
 
@@ -248,8 +246,8 @@ def solve_coupled_window(ws: StripWorkspace, M: float, t_start: float,
 # window sizing
 # ---------------------------------------------------------------------------
 
-def _band_integrals(hd: HData, y: float, n: int = 257):
-    ss = np.linspace(hd.rho0 - y, hd.rho0, n)
+def _band_integrals(hd: HData, y: float):
+    ss = np.linspace(hd.rho0 - y, hd.rho0, 257)
     absum = np.abs(hd.h0_dot(ss)) + np.abs(hd.h1(ss))
     sqsum = (np.asarray(hd.h0_dot(ss)) - np.asarray(hd.h1(ss))) ** 2
     return float(np.trapezoid(absum, ss)), float(np.trapezoid(sqsum, ss))
@@ -295,10 +293,7 @@ class GriffithRun:
     patches: List[FieldPatch]
     t_star: float
     stop_reason: str  # "horizon" | "fully_debonded"
-    data: ProblemData
-    tough: Toughness
     delta: float
-    stop_margin: float
     window_diagnostics: List[dict]
 
 
@@ -382,21 +377,30 @@ def _front_knots(ws: StripWorkspace, lam_raw: np.ndarray,
 
 
 def run(data: ProblemData, tough: Toughness, horizon: float,
-        tol: float = 1e-10, delta: float = 1.0 / 128,
-        stop_margin: Optional[float] = None, max_iter: int = 200) -> GriffithRun:
+        delta: float = 1.0 / 128, stop_margin: Optional[float] = None) -> GriffithRun:
     """March the coupled problem until the horizon or full debonding.
 
     Each window solves the strip fixed point with the toughness clamped
     past its next breakpoint (so no window straddles one), extends the
     run's patches over the produced front by certified prescribed windows,
-    re-bases the data from the last of them, and stops when the bonded
-    disk is within the stop margin of vanishing.
+    and re-bases the data from the last of them for the next window.  Both
+    fixed points stop at the tolerance of :mod:`debondsim.prescribed`.
+
+    The bonded annulus counts as debonded once R - rho is at most
+    ``stop_margin`` (default 2 delta), to 1e-12; one predicate makes that
+    test at the start, where a debonded annulus raises ValueError, before
+    each window and for the stop reason.  A run stops "fully_debonded" when
+    its front is debonded, else at the horizon.
     """
     if stop_margin is None:
         stop_margin = 2.0 * delta
     hd = to_h_data(data)
     R = hd.R
-    if R - hd.rho0 <= stop_margin:
+
+    def debonded(rho: float) -> bool:
+        return R - rho <= stop_margin + 1e-12
+
+    if debonded(hd.rho0):
         raise ValueError("the annulus is already within the stop margin")
     n_total = _row_count(horizon, delta)
     if n_total < 1:
@@ -408,14 +412,11 @@ def run(data: ProblemData, tough: Toughness, horizon: float,
     patches: List[FieldPatch] = []
     diags: List[dict] = []
     rows_done = 0
-    stop_reason = "horizon"
 
-    while rows_done < n_total:
+    while rows_done < n_total and not debonded(rho_knots[-1]):
+        if patches:
+            local = _seam_data(patches[-1], corner_wavefronts(front, front.horizon))
         rho_bar = rho_knots[-1]
-        if R - rho_bar <= stop_margin + 1e-12:
-            stop_reason = "fully_debonded"
-            break
-
         T_cap = min(0.45 * rho_bar, 0.9 * (R - rho_bar))
         L = max(1, int(math.floor(T_cap / delta + 1e-9)))
         T = L * delta
@@ -434,8 +435,7 @@ def run(data: ProblemData, tough: Toughness, horizon: float,
         while True:
             ws = StripWorkspace(local, tough_w, T, m, delta)
             try:
-                h_strip, lam, wdiag = solve_coupled_window(ws, M, rows_done * delta,
-                                                           tol=tol, max_iter=max_iter)
+                h_strip, lam, wdiag = solve_coupled_window(ws, M, rows_done * delta)
                 break
             except _Shrink as exc:
                 shrink_count += 1
@@ -445,9 +445,10 @@ def run(data: ProblemData, tough: Toughness, horizon: float,
                         f"strip width underflow below the lattice step at "
                         f"t = {rows_done * delta:.6g}: {exc}") from exc
 
-        lam_raw = wdiag.pop("lam_raw")
-        slopes = wdiag.pop("slopes")
-        adv_rows = min(n_total - rows_done, ws.L if wdiag["capped"] else max(
+        slopes = ws.rate_slopes(h_strip, lam)
+        lam_raw = ws.lambda_cumulative(slopes)
+        capped = bool(lam_raw[-1] >= ws.T - 1e-12)
+        adv_rows = min(n_total - rows_done, ws.L if capped else max(
             1, int(math.floor(float(lam_raw[-1]) / delta + 1e-12))))
         if b_next is not None:
             t_end = adv_rows * delta
@@ -459,7 +460,7 @@ def run(data: ProblemData, tough: Toughness, horizon: float,
         tw, rw = _front_knots(ws, lam_raw, slopes, adv_rows * delta)
 
         t0 = rows_done * delta
-        wdiag.update(t_start=t0, T=ws.T, y=ws.y, m=m, rows=adv_rows,
+        wdiag.update(capped=capped, t_start=t0, T=ws.T, y=ws.y, m=m, rows=adv_rows,
                      shrinks=shrink_count, rho_end=float(rw[-1]))
         diags.append(wdiag)
 
@@ -471,15 +472,8 @@ def run(data: ProblemData, tough: Toughness, horizon: float,
 
         # the window's field: the prescribed solve of the produced front,
         # continued from the last seam, is the run's field there
-        _extend(patches, local, front, rows_done, delta, tol, max_iter)
-        if rows_done < n_total and R - rho_knots[-1] > stop_margin + 1e-12:
-            local = _seam_data(patches[-1], corner_wavefronts(front, front.horizon))
+        _extend(patches, local, front, rows_done, delta)
 
-    t_star = rows_done * delta
-    if R - rho_knots[-1] <= stop_margin + 1e-12:
-        stop_reason = "fully_debonded"
-
-    return GriffithRun(front=front, patches=patches, t_star=t_star,
-                       stop_reason=stop_reason, data=data, tough=tough,
-                       delta=delta, stop_margin=stop_margin,
-                       window_diagnostics=diags)
+    stop_reason = "fully_debonded" if debonded(rho_knots[-1]) else "horizon"
+    return GriffithRun(front=front, patches=patches, t_star=rows_done * delta,
+                       stop_reason=stop_reason, delta=delta, window_diagnostics=diags)

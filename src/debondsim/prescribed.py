@@ -14,6 +14,12 @@ finite differences), with double knots where a corner wavefront crosses
 the seam, and composes the exponential weight so each window works with
 well-conditioned local values.  :func:`march` runs it from t = 0; the
 coupled solver extends its patches with it after every coupled window.
+
+Both fixed points of the package, the Picard iteration here and the coupled
+strip iteration of :mod:`debondsim.griffith`, stop by one rule: an update
+(here the sup-norm change, there the product metric) below ``_TOL`` within
+``_MAX_ITER`` sweeps, else a :class:`ConvergenceError` that names the window's
+t and the last update.  Neither is a caller's knob.
 """
 
 from __future__ import annotations
@@ -38,8 +44,11 @@ class ConvergenceError(RuntimeError):
     """Raised when a fixed-point iteration fails to reach tolerance."""
 
 
-_DEFAULT_TOL = 1e-10
-_DEFAULT_MAX_ITER = 200
+_TOL = 1e-10
+_MAX_ITER = 200
+
+# one-sided trace offset from a corner wavefront's jump radius
+_BANK = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +188,61 @@ class FieldPatch:
     def rho_local(self, t_loc):
         return self.lattice.front.rho(t_loc)
 
+    def row_points(self, rows, wavefronts):
+        """The sample points of the local lattice rows ``rows``: (row index
+        into ``rows``, radius, segment id) of every point, sorted by row and
+        radius.  The audit's row integrals and the seam's profiles both
+        sample a row at these points.
+
+        ``wavefronts`` are the run's corner-wavefront segments, in the form
+        :func:`~debondsim.geometry.corner_wavefronts` returns.  Where one
+        crosses a row (:func:`~debondsim.geometry.jump_radii`) the
+        derivative fields jump, and the jumps cut the row into segments
+        from 0 to rho; edges closer than two bank widths bound no segment,
+        so a radius crossed twice splits its row once.  A segment's points
+        are its head bank (``_BANK`` past its jump), its nodes and its tail
+        bank (``_BANK`` short of the next jump, or the front point on a
+        row's last segment), a bank only where no node lies within 1e-12 of
+        it.  A node within a bank's width of a jump lies in no segment: its
+        id is -1.  The lattice radii of all rows are one 2-D node mask (row
+        i, columns up to j_in(i) = floor(rho(t_i)/delta + 1e-12)), and the
+        segments are handled for all rows at once by segment index, so no
+        step loops over rows.
+        """
+        d = self.lattice.delta
+        rows = np.asarray(rows, dtype=int)
+        t = rows * d
+        rho = np.asarray(self.rho_local(t), dtype=float)
+        j_in = np.floor(rho / d + 1e-12).astype(int)
+
+        # segment s of row k runs from edge s to edge s + 1 of: 0, the jumps,
+        # rho; the padding repeats rho and leaves empty segments
+        jumps = jump_radii(wavefronts, self.t0 + t, rho)
+        edges = np.concatenate((np.zeros((rows.size, 1)), jumps, rho[:, None]), axis=1)
+        a_edge, b_edge = edges[:, :-1], edges[:, 1:]
+        valid = b_edge - a_edge > 2 * _BANK
+        lo = np.where(a_edge > 0.0, a_edge + _BANK, a_edge)
+        hi = np.where(b_edge < rho[:, None], b_edge - _BANK, b_edge)
+        j_lo = np.ceil(lo / d - 1e-12)
+        j_hi = np.floor(hi / d + 1e-12)
+        lead = valid & (j_lo * d - lo > 1e-12)
+        tail = valid & (hi - np.where(j_lo <= j_hi, j_hi * d, lo) > 1e-12)
+
+        # the nodes, the lead banks and the tail banks, with row and segment
+        jj = np.arange(int(j_in.max()) + 1)
+        in_row = jj[None, :] <= j_in[:, None]
+        node_seg = np.full(in_row.shape, -1)
+        for s in range(edges.shape[1] - 1):
+            node_seg[valid[:, s, None] & (jj >= j_lo[:, s, None]) & (jj <= j_hi[:, s, None])] = s
+        k_node, j_node = np.nonzero(in_row)
+        k_lead, s_lead = np.nonzero(lead)
+        k_tail, s_tail = np.nonzero(tail)
+        p_row = np.concatenate((k_node, k_lead, k_tail))
+        pr = np.concatenate((j_node * d, lo[lead], hi[tail]))
+        p_seg = np.concatenate((node_seg[in_row], s_lead, s_tail))
+        order = np.lexsort((pr, p_row))
+        return p_row[order], pr[order], p_seg[order]
+
     @functools.cached_property
     def cumulatives(self) -> np.ndarray:
         """Both characteristic families' diagonal cumulatives of F, built on
@@ -277,10 +341,9 @@ def apply_L(h: np.ndarray, ws: _Workspace) -> np.ndarray:
 
 
 def solve_window(hdata: HData, front, window: WindowPlan,
-                 tol: float = _DEFAULT_TOL, max_iter: int = _DEFAULT_MAX_ITER,
                  scale: float = 1.0) -> FieldPatch:
     """Picard-iterate the window operator from the free solution until the
-    sup-norm update drops below tol."""
+    sup-norm update drops below ``_TOL``."""
     front_local = front.window(window.t_start, window.t_end)
     ws = _Workspace(hdata, front_local, window)
     lat = ws.lattice
@@ -288,17 +351,17 @@ def solve_window(hdata: HData, front, window: WindowPlan,
     h = ws.free_grid.copy()
     h[:, 0] = ws.z_col
     residuals = []
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         h_new = apply_L(h, ws)
         res = float(np.max(np.abs(h_new - h)))
         residuals.append(res)
         h = h_new
-        if res < tol:
+        if res < _TOL:
             break
     else:
         measured = residuals[-1] / residuals[-2] if len(residuals) > 1 and residuals[-2] else np.nan
         raise ConvergenceError(
-            f"window at t = {window.t_start:.6g} did not converge in {max_iter} "
+            f"window at t = {window.t_start:.6g} did not converge in {_MAX_ITER} "
             f"iterations (last update {residuals[-1]:.3e}, measured factor {measured:.3f})")
 
     measured = [residuals[i + 1] / residuals[i] for i in range(len(residuals) - 1)
@@ -322,37 +385,20 @@ def _seam_data(patch: FieldPatch, wavefronts) -> HData:
     """Window data for the seam at the patch's end from the exact end-row
     traces.
 
-    ``wavefronts`` are the run's corner-wavefront segments, in the form
-    :func:`~debondsim.geometry.corner_wavefronts` returns; where one
-    crosses the seam row the derivative fields jump, and the sampled
-    profiles get a double knot there so the next window inherits a sharp
-    jump instead of a smeared cell.
+    The profiles are sampled at the end row's points of
+    :meth:`FieldPatch.row_points`, the sampler of the audit's row
+    integrals: where a corner wavefront of ``wavefronts`` crosses the seam
+    row they get a bank on each side of the jump, a double knot, so the
+    next window inherits a sharp jump instead of a smeared cell.  The last
+    point is the front, where h vanishes.
     """
     lat = patch.lattice
     hd = patch.hdata
     t_end = lat.nt * lat.delta
     rho_end = float(patch.rho_local(t_end))
-    j_in = int(math.floor(rho_end / lat.delta + 1e-12))
-
-    # the end row's nodes, the banks of every seam jump and the front point,
-    # in one trace call
-    jumps = jump_radii(wavefronts, [patch.t1], [rho_end])[0]
-    banks = [r_star + side for r_star in jumps[jumps < rho_end] for side in (-1e-9, 1e-9)]
-    r_pts = np.concatenate((lat.radii[: j_in + 1], banks, [rho_end]))
-    h_pts, ht_pts, hr_pts = patch.local_traces(t_end, r_pts)
-
-    rs = r_pts[:-1]
-    order = np.argsort(rs, kind="stable")
-    order = order[np.concatenate(([True], np.diff(rs[order]) > 1e-12))]
-    rs = rs[order]
-    h0_s, h1_s, hd0_s = (pts[:-1][order] for pts in (h_pts, ht_pts, hr_pts))
-    if rho_end - rs[-1] > 1e-10:
-        rs = np.append(rs, rho_end)
-        h0_s = np.append(h0_s, 0.0)
-        h1_s = np.append(h1_s, ht_pts[-1])
-        hd0_s = np.append(hd0_s, hr_pts[-1])
-    else:
-        h0_s[-1] = 0.0
+    _, rs, _ = patch.row_points([lat.nt], wavefronts)
+    h0_s, h1_s, hd0_s = patch.local_traces(t_end, rs)
+    h0_s[-1] = 0.0
 
     decay = math.exp(-0.5 * hd.alpha * patch.window.length)
     h0_s, h1_s, hd0_s = decay * h0_s, decay * h1_s, decay * hd0_s
@@ -366,7 +412,7 @@ def _seam_data(patch: FieldPatch, wavefronts) -> HData:
 
 
 def _extend(patches: List[FieldPatch], data: HData, front, i1: int,
-            delta: float, tol: float, max_iter: int) -> List[FieldPatch]:
+            delta: float) -> List[FieldPatch]:
     """Append the certified windows of ``front`` (global time) from the end
     of the last patch, or row 0, to lattice row i1.
 
@@ -382,21 +428,19 @@ def _extend(patches: List[FieldPatch], data: HData, front, i1: int,
         prev = patches[-1] if patches else None
         scale = prev.scale * math.exp(0.5 * data.alpha * prev.window.length) if prev else 1.0
         local = _seam_data(prev, wavefronts) if k else data
-        patches.append(solve_window(local, front, plan, tol=tol, max_iter=max_iter,
-                                    scale=scale))
+        patches.append(solve_window(local, front, plan, scale=scale))
     return patches
 
 
-def march(data: ProblemData, front, horizon: float, tol: float = _DEFAULT_TOL,
-          delta: float = 1.0 / 128, max_iter: int = _DEFAULT_MAX_ITER) -> List[FieldPatch]:
+def march(data: ProblemData, front, horizon: float,
+          delta: float = 1.0 / 128) -> List[FieldPatch]:
     """Solve up to the horizon by sequential certified windows.
 
     Seam traces are taken from the exact derivative formulas of the
     previous patch, and the local fields absorb the exponential weight so
     the stored values stay O(data).
     """
-    return _extend([], to_h_data(data), front, _row_count(horizon, delta),
-                   delta, tol, max_iter)
+    return _extend([], to_h_data(data), front, _row_count(horizon, delta), delta)
 
 
 def locate_patch(patches: List[FieldPatch], t: float) -> FieldPatch:

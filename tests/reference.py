@@ -29,10 +29,10 @@ import numpy as np
 from scipy.optimize import brentq
 
 from debondsim.dalembert import traveling_decomposition
-from debondsim.energy_audit import _JUMP_EPS, _energy_integrands, _rim_power
+from debondsim.energy_audit import _energy_integrands, _rim_power
 from debondsim.fields import ProblemData
 from debondsim.geometry import _TOL, GeometryError, _asarray
-from debondsim.prescribed import locate_patch
+from debondsim.prescribed import _BANK, locate_patch
 from debondsim.quadrature import CharLattice, _row_interp
 
 
@@ -281,7 +281,7 @@ def jump_radii(segs, t: float, rho_t: float):
     return dedup
 
 
-def row_radial_integrals(patch, rows, wavefronts=()):
+def row_radial_integrals(patch, rows, wavefronts):
     """(E, a) of ``energy_audit._row_radial_integrals``, one row and one
     segment at a time: the jump radii of a row (:func:`jump_radii`) cut
     [0, rho] into segments, each opened and closed by a bank 1e-9 inside
@@ -296,10 +296,10 @@ def row_radial_integrals(patch, rows, wavefronts=()):
         edges = [0.0] + jump_radii(wavefronts, patch.t0 + t, rho) + [rho]
         e_row = a_row = 0.0
         for a, b in zip(edges[:-1], edges[1:]):
-            if b - a <= 2 * _JUMP_EPS:
+            if b - a <= 2 * _BANK:
                 continue
-            lo = a + _JUMP_EPS if a > 0.0 else a
-            hi = b - _JUMP_EPS if b < rho else b
+            lo = a + _BANK if a > 0.0 else a
+            hi = b - _BANK if b < rho else b
             rs = [j * d for j in range(math.ceil(lo / d - 1e-12), math.floor(hi / d + 1e-12) + 1)]
             if not rs or rs[0] - lo > 1e-12:
                 rs.insert(0, lo)

@@ -1,6 +1,7 @@
 """The package's public surface: what ``import debondsim`` exports and loads."""
 
 import ast
+import inspect
 import os
 import re
 import subprocess
@@ -27,6 +28,21 @@ def test_all_is_pinned_and_resolves():
     assert debondsim.__all__ == SURFACE
     for name in SURFACE:
         assert getattr(debondsim, name) is not None, name
+
+
+def test_entry_point_signatures_are_pinned():
+    # the fixed points' tolerances are module constants, not options: the
+    # entry points take their data and the lattice step, and run also the
+    # stop margin
+    def params(fn):
+        return [(p.name, p.default) for p in inspect.signature(fn).parameters.values()]
+    need = inspect.Parameter.empty
+    assert params(debondsim.run) == [("data", need), ("tough", need), ("horizon", need),
+                                     ("delta", 1.0 / 128), ("stop_margin", None)]
+    assert params(debondsim.march) == [("data", need), ("front", need), ("horizon", need),
+                                       ("delta", 1.0 / 128)]
+    assert params(debondsim.audit) == [("patches", need), ("front", need), ("data", need),
+                                       ("tough", need)]
 
 
 def fresh(*args) -> subprocess.CompletedProcess:

@@ -79,7 +79,7 @@ def test_friction_nondecreasing_and_consistent():
     mid = 0.125
     i = int(round(mid * 64))
     fd = (led.A_fric[i + 2] - led.A_fric[i - 2]) / (2 * step)
-    a_mid = _row_radial_integrals(patches[0], [i])[1][0]
+    a_mid = _row_radial_integrals(patches[0], [i], [])[1][0]
     assert fd == pytest.approx(2 * math.pi * 1.0 * a_mid, rel=2e-2)
 
 
@@ -413,7 +413,7 @@ def test_audit_series_shapes():
     n = len(led.times)
     for name in ("rho", "rho_dot", "E", "A_fric", "T_total", "W_ext",
                  "D_debond", "G0", "edp_residual", "kkt_residual",
-                 "mdp_gap", "mdp_flags"):
+                 "mdp_gap"):
         assert len(getattr(led, name)) == n
     assert np.all(np.diff(led.times) > 0)
     assert np.all(np.diff(led.D_debond) >= -1e-14)

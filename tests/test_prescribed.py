@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from debondsim import prescribed
 from debondsim.fields import HData, ProblemData, Profile, Toughness, kappa_eval, to_h_data
 from debondsim.geometry import FrontCurve, GeometryError
 from debondsim.prescribed import (
@@ -198,8 +199,8 @@ def test_solve_window_fixed_point_residual():
     hd = to_h_data(make_data(alpha=1.0))
     front = FrontCurve.affine(1.0, 0.2, 3.0, 3.0)
     plan = plan_windows(front, 0.0, 0, 64, delta=1.0 / 64)[0]
-    tol = 1e-10
-    patch = solve_window(hd, front, plan, tol=tol)
+    tol = prescribed._TOL
+    patch = solve_window(hd, front, plan)
     ws = _Workspace(hd, front.window(plan.t_start, plan.t_end), plan)
     again = apply_L(patch.lattice.values, ws)
     residual = float(np.max(np.abs(again - patch.lattice.values)))
@@ -210,12 +211,25 @@ def test_iteration_count_geometric_bound():
     hd = to_h_data(make_data(alpha=1.0))
     front = FrontCurve.constant(1.0, 3.0, 3.0)
     plan = plan_windows(front, 0.0, 0, 64, delta=1.0 / 64)[0]
-    tol = 1e-10
-    patch = solve_window(hd, front, plan, tol=tol)
+    tol = prescribed._TOL
+    patch = solve_window(hd, front, plan)
     q = plan.contraction_bound
     bound = math.ceil(math.log(tol) / math.log(q)) + 2
     assert patch.diagnostics["iterations"] <= bound
     assert patch.diagnostics["measured_factor"] <= q * (1 + 1e-6)
+
+
+def test_solve_window_names_its_t_when_it_does_not_converge(monkeypatch):
+    # solve_window reads the module's iteration cap at call time: two sweeps
+    # do not reach the tolerance, and the error names the window's start,
+    # the cap, the last update and the measured factor
+    hd = to_h_data(make_data(alpha=1.0))
+    front = FrontCurve.affine(1.0, 0.2, 3.0, 3.0)
+    plan = plan_windows(front, 0.0, 0, 64, delta=1.0 / 64)[0]
+    monkeypatch.setattr(prescribed, "_MAX_ITER", 2)
+    with pytest.raises(ConvergenceError, match=r"window at t = 0 did not converge in 2 "
+                       r"iterations \(last update \d\.\d{3}e-\d\d, measured factor 0\.\d{3}\)"):
+        solve_window(hd, front, plan)
 
 
 def test_large_radius_free_limit():
@@ -313,11 +327,11 @@ def test_march_zero_data_stays_zero():
 
 
 def test_march_seam_continuity():
-    tol = 1e-10
+    tol = prescribed._TOL
     data = make_data(alpha=1.0, amp=0.5,
                      w=Profile.sine(0.2, 2.0), v1=Profile.constant(0.3))
     front = FrontCurve.affine(1.0, 0.3, 3.0, 3.0)
-    patches = march(data, front, horizon=0.5, tol=tol, delta=1.0 / 64)
+    patches = march(data, front, horizon=0.5, delta=1.0 / 64)
     assert len(patches) >= 2
     for a, b in zip(patches[:-1], patches[1:]):
         seam_cols = min(a.lattice.j_ext, b.lattice.j_ext) + 1
