@@ -54,6 +54,18 @@ class TravelingWaves:
     front: object
 
 
+def _split(s, cut, below, above):
+    """below(s) at the arguments s <= cut, above(s) at the others: each
+    sub-branch sees only its own points."""
+    s = _asarray(s)
+    first = s <= cut
+    out = np.empty(s.shape)
+    for points, branch in ((first, below), (~first, above)):
+        if np.any(points):
+            out[points] = branch(s[points])
+    return out
+
+
 def traveling_decomposition(hdata: HData, front) -> TravelingWaves:
     rho0 = hdata.rho0
     h0, h1, z = hdata.h0, hdata.h1, hdata.z
@@ -61,45 +73,31 @@ def traveling_decomposition(hdata: HData, front) -> TravelingWaves:
     H1 = h1.cumint
 
     def clip0(s):
-        return np.clip(_asarray(s), 0.0, rho0)
+        return np.clip(s, 0.0, rho0)
+
+    def plus_reflected(s):  # past s = rho0, through the front's map omega
+        b = clip0(-front._omega_unchecked(s))
+        return -0.5 * h0(b) + 0.5 * H1(b)
+
+    def dplus_reflected(s):
+        b = clip0(-front._omega_unchecked(s))
+        return 0.5 * front.omega_dot(s) * (h0d(b) - h1(b))
 
     def f_plus(s):
-        s = _asarray(s)
-        direct = s <= rho0
-        out = np.where(direct, 0.5 * h0(clip0(s)) + 0.5 * H1(clip0(s)), 0.0)
-        if np.any(~direct):
-            back = clip0(-front._omega_unchecked(np.where(direct, rho0, s)))
-            out = np.where(direct, out, -0.5 * h0(back) + 0.5 * H1(back))
-        return out
+        return _split(s, rho0, lambda d: 0.5 * h0(clip0(d)) + 0.5 * H1(clip0(d)),
+                      plus_reflected)
 
     def f_minus(s):
-        s = _asarray(s)
-        neg = s <= 0.0
-        out = np.where(neg, 0.5 * h0(clip0(-s)) - 0.5 * H1(clip0(-s)), 0.0)
-        if np.any(~neg):
-            sp = clip0(s)
-            out = np.where(neg, out, z(np.maximum(s, 0.0)) - 0.5 * h0(sp) - 0.5 * H1(sp))
-        return out
+        return _split(s, 0.0, lambda n: 0.5 * h0(clip0(-n)) - 0.5 * H1(clip0(-n)),
+                      lambda p: z(p) - 0.5 * h0(clip0(p)) - 0.5 * H1(clip0(p)))
 
     def df_plus(s):
-        s = _asarray(s)
-        direct = s <= rho0
-        out = np.where(direct, 0.5 * (h0d(clip0(s)) + h1(clip0(s))), 0.0)
-        if np.any(~direct):
-            sc = np.where(direct, rho0, s)
-            back = clip0(-front._omega_unchecked(sc))
-            wd = front.omega_dot(sc)
-            out = np.where(direct, out, 0.5 * wd * (h0d(back) - h1(back)))
-        return out
+        return _split(s, rho0, lambda d: 0.5 * (h0d(clip0(d)) + h1(clip0(d))),
+                      dplus_reflected)
 
     def df_minus(s):
-        s = _asarray(s)
-        neg = s <= 0.0
-        out = np.where(neg, -0.5 * h0d(clip0(-s)) + 0.5 * h1(clip0(-s)), 0.0)
-        if np.any(~neg):
-            sp = clip0(s)
-            out = np.where(neg, out, z.deriv(np.maximum(s, 0.0)) - 0.5 * (h0d(sp) + h1(sp)))
-        return out
+        return _split(s, 0.0, lambda n: -0.5 * h0d(clip0(-n)) + 0.5 * h1(clip0(-n)),
+                      lambda p: z.deriv(p) - 0.5 * (h0d(clip0(p)) + h1(clip0(p))))
 
     return TravelingWaves(f_plus=f_plus, f_minus=f_minus,
                           df_plus=df_plus, df_minus=df_minus, front=front)

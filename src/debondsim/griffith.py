@@ -61,7 +61,8 @@ class StripWorkspace:
     """Characteristic strip along the front for one coupled window.
 
     Node (l, k) sits at t = l*delta on the diagonal t - r = s_k, with
-    s_k = -rho0 + k*delta, k = 0..m; the physical radius is t - s_k.
+    s_k = -rho0 + k*delta, k = 0..m; the physical radius is t - s_k, at
+    most rho0 + T, which :func:`run` keeps below the rim radius.
     Everything the two updates need (data columns, kernel columns, the
     induced reflection map) lives here.  The terms that do not depend on
     the lambda iterate are built once, here: the direct branch of the free
@@ -88,8 +89,6 @@ class StripWorkspace:
         self.eta_grid = self.t_grid + self.r_grid
 
         R, alpha = hd.R, hd.alpha
-        if np.max(self.r_grid) >= R:
-            raise GeometryError("strip reaches the rim radius")
         self.kern = kernel_prefactor(self.r_grid, R, alpha)
 
         self.h0_col = np.asarray(hd.h0(-self.s), dtype=float)
@@ -420,6 +419,10 @@ def run(data: ProblemData, tough: Toughness, horizon: float,
         T_cap = min(0.45 * rho_bar, 0.9 * (R - rho_bar))
         L = max(1, int(math.floor(T_cap / delta + 1e-9)))
         T = L * delta
+        if local.rho0 + T >= R:  # the strip's outer radius, at its column 0
+            raise GeometryError(
+                f"strip reaches the rim radius: window at t = {rows_done * delta:.6g}, "
+                f"outer radius rho + T = {local.rho0 + T:.6g} >= R = {R:.6g}")
 
         later = tough.breakpoints[tough.breakpoints > rho_bar + 1e-12]
         b_next = float(later[0]) if len(later) else None

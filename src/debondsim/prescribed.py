@@ -6,14 +6,14 @@ Each marching window solves the representation identity
 
 by Picard iteration on a characteristic lattice, starting from the free
 solution A.  Each window is the longest whole number of rows, up to a
-geometric cap, whose analytic contraction bound (the smaller of a strip
-estimate and a cone-area bound) is at most 1/2, so every iteration is a
-certified contraction.  One window loop marches a front in global time: it
-re-bases the data at every seam using the exact derivative trace formulas (never
-finite differences), with double knots where a corner wavefront crosses
-the seam, and composes the exponential weight so each window works with
-well-conditioned local values.  :func:`march` runs it from t = 0; the
-coupled solver extends its patches with it after every coupled window.
+quarter of the front's radius, whose analytic cone-area contraction bound
+is at most 1/2, so every iteration is a certified contraction.  One window
+loop marches a front in global time: it re-bases the data at every seam
+using the exact derivative trace formulas (never finite differences), with
+double knots where a corner wavefront crosses the seam, and composes the
+exponential weight so each window works with well-conditioned local
+values.  :func:`march` runs it from t = 0; the coupled solver extends its
+patches with it after every coupled window.
 
 Both fixed points of the package, the Picard iteration here and the coupled
 strip iteration of :mod:`debondsim.griffith`, stop by one rule: an update
@@ -79,33 +79,28 @@ class WindowPlan:
         return int(round(self.length / self.delta))
 
 
-def certified_step(rho_k: float, R: float) -> float:
-    """Geometric cap on a window's length: a quarter of the front's distance
-    to the centre or to the rim, whichever is nearer.  Within twice the cap
-    the strip estimate of :func:`contraction_bound` holds."""
-    return 0.25 * min(rho_k, R - rho_k)
+def certified_step(rho_k: float) -> float:
+    """Cap on a window's length: a quarter of the front's radius, which
+    keeps the window within t <= rho0/2, where the trace formulas of
+    :func:`~debondsim.quadrature.phi_time_trace` hold.  Towards the rim the
+    window is sized by :func:`contraction_bound` alone."""
+    return 0.25 * rho_k
 
 
 def contraction_bound(rho_k: float, R: float, alpha: float, T: float) -> float:
     """Analytic sup-norm Lipschitz bound of the operator of a window of
-    length T starting with the front at rho_k: the smaller of two bounds.
+    length T starting with the front at rho_k, the cone-area bound
+    T^2/8 * (alpha^2 + 1/(R-rho_k-T)^2), and +inf once rho_k + T >= R.
 
-    The strip estimate rho_k*T/4*(alpha^2 + 4/(R-rho_k)^2) holds for T up to
-    twice the cap of :func:`certified_step`.  The cone-area bound
-    T^2/8 * (alpha^2 + 1/(R-rho_k-T)^2) holds while rho_k + T < R: the
-    backward cone of a point inside the window has area at most T^2, and
-    since the front is subsonic the window stays within r <= rho_k + T,
+    The backward cone of a point inside the window has area at most T^2,
+    and since the front is subsonic the window stays within r <= rho_k + T,
     where the kernel (alpha^2 + 1/(R-r)^2)/4, increasing in r, takes its
-    largest value; half the cone integral then gives the T^2/8.  Both are
-    nondecreasing in T, and so is their minimum.
+    largest value; half the cone integral then gives the T^2/8.  The bound
+    is nondecreasing in T.
     """
-    best = np.inf
-    if T <= min(0.5 * rho_k, 0.5 * (R - rho_k)) + 1e-12:
-        best = 0.25 * rho_k * T * (alpha * alpha + 4.0 / (R - rho_k) ** 2)
-    if rho_k + T < R:
-        sharp = 0.125 * T * T * (alpha * alpha + 1.0 / (R - rho_k - T) ** 2)
-        best = min(best, sharp)
-    return best
+    if rho_k + T >= R:
+        return np.inf
+    return 0.125 * T * T * (alpha * alpha + 1.0 / (R - rho_k - T) ** 2)
 
 
 def _row_count(horizon: float, delta: float) -> int:
@@ -122,10 +117,12 @@ def plan_windows(front, alpha: float, i0: int, i1: int,
     """Cover lattice rows i0..i1 of the front's time with certified
     windows snapped to the lattice.
 
-    Each window takes the most rows, up to the cap of
+    Each window takes the most rows, up to the centre cap of
     :func:`certified_step`, whose :func:`contraction_bound` is at most 1/2;
     the bound is nondecreasing in the length, so a bisection finds that
-    count.  A one-row window is accepted with any bound below 0.999.
+    count, and near the rim it alone sets the length (it is +inf for a
+    window reaching R).  A one-row window is accepted with any bound below
+    0.999.
     """
     if i1 * delta > front.horizon + 1e-9:
         raise GeometryError("horizon exceeds the front domain")
@@ -134,7 +131,7 @@ def plan_windows(front, alpha: float, i0: int, i1: int,
     while i0 < i1:
         t0 = i0 * delta
         rho_k = float(front.rho(t0))
-        cap = int(math.floor(certified_step(rho_k, R) / delta + 1e-9))
+        cap = int(math.floor(certified_step(rho_k) / delta + 1e-9))
         lo, hi = 1, max(1, min(cap, i1 - i0))
         while lo < hi:  # the largest count in [lo, hi] bounded by 1/2, or 1
             mid = (lo + hi + 1) // 2

@@ -1,12 +1,14 @@
+import re
+
 import numpy as np
 import pytest
 
 from debondsim import griffith, prescribed
 from debondsim.energy_audit import audit
 from debondsim.fields import ProblemData, Profile, Toughness, to_h_data
-from debondsim.geometry import FrontCurve, corner_wavefronts
+from debondsim.geometry import FrontCurve, GeometryError, corner_wavefronts
 from debondsim.griffith import (
-    GriffithRun, StripWorkspace, _front_point, _Shrink, run, solve_coupled_window,
+    GriffithRun, StripWorkspace, _cell_cut, _front_point, _Shrink, run, solve_coupled_window,
 )
 from debondsim.prescribed import ConvergenceError, _extend, _seam_data, evaluate_field, march
 
@@ -163,6 +165,35 @@ def test_front_point_lies_on_the_crossing_curve():
         assert crossing_time(s_cut) == pytest.approx(t_cut, abs=1e-12)
 
 
+def test_front_point_cuts_the_capped_cell_on_its_chord():
+    # past the last column crossing below the horizon T the front ends at
+    # the quadratic T-cut of the next cell; that cell is capped (its far
+    # column's slope was taken at T, behind the front), so a cut inside it,
+    # by time or by radius, lands on the chord between those two points
+    data = bump_data(amp=0.4)
+    tough = Toughness.constant(0.1, rho0=1.0, R=3.0)
+    ws = make_workspace(data, tough, m=12)
+    h, lam, _ = solve_coupled_window(ws, M=1e3, t_start=0.0)
+    slopes = ws.rate_slopes(h, lam)
+    lam_raw = ws.lambda_cumulative(slopes)
+    n = int(np.count_nonzero(lam_raw <= ws.T))
+    assert 0 < n < len(lam_raw) and lam_raw[n - 1] < ws.T - 1e-13  # a capped cell
+    t_a, s_a = float(lam_raw[n - 1]), float(ws.s[n - 1])
+    t_b, s_b = _front_point(ws, lam_raw, slopes, ws.T)
+    assert t_b == ws.T and s_a < s_b < ws.s[n]
+
+    for w in (0.2, 0.5, 0.9):
+        chord = (t_a + w * (t_b - t_a), s_a + w * (s_b - s_a))
+        t_cut, s_cut = _front_point(ws, lam_raw, slopes, chord[0])
+        assert t_cut == pytest.approx(chord[0], abs=1e-14)
+        assert s_cut == pytest.approx(chord[1], abs=1e-14)
+        # the capped cell's quadratic would put the cut elsewhere
+        assert abs(_cell_cut(ws, lam_raw, slopes, n, chord[0])[1] - s_cut) > 1e-7
+        t_cut, s_cut = _front_point(ws, lam_raw, slopes, chord[0] - chord[1], radius=True)
+        assert t_cut == pytest.approx(chord[0], abs=1e-14)
+        assert s_cut == pytest.approx(chord[1], abs=1e-14)
+
+
 def test_coupled_window_names_its_t_when_it_does_not_converge(monkeypatch):
     # griffith binds its own name for the iteration cap of prescribed
     # (``from .prescribed import _MAX_ITER``), and that is the name it reads
@@ -236,15 +267,21 @@ def test_run_kkt_residual_second_order():
     # give 2
     data = bump_data(amp=0.4, alpha=0.5)
     tough = Toughness.constant(0.15, rho0=1.0, R=3.0)
-    kkt, mdp = [], []
+    kkt, mdp, edp = [], [], []
     for delta in (1.0 / 64, 1.0 / 128, 1.0 / 256):
         res = run(data, tough, horizon=0.375, delta=delta)
         led = audit(res.patches, res.front, data, tough)
         kkt.append(float(np.max(led.kkt_residual)))
         mdp.append(float(np.max(led.mdp_gap)))
+        edp.append(led.max_rel_edp)
     for maxima in (kkt, mdp):
         assert maxima[0] / maxima[1] >= 2.8
         assert maxima[1] / maxima[2] >= 2.8
+    # the moving front's energy balance is second order: each halving
+    # divides the maximum relative residual by at least 3.5, the threshold
+    # of test_static_load_edp_second_order
+    assert edp[0] / edp[1] >= 3.5
+    assert edp[1] / edp[2] >= 3.5
 
 
 def test_run_consistency_with_prescribed():
@@ -345,6 +382,26 @@ def test_run_refuses_an_annulus_a_hair_outside_the_stop_margin():
     tough = Toughness.constant(1.0, rho0, R)
     with pytest.raises(ValueError, match="already within the stop margin"):
         run(data, tough, horizon=0.25, delta=delta)
+
+
+def test_run_names_its_t_when_the_strip_reaches_the_rim():
+    # with a stop margin below one lattice step the front gets within a
+    # step of the rim before it counts as debonded, and there even a
+    # one-row strip reaches R; the error names the window's t, the strip's
+    # outer radius and R
+    data = bump_data(amp=0.9, v1=Profile.constant(-0.8), R=2.0)
+    tough = Toughness.constant(0.02, rho0=1.0, R=2.0)
+    delta = 1.0 / 64
+    with pytest.raises(GeometryError) as info:
+        run(data, tough, horizon=4.0, delta=delta, stop_margin=delta / 2)
+    m = re.fullmatch(r"strip reaches the rim radius: window at t = (\S+), "
+                     r"outer radius rho \+ T = (\S+) >= R = (\S+)", str(info.value))
+    assert m is not None, str(info.value)
+    t, outer, R = (float(g) for g in m.groups())
+    assert R == 2.0
+    assert 0.0 < t < 4.0 and t / delta == pytest.approx(round(t / delta), abs=1e-4)
+    # a one-row strip from a front not yet within the stop margin
+    assert R <= outer < R + delta / 2 + 1e-6
 
 
 def test_run_full_debonding_small_kappa():

@@ -31,13 +31,18 @@ def zero_data(R=3.0, rho0=1.0, alpha=0.0):
 # -- planning ---------------------------------------------------------------
 
 def test_first_window_length():
-    assert certified_step(1.0, 3.0) == pytest.approx(0.25)
+    assert certified_step(1.0) == pytest.approx(0.25)
+    # near the rim the cap stays a quarter of the radius and the cone-area
+    # bound sets the window: at alpha = 0 it is at most 1/2 while
+    # T <= 2/3 (R - rho_k), here 2/15, which floors to 34 rows of 1/256
+    assert certified_step(2.8) == pytest.approx(0.7)
+    front = FrontCurve.constant(2.8, 1.0, 3.0)
+    assert plan_windows(front, 0.0, 0, 256, 1.0 / 256)[0].nt == 34
 
 
 def test_window_shrinks_with_damping():
     # at large alpha the cone-area bound T^2/8 * alpha^2 <= 1/2 sets the
-    # length, which scales ~ 1/alpha (the strip estimate's ~ 1/alpha^2 no
-    # longer limits it)
+    # length, which scales ~ 1/alpha
     front = FrontCurve.constant(1.0, 1.0, 3.0)
     lengths = [plan_windows(front, alpha, 0, 256, 1.0 / 1024)[0].length
                for alpha in (10.0, 20.0, 40.0)]
@@ -115,7 +120,8 @@ def test_planned_windows_never_shorter_than_the_strip_rule():
 
 def test_planned_windows_are_the_longest_bounded_by_one_half():
     # every window of more than one row has a bound of at most 1/2, and one
-    # row more would pass the cap, the rows left or that bound
+    # row more would pass the centre cap, the rows left or that bound; near
+    # the rim the centre cap no longer binds
     for rho_k, R, alpha, delta in PLANNER_GRID:
         speed = min(0.9, (R - rho_k - 2 * delta) / 0.5)
         front = FrontCurve.affine(rho_k, speed, 0.5, R)
@@ -123,7 +129,7 @@ def test_planned_windows_are_the_longest_bounded_by_one_half():
         for plan in plan_windows(front, alpha, 0, i1, delta):
             rho = float(front.rho(plan.t_start))
             rows_left = i1 - int(round(plan.t_start / delta))
-            cap = int(math.floor(certified_step(rho, R) / delta + 1e-9))
+            cap = int(math.floor(certified_step(rho) / delta + 1e-9))
             q = contraction_bound(rho, R, alpha, plan.nt * delta)
             assert plan.contraction_bound == q
             if plan.nt > 1:
@@ -158,18 +164,18 @@ def test_apply_L_zero():
 def test_measured_contraction_below_bound():
     # sup-norm factor over random pairs sharing boundary data; the last
     # perturbation has one sign, so the cone integrals cannot cancel
-    cases = [  # rho0, alpha, delta, planned rows, strip estimate certifies
-        (1.0, 1.0, 1.0 / 32, 8, True),  # the strip estimate certifies too
-        (2.8, 0.0, 1.0 / 256, 12, False),  # near the rim: only the cone-area bound certifies
-        (1.0, 10.0, 1.0 / 64, 12, False),  # strong damping: likewise
+    cases = [  # rho0, alpha, delta, planned rows, the bound sets the rows
+        (1.0, 1.0, 1.0 / 32, 8, False),  # the centre cap and the rows left set them
+        (2.8, 0.0, 1.0 / 256, 34, True),  # near the rim
+        (1.0, 10.0, 1.0 / 64, 12, True),  # strong damping
     ]
-    for rho0, alpha, delta, rows, strip_certifies in cases:
+    for rho0, alpha, delta, rows, by_bound in cases:
         hd = to_h_data(make_data(rho0=rho0, alpha=alpha))
         front = FrontCurve.affine(rho0, 0.25, 0.25, 3.0)
         plan = plan_windows(front, alpha, 0, int(0.25 / delta), delta)[0]
         assert plan.nt == rows
-        strip = 0.25 * rho0 * plan.length * (alpha * alpha + 4.0 / (3.0 - rho0) ** 2)
-        assert (strip < 0.999) == strip_certifies
+        longer = contraction_bound(rho0, 3.0, alpha, plan.length + delta)
+        assert (longer > 0.5) == by_bound
         ws = _Workspace(hd, front.window(plan.t_start, plan.t_end), plan)
         rng = np.random.default_rng(17)
         shape = ws.lattice.values.shape
@@ -284,7 +290,7 @@ def test_free_layer_cost_scales_with_characteristics():
     lines = lat.nt + lat.j_ext + 1
     assert lat.nt == 16 and 4 * lines < (lat.nt + 1) * (lat.j_ext + 1) / 3
     assert set(tally) == {"z", "h0", "H1"}
-    assert all(n <= 4 * lines for n in tally.values()), (tally, lines)
+    assert all(n <= 2 * lines for n in tally.values()), (tally, lines)
 
     # every node of five rows up to the front, plus off-node points: a
     # bank beside each row's node and the front point of each row
