@@ -44,7 +44,7 @@ from .geometry import FrontCurve, GeometryError, corner_wavefronts
 from .prescribed import (
     _MAX_ITER, _TOL, ConvergenceError, FieldPatch, _extend, _row_count, _seam_data,
 )
-from .quadrature import column_cumulative, sheared_cone_integrals
+from .quadrature import ConePlan, column_cumulative
 
 _SLOPE_CAP = 1.0 - 1e-9
 
@@ -66,10 +66,15 @@ class StripWorkspace:
     Everything the two updates need (data columns, kernel columns, the
     induced reflection map) lives here.  The terms that do not depend on
     the lambda iterate are built once, here: the direct branch of the free
-    solution (nodes with t + r <= rho0, which see no reflection) and the
-    anti-diagonals eta of the cone sum.  The strip is narrow (m + 1 columns
-    against 2L + 1 half rows), so the cone-sum kernel indexes each
-    anti-diagonal by column and its work is O(L * m).
+    solution (nodes with t + r <= rho0, which see no reflection), the
+    anti-diagonals eta of the cone sum and its plan
+    (:class:`~debondsim.quadrature.ConePlan`), which holds the slot layout
+    and the work arrays; a sweep computes only the omega cut its lambda
+    iterate induces.  The strip is narrow (m + 1 columns against 2L + 1
+    half rows), so the plan indexes each anti-diagonal by column and its
+    work and memory are O(L * m).  The workspace, and with it the plan,
+    lives for one coupled window; the plan's results are fresh arrays, so
+    one kept across sweeps is never overwritten by the next.
     """
 
     def __init__(self, hd: HData, tough: Toughness, T: float, m: int, delta: float):
@@ -103,6 +108,7 @@ class StripWorkspace:
                          + 0.5 * (hd.h1.cumint(eta_d) - self.H1_col[None, :]))
         self.cone_eta = self.rho0 + delta * np.arange(-m, 2 * self.L + 1)
         self.cone_refl = self.cone_eta > self.rho0 + 1e-12
+        self.cone = ConePlan(self.L, m, delta)
 
     def blank(self) -> np.ndarray:
         return np.zeros((self.L + 1, self.m + 1))
@@ -146,10 +152,8 @@ class StripWorkspace:
         The strip is already in sheared layout (column k is the diagonal
         s_k), and every anti-diagonal past rho0 starts on column 0.
         """
-        d = self.delta
         om = self.omega_of(lam, self.cone_eta)
-        cut = np.where(self.cone_refl, (om + self.rho0) / d, 0.0)
-        return sheared_cone_integrals(F, d, cut)
+        return self.cone(F, np.where(self.cone_refl, (om + self.rho0) / self.delta, 0.0))
 
     def psi1(self, h: np.ndarray, lam: np.ndarray) -> np.ndarray:
         """Field update: free solution plus half the cone integral of the
@@ -166,7 +170,7 @@ class StripWorkspace:
         hd, tough = self.hd, self.tough
         lamc = self._lam_capped(lam)
         F = self.kern * h
-        C = column_cumulative(F, d)
+        C = column_cumulative(F, d, np.empty_like(F))
         lf = np.clip(np.floor(lamc / d + 1e-12).astype(int), 0, self.L)
         cols = np.arange(self.m + 1)
         line = C[lf, cols]

@@ -36,7 +36,8 @@ from .dalembert import TravelingWaves, free_derivatives, free_solution, travelin
 from .fields import HData, ProblemData, Profile, kernel_prefactor, to_h_data, v_from_h
 from .geometry import GeometryError, corner_wavefronts, jump_radii
 from .quadrature import (
-    CharLattice, _line_cumulatives, char_line_integrals, cone_integrals_batch, phi_time_trace,
+    CharLattice, LatticeConePlan, _line_cumulatives, char_line_integrals, cone_integrals_batch,
+    phi_time_trace,
 )
 
 
@@ -309,9 +310,19 @@ class FieldPatch:
 class _Workspace:
     """Grids shared by all Picard sweeps of one window: the lattice, the
     window's traveling waves (kept by its patch for the traces), the free
-    solution at every node, the kernel prefactor row and the rim column.
+    solution at every node, the kernel prefactor row, the rim column and
+    the window's cone plan.
     The free grid costs one branch evaluation per characteristic of the
     lattice, not one per node (:func:`~debondsim.dalembert.free_solution`).
+    The plan (:class:`~debondsim.quadrature.LatticeConePlan`) caches what
+    the window's front fixes (the omega cut of every anti-diagonal, the
+    rim-echo and outside nodes) and the cone sum's work arrays, so a sweep
+    builds no index array and allocates no lattice-sized temporary but its
+    result.  It lives for one window: the workspace is dropped when the
+    window is solved, and the patch keeps no reference to it, because
+    patches outlive their windows and would each hold the plan's buffers.
+    Its results are fresh arrays, so one kept across sweeps, as a test or
+    a caller comparing two sweeps may keep it, is never overwritten.
     """
 
     def __init__(self, hdata: HData, front_local, plan: WindowPlan):
@@ -323,6 +334,7 @@ class _Workspace:
         kern_row = kernel_prefactor(sigma, hdata.R, hdata.alpha)
         self.kern = np.where(lat.radii < hdata.R - 1e-9, kern_row, 0.0)[None, :]
         self.z_col = np.asarray(hdata.z(lat.times), dtype=float)
+        self.cone = LatticeConePlan(lat)
 
 
 def apply_L(h: np.ndarray, ws: _Workspace) -> np.ndarray:
@@ -330,7 +342,7 @@ def apply_L(h: np.ndarray, ws: _Workspace) -> np.ndarray:
     cone integral of the kernel field, boundary and initial rows reimposed."""
     lat = ws.lattice
     F = ws.kern * lat.masked(h)
-    J = cone_integrals_batch(lat, F)
+    J = cone_integrals_batch(lat, F, ws.cone)
     out = lat.masked(ws.free_grid + 0.5 * J)
     out[:, 0] = ws.z_col
     out[0, :] = ws.free_grid[0, :]

@@ -7,17 +7,22 @@ The memory operator of the representation formula,
 is evaluated in characteristic coordinates xi = t - r, eta = t + r, where
 every cone edge except the reflected bound xi = omega(eta_hi) lies on
 lattice diagonals (the lattice keeps dt = dr, so diagonals are grid
-lines).  One kernel, :func:`sheared_cone_integrals`, computes Phi for a
-field in sheared layout: row l at t = l*delta, column k on the diagonal
-xi = xi0 + k*delta.  Two adapters map their grids onto it:
-:func:`cone_integrals_batch` shears the (t, r) lattice and removes the
-sub-cone below the rim echo, and ``griffith.StripWorkspace.cone_integrals``
-passes its strip, whose columns are already diagonals.  Both supply the
-omega cut of each anti-diagonal as a fractional slot.  The kernel indexes
-each anti-diagonal's slots by column when the field has fewer columns than
-half rows (the strip: m + 1 columns against a few hundred half rows) and
-by half row otherwise (the lattice), so neither carries the other's zero
-padding; the two orientations agree bitwise.
+lines).  One kernel, :class:`ConePlan`, computes Phi for fields of one
+shape in sheared layout: row l at t = l*delta, column k on the diagonal
+xi = xi0 + k*delta.  It is planned once per shape and delta: the slot
+layout of every anti-diagonal and the work arrays are built when the plan
+is, and each call only fills the work arrays and reads its nodes through
+strided views.  It indexes each anti-diagonal's slots by column when the
+field has fewer columns than half rows (the strip: m + 1 columns against
+a few hundred half rows) and by half row otherwise (the lattice), so
+neither carries the other's zero padding; the two orientations agree
+bitwise.  Two callers hold a plan for as long as their grid lives, one
+window: ``griffith.StripWorkspace`` passes its strip, whose columns are
+already diagonals, with the omega cut its lambda iterate induces on each
+sweep, and :class:`LatticeConePlan`, which :func:`cone_integrals_batch`
+runs, shears the (t, r) lattice into the plan's layout and fixes the
+omega cut, the sub-cone below the rim echo and the outside nodes from
+the lattice's front when it is built.
 
 The partial derivatives of Phi reduce to two boundary line integrals g1,
 g2 along characteristics; those are one-dimensional trapezoid sums over
@@ -40,8 +45,9 @@ All quadrature here integrates the piecewise-linear interpolant of the
 node values; off-lattice cuts (the omega edge, fractional endpoints) are
 clipped cell by cell.  The oracles the batch paths are tested against
 live with the tests, in ``tests/reference.py``: the truncated cone of one
-apex and its integral by iterated quadrature, the per-sample line integral
-and the row-by-row diagonal cumulatives.
+apex and its integral by iterated quadrature, the unplanned cone sums the
+plans must match bitwise, the per-sample line integral and the row-by-row
+diagonal cumulatives.
 """
 
 from __future__ import annotations
@@ -176,19 +182,31 @@ def _sheared(values: np.ndarray, signs) -> np.ndarray:
 # batch cone integrals
 # ---------------------------------------------------------------------------
 
-def column_cumulative(F: np.ndarray, delta: float) -> np.ndarray:
-    """Trapezoid integrals (in dtau units) down every column of F from row 0;
-    on a :func:`_sheared` layout, the line integrals along every diagonal.
-    Built in place: one array of F's size is allocated."""
-    C = np.zeros_like(F)
-    np.add(F[:-1], F[1:], out=C[1:])
-    C[1:] *= 0.5 * delta
-    np.cumsum(C[1:], axis=0, out=C[1:])
-    return C
+def column_cumulative(F: np.ndarray, delta: float, out: np.ndarray) -> np.ndarray:
+    """Trapezoid integrals (in dtau units) down every column of F from row 0,
+    written into ``out``, an array of F's shape that does not overlap F, and
+    returned; on a :func:`_sheared` layout, the line integrals along every
+    diagonal."""
+    out[0] = 0.0
+    np.add(F[:-1], F[1:], out=out[1:])
+    out[1:] *= 0.5 * delta
+    np.cumsum(out[1:], axis=0, out=out[1:])
+    return out
 
 
-def sheared_cone_integrals(F: np.ndarray, delta: float, cut: np.ndarray) -> np.ndarray:
-    """Phi[F] at every node of a field in sheared layout.
+def _view(a: np.ndarray, offset: int, shape, steps, writeable: bool) -> np.ndarray:
+    """The view of the contiguous array ``a`` whose element (x, y) is
+    ``a.flat[offset + x * steps[0] + y * steps[1]]``; a step may be negative
+    as long as every element stays inside ``a``.  Views whose elements
+    repeat must not be writeable."""
+    n = a.itemsize
+    return np.lib.stride_tricks.as_strided(a.ravel()[offset:], shape,
+                                           (steps[0] * n, steps[1] * n), writeable=writeable)
+
+
+class ConePlan:
+    """Phi at every node of fields of one shape in sheared layout, for any
+    field and omega cut: the anti-diagonal cone sum, planned once.
 
     Row l sits at t = l*delta and column k on the diagonal xi = xi0 + k*delta,
     so anti-diagonal g = 2l - k is the line eta = g*delta - xi0, for g in
@@ -196,8 +214,8 @@ def sheared_cone_integrals(F: np.ndarray, delta: float, cut: np.ndarray) -> np.n
     or half rows (g + k odd), from its first slot on row 0 or column 0.
     Each slot's eta-integral comes from the column cumulative (plus a half
     cell at half rows), and one running trapezoid in xi per anti-diagonal
-    serves every apex on it.  ``cut[g + K]`` is the fractional slot, counted
-    from the anti-diagonal's first slot, of the lower xi-limit of its cones
+    serves every apex on it.  The cut of anti-diagonal g is the fractional
+    slot, counted from its first slot, of the lower xi-limit of its cones
     (the omega cut); the integral up to there is subtracted, so 0 cuts
     nothing.
 
@@ -206,80 +224,168 @@ def sheared_cone_integrals(F: np.ndarray, delta: float, cut: np.ndarray) -> np.n
     narrow strip, and by half row (2L + 1 slots) otherwise, as on the
     lattice.  Both sum the same terms in the same order, so they agree
     bitwise, and the work and memory are O((L + K) * min(K, L)).
+
+    The plan holds what depends on the shape alone: the slot layout, each
+    anti-diagonal's first slot and span, the increment zeroed before a late
+    first slot, and the work arrays, the half-row table (whose zero padding
+    is never written) and the running sums.  Node (l, k) is read as
+    ``A[slot, 2l - k + K] - A_cut[2l - k + K]`` through strided views of
+    those sums, without index arrays.  A call overwrites the work arrays and
+    returns a fresh array, so its results outlive the next call.
     """
-    d = delta
-    L, K = F.shape[0] - 1, F.shape[1] - 1
-    P = 2 * L + 1
-    by_column = K + 1 < P
-    # half[p, k] = inner integral at half row p of column k, seen through
-    # I[slot, g + K], one column per anti-diagonal (0 off the layout)
-    if by_column:
-        # K zero rows at each end; slot k of anti-diagonal g is
-        # Z[g + K + k, k], a skewed view
-        Z = np.zeros((P + 2 * K, K + 1))
-        half = Z[K:K + P]
-        s0, s1 = Z.strides
-        I = np.lib.stride_tricks.as_strided(Z, (K + 1, P + K), (s0 + s1, s0),
-                                            writeable=False)
-    else:
-        # columns reversed and zero past column K; slot p is half row p of
-        # column p - g: re-cutting the flat padded array shifts row p by p
-        # columns
-        Y = np.zeros((P, K + 1 + P))
-        half = Y[:, K::-1]
-        I = Y.ravel()[:-P].reshape(P, P + K)
-    C = column_cumulative(F, d)
-    half[0::2] = 2.0 * C
-    half[1::2] = 2.0 * C[:-1] + d * (3.0 * F[:-1] + F[1:]) / 4.0
 
-    g = np.arange(-K, P)
-    cols = np.arange(len(g))
-    first = np.maximum(-g, 0) if by_column else np.maximum(g, 0)
-    span = np.minimum(P - 1, g + K) - np.maximum(g, 0)
-    inc = 0.5 * d * (I[:-1] + I[1:])
-    # an anti-diagonal whose first slot is not slot 0 follows a zero slot:
-    # keep its first slot at exactly 0 (the cut would cancel it up to rounding)
-    late = first > 0
-    inc[first[late] - 1, cols[late]] = 0.0
-    A = np.zeros(I.shape)
-    np.cumsum(inc, axis=0, out=A[1:])
+    def __init__(self, L: int, K: int, delta: float):
+        self.delta = delta
+        self.shape = (L + 1, K + 1)
+        P = 2 * L + 1
+        by_column = K + 1 < P
+        # half[p, k] = inner integral at half row p of column k, seen through
+        # I[slot, g + K], one column per anti-diagonal (0 off the layout)
+        if by_column:
+            # K zero rows at each end; slot k of anti-diagonal g is
+            # Z[g + K + k, k], a skewed view
+            Z = np.zeros((P + 2 * K, K + 1))
+            self._half = Z[K:K + P]
+            s0, s1 = Z.strides
+            self._I = np.lib.stride_tricks.as_strided(Z, (K + 1, P + K), (s0 + s1, s0),
+                                                      writeable=False)
+        else:
+            # columns reversed and zero past column K; slot p is half row p of
+            # column p - g: re-cutting the flat padded array shifts row p by p
+            # columns
+            Y = np.zeros((P, K + 1 + P))
+            self._half = Y[:, K::-1]
+            self._I = Y.ravel()[:-P].reshape(P, P + K)
+        slots, n = self._I.shape
+        g = np.arange(-K, P)
+        self._cols = np.arange(n)
+        self._first = np.maximum(-g, 0) if by_column else np.maximum(g, 0)
+        self._span = np.minimum(P - 1, g + K) - np.maximum(g, 0)
+        # an anti-diagonal whose first slot is not slot 0 follows a zero slot:
+        # its first increment, A[first] - A[first - 1], is kept at exactly 0
+        # (the cut would cancel it up to rounding)
+        late = np.flatnonzero(self._first > 0)
+        self._late = self._first[late] * n + late
+        self._C = np.empty(self.shape)
+        self._A = np.zeros((slots, n))
+        self._A_cut = np.zeros(n)
+        self._steps = (2, n - 1) if by_column else (2 * n + 2, -1)  # of A in (l, k)
+        self._nodes = self._node_views(self.shape, 0, 0, 1)
 
-    q = np.floor(cut + 1e-12).astype(int)
-    s = np.where((q < 0) | (q >= span), 0.0, cut - q)
-    q0 = first + np.clip(q, 0, span)
-    q1 = np.minimum(q0 + 1, I.shape[0] - 1)
-    A_cut = A[q0, cols] + d * (s * I[q0, cols] + 0.5 * s * s * (I[q1, cols] - I[q0, cols]))
+    def __call__(self, F: np.ndarray, cut: np.ndarray) -> np.ndarray:
+        """Phi[F] at every node of the sheared field F, with the cut of
+        anti-diagonal g in ``cut[g + K]``."""
+        self._set_cut(cut)
+        self._sums(F)
+        return self._phi(self._nodes, self.shape)
 
-    rows = 2 * np.arange(L + 1)[:, None]
-    gk = rows - np.arange(K + 1) + K  # anti-diagonal column of each node
-    slot = np.arange(K + 1) if by_column else rows
-    return 0.5 * (A[slot, gk] - A_cut[gk])
+    def _set_cut(self, cut: np.ndarray):
+        q = np.floor(cut + 1e-12).astype(int)
+        s = np.where((q < 0) | (q >= self._span), 0.0, cut - q)
+        self._q0 = self._first + np.clip(q, 0, self._span)
+        self._q1 = np.minimum(self._q0 + 1, self._A.shape[0] - 1)
+        self._s, self._ss = s, 0.5 * s * s
+
+    def _sums(self, F: np.ndarray):
+        """The running sums A of every anti-diagonal and their values A_cut
+        at the cuts, for the field F."""
+        d = self.delta
+        # rows: 2 C[l]; half rows: 2 C[l] + d (3 F[l] + F[l + 1]) / 4, in
+        # that order.  Each is computed in place and read from C, never from
+        # the other rows of the table, which numpy would copy first.
+        C = column_cumulative(F, d, self._C)
+        C *= 2.0
+        even, odd = self._half[0::2], self._half[1::2]
+        np.copyto(even, C)
+        np.multiply(F[:-1], 3.0, out=odd)
+        odd += F[1:]
+        odd *= d
+        odd /= 4.0
+        odd += C[:-1]
+
+        A, I = self._A, self._I
+        np.add(I[:-1], I[1:], out=A[1:])
+        A[1:] *= 0.5 * d
+        A.ravel()[self._late] = 0.0
+        np.cumsum(A[1:], axis=0, out=A[1:])
+
+        q0, cols = self._q0, self._cols
+        I0 = I[q0, cols]
+        self._A_cut[:] = A[q0, cols] + d * (self._s * I0 + self._ss * (I[self._q1, cols] - I0))
+
+    def _node_views(self, shape, k0: int, k_row: int, k_col: int):
+        """Views of A and A_cut at the nodes (l, k0 + k_row*l + k_col*c) of
+        the sheared layout, for (l, c) in ``shape``."""
+        K = self.shape[1] - 1
+        return [_view(a, K + k0 * sk, shape, (sl + k_row * sk, k_col * sk), False)
+                for a, (sl, sk) in ((self._A, self._steps), (self._A_cut, (2, -1)))]
+
+    @staticmethod
+    def _phi(views, shape) -> np.ndarray:
+        out = np.empty(shape)
+        np.subtract(*views, out=out)
+        out *= 0.5
+        return out
 
 
-def cone_integrals_batch(lat: CharLattice, values: np.ndarray) -> np.ndarray:
-    """Phi[H] at every lattice node inside the domain (0 outside).
+class LatticeConePlan:
+    """Phi[H] at every node of one window's lattice, for any field H: the
+    :class:`ConePlan` of the lattice's sheared layout, with everything its
+    front fixes built once.
 
-    Shears the lattice so that column k holds the diagonal
-    xi = (k - j_ext)*delta, zero where r < 0 or r > j_ext*delta, and runs
-    :func:`sheared_cone_integrals` with the omega cut past rho0.  Below rho0
+    The lattice is sheared so that column k holds the diagonal
+    xi = (k - j_ext)*delta: node (i, j) goes to column i - j + j_ext, and
+    the other slots stay 0.  The omega cut applies past rho0.  Below rho0
     an apex behind the rim echo (t > r) sees the data cone, not the sheared
     one: the sub-cone under the echo, the cone of the rim apex (t - r, 0),
     is removed, and with it the half cells the zeros before the rim add.
+    Node (i, j) is ``0.5 * (A[2i, nt + i + j] - A_cut[nt + i + j])`` less,
+    behind the rim echo, the same at (i - j, 0), and 0 outside the domain.
+
+    The plan holds the cut, the rim-echo and outside indices and the
+    sheared field, on top of the kernel's work arrays; a window builds one
+    and drops it with the window.
     """
-    d, nt, jx = lat.delta, lat.nt, lat.j_ext
-    ii = np.arange(nt + 1)[:, None]
-    jj = np.arange(jx + 1)
-    kk = ii - jj + jx  # the +45 family's layout, columns reversed
 
-    m = np.arange(-nt - jx, 2 * nt + 1) + jx  # anti-diagonal eta = m*delta
-    eta = m * d
-    refl = eta > lat.front.rho0 + 1e-12
-    cut = np.where(refl, lat.front._omega_unchecked(eta) / d + m, 0.0)
-    J = sheared_cone_integrals(_sheared(values, (1,))[:, 0, ::-1], d, cut)[ii, kk]
+    def __init__(self, lat: CharLattice):
+        d, nt, jx = lat.delta, lat.nt, lat.j_ext
+        self.shape = (nt + 1, jx + 1)
+        self._kernel = ConePlan(nt, nt + jx, d)
+        self._field = np.zeros(self._kernel.shape)
+        self._values = _view(self._field, jx, self.shape, (nt + jx + 2, -1), True)
+        m = np.arange(-nt - jx, 2 * nt + 1) + jx  # anti-diagonal eta = m*delta
+        eta = m * d
+        refl = eta > lat.front.rho0 + 1e-12
+        self._kernel._set_cut(np.where(refl, lat.front._omega_unchecked(eta) / d + m, 0.0))
+        self._nodes = self._kernel._node_views(self.shape, jx, 1, -1)
 
-    behind = (ii > jj) & ((ii + jj) * d <= lat.front.rho0 + 1e-12)
-    J = np.where(behind, J - J[np.maximum(ii - jj, 0), 0], J)
-    return np.where(lat.inside, J, 0.0)
+        ii = np.arange(nt + 1)[:, None]
+        jj = np.arange(jx + 1)
+        i_b, j_b = np.nonzero((ii > jj) & ((ii + jj) * d <= lat.front.rho0 + 1e-12))
+        self._behind = i_b * (jx + 1) + j_b
+        self._rim = (i_b - j_b) * (jx + 1)
+        self._outside = ~lat.inside
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        self._values[...] = values
+        self._kernel._sums(self._field)
+        J = self._kernel._phi(self._nodes, self.shape)
+        flat = J.ravel()
+        flat[self._behind] -= flat[self._rim]
+        J[self._outside] = 0.0
+        return J
+
+
+def cone_integrals_batch(lat: CharLattice, values: np.ndarray,
+                         plan: LatticeConePlan) -> np.ndarray:
+    """Phi[H] at every lattice node inside the domain (0 outside), through
+    ``plan``, the :class:`LatticeConePlan` built for ``lat``.  The lattice
+    comes first because it names the call: the benchmark's layer timing
+    divides this function's time by the nodes of its first argument."""
+    if values.shape != plan.shape:
+        raise GeometryError(f"cone integrals of a field of shape {values.shape} "
+                            f"on a plan for shape {plan.shape}")
+    return plan(values)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +399,8 @@ def _line_cumulatives(values: np.ndarray, delta: float) -> np.ndarray:
     """Both families' diagonal cumulatives: C[l, 0, q] integrates the -45
     line r = (q - l) * delta and C[l, 1, q] the +45 line
     r = (q - nt + l) * delta from row 0 to row l (see :func:`_sheared`)."""
-    return column_cumulative(_sheared(values, (-1, 1)), delta)
+    S = _sheared(values, (-1, 1))
+    return column_cumulative(S, delta, np.empty_like(S))
 
 
 def char_line_integrals(lat: CharLattice, values: np.ndarray, C: np.ndarray, direction,

@@ -7,6 +7,10 @@ different route, or states an identity the production results must obey:
     with its own branch arguments t + r and t - r;
   * the truncated dependence cone of one apex (:func:`cone_region`), its
     integral by iterated quadrature and its exact area;
+  * the anti-diagonal cone sum of a sheared field and of a lattice, each
+    call building its own layout and index arrays
+    (:func:`sheared_cone_integrals`, :func:`cone_integrals_batch`), which
+    the planned sums of ``debondsim.quadrature`` must match bitwise;
   * a characteristic line integral sample by sample, and the diagonal
     cumulatives row by row;
   * the radii where a corner wavefront crosses one row, and the audit's
@@ -33,7 +37,7 @@ from debondsim.energy_audit import _energy_integrands, _rim_power
 from debondsim.fields import ProblemData
 from debondsim.geometry import _TOL, GeometryError, _asarray
 from debondsim.prescribed import _BANK, locate_patch
-from debondsim.quadrature import CharLattice, _row_interp
+from debondsim.quadrature import CharLattice, _row_interp, _sheared, column_cumulative
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +187,74 @@ def region_area(region: ConeRegion) -> float:
     if xi_hi > a2:
         area_char += (eta_hi - c) * (xi_hi - a2)
     return 0.5 * area_char
+
+
+def sheared_cone_integrals(F: np.ndarray, delta: float, cut: np.ndarray) -> np.ndarray:
+    """Phi[F] at every node of a field in sheared layout, in one call that
+    builds its layout, work arrays and index arrays for itself: the
+    unplanned form of ``debondsim.quadrature.ConePlan``, with the same
+    terms summed in the same order (see its docstring for the layout).
+    ``cut[g + K]`` is anti-diagonal g's fractional omega-cut slot."""
+    d = delta
+    L, K = F.shape[0] - 1, F.shape[1] - 1
+    P = 2 * L + 1
+    by_column = K + 1 < P
+    if by_column:
+        Z = np.zeros((P + 2 * K, K + 1))
+        half = Z[K:K + P]
+        s0, s1 = Z.strides
+        I = np.lib.stride_tricks.as_strided(Z, (K + 1, P + K), (s0 + s1, s0),
+                                            writeable=False)
+    else:
+        Y = np.zeros((P, K + 1 + P))
+        half = Y[:, K::-1]
+        I = Y.ravel()[:-P].reshape(P, P + K)
+    C = column_cumulative(F, d, np.zeros_like(F))
+    half[0::2] = 2.0 * C
+    half[1::2] = 2.0 * C[:-1] + d * (3.0 * F[:-1] + F[1:]) / 4.0
+
+    g = np.arange(-K, P)
+    cols = np.arange(len(g))
+    first = np.maximum(-g, 0) if by_column else np.maximum(g, 0)
+    span = np.minimum(P - 1, g + K) - np.maximum(g, 0)
+    inc = 0.5 * d * (I[:-1] + I[1:])
+    late = first > 0
+    inc[first[late] - 1, cols[late]] = 0.0
+    A = np.zeros(I.shape)
+    np.cumsum(inc, axis=0, out=A[1:])
+
+    q = np.floor(cut + 1e-12).astype(int)
+    s = np.where((q < 0) | (q >= span), 0.0, cut - q)
+    q0 = first + np.clip(q, 0, span)
+    q1 = np.minimum(q0 + 1, I.shape[0] - 1)
+    A_cut = A[q0, cols] + d * (s * I[q0, cols] + 0.5 * s * s * (I[q1, cols] - I[q0, cols]))
+
+    rows = 2 * np.arange(L + 1)[:, None]
+    gk = rows - np.arange(K + 1) + K  # anti-diagonal column of each node
+    slot = np.arange(K + 1) if by_column else rows
+    return 0.5 * (A[slot, gk] - A_cut[gk])
+
+
+def cone_integrals_batch(lat: CharLattice, values: np.ndarray) -> np.ndarray:
+    """Phi[H] at every lattice node inside the domain (0 outside), in one
+    call: the unplanned form of ``debondsim.quadrature.LatticeConePlan``.
+    It shears the lattice with index arrays, runs
+    :func:`sheared_cone_integrals` with the omega cut past rho0, gathers the
+    nodes back and removes the sub-cone under the rim echo with masks."""
+    d, nt, jx = lat.delta, lat.nt, lat.j_ext
+    ii = np.arange(nt + 1)[:, None]
+    jj = np.arange(jx + 1)
+    kk = ii - jj + jx  # the +45 family's layout, columns reversed
+
+    m = np.arange(-nt - jx, 2 * nt + 1) + jx  # anti-diagonal eta = m*delta
+    eta = m * d
+    refl = eta > lat.front.rho0 + 1e-12
+    cut = np.where(refl, lat.front._omega_unchecked(eta) / d + m, 0.0)
+    J = sheared_cone_integrals(_sheared(values, (1,))[:, 0, ::-1], d, cut)[ii, kk]
+
+    behind = (ii > jj) & ((ii + jj) * d <= lat.front.rho0 + 1e-12)
+    J = np.where(behind, J - J[np.maximum(ii - jj, 0), 0], J)
+    return np.where(lat.inside, J, 0.0)
 
 
 # ---------------------------------------------------------------------------

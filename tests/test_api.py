@@ -45,6 +45,44 @@ def test_entry_point_signatures_are_pinned():
                                        ("tough", need)]
 
 
+def test_traced_entry_points_keep_their_names_and_first_arguments(monkeypatch):
+    # perfbench/tracing.py times the two cone sums by name: it wraps
+    # quadrature.cone_integrals_batch under every name a debondsim module
+    # binds it to, and StripWorkspace.cone_integrals on its class, and
+    # divides their time by the nodes of args[0] (a CharLattice's nt and
+    # j_ext, a strip's L and m).  A target the program no longer calls reads
+    # 0 without an error, so a short run must call both, in that form.
+    from debondsim import griffith, quadrature
+    seen = {"lattice": [], "strip": []}
+    batch = quadrature.cone_integrals_batch
+    assert next(iter(inspect.signature(batch).parameters)) == "lat"
+
+    def traced_batch(*args, **kwargs):
+        seen["lattice"].append(args[0])
+        return batch(*args, **kwargs)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("debondsim") and getattr(module, "cone_integrals_batch", None) is batch:
+            monkeypatch.setattr(module, "cone_integrals_batch", traced_batch)
+    strip = griffith.StripWorkspace.cone_integrals
+
+    def traced_strip(*args, **kwargs):
+        seen["strip"].append(args[0])
+        return strip(*args, **kwargs)
+    monkeypatch.setattr(griffith.StripWorkspace, "cone_integrals", traced_strip)
+
+    data = debondsim.ProblemData(R=3.0, rho0=1.0, alpha=0.5, horizon=0.25,
+                                 w=debondsim.Profile.zero(),
+                                 v0=debondsim.Profile.sine_bump(0.4, 1.0),
+                                 v1=debondsim.Profile.zero())
+    debondsim.run(data, debondsim.Toughness.constant(0.15, rho0=1.0, R=3.0), 0.25,
+                  delta=1.0 / 64)
+    assert seen["lattice"] and seen["strip"]
+    assert all(isinstance(a, quadrature.CharLattice) and a.nt > 0 and a.j_ext > 0
+               for a in seen["lattice"])
+    assert all(isinstance(a, griffith.StripWorkspace) and a.L > 0 and a.m > 0
+               for a in seen["strip"])
+
+
 def fresh(*args) -> subprocess.CompletedProcess:
     """Run a fresh interpreter with ``args`` and this package on its path."""
     path = os.pathsep.join(filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))))

@@ -1,23 +1,27 @@
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from debondsim import quadrature
 from debondsim.dalembert import free_derivatives
 from debondsim.fields import ProblemData, Profile, Toughness, to_h_data
 from debondsim.geometry import FrontCurve, GeometryError, corner_wavefronts
-from debondsim.griffith import StripWorkspace
-from debondsim.prescribed import march
+from debondsim.griffith import StripWorkspace, solve_coupled_window
+from debondsim.prescribed import march, plan_windows, solve_window
 from debondsim.quadrature import (
-    CharLattice, char_line_integrals, cone_integrals_batch, phi_time_trace,
-    sheared_cone_integrals,
+    CharLattice, ConePlan, LatticeConePlan, char_line_integrals, cone_integrals_batch,
+    phi_time_trace,
 )
 from reference import (
     cone_region, diag_cumulatives, diag_line_integral, jump_radii, phi_of, region_area,
+    sheared_cone_integrals,
 )
+from reference import cone_integrals_batch as batch_oracle
 
 
 def make_lattice(delta=1.0 / 64, nt=16, speed=0.25, rho0=1.0, R=3.0):
@@ -33,6 +37,11 @@ def fill(lat, fun):
 
 def const_field(lat, c=1.0):
     return lat.masked(np.full((lat.nt + 1, lat.j_ext + 1), c))
+
+
+def batch(lat, values):
+    """cone_integrals_batch through a plan built for this one call."""
+    return cone_integrals_batch(lat, values, LatticeConePlan(lat))
 
 
 def line_integrals(lat, values, *segments):
@@ -170,7 +179,7 @@ def test_phi_quadratic_convergence():
 def test_batch_matches_single_apex():
     lat = make_lattice(delta=1.0 / 32, nt=8, speed=0.3)
     H = fill(lat, lambda t, r: np.sin(1.3 * t + 0.4) * np.cos(0.9 * r))
-    J = cone_integrals_batch(lat, H)
+    J = batch(lat, H)
     for i in range(lat.nt + 1):
         t = i * lat.delta
         rho_t = float(lat.front.rho(t))
@@ -192,7 +201,7 @@ def test_sheared_kernel_exact_for_constant_field():
     # Phi = 1/2 int (eta + xi) dxi over xi in [max(0, -eta), k delta], on
     # anti-diagonals starting on row 0 (eta < 0) and on column 0 (eta > 0)
     d, L, K = 1.0 / 16, 6, 9
-    J = sheared_cone_integrals(np.ones((L + 1, K + 1)), d, np.zeros(2 * L + K + 1))
+    J = ConePlan(L, K, d)(np.ones((L + 1, K + 1)), np.zeros(2 * L + K + 1))
     l, k = np.meshgrid(np.arange(L + 1), np.arange(K + 1), indexing="ij")
     eta, b = (2 * l - k) * d, k * d
     a = np.maximum(0.0, -eta)
@@ -213,7 +222,7 @@ def test_batch_matches_single_apex_on_random_fronts(interior, slopes, coef):
     lat = CharLattice(FrontCurve(ts, rhos, 3.0), 1.0 / 32, 8)
     b, c, e, f, g = coef
     H = fill(lat, lambda t, r: np.sin(b * t + c) * np.cos(e * r + f) + g * t * r)
-    J = cone_integrals_batch(lat, H)
+    J = batch(lat, H)
     rho0 = lat.front.rho0
     for i in range(lat.nt + 1):
         t = i * lat.delta
@@ -243,7 +252,7 @@ def _row_oriented(F, d, cut):
     Kp = max(K, 2 * L + 1)
     Fp = np.zeros((L + 1, Kp + 1))
     Fp[:, :K + 1] = F
-    return sheared_cone_integrals(Fp, d, np.concatenate((np.zeros(Kp - K), cut)))[:, :K + 1]
+    return ConePlan(L, Kp, d)(Fp, np.concatenate((np.zeros(Kp - K), cut)))[:, :K + 1]
 
 
 @pytest.mark.parametrize("L,K", [(0, 3), (1, 0), (2, 1), (74, 1), (159, 19), (10, 20), (10, 21)])
@@ -253,7 +262,7 @@ def test_column_orientation_matches_row_orientation(L, K):
     rng = np.random.default_rng(L * 100 + K)
     F = rng.standard_normal((L + 1, K + 1))
     cut = _cuts(rng, L, K)
-    J = sheared_cone_integrals(F, 1.0 / 128, cut)
+    J = ConePlan(L, K, 1.0 / 128)(F, cut)
     assert np.array_equal(J, _row_oriented(F, 1.0 / 128, cut))
 
 
@@ -263,24 +272,156 @@ def test_column_orientation_matches_row_orientation_drawn(L, K, seed):
     rng = np.random.default_rng(seed)
     F = rng.standard_normal((L + 1, K + 1))
     cut = _cuts(rng, L, K)
-    J = sheared_cone_integrals(F, 1.0 / 64, cut)
+    J = ConePlan(L, K, 1.0 / 64)(F, cut)
     assert np.array_equal(J, _row_oriented(F, 1.0 / 64, cut))
 
 
 def test_strip_kernel_memory_is_linear_in_the_strip():
     # a tall narrow strip: the half-row layout would hold (2L + 1)(2L + K + 1)
-    # slots, near 40 MB, for (L + 1)(K + 1) nodes
+    # slots, near 40 MB, for (L + 1)(K + 1) nodes; the bound covers building
+    # the plan, its work arrays included, and one call
     L, K = 640, 8
     rng = np.random.default_rng(7)
     F = rng.standard_normal((L + 1, K + 1))
     cut = _cuts(rng, L, K)
     tracemalloc.start()
     try:
-        sheared_cone_integrals(F, 1.0 / 256, cut)
+        ConePlan(L, K, 1.0 / 256)(F, cut)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 4e6
+
+
+def _drawn_cuts(rng, L, K):
+    # _cuts, with about a tenth of the cuts below 0 and a tenth past the last
+    # slot, where the cut clamps to the anti-diagonal's ends
+    g = np.arange(-K, 2 * L + 1)
+    span = np.minimum(2 * L, g + K) - np.maximum(g, 0)
+    cut = _cuts(rng, L, K)
+    u = rng.uniform(size=len(g))
+    cut[u < 0.1] = -rng.uniform(0.0, 2.0)
+    cut[u > 0.9] = span[u > 0.9] + rng.uniform(0.0, 2.0)
+    return cut
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(L=st.integers(0, 40), K=st.integers(0, 30), seed=st.integers(0, 2 ** 16))
+@example(L=0, K=0, seed=1)
+@example(L=0, K=7, seed=2)
+@example(L=9, K=0, seed=3)
+def test_plan_matches_oracle_on_successive_calls(L, K, seed):
+    # one plan, three fields with three cuts, in both orientations: every
+    # result equals the unplanned oracle bitwise, and the first is untouched
+    # by the later calls, so results are fresh arrays and the work arrays'
+    # zero padding survives every call
+    rng = np.random.default_rng(seed)
+    plan = ConePlan(L, K, 1.0 / 64)
+    kept = []
+    for _ in range(3):
+        F = rng.standard_normal((L + 1, K + 1))
+        cut = _drawn_cuts(rng, L, K)
+        J = plan(F, cut)
+        assert np.array_equal(J, sheared_cone_integrals(F, 1.0 / 64, cut))
+        kept.append((J, J.copy()))
+    assert all(np.array_equal(J, first) for J, first in kept)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(interior=st.lists(st.floats(0.02, 0.58), max_size=2, unique=True),
+       slopes=st.lists(st.floats(0.0, 0.6), min_size=3, max_size=3),
+       nt=st.sampled_from([0, 1, 8, 24]), seed=st.integers(0, 2 ** 16))
+def test_lattice_plan_matches_oracle_on_successive_calls(interior, slopes, nt, seed):
+    # one lattice plan, three fields (nonzero off the domain too), on fronts
+    # of 2-4 knots whose lattices hold reflected anti-diagonals and apices
+    # behind the rim echo: every result equals the unplanned oracle bitwise,
+    # and the first is untouched by the later calls
+    ts = np.array([0.0] + sorted(interior) + [0.8])
+    rhos = 1.0 + np.concatenate(([0.0], np.cumsum(np.array(slopes[:len(ts) - 1]) * np.diff(ts))))
+    lat = CharLattice(FrontCurve(ts, rhos, 3.0), 1.0 / 32, nt)
+    plan = LatticeConePlan(lat)
+    rng = np.random.default_rng(seed)
+    kept = []
+    for _ in range(3):
+        H = rng.standard_normal((lat.nt + 1, lat.j_ext + 1))
+        J = cone_integrals_batch(lat, H, plan)
+        assert np.array_equal(J, batch_oracle(lat, H))
+        kept.append((J, J.copy()))
+    assert all(np.array_equal(J, first) for J, first in kept)
+
+
+def test_batch_rejects_a_plan_of_another_shape():
+    lat, other = make_lattice(nt=8), make_lattice(nt=9)
+    with pytest.raises(GeometryError, match=r"shape \(9, \d+\) on a plan for shape \(10, \d+\)"):
+        cone_integrals_batch(lat, const_field(lat), LatticeConePlan(other))
+
+
+def _record_plans(monkeypatch):
+    """Log every cone plan built from now on: its class name, a weak
+    reference to it and weak references to the arrays it owns (the base of
+    each of its array attributes)."""
+    log = []
+
+    def owned(plan):
+        for a in vars(plan).values():
+            if isinstance(a, np.ndarray):
+                while getattr(a, "base", None) is not None:
+                    a = a.base
+                yield weakref.ref(a)
+
+    for cls in (ConePlan, LatticeConePlan):
+        def init(self, *args, _init=cls.__init__):
+            _init(self, *args)
+            log.append((type(self).__name__, weakref.ref(self), list(owned(self))))
+        monkeypatch.setattr(cls, "__init__", init)
+    return log
+
+
+def test_one_lattice_plan_per_window(monkeypatch):
+    data = ProblemData(R=3.0, rho0=1.0, alpha=0.5, horizon=4.0, w=Profile.zero(),
+                       v0=Profile.sine_bump(0.4, 1.0), v1=Profile.zero())
+    front = FrontCurve.affine(1.0, 0.3, 2.0, 3.0)
+    window = plan_windows(front, 0.5, 0, 16, 1.0 / 64)[0]
+    log = _record_plans(monkeypatch)
+    patch = solve_window(to_h_data(data), front, window)
+    assert patch.diagnostics["iterations"] > 2
+    assert [name for name, _, _ in log] == ["ConePlan", "LatticeConePlan"]
+
+
+def test_march_keeps_no_plan(monkeypatch):
+    # patches outlive their windows: a plan, or a view of its work arrays,
+    # kept by a patch or its lattice would hold the plan's memory once per
+    # patch; once march returns, every plan and every array a plan owned is
+    # gone while the patches live
+    data = ProblemData(R=3.0, rho0=1.0, alpha=0.5, horizon=4.0, w=Profile.zero(),
+                       v0=Profile.sine_bump(0.4, 1.0), v1=Profile.constant(0.2))
+    log = _record_plans(monkeypatch)
+    patches = march(data, FrontCurve.affine(1.0, 0.3, 2.0, 3.0), horizon=0.375, delta=1.0 / 64)
+    gc.collect()
+    assert len(patches) > 1
+    assert [name for name, _, _ in log].count("LatticeConePlan") == len(patches)
+    for name, plan, arrays in log:
+        assert plan() is None, name
+        assert all(a() is None for a in arrays), name
+
+
+def test_one_strip_plan_per_coupled_window(monkeypatch):
+    # the strip builds its plan with its workspace; every sweep reuses it
+    data = ProblemData(R=3.0, rho0=1.0, alpha=0.0, horizon=8.0, w=Profile.zero(),
+                       v0=Profile.sine_bump(0.4, 1.0), v1=Profile.zero())
+    log = _record_plans(monkeypatch)
+    sweeps = []
+    cone = StripWorkspace.cone_integrals
+
+    def counted(ws, lam, F):
+        sweeps.append(1)
+        return cone(ws, lam, F)
+    monkeypatch.setattr(StripWorkspace, "cone_integrals", counted)
+    ws = StripWorkspace(to_h_data(data), Toughness.constant(0.1, rho0=1.0, R=3.0),
+                        0.25, 12, 1.0 / 64)
+    solve_coupled_window(ws, M=1e3, t_start=0.0)
+    assert len(sweeps) > 2
+    assert [name for name, _, _ in log] == ["ConePlan"]
 
 
 @pytest.mark.parametrize("speed", [0.0, 0.3])
@@ -302,7 +443,7 @@ def test_strip_matches_lattice(speed):
 
     inside = ws.inside_mask(lam)
     J_strip = ws.cone_integrals(lam, np.where(inside, field(ws.t_grid, ws.r_grid), 0.0))
-    J_lat = cone_integrals_batch(lat, fill(lat, field))
+    J_lat = batch(lat, fill(lat, field))
     ll, kk = np.nonzero(inside)
     jj = np.rint(ws.r_grid[ll, kk] / delta).astype(int)
     ref = J_lat[ll, jj]
@@ -312,7 +453,7 @@ def test_strip_matches_lattice(speed):
 
 def test_batch_zero_outside():
     lat = make_lattice(delta=1.0 / 32, nt=8)
-    J = cone_integrals_batch(lat, const_field(lat))
+    J = batch(lat, const_field(lat))
     assert np.all(J[~lat.inside] == 0.0)
 
 
