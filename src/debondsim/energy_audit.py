@@ -187,28 +187,30 @@ class EnergyLedger:
         return float(np.max(np.abs(self.edp_residual))) / scale
 
 
-def _segment_residuals(front, tough: Toughness, times: np.ndarray, G0: np.ndarray):
-    """Complementarity residual and maximality gap of each front segment,
-    spread over its rows.
+def _segments(front, times: np.ndarray):
+    """The front segment holding each row (right-continuous, as rho_dot):
+    the distinct segments, each row's index into them, and their
+    midpoints, with the segments clipped to the audited rows."""
+    tk = front.t_knots
+    seg = np.clip(np.searchsorted(tk, times, side="right") - 1, 0, len(tk) - 2)
+    used, seg = np.unique(seg, return_inverse=True)
+    mid = 0.5 * (np.clip(tk[used], times[0], times[-1])
+                 + np.clip(tk[used + 1], times[0], times[-1]))
+    return used, seg, mid
 
-    Each segment's slope sigma is checked at its midpoint (see the module
-    docstring), with G0 linearly interpolated from the row series and
-    kappa at rho(midpoint): against the release rate at speed sigma for
-    complementarity, and against the closed-form speed for maximality.
-    Segments are clipped to the audited rows, and every row takes the
-    values of the segment holding it (right-continuous, as rho_dot).
-    """
-    sigma = front.rho_dot(front.t_knots[:-1])
-    lo = np.clip(front.t_knots[:-1], times[0], times[-1])
-    hi = np.clip(front.t_knots[1:], times[0], times[-1])
-    mid = 0.5 * (lo + hi)
+
+def _segment_residuals(front, tough: Toughness, used, mid, g0):
+    """Complementarity residual and maximality gap of the front segments
+    ``used``, each checked at its midpoint (see the module docstring) with
+    the release rate ``g0`` traced there and kappa at rho(midpoint):
+    against the release rate at speed sigma for complementarity, and
+    against the closed-form speed for maximality."""
+    sigma = front.rho_dot(front.t_knots[used])
     kap = kappa_eval(tough, np.minimum(front.rho(mid), tough.R - 1e-12))
-    g0 = np.interp(mid, times, G0)
     g_rd = (1.0 - sigma) / (1.0 + sigma) * g0
     kkt = np.maximum(0.0, g_rd - kap) + np.abs((g_rd - kap) * sigma)
     mdp = np.abs(sigma - np.maximum(0.0, (g0 - kap) / (g0 + kap)))
-    seg = np.clip(np.searchsorted(front.t_knots, times, side="right") - 1, 0, len(sigma) - 1)
-    return kkt[seg], mdp[seg]
+    return kkt, mdp
 
 
 def audit(patches: List[FieldPatch], front, data: ProblemData,
@@ -220,22 +222,32 @@ def audit(patches: List[FieldPatch], front, data: ProblemData,
     toughness with the stationarity defect, and the maximality gap
     compares the front slope with the closed-form speed from G0; both are
     evaluated at the midpoint of the front segment that holds each row
-    (see :func:`_segment_residuals`).
+    (see :func:`_segment_residuals`), with G0 traced at the midpoint, in
+    the patch holding it, not interpolated between the rows around it: G0
+    bends where the front crosses a lattice diagonal, and a row
+    interpolant across a bend is off by O(delta^2) with a size that
+    depends on where the bend falls.
     """
     rows = _global_rows(patches)
     times = np.concatenate([tt for _, _, tt in rows])
     n = len(times)
     alpha = patches[0].hdata.alpha
 
-    # every per-row quantity of a patch comes from one batched call
+    # every per-row quantity of a patch comes from one batched call, and
+    # the release rate at the midpoints of the segments it holds with it
     wf = corner_wavefronts(front, times[-1])
+    used, seg, mid = _segments(front, times)
+    owner = np.searchsorted([p.t0 for p, _, _ in rows], mid + 1e-12, side="right") - 1
+    g0_mid = np.empty(mid.shape)
     E, a_int, qw, G0 = [], [], [], []
-    for p, ii, tt in rows:
+    for k, (p, ii, tt) in enumerate(rows):
         e, a = _row_radial_integrals(p, ii, wf)
         E.append(e)
         a_int.append(a)
         qw.append(_rim_work_rates(p, data, tt))
-        G0.append(_release_rate(p, front, tt))
+        g0 = _release_rate(p, front, np.concatenate((tt, mid[owner == k])))
+        G0.append(g0[:len(tt)])
+        g0_mid[owner == k] = g0[len(tt):]
     E, a_int, qw, G0 = (np.concatenate(x) for x in (E, a_int, qw, G0))
 
     A = np.zeros(n)
@@ -252,9 +264,9 @@ def audit(patches: List[FieldPatch], front, data: ProblemData,
     kap = kappa_eval(tough, np.minimum(rho, tough.R - 1e-12))
 
     edp = T + D - T[0] - W
-    kkt, mdp_gap = _segment_residuals(front, tough, times, G0)
+    kkt, mdp_gap = _segment_residuals(front, tough, used, mid, g0_mid)
 
     return EnergyLedger(times=times, rho=rho, rho_dot=rho_dot, E=E, A_fric=A,
                         T_total=T, W_ext=W, D_debond=D, G0=G0,
-                        kappa_front=kap, edp_residual=edp, kkt_residual=kkt,
-                        mdp_gap=mdp_gap)
+                        kappa_front=kap, edp_residual=edp, kkt_residual=kkt[seg],
+                        mdp_gap=mdp_gap[seg])

@@ -1,46 +1,49 @@
 """Coupled front evolution by the critical-rate flow rule.
 
-The front is unknown; its crossing time lambda(s) of each characteristic
-t - r = s obeys the rate ODE
+The front is unknown, and parametrised by the anti-diagonal eta = t + r:
+omega(eta) is its t - r at t + r = eta.  Along the front
+d omega / d eta = (1 - rho') / (1 + rho'), which the rate law
+rho' = max(0, (G0 - kappa) / (G0 + kappa)) makes
 
-    lambda'(s) = (1 + max(Lam(s), 1)) / 2,    lambda(-rho0) = 0,
+    omega'(eta) = min(1, kappa / G0),    omega(eta) = -rho0 for eta <= rho0,
 
-where Lam is the ratio of the release rate to the toughness, evaluated
-from the data traces and a characteristic line integral of the kernel
-field.  Each marching window alternates two updates on a diagonal strip
-hugging the front: the field update (free solution plus half the cone
-integral, cut off at the current front) and the lambda update (cumulative
-quadrature of the rate law).  The pair contracts in the product metric
-max(L2 field distance, sup lambda distance) once the strip is narrow
-enough; the width starts from the analytic sufficiency bounds and halves
-whenever the measured factor misbehaves.  The pair stops by the rule of the
-prescribed Picard iteration, with its constants ``_TOL`` and ``_MAX_ITER``
-(see :mod:`debondsim.prescribed`).
+with G0 the release rate at the front point, from the data traces and a
+line integral of the kernel field along t - r = omega(eta).  The slope
+lies in (0, 1] at every speed, so a front point per anti-diagonal resolves
+fronts up to the sonic limit.  Each marching window alternates two
+updates on a diagonal strip hugging the front: the field update (free
+solution plus half the cone integral, cut off at the front) and the rate
+update (the cumulative trapezoid of omega' over the strip's
+anti-diagonals).  The pair contracts in the product metric max(L2 field
+distance, sup omega distance) once the strip is narrow enough; the width
+starts from the analytic sufficiency bounds and halves whenever the
+measured factor misbehaves.  It stops by the rule of the prescribed
+Picard iteration, ``_TOL`` and ``_MAX_ITER`` (:mod:`debondsim.prescribed`).
 
-A window's time horizon is set by geometry alone (0.45 rho and
-0.9 (R - rho)), never by the run's horizon: the last window is solved to
-its full height and cut at the run's horizon on the quadratic crossing
-curve, since a window capped there would take its last column's rate
-slope behind the front.  A window whose front would outrun its own time
-horizon is capped: the lambda iterate is frozen at the horizon, which
-leaves every in-window formula untouched (the strip never looks past its
-last row) and lets fast fronts advance a full window per step.  After each
-window the prescribed window loop extends the run's patches over the
-produced front, in global time, with its seams split at the run's corner
-wavefronts; those patches give exact seam traces for the next window and
-are the run's output field, so the field is solved once per run.
+A window's horizon T is set by geometry alone (0.45 rho and
+0.9 (R - rho)), never by the run's horizon.  Its front ends where it
+leaves the strip, at t = T or on the strip's last diagonal; points past
+that end hold no strip node inside the front and take their rate on the
+strip's edge at their own time and radius, so the cell the front leaves
+in is integrated like any other.  A cell that crosses a toughness
+breakpoint is split there, each side at its own toughness.  The window
+advances by the full rows below its end, or to the first full row past a
+breakpoint, cut there on its cell's quadratic; the prescribed window loop
+then extends the run's patches over the produced front, with seams split
+at the corner wavefronts.  Those patches give exact seam traces for the
+next window and are the run's field, so the field is solved once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
 from .fields import HData, ProblemData, Toughness, kappa_eval, kernel_prefactor, to_h_data
-from .geometry import FrontCurve, GeometryError, corner_wavefronts
+from .geometry import FrontCurve, corner_wavefronts
 from .prescribed import (
     _MAX_ITER, _TOL, ConvergenceError, FieldPatch, _extend, _row_count, _seam_data,
 )
@@ -53,6 +56,24 @@ class _Shrink(Exception):
     """Internal: the current strip width must be halved."""
 
 
+def _slope(g0, kappa):
+    """The front slope d omega / d eta = min(1, kappa / G0)."""
+    return 1.0 / np.maximum(g0 / kappa, 1.0)
+
+
+class _Front(NamedTuple):
+    """A window's front as knots (eta, omega), at t = (eta + omega) / 2 and
+    radius (eta - omega) / 2, with the slope on each side of a knot (they
+    differ at a toughness breakpoint only); ``grid`` indexes the knots on
+    the strip's anti-diagonals."""
+
+    eta: np.ndarray
+    omega: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    grid: np.ndarray
+
+
 # ---------------------------------------------------------------------------
 # the strip workspace
 # ---------------------------------------------------------------------------
@@ -61,20 +82,20 @@ class StripWorkspace:
     """Characteristic strip along the front for one coupled window.
 
     Node (l, k) sits at t = l*delta on the diagonal t - r = s_k, with
-    s_k = -rho0 + k*delta, k = 0..m; the physical radius is t - s_k, at
-    most rho0 + T, which :func:`run` keeps below the rim radius.
-    Everything the two updates need (data columns, kernel columns, the
-    induced reflection map) lives here.  The terms that do not depend on
-    the lambda iterate are built once, here: the direct branch of the free
-    solution (nodes with t + r <= rho0, which see no reflection), the
-    anti-diagonals eta of the cone sum and its plan
-    (:class:`~debondsim.quadrature.ConePlan`), which holds the slot layout
-    and the work arrays; a sweep computes only the omega cut its lambda
-    iterate induces.  The strip is narrow (m + 1 columns against 2L + 1
-    half rows), so the plan indexes each anti-diagonal by column and its
-    work and memory are O(L * m).  The workspace, and with it the plan,
-    lives for one coupled window; the plan's results are fresh arrays, so
-    one kept across sweeps is never overwritten by the next.
+    s_k = -rho0 + k*delta, k = 0..m; its radius t - s_k is at most
+    rho0 + T, which :func:`run` keeps below R.  Its anti-diagonal t + r is
+    cone_eta[2l - k + m], on the grid cone_eta = rho0 + delta*(-m..2L), and
+    the front iterate omega lives on that grid: -rho0 up to rho0, then
+    front point g at eta[g] = rho0 + g*delta, t = (eta + omega) / 2.
+
+    What does not depend on omega is built once: the data columns, the
+    kernel, the direct branch of the free solution (t + r <= rho0) and the
+    cone sum's plan (:class:`~debondsim.quadrature.ConePlan`, indexed by
+    column, O(L * m) work and memory), which holds the slot layout and the
+    work arrays.  A sweep reads omega by index for its inside mask, its
+    reflected branch and its cone cut.  The workspace and its plan live
+    for one coupled window; the plan's results are fresh arrays, so one
+    kept across sweeps is never overwritten by the next.
     """
 
     def __init__(self, hd: HData, tough: Toughness, T: float, m: int, delta: float):
@@ -86,28 +107,25 @@ class StripWorkspace:
         self.T = self.L * delta
         self.rho0 = hd.rho0
         self.s = -self.rho0 + delta * np.arange(m + 1)
-        self.y = m * delta
 
-        ll = np.arange(self.L + 1)[:, None] * delta
-        self.t_grid = np.broadcast_to(ll, (self.L + 1, m + 1))
+        ll = np.arange(self.L + 1)[:, None]
+        self.t_grid = np.broadcast_to(ll * delta, (self.L + 1, m + 1))
         self.r_grid = self.t_grid - self.s[None, :]
-        self.eta_grid = self.t_grid + self.r_grid
+        self.node_q = 2 * ll - np.arange(m + 1)[None, :] + m
 
-        R, alpha = hd.R, hd.alpha
-        self.kern = kernel_prefactor(self.r_grid, R, alpha)
+        self.kern = kernel_prefactor(self.r_grid, hd.R, hd.alpha)
 
         self.h0_col = np.asarray(hd.h0(-self.s), dtype=float)
         self.H1_col = np.asarray(hd.h1.cumint(-self.s), dtype=float)
-        self.h0d_col = np.asarray(hd.h0_dot(-self.s), dtype=float)
-        self.h1_col = np.asarray(hd.h1(-self.s), dtype=float)
 
-        # lambda-independent terms of the two updates
-        self.direct = self.eta_grid <= self.rho0 + 1e-14
-        eta_d = np.clip(self.eta_grid, 0.0, self.rho0)
+        # omega-independent terms of the two updates
+        eta_grid = self.t_grid + self.r_grid
+        self.direct = eta_grid <= self.rho0 + 1e-14
+        eta_d = np.clip(eta_grid, 0.0, self.rho0)
         self.a_direct = (0.5 * self.h0_col[None, :] + 0.5 * hd.h0(eta_d)
                          + 0.5 * (hd.h1.cumint(eta_d) - self.H1_col[None, :]))
         self.cone_eta = self.rho0 + delta * np.arange(-m, 2 * self.L + 1)
-        self.cone_refl = self.cone_eta > self.rho0 + 1e-12
+        self.eta = self.cone_eta[m:]
         self.cone = ConePlan(self.L, m, delta)
 
     def blank(self) -> np.ndarray:
@@ -115,100 +133,114 @@ class StripWorkspace:
 
     # -- induced front ------------------------------------------------------
 
-    def _lam_capped(self, lam: np.ndarray) -> np.ndarray:
-        return np.minimum(lam, self.T)
+    def straight_front(self, slope: float) -> np.ndarray:
+        """The omega of the front leaving (0, rho0) at d omega / d eta =
+        ``slope``; 1 is a front at rest."""
+        return np.maximum(-self.rho0 + slope * (self.cone_eta - self.rho0), -self.rho0)
 
-    def inside_mask(self, lam: np.ndarray) -> np.ndarray:
-        return self.t_grid <= self._lam_capped(lam)[None, :] + 1e-12
-
-    def omega_of(self, lam: np.ndarray, eta: np.ndarray) -> np.ndarray:
-        """Reflected-characteristic map induced by the lambda iterate:
-        the front point with t + r = eta has t - r = omega(eta).
-
-        u = 2 min(lambda, T) - s increases in s up to the first capped
-        column and decreases past it, where np.interp cannot read it, so the
-        table stops there: no strip node on or behind the front has eta
-        above that column's u."""
-        lamc = self._lam_capped(lam)
-        capped = np.flatnonzero(lamc >= self.T)
-        n = capped[0] + 1 if len(capped) else len(lamc)
-        u = 2.0 * lamc[:n] - self.s[:n]
-        eta_c = np.clip(eta, u[0], u[-1])
-        out = np.interp(eta_c, u, self.s[:n])
-        return np.where(eta <= self.rho0, -self.rho0, out)
+    def inside_mask(self, om: np.ndarray) -> np.ndarray:
+        """Nodes on or behind the front: s_k >= omega on their anti-diagonal."""
+        return self.s[None, :] >= om[self.node_q] - 1e-12
 
     # -- field update ---------------------------------------------------------
 
-    def free_solution(self, lam: np.ndarray) -> np.ndarray:
+    def free_solution(self, om: np.ndarray) -> np.ndarray:
         hd = self.hd
-        q = np.clip(-self.omega_of(lam, self.eta_grid), 0.0, self.rho0)
-        a_refl = (0.5 * self.h0_col[None, :] - 0.5 * hd.h0(q)
-                  + 0.5 * (hd.h1.cumint(q) - self.H1_col[None, :]))
+        q = np.minimum(np.maximum(-om, 0.0), self.rho0)
+        refl = 0.5 * (hd.h1.cumint(q) - hd.h0(q))  # per anti-diagonal
+        a_refl = 0.5 * (self.h0_col - self.H1_col)[None, :] + refl[self.node_q]
         return np.where(self.direct, self.a_direct, a_refl)
 
-    def cone_integrals(self, lam: np.ndarray, F: np.ndarray) -> np.ndarray:
-        """Phi[F] at every strip node, cut at the induced front.
+    def cone_integrals(self, om: np.ndarray, F: np.ndarray) -> np.ndarray:
+        """Phi[F] at every strip node, cut at the front.
 
         The strip is already in sheared layout (column k is the diagonal
-        s_k), and every anti-diagonal past rho0 starts on column 0.
+        s_k), and every anti-diagonal past rho0 starts on column 0, so its
+        cut is the column coordinate of omega; up to rho0 that is 0.
         """
-        om = self.omega_of(lam, self.cone_eta)
-        return self.cone(F, np.where(self.cone_refl, (om + self.rho0) / self.delta, 0.0))
+        return self.cone(F, (om + self.rho0) / self.delta)
 
-    def psi1(self, h: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    def psi1(self, h: np.ndarray, om: np.ndarray) -> np.ndarray:
         """Field update: free solution plus half the cone integral of the
-        kernel field, zero past the induced front."""
+        kernel field, zero past the front."""
         F = self.kern * h
-        out = self.free_solution(lam) + 0.5 * self.cone_integrals(lam, F)
-        return np.where(self.inside_mask(lam), out, 0.0)
+        out = self.free_solution(om) + 0.5 * self.cone_integrals(om, F)
+        return np.where(self.inside_mask(om), out, 0.0)
 
     # -- rate update ----------------------------------------------------------
 
-    def rate_ratio(self, h: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        """Lam(s_k): release rate over toughness along the front candidate."""
-        d = self.delta
-        hd, tough = self.hd, self.tough
-        lamc = self._lam_capped(lam)
+    def release_rate(self, h: np.ndarray, om: np.ndarray) -> np.ndarray:
+        """G0 at every front point of om.  The line integral along
+        t - r = omega weights the column cumulatives of the two columns
+        around it, and its last, fractional cell interpolates linearly in t;
+        past the strip it runs on the nearest column and holds the last
+        row's value."""
+        d, m, L = self.delta, self.m, self.L
+        hd = self.hd
+        w_g = np.minimum(np.maximum(om[m:], self.s[0]), self.s[-1])
+        t_g = 0.5 * (self.eta + om[m:])
         F = self.kern * h
-        C = column_cumulative(F, d, np.empty_like(F))
-        lf = np.clip(np.floor(lamc / d + 1e-12).astype(int), 0, self.L)
-        cols = np.arange(self.m + 1)
-        line = C[lf, cols]
-        rem = lamc - lf * d
-        has = rem > 1e-13
-        if np.any(has):
-            frac = rem / d
-            f_lo = F[lf, cols]
-            f_hi = F[np.minimum(lf + 1, self.L), cols]
-            f_end = (1.0 - frac) * f_lo + frac * f_hi
-            line = np.where(has, line + 0.5 * rem * (f_lo + f_end), line)
+        C = column_cumulative(F, d, np.empty_like(F)).ravel()
+        x = (w_g + self.rho0) / d
+        k = np.minimum(np.maximum(np.floor(x + 1e-12).astype(int), 0), m - 1)
+        w = x - k  # weight of column k + 1
+        t_l = np.minimum(t_g, self.T + d)  # the line holds a cell past the strip
+        lf = np.minimum(np.floor(t_l / d + 1e-12).astype(int), L)
+        i0 = lf * (m + 1) + k
+        i1 = np.minimum(lf + 1, L) * (m + 1) + k
+        F = F.ravel()
+        rem = t_l - lf * d
+        frac = np.minimum(rem / d, 1.0)
+        f_lo = (1.0 - w) * F.take(i0) + w * F.take(i0 + 1)
+        f_hi = (1.0 - w) * F.take(i1) + w * F.take(i1 + 1)
+        line = ((1.0 - w) * C.take(i0) + w * C.take(i0 + 1)
+                + 0.5 * rem * (2.0 * f_lo + frac * (f_hi - f_lo)))
+        bracket = hd.h0_dot(-w_g) - hd.h1(-w_g) - line
+        rho = 0.5 * (self.eta - om[m:])
+        return bracket * bracket / (2.0 * (hd.R - rho) * np.exp(hd.alpha * t_g))
 
-        bracket = self.h0d_col - self.h1_col - line
-        rho = np.clip(lamc - self.s, self.rho0, hd.R - 1e-9)
-        kap = kappa_eval(tough, np.minimum(rho, tough.R - 1e-12))
-        den = 2.0 * (hd.R - rho) * np.exp(hd.alpha * lamc) * kap
-        return bracket * bracket / den
+    def rate_front(self, h: np.ndarray, om: np.ndarray) -> _Front:
+        """The front the rate law gives for the field h on the front om:
+        the cumulative trapezoid in eta of min(1, kappa / G0), kappa at each
+        point's own radius.  A cell whose radius crosses a breakpoint b is
+        split where its quadratic on the lower piece reaches b: the knot
+        there takes that quadratic's slope on the left, and on the right the
+        upper piece's slope at G0 interpolated along the cell."""
+        d, tough = self.delta, self.tough
+        g0 = self.release_rate(h, om)
+        rho = 0.5 * (self.eta - om[self.m:])
+        # past a cell beyond the strip the front holds no inside node: it
+        # keeps the toughness of its first point there, and crosses no breakpoint
+        past = (self.eta + om[self.m:] > 2.0 * (self.T + d)) | (om[self.m:] > self.s[-1] + d)
+        rho = np.where(np.cumsum(past) > 1, rho[np.argmax(past)], rho)
+        piece = tough.piece_index(rho + 1e-9)  # a breakpoint counts once reached
+        slope = _slope(g0, kappa_eval(tough, rho + 1e-9))
+        eta, left, right = self.eta, slope, slope
+        cross = np.flatnonzero(np.diff(piece) > 0)
+        for j, c in enumerate(cross):  # in order: each starts from the front the last one gives
+            k, b = c + j, tough.breakpoints[piece[c] + 1]
+            k_lo = float(tough.pieces[piece[c]](b))
+            a, a1 = float(slope[c]), float(_slope(g0[c + 1], k_lo))
+            # from the new front's radius at the cell, so that a front stopping at b stays on it
+            w_k = np.sum(0.5 * np.diff(eta[:k + 1]) * (right[:k] + left[1:k + 1])) - self.rho0
+            lin, quad, rest = 0.5 * (1.0 - a), 0.25 * (a - a1) / d, b - 0.5 * (eta[k] - w_k)
+            den = lin + math.sqrt(max(lin * lin + 4.0 * quad * rest, 0.0))
+            th = min(max(2.0 * rest / max(den, 1e-300) / d, 1e-6), 1.0 - 1e-6)
+            eta = np.insert(eta, k + 1, eta[k] + th * d)
+            left = np.insert(left, k + 1, a + th * (a1 - a))
+            g0_b = g0[c] + th * (g0[c + 1] - g0[c])
+            right = np.insert(right, k + 1, _slope(g0_b, kappa_eval(tough, b)))
+        grid = np.arange(len(self.eta))
+        grid = grid + np.searchsorted(cross, grid, side="left")
+        steps = 0.5 * np.diff(eta) * (right[:-1] + left[1:])
+        return _Front(eta, np.append(0.0, np.cumsum(steps)) - self.rho0, left, right, grid)
 
-    def rate_slopes(self, h: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        """Crossing-time slopes (1 + max(Lam, 1)) / 2 at the s-samples."""
-        big = self.rate_ratio(h, lam)
-        return 0.5 * (1.0 + np.maximum(big, 1.0))
-
-    def lambda_cumulative(self, slope: np.ndarray) -> np.ndarray:
-        out = np.empty_like(slope)
-        out[0] = 0.0
-        np.cumsum(0.5 * self.delta * (slope[:-1] + slope[1:]), out=out[1:])
+    def psi2(self, h: np.ndarray, om: np.ndarray) -> np.ndarray:
+        """Rate update: :meth:`rate_front` on the anti-diagonal grid."""
+        f = self.rate_front(h, om)
+        out = np.full(len(self.cone_eta), -self.rho0)
+        out[self.m:] = f.omega[f.grid]
         return out
-
-    def psi2(self, h: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        """Rate update: cumulative quadrature of the crossing-time ODE,
-        frozen at the window horizon once it is reached."""
-        return np.minimum(self.lambda_cumulative(self.rate_slopes(h, lam)), self.T)
-
-    def metric(self, h1, lam1, h2, lam2) -> float:
-        dh = math.sqrt(float(np.sum((h1 - h2) ** 2)) * self.delta * self.delta)
-        dl = float(np.max(np.abs(lam1 - lam2)))
-        return max(dh, dl)
 
 
 def solve_coupled_window(ws: StripWorkspace, M: float, t_start: float):
@@ -216,15 +248,18 @@ def solve_coupled_window(ws: StripWorkspace, M: float, t_start: float):
     starting at ``t_start`` until the product metric drops below ``_TOL``.
     Raises _Shrink when the sup cap M or the measured contraction says the
     strip is too wide."""
-    lam = np.minimum(ws.s + ws.rho0, ws.T)  # unit-slope start: front at rest
-    h = ws.psi1(ws.blank(), lam)            # free solution on the strip
+    # start from the straight front at the data's rate at t = 0
+    g0 = ws.release_rate(ws.blank(), ws.straight_front(1.0))[0]
+    om = ws.straight_front(float(_slope(g0, kappa_eval(ws.tough, ws.rho0 + 1e-9))))
+    h = ws.psi1(ws.blank(), om)  # free solution on the strip
     history = []
     for it in range(1, _MAX_ITER + 1):
-        h_new = ws.psi1(h, lam)
-        lam_new = ws.psi2(h_new, lam)
-        d = ws.metric(h_new, lam_new, h, lam)
+        h_new = ws.psi1(h, om)
+        om_new = ws.psi2(h_new, om)
+        d = max(math.sqrt(float(np.sum((h_new - h) ** 2)) * ws.delta * ws.delta),
+                float(np.max(np.abs(om_new - om))))
         history.append(d)
-        h, lam = h_new, lam_new
+        h, om = h_new, om_new
         if float(np.max(np.abs(h))) > M:
             raise _Shrink("field escaped the sup cap")
         if d < _TOL:
@@ -237,12 +272,9 @@ def solve_coupled_window(ws: StripWorkspace, M: float, t_start: float):
             f"(last metric {history[-1]:.3e}, factors "
             f"{[round(b / a, 3) for a, b in zip(history[:-1], history[1:])][-3:]})")
     factors = [b / a for a, b in zip(history[:-1], history[1:]) if a > 0]
-    diag = {
-        "iterations": len(history),
-        "final_metric": history[-1],
-        "measured_factor": max(factors) if factors else 0.0,
-    }
-    return h, lam, diag
+    diag = {"iterations": len(history), "final_metric": history[-1],
+            "measured_factor": max(factors) if factors else 0.0}
+    return h, om, diag
 
 
 # ---------------------------------------------------------------------------
@@ -300,78 +332,42 @@ class GriffithRun:
     window_diagnostics: List[dict]
 
 
-def _cell_cut(ws: StripWorkspace, lam_raw: np.ndarray, slopes: np.ndarray,
-              j: int, target: float, radius: bool = False):
-    """Point (t, s) in the cell [s_{j-1}, s_j] where the front reaches the
-    time ``target`` (with ``radius``, the radius ``target``).
-
-    The crossing time is the cumulative trapezoid of the rate slopes, so in
-    the cell it is lambda_{j-1} + a u + c u^2 at s = s_{j-1} + u, and the
-    radius lambda - s has slope a - 1; the cut inverts that quadratic.
-    """
-    d = ws.delta
-    a = float(slopes[j - 1])
-    c = 0.5 * (float(slopes[j]) - a) / d
-    s0, t0 = float(ws.s[j - 1]), float(lam_raw[j - 1])
-    lin, rest = (a - 1.0, target - (t0 - s0)) if radius else (a, target - t0)
-    den = lin + math.sqrt(max(lin * lin + 4.0 * c * rest, 0.0))
-    u = min(max(2.0 * rest / den, 0.0), d) if den > 0.0 else d
-    return t0 + a * u + c * u * u, s0 + u
+# a knot's t, rho and omega as weights of (eta, omega)
+_KEYS = {"t": (0.5, 0.5), "rho": (0.5, -0.5), "omega": (0.0, 1.0)}
 
 
-def _crossings(ws: StripWorkspace, lam_raw: np.ndarray, slopes: np.ndarray):
-    """Knots (t, s) of the window's front and the number n of leading knots
-    that are lattice columns crossing the front within the strip horizon.
-
-    A column crossing past the horizon T is replaced by the quadratic
-    crossing of T inside its cell.  That last cell is capped: its far
-    column's rate slope was taken at T, behind the front.
-    """
-    n = int(np.searchsorted(lam_raw, ws.T + 1e-15, side="right"))
-    ts, ss = lam_raw[:n], ws.s[:n]
-    if n < len(lam_raw) and ws.T > ts[-1] + 1e-13:
-        t, s = _cell_cut(ws, lam_raw, slopes, n, ws.T)
-        ts, ss = np.append(ts, ws.T), np.append(ss, s)
-    return ts, ss, n
-
-
-def _front_point(ws: StripWorkspace, lam_raw: np.ndarray, slopes: np.ndarray,
-                 target: float, radius: bool = False):
-    """Point (t, s) where the window's front reaches the time ``target``
-    (with ``radius``, where it first reaches the radius ``target``).
-
-    Cells between two uncapped columns are cut on the quadratic crossing
-    curve; the capped cell is cut along its chord, since the quadratic
-    there would use an off-front slope.
-    """
-    ts, ss, n = _crossings(ws, lam_raw, slopes)
-    key = ts - ss if radius else ts
-    i = int(np.searchsorted(key, target - 1e-13))
-    if i == len(key) or i == 0 or key[i] - target <= 1e-13:
-        i = min(i, len(key) - 1)
-        return float(ts[i]), float(ss[i])
-    if i < n:
-        return _cell_cut(ws, lam_raw, slopes, i, target, radius)
-    w = (target - key[i - 1]) / (key[i] - key[i - 1])
-    return (float(ts[i - 1] + w * (ts[i] - ts[i - 1])),
-            float(ss[i - 1] + w * (ss[i] - ss[i - 1])))
+def _front_point(f: _Front, target: float, key: str = "t"):
+    """Point (t, rho) where the front first reaches ``target`` in its
+    ``key`` (t, rho or omega, all nondecreasing along it): a knot within
+    1e-13 of it, else the cut of its cell.  Between knots k - 1 and k,
+    omega is omega_{k-1} + a u + c u^2 at eta = eta_{k-1} + u (the
+    trapezoid of a linear slope), so the key is a quadratic in u too, and
+    the cut inverts it."""
+    we, wo = _KEYS[key]
+    vals = we * f.eta + wo * f.omega
+    k = int(np.searchsorted(vals, target - 1e-13))
+    if k == len(vals) or k == 0 or vals[k] - target <= 1e-13:
+        e, w = float(f.eta[min(k, len(vals) - 1)]), float(f.omega[min(k, len(vals) - 1)])
+    else:
+        e0, w0 = float(f.eta[k - 1]), float(f.omega[k - 1])
+        width = float(f.eta[k]) - e0
+        a = float(f.right[k - 1])
+        c = 0.5 * (float(f.left[k]) - a) / width
+        lin, quad, rest = we + wo * a, wo * c, target - float(vals[k - 1])
+        den = lin + math.sqrt(max(lin * lin + 4.0 * quad * rest, 0.0))
+        u = min(max(2.0 * rest / den, 0.0), width) if den > 0.0 else width
+        e, w = e0 + u, w0 + a * u + c * u * u
+    return 0.5 * (e + w), 0.5 * (e - w)
 
 
-def _front_knots(ws: StripWorkspace, lam_raw: np.ndarray,
-                 slopes: np.ndarray, t_end: float):
-    """Window-local front knots (t, rho) from the converged crossing times.
-
-    Knots sit at the crossing times themselves, so each segment slope is
-    the trapezoid-consistent front speed.  A final knot lands exactly on
-    t_end; inside an uncapped cell it is placed on the quadratic crossing
-    curve, so the truncated piece takes the local speed rather than the
-    whole cell's (see :func:`_front_point`).
-    """
-    ts, ss, _ = _crossings(ws, lam_raw, slopes)
-    keep = ts < t_end - 1e-13
-    s_end = _front_point(ws, lam_raw, slopes, t_end)[1]
-    ts = np.append(ts[keep], t_end)
-    rho = ts - np.append(ss[keep], s_end)
+def _window_knots(f: _Front, t_end: float):
+    """Window-local front knots (t, rho): every knot below t_end and a
+    final knot exactly at t_end, on its cell's quadratic (see
+    :func:`_front_point`), so the truncated piece takes the local speed."""
+    t = 0.5 * (f.eta + f.omega)
+    keep = t < t_end - 1e-13
+    ts = np.append(t[keep], t_end)
+    rho = np.append(0.5 * (f.eta - f.omega)[keep], _front_point(f, t_end)[1])
     rho = np.maximum.accumulate(rho)
     dts = np.diff(ts)
     seg = np.clip(np.diff(rho) / dts, 0.0, _SLOPE_CAP)
@@ -383,20 +379,28 @@ def run(data: ProblemData, tough: Toughness, horizon: float,
         delta: float = 1.0 / 128, stop_margin: Optional[float] = None) -> GriffithRun:
     """March the coupled problem until the horizon or full debonding.
 
-    Each window solves the strip fixed point with the toughness clamped
-    past its next breakpoint (so no window straddles one), extends the
-    run's patches over the produced front by certified prescribed windows,
-    and re-bases the data from the last of them for the next window.  Both
-    fixed points stop at the tolerance of :mod:`debondsim.prescribed`.
+    Each window solves the strip fixed point for the front's omega(eta),
+    and advances by the full rows below the point where the front leaves
+    the strip (at t = T or on its last diagonal), or to the first full row
+    past the next toughness breakpoint, so no window straddles one.  It
+    then extends the run's patches over the produced front by certified
+    prescribed windows, and re-bases the data from the last of them for
+    the next window.  Both fixed points stop at the tolerance of
+    :mod:`debondsim.prescribed`.
 
     The bonded annulus counts as debonded once R - rho is at most
     ``stop_margin`` (default 2 delta), to 1e-12; one predicate makes that
     test at the start, where a debonded annulus raises ValueError, before
-    each window and for the stop reason.  A run stops "fully_debonded" when
-    its front is debonded, else at the horizon.
+    each window and for the stop reason.  A margin below delta raises
+    ValueError: with it at least delta, every strip's outer radius
+    rho + T stays below R.  A run stops "fully_debonded" when its front is
+    debonded, else at the horizon.
     """
     if stop_margin is None:
         stop_margin = 2.0 * delta
+    if stop_margin < delta:
+        raise ValueError(f"stop_margin = {stop_margin:.6g} is below the lattice step "
+                         f"delta = {delta:.6g}")
     hd = to_h_data(data)
     R = hd.R
 
@@ -423,26 +427,20 @@ def run(data: ProblemData, tough: Toughness, horizon: float,
         T_cap = min(0.45 * rho_bar, 0.9 * (R - rho_bar))
         L = max(1, int(math.floor(T_cap / delta + 1e-9)))
         T = L * delta
-        if local.rho0 + T >= R:  # the strip's outer radius, at its column 0
-            raise GeometryError(
-                f"strip reaches the rim radius: window at t = {rows_done * delta:.6g}, "
-                f"outer radius rho + T = {local.rho0 + T:.6g} >= R = {R:.6g}")
 
         later = tough.breakpoints[tough.breakpoints > rho_bar + 1e-12]
         b_next = float(later[0]) if len(later) else None
-        tough_w = tough.clamped_after(b_next) if (
-            b_next is not None and b_next < rho_bar + T) else tough
 
         guess = _band_integrals(local, min(0.45 * rho_bar, local.rho0 - delta))[0]
         M = 2.0 * max(guess, float(np.abs(local.h0(local.rho0 - 1e-9))), 1e-9)
-        m = _seed_width(local, tough_w, T, M, delta,
+        m = _seed_width(local, tough, T, M, delta,
                         y_cap=min(0.9 * local.rho0, T))
 
         shrink_count = 0
         while True:
-            ws = StripWorkspace(local, tough_w, T, m, delta)
+            ws = StripWorkspace(local, tough, T, m, delta)
             try:
-                h_strip, lam, wdiag = solve_coupled_window(ws, M, rows_done * delta)
+                h_strip, om, wdiag = solve_coupled_window(ws, M, rows_done * delta)
                 break
             except _Shrink as exc:
                 shrink_count += 1
@@ -452,22 +450,23 @@ def run(data: ProblemData, tough: Toughness, horizon: float,
                         f"strip width underflow below the lattice step at "
                         f"t = {rows_done * delta:.6g}: {exc}") from exc
 
-        slopes = ws.rate_slopes(h_strip, lam)
-        lam_raw = ws.lambda_cumulative(slopes)
-        capped = bool(lam_raw[-1] >= ws.T - 1e-12)
-        adv_rows = min(n_total - rows_done, ws.L if capped else max(
-            1, int(math.floor(float(lam_raw[-1]) / delta + 1e-12))))
+        f = ws.rate_front(h_strip, om)
+        # the front leaves the strip at t = T or on its last diagonal
+        t_exit = min(ws.T, _front_point(f, float(ws.s[-1]), "omega")[0])
+        adv_rows = min(n_total - rows_done, max(1, int(math.floor(t_exit / delta + 1e-12))))
         if b_next is not None:
             t_end = adv_rows * delta
-            if t_end - _front_point(ws, lam_raw, slopes, t_end)[1] >= b_next - 1e-12:
+            if _front_point(f, t_end)[1] >= b_next - 1e-12:
                 # never straddle a toughness breakpoint: cut at the first
                 # full row past the crossing
-                t_cross = _front_point(ws, lam_raw, slopes, b_next, radius=True)[0]
+                t_cross = _front_point(f, b_next, "rho")[0]
                 adv_rows = max(1, int(math.ceil(t_cross / delta - 1e-9)))
-        tw, rw = _front_knots(ws, lam_raw, slopes, adv_rows * delta)
+        tw, rw = _window_knots(f, adv_rows * delta)
+        if b_next is not None:  # a front that reached b to 1e-9 sits on it
+            rw[(rw < b_next) & (rw > b_next - 1e-9)] = b_next
 
         t0 = rows_done * delta
-        wdiag.update(capped=capped, t_start=t0, T=ws.T, y=ws.y, m=m, rows=adv_rows,
+        wdiag.update(t_start=t0, T=ws.T, y=m * delta, m=m, rows=adv_rows,
                      shrinks=shrink_count, rho_end=float(rw[-1]))
         diags.append(wdiag)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from debondsim.energy_audit import (
-    _rim_power, _row_radial_integrals, audit, debond_dissipation,
+    _release_rate, _rim_power, _row_radial_integrals, audit, debond_dissipation,
 )
 from debondsim import prescribed, quadrature
 from debondsim.fields import ProblemData, Profile, Toughness, to_h_data
@@ -402,6 +402,25 @@ def test_one_cumulative_build_per_patch(monkeypatch):
     assert len(res.patches) > 1
     assert len(builds) <= len(res.patches)
     assert sorted(builds) == sorted(p.F.shape for p in res.patches)
+
+
+def test_segment_residuals_trace_g0_at_the_midpoint():
+    # each row reports the segment holding it, checked at the segment's
+    # midpoint with G0 traced there in the patch holding it, not read off
+    # the rows around it: a per-segment recomputation agrees to rounding
+    data = bump_data(alpha=0.3)
+    front = FrontCurve(np.array([0.0, 0.1003, 0.2011, 0.3125]), np.array([1.0, 1.02, 1.07, 1.1]), 3.0)
+    tough = Toughness.constant(0.5, rho0=1.0, R=3.0)
+    patches = march(data, front, horizon=0.3125, delta=1.0 / 64)
+    led = audit(patches, front, data, tough)
+    tk = front.t_knots
+    seg = np.clip(np.searchsorted(tk, led.times, side="right") - 1, 0, len(tk) - 2)
+    mid = 0.5 * (tk[seg] + np.minimum(tk[seg + 1], led.times[-1]))
+    g0 = np.array([float(_release_rate(locate_patch(patches, t), front, np.array([t]))[0])
+                   for t in mid])
+    sigma = front.rho_dot(tk[seg])
+    gap = np.abs(sigma - np.maximum(0.0, (g0 - 0.5) / (g0 + 0.5)))
+    assert np.allclose(led.mdp_gap, gap, rtol=1e-12, atol=0.0)
 
 
 def test_audit_series_shapes():

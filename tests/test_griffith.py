@@ -2,13 +2,15 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from debondsim import griffith, prescribed
 from debondsim.energy_audit import audit
 from debondsim.fields import ProblemData, Profile, Toughness, to_h_data
 from debondsim.geometry import FrontCurve, GeometryError, corner_wavefronts
 from debondsim.griffith import (
-    GriffithRun, StripWorkspace, _cell_cut, _front_point, _Shrink, run, solve_coupled_window,
+    GriffithRun, StripWorkspace, _front_point, _Shrink, run, solve_coupled_window,
 )
 from debondsim.prescribed import ConvergenceError, _extend, _seam_data, evaluate_field, march
 
@@ -25,28 +27,34 @@ def make_workspace(data, tough, T=0.25, m=16, delta=1.0 / 64):
 
 
 # -- rate law -----------------------------------------------------------------
+# The front's slope d omega / d eta is min(1, 1 / Lam), and the crossing time
+# of a diagonal then grows at lambda' = dt / d omega = (1 + 1 / omega') / 2,
+# which is (1 + max(Lam, 1)) / 2.
 
 def test_lambda_rhs_stationary_branch():
     data = bump_data(amp=0.05)
     tough = Toughness.constant(100.0, rho0=1.0, R=3.0)  # far above the rate
     ws = make_workspace(data, tough)
-    lam = np.minimum(ws.s + ws.rho0, ws.T)
-    h = ws.psi1(ws.blank(), lam)
-    assert ws.rate_slopes(h, lam)[0] == pytest.approx(1.0)
+    om = ws.straight_front(1.0)
+    h = ws.psi1(ws.blank(), om)
+    assert ws.rate_front(h, om).right[0] == pytest.approx(1.0)
 
 
 def test_lambda_rhs_moving_branch():
-    # Lam = 3 -> slope 2, synthesized through the toughness level
+    # Lam = 3 -> omega' = 1/3 and lambda' = 2, synthesized through the
+    # toughness level
     data = bump_data(amp=0.4)
     hd = to_h_data(data)
     bracket = float(hd.h0_dot(1.0)) - float(hd.h1(1.0))
     g0 = bracket ** 2 / (2.0 * 2.0)
     tough = Toughness.constant(g0 / 3.0, rho0=1.0, R=3.0)
     ws = make_workspace(data, tough)
-    lam = np.minimum(ws.s + ws.rho0, ws.T)
-    h = ws.psi1(ws.blank(), lam)
-    # at the left end of the strip lambda = 0: no line integral, data only
-    assert ws.rate_slopes(h, lam)[0] == pytest.approx(2.0, rel=1e-9)
+    om = ws.straight_front(1.0)
+    h = ws.psi1(ws.blank(), om)
+    # at the start of the front t = 0: no line integral, data only
+    slope = ws.rate_front(h, om).right[0]
+    assert slope == pytest.approx(1.0 / 3.0, rel=1e-9)
+    assert 0.5 * (1.0 + 1.0 / slope) == pytest.approx(2.0, rel=1e-9)
 
 
 def test_psi2_unit_slope_for_zero_field():
@@ -54,22 +62,23 @@ def test_psi2_unit_slope_for_zero_field():
                        w=Profile.zero(), v0=Profile.zero(), v1=Profile.zero())
     tough = Toughness.constant(1.0, rho0=1.0, R=3.0)
     ws = make_workspace(data, tough)
-    lam0 = np.minimum(ws.s + ws.rho0, ws.T)
-    lam = ws.psi2(ws.blank(), lam0)
-    assert np.allclose(lam, np.minimum(ws.s - ws.s[0], ws.T), atol=1e-14)
+    om0 = ws.straight_front(1.0)
+    om = ws.psi2(ws.blank(), om0)
+    assert np.allclose(om, np.maximum(ws.cone_eta - 2.0 * ws.rho0, -ws.rho0), atol=1e-14)
 
 
 def test_psi2_slope_at_least_one():
+    # the crossing-time slope is at least 1: omega' lies in (0, 1]
     data = bump_data(amp=0.5)
     tough = Toughness.constant(0.05, rho0=1.0, R=3.0)
     ws = make_workspace(data, tough)
-    lam0 = np.minimum(ws.s + ws.rho0, ws.T)
-    h = ws.psi1(ws.blank(), lam0)
-    lam = ws.psi2(h, lam0)
-    grow = np.diff(lam) / ws.delta
-    capped = lam[1:] >= ws.T - 1e-12
-    assert np.all(grow[~capped[0:]] >= 1.0 - 1e-12)
-    assert np.all(lam <= ws.T + 1e-15)
+    om0 = ws.straight_front(1.0)
+    h = ws.psi1(ws.blank(), om0)
+    om = ws.psi2(h, om0)
+    grow = np.diff(om[ws.m:]) / ws.delta
+    assert np.all(grow > 0.0)
+    assert np.all(1.0 / grow >= 1.0 - 1e-12)
+    assert np.all(om[:ws.m + 1] == -ws.rho0)
 
 
 def test_psi1_zero_data_zero_field():
@@ -77,8 +86,7 @@ def test_psi1_zero_data_zero_field():
                        w=Profile.zero(), v0=Profile.zero(), v1=Profile.zero())
     tough = Toughness.constant(1.0, rho0=1.0, R=3.0)
     ws = make_workspace(data, tough)
-    lam0 = np.minimum(ws.s + ws.rho0, ws.T)
-    assert np.all(ws.psi1(ws.blank(), lam0) == 0.0)
+    assert np.all(ws.psi1(ws.blank(), ws.straight_front(1.0)) == 0.0)
 
 
 def test_psi1_matches_prescribed_solver_on_strip():
@@ -90,10 +98,10 @@ def test_psi1_matches_prescribed_solver_on_strip():
     delta = 1.0 / 64
     patches = march(data, front, horizon=0.25, delta=delta)
     ws = make_workspace(data, tough, T=0.25, m=12, delta=delta)
-    lam = np.minimum(ws.s + ws.rho0, ws.T)  # the static front in s-form
-    h = ws.psi1(ws.blank(), lam)
+    om = ws.straight_front(1.0)  # the static front
+    h = ws.psi1(ws.blank(), om)
     for _ in range(60):
-        h = ws.psi1(h, lam)
+        h = ws.psi1(h, om)
     for l in range(0, ws.L + 1, 4):
         for k in range(0, ws.m + 1, 3):
             t = l * delta
@@ -110,88 +118,45 @@ def test_window_converges_and_reports():
     data = bump_data(amp=0.4)
     tough = Toughness.constant(0.1, rho0=1.0, R=3.0)
     ws = make_workspace(data, tough, m=12)
-    h, lam, diag = solve_coupled_window(ws, M=1e3, t_start=0.0)
+    h, om, diag = solve_coupled_window(ws, M=1e3, t_start=0.0)
     assert diag["final_metric"] < 1e-10
     assert diag["measured_factor"] < 0.9
-    assert lam[0] == 0.0
-    assert np.all(np.diff(lam) >= -1e-15)
-
-
-def test_omega_inverts_the_front_past_capped_columns():
-    # with several columns capped at T, u = 2 min(lambda, T) - s turns down
-    # past the first of them; omega must still map each uncapped front
-    # point's eta = u_k back to s_k
-    data = bump_data(amp=0.4)
-    tough = Toughness.constant(0.1, rho0=1.0, R=3.0)
-    ws = make_workspace(data, tough, m=12)
-    _, lam, _ = solve_coupled_window(ws, M=1e3, t_start=0.0)
-    free = lam < ws.T
-    assert np.count_nonzero(~free) >= 2
-    u = 2.0 * lam[free] - ws.s[free]
-    assert np.max(np.abs(ws.omega_of(lam, u) - ws.s[free])) <= 1e-14
+    assert np.all(om[:ws.m + 1] == -ws.rho0)
+    assert np.all(np.diff(om) >= -1e-15)
 
 
 def test_window_stationary_for_huge_toughness():
     data = bump_data(amp=0.3)
     tough = Toughness.constant(1e6, rho0=1.0, R=3.0)
     ws = make_workspace(data, tough, m=8)
-    h, lam, diag = solve_coupled_window(ws, M=1e3, t_start=0.0)
-    assert np.allclose(lam, np.minimum(ws.s - ws.s[0], ws.T), atol=1e-12)
+    h, om, diag = solve_coupled_window(ws, M=1e3, t_start=0.0)
+    assert np.allclose(om, np.maximum(ws.cone_eta - 2.0 * ws.rho0, -ws.rho0), atol=1e-12)
 
 
 def test_front_point_lies_on_the_crossing_curve():
-    # the crossing time integrates the piecewise-linear rate slope, so a cut
-    # inside an uncapped cell lands on that curve, not on the cell's chord
+    # omega integrates the piecewise-linear rate slope in eta, so a cut
+    # inside a cell lands on that curve, not on the cell's chord
     data = bump_data(amp=0.4)
     tough = Toughness.constant(0.1, rho0=1.0, R=3.0)
     ws = make_workspace(data, tough, T=1.0, m=12)
-    h, lam, _ = solve_coupled_window(ws, M=1e3, t_start=0.0)
-    slopes = ws.rate_slopes(h, lam)
-    lam_raw = ws.lambda_cumulative(slopes)
-    assert lam_raw[-1] < ws.T  # no capped cell
+    h, om, _ = solve_coupled_window(ws, M=1e3, t_start=0.0)
+    f = ws.rate_front(h, om)
+    assert len(f.eta) == len(ws.eta)  # one toughness piece: no split cell
+    t_exit, rho_exit = _front_point(f, float(ws.s[-1]), "omega")
+    assert t_exit < ws.T  # the front leaves the strip on its last diagonal
 
-    def crossing_time(s):
-        grid = np.append(ws.s[ws.s < s], s)  # exact for a linear integrand
-        return float(np.trapezoid(np.interp(grid, ws.s, slopes), grid))
+    def crossing_omega(eta):
+        grid = np.append(f.eta[f.eta < eta], eta)  # exact for a linear integrand
+        return -ws.rho0 + float(np.trapezoid(np.interp(grid, f.eta, f.right), grid))
 
-    for t in (0.3 * ws.delta, 2.5 * ws.delta, 0.5 * float(lam_raw[-1])):
-        t_cut, s_cut = _front_point(ws, lam_raw, slopes, t)
+    for t in (0.3 * ws.delta, 2.5 * ws.delta, 0.5 * t_exit):
+        t_cut, rho_cut = _front_point(f, t)
         assert t_cut == pytest.approx(t, abs=1e-14)
-        assert crossing_time(s_cut) == pytest.approx(t, abs=1e-12)
-    rho_end = float(lam_raw[-1] - ws.s[-1])
-    for rho in (1.0 + 0.3 * (rho_end - 1.0), 1.0 + 0.8 * (rho_end - 1.0)):
-        t_cut, s_cut = _front_point(ws, lam_raw, slopes, rho, radius=True)
-        assert t_cut - s_cut == pytest.approx(rho, abs=1e-14)
-        assert crossing_time(s_cut) == pytest.approx(t_cut, abs=1e-12)
-
-
-def test_front_point_cuts_the_capped_cell_on_its_chord():
-    # past the last column crossing below the horizon T the front ends at
-    # the quadratic T-cut of the next cell; that cell is capped (its far
-    # column's slope was taken at T, behind the front), so a cut inside it,
-    # by time or by radius, lands on the chord between those two points
-    data = bump_data(amp=0.4)
-    tough = Toughness.constant(0.1, rho0=1.0, R=3.0)
-    ws = make_workspace(data, tough, m=12)
-    h, lam, _ = solve_coupled_window(ws, M=1e3, t_start=0.0)
-    slopes = ws.rate_slopes(h, lam)
-    lam_raw = ws.lambda_cumulative(slopes)
-    n = int(np.count_nonzero(lam_raw <= ws.T))
-    assert 0 < n < len(lam_raw) and lam_raw[n - 1] < ws.T - 1e-13  # a capped cell
-    t_a, s_a = float(lam_raw[n - 1]), float(ws.s[n - 1])
-    t_b, s_b = _front_point(ws, lam_raw, slopes, ws.T)
-    assert t_b == ws.T and s_a < s_b < ws.s[n]
-
-    for w in (0.2, 0.5, 0.9):
-        chord = (t_a + w * (t_b - t_a), s_a + w * (s_b - s_a))
-        t_cut, s_cut = _front_point(ws, lam_raw, slopes, chord[0])
-        assert t_cut == pytest.approx(chord[0], abs=1e-14)
-        assert s_cut == pytest.approx(chord[1], abs=1e-14)
-        # the capped cell's quadratic would put the cut elsewhere
-        assert abs(_cell_cut(ws, lam_raw, slopes, n, chord[0])[1] - s_cut) > 1e-7
-        t_cut, s_cut = _front_point(ws, lam_raw, slopes, chord[0] - chord[1], radius=True)
-        assert t_cut == pytest.approx(chord[0], abs=1e-14)
-        assert s_cut == pytest.approx(chord[1], abs=1e-14)
+        assert crossing_omega(t_cut + rho_cut) == pytest.approx(t_cut - rho_cut, abs=1e-12)
+    for rho in (1.0 + 0.3 * (rho_exit - 1.0), 1.0 + 0.8 * (rho_exit - 1.0)):
+        t_cut, rho_cut = _front_point(f, rho, "rho")
+        assert rho_cut == pytest.approx(rho, abs=1e-14)
+        assert crossing_omega(t_cut + rho_cut) == pytest.approx(t_cut - rho_cut, abs=1e-12)
 
 
 def test_coupled_window_names_its_t_when_it_does_not_converge(monkeypatch):
@@ -282,6 +247,32 @@ def test_run_kkt_residual_second_order():
     # of test_static_load_edp_second_order
     assert edp[0] / edp[1] >= 3.5
     assert edp[1] / edp[2] >= 3.5
+
+
+def test_run_near_sonic_front_refines():
+    # rim_debond's data with one toughness piece: the front runs at
+    # rho' = 0.98-0.999 to a fixed stop radius (stop_margin 0.25), so the
+    # rim's conditioning (G0 grows like 1/(R - rho)) stays out.  Each
+    # halving of delta divides the maximum maximality gap and the maximum
+    # complementarity residual relative to G0 by at least 2.2 (measured:
+    # 2.3-2.4 from 1/32 to 1/64, 3.3-6.4 from 1/64 to 1/128), short of the
+    # 2.8 the moving front above holds: the first coupled window's
+    # residuals fall about 4 times per halving, but the second window's,
+    # which hold the maxima, do not yet at these steps
+    data = bump_data(amp=0.9, v1=Profile.constant(-0.8), R=2.0)
+    tough = Toughness.constant(0.02, rho0=1.0, R=2.0)
+    mdp, kkt = [], []
+    for delta in (1.0 / 32, 1.0 / 64, 1.0 / 128):
+        res = run(data, tough, horizon=4.0, delta=delta, stop_margin=0.25)
+        assert res.stop_reason == "fully_debonded"
+        led = audit(res.patches, res.front, data, tough)
+        assert np.min(led.rho_dot) > 0.98
+        mdp.append(float(np.max(led.mdp_gap)))
+        kkt.append(float(np.max(led.kkt_residual / led.G0)))
+    for maxima in (mdp, kkt):
+        assert maxima[0] / maxima[1] >= 2.2
+        assert maxima[1] / maxima[2] >= 2.2
+        assert maxima[2] <= 1e-5
 
 
 def test_run_consistency_with_prescribed():
@@ -384,24 +375,20 @@ def test_run_refuses_an_annulus_a_hair_outside_the_stop_margin():
         run(data, tough, horizon=0.25, delta=delta)
 
 
-def test_run_names_its_t_when_the_strip_reaches_the_rim():
-    # with a stop margin below one lattice step the front gets within a
-    # step of the rim before it counts as debonded, and there even a
-    # one-row strip reaches R; the error names the window's t, the strip's
-    # outer radius and R
+def test_run_refuses_a_stop_margin_below_the_step():
+    # with a stop margin below one lattice step the front could come within
+    # a step of the rim before it counts as debonded, and there even a
+    # one-row strip would reach R: the run refuses the margin at its start,
+    # naming both values.  A margin of one step keeps every strip inside
+    delta = 1.0 / 64
     data = bump_data(amp=0.9, v1=Profile.constant(-0.8), R=2.0)
     tough = Toughness.constant(0.02, rho0=1.0, R=2.0)
-    delta = 1.0 / 64
-    with pytest.raises(GeometryError) as info:
+    with pytest.raises(ValueError, match=r"^stop_margin = 0\.0078125 is below the lattice "
+                       r"step delta = 0\.015625$"):
         run(data, tough, horizon=4.0, delta=delta, stop_margin=delta / 2)
-    m = re.fullmatch(r"strip reaches the rim radius: window at t = (\S+), "
-                     r"outer radius rho \+ T = (\S+) >= R = (\S+)", str(info.value))
-    assert m is not None, str(info.value)
-    t, outer, R = (float(g) for g in m.groups())
-    assert R == 2.0
-    assert 0.0 < t < 4.0 and t / delta == pytest.approx(round(t / delta), abs=1e-4)
-    # a one-row strip from a front not yet within the stop margin
-    assert R <= outer < R + delta / 2 + 1e-6
+    res = run(data, tough, horizon=4.0, delta=delta, stop_margin=delta)
+    assert res.stop_reason == "fully_debonded"
+    assert float(res.front.rho(res.t_star)) >= 2.0 - delta - 1e-12
 
 
 def test_run_full_debonding_small_kappa():
@@ -411,3 +398,47 @@ def test_run_full_debonding_small_kappa():
     assert res.stop_reason == "fully_debonded"
     assert float(res.front.rho(res.t_star)) >= 2.0 - 2.0 * (1.0 / 64) - 1e-9
     assert res.t_star < 4.0
+
+
+@st.composite
+def toughness_pieces(draw):
+    """1-3 constant pieces on [1, 2): (breakpoint, kappa) pairs."""
+    n = draw(st.integers(1, 3))
+    cuts = draw(st.lists(st.floats(1.02, 1.95), min_size=n - 1, max_size=n - 1, unique=True))
+    kappas = draw(st.lists(st.floats(0.01, 0.5), min_size=n, max_size=n))
+    return list(zip([1.0] + sorted(cuts), kappas))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(amp=st.floats(0.0, 0.9), alpha=st.floats(0.0, 0.5), v1=st.floats(-0.8, 0.8),
+       delta=st.sampled_from([1.0 / 32, 1.0 / 64]), pieces=toughness_pieces())
+def test_run_invariants_on_random_data(amp, alpha, v1, delta, pieces):
+    # fronts from rest to near-sonic speeds (rim_debond's data at amp 0.9,
+    # v1 -0.8, kappa 0.02).  A run finishes or names the t where it failed;
+    # its front is nondecreasing and subsonic, no window runs past a
+    # breakpoint by more than its last row, and the patches tile [0, t*].
+    # The complementarity residual stays below 0.2 of max(G0, kappa): the
+    # largest ratio was 0.034 over 1,100 draws of this strategy, and 0.099
+    # over 1,200 draws with log-uniform kappa (delta = 1/32); every one of
+    # those runs finished
+    data = bump_data(R=2.0, alpha=alpha, amp=amp, v1=Profile.constant(v1))
+    tough = Toughness.from_pieces([(b, Profile.constant(k)) for b, k in pieces], R=2.0)
+    try:
+        res = run(data, tough, horizon=0.75, delta=delta)
+    except (ConvergenceError, GeometryError) as exc:
+        assert re.search(r"\bt = \S", str(exc)), str(exc)
+        return
+    assert res.stop_reason in ("horizon", "fully_debonded")
+    tk, rk = res.front.t_knots, res.front.rho_knots
+    slopes = np.diff(rk) / np.diff(tk)
+    assert np.all(np.diff(rk) >= 0.0) and np.all((slopes >= 0.0) & (slopes < 1.0))
+    for wd in res.window_diagnostics:
+        t_last = wd["t_start"] + (wd["rows"] - 1) * delta  # the window's last row starts here
+        for b in tough.breakpoints[1:]:
+            if float(res.front.rho(wd["t_start"])) < b - 1e-12:
+                assert float(res.front.rho(t_last)) <= b + 1e-12
+    p = res.patches
+    assert p[0].t0 == 0.0 and p[-1].t1 == pytest.approx(res.t_star, abs=1e-12)
+    assert all(a.t1 == pytest.approx(b.t0, abs=1e-12) for a, b in zip(p[:-1], p[1:]))
+    led = audit(res.patches, res.front, data, tough)
+    assert np.max(led.kkt_residual / np.maximum(led.G0, led.kappa_front)) <= 0.2

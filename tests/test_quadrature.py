@@ -413,9 +413,9 @@ def test_one_strip_plan_per_coupled_window(monkeypatch):
     sweeps = []
     cone = StripWorkspace.cone_integrals
 
-    def counted(ws, lam, F):
+    def counted(ws, om, F):
         sweeps.append(1)
-        return cone(ws, lam, F)
+        return cone(ws, om, F)
     monkeypatch.setattr(StripWorkspace, "cone_integrals", counted)
     ws = StripWorkspace(to_h_data(data), Toughness.constant(0.1, rho0=1.0, R=3.0),
                         0.25, 12, 1.0 / 64)
@@ -428,21 +428,21 @@ def test_one_strip_plan_per_coupled_window(monkeypatch):
 def test_strip_matches_lattice(speed):
     # the strip index map of the sheared kernel against the lattice one at
     # every inside strip node; the front crosses every strip diagonal
-    # before T, so the strip's induced front is the lattice's front
+    # before T, so the strip's straight front is the lattice's front
     delta, m = 1.0 / 128, 9
     data = ProblemData(R=3.0, rho0=1.0, alpha=0.5, horizon=8.0, w=Profile.zero(),
                        v0=Profile.sine_bump(0.4, 1.0), v1=Profile.zero())
     ws = StripWorkspace(to_h_data(data), Toughness.constant(1.0, rho0=1.0, R=3.0),
                         0.3, m, delta)
-    lam = (ws.s + ws.rho0) / (1.0 - speed)  # crossing time of t - r = s_k
-    assert lam[-1] < ws.T
+    assert (ws.s[-1] + ws.rho0) / (1.0 - speed) < ws.T  # crossing time of t - r = s_m
+    om = ws.straight_front((1.0 - speed) / (1.0 + speed))
     lat = CharLattice(FrontCurve.affine(1.0, speed, 1.0, 3.0), delta, ws.L)
 
     def field(t, r):
         return np.cos(2.0 * t + 0.3) * np.sin(1.7 * r + 0.2) + t * r
 
-    inside = ws.inside_mask(lam)
-    J_strip = ws.cone_integrals(lam, np.where(inside, field(ws.t_grid, ws.r_grid), 0.0))
+    inside = ws.inside_mask(om)
+    J_strip = ws.cone_integrals(om, np.where(inside, field(ws.t_grid, ws.r_grid), 0.0))
     J_lat = batch(lat, fill(lat, field))
     ll, kk = np.nonzero(inside)
     jj = np.rint(ws.r_grid[ll, kk] / delta).astype(int)
