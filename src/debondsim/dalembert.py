@@ -18,13 +18,14 @@ and the diagonal t - r = (i - j) delta.  :func:`free_solution` therefore
 evaluates f_plus and f_minus once per line and gathers the node grid from
 the two 1-D arrays; (i + j) delta equals i delta + j delta exactly when
 delta is a power of two, and to rounding otherwise.
-:func:`free_derivatives` takes arbitrary points, so it evaluates each
-branch once per distinct argument value: nodes on one characteristic
-share their argument to the last bit when delta is a power of two, and
-the other points (banks, front points) mostly have values of their own.
-The result is the pointwise one, bitwise, for any delta.  The pointwise
-free solution, with its checks, is the test oracle ``free_solution`` in
-``tests/reference.py``.
+:func:`free_derivatives` takes arbitrary points and the lattice step: a
+point whose branch argument is exactly an index times delta (every node
+when delta is a power of two) takes the branch from one evaluation per
+characteristic index in use, marked over the index range without
+sorting, and every other point (banks, front points) is evaluated by
+itself.  The result is the pointwise one, bitwise, for any delta.  The
+pointwise free solution, with its checks, is the test oracle
+``free_solution`` in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -115,26 +116,36 @@ def free_solution(waves: TravelingWaves, lat) -> np.ndarray:
     return lat.masked(fp[i + j] + fm[i - j + jx])
 
 
-def _once_per_value(branch: Callable, s: np.ndarray) -> np.ndarray:
-    """branch(s) from one call that takes each distinct value of s once."""
-    order = np.argsort(s, axis=None, kind="stable")  # merges the rows' sorted runs
-    ss = s.ravel()[order]
-    first = np.empty(ss.shape, dtype=bool)
-    first[:1] = True
-    np.not_equal(ss[1:], ss[:-1], out=first[1:])
-    out = np.empty(ss.shape)
-    out[order] = branch(ss[first])[np.cumsum(first) - 1]
-    return out.reshape(s.shape)
+def _per_characteristic(branch: Callable, s: np.ndarray, delta: float) -> np.ndarray:
+    """branch(s) from one call: once for each characteristic index m with
+    s == m * delta exactly, marked over the index range the points span,
+    and once at each other point."""
+    k = np.rint(s / delta)
+    on = k * delta == s
+    m = k[on].astype(np.intp)
+    lo, hi = (m.min(), m.max()) if m.size else (0, -1)
+    used = np.zeros(hi - lo + 1, dtype=bool)
+    used[m - lo] = True
+    lines = np.flatnonzero(used)
+    vals = branch(np.concatenate(((lines + lo) * delta, s[~on])))
+    table = np.empty(used.shape)
+    table[lines] = vals[:lines.size]
+    out = np.empty(s.shape)
+    out[on] = table[m - lo]
+    out[~on] = vals[lines.size:]
+    return out
 
 
-def free_derivatives(waves: TravelingWaves, t, r):
+def free_derivatives(waves: TravelingWaves, delta: float, t, r):
     """(d_t, d_r) of the free solution; zero beyond the front.  Each branch
-    derivative is evaluated once per distinct argument: once per
-    characteristic that lattice nodes share, and once at each other point."""
+    derivative is evaluated once per characteristic of the lattice of step
+    ``delta`` that the points lie on exactly (t + r = m * delta for
+    df_plus, t - r = n * delta for df_minus), and once at each other point,
+    so the result is the pointwise one, bitwise."""
     t, r = np.broadcast_arrays(_asarray(t), _asarray(r))
     inside = r <= waves.front.rho(t) + 1e-12
-    fp = _once_per_value(waves.df_plus, t + r)
-    fm = _once_per_value(waves.df_minus, t - r)
+    fp = _per_characteristic(waves.df_plus, t + r, delta)
+    fm = _per_characteristic(waves.df_minus, t - r, delta)
     d_t = np.where(inside, fp + fm, 0.0)
     d_r = np.where(inside, fp - fm, 0.0)
     return d_t, d_r

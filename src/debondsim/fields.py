@@ -353,15 +353,6 @@ class Toughness:
         return np.clip(np.searchsorted(self.breakpoints, r, side="right") - 1,
                        0, len(self.pieces) - 1)
 
-    def clamped_after(self, r_clamp: float) -> "Toughness":
-        """Constant extension past r_clamp with the left-limit value there;
-        used so one solver window never straddles a breakpoint."""
-        keep = self.breakpoints < r_clamp - 1e-14
-        idx = int(np.count_nonzero(keep)) - 1
-        value = float(self.pieces[max(idx, 0)](r_clamp))
-        bs = np.concatenate((self.breakpoints[keep], [r_clamp]))
-        return Toughness(bs, tuple(self.pieces[: max(idx + 1, 1)]) + (Profile.constant(value),), self.R)
-
 
 def kappa_eval(tough: Toughness, r):
     """Right-continuous evaluation of the toughness at radius offset r."""

@@ -259,8 +259,12 @@ class FieldPatch:
         At a lattice node h is the node value; elsewhere it is the
         lattice's sample, and 0 on the front.  The free part comes from one
         :func:`~debondsim.dalembert.free_derivatives` call, which evaluates
-        each branch once per characteristic the nodes share and once per
-        off-node point (banks, front points)."""
+        each branch once per lattice characteristic the nodes lie on and
+        once per off-node point (banks, front points), and the memory part
+        from one :func:`~debondsim.quadrature.phi_time_trace` call, which
+        reads every node off the diagonal cumulatives and sends only the
+        reflected anti-diagonals and the off-node points through the line
+        kernel, in one batch."""
         scalar = np.ndim(t_loc) == 0 and np.ndim(r) == 0
         t_loc, r = np.broadcast_arrays(np.asarray(t_loc, dtype=float),
                                        np.asarray(r, dtype=float))
@@ -272,7 +276,7 @@ class FieldPatch:
                 f"point beyond the front: window-local (t, r) = ({t_loc.flat[k]:.6g}, "
                 f"{r.flat[k]:.6g}) is past rho(t) = {rho_t.flat[k]:.6g}")
         r = np.minimum(r, rho_t)
-        d_t, d_r = free_derivatives(self.waves, t_loc, r)
+        d_t, d_r = free_derivatives(self.waves, self.lattice.delta, t_loc, r)
         g1, g2 = phi_time_trace(self.lattice, self.F, self.cumulatives, t_loc, r)
         h_t = d_t + 0.5 * (g1 + g2)
         h_r = d_r + 0.5 * (g1 - g2)

@@ -34,12 +34,15 @@ segment from the column cumulative of the field's sheared layout along the
 segment's family, the cumulative the cone-sum kernel uses, so its work is
 O(segments), and only a segment's two end cells read row values.
 :func:`phi_time_trace` reads the same cumulatives: at a lattice node,
-where almost all of the audit's trace points lie, each of its segments
-runs along a diagonal from row to row, so its integral is the difference
-of two cumulative reads and reads no row value; only node-free and
-reflected points go through the kernel's end cells.  The front and rim
-brackets of ``prescribed.FieldPatch`` are calls to the kernel too, and a
-patch builds its cumulatives once for its traces and both brackets.
+where almost all of the audit's trace points lie, it reads every leg that
+runs from row to row along a diagonal as the difference of two cumulative
+reads, reflected nodes included.  A reflected node's g1 starts where its
+anti-diagonal crosses the front, between rows; that part is one value per
+anti-diagonal, shared by its nodes.  Those values and the off-node points
+(banks, front points) take one kernel call per trace call.  The front and
+rim brackets of ``prescribed.FieldPatch`` are calls to the kernel too,
+and a patch builds its cumulatives once for its traces and both
+brackets.
 
 All quadrature here integrates the piecewise-linear interpolant of the
 node values; off-lattice cuts (the omega edge, fractional endpoints) are
@@ -531,15 +534,23 @@ def phi_time_trace(lat: CharLattice, values: np.ndarray, C: np.ndarray, t, r):
     (:func:`_line_cumulatives`), which the caller builds once and keeps.
     t and r broadcast: floats for one point, arrays for many.  Whether a
     point is a lattice node (i, j) is decided once, from its row and
-    column.  At a node off the reflection band (i + j <= rho0 / delta)
-    every segment runs along a diagonal from row to row, so with P and M
-    the +45 and -45 cumulatives of C indexed by lattice node (row by row
-    in ``diag_cumulatives`` of ``tests/reference.py``), g1 = M[i, j] and
-    g2 = P[i, j] - M[i - j, 0], the echo leg only behind the rim echo
-    (j < i), each a difference of cumulative reads.  Every other point
-    (reflected, or off the nodes) sends its four characteristic segments
-    through the kernel's segments, all in one batch, on the same
-    cumulatives.
+    column.  With P and M the +45 and -45 cumulatives of C indexed by
+    lattice node (row by row in ``diag_cumulatives`` of
+    ``tests/reference.py``), every node has
+
+        g1 = M[i, i + j] - S[i + j],
+        g2 = P[i, j] - P[i_rim, .] - M[i_rim, 0],
+
+    g2's legs from row i_rim = i - j, where the +45 line leaves the rim
+    behind the rim echo (j < i), and from row 0 otherwise.  S[m] is 0 on
+    an anti-diagonal m with m * delta <= rho0; past the reflection it is
+    the integral along the anti-diagonal from t = 0 to its crossing t_star
+    with the front, plus omega'(eta) times the reflected +45 line from
+    (0, -omega(eta)) up to t_star, so g1 runs from t_star only.  S takes
+    two segments per reflected anti-diagonal that holds a requested node,
+    and every off-node point (banks, front points) its four characteristic
+    segments; all of them go through one :func:`char_line_integrals` call
+    on the same cumulatives.
     """
     front = lat.front
     rho0 = front.rho0
@@ -560,44 +571,62 @@ def phi_time_trace(lat: CharLattice, values: np.ndarray, C: np.ndarray, t, r):
             f"{r.flat[k]:.6g}) is outside [0, rho(t)] = [0, {rho_t.flat[k]:.6g}]")
     r = np.clip(r, 0.0, rho_t)
 
-    nt = lat.nt
+    nt, d = lat.nt, lat.delta
     g1, g2 = np.empty(t.shape), np.empty(t.shape)
     i, j, node = lat.node_index(t, r)
-    # a node off the reflection band: g1 = M[i, j] is its -45 diagonal from
-    # row 0, where the cumulatives are 0; g2 is its +45 diagonal from row
-    # i_rim = i - j, where it leaves the rim behind the rim echo (from row 0
-    # otherwise), less the echo leg M[i_rim, 0]
-    node &= ~(r > rho0 - t + 1e-14)
-    i, j = i[node], j[node]
-    i_rim = np.maximum(i - j, 0)
-    q = j - i + nt
-    g1[node] = C[i, 0, i + j]
-    g2[node] = C[i, 1, q] - C[i_rim, 1, q] - C[i_rim, 0, i_rim]
-
-    # every other point through its four segments, in one batch.  g1: the
-    # -45 line through (t, r), from t = 0 or, past the reflection, from its
-    # crossing t_star with the front, plus -omega'(eta) times the reflected
-    # +45 line from (0, -omega(eta)) up to t_star
-    far = ~node
-    t, r = t[far], r[far]
-    eta = t + r
     refl = r > rho0 - t + 1e-14
-    t_star, om, om_dot = (np.zeros(t.shape) for _ in range(3))
-    if np.any(refl):
-        e = eta[refl]
-        t_star[refl] = front.psi_inverse(e)
-        om[refl] = front._omega_unchecked(e)
-        om_dot[refl] = front.omega_dot(e)
-    # g2: the +45 line through (t, r), from t = 0 or, behind the rim echo,
-    # from the rim at s = t - r, less the -45 echo leg from (0, s) to the rim
+    i, j = i[node], j[node]
+    m = i + j
+    # the reflected anti-diagonals that hold a node, marked over the -45
+    # layout's columns, and the off-node points
+    marked = np.zeros(C.shape[2], dtype=bool)
+    marked[m[refl[node]]] = True
+    diag = np.flatnonzero(marked)
+    far = ~node
+    t, r, refl = t[far], r[far], refl[far]
+
+    # g1 of an off-node point: the -45 line through (t, r), from t = 0 or,
+    # past the reflection, from its crossing t_star with the front, plus
+    # -omega'(eta) times the reflected +45 line from (0, -omega(eta)) up to
+    # t_star; an anti-diagonal's S takes the same t_star, omega and omega'
+    eta = np.concatenate((diag * d, t + r))
+    bent = np.concatenate((np.ones(diag.size, dtype=bool), refl))
+    t_star, om, om_dot = (np.zeros(eta.shape) for _ in range(3))
+    if np.any(bent):
+        e = eta[bent]
+        t_star[bent] = front.psi_inverse(e)
+        om[bent] = front._omega_unchecked(e)
+        om_dot[bent] = front.omega_dot(e)
+    # g2 of an off-node point: the +45 line through (t, r), from t = 0 or,
+    # behind the rim echo, from the rim at s = t - r, less the -45 echo leg
+    # from (0, s) to the rim
     s = np.where(r < t - 1e-14, t - r, 0.0)
-    zero = np.zeros(t.shape)
-    L = char_line_integrals(lat, values, C, np.array([-1.0, 1.0, 1.0, -1.0])[:, None],
-                           np.stack((eta, -om, r - t, s)),
-                           np.stack((t_star, zero, s, zero)),
-                           np.stack((t, t_star, t, s)))
-    g1[far] = -om_dot * L[1] + L[0]
-    g2[far] = -L[3] + L[2]
+    n, nf = diag.size, t.size
+    ts_d, ts_f = t_star[:n], t_star[n:]
+    z_d, z_f = np.zeros(n), np.zeros(nf)
+    # segment groups, in order: each anti-diagonal up to t_star, its
+    # reflected +45 leg; each off-node point's g1 legs, then its g2 legs
+    L = char_line_integrals(
+        lat, values, C,
+        np.repeat([-1.0, 1.0, -1.0, 1.0, 1.0, -1.0], [n, n, nf, nf, nf, nf]),
+        np.concatenate((eta[:n], -om[:n], eta[n:], -om[n:], r - t, s)),
+        np.concatenate((z_d, z_d, ts_f, z_f, s, z_f)),
+        np.concatenate((ts_d, ts_d, t, ts_f, t, s)))
+    L_diag, L_bent, L0, L1, L2, L3 = np.split(L, np.cumsum([n, n, nf, nf, nf]))
+
+    # the nodes, through flat indices into C: row l of family f starts at
+    # (2 l + f) * W
+    W = C.shape[2]
+    S = np.zeros(W)
+    S[diag] = L_diag + om_dot[:n] * L_bent
+    flat = C.ravel()
+    i_rim = np.maximum(i - j, 0)
+    row, rim = 2 * W * i, 2 * W * i_rim
+    q = j - i + (nt + W)
+    g1[node] = flat.take(row + m) - S.take(m)
+    g2[node] = flat.take(row + q) - flat.take(rim + q) - flat.take(rim + i_rim)
+    g1[far] = -om_dot[n:] * L1 + L0
+    g2[far] = -L3 + L2
     if scalar:
         return float(g1), float(g2)
     return g1, g2

@@ -11,8 +11,9 @@ different route, or states an identity the production results must obey:
     call building its own layout and index arrays
     (:func:`sheared_cone_integrals`, :func:`cone_integrals_batch`), which
     the planned sums of ``debondsim.quadrature`` must match bitwise;
-  * a characteristic line integral sample by sample, and the diagonal
-    cumulatives row by row;
+  * a characteristic line integral sample by sample, the diagonal
+    cumulatives row by row, and the derivative traces g1, g2 with every
+    point's four characteristic segments through the line kernel;
   * the radii where a corner wavefront crosses one row, and the audit's
     radial energy integrals row by row and segment by segment;
   * the closed-form energy rate at one time, in weighted and in unweighted
@@ -37,7 +38,9 @@ from debondsim.energy_audit import _energy_integrands, _rim_power
 from debondsim.fields import ProblemData
 from debondsim.geometry import _TOL, GeometryError, _asarray
 from debondsim.prescribed import _BANK, locate_patch
-from debondsim.quadrature import CharLattice, _row_interp, _sheared, column_cumulative
+from debondsim.quadrature import (
+    CharLattice, _line_cumulatives, _row_interp, _sheared, char_line_integrals, column_cumulative,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +337,35 @@ def diag_cumulatives(values: np.ndarray, delta: float):
         C[i, 1:] = C[i - 1, :-1] + half * (values[i - 1, :-1] + values[i, 1:])
         D[i, :-1] = D[i - 1, 1:] + half * (values[i - 1, 1:] + values[i, :-1])
     return C, D
+
+
+def phi_time_trace_segments(lat: CharLattice, values: np.ndarray, t, r):
+    """(g1, g2) of ``quadrature.phi_time_trace`` with every point, node or
+    not, sending its four characteristic segments through the line kernel.
+    g1: the -45 line through (t, r) from t = 0 or, past the reflection,
+    from its crossing t_star with the front, less omega'(eta) times the
+    reflected +45 line from (0, -omega(eta)) up to t_star.  g2: the +45
+    line through (t, r) from t = 0 or, behind the rim echo, from the rim at
+    s = t - r, less the -45 echo leg from (0, s) to the rim."""
+    front = lat.front
+    t, r = np.broadcast_arrays(_asarray(t), _asarray(r))
+    r = np.clip(r, 0.0, _asarray(front.rho(t)))
+    eta = t + r
+    refl = r > front.rho0 - t + 1e-14
+    t_star, om, om_dot = (np.zeros(t.shape) for _ in range(3))
+    if np.any(refl):
+        e = eta[refl]
+        t_star[refl] = front.psi_inverse(e)
+        om[refl] = front._omega_unchecked(e)
+        om_dot[refl] = front.omega_dot(e)
+    s = np.where(r < t - 1e-14, t - r, 0.0)
+    zero = np.zeros(t.shape)
+    L = char_line_integrals(lat, values, _line_cumulatives(values, lat.delta),
+                            np.array([-1.0, 1.0, 1.0, -1.0]).reshape((4,) + (1,) * t.ndim),
+                            np.stack((eta, -om, r - t, s)),
+                            np.stack((t_star, zero, s, zero)),
+                            np.stack((t, t_star, t, s)))
+    return -om_dot * L[1] + L[0], -L[3] + L[2]
 
 
 def jump_radii(segs, t: float, rho_t: float):

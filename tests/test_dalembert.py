@@ -139,7 +139,7 @@ def test_initial_derivatives():
     f = FrontCurve.affine(1.0, 0.2, 2.0, 3.0)
     waves = traveling_decomposition(hd, f)
     rs = np.linspace(0.05, 0.95, 13)
-    d_t, d_r = free_derivatives(waves, 0.0, rs)
+    d_t, d_r = free_derivatives(waves, 1.0 / 64, 0.0, rs)
     assert np.allclose(d_t, hd.h1(rs), atol=1e-13)
     assert np.allclose(d_r, hd.h0_dot(rs), atol=1e-13)
 
@@ -150,7 +150,7 @@ def test_derivatives_by_richardson_differences():
     waves = traveling_decomposition(hd, f)
     pts = [(0.21, 0.33), (0.15, 0.72), (0.37, 0.95), (0.41, 0.30)]
     for t, r in pts:
-        d_t, d_r = free_derivatives(waves, t, r)
+        d_t, d_r = free_derivatives(waves, 1.0 / 64, t, r)
         errs = []
         for step in (1e-4, 5e-5):
             fd_t = (float(free_solution(hd, f, t + step, r))
@@ -168,7 +168,7 @@ def test_derivatives_vanish_beyond_front():
     hd = hdata_rich()
     f = FrontCurve.constant(1.0, 2.0, 3.0)
     waves = traveling_decomposition(hd, f)
-    d_t, d_r = free_derivatives(waves, 0.2, 1.4)
+    d_t, d_r = free_derivatives(waves, 1.0 / 64, 0.2, 1.4)
     assert d_t == 0.0 and d_r == 0.0
 
 
@@ -241,7 +241,7 @@ def test_free_derivatives_on_mixed_points_are_the_direct_branches(delta, nodes, 
     order = data.draw(st.permutations(range(len(pts))))
     t = np.array([pts[k][0] for k in order], dtype=float)
     r = np.array([pts[k][1] for k in order], dtype=float)
-    assert_bitwise(free_derivatives(waves, t, r), direct_derivatives(waves, t, r))
+    assert_bitwise(free_derivatives(waves, delta, t, r), direct_derivatives(waves, t, r))
 
 
 def test_free_derivatives_scalars_empty_and_broadcast():
@@ -250,11 +250,11 @@ def test_free_derivatives_scalars_empty_and_broadcast():
     delta = 1.0 / 64
     waves = traveling_decomposition(hd, f)
     for t, r in [(0.25, 0.5), (0.2501, 0.3), (0.0, 0.0), (0.5, 1.15), (0.1, 1.4)]:
-        got = free_derivatives(waves, t, r)
+        got = free_derivatives(waves, delta, t, r)
         assert np.ndim(got[0]) == 0
         assert_bitwise(got, direct_derivatives(waves, t, r))
-    got = free_derivatives(waves, np.array([]), np.array([]))
+    got = free_derivatives(waves, delta, np.array([]), np.array([]))
     assert got[0].shape == (0,) and got[1].shape == (0,)
     t = np.arange(0, 33)[:, None] * delta
     r = np.concatenate((np.arange(0, 70) * delta, [0.3, 0.71]))
-    assert_bitwise(free_derivatives(waves, t, r), direct_derivatives(waves, t, r))
+    assert_bitwise(free_derivatives(waves, delta, t, r), direct_derivatives(waves, t, r))

@@ -232,13 +232,6 @@ def test_toughness_rejects_nonpositive():
         Toughness.constant(0.0, rho0=1.0, R=3.0)
 
 
-def test_toughness_clamp_after():
-    k = Toughness.from_pieces([(1.0, Profile.affine(0.0, 2.0))], R=3.0)
-    kc = k.clamped_after(1.5)
-    assert kappa_eval(kc, 1.2) == pytest.approx(2.4)
-    assert kappa_eval(kc, 2.5) == pytest.approx(3.0)  # frozen at the clamp value
-
-
 def test_kappa_domain_errors():
     k = Toughness.constant(1.0, rho0=1.0, R=3.0)
     with pytest.raises(ValueError):

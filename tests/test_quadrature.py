@@ -18,8 +18,8 @@ from debondsim.quadrature import (
     phi_time_trace,
 )
 from reference import (
-    cone_region, diag_cumulatives, diag_line_integral, jump_radii, phi_of, region_area,
-    sheared_cone_integrals,
+    cone_region, diag_cumulatives, diag_line_integral, jump_radii, phi_of, phi_time_trace_segments,
+    region_area, sheared_cone_integrals,
 )
 from reference import cone_integrals_batch as batch_oracle
 
@@ -662,8 +662,9 @@ def test_node_traces_read_the_diagonal_cumulatives(monkeypatch):
     # echo (j < i), zero-length legs (all four on row 0, the echo leg where
     # j >= i), the reflected nodes past i + j = rho0 / delta and a static
     # front on the lattice column j = 32, where h = 0.  Off the reflection
-    # band the traces are the row-by-row diagonal cumulatives, and only the
-    # reflected nodes send segments through the kernel's end cells
+    # band the traces are the row-by-row diagonal cumulatives; the reflected
+    # nodes read them too, less one S per anti-diagonal, whose two segments
+    # per reflected anti-diagonal are the kernel's only batch
     data = ProblemData(R=3.0, rho0=0.5, alpha=0.5, horizon=4.0, w=Profile.zero(),
                        v0=Profile.sine_bump(0.4, 0.5), v1=Profile.constant(0.2))
     patch = march(data, FrontCurve.constant(0.5, 2.0, 3.0), horizon=0.125,
@@ -684,16 +685,19 @@ def test_node_traces_read_the_diagonal_cumulatives(monkeypatch):
         return block(values, d, C, direction, *args)
     monkeypatch.setattr(quadrature, "_line_block", counted)
     g1, g2 = phi_time_trace(lat, F, patch.cumulatives, t, r)
-    assert sum(segments) == 4 * np.count_nonzero(refl)
+    assert segments == [2 * len(np.unique((ii + jj)[refl]))]
 
     C, D = diag_cumulatives(F, d)
     echo = np.where(jj < ii, D[np.maximum(ii - jj, 0), 0], 0.0)
     assert np.max(np.abs(g1 - D[ii, jj])[~refl]) <= 1e-13
     assert np.max(np.abs(g2 - (C[ii, jj] - echo))[~refl]) <= 1e-13
     assert np.all(g1[ii == 0] == 0.0) and np.all(g2[ii == 0] == 0.0)
+    g1_ref, g2_ref = phi_time_trace_segments(lat, F, t, r)
+    assert np.max(np.abs(g1 - g1_ref)[refl]) <= 1e-13
+    assert np.max(np.abs(g2 - g2_ref)[refl]) <= 1e-13
 
     h, h_t, h_r = patch.local_traces(t, r)
-    d_t, d_r = free_derivatives(patch.waves, t, r)
+    d_t, d_r = free_derivatives(patch.waves, d, t, r)
     ref_t = d_t + 0.5 * (D[ii, jj] + C[ii, jj] - echo)
     ref_r = d_r + 0.5 * (D[ii, jj] - C[ii, jj] + echo)
     assert np.max(np.abs(h_t - ref_t)[~refl]) <= 1e-13
@@ -704,6 +708,41 @@ def test_node_traces_read_the_diagonal_cumulatives(monkeypatch):
         assert (g1[k], g2[k]) == pytest.approx(trace(lat, F, t[k], r[k]), abs=1e-13)
         assert (h[k], h_t[k], h_r[k]) == pytest.approx(patch.local_traces(t[k], r[k]), abs=1e-13)
 
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(delta=st.sampled_from([1.0 / 64, 1.0 / 100, 1.0 / 128]),
+       interior=st.lists(st.floats(0.02, 0.48), max_size=2, unique=True),
+       slopes=st.lists(st.floats(0.0, 0.6), min_size=3, max_size=3),
+       coef=st.tuples(st.floats(0.0, 1.5), st.floats(-3.0, 3.0), st.floats(0.0, 1.5),
+                      st.floats(-3.0, 3.0), st.floats(-1.0, 1.0)),
+       nt=st.integers(1, 32))
+def test_trace_matches_four_segment_oracle(delta, interior, slopes, coef, nt):
+    # every inside node of rows 0 ... nt, reflected nodes and column 0
+    # included, the banks of the corner wavefronts and each row's front
+    # point, in one call, against every point's four segments, on fronts
+    # with 2-4 knots
+    ts = np.array([0.0] + sorted(interior) + [0.5])
+    rhos = 1.0 + np.concatenate(([0.0], np.cumsum(np.array(slopes[:len(ts) - 1]) * np.diff(ts))))
+    front = FrontCurve(ts, rhos, 3.0)
+    lat = CharLattice(front, delta, nt)
+    b, c, e, f, g = coef
+    H = fill(lat, lambda t, r: np.sin(b * t + c) * np.cos(e * r + f) + g * t * r)
+    ii, jj = np.nonzero(lat.inside)
+    assert np.any((ii + jj) * delta > front.rho0 + 1e-12) and np.any((jj == 0) & (ii > 0))
+    pts_t, pts_r = list(ii * delta), list(jj * delta)
+    wf = corner_wavefronts(front, nt * delta)
+    for t in lat.times:
+        rho_t = float(front.rho(t))
+        for r_star in jump_radii(wf, t, rho_t):
+            pts_t += [t, t]
+            pts_r += [r_star - 1e-9, r_star + 1e-9]
+        pts_t.append(t)
+        pts_r.append(rho_t)
+    t, r = np.array(pts_t), np.array(pts_r)
+    got = np.array(trace(lat, H, t, r))
+    want = np.array(phi_time_trace_segments(lat, H, t, r))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 def test_trace_consistent_with_cone_difference():
     # centered lattice-step difference of Phi in t approaches g1 + g2 at
