@@ -18,14 +18,15 @@ and the diagonal t - r = (i - j) delta.  :func:`free_solution` therefore
 evaluates f_plus and f_minus once per line and gathers the node grid from
 the two 1-D arrays; (i + j) delta equals i delta + j delta exactly when
 delta is a power of two, and to rounding otherwise.
-:func:`free_derivatives` takes arbitrary points and the lattice step: a
-point whose branch argument is exactly an index times delta (every node
-when delta is a power of two) takes the branch from one evaluation per
-characteristic index in use, marked over the index range without
-sorting, and every other point (banks, front points) is evaluated by
-itself.  The result is the pointwise one, bitwise, for any delta.  The
-pointwise free solution, with its checks, is the test oracle
-``free_solution`` in ``tests/reference.py``.
+:func:`free_derivatives` takes points in the domain, as the trace entry
+point ``prescribed.FieldPatch.local_traces`` checks and clips them, and
+the lattice step: a point whose branch argument is exactly an index times
+delta (every node when delta is a power of two) takes the branch from one
+evaluation per characteristic index in use, marked over the index range
+without sorting, and every other point (banks, front points) by itself.
+The result is the pointwise one, bitwise, for any delta.  The pointwise
+free solution, with its checks, is the test oracle ``free_solution`` in
+``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -137,15 +138,13 @@ def _per_characteristic(branch: Callable, s: np.ndarray, delta: float) -> np.nda
 
 
 def free_derivatives(waves: TravelingWaves, delta: float, t, r):
-    """(d_t, d_r) of the free solution; zero beyond the front.  Each branch
-    derivative is evaluated once per characteristic of the lattice of step
-    ``delta`` that the points lie on exactly (t + r = m * delta for
-    df_plus, t - r = n * delta for df_minus), and once at each other point,
-    so the result is the pointwise one, bitwise."""
+    """(d_t, d_r) of the free solution at points (t, r) in the domain, as
+    ``prescribed.FieldPatch.local_traces`` checks and clips them; t and r
+    broadcast.  Each branch derivative is evaluated once per characteristic
+    of the lattice of step ``delta`` that the points lie on exactly
+    (t + r = m * delta for df_plus, t - r = n * delta for df_minus), and
+    once at each other point, so the result is the pointwise one, bitwise."""
     t, r = np.broadcast_arrays(_asarray(t), _asarray(r))
-    inside = r <= waves.front.rho(t) + 1e-12
     fp = _per_characteristic(waves.df_plus, t + r, delta)
     fm = _per_characteristic(waves.df_minus, t - r, delta)
-    d_t = np.where(inside, fp + fm, 0.0)
-    d_r = np.where(inside, fp - fm, 0.0)
-    return d_t, d_r
+    return fp + fm, fp - fm

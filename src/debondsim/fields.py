@@ -214,7 +214,8 @@ class _Shifted(Profile):
 
 @dataclass(frozen=True)
 class ProblemData:
-    """Geometry, damping, boundary load and initial data of one run."""
+    """Geometry, damping, boundary load and initial data of one run.  The
+    package never reads ``horizon``: ``run`` and ``march`` take their own."""
 
     R: float
     rho0: float

@@ -33,6 +33,14 @@ def _asarray(x):
     return np.asarray(x, dtype=float)
 
 
+def _check_range(what: str, x: np.ndarray, where: str, lo: float, hi: float):
+    """Raise GeometryError, naming the first value and the range, if a value
+    of x is outside [lo, hi] by more than 1e-10."""
+    if np.any(x < lo - 1e-10) or np.any(x > hi + 1e-10):
+        k = np.flatnonzero((x < lo - 1e-10) | (x > hi + 1e-10))[0]
+        raise GeometryError(f"{what} {x.flat[k]:.6g} is outside {where} [{lo:.6g}, {hi:.6g}]")
+
+
 @dataclass(frozen=True)
 class FrontCurve:
     """Piecewise-linear debonding front t -> rho(t) on [0, horizon].
@@ -93,8 +101,7 @@ class FrontCurve:
 
     def _check_t(self, t):
         t = _asarray(t)
-        if np.any(t < -1e-10) or np.any(t > self.horizon + 1e-10):
-            raise GeometryError("time outside the front domain")
+        _check_range("time", t, "the front domain", 0.0, self.horizon)
         return np.clip(t, 0.0, self.horizon)
 
     def rho(self, t):
@@ -127,8 +134,7 @@ class FrontCurve:
     def psi_inverse(self, s):
         s = _asarray(s)
         pk = self.psi_knots
-        if np.any(s < pk[0] - 1e-10) or np.any(s > pk[-1] + 1e-10):
-            raise GeometryError("value outside the range of psi")
+        _check_range("value", s, "the range of psi", pk[0], pk[-1])
         return np.interp(s, pk, self.t_knots)
 
     def lambda_of(self, s):
@@ -136,15 +142,13 @@ class FrontCurve:
         characteristic t - r = s."""
         s = _asarray(s)
         fk = self.phi_knots
-        if np.any(s < fk[0] - 1e-10) or np.any(s > fk[-1] + 1e-10):
-            raise GeometryError("value outside the range of phi")
+        _check_range("value", s, "the range of phi", fk[0], fk[-1])
         return np.interp(s, fk, self.t_knots)
 
     def omega(self, s):
         s = _asarray(s)
         pk = self.psi_knots
-        if np.any(s < -1e-10) or np.any(s > pk[-1] + 1e-10):
-            raise GeometryError("omega argument out of range")
+        _check_range("argument", s, "the domain of omega", 0.0, pk[-1])
         return self._omega_unchecked(s)
 
     def _omega_unchecked(self, s):
@@ -164,7 +168,8 @@ class FrontCurve:
     def window(self, t0: float, t1: float) -> "FrontCurve":
         """Restriction to [t0, t1], re-based to local time starting at 0."""
         if not (0.0 - 1e-12 <= t0 < t1 <= self.horizon + 1e-12):
-            raise GeometryError("window outside the front domain")
+            raise GeometryError(f"window [{t0:.6g}, {t1:.6g}] is not an interval of the "
+                                f"front domain [0, {self.horizon:.6g}]")
         interior = (self.t_knots > t0 + 1e-14) & (self.t_knots < t1 - 1e-14)
         ts = np.concatenate(([t0], self.t_knots[interior], [t1]))
         rhos = np.interp(ts, self.t_knots, self.rho_knots)

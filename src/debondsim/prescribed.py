@@ -126,7 +126,8 @@ def plan_windows(front, alpha: float, i0: int, i1: int,
     0.999.
     """
     if i1 * delta > front.horizon + 1e-9:
-        raise GeometryError("horizon exceeds the front domain")
+        raise GeometryError(f"rows up to {i1} reach t = {i1 * delta:.6g}, past the front "
+                            f"domain [0, {front.horizon:.6g}]")
     R = front.R
     plans: List[WindowPlan] = []
     while i0 < i1:
@@ -210,7 +211,7 @@ class FieldPatch:
         d = self.lattice.delta
         rows = np.asarray(rows, dtype=int)
         t = rows * d
-        rho = np.asarray(self.rho_local(t), dtype=float)
+        rho = self.lattice.rho_rows[rows]
         j_in = np.floor(rho / d + 1e-12).astype(int)
 
         # segment s of row k runs from edge s to edge s + 1 of: 0, the jumps,
@@ -256,32 +257,42 @@ class FieldPatch:
     def local_traces(self, t_loc, r):
         """(h, h_t, h_r) in window-local variables, exact trace formulas, at
         one point (floats) or at arrays of points (t_loc and r broadcast).
-        At a lattice node h is the node value; elsewhere it is the
-        lattice's sample, and 0 on the front.  The free part comes from one
-        :func:`~debondsim.dalembert.free_derivatives` call, which evaluates
-        each branch once per lattice characteristic the nodes lie on and
-        once per off-node point (banks, front points), and the memory part
-        from one :func:`~debondsim.quadrature.phi_time_trace` call, which
-        reads every node off the diagonal cumulatives and sends only the
-        reflected anti-diagonals and the off-node points through the line
-        kernel, in one batch."""
+        The one check of a trace point: it must be window-local
+        (t_loc <= rho0/2) and in [0, rho(t_loc)], else GeometryError names
+        the first point off and the bound; r is clipped to [0, rho(t_loc)]
+        and located on the lattice once, and both kernels take the points as
+        given.  At a lattice node h is the node value; elsewhere it is the
+        lattice's sample, and 0 on the front.  The free part is one
+        :func:`~debondsim.dalembert.free_derivatives` call, one evaluation
+        per lattice characteristic of the nodes and per off-node point, and
+        the memory part one :func:`~debondsim.quadrature.phi_time_trace`
+        call, which reads the nodes off the diagonal cumulatives and sends
+        only reflected anti-diagonals and off-node points to the line kernel."""
+        lat = self.lattice
         scalar = np.ndim(t_loc) == 0 and np.ndim(r) == 0
         t_loc, r = np.broadcast_arrays(np.asarray(t_loc, dtype=float),
                                        np.asarray(r, dtype=float))
-        rho_t = np.asarray(self.rho_local(t_loc), dtype=float)
-        beyond = r > rho_t + 1e-9
-        if np.any(beyond):
-            k = np.flatnonzero(beyond.ravel())[0]
+        t_max = 0.5 * lat.front.rho0
+        late = t_loc > t_max + 1e-9
+        if np.any(late):
+            k = np.flatnonzero(late.ravel())[0]
             raise GeometryError(
-                f"point beyond the front: window-local (t, r) = ({t_loc.flat[k]:.6g}, "
-                f"{r.flat[k]:.6g}) is past rho(t) = {rho_t.flat[k]:.6g}")
-        r = np.minimum(r, rho_t)
-        d_t, d_r = free_derivatives(self.waves, self.lattice.delta, t_loc, r)
-        g1, g2 = phi_time_trace(self.lattice, self.F, self.cumulatives, t_loc, r)
+                f"trace formulas are window-local: the point (t, r) = ({t_loc.flat[k]:.6g}, "
+                f"{r.flat[k]:.6g}) is past t = rho0/2 = {t_max:.6g}")
+        rho_t = np.asarray(self.rho_local(t_loc), dtype=float)
+        outside = (r < -1e-12) | (r > rho_t + 1e-9)
+        if np.any(outside):
+            k = np.flatnonzero(outside.ravel())[0]
+            raise GeometryError(
+                f"trace point outside the domain: window-local (t, r) = ({t_loc.flat[k]:.6g}, "
+                f"{r.flat[k]:.6g}) is outside [0, rho(t)] = [0, {rho_t.flat[k]:.6g}]")
+        r = np.clip(r, 0.0, rho_t)
+        i, j, node = lat.node_index(t_loc, r)
+        d_t, d_r = free_derivatives(self.waves, lat.delta, t_loc, r)
+        g1, g2 = phi_time_trace(lat, self.F, self.cumulatives, t_loc, r, i, j, node)
         h_t = d_t + 0.5 * (g1 + g2)
         h_r = d_r + 0.5 * (g1 - g2)
-        i, j, node = self.lattice.node_index(t_loc, r)
-        h = np.array(self.lattice.values[i, j])  # replaced off the nodes
+        h = np.array(lat.values[i, j])  # replaced off the nodes
         off = ~node
         if np.any(off):
             h[off] = self.local_value(t_loc[off], r[off])
@@ -408,7 +419,7 @@ def _seam_data(patch: FieldPatch, wavefronts) -> HData:
     lat = patch.lattice
     hd = patch.hdata
     t_end = lat.nt * lat.delta
-    rho_end = float(patch.rho_local(t_end))
+    rho_end = float(lat.rho_rows[-1])
     _, rs, _ = patch.row_points([lat.nt], wavefronts)
     h0_s, h1_s, hd0_s = patch.local_traces(t_end, rs)
     h0_s[-1] = 0.0
@@ -462,7 +473,8 @@ def locate_patch(patches: List[FieldPatch], t: float) -> FieldPatch:
             if t < patch.t0 - 1e-12:
                 break
             return patch
-    raise GeometryError(f"time {t} is not covered by the solved windows")
+    raise GeometryError(f"time {t:.6g} is outside the solved windows "
+                        f"[{patches[0].t0:.6g}, {patches[-1].t1:.6g}]")
 
 
 def evaluate_field(patches: List[FieldPatch], t: float, r: float) -> FieldSample:

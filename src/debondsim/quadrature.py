@@ -18,11 +18,11 @@ a few hundred half rows) and by half row otherwise (the lattice), so
 neither carries the other's zero padding; the two orientations agree
 bitwise.  Two callers hold a plan for as long as their grid lives, one
 window: ``griffith.StripWorkspace`` passes its strip, whose columns are
-already diagonals, with the omega cut its lambda iterate induces on each
-sweep, and :class:`LatticeConePlan`, which :func:`cone_integrals_batch`
-runs, shears the (t, r) lattice into the plan's layout and fixes the
-omega cut, the sub-cone below the rim echo and the outside nodes from
-the lattice's front when it is built.
+already diagonals, with the cut of its omega iterate on each sweep, and
+:class:`LatticeConePlan`, which :func:`cone_integrals_batch` runs, shears
+the (t, r) lattice into the plan's layout and fixes the omega cut, the
+sub-cone below the rim echo and the outside nodes from the lattice's
+front when it is built.
 
 The partial derivatives of Phi reduce to two boundary line integrals g1,
 g2 along characteristics; those are one-dimensional trapezoid sums over
@@ -85,10 +85,10 @@ class CharLattice:
     def __post_init__(self):
         T = self.nt * self.delta
         if T > self.front.horizon + 1e-12:
-            raise GeometryError("lattice extends beyond the front domain")
-        rho_max = float(np.max(self.front.rho(self.times)))
-        self.j_ext = int(math.ceil((T + rho_max) / self.delta - 1e-9)) + 1
+            raise GeometryError(f"lattice of {self.nt} rows reaches t = {T:.6g}, past the "
+                                f"front domain [0, {self.front.horizon:.6g}]")
         self.rho_rows = np.asarray(self.front.rho(self.times), dtype=float)
+        self.j_ext = int(math.ceil((T + float(np.max(self.rho_rows))) / self.delta - 1e-9)) + 1
         self.inside = self.radii[None, :] <= self.rho_rows[:, None] + 1e-12
         if self.values is None:
             self.values = np.zeros((self.nt + 1, self.j_ext + 1))
@@ -526,17 +526,18 @@ def _line_block(values, d, C, direction, offset, ta, tb):
 # derivative traces
 # ---------------------------------------------------------------------------
 
-def phi_time_trace(lat: CharLattice, values: np.ndarray, C: np.ndarray, t, r):
+def phi_time_trace(lat: CharLattice, values: np.ndarray, C: np.ndarray, t, r, i, j, node):
     """Boundary line integrals (g1, g2) with Phi_t = g1 + g2 and
-    Phi_r = g1 - g2 inside the domain (window-local: t <= rho0 / 2).
+    Phi_r = g1 - g2 at points (t, r) of one shape, taken as given:
+    ``prescribed.FieldPatch.local_traces`` checks them (t <= rho0 / 2,
+    where these formulas hold, and 0 <= r <= rho(t)), clips r and locates
+    them, (i, j) the nearest node and ``node`` whether it is the point.
 
     C is both families' diagonal cumulatives of ``values``
     (:func:`_line_cumulatives`), which the caller builds once and keeps.
-    t and r broadcast: floats for one point, arrays for many.  Whether a
-    point is a lattice node (i, j) is decided once, from its row and
-    column.  With P and M the +45 and -45 cumulatives of C indexed by
-    lattice node (row by row in ``diag_cumulatives`` of
-    ``tests/reference.py``), every node has
+    With P and M the +45 and -45 cumulatives of C indexed by lattice node
+    (row by row in ``diag_cumulatives`` of ``tests/reference.py``), every
+    node has
 
         g1 = M[i, i + j] - S[i + j],
         g2 = P[i, j] - P[i_rim, .] - M[i_rim, 0],
@@ -554,26 +555,8 @@ def phi_time_trace(lat: CharLattice, values: np.ndarray, C: np.ndarray, t, r):
     """
     front = lat.front
     rho0 = front.rho0
-    scalar = np.ndim(t) == 0 and np.ndim(r) == 0
-    t, r = np.broadcast_arrays(_asarray(t), _asarray(r))
-    late = t > 0.5 * rho0 + 1e-9
-    if np.any(late):
-        k = np.flatnonzero(late.ravel())[0]
-        raise GeometryError(
-            f"trace formulas are window-local: the point (t, r) = "
-            f"({t.flat[k]:.6g}, {r.flat[k]:.6g}) is past t = rho0/2 = {0.5 * rho0:.6g}")
-    rho_t = _asarray(front.rho(t))
-    beyond = (r < -1e-12) | (r > rho_t + 1e-9)
-    if np.any(beyond):
-        k = np.flatnonzero(beyond.ravel())[0]
-        raise GeometryError(
-            f"trace point beyond the front: (t, r) = ({t.flat[k]:.6g}, "
-            f"{r.flat[k]:.6g}) is outside [0, rho(t)] = [0, {rho_t.flat[k]:.6g}]")
-    r = np.clip(r, 0.0, rho_t)
-
     nt, d = lat.nt, lat.delta
     g1, g2 = np.empty(t.shape), np.empty(t.shape)
-    i, j, node = lat.node_index(t, r)
     refl = r > rho0 - t + 1e-14
     i, j = i[node], j[node]
     m = i + j
@@ -627,6 +610,4 @@ def phi_time_trace(lat: CharLattice, values: np.ndarray, C: np.ndarray, t, r):
     g2[node] = flat.take(row + q) - flat.take(rim + q) - flat.take(rim + i_rim)
     g1[far] = -om_dot[n:] * L1 + L0
     g2[far] = -L3 + L2
-    if scalar:
-        return float(g1), float(g2)
     return g1, g2

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from debondsim.geometry import FrontCurve, GeometryError, corner_wavefronts, jump_radii
+from debondsim.prescribed import plan_windows
+from debondsim.quadrature import CharLattice
 from reference import (
     OMEGA1, OMEGA2, OMEGA3,
     ClosedFormFront, annulus_area_derivative, cone_region, region_area,
@@ -22,6 +24,26 @@ def make_front(kind="piecewise", R=3.0):
 
 
 # -- construction -----------------------------------------------------------
+
+@pytest.mark.parametrize("call, message", [
+    (lambda f: f.rho(np.array([0.5, 2.5, -1.0])), r"time 2\.5 is outside the front domain \[0, 2\]"),
+    (lambda f: f.rho_dot(-0.5), r"time -0\.5 is outside the front domain \[0, 2\]"),
+    (lambda f: f.psi_inverse(np.array([1.5, 0.5])), r"value 0\.5 is outside the range of psi \[1, 4\]"),
+    (lambda f: f.lambda_of(np.array([-0.5, 0.25])),
+     r"value 0\.25 is outside the range of phi \[-1, 0\]"),
+    (lambda f: f.omega(np.array([0.5, 4.5])), r"argument 4\.5 is outside the domain of omega \[0, 4\]"),
+    (lambda f: f.window(1.5, 2.5), r"window \[1\.5, 2\.5\] .*front domain \[0, 2\]"),
+    (lambda f: plan_windows(f, 0.0, 0, 80, 1.0 / 32),
+     r"rows up to 80 reach t = 2\.5, past the front domain \[0, 2\]"),
+    (lambda f: CharLattice(f, 1.0 / 32, 80),
+     r"lattice of 80 rows reaches t = 2\.5, past the front domain \[0, 2\]"),
+])
+def test_range_errors_name_the_value_and_the_range(call, message):
+    # the first offending value and the range it breaks; the front runs
+    # from rho = 1 to 2 over t in [0, 2], so psi spans [1, 4] and phi [-1, 0]
+    with pytest.raises(GeometryError, match=message):
+        call(make_front("affine"))
+
 
 def test_rejects_supersonic_front():
     with pytest.raises(GeometryError):

@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 
 from debondsim import prescribed
 from debondsim.fields import HData, ProblemData, Profile, Toughness, kappa_eval, to_h_data
-from debondsim.geometry import FrontCurve, GeometryError
+from debondsim.geometry import FrontCurve, GeometryError, corner_wavefronts
 from debondsim.prescribed import (
     ConvergenceError, WindowPlan, _Workspace, apply_L,
     certified_step, contraction_bound, evaluate_field, march, plan_windows,
     solve_window,
 )
+from debondsim.quadrature import CharLattice
 
 
 def make_data(R=3.0, rho0=1.0, alpha=0.0, amp=0.4, w=None, v1=None):
@@ -427,10 +428,43 @@ def test_evaluate_outside_raises():
     data = make_data()
     front = FrontCurve.constant(1.0, 3.0, 3.0)
     patches = march(data, front, horizon=0.25, delta=1.0 / 32)
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match=r"\(t, r\) = \(0\.1, 1\.5\).*\[0, 1\]"):
         evaluate_field(patches, 0.1, 1.5)
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match=r"time 0\.9 .*\[0, 0\.25\]"):
         evaluate_field(patches, 0.9, 0.5)
+    with pytest.raises(GeometryError, match=r"\(t, r\) = \(0\.1, -0\.1\).*\[0, 1\]"):
+        evaluate_field(patches, 0.1, -0.1)
+
+
+def test_trace_points_are_checked_and_located_once(monkeypatch):
+    # local_traces is the one check of a trace point: on a seam row's points
+    # (nodes, reflected nodes past t + r = rho0, the banks of both corner
+    # wavefronts and the front point) it evaluates the window front once and
+    # locates the points once; row_points and the seam read the lattice's
+    # rows instead of the front
+    data = make_data(alpha=0.5, v1=Profile.constant(0.2))
+    front = FrontCurve.affine(1.0, 0.3, 2.0, 3.0)
+    patch = march(data, front, horizon=0.25, delta=1.0 / 64)[0]
+    lat = patch.lattice
+    wavefronts = corner_wavefronts(front, 0.5)
+    t = lat.nt * lat.delta
+    _, rs, _ = patch.row_points([lat.nt], wavefronts)
+    i, j, node = lat.node_index(t, rs)
+    assert lat.nt == 16 and np.any(i + j > 64) and np.count_nonzero(~node) >= 5
+    calls = []
+    for owner, name in ((FrontCurve, "rho"), (CharLattice, "node_index")):
+        def counted(*args, _fn=getattr(owner, name), _name=name):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(owner, name, counted)
+
+    assert np.array_equal(patch.row_points([lat.nt], wavefronts)[1], rs)
+    assert calls == []
+    patch.local_traces(t, rs)
+    assert sorted(calls) == ["node_index", "rho"]
+    calls.clear()
+    prescribed._seam_data(patch, wavefronts)
+    assert sorted(calls) == ["node_index", "rho"]
 
 
 def test_interior_pde_residual_shrinks():

@@ -51,8 +51,12 @@ def line_integrals(lat, values, *segments):
 
 
 def trace(lat, values, t, r):
-    """phi_time_trace with the cumulatives built for this one call."""
-    return phi_time_trace(lat, values, quadrature._line_cumulatives(values, lat.delta), t, r)
+    """phi_time_trace with the cumulatives built for this one call, at the
+    points broadcast and located on the lattice (floats for one point)."""
+    t, r = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(r, dtype=float))
+    g1, g2 = phi_time_trace(lat, values, quadrature._line_cumulatives(values, lat.delta), t, r,
+                            *lat.node_index(t, r))
+    return (float(g1), float(g2)) if t.ndim == 0 else (g1, g2)
 
 
 # -- lattice ----------------------------------------------------------------
@@ -684,7 +688,7 @@ def test_node_traces_read_the_diagonal_cumulatives(monkeypatch):
         segments.append(direction.size)
         return block(values, d, C, direction, *args)
     monkeypatch.setattr(quadrature, "_line_block", counted)
-    g1, g2 = phi_time_trace(lat, F, patch.cumulatives, t, r)
+    g1, g2 = phi_time_trace(lat, F, patch.cumulatives, t, r, *lat.node_index(t, r))
     assert segments == [2 * len(np.unique((ii + jj)[refl]))]
 
     C, D = diag_cumulatives(F, d)
@@ -774,32 +778,36 @@ def test_trace_r_derivative_against_difference():
     assert fd == pytest.approx(g1 - g2, abs=2e-4)
 
 
+def trace_patch():
+    # a window of rho0 = 1, so its traces hold up to t = 0.5, with its front
+    # at rho(0.125) = 1.0625 on its last row
+    data = ProblemData(R=3.0, rho0=1.0, alpha=0.0, horizon=4.0, w=Profile.zero(),
+                       v0=Profile.sine_bump(0.4, 1.0), v1=Profile.zero())
+    return march(data, FrontCurve.affine(1.0, 0.5, 2.0, 3.0), horizon=0.125,
+                 delta=1.0 / 32)[0]
+
+
 def test_trace_window_precondition():
-    lat = make_lattice(nt=64)
-    with pytest.raises(GeometryError):
-        trace(lat, const_field(lat), 0.9, 0.1)
+    with pytest.raises(GeometryError, match=r"window-local.*\(0\.9, 0\.1\).*rho0/2 = 0\.5"):
+        trace_patch().local_traces(0.9, 0.1)
 
 
 def test_trace_errors_name_the_point_and_the_bound():
-    # the first offending point of a batch, with the bound it breaks
-    lat = make_lattice(nt=64)
-    H = const_field(lat)
+    # the first offending point of a batch, with the bound it breaks; the
+    # trace points are checked once, in local_traces
+    patch = trace_patch()
     with pytest.raises(GeometryError, match=r"window-local.*\(t, r\) = \(0\.6, 0\.2\)"
                                             r".*rho0/2 = 0\.5"):
-        trace(lat, H, np.array([0.25, 0.6, 0.9]), np.array([0.1, 0.2, 0.3]))
-    with pytest.raises(GeometryError, match=r"beyond the front.*\(t, r\) = \(0\.25, 1\.1\)"
-                                            r".*\[0, 1\.0625\]"):
-        trace(lat, H, 0.25, np.array([0.5, 1.1, 1.2]))
+        patch.local_traces(np.array([0.25, 0.6, 0.9]), np.array([0.1, 0.2, 0.3]))
+    for r, bad in ((np.array([0.5, 1.1, 1.2]), r"1\.1"), (np.array([0.5, -0.1]), r"-0\.1")):
+        with pytest.raises(GeometryError, match=rf"outside the domain.*\(t, r\) = \(0\.125, {bad}\)"
+                                                r".*\[0, 1\.0625\]"):
+            patch.local_traces(0.125, r)
     # the columns end at r = 145/64
+    lat = make_lattice(nt=64)
+    H = const_field(lat)
     for direction, end in ((1.0, r"\(0, 2\.5\)"), (-1.0, r"\(0\.1, -0\.05\)")):
         with pytest.raises(GeometryError, match=r"outside the lattice's columns.*"
                                                 rf"\(t, r\) = {end}.*\[0, 2\.26562\]"):
             line_integrals(lat, H, direction, np.array([0.5, 2.5 if direction > 0 else 0.05]),
                                 0.0, 0.1)
-    data = ProblemData(R=3.0, rho0=1.0, alpha=0.0, horizon=4.0, w=Profile.zero(),
-                       v0=Profile.sine_bump(0.4, 1.0), v1=Profile.zero())
-    patch = march(data, FrontCurve.affine(1.0, 0.5, 2.0, 3.0), horizon=0.125,
-                  delta=1.0 / 32)[0]
-    with pytest.raises(GeometryError, match=r"beyond the front.*\(t, r\) = \(0\.125, 1\.1\)"
-                                            r".*rho\(t\) = 1\.0625"):
-        patch.local_traces(0.125, np.array([0.5, 1.1]))
