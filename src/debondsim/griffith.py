@@ -20,18 +20,33 @@ starts from the analytic sufficiency bounds and halves whenever the
 measured factor misbehaves.  It stops by the rule of the prescribed
 Picard iteration, ``_TOL`` and ``_MAX_ITER`` (:mod:`debondsim.prescribed`).
 
-A window's horizon T is set by geometry alone (0.45 rho and
-0.9 (R - rho)), never by the run's horizon.  Its front ends where it
-leaves the strip, at t = T or on the strip's last diagonal; points past
-that end hold no strip node inside the front and take their rate on the
-strip's edge at their own time and radius, so the cell the front leaves
-in is integrated like any other.  A cell that crosses a toughness
-breakpoint is split there, each side at its own toughness.  The window
-advances by the full rows below its end, or to the first full row past a
-breakpoint, cut there on its cell's quadratic; the prescribed window loop
-then extends the run's patches over the produced front, with seams split
-at the corner wavefronts.  Those patches give exact seam traces for the
-next window and are the run's field, so the field is solved once.
+A window's horizon T is set by geometry (0.45 rho and 0.9 (R - rho)),
+never by the run's horizon; it bounds the strip's width and height.  Its
+front ends where it leaves the strip, at the strip's top or on its last
+diagonal; points past that end hold no strip node inside the front and
+take their rate on the strip's edge at their own time and radius, so the
+cell the front leaves in is integrated like any other.  A cell that
+crosses a toughness breakpoint is split there, each side at its own
+toughness.  The window advances by the full rows below its end, or to the
+first full row past a breakpoint, cut there on its cell's quadratic; the
+prescribed window loop then extends the run's patches over the produced
+front, with seams split at the corner wavefronts.  Those patches give
+exact seam traces for the next window and are the run's field, so the
+field is solved once.
+
+The strip is built only as tall as its window can keep.  Its updates are
+causal: a node's free value, inside mask and cone cut read omega on its
+own anti-diagonal, whose front point is no later than the node; the cone
+sum reads only earlier rows; and the release rate at a front point reads
+the rows up to it and the one cell holding it.  So rows more than one past
+the point where the front leaves the strip's last diagonal cannot move
+the front the window keeps; only the sweep at which the iteration stops
+can change, since the product metric runs over fewer rows.  The first
+strip is as tall as a straight front at the window's start slope needs to
+leave the last diagonal, times a safety factor, plus spare rows, and no
+taller than T or the rows the run has left plus the spare rows.  A strip
+whose front leaves it, or reaches the run's last row, less than two rows
+below its top is regrown: solved once more at T.
 """
 
 from __future__ import annotations
@@ -50,6 +65,10 @@ from .prescribed import (
 from .quadrature import ConePlan, column_cumulative
 
 _SLOPE_CAP = 1.0 - 1e-9
+# a window's first strip: the straight front's exit row times the safety
+# factor, plus the spare rows
+_EXIT_SAFETY = 1.25
+_SPARE_ROWS = 4
 
 
 class _Shrink(Exception):
@@ -59,6 +78,14 @@ class _Shrink(Exception):
 def _slope(g0, kappa):
     """The front slope d omega / d eta = min(1, kappa / G0)."""
     return 1.0 / np.maximum(g0 / kappa, 1.0)
+
+
+def _start_slope(hd: HData, tough: Toughness) -> float:
+    """The front's slope at t = 0, where the release rate has no line
+    integral yet: G0 = (h0'(rho0) - h1(rho0))^2 / (2 (R - rho0))."""
+    bracket = hd.h0_dot(hd.rho0) - hd.h1(hd.rho0)
+    g0 = bracket * bracket / (2.0 * (hd.R - hd.rho0))
+    return float(_slope(g0, kappa_eval(tough, hd.rho0 + 1e-9)))
 
 
 class _Front(NamedTuple):
@@ -82,8 +109,10 @@ class StripWorkspace:
     """Characteristic strip along the front for one coupled window.
 
     Node (l, k) sits at t = l*delta on the diagonal t - r = s_k, with
-    s_k = -rho0 + k*delta, k = 0..m; its radius t - s_k is at most
-    rho0 + T, which :func:`run` keeps below R.  Its anti-diagonal t + r is
+    s_k = -rho0 + k*delta, k = 0..m, and l = 0..L for the strip's height
+    T = L*delta; its radius t - s_k is at most rho0 + T, which :func:`run`
+    keeps below R.  :func:`run` sizes T to the rows its window can keep,
+    never above the window's horizon.  Its anti-diagonal t + r is
     cone_eta[2l - k + m], on the grid cone_eta = rho0 + delta*(-m..2L), and
     the front iterate omega lives on that grid: -rho0 up to rho0, then
     front point g at eta[g] = rho0 + g*delta, t = (eta + omega) / 2.
@@ -249,8 +278,7 @@ def solve_coupled_window(ws: StripWorkspace, M: float, t_start: float):
     Raises _Shrink when the sup cap M or the measured contraction says the
     strip is too wide."""
     # start from the straight front at the data's rate at t = 0
-    g0 = ws.release_rate(ws.blank(), ws.straight_front(1.0))[0]
-    om = ws.straight_front(float(_slope(g0, kappa_eval(ws.tough, ws.rho0 + 1e-9))))
+    om = ws.straight_front(_start_slope(ws.hd, ws.tough))
     h = ws.psi1(ws.blank(), om)  # free solution on the strip
     history = []
     for it in range(1, _MAX_ITER + 1):
@@ -283,8 +311,9 @@ def solve_coupled_window(ws: StripWorkspace, M: float, t_start: float):
 
 def _band_integrals(hd: HData, y: float):
     ss = np.linspace(hd.rho0 - y, hd.rho0, 257)
-    absum = np.abs(hd.h0_dot(ss)) + np.abs(hd.h1(ss))
-    sqsum = (np.asarray(hd.h0_dot(ss)) - np.asarray(hd.h1(ss))) ** 2
+    h0_dot, h1 = hd.h0_dot(ss), hd.h1(ss)
+    absum = np.abs(h0_dot) + np.abs(h1)
+    sqsum = (h0_dot - h1) ** 2
     return float(np.trapezoid(absum, ss)), float(np.trapezoid(sqsum, ss))
 
 def _seed_width(hd: HData, tough: Toughness, T: float, M: float,
@@ -308,6 +337,16 @@ def _seed_width(hd: HData, tough: Toughness, T: float, M: float,
             break
         m //= 2
     return max(1, m)
+
+
+def _strip_rows(slope: float, m: int, L: int, rows_left: int) -> int:
+    """Rows of a window's first strip: a straight front of slope ``slope``
+    leaves the last diagonal s_m after m (1/slope + 1) / 2 rows; that, times
+    the safety factor, plus the spare rows, and no more than the window's L
+    or the rows the run has left plus the spare rows."""
+    exit_rows = 0.5 * m * (1.0 / slope + 1.0)
+    return min(L, int(math.ceil(_EXIT_SAFETY * exit_rows)) + _SPARE_ROWS,
+               rows_left + _SPARE_ROWS)
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +420,14 @@ def run(data: ProblemData, tough: Toughness, horizon: float,
 
     Each window solves the strip fixed point for the front's omega(eta),
     and advances by the full rows below the point where the front leaves
-    the strip (at t = T or on its last diagonal), or to the first full row
-    past the next toughness breakpoint, so no window straddles one.  It
-    then extends the run's patches over the produced front by certified
+    the strip (at its top or on its last diagonal), or to the first full
+    row past the next toughness breakpoint, so no window straddles one.
+    The strip's width and its greatest height come from the window's
+    geometric horizon T, but it is built only as tall as the window can
+    keep, and solved once more at T when its front leaves it, or reaches
+    the run's last row, less than two rows below its top (see the module
+    docstring); each window's diagnostics record ``T``, the accepted
+    ``strip_rows`` and whether it was ``regrown``.  The window then extends the run's patches over the produced front by certified
     prescribed windows, and re-bases the data from the last of them for
     the next window.  Both fixed points stop at the tolerance of
     :mod:`debondsim.prescribed`.
@@ -436,12 +480,14 @@ def run(data: ProblemData, tough: Toughness, horizon: float,
         m = _seed_width(local, tough, T, M, delta,
                         y_cap=min(0.9 * local.rho0, T))
 
-        shrink_count = 0
+        rows_left = n_total - rows_done
+        slope = _start_slope(local, tough)
+        shrink_count, regrown = 0, False
         while True:
-            ws = StripWorkspace(local, tough, T, m, delta)
+            strip_rows = L if regrown else _strip_rows(slope, m, L, rows_left)
+            ws = StripWorkspace(local, tough, strip_rows * delta, m, delta)
             try:
                 h_strip, om, wdiag = solve_coupled_window(ws, M, rows_done * delta)
-                break
             except _Shrink as exc:
                 shrink_count += 1
                 m //= 2
@@ -449,11 +495,16 @@ def run(data: ProblemData, tough: Toughness, horizon: float,
                     raise ConvergenceError(
                         f"strip width underflow below the lattice step at "
                         f"t = {rows_done * delta:.6g}: {exc}") from exc
+                continue
+            f = ws.rate_front(h_strip, om)
+            # the front leaves the strip at its top or on its last diagonal
+            t_exit = min(ws.T, _front_point(f, float(ws.s[-1]), "omega")[0])
+            # kept only if that, or the run's last row, is two rows below the top
+            if strip_rows == L or min(t_exit / delta, rows_left) <= strip_rows - 2 + 1e-9:
+                break
+            regrown = True
 
-        f = ws.rate_front(h_strip, om)
-        # the front leaves the strip at t = T or on its last diagonal
-        t_exit = min(ws.T, _front_point(f, float(ws.s[-1]), "omega")[0])
-        adv_rows = min(n_total - rows_done, max(1, int(math.floor(t_exit / delta + 1e-12))))
+        adv_rows = min(rows_left, max(1, int(math.floor(t_exit / delta + 1e-12))))
         if b_next is not None:
             t_end = adv_rows * delta
             if _front_point(f, t_end)[1] >= b_next - 1e-12:
@@ -466,8 +517,8 @@ def run(data: ProblemData, tough: Toughness, horizon: float,
             rw[(rw < b_next) & (rw > b_next - 1e-9)] = b_next
 
         t0 = rows_done * delta
-        wdiag.update(t_start=t0, T=ws.T, y=m * delta, m=m, rows=adv_rows,
-                     shrinks=shrink_count, rho_end=float(rw[-1]))
+        wdiag.update(t_start=t0, T=T, strip_rows=strip_rows, regrown=regrown, y=m * delta,
+                     m=m, rows=adv_rows, shrinks=shrink_count, rho_end=float(rw[-1]))
         diags.append(wdiag)
 
         for tk, rk in zip(tw[1:], rw[1:]):

@@ -234,13 +234,15 @@ class FieldPatch:
         for s in range(edges.shape[1] - 1):
             node_seg[valid[:, s, None] & (jj >= j_lo[:, s, None]) & (jj <= j_hi[:, s, None])] = s
         k_node, j_node = np.nonzero(in_row)
-        k_lead, s_lead = np.nonzero(lead)
-        k_tail, s_tail = np.nonzero(tail)
-        p_row = np.concatenate((k_node, k_lead, k_tail))
-        pr = np.concatenate((j_node * d, lo[lead], hi[tail]))
-        p_seg = np.concatenate((node_seg[in_row], s_lead, s_tail))
-        order = np.lexsort((pr, p_row))
-        return p_row[order], pr[order], p_seg[order]
+        k_bank, s_bank, is_tail = np.nonzero(np.stack((lead, tail), axis=2))
+        r_bank = np.where(is_tail, hi[k_bank, s_bank], lo[k_bank, s_bank])
+        # both come in row and radius order; a bank goes after the nodes of
+        # the earlier rows and those of its own row at or below its radius
+        row_start = np.cumsum(j_in + 1) - (j_in + 1)
+        at = row_start[k_bank] + np.minimum(np.searchsorted(jj * d, r_bank, side="right"),
+                                            j_in[k_bank] + 1)
+        return (np.insert(k_node, at, k_bank), np.insert(j_node * d, at, r_bank),
+                np.insert(node_seg[in_row], at, s_bank))
 
     @functools.cached_property
     def cumulatives(self) -> np.ndarray:

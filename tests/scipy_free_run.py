@@ -1,7 +1,8 @@
 """Import debondsim, solve a small moving-front problem and audit it while
 a ``sys.meta_path`` finder refuses every scipy import: the package's runtime
 needs numpy alone, and only the validation module ``debondsim.oracle``
-fails, naming the extra that installs scipy.
+fails, naming the extra that installs scipy.  Every coupled strip must be
+at most its window's horizon T tall; their heights are printed.
 
     python tests/scipy_free_run.py
 
@@ -37,6 +38,10 @@ data = ds.ProblemData(R=2.0, rho0=1.0, alpha=0.5, horizon=1.0, w=ds.Profile.sine
 tough = ds.Toughness.constant(0.02, rho0=1.0, R=2.0)
 res = ds.run(data, tough, horizon=1.0, delta=1.0 / 32)
 assert res.front.rho_knots[-1] > 1.0, "the front did not move"
+strip_rows = [wd["strip_rows"] for wd in res.window_diagnostics]
+# each coupled strip is sized to its window, never above its horizon T
+for wd in res.window_diagnostics:
+    assert wd["strip_rows"] <= round(wd["T"] / res.delta), wd
 ledger = ds.audit(res.patches, res.front, data, tough)
 assert ledger.max_rel_edp < 1e-2, ledger.max_rel_edp
 try:
@@ -45,5 +50,6 @@ except ImportError as exc:  # the validation module names the extra it needs
     assert "debondsim[validation]" in str(exc), exc
 else:
     raise SystemExit("debondsim.oracle imported without scipy")
-print(f"debondsim from {ds.__file__}: ran {len(res.patches)} windows and audited "
-      f"{len(ledger.times)} rows without scipy")
+print(f"debondsim from {ds.__file__}: ran {len(strip_rows)} coupled windows on strips of "
+      f"{strip_rows} rows ({sum(wd['regrown'] for wd in res.window_diagnostics)} regrown), "
+      f"{len(res.patches)} patches, and audited {len(ledger.times)} rows without scipy")

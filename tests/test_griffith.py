@@ -10,7 +10,8 @@ from debondsim.energy_audit import audit
 from debondsim.fields import ProblemData, Profile, Toughness, to_h_data
 from debondsim.geometry import FrontCurve, GeometryError, corner_wavefronts
 from debondsim.griffith import (
-    GriffithRun, StripWorkspace, _front_point, _Shrink, run, solve_coupled_window,
+    GriffithRun, StripWorkspace, _front_point, _Shrink, _start_slope, _strip_rows, run,
+    solve_coupled_window,
 )
 from debondsim.prescribed import ConvergenceError, _extend, _seam_data, evaluate_field, march
 
@@ -157,6 +158,27 @@ def test_front_point_lies_on_the_crossing_curve():
         t_cut, rho_cut = _front_point(f, rho, "rho")
         assert rho_cut == pytest.approx(rho, abs=1e-14)
         assert crossing_omega(t_cut + rho_cut) == pytest.approx(t_cut - rho_cut, abs=1e-12)
+
+
+def test_start_slope_is_the_rate_on_a_blank_strip():
+    # the closed form of G0 at t = 0 is the strip's release rate at its
+    # first front point with no field and no line integral, bit for bit
+    for alpha, w in ((0.0, None), (0.5, Profile.sine(0.1, 2.0))):
+        data = bump_data(amp=0.4, alpha=alpha, w=w, v1=Profile.constant(-0.3))
+        for kappa in (0.01, 0.15, 1e6):
+            tough = Toughness.constant(kappa, rho0=1.0, R=3.0)
+            ws = make_workspace(data, tough, m=8)
+            g0 = ws.release_rate(ws.blank(), ws.straight_front(1.0))[0]
+            blank = float(griffith._slope(g0, griffith.kappa_eval(tough, ws.rho0 + 1e-9)))
+            assert _start_slope(ws.hd, tough) == blank
+
+
+def test_strip_rows_bounds():
+    # a front at rest (slope 1) leaves the last diagonal after m rows
+    assert _strip_rows(1.0, m=8, L=100, rows_left=100) == 10 + 4
+    assert _strip_rows(0.25, m=8, L=100, rows_left=100) == 25 + 4
+    assert _strip_rows(0.25, m=8, L=20, rows_left=100) == 20
+    assert _strip_rows(0.25, m=8, L=100, rows_left=3) == 3 + 4
 
 
 def test_coupled_window_names_its_t_when_it_does_not_converge(monkeypatch):
@@ -317,6 +339,102 @@ def test_run_solves_each_window_once(monkeypatch):
     for prev, nxt in zip(res.patches[:-1], res.patches[1:]):
         assert nxt.t0 == pytest.approx(prev.t1, abs=1e-12)
     assert res.patches[-1].t1 == pytest.approx(res.t_star, abs=1e-12)
+
+
+def _partition(res):
+    return [(wd["rows"], wd["m"], wd["shrinks"]) for wd in res.window_diagnostics]
+
+
+def _geometric_rows(slope, m, L, rows_left):
+    return L
+
+
+def _assert_fronts_close(a, b):
+    assert a.t_knots.shape == b.t_knots.shape
+    assert np.max(np.abs(a.t_knots - b.t_knots)) <= 1e-12
+    assert np.max(np.abs(a.rho_knots - b.rho_knots)) <= 1e-12
+
+
+@pytest.mark.parametrize("delta", [1.0 / 64, 1.0 / 128])
+def test_sized_strip_keeps_the_geometric_front(monkeypatch, delta):
+    # rows more than one past the front's exit cannot move the kept front:
+    # strips built to the window's horizon T give the same windows, and the
+    # same front up to where the iteration stops
+    data = bump_data(amp=0.4, alpha=0.5)
+    tough = Toughness.constant(0.15, rho0=1.0, R=3.0)
+    sized = run(data, tough, horizon=0.375, delta=delta)
+    assert any(wd["strip_rows"] < round(wd["T"] / delta) for wd in sized.window_diagnostics)
+    monkeypatch.setattr(griffith, "_strip_rows", _geometric_rows)
+    full = run(data, tough, horizon=0.375, delta=delta)
+    assert all(wd["strip_rows"] == round(wd["T"] / delta) for wd in full.window_diagnostics)
+    assert _partition(sized) == _partition(full)
+    _assert_fronts_close(sized.front, full.front)
+
+
+def test_sized_strip_keeps_a_static_front_bitwise(monkeypatch):
+    data = bump_data(amp=0.3, alpha=0.5, w=Profile.sine(0.1, 2.0))
+    tough = Toughness.constant(1e6, rho0=1.0, R=3.0)
+    delta = 1.0 / 64
+    sized = run(data, tough, horizon=0.375, delta=delta)
+    assert any(wd["strip_rows"] < round(wd["T"] / delta) for wd in sized.window_diagnostics)
+    monkeypatch.setattr(griffith, "_strip_rows", _geometric_rows)
+    full = run(data, tough, horizon=0.375, delta=delta)
+    assert _partition(sized) == _partition(full)
+    assert np.array_equal(sized.front.rho_knots, full.front.rho_knots)
+    for a, b in zip(sized.patches, full.patches):
+        assert np.array_equal(a.lattice.values, b.lattice.values)
+
+
+def test_strip_too_short_is_regrown(monkeypatch):
+    # a first strip of one row cannot hold the front's exit two rows below
+    # its top, so every window solves once more at T and keeps that front
+    data = bump_data(amp=0.4, alpha=0.5)
+    tough = Toughness.constant(0.15, rho0=1.0, R=3.0)
+    delta = 1.0 / 64
+    sized = run(data, tough, horizon=0.375, delta=delta)
+    monkeypatch.setattr(griffith, "_strip_rows", _geometric_rows)
+    full = run(data, tough, horizon=0.375, delta=delta)
+    monkeypatch.setattr(griffith, "_strip_rows", lambda slope, m, L, rows_left: 1)
+    short = run(data, tough, horizon=0.375, delta=delta)
+    assert all(wd["regrown"] and wd["strip_rows"] == round(wd["T"] / delta)
+               for wd in short.window_diagnostics)
+    assert not any(wd["regrown"] for wd in sized.window_diagnostics)
+    assert _partition(short) == _partition(sized)
+    assert np.array_equal(short.front.t_knots, full.front.t_knots)
+    assert np.array_equal(short.front.rho_knots, full.front.rho_knots)
+    _assert_fronts_close(short.front, sized.front)
+
+
+@pytest.mark.parametrize("amp, v1, kappa, R", [(0.4, 0.0, 0.15, 3.0), (0.9, -0.8, 0.02, 2.0)])
+def test_strip_rows_hold_the_exit(monkeypatch, amp, v1, kappa, R):
+    # every accepted strip is at most T tall, and one kept without a regrow
+    # below T has the front's exit from its last diagonal, or the run's last
+    # row, at least two rows below its top
+    accepted = {}
+    orig = griffith.solve_coupled_window
+
+    def kept(ws, M, t_start):
+        out = orig(ws, M, t_start)
+        accepted[round(t_start / ws.delta)] = (ws, out)
+        return out
+    monkeypatch.setattr(griffith, "solve_coupled_window", kept)
+    delta, horizon = 1.0 / 64, 0.75
+    data = bump_data(amp=amp, alpha=0.5, v1=Profile.constant(v1), R=R)
+    tough = Toughness.constant(kappa, rho0=1.0, R=R)
+    res = run(data, tough, horizon=horizon, delta=delta)
+    n_total = round(horizon / delta)
+    sized = 0
+    for wd in res.window_diagnostics:
+        first = round(wd["t_start"] / delta)
+        ws, (h, om, _) = accepted[first]
+        L = round(wd["T"] / delta)
+        assert ws.L == wd["strip_rows"] <= L
+        if wd["regrown"] or wd["strip_rows"] == L:
+            continue
+        sized += 1
+        t_exit = _front_point(ws.rate_front(h, om), float(ws.s[-1]), "omega")[0]
+        assert min(t_exit / delta, n_total - first) <= wd["strip_rows"] - 2 + 1e-9
+    assert sized > 0
 
 
 def test_run_edp_balance():
