@@ -56,50 +56,50 @@ class TravelingWaves:
     front: object
 
 
-def _split(s, cut, below, above):
-    """below(s) at the arguments s <= cut, above(s) at the others: each
-    sub-branch sees only its own points."""
-    s = _asarray(s)
-    first = s <= cut
-    out = np.empty(s.shape)
-    for points, branch in ((first, below), (~first, above)):
-        if np.any(points):
-            out[points] = branch(s[points])
-    return out
-
-
 def traveling_decomposition(hdata: HData, front) -> TravelingWaves:
     rho0 = hdata.rho0
     h0, h1, z = hdata.h0, hdata.h1, hdata.z
     h0d = hdata.h0_dot
     H1 = h1.cumint
 
+    # Each branch reads the data at one argument b in [0, rho0] per point:
+    # f_plus at s up to the kink s = rho0 and at -omega(s) past it, f_minus
+    # at -s up to s = 0 and at s past it, i.e. at |s|.  So a call evaluates
+    # each data profile once, at every point's b, and picks each point's
+    # side with np.where; the rim load is read at max(s, 0), its own
+    # argument wherever it counts.  The reflected side reads the front's
+    # maps unchecked, at points the trace entry point has checked.
     def clip0(s):
-        return np.clip(s, 0.0, rho0)
+        return np.minimum(np.maximum(s, 0.0), rho0)
 
-    def plus_reflected(s):  # past s = rho0, through the front's map omega
-        b = clip0(-front._omega_unchecked(s))
-        return -0.5 * h0(b) + 0.5 * H1(b)
+    def plus_args(s):
+        s = _asarray(s)
+        direct = s <= rho0
+        return direct, clip0(np.where(direct, s, -front._omega_unchecked(s)))
 
-    def dplus_reflected(s):
-        b = clip0(-front._omega_unchecked(s))
-        return 0.5 * front.omega_dot(s) * (h0d(b) - h1(b))
+    def minus_args(s):
+        s = _asarray(s)
+        return s <= 0.0, clip0(np.abs(s)), np.maximum(s, 0.0)
 
     def f_plus(s):
-        return _split(s, rho0, lambda d: 0.5 * h0(clip0(d)) + 0.5 * H1(clip0(d)),
-                      plus_reflected)
+        direct, b = plus_args(s)
+        a, c = 0.5 * h0(b), 0.5 * H1(b)
+        return np.where(direct, a + c, -a + c)
 
     def f_minus(s):
-        return _split(s, 0.0, lambda n: 0.5 * h0(clip0(-n)) - 0.5 * H1(clip0(-n)),
-                      lambda p: z(p) - 0.5 * h0(clip0(p)) - 0.5 * H1(clip0(p)))
+        direct, b, p = minus_args(s)
+        a, c = 0.5 * h0(b), 0.5 * H1(b)
+        return np.where(direct, a - c, z(p) - a - c)
 
     def df_plus(s):
-        return _split(s, rho0, lambda d: 0.5 * (h0d(clip0(d)) + h1(clip0(d))),
-                      dplus_reflected)
+        direct, b = plus_args(s)
+        u, v = h0d(b), h1(b)
+        return np.where(direct, 0.5 * (u + v), 0.5 * front.omega_dot(s) * (u - v))
 
     def df_minus(s):
-        return _split(s, 0.0, lambda n: -0.5 * h0d(clip0(-n)) + 0.5 * h1(clip0(-n)),
-                      lambda p: z.deriv(p) - 0.5 * (h0d(clip0(p)) + h1(clip0(p))))
+        direct, b, p = minus_args(s)
+        u, v = h0d(b), h1(b)
+        return np.where(direct, -0.5 * u + 0.5 * v, z.deriv(p) - 0.5 * (u + v))
 
     return TravelingWaves(f_plus=f_plus, f_minus=f_minus,
                           df_plus=df_plus, df_minus=df_minus, front=front)
@@ -123,17 +123,19 @@ def _per_characteristic(branch: Callable, s: np.ndarray, delta: float) -> np.nda
     and once at each other point."""
     k = np.rint(s / delta)
     on = k * delta == s
+    off = ~on
     m = k[on].astype(np.intp)
-    lo, hi = (m.min(), m.max()) if m.size else (0, -1)
-    used = np.zeros(hi - lo + 1, dtype=bool)
-    used[m - lo] = True
-    lines = np.flatnonzero(used)
-    vals = branch(np.concatenate(((lines + lo) * delta, s[~on])))
+    lo = m.min() if m.size else 0
+    m -= lo
+    used = np.zeros(m.max(initial=-1) + 1, dtype=bool)
+    used[m] = True
+    lines = used.nonzero()[0]
+    vals = branch(np.concatenate(((lines + lo) * delta, s[off])))
     table = np.empty(used.shape)
     table[lines] = vals[:lines.size]
     out = np.empty(s.shape)
-    out[on] = table[m - lo]
-    out[~on] = vals[lines.size:]
+    out[on] = table.take(m)
+    out[off] = vals[lines.size:]
     return out
 
 
@@ -144,7 +146,7 @@ def free_derivatives(waves: TravelingWaves, delta: float, t, r):
     of the lattice of step ``delta`` that the points lie on exactly
     (t + r = m * delta for df_plus, t - r = n * delta for df_minus), and
     once at each other point, so the result is the pointwise one, bitwise."""
-    t, r = np.broadcast_arrays(_asarray(t), _asarray(r))
+    t, r = _asarray(t), _asarray(r)
     fp = _per_characteristic(waves.df_plus, t + r, delta)
     fm = _per_characteristic(waves.df_minus, t - r, delta)
     return fp + fm, fp - fm

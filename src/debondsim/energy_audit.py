@@ -71,11 +71,12 @@ def _row_radial_integrals(patch: FieldPatch, rows, wavefronts):
     e_pt, a_pt = _energy_integrands(patch, pt, *patch.local_traces(pt, pr), pr)
 
     # a node in no segment sits between a jump's two banks, so it bounds no cell
-    lo_pt = np.flatnonzero((p_row[:-1] == p_row[1:]) & (p_seg[:-1] == p_seg[1:]))
+    lo_pt = ((p_row[:-1] == p_row[1:]) & (p_seg[:-1] == p_seg[1:])).nonzero()[0]
     hi_pt = lo_pt + 1
-    row = p_row[lo_pt]
-    dr = pr[hi_pt] - pr[lo_pt]
-    E, A = (np.bincount(row, weights=dr * (v[hi_pt] + v[lo_pt]) / 2.0, minlength=rows.size)
+    row = p_row.take(lo_pt)
+    dr = pr.take(hi_pt) - pr.take(lo_pt)
+    E, A = (np.bincount(row, weights=dr * (v.take(hi_pt) + v.take(lo_pt)) / 2.0,
+                        minlength=rows.size)
             for v in (e_pt, a_pt))
     return math.pi * E, A
 
@@ -96,29 +97,33 @@ def debond_dissipation(front, tough: Toughness, t):
     """Energy spent breaking the bond from the initial width to rho(t).
 
     t may be an array: every time integrates its pieces with the same
-    Simpson nodes as alone, in one pass per toughness piece.
+    Simpson nodes as alone, in one pass per toughness piece.  A piece's
+    64 Simpson panels are summed in one fixed order for every time: eight
+    running sums along the panel axis, each over every eighth panel, joined
+    as a balanced tree (numpy's pairwise order for a row of 64, spelled
+    out), so each time gets the value of its scalar call to the last bit.
     """
     scalar = np.ndim(t) == 0
     rho_t = np.atleast_1d(np.asarray(front.rho(t), dtype=float))
     rho0 = front.rho0
     R = tough.R
-    n = 64
+    n = 64  # Simpson panels per piece: eight lanes of eight
     # piece m runs from knots[m] to the next knot or rho(t), when it starts
     # below rho(t); a breakpoint at rho(t) itself starts no piece
     knots = [rho0] + [float(b) for b in tough.breakpoints if b > rho0] + [np.inf]
     total = np.zeros(rho_t.shape)
     for a, b_next in zip(knots[:-1], knots[1:]):
         live = rho_t > max(a, rho0 + 1e-15)
-        if not np.any(live):
+        if not live.any():
             break
         b = np.minimum(b_next, rho_t[live])
         xs = np.linspace(np.full(b.shape, a), b, 2 * n + 1, axis=-1)
         ys = (R - xs) * kappa_eval(tough, np.minimum(xs, R - 1e-12))
         hstep = (b - a) / (2 * n)
         terms = (ys[:, :-2:2] + 4 * ys[:, 1:-1:2] + ys[:, 2::2]) * hstep[:, None] / 3.0
-        # summed time by time: a 2-D reduction may add in another order, and
-        # each time keeps the value of its scalar call to the last bit
-        total[live] += [np.sum(row) for row in terms]
+        lane = np.cumsum(terms.reshape(-1, 8, n // 8), axis=1)[:, -1]
+        total[live] += (((lane[:, 0] + lane[:, 1]) + (lane[:, 2] + lane[:, 3]))
+                        + ((lane[:, 4] + lane[:, 5]) + (lane[:, 6] + lane[:, 7])))
     out = 2.0 * math.pi * total
     return float(out[0]) if scalar else out
 
@@ -142,7 +147,7 @@ def _rim_work_rates(patch: FieldPatch, data: ProblemData, t):
     """Rim power w_dot * Q(t, w_dot) at global times t of one patch
     (exactly 0 where the opening rate is 0)."""
     w_dot = data.w.deriv(t)
-    if not np.any(w_dot):
+    if not w_dot.any():
         return np.zeros_like(w_dot)  # a rim at rest: no bracket to trace
     return np.where(w_dot != 0.0, w_dot * _rim_power(patch, data, t, w_dot), 0.0)
 
@@ -192,10 +197,11 @@ def _segments(front, times: np.ndarray):
     the distinct segments, each row's index into them, and their
     midpoints, with the segments clipped to the audited rows."""
     tk = front.t_knots
-    seg = np.clip(np.searchsorted(tk, times, side="right") - 1, 0, len(tk) - 2)
+    seg = np.minimum(np.maximum(np.searchsorted(tk, times, side="right") - 1, 0), len(tk) - 2)
     used, seg = np.unique(seg, return_inverse=True)
-    mid = 0.5 * (np.clip(tk[used], times[0], times[-1])
-                 + np.clip(tk[used + 1], times[0], times[-1]))
+    lo, hi = times[0], times[-1]
+    mid = 0.5 * (np.minimum(np.maximum(tk[used], lo), hi)
+                 + np.minimum(np.maximum(tk[used + 1], lo), hi))
     return used, seg, mid
 
 

@@ -284,7 +284,7 @@ def to_h_data(data: ProblemData) -> HData:
 def v_from_h(h_value, h_t, h_r, t, r, R: float, alpha: float):
     """Invert the weight: (h, h_t, h_r) at (t, r) -> (v, v_t, v_r)."""
     r = _asarray(r)
-    if np.any(r >= R):
+    if (r >= R).any():
         raise ValueError("the weight is singular at r = R")
     wgt = np.exp(-0.5 * alpha * _asarray(t)) / np.sqrt(R - r)
     v = wgt * h_value
@@ -323,7 +323,7 @@ class Toughness:
         object.__setattr__(self, "breakpoints", b)
         if len(self.pieces) != len(b):
             raise ValueError("need one piece per breakpoint")
-        if np.any(np.diff(b) <= 0):
+        if (np.diff(b) <= 0).any():
             raise ValueError("breakpoints must be strictly increasing")
         if b[-1] >= self.R:
             raise ValueError("breakpoints must stay below R")
@@ -351,8 +351,8 @@ class Toughness:
 
     def piece_index(self, r):
         r = _asarray(r)
-        return np.clip(np.searchsorted(self.breakpoints, r, side="right") - 1,
-                       0, len(self.pieces) - 1)
+        return np.minimum(np.maximum(np.searchsorted(self.breakpoints, r, side="right") - 1, 0),
+                          len(self.pieces) - 1)
 
 
 def kappa_eval(tough: Toughness, r):
@@ -360,7 +360,7 @@ def kappa_eval(tough: Toughness, r):
     r = _asarray(r)
     lo = tough.breakpoints[0]
     bad = (r < lo - 1e-10) | (r >= tough.R)
-    if np.any(bad):
+    if bad.any():
         k = np.flatnonzero(bad)[0]
         raise ValueError(f"toughness evaluated outside [rho0, R): r = {r.flat[k]:.6g} "
                          f"is outside [{lo:.6g}, {tough.R:.6g})")
@@ -369,6 +369,6 @@ def kappa_eval(tough: Toughness, r):
     out = np.empty_like(r, dtype=float)
     for i in range(len(tough.pieces)):
         mask = idx == i
-        if np.any(mask):
+        if mask.any():
             out[mask] = tough.pieces[i](r[mask])
     return out

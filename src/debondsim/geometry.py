@@ -13,6 +13,16 @@ A :class:`FrontCurve` is piecewise linear between knots, so all four maps
 are piecewise affine and inverted exactly segment by segment.  The subsonic
 condition 0 <= rho' < 1 is enforced at construction; it is what makes phi
 strictly increasing and omega a contraction slope-wise.
+
+The public maps check their arguments against the front's domain and
+range and raise :class:`GeometryError` for the first value off.  The trace
+path does not pay for those checks per call: ``prescribed.FieldPatch.
+local_traces`` checks every trace point once, and the kernels it feeds
+(``quadrature.phi_time_trace`` and the reflected branch of the free
+layer) take omega, psi^{-1} and omega' of those points from the unchecked
+internals ``_omega_unchecked`` and ``_psi_inverse_unchecked`` and from
+:meth:`FrontCurve.omega_dot`, which is defined for every argument and so
+checks nothing.
 """
 
 from __future__ import annotations
@@ -36,8 +46,9 @@ def _asarray(x):
 def _check_range(what: str, x: np.ndarray, where: str, lo: float, hi: float):
     """Raise GeometryError, naming the first value and the range, if a value
     of x is outside [lo, hi] by more than 1e-10."""
-    if np.any(x < lo - 1e-10) or np.any(x > hi + 1e-10):
-        k = np.flatnonzero((x < lo - 1e-10) | (x > hi + 1e-10))[0]
+    off = (x < lo - 1e-10) | (x > hi + 1e-10)
+    if off.any():
+        k = np.flatnonzero(off)[0]
         raise GeometryError(f"{what} {x.flat[k]:.6g} is outside {where} [{lo:.6g}, {hi:.6g}]")
 
 
@@ -64,14 +75,14 @@ class FrontCurve:
         if abs(t[0]) > _TOL:
             raise GeometryError("front must start at t = 0")
         dt = np.diff(t)
-        if np.any(dt <= 0):
+        if (dt <= 0).any():
             raise GeometryError("front knots must be strictly increasing in t")
         slopes = np.diff(rho) / dt
-        if np.any(slopes < -1e-12):
+        if (slopes < -1e-12).any():
             raise GeometryError("front must be nondecreasing")
-        if np.any(slopes >= 1.0):
+        if (slopes >= 1.0).any():
             raise GeometryError("front speed must stay below 1 (subsonic)")
-        if np.any(rho >= self.R):
+        if (rho >= self.R).any():
             raise GeometryError("front must stay inside the outer radius R")
         if rho[0] <= 0:
             raise GeometryError("initial front width must be positive")
@@ -102,7 +113,7 @@ class FrontCurve:
     def _check_t(self, t):
         t = _asarray(t)
         _check_range("time", t, "the front domain", 0.0, self.horizon)
-        return np.clip(t, 0.0, self.horizon)
+        return np.minimum(np.maximum(t, 0.0), self.horizon)
 
     def rho(self, t):
         t = self._check_t(t)
@@ -110,10 +121,13 @@ class FrontCurve:
 
     def rho_dot(self, t):
         """Right-continuous segment slope (the front speed at t+)."""
-        t = self._check_t(t)
+        return self._slope(self._check_t(t))
+
+    def _slope(self, t):
+        """rho_dot without the check: a time past either end takes its end
+        segment's slope."""
         idx = np.searchsorted(self.t_knots, t, side="right") - 1
-        idx = np.clip(idx, 0, len(self._slopes) - 1)
-        return self._slopes[idx]
+        return self._slopes[np.minimum(np.maximum(idx, 0), len(self._slopes) - 1)]
 
     def phi(self, t):
         t = self._check_t(t)
@@ -137,6 +151,9 @@ class FrontCurve:
         _check_range("value", s, "the range of psi", pk[0], pk[-1])
         return np.interp(s, pk, self.t_knots)
 
+    def _psi_inverse_unchecked(self, s):
+        return np.interp(s, self.psi_knots, self.t_knots)
+
     def lambda_of(self, s):
         """Inverse of phi: the time at which the front meets the
         characteristic t - r = s."""
@@ -158,9 +175,12 @@ class FrontCurve:
 
     def omega_dot(self, s):
         """Slope of omega; equals (1 - rho')/(1 + rho') past the first
-        reflection and 0 on the flat branch."""
+        reflection and 0 on the flat branch.  Defined for every s, so it
+        checks nothing: an argument past psi's range takes the slope of the
+        front's last segment."""
         s = _asarray(s)
-        rd = self.rho_dot(self.psi_inverse(np.clip(s, self.psi_knots[0], self.psi_knots[-1])))
+        pk = self.psi_knots
+        rd = self._slope(np.interp(np.minimum(np.maximum(s, pk[0]), pk[-1]), pk, self.t_knots))
         return np.where(s < self.rho0, 0.0, (1.0 - rd) / (1.0 + rd))
 
     # -- windows ----------------------------------------------------------
@@ -220,10 +240,11 @@ def jump_radii(segs, t, rho_t):
     row k's radii ascending, padded with rho_t[k] to the most any row has.
     Two wavefronts crossing at one radius give it twice."""
     t, rho_t = _asarray(t), _asarray(rho_t)
-    X = np.repeat(rho_t[:, None], len(segs), axis=1)
+    X = np.empty((t.size, len(segs)))
+    X[...] = rho_t[:, None]
     for w, (ta, tb, kind, c) in enumerate(segs):
         r = c - t if kind == "-" else t - c
         hit = (ta - 1e-12 <= t) & (t <= tb + 1e-12) & (1e-9 < r) & (r < rho_t - 1e-9)
         X[hit, w] = r[hit]
     X.sort(axis=1)
-    return X[:, :np.count_nonzero(X < rho_t[:, None], axis=1).max(initial=0)]
+    return X[:, :(X < rho_t[:, None]).sum(axis=1).max(initial=0)]

@@ -150,7 +150,7 @@ class StripWorkspace:
         # omega-independent terms of the two updates
         eta_grid = self.t_grid + self.r_grid
         self.direct = eta_grid <= self.rho0 + 1e-14
-        eta_d = np.clip(eta_grid, 0.0, self.rho0)
+        eta_d = np.minimum(np.maximum(eta_grid, 0.0), self.rho0)
         self.a_direct = (0.5 * self.h0_col[None, :] + 0.5 * hd.h0(eta_d)
                          + 0.5 * (hd.h1.cumint(eta_d) - self.H1_col[None, :]))
         self.cone_eta = self.rho0 + delta * np.arange(-m, 2 * self.L + 1)
@@ -409,7 +409,7 @@ def _window_knots(f: _Front, t_end: float):
     rho = np.append(0.5 * (f.eta - f.omega)[keep], _front_point(f, t_end)[1])
     rho = np.maximum.accumulate(rho)
     dts = np.diff(ts)
-    seg = np.clip(np.diff(rho) / dts, 0.0, _SLOPE_CAP)
+    seg = np.minimum(np.maximum(np.diff(rho) / dts, 0.0), _SLOPE_CAP)
     rho = np.concatenate(([rho[0]], rho[0] + np.cumsum(seg * dts)))
     return ts, rho
 

@@ -234,15 +234,26 @@ class FieldPatch:
         for s in range(edges.shape[1] - 1):
             node_seg[valid[:, s, None] & (jj >= j_lo[:, s, None]) & (jj <= j_hi[:, s, None])] = s
         k_node, j_node = np.nonzero(in_row)
-        k_bank, s_bank, is_tail = np.nonzero(np.stack((lead, tail), axis=2))
+        k_bank, s_bank, is_tail = np.nonzero(np.concatenate((lead[..., None], tail[..., None]),
+                                                            axis=2))
         r_bank = np.where(is_tail, hi[k_bank, s_bank], lo[k_bank, s_bank])
         # both come in row and radius order; a bank goes after the nodes of
-        # the earlier rows and those of its own row at or below its radius
-        row_start = np.cumsum(j_in + 1) - (j_in + 1)
-        at = row_start[k_bank] + np.minimum(np.searchsorted(jj * d, r_bank, side="right"),
-                                            j_in[k_bank] + 1)
-        return (np.insert(k_node, at, k_bank), np.insert(j_node * d, at, r_bank),
-                np.insert(node_seg[in_row], at, s_bank))
+        # the earlier rows and those of its own row at or below its radius,
+        # and after the banks before it
+        n_row = j_in + 1
+        at = (np.cumsum(n_row) - n_row)[k_bank] + np.arange(k_bank.size) + np.minimum(
+            np.searchsorted(jj * d, r_bank, side="right"), n_row[k_bank])
+        bank = np.zeros(k_node.size + k_bank.size, dtype=bool)
+        bank[at] = True
+        node = ~bank
+        out = []
+        for of_nodes, of_banks in ((k_node, k_bank), (j_node * d, r_bank),
+                                   (node_seg[in_row], s_bank)):
+            merged = np.empty(bank.shape, dtype=of_nodes.dtype)
+            merged[node] = of_nodes
+            merged[at] = of_banks
+            out.append(merged)
+        return tuple(out)
 
     @functools.cached_property
     def cumulatives(self) -> np.ndarray:
@@ -276,19 +287,19 @@ class FieldPatch:
                                        np.asarray(r, dtype=float))
         t_max = 0.5 * lat.front.rho0
         late = t_loc > t_max + 1e-9
-        if np.any(late):
+        if late.any():
             k = np.flatnonzero(late.ravel())[0]
             raise GeometryError(
                 f"trace formulas are window-local: the point (t, r) = ({t_loc.flat[k]:.6g}, "
                 f"{r.flat[k]:.6g}) is past t = rho0/2 = {t_max:.6g}")
         rho_t = np.asarray(self.rho_local(t_loc), dtype=float)
         outside = (r < -1e-12) | (r > rho_t + 1e-9)
-        if np.any(outside):
+        if outside.any():
             k = np.flatnonzero(outside.ravel())[0]
             raise GeometryError(
                 f"trace point outside the domain: window-local (t, r) = ({t_loc.flat[k]:.6g}, "
                 f"{r.flat[k]:.6g}) is outside [0, rho(t)] = [0, {rho_t.flat[k]:.6g}]")
-        r = np.clip(r, 0.0, rho_t)
+        r = np.minimum(np.maximum(r, 0.0), rho_t)
         i, j, node = lat.node_index(t_loc, r)
         d_t, d_r = free_derivatives(self.waves, lat.delta, t_loc, r)
         g1, g2 = phi_time_trace(lat, self.F, self.cumulatives, t_loc, r, i, j, node)
@@ -296,7 +307,7 @@ class FieldPatch:
         h_r = d_r + 0.5 * (g1 - g2)
         h = np.array(lat.values[i, j])  # replaced off the nodes
         off = ~node
-        if np.any(off):
+        if off.any():
             h[off] = self.local_value(t_loc[off], r[off])
         h = np.where(np.abs(r - rho_t) < 1e-14, 0.0, h)
         if scalar:
@@ -327,19 +338,19 @@ class FieldPatch:
 class _Workspace:
     """Grids shared by all Picard sweeps of one window: the lattice, the
     window's traveling waves (kept by its patch for the traces), the free
-    solution at every node, the kernel prefactor row, the rim column and
-    the window's cone plan.
+    solution at every node, the kernel prefactor row, the rim column, the
+    window's cone plan and the sweeps' buffers.
     The free grid costs one branch evaluation per characteristic of the
     lattice, not one per node (:func:`~debondsim.dalembert.free_solution`).
     The plan (:class:`~debondsim.quadrature.LatticeConePlan`) caches what
     the window's front fixes (the omega cut of every anti-diagonal, the
-    rim-echo and outside nodes) and the cone sum's work arrays, so a sweep
-    builds no index array and allocates no lattice-sized temporary but its
-    result.  It lives for one window: the workspace is dropped when the
-    window is solved, and the patch keeps no reference to it, because
-    patches outlive their windows and would each hold the plan's buffers.
-    Its results are fresh arrays, so one kept across sweeps, as a test or
-    a caller comparing two sweeps may keep it, is never overwritten.
+    rim-echo and outside nodes) and the cone sum's work arrays.  A sweep of
+    :func:`solve_window` writes the kernel field into the plan's own field,
+    the update into ``spare`` and its change into ``change``, so it
+    allocates no lattice-sized array.  The workspace lives for one window:
+    it is dropped when the window is solved, and the patch keeps no
+    reference to it, because patches outlive their windows and would each
+    hold the plan's buffers.
     """
 
     def __init__(self, hdata: HData, front_local, plan: WindowPlan):
@@ -352,15 +363,24 @@ class _Workspace:
         self.kern = np.where(lat.radii < hdata.R - 1e-9, kern_row, 0.0)[None, :]
         self.z_col = np.asarray(hdata.z(lat.times), dtype=float)
         self.cone = LatticeConePlan(lat)
+        self.outside = ~lat.inside
+        self.spare, self.change = np.empty(lat.inside.shape), np.empty(lat.inside.shape)
 
 
-def apply_L(h: np.ndarray, ws: _Workspace) -> np.ndarray:
+def apply_L(h: np.ndarray, ws: _Workspace, out=None) -> np.ndarray:
     """One application of the window operator: free solution plus half the
-    cone integral of the kernel field, boundary and initial rows reimposed."""
+    cone integral of the kernel field, boundary and initial rows reimposed.
+    The kernel field goes straight into the cone plan's field, and the
+    result into ``out`` (a lattice-shaped array other than h) when given,
+    else into a fresh array."""
     lat = ws.lattice
-    F = ws.kern * lat.masked(h)
-    J = cone_integrals_batch(lat, F, ws.cone)
-    out = lat.masked(ws.free_grid + 0.5 * J)
+    F = ws.cone.values
+    np.multiply(ws.kern, h, out=F)
+    F[ws.outside] = 0.0
+    out = cone_integrals_batch(lat, F, ws.cone, out)
+    out *= 0.5
+    out += ws.free_grid
+    out[ws.outside] = 0.0
     out[:, 0] = ws.z_col
     out[0, :] = ws.free_grid[0, :]
     return out
@@ -369,19 +389,23 @@ def apply_L(h: np.ndarray, ws: _Workspace) -> np.ndarray:
 def solve_window(hdata: HData, front, window: WindowPlan,
                  scale: float = 1.0) -> FieldPatch:
     """Picard-iterate the window operator from the free solution until the
-    sup-norm update drops below ``_TOL``."""
+    sup-norm update drops below ``_TOL``.  The iterate and the update swap
+    between two buffers."""
     front_local = front.window(window.t_start, window.t_end)
     ws = _Workspace(hdata, front_local, window)
     lat = ws.lattice
 
     h = ws.free_grid.copy()
     h[:, 0] = ws.z_col
+    spare, change = ws.spare, ws.change
     residuals = []
     for it in range(1, _MAX_ITER + 1):
-        h_new = apply_L(h, ws)
-        res = float(np.max(np.abs(h_new - h)))
+        h_new = apply_L(h, ws, spare)
+        np.subtract(h_new, h, out=change)
+        np.abs(change, out=change)
+        res = float(change.max())
         residuals.append(res)
-        h = h_new
+        h, spare = h_new, h
         if res < _TOL:
             break
     else:

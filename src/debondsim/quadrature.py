@@ -32,7 +32,8 @@ computes every characteristic line integral: a batch of +-45 segments, on
 or between diagonals, from and to any time.  It reads the rows inside a
 segment from the column cumulative of the field's sheared layout along the
 segment's family, the cumulative the cone-sum kernel uses, so its work is
-O(segments), and only a segment's two end cells read row values.
+O(segments), and only a segment's two end cells read row values, all
+of a batch's in one gather.
 :func:`phi_time_trace` reads the same cumulatives: at a lattice node,
 where almost all of the audit's trace points lie, it reads every leg that
 runs from row to row along a diagonal as the difference of two cumulative
@@ -129,11 +130,11 @@ class CharLattice:
         d = self.delta
         plain = _row_interp(arr, i, r / d)
         rho_i = self.rho_rows[i]
-        j = np.clip(np.floor(r / d + 1e-12).astype(int), 0, self.j_ext - 1)
+        j = np.minimum(np.maximum(np.floor(r / d + 1e-12).astype(int), 0), self.j_ext - 1)
         r_j = j * d
         cut = (r_j <= rho_i + 1e-12) & (r_j + d > rho_i + 1e-12) & (r > r_j)
         width = np.maximum(rho_i - r_j, 1e-300)
-        tapered = arr[i, j] * np.clip((rho_i - r) / width, 0.0, 1.0)
+        tapered = arr[i, j] * np.minimum(np.maximum((rho_i - r) / width, 0.0), 1.0)
         out = np.where(cut, tapered, plain)
         return np.where(r > rho_i + 1e-12, 0.0, out)
 
@@ -145,11 +146,11 @@ class CharLattice:
         scalar = np.ndim(t) == 0 and np.ndim(r) == 0
         t, r = np.broadcast_arrays(_asarray(t), _asarray(r))
         d = self.delta
-        i = np.clip(np.floor(t / d + 1e-12).astype(int), 0, max(self.nt - 1, 0))
+        i = np.minimum(np.maximum(np.floor(t / d + 1e-12).astype(int), 0), max(self.nt - 1, 0))
         f = t / d - i
         out = self.row_value(arr, i, r)
         blend = (f > 1e-12) & (self.nt > 0)
-        if np.any(blend):
+        if blend.any():
             v1 = self.row_value(arr, np.minimum(i + 1, self.nt), r)
             out = np.where(blend, (1.0 - f) * out + f * v1, out)
         return float(out) if scalar else out
@@ -285,7 +286,7 @@ class ConePlan:
     def _set_cut(self, cut: np.ndarray):
         q = np.floor(cut + 1e-12).astype(int)
         s = np.where((q < 0) | (q >= self._span), 0.0, cut - q)
-        self._q0 = self._first + np.clip(q, 0, self._span)
+        self._q0 = self._first + np.minimum(np.maximum(q, 0), self._span)
         self._q1 = np.minimum(self._q0 + 1, self._A.shape[0] - 1)
         self._s, self._ss = s, 0.5 * s * s
 
@@ -324,8 +325,9 @@ class ConePlan:
                 for a, (sl, sk) in ((self._A, self._steps), (self._A_cut, (2, -1)))]
 
     @staticmethod
-    def _phi(views, shape) -> np.ndarray:
-        out = np.empty(shape)
+    def _phi(views, shape, out=None) -> np.ndarray:
+        if out is None:
+            out = np.empty(shape)
         np.subtract(*views, out=out)
         out *= 0.5
         return out
@@ -347,7 +349,9 @@ class LatticeConePlan:
 
     The plan holds the cut, the rim-echo and outside indices and the
     sheared field, on top of the kernel's work arrays; a window builds one
-    and drops it with the window.
+    and drops it with the window.  ``values`` is the sheared field seen at
+    the lattice nodes, a writable view: a caller that writes its field there
+    and passes the view saves the copy.
     """
 
     def __init__(self, lat: CharLattice):
@@ -355,7 +359,7 @@ class LatticeConePlan:
         self.shape = (nt + 1, jx + 1)
         self._kernel = ConePlan(nt, nt + jx, d)
         self._field = np.zeros(self._kernel.shape)
-        self._values = _view(self._field, jx, self.shape, (nt + jx + 2, -1), True)
+        self.values = _view(self._field, jx, self.shape, (nt + jx + 2, -1), True)
         m = np.arange(-nt - jx, 2 * nt + 1) + jx  # anti-diagonal eta = m*delta
         eta = m * d
         refl = eta > lat.front.rho0 + 1e-12
@@ -369,10 +373,11 @@ class LatticeConePlan:
         self._rim = (i_b - j_b) * (jx + 1)
         self._outside = ~lat.inside
 
-    def __call__(self, values: np.ndarray) -> np.ndarray:
-        self._values[...] = values
+    def __call__(self, values: np.ndarray, out=None) -> np.ndarray:
+        if values is not self.values:
+            self.values[...] = values
         self._kernel._sums(self._field)
-        J = self._kernel._phi(self._nodes, self.shape)
+        J = self._kernel._phi(self._nodes, self.shape, out)
         flat = J.ravel()
         flat[self._behind] -= flat[self._rim]
         J[self._outside] = 0.0
@@ -380,15 +385,17 @@ class LatticeConePlan:
 
 
 def cone_integrals_batch(lat: CharLattice, values: np.ndarray,
-                         plan: LatticeConePlan) -> np.ndarray:
+                         plan: LatticeConePlan, out=None) -> np.ndarray:
     """Phi[H] at every lattice node inside the domain (0 outside), through
-    ``plan``, the :class:`LatticeConePlan` built for ``lat``.  The lattice
-    comes first because it names the call: the benchmark's layer timing
-    divides this function's time by the nodes of its first argument."""
+    ``plan``, the :class:`LatticeConePlan` built for ``lat``, written into
+    ``out`` when given (an array of the lattice's shape) and else into a
+    fresh array.  The lattice comes first because it names the call: the
+    benchmark's layer timing divides this function's time by the nodes of
+    its first argument."""
     if values.shape != plan.shape:
         raise GeometryError(f"cone integrals of a field of shape {values.shape} "
                             f"on a plan for shape {plan.shape}")
-    return plan(values)
+    return plan(values, out)
 
 
 # ---------------------------------------------------------------------------
@@ -423,13 +430,16 @@ def char_line_integrals(lat: CharLattice, values: np.ndarray, C: np.ndarray, dir
     The cells between a segment's first and last inside rows are the
     difference of two reads of C along its family, on its diagonal, or
     weighted between the two diagonals around the line; only the two end
-    cells read row values.  A segment along a diagonal whose ends are nodes
-    is exactly such a difference; :func:`phi_time_trace` reads those off
-    the same cumulatives without forming segments.  So past the cumulatives
-    the work is O(segments), done in blocks of segments so that the
-    temporaries stay a few MB for any batch.  Segments must lie in
-    [0, nt * delta]; one reaching past the columns [0, j_ext * delta], even
-    partway, raises GeometryError, naming its end point and the bound.
+    cells read row values, six per segment (each end's rows below and above
+    it and the first and last inside rows), all gathered in one pass.  A
+    segment along a diagonal whose ends are nodes is exactly such a
+    difference; :func:`phi_time_trace` reads those off the same cumulatives
+    without forming segments.  So past the cumulatives the work is
+    O(segments), each segment computed by itself, and is done in blocks of
+    segments so that the temporaries stay a few MB for any batch.  Segments
+    must lie in [0, nt * delta]; one reaching past the columns
+    [0, j_ext * delta], even partway, raises GeometryError, naming its end
+    point and the bound.
     """
     args = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (direction, offset, t_start, t_end)))
@@ -453,9 +463,9 @@ def _check_columns(lat: CharLattice, direction, offset, ta, tb):
     slack = 1e-9 * lat.delta
     off_a = (r_a < -slack) | (r_a > r_max + slack)
     off_b = (r_b < -slack) | (r_b > r_max + slack)
-    bad = np.flatnonzero((tb - ta > 1e-15) & (off_a | off_b))
-    if bad.size:
-        k = bad[0]
+    bad = (tb - ta > 1e-15) & (off_a | off_b)
+    if bad.any():
+        k = np.flatnonzero(bad)[0]
         t, r = (ta[k], r_a[k]) if off_a[k] else (tb[k], r_b[k])
         raise GeometryError(
             f"characteristic segment outside the lattice's columns: its end "
@@ -464,9 +474,13 @@ def _check_columns(lat: CharLattice, direction, offset, ta, tb):
 
 def _line_block(values, d, C, direction, offset, ta, tb):
     """:func:`char_line_integrals` of one block of segments, given both
-    families' cumulatives C."""
+    families' cumulatives C.  Every segment reads the line on six rows: the
+    rows below and above each end, and its first and last inside rows (a
+    diagonal's node there, or the row interpolant between diagonals), all
+    in one :func:`_row_interp` call; an end on a row takes the row below
+    alone."""
     nt = values.shape[0] - 1
-    last = C.shape[2] - 1  # last column of a family's layout
+    W = C.shape[2]  # columns of a family's layout
     fam = (direction > 0).astype(int)
 
     k = offset / d
@@ -474,50 +488,39 @@ def _line_block(values, d, C, direction, offset, ta, tb):
     aligned = np.abs(k - k_node) < 1e-9
     base = np.where(aligned, k_node, np.floor(k))  # diagonal on or below the line
     w = np.where(aligned, 0.0, k - base)  # weight of the diagonal above
-    q = base + fam * nt
+    qa = np.minimum(np.maximum(base + fam * nt, 0), W - 1).astype(int)
+    qb = np.minimum(qa + 1, W - 1)
     live = tb - ta > 1e-15
-    qa = np.minimum(np.maximum(q, 0), last).astype(int)
-    qb = np.minimum(qa + 1, last)
 
-    def line_value(l, p, sel=slice(None)):
-        """The value of segments ``sel`` on their rows l: the node on the
-        diagonal, or the row interpolant at column coordinate p between
-        diagonals."""
-        return _row_interp(values, l, np.where(aligned[sel], k_node[sel] + direction[sel] * l, p))
-
-    def row_value(l):
-        return line_value(l, (offset + direction * (l * d)) / d)
-
-    def end_value(t):
-        """Along the diagonal, or bilinear between diagonals, between the
-        rows around t."""
-        i_f = t / d
-        i_r = np.rint(i_f)
-        on_row = np.abs(i_f - i_r) < 1e-9
-        ia = np.minimum(np.maximum(np.where(on_row, i_r, np.floor(i_f + 1e-12)), 0),
-                        max(nt - 1, 0))
-        f = np.where(on_row, i_r, i_f) - ia
-        ia = ia.astype(int)
-        p = (offset + direction * t) / d
-        v = line_value(ia, p)
-        # the row above only where t is off the rows: (1 - 0) v + 0 v1 = v
-        up = np.flatnonzero(f != 0.0)
-        if up.size:
-            v1 = line_value(np.minimum(ia[up] + 1, nt), p[up], up)
-            v[up] = (1.0 - f[up]) * v[up] + f[up] * v1
-        return v
-
-    va, vb = end_value(ta), end_value(tb)
-    lo = np.ceil(ta / d - 1e-12)  # first and last row strictly inside
+    # the ends: the row at or below each, and its weight f on the row above
+    ends = np.array((ta, tb))
+    i_f = ends / d
+    i_r = np.rint(i_f)
+    on_row = np.abs(i_f - i_r) < 1e-9
+    ia = np.minimum(np.maximum(np.where(on_row, i_r, np.floor(i_f + 1e-12)), 0), max(nt - 1, 0))
+    f = np.where(on_row, i_r, i_f) - ia
+    # the first and last rows strictly inside
+    lo = np.ceil(ta / d - 1e-12)
     lo = lo + (lo * d <= ta + 1e-13)
     hi = np.floor(tb / d + 1e-12)
     hi = hi - (hi * d >= tb - 1e-13)
-    lo_i = np.minimum(np.maximum(lo, 0), nt).astype(int)
-    hi_i = np.minimum(np.maximum(hi, 0), nt).astype(int)
-    inner = ((1.0 - w) * (C[hi_i, fam, qa] - C[lo_i, fam, qa])
-             + w * (C[hi_i, fam, qb] - C[lo_i, fam, qb]))
-    split = (0.5 * (lo * d - ta) * (va + row_value(lo_i)) + inner
-             + 0.5 * (tb - hi * d) * (row_value(hi_i) + vb))
+    inner = np.minimum(np.maximum(np.array((lo, hi)), 0), nt)
+
+    rows = np.concatenate((ia, np.minimum(ia + 1, nt), inner))
+    p_end = (offset + direction * ends) / d
+    p = np.concatenate((p_end, p_end, (offset + direction * (inner * d)) / d))
+    rows_i = rows.astype(int)
+    v = _row_interp(values, rows_i, np.where(aligned, k_node + direction * rows, p))
+    # bilinear between the rows around an end off the rows; (1 - 0) v + 0 v1 = v
+    va, vb = np.where(f != 0.0, (1.0 - f) * v[:2] + f * v[2:4], v[:2])
+
+    # the inside cells: differences of the cumulatives, row l of family f
+    # starting at flat index (2 l + f) * W
+    at = (2 * rows_i[4:] + fam) * W
+    c = C.ravel().take(np.concatenate((at + qa, at + qb)))
+    inner_sum = (1.0 - w) * (c[1] - c[0]) + w * (c[3] - c[2])
+    split = (0.5 * (lo * d - ta) * (va + v[4]) + inner_sum
+             + 0.5 * (tb - hi * d) * (v[5] + vb))
     out = np.where(lo <= hi, split, 0.5 * (tb - ta) * (va + vb))
     return np.where(live, out, 0.0)
 
@@ -531,7 +534,8 @@ def phi_time_trace(lat: CharLattice, values: np.ndarray, C: np.ndarray, t, r, i,
     Phi_r = g1 - g2 at points (t, r) of one shape, taken as given:
     ``prescribed.FieldPatch.local_traces`` checks them (t <= rho0 / 2,
     where these formulas hold, and 0 <= r <= rho(t)), clips r and locates
-    them, (i, j) the nearest node and ``node`` whether it is the point.
+    them, (i, j) the nearest node and ``node`` whether it is the point.  So
+    the front's maps are read here unchecked (see :mod:`debondsim.geometry`).
 
     C is both families' diagonal cumulatives of ``values``
     (:func:`_line_cumulatives`), which the caller builds once and keeps.
@@ -564,7 +568,7 @@ def phi_time_trace(lat: CharLattice, values: np.ndarray, C: np.ndarray, t, r, i,
     # layout's columns, and the off-node points
     marked = np.zeros(C.shape[2], dtype=bool)
     marked[m[refl[node]]] = True
-    diag = np.flatnonzero(marked)
+    diag = marked.nonzero()[0]
     far = ~node
     t, r, refl = t[far], r[far], refl[far]
 
@@ -575,9 +579,9 @@ def phi_time_trace(lat: CharLattice, values: np.ndarray, C: np.ndarray, t, r, i,
     eta = np.concatenate((diag * d, t + r))
     bent = np.concatenate((np.ones(diag.size, dtype=bool), refl))
     t_star, om, om_dot = (np.zeros(eta.shape) for _ in range(3))
-    if np.any(bent):
+    if bent.any():  # the points are checked: the front's maps take them unchecked
         e = eta[bent]
-        t_star[bent] = front.psi_inverse(e)
+        t_star[bent] = front._psi_inverse_unchecked(e)
         om[bent] = front._omega_unchecked(e)
         om_dot[bent] = front.omega_dot(e)
     # g2 of an off-node point: the +45 line through (t, r), from t = 0 or,
@@ -595,7 +599,8 @@ def phi_time_trace(lat: CharLattice, values: np.ndarray, C: np.ndarray, t, r, i,
         np.concatenate((eta[:n], -om[:n], eta[n:], -om[n:], r - t, s)),
         np.concatenate((z_d, z_d, ts_f, z_f, s, z_f)),
         np.concatenate((ts_d, ts_d, t, ts_f, t, s)))
-    L_diag, L_bent, L0, L1, L2, L3 = np.split(L, np.cumsum([n, n, nf, nf, nf]))
+    L_diag, L_bent = L[:n], L[n:2 * n]
+    L0, L1, L2, L3 = L[2 * n:].reshape(4, nf)
 
     # the nodes, through flat indices into C: row l of family f starts at
     # (2 l + f) * W

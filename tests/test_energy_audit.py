@@ -7,7 +7,7 @@ from debondsim.energy_audit import (
     _release_rate, _rim_power, _row_radial_integrals, audit, debond_dissipation,
 )
 from debondsim import prescribed, quadrature
-from debondsim.fields import ProblemData, Profile, Toughness, to_h_data
+from debondsim.fields import ProblemData, Profile, Toughness, kappa_eval, to_h_data
 from debondsim.geometry import FrontCurve, GeometryError, corner_wavefronts
 from debondsim.griffith import run
 from debondsim.prescribed import FieldPatch, locate_patch, march
@@ -139,6 +139,28 @@ def test_debond_dissipation_array_matches_scalar_calls():
     got = debond_dissipation(front, tough, times)
     assert np.array_equal(got, [debond_dissipation(front, tough, float(t)) for t in times])
     assert got[0] == 0.0 and np.all(np.diff(got[:-1]) >= 0.0)
+
+
+def test_debond_dissipation_matches_an_exactly_summed_simpson_rule():
+    # the two-piece front above: every time's Simpson panels, on the same
+    # nodes, summed exactly with math.fsum, agree with the array call's
+    # ordered sums to float64 resolution
+    front = FrontCurve(np.array([0.0, 0.3, 1.5]), np.array([1.0, 1.0, 1.6]), 3.0)
+    tough = Toughness.from_pieces([(1.0, Profile.affine(1.0, 0.3)),
+                                   (1.3, Profile.constant(2.0))], R=3.0)
+    times = np.concatenate((np.linspace(0.35, 1.5, 24), [0.9]))
+    got = debond_dissipation(front, tough, times)
+    for t, value in zip(times, got):
+        rho = float(front.rho(t))
+        panels = []
+        for a, b in ((1.0, min(rho, 1.3)), (1.3, rho)):
+            if b <= a:
+                continue
+            xs = np.linspace(a, b, 129)
+            ys = (3.0 - xs) * kappa_eval(tough, xs)
+            panels += list((ys[:-2:2] + 4 * ys[1:-1:2] + ys[2::2]) * ((b - a) / 128) / 3.0)
+        exact = 2.0 * math.pi * math.fsum(panels)
+        assert abs(value - exact) <= 1e-15 * exact, t
 
 
 # -- energy rate and boundary power --------------------------------------------

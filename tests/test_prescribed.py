@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from debondsim import prescribed
+from debondsim import geometry, prescribed
 from debondsim.fields import HData, ProblemData, Profile, Toughness, kappa_eval, to_h_data
 from debondsim.geometry import FrontCurve, GeometryError, corner_wavefronts
 from debondsim.prescribed import (
@@ -465,6 +465,45 @@ def test_trace_points_are_checked_and_located_once(monkeypatch):
     calls.clear()
     prescribed._seam_data(patch, wavefronts)
     assert sorted(calls) == ["node_index", "rho"]
+
+
+def test_one_range_check_per_trace_call(monkeypatch):
+    # local_traces checks its points once; the front maps that the kernels
+    # read at those points (omega, psi^-1 and omega' in phi_time_trace and
+    # in the free layer's reflected branch) check nothing again, so a call
+    # on nodes, reflected nodes, banks and the front point of a moving
+    # front runs one range check: the time check of its FrontCurve.rho call
+    data = make_data(alpha=0.5, v1=Profile.constant(0.2))
+    front = FrontCurve.affine(1.0, 0.3, 2.0, 3.0)
+    patch = march(data, front, horizon=0.25, delta=1.0 / 64)[0]
+    lat = patch.lattice
+    t = lat.nt * lat.delta
+    _, rs, _ = patch.row_points([lat.nt], corner_wavefronts(front, 0.5))
+    i, j, node = lat.node_index(t, rs)
+    assert np.any(i + j > 64) and np.count_nonzero(~node) >= 5
+    assert rs[-1] == lat.rho_rows[-1] and not node[-1]
+    checks = []
+
+    def counted(what, *args, _fn=geometry._check_range):
+        checks.append(what)
+        return _fn(what, *args)
+    monkeypatch.setattr(geometry, "_check_range", counted)
+    patch.local_traces(t, rs)
+    assert checks == ["time"]
+
+    # omega' is defined for every argument and checks none: past psi's range
+    # it takes the end segments' slopes, and 0 on the flat branch
+    local = lat.front
+    pk = local.psi_knots
+    s = np.concatenate((np.linspace(pk[0] - 2.0, pk[-1] + 2.0, 101),
+                        [-1e6, 0.0, local.rho0, pk[-1], 1e6]))
+    checks.clear()
+    got = local.omega_dot(s)
+    assert checks == [] and got.shape == s.shape
+    rd = local.rho_dot(local.psi_inverse(np.clip(s, pk[0], pk[-1])))
+    assert np.array_equal(got, np.where(s < local.rho0, 0.0, (1.0 - rd) / (1.0 + rd)))
+    for x in (-1e6, pk[-1] + 0.5, 1e6):
+        assert np.isfinite(local.omega_dot(x))
 
 
 def test_interior_pde_residual_shrinks():

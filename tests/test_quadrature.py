@@ -578,6 +578,41 @@ def test_local_traces_batch_matches_points():
                                           rtol=0.0, atol=1e-15)] == 0.0)
 
 
+def test_line_kernel_batch_is_each_segment_alone():
+    # one batch mixing lines on and between diagonals of both directions,
+    # ends on and between rows, zero-length segments and the reflected legs
+    # phi_time_trace sends (the +45 leg from (0, -omega(eta)) and the
+    # anti-diagonal eta, both up to the front at psi^-1(eta)): the kernel
+    # reads all six rows of every segment in one pass, and each element is
+    # bitwise the segment's own call and agrees with the per-sample oracle
+    lat = make_lattice(delta=1.0 / 32, nt=12, speed=0.3)
+    H = fill(lat, lambda t, r: np.sin(1.3 * t + 0.2) * np.cos(0.9 * r) + 0.5 * t * r)
+    d, T = lat.delta, lat.nt * lat.delta
+    front = lat.front
+    eta = front.rho0 + np.array([3 * d, 0.37])
+    t_star, om = front.psi_inverse(eta), front.omega(eta)
+    segments = [  # (direction, offset, t_start, t_end)
+        (1.0, 8 * d, 0.0, 0.3),
+        (-1.0, 24 * d, 2 * d, 5.5 * d),
+        (1.0, 0.2 + 0.3 * d, 0.1 * d, T),
+        (-1.0, 0.6 + 0.5 * d, 1.5 * d, 7.25 * d),
+        (1.0, 0.1, 0.25 * d, 0.75 * d),
+        (1.0, 0.3, 4 * d, 4 * d),
+        (-1.0, 0.41, 0.123, 0.123),
+        (1.0, -om[0], 0.0, t_star[0]),
+        (1.0, -om[1], 0.0, t_star[1]),
+        (-1.0, eta[0], 0.0, t_star[0]),
+        (-1.0, eta[1], 0.0, t_star[1]),
+    ]
+    together = line_integrals(lat, H, *map(np.array, zip(*segments)))
+    for k, (direction, offset, t_a, t_b) in enumerate(segments):
+        alone = line_integrals(lat, H, direction, offset, t_a, t_b)
+        assert np.array_equal(together[k], alone), k
+        ref = diag_line_integral(lat, H, t_a, offset + direction * t_a, int(direction), t_b - t_a)
+        assert alone == pytest.approx(ref, abs=1e-13), k
+    assert together[5] == 0.0 and together[6] == 0.0
+
+
 def test_line_integral_refuses_segments_past_the_columns():
     # the columns end at r = 43/32: a segment past them has no values to
     # read, and the kernel refuses a line outside its family's layout, or
