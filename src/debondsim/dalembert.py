@@ -1,4 +1,4 @@
-"""Free wave solution on the shrinking interval and its traveling waves.
+"""Free wave solution on the shrinking interval: its traveling-wave branches.
 
 With the zero-order kernel switched off, the weighted unknown solves the
 plain 1-D wave equation on 0 < r < rho(t) with data (z, h0, h1).  Its
@@ -7,10 +7,15 @@ value splits into outgoing/ingoing traveling waves
     A(t, r) = f_plus(t + r) + f_minus(t - r)
 
 whose branches encode the initial data, the rim load via z, and the first
-reflection at the moving front via the map omega.  The derivatives of the
-branches are assembled analytically (chain rule through omega), never by
-differencing: the boundary traces feeding the energy rate and the release
-rate must carry no numerical noise.
+reflection at the moving front via the map omega.  :func:`f_minus` and
+:func:`df_minus` take s = t - r and reflect at the rim past s = 0;
+:func:`f_plus` and :func:`df_plus` take s = t + r and reflect at the front
+past s = rho0 through the omega(s) (and omega'(s)) the caller passes: the
+window lattice its front's, the coupled strip of :mod:`debondsim.griffith`
+its omega iterate.  Kinks at s = 0 and s = rho0 are one-sided.  The
+derivatives are assembled analytically (chain rule through omega), never
+by differencing: the boundary traces feeding the energy rate and the
+release rate must carry no numerical noise.
 
 On a window lattice (dt = dr = delta) each branch takes one value per
 characteristic: node (i, j) lies on the anti-diagonal t + r = (i + j) delta
@@ -24,14 +29,14 @@ the lattice step: a point whose branch argument is exactly an index times
 delta (every node when delta is a power of two) takes the branch from one
 evaluation per characteristic index in use, marked over the index range
 without sorting, and every other point (banks, front points) by itself.
-The result is the pointwise one, bitwise, for any delta.  The pointwise
-free solution, with its checks, is the test oracle ``free_solution`` in
-``tests/reference.py``.
+The result is the pointwise one, bitwise, for any delta.  Both read the
+front's omega unchecked, at points the trace entry point or the lattice
+has placed in the domain.  The pointwise free solution, with its checks,
+is the test oracle ``free_solution`` in ``tests/reference.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -39,80 +44,64 @@ import numpy as np
 from .fields import HData
 from .geometry import _asarray
 
-
-@dataclass(frozen=True)
-class TravelingWaves:
-    """Traveling-wave split of the free solution.
-
-    ``f_plus`` takes s = t + r and reflects at the front past s = rho0;
-    ``f_minus`` takes s = t - r and reflects at the rim past s = 0; kinks
-    at s = 0 and s = rho0 are evaluated one-sidedly.
-    """
-
-    f_plus: Callable
-    f_minus: Callable
-    df_plus: Callable
-    df_minus: Callable
-    front: object
+# Each branch reads the data at one argument b in [0, rho0] per point:
+# f_plus at s up to the kink s = rho0 and at -omega(s) past it, f_minus at
+# -s up to s = 0 and at s past it, i.e. at |s|.  So a call evaluates each
+# data profile once, at every point's b, and picks each point's side with
+# np.where; the rim load is read at max(s, 0), its own argument wherever it
+# counts.
 
 
-def traveling_decomposition(hdata: HData, front) -> TravelingWaves:
-    rho0 = hdata.rho0
-    h0, h1, z = hdata.h0, hdata.h1, hdata.z
-    h0d = hdata.h0_dot
-    H1 = h1.cumint
-
-    # Each branch reads the data at one argument b in [0, rho0] per point:
-    # f_plus at s up to the kink s = rho0 and at -omega(s) past it, f_minus
-    # at -s up to s = 0 and at s past it, i.e. at |s|.  So a call evaluates
-    # each data profile once, at every point's b, and picks each point's
-    # side with np.where; the rim load is read at max(s, 0), its own
-    # argument wherever it counts.  The reflected side reads the front's
-    # maps unchecked, at points the trace entry point has checked.
-    def clip0(s):
-        return np.minimum(np.maximum(s, 0.0), rho0)
-
-    def plus_args(s):
-        s = _asarray(s)
-        direct = s <= rho0
-        return direct, clip0(np.where(direct, s, -front._omega_unchecked(s)))
-
-    def minus_args(s):
-        s = _asarray(s)
-        return s <= 0.0, clip0(np.abs(s)), np.maximum(s, 0.0)
-
-    def f_plus(s):
-        direct, b = plus_args(s)
-        a, c = 0.5 * h0(b), 0.5 * H1(b)
-        return np.where(direct, a + c, -a + c)
-
-    def f_minus(s):
-        direct, b, p = minus_args(s)
-        a, c = 0.5 * h0(b), 0.5 * H1(b)
-        return np.where(direct, a - c, z(p) - a - c)
-
-    def df_plus(s):
-        direct, b = plus_args(s)
-        u, v = h0d(b), h1(b)
-        return np.where(direct, 0.5 * (u + v), 0.5 * front.omega_dot(s) * (u - v))
-
-    def df_minus(s):
-        direct, b, p = minus_args(s)
-        u, v = h0d(b), h1(b)
-        return np.where(direct, -0.5 * u + 0.5 * v, z.deriv(p) - 0.5 * (u + v))
-
-    return TravelingWaves(f_plus=f_plus, f_minus=f_minus,
-                          df_plus=df_plus, df_minus=df_minus, front=front)
+def _plus_args(hd: HData, s, omega):
+    s = _asarray(s)
+    direct = s <= hd.rho0
+    return direct, np.minimum(np.maximum(np.where(direct, s, -omega), 0.0), hd.rho0)
 
 
-def free_solution(waves: TravelingWaves, lat) -> np.ndarray:
+def _minus_args(hd: HData, s):
+    s = _asarray(s)
+    return s <= 0.0, np.minimum(np.abs(s), hd.rho0), np.maximum(s, 0.0)
+
+
+def f_plus(hd: HData, s, omega):
+    """The outgoing branch at s = t + r; ``omega`` is the front's omega(s),
+    read only past s = rho0."""
+    direct, b = _plus_args(hd, s, omega)
+    a, c = 0.5 * hd.h0(b), 0.5 * hd.h1.cumint(b)
+    return np.where(direct, a + c, -a + c)
+
+
+def f_minus(hd: HData, s):
+    """The ingoing branch at s = t - r."""
+    direct, b, p = _minus_args(hd, s)
+    a, c = 0.5 * hd.h0(b), 0.5 * hd.h1.cumint(b)
+    return np.where(direct, a - c, hd.z(p) - a - c)
+
+
+def df_plus(hd: HData, s, omega, omega_dot):
+    """d f_plus / ds; ``omega`` and ``omega_dot`` are the front's omega(s)
+    and omega'(s), read only past s = rho0."""
+    direct, b = _plus_args(hd, s, omega)
+    u, v = hd.h0.deriv(b), hd.h1(b)
+    return np.where(direct, 0.5 * (u + v), 0.5 * omega_dot * (u - v))
+
+
+def df_minus(hd: HData, s):
+    """d f_minus / ds."""
+    direct, b, p = _minus_args(hd, s)
+    u, v = hd.h0.deriv(b), hd.h1(b)
+    return np.where(direct, -0.5 * u + 0.5 * v, hd.z.deriv(p) - 0.5 * (u + v))
+
+
+def free_solution(hdata: HData, lat) -> np.ndarray:
     """The free solution at every node of the window lattice ``lat``, 0
     beyond the front: f_plus on the nt + j_ext + 1 anti-diagonals
     (i + j) delta, f_minus on the nt + j_ext + 1 diagonals (i - j) delta,
     gathered as fp[i + j] + fm[i - j + j_ext]."""
     d, nt, jx = lat.delta, lat.nt, lat.j_ext
-    fp = waves.f_plus(np.arange(nt + jx + 1) * d)
-    fm = waves.f_minus(np.arange(-jx, nt + 1) * d)
+    eta = np.arange(nt + jx + 1) * d
+    fp = f_plus(hdata, eta, lat.front._omega_unchecked(eta))
+    fm = f_minus(hdata, np.arange(-jx, nt + 1) * d)
     i, j = np.arange(nt + 1)[:, None], np.arange(jx + 1)
     return lat.masked(fp[i + j] + fm[i - j + jx])
 
@@ -139,14 +128,16 @@ def _per_characteristic(branch: Callable, s: np.ndarray, delta: float) -> np.nda
     return out
 
 
-def free_derivatives(waves: TravelingWaves, delta: float, t, r):
-    """(d_t, d_r) of the free solution at points (t, r) in the domain, as
+def free_derivatives(hdata: HData, front, delta: float, t, r):
+    """(d_t, d_r) of the free solution of ``hdata`` under the window-local
+    ``front`` at points (t, r) in the domain, as
     ``prescribed.FieldPatch.local_traces`` checks and clips them; t and r
     broadcast.  Each branch derivative is evaluated once per characteristic
     of the lattice of step ``delta`` that the points lie on exactly
     (t + r = m * delta for df_plus, t - r = n * delta for df_minus), and
     once at each other point, so the result is the pointwise one, bitwise."""
     t, r = _asarray(t), _asarray(r)
-    fp = _per_characteristic(waves.df_plus, t + r, delta)
-    fm = _per_characteristic(waves.df_minus, t - r, delta)
+    fp = _per_characteristic(
+        lambda s: df_plus(hdata, s, front._omega_unchecked(s), front.omega_dot(s)), t + r, delta)
+    fm = _per_characteristic(lambda s: df_minus(hdata, s), t - r, delta)
     return fp + fm, fp - fm

@@ -33,7 +33,7 @@ from typing import List
 
 import numpy as np
 
-from .fields import ProblemData, Toughness, kappa_eval, v_from_h
+from .fields import ProblemData, Toughness, kappa_eval, release_rate, v_from_h
 from .geometry import corner_wavefronts
 from .prescribed import FieldPatch
 
@@ -155,9 +155,7 @@ def _rim_work_rates(patch: FieldPatch, data: ProblemData, t):
 def _release_rate(patch: FieldPatch, front, t):
     """G0 at global times t of one patch (arrays allowed)."""
     t_loc = t - patch.t0
-    bracket = patch.front_bracket(t_loc)
-    return (np.exp(-patch.hdata.alpha * t_loc) * bracket * bracket
-            / (2.0 * (patch.hdata.R - front.rho(t))))
+    return release_rate(patch.hdata, patch.front_bracket(t_loc), front.rho(t), t_loc)
 
 
 # ---------------------------------------------------------------------------

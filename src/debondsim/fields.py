@@ -8,12 +8,15 @@ are built from, the toughness model, and the prefactor of the source
 kernel
 
     F(tau, sigma) = (alpha^2 + 1/(R - sigma)^2) / 4 * h(tau, sigma)
+
+It also owns the one release-rate formula, G0 from the front bracket, that
+the coupled strip, the front's start slope and the audit share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -246,7 +249,6 @@ class HData:
     z: Profile
     h0: Profile
     h1: Profile
-    h0_dot: Callable
 
     def __post_init__(self):
         if abs(float(self.h0(0.0)) - float(self.z(0.0))) > _COMPAT_TOL * np.sqrt(self.R):
@@ -278,7 +280,20 @@ def to_h_data(data: ProblemData) -> HData:
                  domain=(0.0, data.rho0), kind="h0")
     h1 = Profile(lambda r: sq(r) * (v1(r) + 0.5 * a * v0(r)),
                  domain=(0.0, data.rho0), kind="h1")
-    return HData(R=R, rho0=data.rho0, alpha=a, z=z, h0=h0, h1=h1, h0_dot=h0.deriv)
+    return HData(R=R, rho0=data.rho0, alpha=a, z=z, h0=h0, h1=h1)
+
+
+def front_bracket(hd: HData, s, line):
+    """The release rate's bracket h0'(s) - h1(s) - line at a front point on
+    the diagonal t - r = -s, with ``line`` the line integral of the kernel
+    field along that diagonal up to the point (0 at t = 0)."""
+    return hd.h0.deriv(s) - hd.h1(s) - line
+
+
+def release_rate(hd: HData, bracket, rho, t):
+    """G0 = bracket^2 / (2 (R - rho) e^(alpha t)) at a front point of radius
+    rho at time t of the window of ``hd``, from its :func:`front_bracket`."""
+    return bracket * bracket / (2.0 * (hd.R - rho) * np.exp(hd.alpha * t))
 
 
 def v_from_h(h_value, h_t, h_r, t, r, R: float, alpha: float):

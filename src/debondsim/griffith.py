@@ -57,7 +57,9 @@ from typing import List, NamedTuple, Optional
 
 import numpy as np
 
-from .fields import HData, ProblemData, Toughness, kappa_eval, kernel_prefactor, to_h_data
+from .dalembert import f_minus, f_plus
+from .fields import (HData, ProblemData, Toughness, front_bracket, kappa_eval, kernel_prefactor,
+                     release_rate, to_h_data)
 from .geometry import FrontCurve, corner_wavefronts
 from .prescribed import (
     _MAX_ITER, _TOL, ConvergenceError, FieldPatch, _extend, _row_count, _seam_data,
@@ -83,9 +85,15 @@ def _slope(g0, kappa):
 def _start_slope(hd: HData, tough: Toughness) -> float:
     """The front's slope at t = 0, where the release rate has no line
     integral yet: G0 = (h0'(rho0) - h1(rho0))^2 / (2 (R - rho0))."""
-    bracket = hd.h0_dot(hd.rho0) - hd.h1(hd.rho0)
-    g0 = bracket * bracket / (2.0 * (hd.R - hd.rho0))
+    g0 = release_rate(hd, front_bracket(hd, hd.rho0, 0.0), hd.rho0, 0.0)
     return float(_slope(g0, kappa_eval(tough, hd.rho0 + 1e-9)))
+
+
+def _stable_root(lin: float, quad: float, rest: float) -> float:
+    """The root 2 rest / (lin + sqrt(lin^2 + 4 quad rest)) of
+    lin u + quad u^2 = rest, free of cancellation; the caller clamps it."""
+    den = lin + math.sqrt(max(lin * lin + 4.0 * quad * rest, 0.0))
+    return 2.0 * rest / max(den, 1e-300)
 
 
 class _Front(NamedTuple):
@@ -117,14 +125,15 @@ class StripWorkspace:
     the front iterate omega lives on that grid: -rho0 up to rho0, then
     front point g at eta[g] = rho0 + g*delta, t = (eta + omega) / 2.
 
-    What does not depend on omega is built once: the data columns, the
-    kernel, the direct branch of the free solution (t + r <= rho0) and the
-    cone sum's plan (:class:`~debondsim.quadrature.ConePlan`, indexed by
-    column, O(L * m) work and memory), which holds the slot layout and the
-    work arrays.  A sweep reads omega by index for its inside mask, its
-    reflected branch and its cone cut.  The workspace and its plan live
-    for one coupled window; the plan's results are fresh arrays, so one
-    kept across sweeps is never overwritten by the next.
+    What does not depend on omega is built once: the kernel, the free
+    solution's ingoing branch on each column and the cone sum's plan
+    (:class:`~debondsim.quadrature.ConePlan`, indexed by column, O(L * m)
+    work and memory), which holds the slot layout and the work arrays.  A
+    sweep reads omega by index for its inside mask, its cone cut and the
+    outgoing branch, once per anti-diagonal; both branches are the window
+    lattice's (:mod:`debondsim.dalembert`).  The workspace and its plan
+    live for one coupled window; the plan's results are fresh arrays, so
+    one kept across sweeps is never overwritten by the next.
     """
 
     def __init__(self, hd: HData, tough: Toughness, T: float, m: int, delta: float):
@@ -143,16 +152,7 @@ class StripWorkspace:
         self.node_q = 2 * ll - np.arange(m + 1)[None, :] + m
 
         self.kern = kernel_prefactor(self.r_grid, hd.R, hd.alpha)
-
-        self.h0_col = np.asarray(hd.h0(-self.s), dtype=float)
-        self.H1_col = np.asarray(hd.h1.cumint(-self.s), dtype=float)
-
-        # omega-independent terms of the two updates
-        eta_grid = self.t_grid + self.r_grid
-        self.direct = eta_grid <= self.rho0 + 1e-14
-        eta_d = np.minimum(np.maximum(eta_grid, 0.0), self.rho0)
-        self.a_direct = (0.5 * self.h0_col[None, :] + 0.5 * hd.h0(eta_d)
-                         + 0.5 * (hd.h1.cumint(eta_d) - self.H1_col[None, :]))
+        self.f_col = f_minus(hd, self.s)
         self.cone_eta = self.rho0 + delta * np.arange(-m, 2 * self.L + 1)
         self.eta = self.cone_eta[m:]
         self.cone = ConePlan(self.L, m, delta)
@@ -174,11 +174,9 @@ class StripWorkspace:
     # -- field update ---------------------------------------------------------
 
     def free_solution(self, om: np.ndarray) -> np.ndarray:
-        hd = self.hd
-        q = np.minimum(np.maximum(-om, 0.0), self.rho0)
-        refl = 0.5 * (hd.h1.cumint(q) - hd.h0(q))  # per anti-diagonal
-        a_refl = 0.5 * (self.h0_col - self.H1_col)[None, :] + refl[self.node_q]
-        return np.where(self.direct, self.a_direct, a_refl)
+        """f_minus on each column plus f_plus on each node's anti-diagonal,
+        reflected through the front om past rho0."""
+        return self.f_col + f_plus(self.hd, self.cone_eta, om)[self.node_q]
 
     def cone_integrals(self, om: np.ndarray, F: np.ndarray) -> np.ndarray:
         """Phi[F] at every strip node, cut at the front.
@@ -205,7 +203,6 @@ class StripWorkspace:
         past the strip it runs on the nearest column and holds the last
         row's value."""
         d, m, L = self.delta, self.m, self.L
-        hd = self.hd
         w_g = np.minimum(np.maximum(om[m:], self.s[0]), self.s[-1])
         t_g = 0.5 * (self.eta + om[m:])
         F = self.kern * h
@@ -224,9 +221,8 @@ class StripWorkspace:
         f_hi = (1.0 - w) * F.take(i1) + w * F.take(i1 + 1)
         line = ((1.0 - w) * C.take(i0) + w * C.take(i0 + 1)
                 + 0.5 * rem * (2.0 * f_lo + frac * (f_hi - f_lo)))
-        bracket = hd.h0_dot(-w_g) - hd.h1(-w_g) - line
         rho = 0.5 * (self.eta - om[m:])
-        return bracket * bracket / (2.0 * (hd.R - rho) * np.exp(hd.alpha * t_g))
+        return release_rate(self.hd, front_bracket(self.hd, -w_g, line), rho, t_g)
 
     def rate_front(self, h: np.ndarray, om: np.ndarray) -> _Front:
         """The front the rate law gives for the field h on the front om:
@@ -253,8 +249,7 @@ class StripWorkspace:
             # from the new front's radius at the cell, so that a front stopping at b stays on it
             w_k = np.sum(0.5 * np.diff(eta[:k + 1]) * (right[:k] + left[1:k + 1])) - self.rho0
             lin, quad, rest = 0.5 * (1.0 - a), 0.25 * (a - a1) / d, b - 0.5 * (eta[k] - w_k)
-            den = lin + math.sqrt(max(lin * lin + 4.0 * quad * rest, 0.0))
-            th = min(max(2.0 * rest / max(den, 1e-300) / d, 1e-6), 1.0 - 1e-6)
+            th = min(max(_stable_root(lin, quad, rest) / d, 1e-6), 1.0 - 1e-6)
             eta = np.insert(eta, k + 1, eta[k] + th * d)
             left = np.insert(left, k + 1, a + th * (a1 - a))
             g0_b = g0[c] + th * (g0[c + 1] - g0[c])
@@ -311,9 +306,9 @@ def solve_coupled_window(ws: StripWorkspace, M: float, t_start: float):
 
 def _band_integrals(hd: HData, y: float):
     ss = np.linspace(hd.rho0 - y, hd.rho0, 257)
-    h0_dot, h1 = hd.h0_dot(ss), hd.h1(ss)
-    absum = np.abs(h0_dot) + np.abs(h1)
-    sqsum = (h0_dot - h1) ** 2
+    h0d, h1 = hd.h0.deriv(ss), hd.h1(ss)
+    absum = np.abs(h0d) + np.abs(h1)
+    sqsum = (h0d - h1) ** 2
     return float(np.trapezoid(absum, ss)), float(np.trapezoid(sqsum, ss))
 
 def _seed_width(hd: HData, tough: Toughness, T: float, M: float,
@@ -393,8 +388,7 @@ def _front_point(f: _Front, target: float, key: str = "t"):
         a = float(f.right[k - 1])
         c = 0.5 * (float(f.left[k]) - a) / width
         lin, quad, rest = we + wo * a, wo * c, target - float(vals[k - 1])
-        den = lin + math.sqrt(max(lin * lin + 4.0 * quad * rest, 0.0))
-        u = min(max(2.0 * rest / den, 0.0), width) if den > 0.0 else width
+        u = min(max(_stable_root(lin, quad, rest), 0.0), width)
         e, w = e0 + u, w0 + a * u + c * u * u
     return 0.5 * (e + w), 0.5 * (e - w)
 

@@ -169,7 +169,7 @@ def solve_reference(hd: HData, front, horizon: float, dy: float,
     H[0, -1] = 0.0
 
     rd0 = float(front.rho_dot(0.0))
-    V = hd.h1(y) + (rd0 / rho0) * y * np.asarray(hd.h0_dot(y), dtype=float)
+    V = hd.h1(y) + (rd0 / rho0) * y * np.asarray(hd.h0.deriv(y), dtype=float)
     B1, b1, a1, c1 = coeff_arrays(0.0)
     acc = B1 * dyy(H[0]) + b1 * dy1(V) + a1 * dy1(H[0]) + c1 * H[0]
     H[1] = H[0] + dt * V + 0.5 * dt * dt * acc

@@ -32,8 +32,9 @@ from typing import List
 
 import numpy as np
 
-from .dalembert import TravelingWaves, free_derivatives, free_solution, traveling_decomposition
-from .fields import HData, ProblemData, Profile, kernel_prefactor, to_h_data, v_from_h
+from .dalembert import free_derivatives, free_solution
+from .fields import (HData, ProblemData, Profile, front_bracket, kernel_prefactor, to_h_data,
+                     v_from_h)
 from .geometry import GeometryError, corner_wavefronts, jump_radii
 from .quadrature import (
     CharLattice, LatticeConePlan, _line_cumulatives, char_line_integrals, cone_integrals_batch,
@@ -162,7 +163,9 @@ FieldSample = namedtuple("FieldSample", "h h_t h_r v v_t v_r")
 @dataclass
 class FieldPatch:
     """Converged field on one window lattice, plus everything needed to
-    evaluate values and exact derivative traces inside the window.
+    evaluate values and exact derivative traces inside the window: the
+    data ``hdata``, whose branches (:mod:`debondsim.dalembert`) under the
+    lattice's front give the free part, and the kernel field ``F``.
 
     ``lattice.values`` stores the locally rescaled field; global values
     carry the factor ``scale`` = exp(alpha * t_start / 2).
@@ -171,7 +174,6 @@ class FieldPatch:
     lattice: CharLattice
     window: WindowPlan
     hdata: HData
-    waves: TravelingWaves
     scale: float
     F: np.ndarray
     diagnostics: dict
@@ -301,7 +303,7 @@ class FieldPatch:
                 f"{r.flat[k]:.6g}) is outside [0, rho(t)] = [0, {rho_t.flat[k]:.6g}]")
         r = np.minimum(np.maximum(r, 0.0), rho_t)
         i, j, node = lat.node_index(t_loc, r)
-        d_t, d_r = free_derivatives(self.waves, lat.delta, t_loc, r)
+        d_t, d_r = free_derivatives(self.hdata, lat.front, lat.delta, t_loc, r)
         g1, g2 = phi_time_trace(lat, self.F, self.cumulatives, t_loc, r, i, j, node)
         h_t = d_t + 0.5 * (g1 + g2)
         h_r = d_r + 0.5 * (g1 - g2)
@@ -315,14 +317,13 @@ class FieldPatch:
         return h, h_t, h_r
 
     def front_bracket(self, t_loc):
-        """The squared-bracket trace h_r - h_t at the front point, from
-        window data and the characteristic line integral of F; t_loc may be
-        an array of window-local times."""
-        rho_t = self.rho_local(t_loc)
-        s = rho_t - t_loc
-        hd = self.hdata
+        """The squared-bracket trace h_r - h_t at the front point, the
+        :func:`~debondsim.fields.front_bracket` of the window data and the
+        characteristic line integral of F; t_loc may be an array of
+        window-local times."""
+        s = self.rho_local(t_loc) - t_loc
         line = char_line_integrals(self.lattice, self.F, self.cumulatives, 1.0, s, 0.0, t_loc)
-        out = hd.h0_dot(s) - hd.h1(s) - line
+        out = front_bracket(self.hdata, s, line)
         return float(out) if np.ndim(t_loc) == 0 else out
 
     def rim_bracket(self, t_loc):
@@ -331,17 +332,17 @@ class FieldPatch:
         (0, t_loc) to the rim; t_loc may be an array."""
         hd = self.hdata
         line = char_line_integrals(self.lattice, self.F, self.cumulatives, -1.0, t_loc, 0.0, t_loc)
-        out = hd.h0_dot(t_loc) + hd.h1(t_loc) + line
+        out = hd.h0.deriv(t_loc) + hd.h1(t_loc) + line
         return float(out) if np.ndim(t_loc) == 0 else out
 
 
 class _Workspace:
     """Grids shared by all Picard sweeps of one window: the lattice, the
-    window's traveling waves (kept by its patch for the traces), the free
-    solution at every node, the kernel prefactor row, the rim column, the
-    window's cone plan and the sweeps' buffers.
-    The free grid costs one branch evaluation per characteristic of the
-    lattice, not one per node (:func:`~debondsim.dalembert.free_solution`).
+    free solution at every node, the kernel prefactor row, the rim column,
+    the window's cone plan and the sweeps' buffers.  The free grid costs one
+    evaluation of the traveling-wave branches per characteristic of the
+    lattice, not one per node (:func:`~debondsim.dalembert.free_solution`);
+    the patch keeps only the data and reads the same branches for its traces.
     The plan (:class:`~debondsim.quadrature.LatticeConePlan`) caches what
     the window's front fixes (the omega cut of every anti-diagonal, the
     rim-echo and outside nodes) and the cone sum's work arrays.  A sweep of
@@ -356,8 +357,7 @@ class _Workspace:
     def __init__(self, hdata: HData, front_local, plan: WindowPlan):
         self.lattice = CharLattice(front_local, plan.delta, plan.nt)
         lat = self.lattice
-        self.waves = traveling_decomposition(hdata, front_local)
-        self.free_grid = free_solution(self.waves, lat)
+        self.free_grid = free_solution(hdata, lat)
         sigma = np.minimum(lat.radii, hdata.R - 1e-9)
         kern_row = kernel_prefactor(sigma, hdata.R, hdata.alpha)
         self.kern = np.where(lat.radii < hdata.R - 1e-9, kern_row, 0.0)[None, :]
@@ -423,8 +423,8 @@ def solve_window(hdata: HData, front, window: WindowPlan,
         "contraction_bound": window.contraction_bound,
         "measured_factor": max(measured) if measured else 0.0,
     }
-    return FieldPatch(lattice=lat, window=window, hdata=hdata, waves=ws.waves,
-                      scale=scale, F=ws.kern * h, diagnostics=diag)
+    return FieldPatch(lattice=lat, window=window, hdata=hdata, scale=scale, F=ws.kern * h,
+                      diagnostics=diag)
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +457,7 @@ def _seam_data(patch: FieldPatch, wavefronts) -> HData:
     h0_s[0] = float(z_next(0.0))  # seam compatibility, exact
     h0 = Profile.from_samples(rs, h0_s, deriv_samples=hd0_s)
     h1 = Profile.from_samples(rs, h1_s)
-    return HData(R=hd.R, rho0=rho_end, alpha=hd.alpha, z=z_next,
-                 h0=h0, h1=h1, h0_dot=h0.deriv)
+    return HData(R=hd.R, rho0=rho_end, alpha=hd.alpha, z=z_next, h0=h0, h1=h1)
 
 
 def _extend(patches: List[FieldPatch], data: HData, front, i1: int,

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from debondsim.dalembert import traveling_decomposition
+from debondsim.dalembert import f_minus, f_plus
 from debondsim.energy_audit import _energy_integrands, _rim_power
 from debondsim.fields import ProblemData
 from debondsim.geometry import _TOL, GeometryError, _asarray
@@ -58,8 +58,7 @@ def free_solution(hdata, front, t, r):
         raise GeometryError("free solution requested beyond the front")
     if np.any((t > r + 1e-12) & (t + r > hdata.rho0)):
         raise GeometryError("point beyond the first reflection family")
-    waves = traveling_decomposition(hdata, front)
-    return waves.f_plus(t + r) + waves.f_minus(t - r)
+    return f_plus(hdata, t + r, front._omega_unchecked(t + r)) + f_minus(hdata, t - r)
 
 
 # ---------------------------------------------------------------------------

@@ -46,20 +46,25 @@ def test_entry_point_signatures_are_pinned():
 
 
 def test_traced_entry_points_keep_their_names_and_first_arguments(monkeypatch):
-    # perfbench/tracing.py times the two cone sums and the audit's two trace
-    # layers by name: it wraps quadrature.cone_integrals_batch,
-    # quadrature.phi_time_trace and dalembert.free_derivatives under every
+    # perfbench/tracing.py times the two cone sums, the free layer, the
+    # strip's rate update and the audit's trace layer by name: it wraps
+    # quadrature.cone_integrals_batch, quadrature.phi_time_trace,
+    # dalembert.free_solution and dalembert.free_derivatives under every
     # name a debondsim module binds them to, and
-    # StripWorkspace.cone_integrals on its class, and divides the cone sums'
-    # time by the nodes of args[0] (a CharLattice's nt and j_ext, a strip's
-    # L and m).  A target the program no longer calls reads 0 without an
-    # error, so a short run plus audit must call all four, in that form.
+    # StripWorkspace.cone_integrals and StripWorkspace.psi2 on their class,
+    # and divides the cone sums' time by the nodes of args[0] (a
+    # CharLattice's nt and j_ext, a strip's L and m).  A target the program
+    # no longer calls reads 0 without an error, so a short run plus audit
+    # must call all six, in that form.
     from debondsim import dalembert, griffith, quadrature
+    from debondsim.fields import HData
     functions = {"lattice": quadrature.cone_integrals_batch,
                  "trace": quadrature.phi_time_trace,
-                 "free": dalembert.free_derivatives}
-    first = {"lattice": "lat", "trace": "lat", "free": "waves"}
-    seen = {key: [] for key in (*functions, "strip")}
+                 "free": dalembert.free_derivatives,
+                 "free_grid": dalembert.free_solution}
+    first = {"lattice": "lat", "trace": "lat", "free": "hdata", "free_grid": "hdata"}
+    methods = {"strip": "cone_integrals", "strip_rate": "psi2"}
+    seen = {key: [] for key in (*functions, *methods)}
 
     def traced(key, fn):
         def call(*args, **kwargs):
@@ -74,8 +79,9 @@ def test_traced_entry_points_keep_their_names_and_first_arguments(monkeypatch):
             for attr, value in list(vars(module).items()):
                 if value is fn:
                     monkeypatch.setattr(module, attr, traced(key, fn))
-    monkeypatch.setattr(griffith.StripWorkspace, "cone_integrals",
-                        traced("strip", griffith.StripWorkspace.cone_integrals))
+    for key, attr in methods.items():
+        monkeypatch.setattr(griffith.StripWorkspace, attr,
+                            traced(key, vars(griffith.StripWorkspace)[attr]))
 
     data = debondsim.ProblemData(R=3.0, rho0=1.0, alpha=0.5, horizon=0.25,
                                  w=debondsim.Profile.zero(),
@@ -88,8 +94,8 @@ def test_traced_entry_points_keep_their_names_and_first_arguments(monkeypatch):
     assert all(isinstance(a, quadrature.CharLattice) and a.nt > 0 and a.j_ext > 0
                for a in seen["lattice"] + seen["trace"])
     assert all(isinstance(a, griffith.StripWorkspace) and a.L > 0 and a.m > 0
-               for a in seen["strip"])
-    assert all(isinstance(a, dalembert.TravelingWaves) for a in seen["free"])
+               for a in seen["strip"] + seen["strip_rate"])
+    assert all(isinstance(a, HData) for a in seen["free"] + seen["free_grid"])
 
 
 def fresh(*args) -> subprocess.CompletedProcess:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from debondsim import dalembert
-from debondsim.dalembert import free_derivatives, traveling_decomposition
+from debondsim.dalembert import df_minus, df_plus, f_minus, f_plus, free_derivatives
 from debondsim.fields import HData, Profile
 from debondsim.geometry import FrontCurve, GeometryError
 from debondsim.quadrature import CharLattice
@@ -14,21 +14,21 @@ from reference import free_solution
 def hdata_zero(rho0=1.0, R=3.0, alpha=0.0):
     z = Profile.zero()
     return HData(R=R, rho0=rho0, alpha=alpha, z=z, h0=Profile.zero(),
-                 h1=Profile.zero(), h0_dot=Profile.zero())
+                 h1=Profile.zero())
 
 
 def hdata_bump(rho0=1.0, R=3.0):
     """h0(r) = r (rho0 - r), h1 = 0, z = 0 (compatible ends)."""
     h0 = Profile.poly([0.0, rho0, -1.0])
     return HData(R=R, rho0=rho0, alpha=0.0, z=Profile.zero(),
-                 h0=h0, h1=Profile.zero(), h0_dot=h0.deriv)
+                 h0=h0, h1=Profile.zero())
 
 
 def hdata_rich(rho0=1.0, R=3.0):
     """Sine bump h0, constant h1, moving rim value z with z(0) = 0."""
     h0 = Profile.sine_bump(0.4, rho0)
     return HData(R=R, rho0=rho0, alpha=0.0, z=Profile.sine(0.3, 2.0),
-                 h0=h0, h1=Profile.constant(0.25), h0_dot=h0.deriv)
+                 h0=h0, h1=Profile.constant(0.25))
 
 
 def hdata_seam(rho0=1.0, R=3.0):
@@ -41,7 +41,7 @@ def hdata_seam(rho0=1.0, R=3.0):
                               deriv_samples=-float(z(0.0)) / rho0
                               + 0.4 * np.pi / rho0 * np.cos(np.pi * rs / rho0))
     h1 = Profile.from_samples(rs, np.where(rs < 0.4, 0.25, -0.1) * (rho0 - rs))
-    return HData(R=R, rho0=rho0, alpha=0.5, z=z, h0=h0, h1=h1, h0_dot=h0.deriv)
+    return HData(R=R, rho0=rho0, alpha=0.5, z=z, h0=h0, h1=h1)
 
 
 def test_zero_data_zero_everywhere():
@@ -94,14 +94,13 @@ def test_outside_raises():
 def test_decomposition_matches_piecewise_formula():
     hd = hdata_rich()
     f = FrontCurve.affine(1.0, 0.25, 2.0, 3.0)
-    waves = traveling_decomposition(hd, f)
     rng = np.random.default_rng(9)
     for _ in range(300):
         t = rng.uniform(0.0, 0.49)
         r = rng.uniform(0.0, float(f.rho(t)))
         if t > r and t + r > hd.rho0:
             continue
-        split = float(waves.f_plus(t + r)) + float(waves.f_minus(t - r))
+        split = float(f_plus(hd, t + r, f.omega(t + r))) + float(f_minus(hd, t - r))
         direct = float(free_solution(hd, f, t, r))
         assert split == pytest.approx(direct, abs=1e-12)
 
@@ -109,48 +108,43 @@ def test_decomposition_matches_piecewise_formula():
 def test_decomposition_zero_data():
     hd = hdata_zero()
     f = FrontCurve.constant(1.0, 2.0, 3.0)
-    waves = traveling_decomposition(hd, f)
     ss = np.linspace(0.01, 1.8, 40)
-    assert np.allclose(waves.f_plus(ss), 0.0)
-    assert np.allclose(waves.f_minus(ss - 1.0), 0.0)
+    assert np.allclose(f_plus(hd, ss, f.omega(ss)), 0.0)
+    assert np.allclose(f_minus(hd, ss - 1.0), 0.0)
 
 
 def test_f_minus_positive_branch_formula():
     hd = hdata_rich()
     f = FrontCurve.constant(1.0, 2.0, 3.0)
-    waves = traveling_decomposition(hd, f)
     ss = np.linspace(0.05, 0.95, 17)
     expect = hd.z(ss) - 0.5 * hd.h0(ss) - 0.5 * hd.h1.cumint(ss)
-    assert np.allclose(waves.f_minus(ss), expect, atol=1e-14)
+    assert np.allclose(f_minus(hd, ss), expect, atol=1e-14)
 
 
 def test_f_plus_continuous_at_first_reflection():
     hd = hdata_rich()
     f = FrontCurve.affine(1.0, 0.3, 2.0, 3.0)
-    waves = traveling_decomposition(hd, f)
     eps = 1e-9
-    lo = float(waves.f_plus(hd.rho0 - eps))
-    hi = float(waves.f_plus(hd.rho0 + eps))
+    lo = float(f_plus(hd, hd.rho0 - eps, f.omega(hd.rho0 - eps)))
+    hi = float(f_plus(hd, hd.rho0 + eps, f.omega(hd.rho0 + eps)))
     assert hi == pytest.approx(lo, abs=1e-7)
 
 
 def test_initial_derivatives():
     hd = hdata_rich()
     f = FrontCurve.affine(1.0, 0.2, 2.0, 3.0)
-    waves = traveling_decomposition(hd, f)
     rs = np.linspace(0.05, 0.95, 13)
-    d_t, d_r = free_derivatives(waves, 1.0 / 64, 0.0, rs)
+    d_t, d_r = free_derivatives(hd, f, 1.0 / 64, 0.0, rs)
     assert np.allclose(d_t, hd.h1(rs), atol=1e-13)
-    assert np.allclose(d_r, hd.h0_dot(rs), atol=1e-13)
+    assert np.allclose(d_r, hd.h0.deriv(rs), atol=1e-13)
 
 
 def test_derivatives_by_richardson_differences():
     hd = hdata_rich()
     f = FrontCurve.affine(1.0, 0.2, 2.0, 3.0)
-    waves = traveling_decomposition(hd, f)
     pts = [(0.21, 0.33), (0.15, 0.72), (0.37, 0.95), (0.41, 0.30)]
     for t, r in pts:
-        d_t, d_r = free_derivatives(waves, 1.0 / 64, t, r)
+        d_t, d_r = free_derivatives(hd, f, 1.0 / 64, t, r)
         errs = []
         for step in (1e-4, 5e-5):
             fd_t = (float(free_solution(hd, f, t + step, r))
@@ -193,7 +187,7 @@ def test_free_grid_matches_pointwise_oracle(delta, rows):
     hd = hdata_seam()
     f = FrontCurve.affine(1.0, 0.3, 0.5, 3.0)
     lat = CharLattice(f, delta, rows)
-    grid = dalembert.free_solution(traveling_decomposition(hd, f), lat)
+    grid = dalembert.free_solution(hd, lat)
     t = np.broadcast_to(lat.times[:, None], grid.shape)[lat.inside]
     r = np.broadcast_to(lat.radii[None, :], grid.shape)[lat.inside]
     assert np.any(t + r > hd.rho0) and np.any(t > r) and np.any(hd.z(t[r == 0.0]) != 0.0)
@@ -205,10 +199,12 @@ def test_free_grid_matches_pointwise_oracle(delta, rows):
         assert np.max(np.abs(grid[lat.inside] - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
-def direct_derivatives(waves, t, r):
+def direct_derivatives(hd, front, t, r):
     """free_derivatives with each branch evaluated at every point."""
     t, r = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(r, dtype=float))
-    fp, fm = waves.df_plus(t + r), waves.df_minus(t - r)
+    s = t + r
+    fp = df_plus(hd, s, front._omega_unchecked(s), front.omega_dot(s))
+    fm = df_minus(hd, t - r)
     return fp + fm, fp - fm
 
 
@@ -227,25 +223,23 @@ def test_free_derivatives_on_mixed_points_are_the_direct_branches(delta, nodes, 
     # points beyond the front, in drawn order
     hd = hdata_seam()
     f = FrontCurve.affine(1.0, 0.3, 0.5, 3.0)
-    waves = traveling_decomposition(hd, f)
     pts = [(i * delta, j * delta) for i, j in nodes if i * delta <= 0.5] + off
     order = data.draw(st.permutations(range(len(pts))))
     t = np.array([pts[k][0] for k in order], dtype=float)
     r = np.array([pts[k][1] for k in order], dtype=float)
-    assert_bitwise(free_derivatives(waves, delta, t, r), direct_derivatives(waves, t, r))
+    assert_bitwise(free_derivatives(hd, f, delta, t, r), direct_derivatives(hd, f, t, r))
 
 
 def test_free_derivatives_scalars_empty_and_broadcast():
     hd = hdata_seam()
     f = FrontCurve.affine(1.0, 0.3, 0.5, 3.0)
     delta = 1.0 / 64
-    waves = traveling_decomposition(hd, f)
     for t, r in [(0.25, 0.5), (0.2501, 0.3), (0.0, 0.0), (0.5, 1.15), (0.1, 1.4)]:
-        got = free_derivatives(waves, delta, t, r)
+        got = free_derivatives(hd, f, delta, t, r)
         assert np.ndim(got[0]) == 0
-        assert_bitwise(got, direct_derivatives(waves, t, r))
-    got = free_derivatives(waves, delta, np.array([]), np.array([]))
+        assert_bitwise(got, direct_derivatives(hd, f, t, r))
+    got = free_derivatives(hd, f, delta, np.array([]), np.array([]))
     assert got[0].shape == (0,) and got[1].shape == (0,)
     t = np.arange(0, 33)[:, None] * delta
     r = np.concatenate((np.arange(0, 70) * delta, [0.3, 0.71]))
-    assert_bitwise(free_derivatives(waves, delta, t, r), direct_derivatives(waves, t, r))
+    assert_bitwise(free_derivatives(hd, f, delta, t, r), direct_derivatives(hd, f, t, r))

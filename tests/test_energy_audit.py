@@ -270,7 +270,7 @@ def test_err_g0_initial_formula():
     hd = to_h_data(data)
     front = FrontCurve.constant(1.0, 3.0, 3.0)
     _, led = ledger(data, front, 0.25, 1.0 / 32)
-    bracket = float(hd.h0_dot(1.0)) - float(hd.h1(1.0))
+    bracket = float(hd.h0.deriv(1.0)) - float(hd.h1(1.0))
     expect = bracket ** 2 / (2.0 * (3.0 - 1.0))
     assert led.G0[0] == pytest.approx(expect, rel=1e-12)
     assert np.all(led.G0 >= 0.0)

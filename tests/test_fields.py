@@ -174,7 +174,7 @@ def test_h0_dot_against_finite_difference():
     eps = 1e-6
     for r in [0.2, 0.5, 0.8]:
         fd = (float(hd.h0(r + eps)) - float(hd.h0(r - eps))) / (2 * eps)
-        assert float(hd.h0_dot(r)) == pytest.approx(fd, rel=1e-8, abs=1e-8)
+        assert float(hd.h0.deriv(r)) == pytest.approx(fd, rel=1e-8, abs=1e-8)
 
 
 def test_round_trip_h_to_v():
@@ -182,7 +182,7 @@ def test_round_trip_h_to_v():
     hd = to_h_data(data)
     rng = np.random.default_rng(5)
     rs = rng.uniform(0.0, 1.0, 200)
-    v, v_t, _ = v_from_h(hd.h0(rs), hd.h1(rs), hd.h0_dot(rs), 0.0, rs,
+    v, v_t, _ = v_from_h(hd.h0(rs), hd.h1(rs), hd.h0.deriv(rs), 0.0, rs,
                          R=data.R, alpha=data.alpha)
     assert np.allclose(v, data.v0(rs), atol=1e-12)
     assert np.allclose(v_t, data.v1(rs), atol=1e-12)

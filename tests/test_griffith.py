@@ -14,6 +14,7 @@ from debondsim.griffith import (
     solve_coupled_window,
 )
 from debondsim.prescribed import ConvergenceError, _extend, _seam_data, evaluate_field, march
+from reference import free_solution
 
 
 def bump_data(R=3.0, rho0=1.0, alpha=0.0, amp=0.4, v1=None, w=None):
@@ -46,7 +47,7 @@ def test_lambda_rhs_moving_branch():
     # toughness level
     data = bump_data(amp=0.4)
     hd = to_h_data(data)
-    bracket = float(hd.h0_dot(1.0)) - float(hd.h1(1.0))
+    bracket = float(hd.h0.deriv(1.0)) - float(hd.h1(1.0))
     g0 = bracket ** 2 / (2.0 * 2.0)
     tough = Toughness.constant(g0 / 3.0, rho0=1.0, R=3.0)
     ws = make_workspace(data, tough)
@@ -88,6 +89,23 @@ def test_psi1_zero_data_zero_field():
     tough = Toughness.constant(1.0, rho0=1.0, R=3.0)
     ws = make_workspace(data, tough)
     assert np.all(ws.psi1(ws.blank(), ws.straight_front(1.0)) == 0.0)
+
+
+@pytest.mark.parametrize("slope", [0.6, 1.0])
+def test_strip_free_solution_matches_pointwise_oracle(slope):
+    # the strip's branches on its straight front against the d'Alembert
+    # value on the same front as a FrontCurve, at every strip node on or
+    # behind the front; the moving front reflects f_plus through omega
+    data = bump_data(alpha=0.5, v1=Profile.constant(0.2))
+    ws = make_workspace(data, Toughness.constant(1.0, rho0=1.0, R=3.0), T=0.375, m=24)
+    om = ws.straight_front(slope)
+    front = FrontCurve.affine(1.0, (1.0 - slope) / (1.0 + slope), 1.0, 3.0)
+    inside = ws.inside_mask(om)
+    t, r = ws.t_grid[inside], ws.r_grid[inside]
+    assert np.any(t + r > ws.rho0 + 0.25) and inside.sum() > 0.5 * inside.size
+    ref = free_solution(ws.hd, front, t, r)
+    got = ws.free_solution(om)[inside]
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_psi1_matches_prescribed_solver_on_strip():

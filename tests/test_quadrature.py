@@ -736,7 +736,7 @@ def test_node_traces_read_the_diagonal_cumulatives(monkeypatch):
     assert np.max(np.abs(g2 - g2_ref)[refl]) <= 1e-13
 
     h, h_t, h_r = patch.local_traces(t, r)
-    d_t, d_r = free_derivatives(patch.waves, d, t, r)
+    d_t, d_r = free_derivatives(patch.hdata, lat.front, d, t, r)
     ref_t = d_t + 0.5 * (D[ii, jj] + C[ii, jj] - echo)
     ref_r = d_r + 0.5 * (D[ii, jj] - C[ii, jj] + echo)
     assert np.max(np.abs(h_t - ref_t)[~refl]) <= 1e-13
