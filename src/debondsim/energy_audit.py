@@ -102,6 +102,10 @@ def debond_dissipation(front, tough: Toughness, t):
     running sums along the panel axis, each over every eighth panel, joined
     as a balanced tree (numpy's pairwise order for a row of 64, spelled
     out), so each time gets the value of its scalar call to the last bit.
+    The lanes are written out because ``terms.sum(axis=1)`` on a batch of
+    times does not reduce a row in numpy's 1-D order: on front_kkt that
+    sum moves ``D_debond`` by up to 1.2e-15 and the balance residual by up
+    to 1.8e-15 from the scalar calls.
     """
     scalar = np.ndim(t) == 0
     rho_t = np.atleast_1d(np.asarray(front.rho(t), dtype=float))
@@ -256,9 +260,8 @@ def audit(patches: List[FieldPatch], front, data: ProblemData,
 
     A = np.zeros(n)
     W = np.zeros(n)
-    if alpha > 0:
-        A[1:] = 2 * math.pi * alpha * np.cumsum(
-            0.5 * (a_int[1:] + a_int[:-1]) * np.diff(times))
+    A[1:] = 2 * math.pi * alpha * np.cumsum(
+        0.5 * (a_int[1:] + a_int[:-1]) * np.diff(times))
     W[1:] = np.cumsum(0.5 * (qw[1:] + qw[:-1]) * np.diff(times))
     T = E + A
 

@@ -41,16 +41,16 @@ class Profile:
     sampled tables interpolate linearly and integrate their interpolant
     exactly.  Any other profile on a bounded domain gets a cached
     cumulative on first use: Simpson sums on a dense grid joined by a cubic
-    Hermite whose node slopes are the profile itself.
+    Hermite whose node slopes are the profile itself.  The value, deriv
+    and cumint callables are given a float array: the profile converts the
+    argument, and the result, of each call.
     """
 
-    def __init__(self, value, deriv=None, cumint=None, domain=(0.0, np.inf),
-                 kind="callable"):
+    def __init__(self, value, deriv=None, cumint=None, domain=(0.0, np.inf)):
         self._value = value
         self._deriv = deriv
         self._cumint = cumint
         self.domain = (float(domain[0]), float(domain[1]))
-        self.kind = kind
 
     def __call__(self, x):
         return _asarray(self._value(_asarray(x)))
@@ -61,7 +61,7 @@ class Profile:
 
     def deriv(self, x):
         if self._deriv is None:
-            raise ValueError(f"profile of kind {self.kind!r} has no derivative")
+            raise ValueError("this profile has no derivative")
         return _asarray(self._deriv(_asarray(x)))
 
     def cumint(self, x):
@@ -118,27 +118,21 @@ class Profile:
 
     @classmethod
     def zero(cls):
-        return cls(lambda x: np.zeros_like(_asarray(x)),
-                   deriv=lambda x: np.zeros_like(_asarray(x)),
-                   cumint=lambda x: np.zeros_like(_asarray(x)),
-                   kind="zero")
+        return cls(np.zeros_like, deriv=np.zeros_like, cumint=np.zeros_like)
 
     @classmethod
     def constant(cls, c: float):
         c = float(c)
-        return cls(lambda x: np.full_like(_asarray(x), c),
-                   deriv=lambda x: np.zeros_like(_asarray(x)),
-                   cumint=lambda x: c * _asarray(x),
-                   kind="constant")
+        return cls(lambda x: np.full_like(x, c), deriv=np.zeros_like,
+                   cumint=lambda x: c * x)
 
     @classmethod
     def affine(cls, a: float, b: float):
         """a + b * x."""
         a, b = float(a), float(b)
-        return cls(lambda x: a + b * _asarray(x),
-                   deriv=lambda x: np.full_like(_asarray(x), b),
-                   cumint=lambda x: a * _asarray(x) + 0.5 * b * _asarray(x) ** 2,
-                   kind="affine")
+        return cls(lambda x: a + b * x,
+                   deriv=lambda x: np.full_like(x, b),
+                   cumint=lambda x: a * x + 0.5 * b * x ** 2)
 
     @classmethod
     def poly(cls, coeffs: Sequence[float]):
@@ -146,31 +140,28 @@ class Profile:
         c = np.asarray(coeffs, dtype=float)
         dc = c[1:] * np.arange(1, len(c))
         ic = np.concatenate(([0.0], c / np.arange(1, len(c) + 1)))
-        return cls(lambda x: np.polynomial.polynomial.polyval(_asarray(x), c),
-                   deriv=lambda x: np.polynomial.polynomial.polyval(_asarray(x), dc)
-                   if len(dc) else np.zeros_like(_asarray(x)),
-                   cumint=lambda x: np.polynomial.polynomial.polyval(_asarray(x), ic),
-                   kind="poly")
+        polyval = np.polynomial.polynomial.polyval
+        return cls(lambda x: polyval(x, c),
+                   deriv=(lambda x: polyval(x, dc)) if len(dc) else np.zeros_like,
+                   cumint=lambda x: polyval(x, ic))
 
     @classmethod
     def sine_bump(cls, amp: float, width: float):
         """amp * sin(pi x / width): vanishes at 0 and width."""
         amp, width = float(amp), float(width)
         k = np.pi / width
-        return cls(lambda x: amp * np.sin(k * _asarray(x)),
-                   deriv=lambda x: amp * k * np.cos(k * _asarray(x)),
-                   cumint=lambda x: amp / k * (1.0 - np.cos(k * _asarray(x))),
-                   domain=(0.0, width),
-                   kind="sine_bump")
+        return cls(lambda x: amp * np.sin(k * x),
+                   deriv=lambda x: amp * k * np.cos(k * x),
+                   cumint=lambda x: amp / k * (1.0 - np.cos(k * x)),
+                   domain=(0.0, width))
 
     @classmethod
     def sine(cls, amp: float, freq: float):
         """amp * sin(freq * x), for time-dependent loads."""
         amp, freq = float(amp), float(freq)
-        return cls(lambda x: amp * np.sin(freq * _asarray(x)),
-                   deriv=lambda x: amp * freq * np.cos(freq * _asarray(x)),
-                   cumint=lambda x: amp / freq * (1.0 - np.cos(freq * _asarray(x))),
-                   kind="sine")
+        return cls(lambda x: amp * np.sin(freq * x),
+                   deriv=lambda x: amp * freq * np.cos(freq * x),
+                   cumint=lambda x: amp / freq * (1.0 - np.cos(freq * x)))
 
     @classmethod
     def from_samples(cls, x, y, deriv_samples=None):
@@ -184,16 +175,14 @@ class Profile:
         last = len(x) - 2
 
         def lin_cum(s):
-            s = _asarray(s)
             idx = np.minimum(np.maximum(np.searchsorted(x, s, side="right") - 1, 0), last)
             ds = s - x.take(idx)
             return cum.take(idx) + y.take(idx) * ds + 0.5 * slopes.take(idx) * ds * ds
 
-        prof = cls(lambda s: np.interp(_asarray(s), x, y),
-                   cumint=lin_cum, domain=(x[0], x[-1]), kind="linear")
+        prof = cls(lambda s: np.interp(s, x, y), cumint=lin_cum, domain=(x[0], x[-1]))
         if deriv_samples is not None:
             d = _asarray(deriv_samples)
-            prof._deriv = lambda s: np.interp(_asarray(s), x, d)
+            prof._deriv = lambda s: np.interp(s, x, d)
         return prof
 
 
@@ -203,8 +192,7 @@ class _Shifted(Profile):
     def __init__(self, base: Profile, dt: float, factor: float):
         super().__init__(lambda x: factor * base(x + dt),
                          deriv=(lambda x: factor * base.deriv(x + dt))
-                         if base.has_deriv else None,
-                         kind=base.kind)
+                         if base.has_deriv else None)
         self.base, self.dt, self.factor = base, dt, factor
 
     def shifted(self, dt: float, factor: float = 1.0) -> Profile:
@@ -269,17 +257,15 @@ def to_h_data(data: ProblemData) -> HData:
     if not (v0.has_deriv and w.has_deriv):
         raise CompatibilityError("v0 and w must come with derivatives")
 
-    sq = lambda r: np.sqrt(R - _asarray(r))
-    ea = lambda t: np.exp(0.5 * a * _asarray(t))
+    sq = lambda r: np.sqrt(R - r)
+    ea = lambda t: np.exp(0.5 * a * t)
 
     z = Profile(lambda t: np.sqrt(R) * ea(t) * w(t),
-                deriv=lambda t: np.sqrt(R) * ea(t) * (w.deriv(t) + 0.5 * a * w(t)),
-                kind="z")
+                deriv=lambda t: np.sqrt(R) * ea(t) * (w.deriv(t) + 0.5 * a * w(t)))
     h0 = Profile(lambda r: sq(r) * v0(r),
                  deriv=lambda r: sq(r) * v0.deriv(r) - 0.5 * v0(r) / sq(r),
-                 domain=(0.0, data.rho0), kind="h0")
-    h1 = Profile(lambda r: sq(r) * (v1(r) + 0.5 * a * v0(r)),
-                 domain=(0.0, data.rho0), kind="h1")
+                 domain=(0.0, data.rho0))
+    h1 = Profile(lambda r: sq(r) * (v1(r) + 0.5 * a * v0(r)), domain=(0.0, data.rho0))
     return HData(R=R, rho0=data.rho0, alpha=a, z=z, h0=h0, h1=h1)
 
 

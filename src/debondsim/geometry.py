@@ -149,7 +149,7 @@ class FrontCurve:
         s = _asarray(s)
         pk = self.psi_knots
         _check_range("value", s, "the range of psi", pk[0], pk[-1])
-        return np.interp(s, pk, self.t_knots)
+        return self._psi_inverse_unchecked(s)
 
     def _psi_inverse_unchecked(self, s):
         return np.interp(s, self.psi_knots, self.t_knots)

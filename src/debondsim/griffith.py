@@ -317,9 +317,9 @@ def _seed_width(hd: HData, tough: Toughness, T: float, M: float,
     self-map bounds (conservative, later halved adaptively)."""
     R, alpha = hd.R, hd.alpha
     rho_max = hd.rho0 + T
+    # positive: run takes T <= 0.9 (R - rho0) + 1e-9 delta, or one row
+    # when that is shorter, and keeps R - rho0 > stop_margin >= delta
     gap = R - hd.rho0 - T
-    if gap <= 0:
-        return 1
     m = max(1, int(math.floor(y_cap / delta)))
     while m > 1:
         y = m * delta
@@ -421,7 +421,8 @@ def run(data: ProblemData, tough: Toughness, horizon: float,
     keep, and solved once more at T when its front leaves it, or reaches
     the run's last row, less than two rows below its top (see the module
     docstring); each window's diagnostics record ``T``, the accepted
-    ``strip_rows`` and whether it was ``regrown``.  The window then extends the run's patches over the produced front by certified
+    ``strip_rows`` and whether it was ``regrown``.  The window then
+    extends the run's patches over the produced front by certified
     prescribed windows, and re-bases the data from the last of them for
     the next window.  Both fixed points stop at the tolerance of
     :mod:`debondsim.prescribed`.

@@ -8,9 +8,10 @@ variable-coefficient hyperbolic equation on the fixed strip 0 < y < rho0:
 
 with B1 = (rho0/rho)^2 - (y rho'/rho)^2 coercive exactly because the
 front is subsonic.  Leapfrog time stepping with second-order centered
-space stencils marches this equation; the mixed derivative is
-time-centered and solved implicitly per step (one tridiagonal system),
-since a one-sided cross term destabilizes leapfrog on moving fronts.
+space stencils marches this equation, always at 0.9 of the stable time
+step; the mixed derivative is time-centered and solved implicitly per
+step (one tridiagonal system), since a one-sided cross term destabilizes
+leapfrog on moving fronts.
 The result is used only to cross-validate the representation-formula
 solver, never as the production path.
 """
@@ -32,10 +33,6 @@ from .fields import HData, kernel_prefactor
 from .geometry import GeometryError
 
 
-class CFLError(ValueError):
-    """Raised when the requested time step violates the stability bound."""
-
-
 def fixed_map(front, t, r):
     """Map a point of the moving interval onto the fixed strip [0, rho0]."""
     r = np.asarray(r, dtype=float)
@@ -45,40 +42,24 @@ def fixed_map(front, t, r):
     return front.rho0 * r / rho_t
 
 
-@dataclass(frozen=True)
-class FixedDomainCoeffs:
-    """Coefficient sample of the transformed equation at one (t, y)."""
-
-    B1: float
-    b1: float
-    a1: float
-    c1: float
-    delta: float  # coercivity margin: B1 >= delta > 0
-
-
-def coeffs(front, t: float, y, R: float, alpha: float) -> FixedDomainCoeffs:
-    """Transformed coefficients at (t, y); front curvature vanishes between
-    the knots of a piecewise-linear front."""
+def coeffs(front, t: float, y, R: float, alpha: float):
+    """Transformed coefficients (B1, b1, a1, c1) at time t and fixed-strip
+    coordinates y (an array, or a float); front curvature vanishes between
+    the knots of a piecewise-linear front.  Raises GeometryError for y
+    outside [0, rho0] and for B1 <= 0, a front that is not subsonic."""
     rho = float(front.rho(t))
     rd = float(front.rho_dot(t))
     rho0 = front.rho0
-    y = float(y)
-    if not (0.0 <= y <= rho0 + 1e-12):
+    y = np.asarray(y, dtype=float)
+    if not np.all((y >= 0.0) & (y <= rho0 + 1e-12)):
         raise GeometryError("fixed-strip coordinate outside [0, rho0]")
     m = rho0 / rho
     c = -(rd / rho) * y
     B1 = m * m - c * c
-    margin = m * m * (1.0 - rd * rd)
-    if B1 <= 0 or margin <= 0:
+    if np.min(B1) <= 0:
         raise GeometryError("lost coercivity: the front is not admissible")
-    r_phys = rho * y / rho0
-    return FixedDomainCoeffs(
-        B1=B1,
-        b1=-2.0 * c,
-        a1=-2.0 * y * (rd / rho) ** 2,
-        c1=float(kernel_prefactor(min(r_phys, R - 1e-12), R, alpha)),
-        delta=margin,
-    )
+    r_phys = np.minimum(rho * y / rho0, R - 1e-12)
+    return B1, -2.0 * c, -2.0 * y * (rd / rho) ** 2, kernel_prefactor(r_phys, R, alpha)
 
 
 @dataclass
@@ -106,15 +87,16 @@ class OracleSolution:
         return float((1 - ft) * row0 + ft * row1)
 
 
-def solve_reference(hd: HData, front, horizon: float, dy: float,
-                    dt_cfl: float = None) -> OracleSolution:
+def solve_reference(hd: HData, front, horizon: float, dy: float) -> OracleSolution:
     """March the transformed equation with an explicit scheme.
 
-    Dirichlet rows come from the rim value and the bonded front; the first
-    step is seeded from the transformed initial velocity and the equation's
-    own initial acceleration.  Raises on CFL or coercivity violations.
-    ``hd`` is the weighted data, :func:`~debondsim.fields.to_h_data` of
-    the problem data.
+    The time step is always 0.9 of the stable bound dy / (max rho' +
+    max rho0/rho), shortened to divide the horizon.  Dirichlet rows come
+    from the rim value and the bonded front; the first step is seeded from
+    the transformed initial velocity and the equation's own initial
+    acceleration.  Raises GeometryError where :func:`coeffs` loses
+    coercivity.  ``hd`` is the weighted data,
+    :func:`~debondsim.fields.to_h_data` of the problem data.
     """
     rho0, R, alpha = hd.rho0, hd.R, hd.alpha
     if horizon > front.horizon + 1e-12:
@@ -131,27 +113,10 @@ def solve_reference(hd: HData, front, horizon: float, dy: float,
     rd_max = float(np.max(front.rho_dot(probe)))
     m_max = float(np.max(rho0 / front.rho(probe)))
     speed = rd_max + m_max
-    dt_stable = 0.9 * dy / speed
-    if dt_cfl is None:
-        dt = dt_stable
-    else:
-        if dt_cfl > dt_stable * (1 + 1e-12):
-            raise CFLError(f"time step {dt_cfl} exceeds the stable bound {dt_stable}")
-        dt = dt_cfl
+    dt = 0.9 * dy / speed
     n_steps = max(1, int(math.ceil(horizon / dt - 1e-12)))
     dt = horizon / n_steps
     times = np.linspace(0.0, horizon, n_steps + 1)
-
-    def coeff_arrays(t):
-        rho = float(front.rho(t))
-        rd = float(front.rho_dot(t))
-        m = rho0 / rho
-        c = -(rd / rho) * y
-        B1 = m * m - c * c
-        if np.min(B1) <= 0:
-            raise GeometryError("lost coercivity: the front is not admissible")
-        r_phys = np.minimum(rho * y / rho0, R - 1e-12)
-        return B1, -2.0 * c, -2.0 * y * (rd / rho) ** 2, kernel_prefactor(r_phys, R, alpha)
 
     def dyy(u):
         out = np.zeros_like(u)
@@ -170,7 +135,7 @@ def solve_reference(hd: HData, front, horizon: float, dy: float,
 
     rd0 = float(front.rho_dot(0.0))
     V = hd.h1(y) + (rd0 / rho0) * y * np.asarray(hd.h0.deriv(y), dtype=float)
-    B1, b1, a1, c1 = coeff_arrays(0.0)
+    B1, b1, a1, c1 = coeffs(front, 0.0, y, R, alpha)
     acc = B1 * dyy(H[0]) + b1 * dy1(V) + a1 * dy1(H[0]) + c1 * H[0]
     H[1] = H[0] + dt * V + 0.5 * dt * dt * acc
     H[1, 0] = float(hd.z(times[1]))
@@ -178,7 +143,7 @@ def solve_reference(hd: HData, front, horizon: float, dy: float,
 
     moving = rd_max > 1e-14
     for n in range(1, n_steps):
-        B1, b1, a1, c1 = coeff_arrays(times[n])
+        B1, b1, a1, c1 = coeffs(front, times[n], y, R, alpha)
         rhs = (2 * H[n] - H[n - 1]
                + dt * dt * (B1 * dyy(H[n]) + a1 * dy1(H[n]) + c1 * H[n]))
         if moving:

@@ -323,8 +323,7 @@ class FieldPatch:
         window-local times."""
         s = self.rho_local(t_loc) - t_loc
         line = char_line_integrals(self.lattice, self.F, self.cumulatives, 1.0, s, 0.0, t_loc)
-        out = front_bracket(self.hdata, s, line)
-        return float(out) if np.ndim(t_loc) == 0 else out
+        return front_bracket(self.hdata, s, line)
 
     def rim_bracket(self, t_loc):
         """The trace h_r + h_t at the rim, from window data and the
@@ -332,8 +331,7 @@ class FieldPatch:
         (0, t_loc) to the rim; t_loc may be an array."""
         hd = self.hdata
         line = char_line_integrals(self.lattice, self.F, self.cumulatives, -1.0, t_loc, 0.0, t_loc)
-        out = hd.h0.deriv(t_loc) + hd.h1(t_loc) + line
-        return float(out) if np.ndim(t_loc) == 0 else out
+        return hd.h0.deriv(t_loc) + hd.h1(t_loc) + line
 
 
 class _Workspace:
@@ -363,7 +361,6 @@ class _Workspace:
         self.kern = np.where(lat.radii < hdata.R - 1e-9, kern_row, 0.0)[None, :]
         self.z_col = np.asarray(hdata.z(lat.times), dtype=float)
         self.cone = LatticeConePlan(lat)
-        self.outside = ~lat.inside
         self.spare, self.change = np.empty(lat.inside.shape), np.empty(lat.inside.shape)
 
 
@@ -372,15 +369,19 @@ def apply_L(h: np.ndarray, ws: _Workspace, out=None) -> np.ndarray:
     cone integral of the kernel field, boundary and initial rows reimposed.
     The kernel field goes straight into the cone plan's field, and the
     result into ``out`` (a lattice-shaped array other than h) when given,
-    else into a fresh array."""
+    else into a fresh array.
+
+    h must be 0 outside the domain, as every iterate of
+    :func:`solve_window` is; the result is 0 there too, so nothing is
+    masked: the cone plan zeroes its sums outside, the free grid is 0
+    there, column 0 (the rim data) is always inside, and row 0 is the free
+    grid's."""
     lat = ws.lattice
     F = ws.cone.values
     np.multiply(ws.kern, h, out=F)
-    F[ws.outside] = 0.0
     out = cone_integrals_batch(lat, F, ws.cone, out)
     out *= 0.5
     out += ws.free_grid
-    out[ws.outside] = 0.0
     out[:, 0] = ws.z_col
     out[0, :] = ws.free_grid[0, :]
     return out
@@ -448,7 +449,7 @@ def _seam_data(patch: FieldPatch, wavefronts) -> HData:
     rho_end = float(lat.rho_rows[-1])
     _, rs, _ = patch.row_points([lat.nt], wavefronts)
     h0_s, h1_s, hd0_s = patch.local_traces(t_end, rs)
-    h0_s[-1] = 0.0
+    h0_s[-1] = 0.0  # the front point, or a node within 1e-12 of it that stands for it
 
     decay = math.exp(-0.5 * hd.alpha * patch.window.length)
     h0_s, h1_s, hd0_s = decay * h0_s, decay * h1_s, decay * hd0_s

@@ -3,8 +3,9 @@ import pytest
 
 from debondsim.fields import ProblemData, Profile, to_h_data
 from debondsim.geometry import FrontCurve, GeometryError
-from debondsim.oracle import CFLError, coeffs, fixed_map, solve_reference
+from debondsim.oracle import coeffs, fixed_map, solve_reference
 from debondsim.prescribed import march
+from reference import ClosedFormFront
 
 
 def bump_data(R=3.0, rho0=1.0, alpha=0.0, amp=0.4):
@@ -41,23 +42,30 @@ def test_fixed_map_round_trip():
 
 def test_coeffs_static_front():
     f = FrontCurve.constant(2.0, 1.0, 3.0)
-    c = coeffs(f, 0.5, 1.0, R=3.0, alpha=0.0)
-    assert c.B1 == pytest.approx((2.0 / 2.0) ** 2)
-    assert c.b1 == 0.0 and c.a1 == 0.0
+    B1, b1, a1, _ = coeffs(f, 0.5, 1.0, R=3.0, alpha=0.0)
+    assert B1 == pytest.approx((2.0 / 2.0) ** 2)
+    assert b1 == 0.0 and a1 == 0.0
 
 
 def test_coeffs_identity_map():
     f = FrontCurve.constant(1.0, 1.0, 3.0)
-    c = coeffs(f, 0.3, 0.7, R=3.0, alpha=0.0)
-    assert c.B1 == pytest.approx(1.0)
+    B1, _, _, _ = coeffs(f, 0.3, 0.7, R=3.0, alpha=0.0)
+    assert B1 == pytest.approx(1.0)
+
+
+def coercivity_margin(f, t):
+    """The closed-form lower bound of B1 over [0, rho0]: (rho0/rho)^2 (1 - rho'^2)."""
+    m = f.rho0 / float(f.rho(t))
+    rd = float(f.rho_dot(t))
+    return m * m * (1.0 - rd * rd)
 
 
 def test_coeffs_moving_front_value():
     # rho = 1.5 rho0, rho' = 0.5, y = rho0: B1 = 4/9 - 1/9 = 1/3
     f = FrontCurve.affine(1.0, 0.5, 2.0, 4.0)
-    c = coeffs(f, 1.0, 1.0, R=4.0, alpha=0.0)
-    assert c.B1 == pytest.approx(1.0 / 3.0)
-    assert c.B1 >= c.delta > 0
+    B1, _, _, _ = coeffs(f, 1.0, 1.0, R=4.0, alpha=0.0)
+    assert B1 == pytest.approx(1.0 / 3.0)
+    assert B1 >= coercivity_margin(f, 1.0) > 0
 
 
 def test_coercivity_margin_positive_for_admissible_fronts():
@@ -67,8 +75,21 @@ def test_coercivity_margin_positive_for_admissible_fronts():
         f = FrontCurve.affine(1.0, speed, 2.0, 6.0)
         t = rng.uniform(0, 2)
         y = rng.uniform(0, 1)
-        c = coeffs(f, t, y, R=6.0, alpha=0.3)
-        assert c.B1 >= c.delta > 0
+        B1, _, _, _ = coeffs(f, t, y, R=6.0, alpha=0.3)
+        assert B1 >= coercivity_margin(f, t) > 0
+
+
+def test_coeffs_rejects_a_point_past_the_strip():
+    f = FrontCurve.affine(1.0, 0.3, 2.0, 3.0)
+    with pytest.raises(GeometryError, match=r"outside \[0, rho0\]"):
+        coeffs(f, 0.5, np.array([0.5, 1.0 + 1e-9]), R=3.0, alpha=0.0)
+
+
+def test_coeffs_rejects_a_supersonic_front():
+    # rho' = 1.2: B1 = (rho0^2 - (1.2 y)^2) / rho^2 < 0 near y = rho0
+    f = ClosedFormFront(lambda t: 1.0 + 1.2 * t, lambda t: 1.2 + 0.0 * t, 1.0, 3.0)
+    with pytest.raises(GeometryError, match="lost coercivity"):
+        coeffs(f, 0.5, np.linspace(0.0, 1.0, 5), R=3.0, alpha=0.0)
 
 
 # -- reference scheme ---------------------------------------------------------
@@ -93,13 +114,6 @@ def test_boundary_rows_exact():
     # mapped back: the front row is exactly the bonded edge
     t = float(sol.times[-1])
     assert sol.h_at(t, float(f.rho(t))) == 0.0
-
-
-def test_cfl_guard():
-    data = bump_data()
-    f = FrontCurve.constant(1.0, 1.0, 3.0)
-    with pytest.raises(CFLError):
-        solve_reference(to_h_data(data), f, horizon=0.5, dy=1.0 / 32, dt_cfl=1.0 / 16)
 
 
 def test_leapfrog_energy_drift_static():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from debondsim import dalembert, geometry, prescribed
 from debondsim.fields import HData, ProblemData, Profile, Toughness, kappa_eval, to_h_data
 from debondsim.geometry import FrontCurve, GeometryError, corner_wavefronts
+from debondsim.griffith import run
 from debondsim.prescribed import (
     ConvergenceError, WindowPlan, _Workspace, apply_L,
     certified_step, contraction_bound, evaluate_field, march, plan_windows,
@@ -259,6 +260,24 @@ def test_zeroed_kernel_reproduces_free_solution_exactly():
     ws.kern = np.zeros_like(ws.kern)
     out = apply_L(ws.free_grid, ws)
     assert np.allclose(out, ws.free_grid, atol=1e-15)
+
+
+def test_every_patch_is_exactly_zero_outside_the_domain():
+    # apply_L masks nothing: the cone plan zeroes its sums outside, the free
+    # grid is 0 there and column 0 is inside, so every Picard iterate, and
+    # with it the kernel field, is +0.0 beyond the front, in a coupled run
+    # (one strip front per window) and in a march on a curved front
+    data = make_data(alpha=0.5)
+    coupled = run(data, Toughness.constant(0.15, rho0=1.0, R=3.0), 0.5, delta=1.0 / 64)
+    t = np.linspace(0.0, 0.75, 25)
+    curve = FrontCurve(t, 1.0 + 0.3 * t + 0.4 * t * t, 3.0)
+    marched = march(data, curve, 0.75, delta=1.0 / 64)
+    assert len(coupled.patches) > 2 and len(marched) > 2
+    for patch in coupled.patches + marched:
+        outside = ~patch.lattice.inside
+        assert outside.any()
+        for field in (patch.lattice.values, patch.F):
+            assert np.all(field[outside] == 0.0) and not np.signbit(field[outside]).any()
 
 
 def counting(fn, tally, key):
