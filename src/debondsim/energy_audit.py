@@ -96,6 +96,11 @@ def _global_rows(patches: List[FieldPatch]):
 def debond_dissipation(front, tough: Toughness, t):
     """Energy spent breaking the bond from the initial width to rho(t).
 
+    Each toughness piece is integrated with its own profile on its closed
+    interval: the right-continuous :func:`~debondsim.fields.kappa_eval`
+    would give the last Simpson node, on the next breakpoint, the next
+    piece's toughness.
+
     t may be an array: every time integrates its pieces with the same
     Simpson nodes as alone, in one pass per toughness piece.  A piece's
     64 Simpson panels are summed in one fixed order for every time: eight
@@ -122,7 +127,8 @@ def debond_dissipation(front, tough: Toughness, t):
             break
         b = np.minimum(b_next, rho_t[live])
         xs = np.linspace(np.full(b.shape, a), b, 2 * n + 1, axis=-1)
-        ys = (R - xs) * kappa_eval(tough, np.minimum(xs, R - 1e-12))
+        kappa = tough.pieces[int(tough.piece_index(a))]
+        ys = (R - xs) * kappa(np.minimum(xs, R - 1e-12))
         hstep = (b - a) / (2 * n)
         terms = (ys[:, :-2:2] + 4 * ys[:, 1:-1:2] + ys[:, 2::2]) * hstep[:, None] / 3.0
         lane = np.cumsum(terms.reshape(-1, 8, n // 8), axis=1)[:, -1]

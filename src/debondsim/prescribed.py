@@ -16,10 +16,11 @@ values.  :func:`march` runs it from t = 0; the coupled solver extends its
 patches with it after every coupled window.
 
 Both fixed points of the package, the Picard iteration here and the coupled
-strip iteration of :mod:`debondsim.griffith`, stop by one rule: an update
-(here the sup-norm change, there the product metric) below ``_TOL`` within
-``_MAX_ITER`` sweeps, else a :class:`ConvergenceError` that names the window's
-t and the last update.  Neither is a caller's knob.
+strip iteration of :mod:`debondsim.griffith`, run in :func:`fixed_point`, the
+one stop rule: an update (here the sup-norm change, there the product
+metric) below ``_TOL`` within ``_MAX_ITER`` sweeps, else a
+:class:`ConvergenceError` that names the window's t and the last update.
+Neither is a caller's knob.
 """
 
 from __future__ import annotations
@@ -49,6 +50,26 @@ class ConvergenceError(RuntimeError):
 _TOL = 1e-10
 _MAX_ITER = 200
 
+
+def fixed_point(sweep, where: str) -> dict:
+    """Call ``sweep`` (one update of a fixed-point iteration, returning the
+    update's size) until the size drops below ``_TOL``, and return the
+    diagnostics: the ``iterations``, the ``final_update`` and the
+    ``measured_factor``, the largest ratio of successive updates.  After
+    ``_MAX_ITER`` sweeps it raises ConvergenceError naming ``where`` (the
+    window and its t), the cap, the last update and the last measured
+    factors."""
+    updates = []
+    while len(updates) < _MAX_ITER:
+        updates.append(sweep())
+        if updates[-1] < _TOL:
+            factors = [b / a for a, b in zip(updates[:-1], updates[1:]) if a > 0]
+            return {"iterations": len(updates), "final_update": updates[-1],
+                    "measured_factor": max(factors, default=0.0)}
+    factors = [round(b / a, 3) for a, b in zip(updates[:-1], updates[1:]) if a > 0]
+    raise ConvergenceError(f"{where} did not converge in {_MAX_ITER} iterations "
+                           f"(last update {updates[-1]:.3e}, measured factors {factors[-3:]})")
+
 # one-sided trace offset from a corner wavefront's jump radius
 _BANK = 1e-9
 
@@ -65,12 +86,6 @@ class WindowPlan:
     t_end: float
     contraction_bound: float
     delta: float
-
-    def __post_init__(self):
-        if self.contraction_bound >= 1.0:
-            raise ConvergenceError(
-                f"window at t_start = {self.t_start:.6g} is not a certified contraction: "
-                f"bound {self.contraction_bound:.6g} >= 1")
 
     @property
     def length(self) -> float:
@@ -390,8 +405,8 @@ def apply_L(h: np.ndarray, ws: _Workspace, out=None) -> np.ndarray:
 def solve_window(hdata: HData, front, window: WindowPlan,
                  scale: float = 1.0) -> FieldPatch:
     """Picard-iterate the window operator from the free solution until the
-    sup-norm update drops below ``_TOL``.  The iterate and the update swap
-    between two buffers."""
+    sup-norm update drops below ``_TOL`` (:func:`fixed_point`).  The
+    iterate and the update swap between two buffers."""
     front_local = front.window(window.t_start, window.t_end)
     ws = _Workspace(hdata, front_local, window)
     lat = ws.lattice
@@ -399,31 +414,18 @@ def solve_window(hdata: HData, front, window: WindowPlan,
     h = ws.free_grid.copy()
     h[:, 0] = ws.z_col
     spare, change = ws.spare, ws.change
-    residuals = []
-    for it in range(1, _MAX_ITER + 1):
+
+    def sweep():
+        nonlocal h, spare
         h_new = apply_L(h, ws, spare)
         np.subtract(h_new, h, out=change)
         np.abs(change, out=change)
-        res = float(change.max())
-        residuals.append(res)
         h, spare = h_new, h
-        if res < _TOL:
-            break
-    else:
-        measured = residuals[-1] / residuals[-2] if len(residuals) > 1 and residuals[-2] else np.nan
-        raise ConvergenceError(
-            f"window at t = {window.t_start:.6g} did not converge in {_MAX_ITER} "
-            f"iterations (last update {residuals[-1]:.3e}, measured factor {measured:.3f})")
+        return float(change.max())
 
-    measured = [residuals[i + 1] / residuals[i] for i in range(len(residuals) - 1)
-                if residuals[i] > 0]
+    diag = fixed_point(sweep, f"window at t = {window.t_start:.6g}")
+    diag["contraction_bound"] = window.contraction_bound
     lat.values = h
-    diag = {
-        "iterations": len(residuals),
-        "final_update": residuals[-1],
-        "contraction_bound": window.contraction_bound,
-        "measured_factor": max(measured) if measured else 0.0,
-    }
     return FieldPatch(lattice=lat, window=window, hdata=hdata, scale=scale, F=ws.kern * h,
                       diagnostics=diag)
 

@@ -7,7 +7,7 @@ from debondsim.energy_audit import (
     _release_rate, _rim_power, _row_radial_integrals, audit, debond_dissipation,
 )
 from debondsim import prescribed, quadrature
-from debondsim.fields import ProblemData, Profile, Toughness, kappa_eval, to_h_data
+from debondsim.fields import ProblemData, Profile, Toughness, to_h_data
 from debondsim.geometry import FrontCurve, GeometryError, corner_wavefronts
 from debondsim.griffith import run
 from debondsim.prescribed import FieldPatch, locate_patch, march
@@ -143,8 +143,9 @@ def test_debond_dissipation_array_matches_scalar_calls():
 
 def test_debond_dissipation_matches_an_exactly_summed_simpson_rule():
     # the two-piece front above: every time's Simpson panels, on the same
-    # nodes, summed exactly with math.fsum, agree with the array call's
-    # ordered sums to float64 resolution
+    # nodes and each piece at its own toughness on its closed interval,
+    # summed exactly with math.fsum, agree with the array call's ordered
+    # sums to float64 resolution
     front = FrontCurve(np.array([0.0, 0.3, 1.5]), np.array([1.0, 1.0, 1.6]), 3.0)
     tough = Toughness.from_pieces([(1.0, Profile.affine(1.0, 0.3)),
                                    (1.3, Profile.constant(2.0))], R=3.0)
@@ -153,14 +154,50 @@ def test_debond_dissipation_matches_an_exactly_summed_simpson_rule():
     for t, value in zip(times, got):
         rho = float(front.rho(t))
         panels = []
-        for a, b in ((1.0, min(rho, 1.3)), (1.3, rho)):
+        for a, b, kappa in ((1.0, min(rho, 1.3), tough.pieces[0]), (1.3, rho, tough.pieces[1])):
             if b <= a:
                 continue
             xs = np.linspace(a, b, 129)
-            ys = (3.0 - xs) * kappa_eval(tough, xs)
+            ys = (3.0 - xs) * kappa(xs)
             panels += list((ys[:-2:2] + 4 * ys[1:-1:2] + ys[2::2]) * ((b - a) / 128) / 3.0)
         exact = 2.0 * math.pi * math.fsum(panels)
         assert abs(value - exact) <= 1e-15 * exact, t
+
+
+def test_debond_dissipation_across_a_breakpoint_is_exact_for_constant_pieces():
+    # (R - r) kappa is linear on each constant piece, so Simpson's rule is
+    # exact there; a piece's last node sits on the next breakpoint and must
+    # take its own piece's toughness, not the next one's
+    R, kappas, b = 2.0, (0.5, 2.0), 1.2
+    front = FrontCurve.affine(1.0, 0.5, 1.0, R)
+    tough = Toughness.from_pieces([(1.0, Profile.constant(kappas[0])),
+                                   (b, Profile.constant(kappas[1]))], R=R)
+    for t in (0.6, 0.75, 1.0):
+        rho = float(front.rho(t))
+        exact = 2.0 * math.pi * sum(k * (R * (hi - lo) - (hi * hi - lo * lo) / 2.0)
+                                    for k, lo, hi in ((kappas[0], 1.0, b), (kappas[1], b, rho)))
+        assert debond_dissipation(front, tough, t) == pytest.approx(exact, rel=1e-12), t
+
+
+def test_run_edp_converges_past_a_toughness_breakpoint():
+    # rim_debond's data: the front crosses rho = 1.3 near t = 0.45, and the
+    # energy balance at fixed times past the crossing must keep converging
+    # under refinement, not plateau at a dissipation overcount
+    R = 2.0
+    data = ProblemData(R=R, rho0=1.0, alpha=0.0, horizon=0.8, w=Profile.zero(),
+                       v0=Profile.sine_bump(0.9, 1.0), v1=Profile.constant(-0.8))
+    tough = Toughness.from_pieces([(1.0, Profile.constant(0.02)),
+                                   (1.3, Profile.constant(0.05))], R=R)
+    residual = {}
+    for delta in (1.0 / 128, 1.0 / 256):
+        res = run(data, tough, horizon=0.8, delta=delta)
+        assert res.t_star >= 0.75 and float(res.front.rho(0.625)) > 1.3
+        led = audit(res.patches, res.front, data, tough)
+        rows = [round(t / delta) for t in (0.625, 0.75)]
+        assert np.allclose(led.times[rows], (0.625, 0.75), rtol=0.0, atol=1e-12)
+        residual[delta] = np.abs(led.edp_residual[rows])
+    for coarse, fine in zip(residual[1.0 / 128], residual[1.0 / 256]):
+        assert coarse >= 1.5 * fine, (coarse, fine)
 
 
 # -- energy rate and boundary power --------------------------------------------

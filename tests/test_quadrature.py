@@ -423,7 +423,7 @@ def test_one_strip_plan_per_coupled_window(monkeypatch):
     monkeypatch.setattr(StripWorkspace, "cone_integrals", counted)
     ws = StripWorkspace(to_h_data(data), Toughness.constant(0.1, rho0=1.0, R=3.0),
                         0.25, 12, 1.0 / 64)
-    solve_coupled_window(ws, M=1e3, t_start=0.0)
+    solve_coupled_window(ws, t_start=0.0)
     assert len(sweeps) > 2
     assert [name for name, _, _ in log] == ["ConePlan"]
 
