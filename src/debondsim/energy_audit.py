@@ -33,7 +33,7 @@ from typing import List
 
 import numpy as np
 
-from .fields import ProblemData, Toughness, kappa_eval, release_rate, v_from_h
+from .fields import ProblemData, Profile, Toughness, kappa_eval, release_rate, v_from_h
 from .geometry import corner_wavefronts
 from .prescribed import FieldPatch
 
@@ -96,44 +96,24 @@ def _global_rows(patches: List[FieldPatch]):
 def debond_dissipation(front, tough: Toughness, t):
     """Energy spent breaking the bond from the initial width to rho(t).
 
-    Each toughness piece is integrated with its own profile on its closed
-    interval: the right-continuous :func:`~debondsim.fields.kappa_eval`
-    would give the last Simpson node, on the next breakpoint, the next
-    piece's toughness.
-
-    t may be an array: every time integrates its pieces with the same
-    Simpson nodes as alone, in one pass per toughness piece.  A piece's
-    64 Simpson panels are summed in one fixed order for every time: eight
-    running sums along the panel axis, each over every eighth panel, joined
-    as a balanced tree (numpy's pairwise order for a row of 64, spelled
-    out), so each time gets the value of its scalar call to the last bit.
-    The lanes are written out because ``terms.sum(axis=1)`` on a batch of
-    times does not reduce a row in numpy's 1-D order: on front_kkt that
-    sum moves ``D_debond`` by up to 1.2e-15 and the balance residual by up
-    to 1.8e-15 from the scalar calls.
+    D(t) = 2 pi int (R - r) kappa(r) dr from rho0 to rho(t).  Each toughness
+    piece [a, b) is a :class:`~debondsim.fields.Profile` on [a, b] whose
+    cumulative is read at rho(t) clipped to [a, b], so the piece's end keeps
+    its own toughness, not the next piece's as the right-continuous
+    :func:`~debondsim.fields.kappa_eval` would give; the sum stops at the
+    first piece rho(t) never passes.  An array t equals its scalar calls.
     """
     scalar = np.ndim(t) == 0
     rho_t = np.atleast_1d(np.asarray(front.rho(t), dtype=float))
-    rho0 = front.rho0
     R = tough.R
-    n = 64  # Simpson panels per piece: eight lanes of eight
-    # piece m runs from knots[m] to the next knot or rho(t), when it starts
-    # below rho(t); a breakpoint at rho(t) itself starts no piece
-    knots = [rho0] + [float(b) for b in tough.breakpoints if b > rho0] + [np.inf]
+    knots = [front.rho0] + [float(b) for b in tough.breakpoints if b > front.rho0] + [R]
     total = np.zeros(rho_t.shape)
-    for a, b_next in zip(knots[:-1], knots[1:]):
-        live = rho_t > max(a, rho0 + 1e-15)
-        if not live.any():
+    for a, b in zip(knots[:-1], knots[1:]):
+        if not (rho_t > a).any():
             break
-        b = np.minimum(b_next, rho_t[live])
-        xs = np.linspace(np.full(b.shape, a), b, 2 * n + 1, axis=-1)
         kappa = tough.pieces[int(tough.piece_index(a))]
-        ys = (R - xs) * kappa(np.minimum(xs, R - 1e-12))
-        hstep = (b - a) / (2 * n)
-        terms = (ys[:, :-2:2] + 4 * ys[:, 1:-1:2] + ys[:, 2::2]) * hstep[:, None] / 3.0
-        lane = np.cumsum(terms.reshape(-1, 8, n // 8), axis=1)[:, -1]
-        total[live] += (((lane[:, 0] + lane[:, 1]) + (lane[:, 2] + lane[:, 3]))
-                        + ((lane[:, 4] + lane[:, 5]) + (lane[:, 6] + lane[:, 7])))
+        piece = Profile(lambda r: (R - r) * kappa(np.minimum(r, R - 1e-12)), domain=(a, b))
+        total += piece.cumint(np.minimum(np.maximum(rho_t, a), b))
     out = 2.0 * math.pi * total
     return float(out[0]) if scalar else out
 

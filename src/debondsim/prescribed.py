@@ -351,16 +351,16 @@ class FieldPatch:
 
 class _Workspace:
     """Grids shared by all Picard sweeps of one window: the lattice, the
-    free solution at every node, the kernel prefactor row, the rim column,
-    the window's cone plan and the sweeps' buffers.  The free grid costs one
+    free solution at every node, the kernel prefactor row, the window's
+    cone plan and the sweeps' buffers.  The free grid costs one
     evaluation of the traveling-wave branches per characteristic of the
     lattice, not one per node (:func:`~debondsim.dalembert.free_solution`);
     the patch keeps only the data and reads the same branches for its traces.
     The plan (:class:`~debondsim.quadrature.LatticeConePlan`) caches what
     the window's front fixes (the omega cut of every anti-diagonal, the
-    rim-echo and outside nodes) and the cone sum's work arrays.  A sweep of
-    :func:`solve_window` writes the kernel field into the plan's own field,
-    the update into ``spare`` and its change into ``change``, so it
+    rim-echo and outside nodes), the field it sums and its work arrays.  A
+    sweep of :func:`solve_window` writes the kernel field into the plan's
+    field, the update into ``spare`` and its change into ``change``, so it
     allocates no lattice-sized array.  The workspace lives for one window:
     it is dropped when the window is solved, and the patch keeps no
     reference to it, because patches outlive their windows and would each
@@ -374,31 +374,28 @@ class _Workspace:
         sigma = np.minimum(lat.radii, hdata.R - 1e-9)
         kern_row = kernel_prefactor(sigma, hdata.R, hdata.alpha)
         self.kern = np.where(lat.radii < hdata.R - 1e-9, kern_row, 0.0)[None, :]
-        self.z_col = np.asarray(hdata.z(lat.times), dtype=float)
         self.cone = LatticeConePlan(lat)
         self.spare, self.change = np.empty(lat.inside.shape), np.empty(lat.inside.shape)
 
 
 def apply_L(h: np.ndarray, ws: _Workspace, out=None) -> np.ndarray:
     """One application of the window operator: free solution plus half the
-    cone integral of the kernel field, boundary and initial rows reimposed.
-    The kernel field goes straight into the cone plan's field, and the
-    result into ``out`` (a lattice-shaped array other than h) when given,
-    else into a fresh array.
+    cone integral of the kernel field.  The kernel field goes straight into
+    the cone plan's field, ``ws.cone.values``, which the cone sum reads, and
+    the result into ``out`` (a lattice-shaped array other than h) when
+    given, else into a fresh array.
 
     h must be 0 outside the domain, as every iterate of
     :func:`solve_window` is; the result is 0 there too, so nothing is
-    masked: the cone plan zeroes its sums outside, the free grid is 0
-    there, column 0 (the rim data) is always inside, and row 0 is the free
-    grid's."""
-    lat = ws.lattice
-    F = ws.cone.values
-    np.multiply(ws.kern, h, out=F)
-    out = cone_integrals_batch(lat, F, ws.cone, out)
+    masked: the cone plan zeroes its sums outside and the free grid is 0
+    there.  Nor is a boundary row rewritten: the cone sum is exactly 0 on
+    row 0, which has no cone, and on the rim column, where a node's cone is
+    its own rim echo and is removed whole, so both rows keep the free
+    grid's values, h0 on row 0 and z(t), to rounding, on the rim."""
+    np.multiply(ws.kern, h, out=ws.cone.values)
+    out = cone_integrals_batch(ws.lattice, ws.cone, out)
     out *= 0.5
     out += ws.free_grid
-    out[:, 0] = ws.z_col
-    out[0, :] = ws.free_grid[0, :]
     return out
 
 
@@ -412,7 +409,6 @@ def solve_window(hdata: HData, front, window: WindowPlan,
     lat = ws.lattice
 
     h = ws.free_grid.copy()
-    h[:, 0] = ws.z_col
     spare, change = ws.spare, ws.change
 
     def sweep():

@@ -57,7 +57,7 @@ diagonal cumulatives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,16 +72,16 @@ from .geometry import GeometryError, _asarray
 class CharLattice:
     """Characteristic-aligned lattice (dt = dr) over one solver window.
 
-    ``values`` holds the field at nodes; nodes beyond the front carry 0
-    (the standard extension).  Columns extend past the front far enough to
-    cover every dependence cone of an interior node, so cone sums never
-    leave the array.
+    Columns extend past the front far enough to cover every dependence cone
+    of an interior node, so cone sums never leave the array.  ``values``,
+    the field at the nodes (0 beyond the front, the standard extension), is
+    set by ``prescribed.solve_window`` to its window's converged field.
     """
 
     front: object  # window-local front, t in [0, nt*delta]
     delta: float
     nt: int
-    values: np.ndarray = None
+    values: np.ndarray = field(init=False)
 
     def __post_init__(self):
         T = self.nt * self.delta
@@ -91,12 +91,6 @@ class CharLattice:
         self.rho_rows = np.asarray(self.front.rho(self.times), dtype=float)
         self.j_ext = int(math.ceil((T + float(np.max(self.rho_rows))) / self.delta - 1e-9)) + 1
         self.inside = self.radii[None, :] <= self.rho_rows[:, None] + 1e-12
-        if self.values is None:
-            self.values = np.zeros((self.nt + 1, self.j_ext + 1))
-        shape = (self.nt + 1, self.j_ext + 1)
-        if self.values.shape != shape:
-            raise GeometryError(f"lattice values must have shape {shape}, "
-                                f"not {self.values.shape}")
 
     @property
     def times(self) -> np.ndarray:
@@ -105,9 +99,6 @@ class CharLattice:
     @property
     def radii(self) -> np.ndarray:
         return np.arange(self.j_ext + 1) * self.delta
-
-    def blank(self) -> np.ndarray:
-        return np.zeros((self.nt + 1, self.j_ext + 1))
 
     def masked(self, arr: np.ndarray) -> np.ndarray:
         return np.where(self.inside, arr, 0.0)
@@ -172,13 +163,15 @@ def _sheared(values: np.ndarray, signs) -> np.ndarray:
     ``signs`` (+1 for +45, -1 for -45): S[l, f, q] is row l of family
     signs[f] on the line r - sgn*t = (q - q0)*delta, with q0 = nt for +45
     and 0 for -45.  Node (l, j) goes to q = j - sgn*l + q0; slots off the
-    lattice's columns are 0.
+    lattice's columns are 0.  Each family is written through one strided
+    view of S (:func:`_view`), as the cone plan writes its field.
     """
     nt, jx = values.shape[0] - 1, values.shape[1] - 1
-    ii = np.arange(nt + 1)[:, None]
-    S = np.zeros((nt + 1, len(signs), nt + jx + 1))
+    W = nt + jx + 1
+    S = np.zeros((nt + 1, len(signs), W))
     for f, sgn in enumerate(signs):
-        S[ii, f, np.arange(jx + 1) - sgn * ii + (nt if sgn > 0 else 0)] = values
+        at = f * W + (nt if sgn > 0 else 0)
+        _view(S, at, values.shape, (len(signs) * W - sgn, 1), True)[...] = values
     return S
 
 
@@ -350,8 +343,8 @@ class LatticeConePlan:
     The plan holds the cut, the rim-echo and outside indices and the
     sheared field, on top of the kernel's work arrays; a window builds one
     and drops it with the window.  ``values`` is the sheared field seen at
-    the lattice nodes, a writable view: a caller that writes its field there
-    and passes the view saves the copy.
+    the lattice nodes, a writable view, and the only way in: the caller
+    writes its field H there and then calls the plan.
     """
 
     def __init__(self, lat: CharLattice):
@@ -373,9 +366,7 @@ class LatticeConePlan:
         self._rim = (i_b - j_b) * (jx + 1)
         self._outside = ~lat.inside
 
-    def __call__(self, values: np.ndarray, out=None) -> np.ndarray:
-        if values is not self.values:
-            self.values[...] = values
+    def __call__(self, out=None) -> np.ndarray:
         self._kernel._sums(self._field)
         J = self._kernel._phi(self._nodes, self.shape, out)
         flat = J.ravel()
@@ -384,18 +375,15 @@ class LatticeConePlan:
         return J
 
 
-def cone_integrals_batch(lat: CharLattice, values: np.ndarray,
-                         plan: LatticeConePlan, out=None) -> np.ndarray:
+def cone_integrals_batch(lat: CharLattice, plan: LatticeConePlan, out=None) -> np.ndarray:
     """Phi[H] at every lattice node inside the domain (0 outside), through
-    ``plan``, the :class:`LatticeConePlan` built for ``lat``, written into
-    ``out`` when given (an array of the lattice's shape) and else into a
-    fresh array.  The lattice comes first because it names the call: the
-    benchmark's layer timing divides this function's time by the nodes of
-    its first argument."""
-    if values.shape != plan.shape:
-        raise GeometryError(f"cone integrals of a field of shape {values.shape} "
-                            f"on a plan for shape {plan.shape}")
-    return plan(values, out)
+    ``plan``, the :class:`LatticeConePlan` built for ``lat``, of the field H
+    the caller wrote into ``plan.values``; written into ``out`` when given
+    (an array of the lattice's shape) and else into a fresh array.  The
+    lattice comes first because it names the call: the benchmark's layer
+    timing divides this function's time by the nodes of its first
+    argument."""
+    return plan(out)
 
 
 # ---------------------------------------------------------------------------

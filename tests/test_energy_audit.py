@@ -141,27 +141,27 @@ def test_debond_dissipation_array_matches_scalar_calls():
     assert got[0] == 0.0 and np.all(np.diff(got[:-1]) >= 0.0)
 
 
-def test_debond_dissipation_matches_an_exactly_summed_simpson_rule():
-    # the two-piece front above: every time's Simpson panels, on the same
-    # nodes and each piece at its own toughness on its closed interval,
-    # summed exactly with math.fsum, agree with the array call's ordered
-    # sums to float64 resolution
-    front = FrontCurve(np.array([0.0, 0.3, 1.5]), np.array([1.0, 1.0, 1.6]), 3.0)
-    tough = Toughness.from_pieces([(1.0, Profile.affine(1.0, 0.3)),
-                                   (1.3, Profile.constant(2.0))], R=3.0)
-    times = np.concatenate((np.linspace(0.35, 1.5, 24), [0.9]))
+def test_debond_dissipation_matches_the_closed_form_across_a_breakpoint():
+    # kappa = 0.02 + 0.03 r on [1, 1.3), then 0.05, under rho = 1 + 0.9 t:
+    # one array call at 200 times, before, at and past the breakpoint, against
+    # the closed form of 2 pi int (R - r) kappa dr
+    R, b = 2.0, 1.3
+    front = FrontCurve.affine(1.0, 0.9, 1.1, R)
+    tough = Toughness.from_pieces([(1.0, Profile.affine(0.02, 0.03)),
+                                   (b, Profile.constant(0.05))], R=R)
+
+    def prim(r, k0, k1):  # an antiderivative of (R - r) (k0 + k1 r)
+        return k0 * R * r + (k1 * R - k0) * r * r / 2.0 - k1 * r ** 3 / 3.0
+
+    times = np.linspace(0.0, 1.1, 200)
     got = debond_dissipation(front, tough, times)
-    for t, value in zip(times, got):
-        rho = float(front.rho(t))
-        panels = []
-        for a, b, kappa in ((1.0, min(rho, 1.3), tough.pieces[0]), (1.3, rho, tough.pieces[1])):
-            if b <= a:
-                continue
-            xs = np.linspace(a, b, 129)
-            ys = (3.0 - xs) * kappa(xs)
-            panels += list((ys[:-2:2] + 4 * ys[1:-1:2] + ys[2::2]) * ((b - a) / 128) / 3.0)
-        exact = 2.0 * math.pi * math.fsum(panels)
-        assert abs(value - exact) <= 1e-15 * exact, t
+    rho = 1.0 + 0.9 * times
+    first = np.minimum(rho, b)
+    exact = 2.0 * math.pi * (prim(first, 0.02, 0.03) - prim(1.0, 0.02, 0.03)
+                             + prim(np.maximum(rho, b), 0.05, 0.0) - prim(b, 0.05, 0.0))
+    assert got[0] == 0.0
+    err = np.abs(got - exact)
+    assert np.all(err <= 1e-12 * exact), np.max(err[1:] / exact[1:])
 
 
 def test_debond_dissipation_across_a_breakpoint_is_exact_for_constant_pieces():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from debondsim.fields import (
-    CompatibilityError, Profile, ProblemData, Toughness,
+    CompatibilityError, HData, Profile, ProblemData, Toughness,
     kappa_eval, kernel_prefactor, to_h_data, v_from_h,
 )
 
@@ -134,6 +134,41 @@ def test_compatibility_enforced():
     with pytest.raises(CompatibilityError):
         ProblemData(R=2.0, rho0=1.0, alpha=0.0, horizon=1.0,
                     w=Profile.zero(), v0=Profile.constant(1.0), v1=Profile.zero())
+
+
+def _h_data(z=Profile.zero(), h0=Profile.zero()):
+    return HData(R=2.0, rho0=1.0, alpha=0.0, z=z, h0=h0, h1=Profile.zero())
+
+
+def _data(rho0=1.0, alpha=0.0, v0=Profile.zero()):
+    return ProblemData(R=2.0, rho0=rho0, alpha=alpha, horizon=1.0, w=Profile.zero(), v0=v0,
+                       v1=Profile.zero())
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: _data(rho0=2.5), r"need 0 < rho0 < R"),
+    (lambda: _data(alpha=-0.1), r"damping coefficient must be nonnegative"),
+    (lambda: _data(v0=Profile.affine(0.0, 1.0)), r"v0 must vanish at the front"),
+    (lambda: _h_data(z=Profile.constant(1.0)), r"h0\(0\) must equal z\(0\)"),
+    (lambda: _h_data(h0=Profile.affine(0.0, 1.0)), r"h0 must vanish at the front"),
+    (lambda: to_h_data(_data(v0=Profile.from_samples([0.0, 0.5, 1.0], [0.0, 0.2, 0.0]))),
+     r"v0 and w must come with derivatives"),
+    (lambda: Toughness(np.array([1.0, 1.5]), (Profile.constant(1.0),), R=3.0),
+     r"need one piece per breakpoint"),
+    (lambda: Toughness.from_pieces([(1.5, Profile.constant(1.0)), (1.0, Profile.constant(2.0))],
+                                   R=3.0), r"strictly increasing"),
+    (lambda: Toughness.from_pieces([(1.0, Profile.constant(1.0)), (3.0, Profile.constant(2.0))],
+                                   R=3.0), r"stay below R"),
+    (lambda: Profile(np.sin).deriv(0.5), r"this profile has no derivative"),
+    (lambda: Profile(np.sin).cumint(0.5),
+     r"cannot cache a cumulative integral on an unbounded domain"),
+])
+def test_inadmissible_data_raise_a_named_error(call, message):
+    # every admissibility check of the data, the toughness and the profiles
+    # is a ValueError (CompatibilityError for the corner conditions) that
+    # names the invariant it guards
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_to_h_data_zero():

@@ -60,6 +60,19 @@ def test_rejects_front_reaching_rim():
         FrontCurve(np.array([0.0, 1.0]), np.array([1.0, 3.0]), 3.0)
 
 
+@pytest.mark.parametrize("t, rho, message", [
+    ([0.0], [1.0], r"at least two \(t, rho\) knots"),
+    ([0.1, 1.0], [1.0, 1.2], r"start at t = 0"),
+    ([0.0, 4.0], [1.0, 3.0], r"inside the outer radius R"),
+    ([0.0, 1.0], [0.0, 0.5], r"initial front width must be positive"),
+])
+def test_inadmissible_knots_raise_a_named_error(t, rho, message):
+    # subsonic, nondecreasing and ordered knots pass, so the check that
+    # fires is the one named
+    with pytest.raises(GeometryError, match=message):
+        FrontCurve(np.array(t), np.array(rho), 3.0)
+
+
 # -- basic maps -------------------------------------------------------------
 
 def test_phi_constant_front():

@@ -507,6 +507,14 @@ def test_run_refuses_a_stop_margin_below_the_step():
     assert float(res.front.rho(res.t_star)) >= 2.0 - delta - 1e-12
 
 
+@pytest.mark.parametrize("horizon", [0.0, -0.1])
+def test_run_refuses_a_horizon_below_one_step(horizon):
+    data = bump_data()
+    tough = Toughness.constant(1.0, rho0=1.0, R=3.0)
+    with pytest.raises(ValueError, match="horizon must cover at least one lattice step"):
+        run(data, tough, horizon=horizon, delta=1.0 / 64)
+
+
 def test_run_full_debonding_small_kappa():
     data = bump_data(amp=0.9, v1=Profile.constant(-0.8), R=2.0)
     tough = Toughness.constant(0.02, rho0=1.0, R=2.0)
@@ -536,7 +544,9 @@ def test_run_invariants_on_random_data(amp, alpha, v1, delta, pieces):
     # The complementarity residual stays below 0.2 of max(G0, kappa): the
     # largest ratio was 0.034 over 1,100 draws of this strategy, and 0.099
     # over 1,200 draws with log-uniform kappa (delta = 1/32); every one of
-    # those runs finished
+    # those runs finished.  The energy balance holds to 0.02 of the energy
+    # scale (max_rel_edp): the largest was 2.7e-3 over these 25 draws and
+    # 5.9e-3 over 400 undirected draws of the same strategy
     data = bump_data(R=2.0, alpha=alpha, amp=amp, v1=Profile.constant(v1))
     tough = Toughness.from_pieces([(b, Profile.constant(k)) for b, k in pieces], R=2.0)
     try:
@@ -558,3 +568,4 @@ def test_run_invariants_on_random_data(amp, alpha, v1, delta, pieces):
     assert all(a.t1 == pytest.approx(b.t0, abs=1e-12) for a, b in zip(p[:-1], p[1:]))
     led = audit(res.patches, res.front, data, tough)
     assert np.max(led.kkt_residual / np.maximum(led.G0, led.kappa_front)) <= 0.2
+    assert led.max_rel_edp <= 0.02

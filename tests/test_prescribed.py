@@ -149,7 +149,7 @@ def test_apply_L_zero():
     front = FrontCurve.constant(1.0, 3.0, 3.0)
     plan = plan_windows(front, 0.0, 0, 8, delta=1.0 / 32)[0]
     ws = _Workspace(hd, front.window(0.0, 0.25), plan)
-    out = apply_L(ws.lattice.blank(), ws)
+    out = apply_L(np.zeros(ws.lattice.inside.shape), ws)
     assert np.all(out == 0.0)
 
 
@@ -170,7 +170,7 @@ def test_measured_contraction_below_bound():
         assert (longer > 0.5) == by_bound
         ws = _Workspace(hd, front.window(plan.t_start, plan.t_end), plan)
         rng = np.random.default_rng(17)
-        shape = ws.lattice.values.shape
+        shape = ws.lattice.inside.shape
         for k in range(20):
             d12 = rng.normal(size=shape) if k < 19 else np.ones(shape)
             d12[0, :] = 0.0
@@ -449,6 +449,10 @@ def test_evaluate_outside_raises():
         evaluate_field(patches, 0.1, 1.5)
     with pytest.raises(GeometryError, match=r"time 0\.9 .*\[0, 0\.25\]"):
         evaluate_field(patches, 0.9, 0.5)
+    # before the first window the patch search stops at once
+    with pytest.raises(GeometryError,
+                       match=r"time -0\.1 is outside the solved windows \[0, 0\.25\]"):
+        evaluate_field(patches, -0.1, 0.5)
     with pytest.raises(GeometryError, match=r"\(t, r\) = \(0\.1, -0\.1\).*\[0, 1\]"):
         evaluate_field(patches, 0.1, -0.1)
 
