@@ -15,8 +15,8 @@ updates on a diagonal strip hugging the front: the field update (free
 solution plus half the cone integral, cut off at the front) and the rate
 update (the cumulative trapezoid of omega' over the strip's
 anti-diagonals).  The pair contracts in the product metric max(L2 field
-distance, sup omega distance) once the strip is narrow enough; its width
-comes from analytic sufficiency bounds alone (:func:`_seed_width`), and its
+distance, sup omega distance) once the strip is narrow enough; one band
+bound on the data sets its width (:func:`_seed_width`), and its
 contraction is measured, not certified.  It stops by the rule of the
 prescribed Picard iteration, :func:`~debondsim.prescribed.fixed_point`; a
 strip that does not converge raises ConvergenceError naming its window's t.
@@ -152,9 +152,6 @@ class StripWorkspace:
         self.eta = self.cone_eta[m:]
         self.cone = ConePlan(self.L, m, delta)
 
-    def blank(self) -> np.ndarray:
-        return np.zeros((self.L + 1, self.m + 1))
-
     # -- induced front ------------------------------------------------------
 
     def straight_front(self, slope: float) -> np.ndarray:
@@ -268,7 +265,7 @@ def solve_coupled_window(ws: StripWorkspace, t_start: float):
     tolerance of :func:`~debondsim.prescribed.fixed_point`."""
     # start from the straight front at the data's rate at t = 0
     om = ws.straight_front(_start_slope(ws.hd, ws.tough))
-    h = ws.psi1(ws.blank(), om)  # free solution on the strip
+    h = np.where(ws.inside_mask(om), ws.free_solution(om), 0.0)
 
     def sweep():
         nonlocal h, om
@@ -287,37 +284,26 @@ def solve_coupled_window(ws: StripWorkspace, t_start: float):
 # window sizing
 # ---------------------------------------------------------------------------
 
-def _band_integrals(hd: HData, y: float):
+def _band_integral(hd: HData, y: float) -> float:
+    """The integral of (h0' - h1)^2 over the band [rho0 - y, rho0]."""
     ss = np.linspace(hd.rho0 - y, hd.rho0, 257)
-    h0d, h1 = hd.h0.deriv(ss), hd.h1(ss)
-    absum = np.abs(h0d) + np.abs(h1)
-    sqsum = (h0d - h1) ** 2
-    return float(np.trapezoid(absum, ss)), float(np.trapezoid(sqsum, ss))
+    return float(np.trapezoid((hd.h0.deriv(ss) - hd.h1(ss)) ** 2, ss))
 
-def _seed_width(hd: HData, tough: Toughness, T: float, M: float,
-                delta: float, y_cap: float) -> int:
-    """Largest strip width m, from floor(y_cap / delta) down by factors of
-    two, passing the analytic self-map bounds for a field of sup norm M.
+
+def _seed_width(hd: HData, tough: Toughness, T: float, delta: float) -> int:
+    """Largest strip width m, from floor(T / delta) down by factors of
+    two, whose band y = m delta passes the band bound
+    y + int_{rho0 - y}^{rho0} (h0' - h1)^2 / (2 c1 (R - rho0 - T)) <= T.
     The strip keeps this width: its contraction is measured by the fixed
     point, not certified, and a strip that does not converge raises
     ConvergenceError naming its window's t."""
-    R, alpha = hd.R, hd.alpha
-    rho_max = hd.rho0 + T
     # positive: run takes T <= 0.9 (R - rho0) + 1e-9 delta, or one row
     # when that is shorter, and keeps R - rho0 > stop_margin >= delta
-    gap = R - hd.rho0 - T
-    m = max(1, int(math.floor(y_cap / delta)))
-    while m > 1:
-        y = m * delta
-        int_abs, int_sq = _band_integrals(hd, y)
-        bound1 = int_abs + 0.125 * (alpha ** 2 + 1.0 / (R - rho_max) ** 2) * M * T * y
-        bound2 = (y + int_sq / (2.0 * tough.c1 * gap)
-                  + (M * T) ** 2 * (alpha ** 2 + 1.0 / gap ** 2) ** 2
-                  / (32.0 * tough.c1 * gap) * y)
-        if bound1 <= M and bound2 <= T:
-            break
+    gap = hd.R - hd.rho0 - T
+    m = max(1, int(math.floor(T / delta)))
+    while m > 1 and m * delta + _band_integral(hd, m * delta) / (2.0 * tough.c1 * gap) > T:
         m //= 2
-    return max(1, m)
+    return m
 
 
 def _strip_rows(slope: float, m: int, L: int, rows_left: int) -> int:
@@ -410,7 +396,7 @@ def run(data: ProblemData, tough: Toughness, horizon: float,
     ``strip_rows`` and whether it was ``regrown``.  The window then
     extends the run's patches over the produced front by certified
     prescribed windows, and re-bases the data from the last of them for
-    the next window.  The strip's width comes from the analytic bounds of
+    the next window.  The strip's width comes from the band bound of
     :func:`_seed_width` alone; its contraction is measured, not certified.
     Both fixed points stop by :func:`~debondsim.prescribed.fixed_point`, so
     a strip that does not converge raises ConvergenceError naming its
@@ -459,10 +445,7 @@ def run(data: ProblemData, tough: Toughness, horizon: float,
         later = tough.breakpoints[tough.breakpoints > rho_bar + 1e-12]
         b_next = float(later[0]) if len(later) else None
 
-        guess = _band_integrals(local, min(0.45 * rho_bar, local.rho0 - delta))[0]
-        M = 2.0 * max(guess, float(np.abs(local.h0(local.rho0 - 1e-9))), 1e-9)
-        m = _seed_width(local, tough, T, M, delta,
-                        y_cap=min(0.9 * local.rho0, T))
+        m = _seed_width(local, tough, T, delta)
 
         t0 = rows_done * delta
         rows_left = n_total - rows_done

@@ -391,3 +391,46 @@ def test_jump_radii_of_all_rows_match_the_row_loop():
         assert merged.tolist() == jump_radii_one_row(wf, t[k], rho[k])
     assert X[64].tolist() == [0.5, 0.5]
     assert jump_radii((), t, rho).shape == (t.size, 0)
+
+
+def _assert_segments(got, expected):
+    assert [s[2] for s in got] == [s[2] for s in expected]
+    for g, e in zip(got, expected):
+        assert np.max(np.abs(np.subtract((g[0], g[1], g[3]), (e[0], e[1], e[3])))) <= 1e-12, (g, e)
+
+
+def test_corner_wavefronts_reflect_off_an_affine_front():
+    # rho = 0.25 + 0.5 t: a '+' leg t - r = c meets the front at
+    # t = (c + rho0) / (1 - v) and leaves as a '-' leg with c' = t + rho(t);
+    # a '-' leg r = c - t reaches the rim at t = c and leaves as a '+' leg
+    # with the same c.  The corner at (0, rho0) bounces at the rim, meets
+    # the front at t = 1 (c' = 1.75) and is past phi(2) = 0.75 after its
+    # second rim bounce; the corner at (0, 0) meets the front at t = 0.5
+    # (c' = 1) and, after the rim, runs past phi(2) to the horizon
+    front = FrontCurve.affine(0.25, 0.5, 2.0, 3.0)
+    _assert_segments(corner_wavefronts(front, 2.0), [
+        (0.0, 0.25, "-", 0.25), (0.25, 1.0, "+", 0.25), (1.0, 1.75, "-", 1.75),
+        (1.75, 2.0, "+", 1.75),
+        (0.0, 0.5, "+", 0.0), (0.5, 1.0, "-", 1.0), (1.0, 2.0, "+", 1.0)])
+
+
+def test_corner_wavefronts_reflect_off_a_front_past_its_knot():
+    # rho = 0.25 + 0.5 t up to the knot (0.75, 0.625), then
+    # rho = 0.625 + 0.25 (t - 0.75) up to the horizon 2, where phi = 1.0625.
+    # The leg t - r = 0.25 would meet the first segment's line at t = 1, past
+    # the knot: it meets the second segment where
+    # t - 0.25 = 0.625 + 0.25 (t - 0.75), at t = 11/12 with rho = 2/3.  The
+    # leg t - r = 1 meets it at t = 23/12 with rho = 11/12
+    front = FrontCurve(np.array([0.0, 0.75, 2.0]), np.array([0.25, 0.625, 0.9375]), 3.0)
+
+    def meet(c):  # on the second segment
+        t = (c + 0.625 - 0.25 * 0.75) / (1.0 - 0.25)
+        return t, t + 0.625 + 0.25 * (t - 0.75)
+    t_a, c_a = meet(0.25)
+    t_b, c_b = meet(1.0)
+    assert (t_a, t_b) == pytest.approx((11 / 12, 23 / 12), abs=1e-15)
+    _assert_segments(corner_wavefronts(front, 2.0), [
+        (0.0, 0.25, "-", 0.25), (0.25, t_a, "+", 0.25), (t_a, c_a, "-", c_a),
+        (c_a, 2.0, "+", c_a),
+        (0.0, 0.5, "+", 0.0), (0.5, 1.0, "-", 1.0), (1.0, t_b, "+", 1.0),
+        (t_b, 2.0, "-", c_b)])

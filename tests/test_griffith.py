@@ -38,7 +38,7 @@ def test_lambda_rhs_stationary_branch():
     tough = Toughness.constant(100.0, rho0=1.0, R=3.0)  # far above the rate
     ws = make_workspace(data, tough)
     om = ws.straight_front(1.0)
-    h = ws.psi1(ws.blank(), om)
+    h = ws.psi1(np.zeros(ws.r_grid.shape), om)
     assert ws.rate_front(h, om).right[0] == pytest.approx(1.0)
 
 
@@ -52,7 +52,7 @@ def test_lambda_rhs_moving_branch():
     tough = Toughness.constant(g0 / 3.0, rho0=1.0, R=3.0)
     ws = make_workspace(data, tough)
     om = ws.straight_front(1.0)
-    h = ws.psi1(ws.blank(), om)
+    h = ws.psi1(np.zeros(ws.r_grid.shape), om)
     # at the start of the front t = 0: no line integral, data only
     slope = ws.rate_front(h, om).right[0]
     assert slope == pytest.approx(1.0 / 3.0, rel=1e-9)
@@ -65,7 +65,7 @@ def test_psi2_unit_slope_for_zero_field():
     tough = Toughness.constant(1.0, rho0=1.0, R=3.0)
     ws = make_workspace(data, tough)
     om0 = ws.straight_front(1.0)
-    om = ws.psi2(ws.blank(), om0)
+    om = ws.psi2(np.zeros(ws.r_grid.shape), om0)
     assert np.allclose(om, np.maximum(ws.cone_eta - 2.0 * ws.rho0, -ws.rho0), atol=1e-14)
 
 
@@ -75,7 +75,7 @@ def test_psi2_slope_at_least_one():
     tough = Toughness.constant(0.05, rho0=1.0, R=3.0)
     ws = make_workspace(data, tough)
     om0 = ws.straight_front(1.0)
-    h = ws.psi1(ws.blank(), om0)
+    h = ws.psi1(np.zeros(ws.r_grid.shape), om0)
     om = ws.psi2(h, om0)
     grow = np.diff(om[ws.m:]) / ws.delta
     assert np.all(grow > 0.0)
@@ -88,7 +88,7 @@ def test_psi1_zero_data_zero_field():
                        w=Profile.zero(), v0=Profile.zero(), v1=Profile.zero())
     tough = Toughness.constant(1.0, rho0=1.0, R=3.0)
     ws = make_workspace(data, tough)
-    assert np.all(ws.psi1(ws.blank(), ws.straight_front(1.0)) == 0.0)
+    assert np.all(ws.psi1(np.zeros(ws.r_grid.shape), ws.straight_front(1.0)) == 0.0)
 
 
 @pytest.mark.parametrize("slope", [0.6, 1.0])
@@ -118,7 +118,7 @@ def test_psi1_matches_prescribed_solver_on_strip():
     patches = march(data, front, horizon=0.25, delta=delta)
     ws = make_workspace(data, tough, T=0.25, m=12, delta=delta)
     om = ws.straight_front(1.0)  # the static front
-    h = ws.psi1(ws.blank(), om)
+    h = ws.psi1(np.zeros(ws.r_grid.shape), om)
     for _ in range(60):
         h = ws.psi1(h, om)
     for l in range(0, ws.L + 1, 4):
@@ -186,7 +186,7 @@ def test_start_slope_is_the_rate_on_a_blank_strip():
         for kappa in (0.01, 0.15, 1e6):
             tough = Toughness.constant(kappa, rho0=1.0, R=3.0)
             ws = make_workspace(data, tough, m=8)
-            g0 = ws.release_rate(ws.blank(), ws.straight_front(1.0))[0]
+            g0 = ws.release_rate(np.zeros(ws.r_grid.shape), ws.straight_front(1.0))[0]
             blank = float(griffith._slope(g0, griffith.kappa_eval(tough, ws.rho0 + 1e-9)))
             assert _start_slope(ws.hd, tough) == blank
 
@@ -211,6 +211,32 @@ def test_coupled_window_names_its_t_when_it_does_not_converge(monkeypatch):
                        r"in 3 iterations \(last update \d\.\d{3}e[-+]\d\d, measured factors "
                        r"\[0\.\d+, 0\.\d+\]\)"):
         solve_coupled_window(ws, t_start=0.375)
+
+
+def test_coupled_window_makes_one_cone_sum_per_iteration(monkeypatch):
+    # the strip starts from its free solution, which needs no cone sum:
+    # every strip cone sum belongs to a sweep of the fixed point
+    cones = []
+    solves = []
+    cone_integrals = StripWorkspace.cone_integrals
+
+    def counted_cone(ws, om, F):
+        cones.append(1)
+        return cone_integrals(ws, om, F)
+
+    def counted_solve(ws, t_start):
+        before = len(cones)
+        out = solve_coupled_window(ws, t_start)
+        solves.append((len(cones) - before, out[2]["iterations"]))
+        return out
+    monkeypatch.setattr(StripWorkspace, "cone_integrals", counted_cone)
+    monkeypatch.setattr(griffith, "solve_coupled_window", counted_solve)
+    data = bump_data(amp=0.4, alpha=0.5)
+    tough = Toughness.constant(0.15, rho0=1.0, R=3.0)
+    res = run(data, tough, horizon=0.375, delta=1.0 / 64)
+    assert len(solves) >= len(res.window_diagnostics) > 1
+    for calls, iterations in solves:
+        assert calls == iterations
 
 
 # -- full runs --------------------------------------------------------------------

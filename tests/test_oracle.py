@@ -178,3 +178,27 @@ def test_matches_representation_solver_moving():
         [patch.lattice.sample(patch.lattice.values, t - patch.t0, float(r)) for r in rs])
     gap = np.sqrt(np.mean((vals - sol.H[n]) ** 2))
     assert gap < 5e-3
+
+
+# -- checks on the reference's inputs -------------------------------------------
+
+def test_fixed_map_rejects_a_point_past_the_front():
+    f = FrontCurve.affine(1.0, 0.3, 0.5, 3.0)
+    with pytest.raises(GeometryError, match="point beyond the front"):
+        fixed_map(f, 0.2, float(f.rho(0.2)) + 1e-6)
+
+
+def test_solve_reference_rejects_a_horizon_past_the_front():
+    f = FrontCurve.affine(1.0, 0.3, 0.5, 3.0)
+    with pytest.raises(GeometryError, match="horizon exceeds the front domain"):
+        solve_reference(to_h_data(bump_data()), f, horizon=0.6, dy=0.25)
+
+
+def test_solve_reference_rounds_a_step_that_does_not_divide_rho0_up_to_one_that_does():
+    # rho0 / 0.3 is not whole: the grid takes ceil(rho0 / 0.3) = 4 cells,
+    # which is the dy = 0.25 grid, and the same history
+    hd = to_h_data(bump_data())
+    f = FrontCurve.affine(1.0, 0.3, 0.5, 3.0)
+    coarse = solve_reference(hd, f, horizon=0.5, dy=0.3)
+    assert coarse.y.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert np.array_equal(coarse.H, solve_reference(hd, f, horizon=0.5, dy=0.25).H)
