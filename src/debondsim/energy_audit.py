@@ -2,14 +2,13 @@
 
 :func:`audit` is the only route to these quantities: it fills an
 :class:`EnergyLedger` with every series on the global lattice rows, each
-computed once per solved patch in one batched call.  Derivative-bearing
-quantities (the release rate, the boundary power) are evaluated
-window-locally: the closed-form expressions hold for small times past the
-owning window's seam and use that window's data traces plus one
-characteristic line integral of the kernel field, never a numerical time
-difference.  The closed-form energy rate and the two release-rate routes
-that the ledger is checked against live with the tests, in
-``tests/reference.py``.
+patch's from one call of its exact traces (``FieldPatch.local_traces``).
+Derivative-bearing quantities (the release rate, the boundary power) are
+evaluated window-locally: the closed-form expressions hold for small times
+past the owning window's seam and read that window's traces at the front
+and at the rim, never a numerical time difference.  The closed-form energy
+rate, the direct bracket routes and the two release-rate routes that the
+ledger is checked against live with the tests, in ``tests/reference.py``.
 
 The audited identities:
 
@@ -50,25 +49,38 @@ def _energy_integrands(patch: FieldPatch, t_loc: float, h, h_t, h_r, r):
     return e, a
 
 
-def _row_radial_integrals(patch: FieldPatch, rows, wavefronts):
-    """(E, a) of one patch at its local lattice rows ``rows``:
+def _patch_traces(patch: FieldPatch, rows, wavefronts, t_front, rim: bool):
+    """All the audit reads of one patch, from one ``local_traces`` call:
+    (E, a) at its local lattice rows ``rows``,
 
         E = pi * int (R - r) (v_t^2 + v_r^2) dr
-        a =      int (R - r) v_t^2 dr
+        a =      int (R - r) v_t^2 dr,
 
-    Composite trapezoid over the points of :meth:`FieldPatch.row_points`:
-    the lattice radii, the clipped front cell, and cells crossed by a
-    corner wavefront split there, with one-sided trace evaluations on both
-    banks: the derivative fields genuinely jump across those
-    characteristics and a straddling trapezoid cell would cost an order of
-    accuracy.  Every point goes to one ``local_traces`` call for the whole
-    patch; consecutive points of one segment of one row bound a cell, and
-    one reduction sums the cells of all rows, each row in ascending radius.
+    the front bracket h_r - h_t at the front points of the window-local
+    times ``t_front`` (there t - r < 0, so it is the
+    :func:`~debondsim.fields.front_bracket` of the data and the +45 line
+    integral of F), and, if ``rim``, x_hat = h_r + h_t at (t, 0) on every
+    row (else empty).
+
+    E and a are composite trapezoids over the points of
+    :meth:`FieldPatch.row_points`: the lattice radii, the clipped front
+    cell, and cells crossed by a corner wavefront split there, with
+    one-sided trace evaluations on both banks: the derivative fields
+    genuinely jump across those characteristics and a straddling trapezoid
+    cell would cost an order of accuracy.  Consecutive points of one
+    segment of one row bound a cell, and one reduction sums the cells of
+    all rows, each row in ascending radius.
     """
     rows = np.asarray(rows, dtype=int)
     p_row, pr, p_seg = patch.row_points(rows, wavefronts)
-    pt = rows[p_row] * patch.lattice.delta
-    e_pt, a_pt = _energy_integrands(patch, pt, *patch.local_traces(pt, pr), pr)
+    t_row = rows * patch.lattice.delta
+    pt = t_row[p_row]
+    t_rim = t_row if rim else t_row[:0]
+    n, m = pt.size, pt.size + t_front.size
+    h, h_t, h_r = patch.local_traces(
+        np.concatenate((pt, t_front, t_rim)),
+        np.concatenate((pr, patch.rho_local(t_front), np.zeros(t_rim.shape))))
+    e_pt, a_pt = _energy_integrands(patch, pt, h[:n], h_t[:n], h_r[:n], pr)
 
     # a node in no segment sits between a jump's two banks, so it bounds no cell
     lo_pt = ((p_row[:-1] == p_row[1:]) & (p_seg[:-1] == p_seg[1:])).nonzero()[0]
@@ -78,7 +90,7 @@ def _row_radial_integrals(patch: FieldPatch, rows, wavefronts):
     E, A = (np.bincount(row, weights=dr * (v.take(hi_pt) + v.take(lo_pt)) / 2.0,
                         minlength=rows.size)
             for v in (e_pt, a_pt))
-    return math.pi * E, A
+    return math.pi * E, A, (h_r - h_t)[n:m], (h_r + h_t)[m:]
 
 
 def _global_rows(patches: List[FieldPatch]):
@@ -119,33 +131,22 @@ def debond_dissipation(front, tough: Toughness, t):
 
 
 # ---------------------------------------------------------------------------
-# boundary power, release rate
+# boundary power
 # ---------------------------------------------------------------------------
 
-def _rim_power(patch: FieldPatch, data: ProblemData, t, gamma):
-    """Rim power factor Q at global times t of one patch (arrays allowed)."""
-    hd = patch.hdata
-    t_loc = t - patch.t0
-    x_hat = patch.rim_bracket(t_loc)
-    R, alpha = hd.R, hd.alpha
-    return 2.0 * math.pi * R * (
-        gamma + 0.5 * (alpha - 1.0 / R) * data.w(t)
-        - np.exp(-0.5 * alpha * t_loc) / math.sqrt(R) * x_hat)
-
-
-def _rim_work_rates(patch: FieldPatch, data: ProblemData, t):
-    """Rim power w_dot * Q(t, w_dot) at global times t of one patch
-    (exactly 0 where the opening rate is 0)."""
-    w_dot = data.w.deriv(t)
+def _rim_work_rates(patch: FieldPatch, data: ProblemData, t, w_dot, x_hat):
+    """Rim power w_dot * Q(t, w_dot) at global times t of one patch, with
+    w_dot the opening rate there and x_hat the rim trace h_r + h_t
+    (:func:`_patch_traces`): exactly 0 where the opening rate is 0, and on
+    a rim at rest, which traces no x_hat."""
     if not w_dot.any():
-        return np.zeros_like(w_dot)  # a rim at rest: no bracket to trace
-    return np.where(w_dot != 0.0, w_dot * _rim_power(patch, data, t, w_dot), 0.0)
-
-
-def _release_rate(patch: FieldPatch, front, t):
-    """G0 at global times t of one patch (arrays allowed)."""
-    t_loc = t - patch.t0
-    return release_rate(patch.hdata, patch.front_bracket(t_loc), front.rho(t), t_loc)
+        return np.zeros_like(w_dot)
+    hd = patch.hdata
+    R, alpha = hd.R, hd.alpha
+    q = 2.0 * math.pi * R * (
+        w_dot + 0.5 * (alpha - 1.0 / R) * data.w(t)
+        - np.exp(-0.5 * alpha * (t - patch.t0)) / math.sqrt(R) * x_hat)
+    return np.where(w_dot != 0.0, w_dot * q, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -227,19 +228,22 @@ def audit(patches: List[FieldPatch], front, data: ProblemData,
     n = len(times)
     alpha = patches[0].hdata.alpha
 
-    # every per-row quantity of a patch comes from one batched call, and
-    # the release rate at the midpoints of the segments it holds with it
+    # every per-row quantity of a patch comes from one trace call, and the
+    # release rate at the midpoints of the segments it holds with it
     wf = corner_wavefronts(front, times[-1])
     used, seg, mid = _segments(front, times)
     owner = np.searchsorted([p.t0 for p, _, _ in rows], mid + 1e-12, side="right") - 1
     g0_mid = np.empty(mid.shape)
     E, a_int, qw, G0 = [], [], [], []
     for k, (p, ii, tt) in enumerate(rows):
-        e, a = _row_radial_integrals(p, ii, wf)
+        w_dot = data.w.deriv(tt)
+        t_front = np.concatenate((tt, mid[owner == k]))
+        t_loc = t_front - p.t0
+        e, a, bracket, x_hat = _patch_traces(p, ii, wf, t_loc, w_dot.any())
         E.append(e)
         a_int.append(a)
-        qw.append(_rim_work_rates(p, data, tt))
-        g0 = _release_rate(p, front, np.concatenate((tt, mid[owner == k])))
+        qw.append(_rim_work_rates(p, data, tt, w_dot, x_hat))
+        g0 = release_rate(p.hdata, bracket, front.rho(t_front), t_loc)
         G0.append(g0[:len(tt)])
         g0_mid[owner == k] = g0[len(tt):]
     E, a_int, qw, G0 = (np.concatenate(x) for x in (E, a_int, qw, G0))

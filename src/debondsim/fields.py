@@ -10,7 +10,8 @@ kernel
     F(tau, sigma) = (alpha^2 + 1/(R - sigma)^2) / 4 * h(tau, sigma)
 
 It also owns the one release-rate formula, G0 from the front bracket, that
-the coupled strip, the front's start slope and the audit share.
+the coupled strip, the front's start slope and the audit share; the audit
+reads the bracket off a patch's traces, as h_r - h_t at the front.
 """
 
 from __future__ import annotations
@@ -272,7 +273,8 @@ def to_h_data(data: ProblemData) -> HData:
 def front_bracket(hd: HData, s, line):
     """The release rate's bracket h0'(s) - h1(s) - line at a front point on
     the diagonal t - r = -s, with ``line`` the line integral of the kernel
-    field along that diagonal up to the point (0 at t = 0)."""
+    field along that diagonal up to the point (0 at t = 0).  The strip and
+    the start slope call it; the audit reads the same sum off its traces."""
     return hd.h0.deriv(s) - hd.h1(s) - line
 
 

@@ -443,7 +443,7 @@ def run(data: ProblemData, tough: Toughness, horizon: float,
         T = L * delta
 
         later = tough.breakpoints[tough.breakpoints > rho_bar + 1e-12]
-        b_next = float(later[0]) if len(later) else None
+        b_next = float(later[0]) if len(later) else math.inf
 
         m = _seed_width(local, tough, T, delta)
 
@@ -462,16 +462,14 @@ def run(data: ProblemData, tough: Toughness, horizon: float,
             strip_rows = L
 
         adv_rows = min(rows_left, max(1, int(math.floor(t_exit / delta + 1e-12))))
-        if b_next is not None:
-            t_end = adv_rows * delta
-            if _front_point(f, t_end)[1] >= b_next - 1e-12:
-                # never straddle a toughness breakpoint: cut at the first
-                # full row past the crossing
-                t_cross = _front_point(f, b_next, "rho")[0]
-                adv_rows = max(1, int(math.ceil(t_cross / delta - 1e-9)))
+        # never straddle a toughness breakpoint: cut at the first full row
+        # past the crossing (with no breakpoint ahead, b_next is inf and
+        # neither this nor the snap below applies)
+        if _front_point(f, adv_rows * delta)[1] >= b_next - 1e-12:
+            t_cross = _front_point(f, b_next, "rho")[0]
+            adv_rows = max(1, int(math.ceil(t_cross / delta - 1e-9)))
         tw, rw = _window_knots(f, adv_rows * delta)
-        if b_next is not None:  # a front that reached b to 1e-9 sits on it
-            rw[(rw < b_next) & (rw > b_next - 1e-9)] = b_next
+        rw[(rw < b_next) & (rw > b_next - 1e-9)] = b_next  # a front within 1e-9 of b sits on it
 
         # the strip never halves, so shrinks is always 0; perfbench/bench.py sums it
         wdiag.update(t_start=t0, T=T, strip_rows=strip_rows, regrown=regrown, y=m * delta,

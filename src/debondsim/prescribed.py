@@ -34,12 +34,10 @@ from typing import List
 import numpy as np
 
 from .dalembert import free_derivatives, free_solution
-from .fields import (HData, ProblemData, Profile, front_bracket, kernel_prefactor, to_h_data,
-                     v_from_h)
+from .fields import HData, ProblemData, Profile, kernel_prefactor, to_h_data, v_from_h
 from .geometry import GeometryError, corner_wavefronts, jump_radii
 from .quadrature import (
-    CharLattice, LatticeConePlan, _line_cumulatives, char_line_integrals, cone_integrals_batch,
-    phi_time_trace,
+    CharLattice, LatticeConePlan, _line_cumulatives, cone_integrals_batch, phi_time_trace,
 )
 
 
@@ -275,7 +273,7 @@ class FieldPatch:
     @functools.cached_property
     def cumulatives(self) -> np.ndarray:
         """Both characteristic families' diagonal cumulatives of F, built on
-        first use; the traces and both brackets read them."""
+        first use; every trace call of the patch reads them."""
         return _line_cumulatives(self.F, self.lattice.delta)
 
     # -- local evaluation ---------------------------------------------------
@@ -330,23 +328,6 @@ class FieldPatch:
         if scalar:
             return float(h), float(h_t), float(h_r)
         return h, h_t, h_r
-
-    def front_bracket(self, t_loc):
-        """The squared-bracket trace h_r - h_t at the front point, the
-        :func:`~debondsim.fields.front_bracket` of the window data and the
-        characteristic line integral of F; t_loc may be an array of
-        window-local times."""
-        s = self.rho_local(t_loc) - t_loc
-        line = char_line_integrals(self.lattice, self.F, self.cumulatives, 1.0, s, 0.0, t_loc)
-        return front_bracket(self.hdata, s, line)
-
-    def rim_bracket(self, t_loc):
-        """The trace h_r + h_t at the rim, from window data and the
-        reflected characteristic line integral of F, the -45 line from
-        (0, t_loc) to the rim; t_loc may be an array."""
-        hd = self.hdata
-        line = char_line_integrals(self.lattice, self.F, self.cumulatives, -1.0, t_loc, 0.0, t_loc)
-        return hd.h0.deriv(t_loc) + hd.h1(t_loc) + line
 
 
 class _Workspace:

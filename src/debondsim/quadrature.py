@@ -40,10 +40,8 @@ runs from row to row along a diagonal as the difference of two cumulative
 reads, reflected nodes included.  A reflected node's g1 starts where its
 anti-diagonal crosses the front, between rows; that part is one value per
 anti-diagonal, shared by its nodes.  Those values and the off-node points
-(banks, front points) take one kernel call per trace call.  The front and
-rim brackets of ``prescribed.FieldPatch`` are calls to the kernel too,
-and a patch builds its cumulatives once for its traces and both
-brackets.
+(banks, front points) take one kernel call per trace call, and a patch
+builds its cumulatives once for all its trace calls.
 
 All quadrature here integrates the piecewise-linear interpolant of the
 node values; off-lattice cuts (the omega edge, fractional endpoints) are

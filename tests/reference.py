@@ -16,6 +16,10 @@ different route, or states an identity the production results must obey:
     point's four characteristic segments through the line kernel;
   * the radii where a corner wavefront crosses one row, and the audit's
     radial energy integrals row by row and segment by segment;
+  * the front bracket h_r - h_t and the rim bracket h_r + h_t of a patch,
+    each straight from its data and one characteristic line integral of
+    its kernel field, not through its traces, and the rim power in closed
+    form;
   * the closed-form energy rate at one time, in weighted and in unweighted
     variables;
   * the two routes to the release rate at front speed beta: the kinetic
@@ -34,7 +38,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from debondsim.dalembert import f_minus, f_plus
-from debondsim.energy_audit import _energy_integrands, _rim_power
+from debondsim import fields
+from debondsim.energy_audit import _energy_integrands
 from debondsim.fields import ProblemData
 from debondsim.geometry import _TOL, GeometryError, _asarray
 from debondsim.prescribed import _BANK, locate_patch
@@ -385,7 +390,7 @@ def jump_radii(segs, t: float, rho_t: float):
 
 
 def row_radial_integrals(patch, rows, wavefronts):
-    """(E, a) of ``energy_audit._row_radial_integrals``, one row and one
+    """(E, a) of ``energy_audit._patch_traces``, one row and one
     segment at a time: the jump radii of a row (:func:`jump_radii`) cut
     [0, rho] into segments, each opened and closed by a bank 1e-9 inside
     its jumps; a segment's trapezoid runs over its bank, its nodes and its
@@ -418,23 +423,55 @@ def row_radial_integrals(patch, rows, wavefronts):
 
 
 # ---------------------------------------------------------------------------
-# energy rate and release rate
+# brackets, energy rate and release rate
 # ---------------------------------------------------------------------------
+
+def front_bracket(patch, t_loc):
+    """h_r - h_t at the front point of window-local time t_loc (arrays
+    allowed): ``fields.front_bracket`` of the window data at
+    s = rho(t_loc) - t_loc, with the +45 line integral of the patch's F
+    from (0, s) up to the front."""
+    s = patch.rho_local(t_loc) - t_loc
+    line = char_line_integrals(patch.lattice, patch.F, patch.cumulatives, 1.0, s, 0.0, t_loc)
+    return fields.front_bracket(patch.hdata, s, line)
+
+
+def rim_bracket(patch, t_loc):
+    """h_r + h_t at the rim point (t_loc, 0) (arrays allowed): h0'(t) + h1(t)
+    of the window data plus the -45 line integral of the patch's F from
+    (0, t_loc) down to the rim."""
+    hd = patch.hdata
+    line = char_line_integrals(patch.lattice, patch.F, patch.cumulatives, -1.0, t_loc, 0.0, t_loc)
+    return hd.h0.deriv(t_loc) + hd.h1(t_loc) + line
+
+
+def rim_power(patch, data: ProblemData, t, gamma):
+    """The rim power factor at global times t of one patch,
+
+        Q = 2 pi R (gamma + (alpha - 1/R) w(t) / 2 - e^(-alpha t_loc / 2) x / sqrt(R)),
+
+    with x the :func:`rim_bracket`; the rim power is w'(t) Q(t, w'(t))."""
+    hd = patch.hdata
+    t_loc = t - patch.t0
+    x_hat = rim_bracket(patch, t_loc)
+    return 2.0 * math.pi * hd.R * (gamma + 0.5 * (hd.alpha - 1.0 / hd.R) * data.w(t)
+                                   - np.exp(-0.5 * hd.alpha * t_loc) / math.sqrt(hd.R) * x_hat)
+
 
 def energy_rate(patches, front, data: ProblemData, t: float) -> float:
     """Closed-form time derivative of the total energy at t (weighted form).
 
-    Uses the owning window's data traces and the characteristic line
-    integral of the kernel field, plus the rim power of the ledger.
+    Uses the owning window's :func:`front_bracket` and the rim power of
+    :func:`rim_power`.
     """
     patch = locate_patch(patches, t)
     t_loc = t - patch.t0
     rd = float(front.rho_dot(t))
-    bracket = patch.front_bracket(t_loc)
+    bracket = float(front_bracket(patch, t_loc))
     first = (-math.pi * rd * (1.0 - rd) / (1.0 + rd)
              * math.exp(-patch.hdata.alpha * t_loc) * bracket * bracket)
     w_dot = float(data.w.deriv(t))
-    return first + w_dot * float(_rim_power(patch, data, t, w_dot))
+    return first + w_dot * float(rim_power(patch, data, t, w_dot))
 
 
 def energy_rate_v_form(patches, front, data: ProblemData, t: float) -> float:
@@ -448,11 +485,11 @@ def energy_rate_v_form(patches, front, data: ProblemData, t: float) -> float:
     rho_t = float(front.rho(t))
     rd = float(front.rho_dot(t))
     b_v = (math.exp(-0.5 * alpha * t_loc) / math.sqrt(R - rho_t)
-           * patch.front_bracket(t_loc))
+           * float(front_bracket(patch, t_loc)))
     first = -math.pi * rd * (1.0 - rd) / (1.0 + rd) * (R - rho_t) * b_v * b_v
     w_t = float(data.w(t))
     w_dot = float(data.w.deriv(t))
-    x_v = (math.exp(-0.5 * alpha * t_loc) / math.sqrt(R) * patch.rim_bracket(t_loc)
+    x_v = (math.exp(-0.5 * alpha * t_loc) / math.sqrt(R) * float(rim_bracket(patch, t_loc))
            - 0.5 * (alpha - 1.0 / R) * w_t)
     return first + 2.0 * math.pi * R * w_dot * (w_dot - x_v)
 

@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 from debondsim.energy_audit import (
-    _release_rate, _rim_power, _row_radial_integrals, audit, debond_dissipation,
+    _global_rows, _patch_traces, _rim_work_rates, _segments, audit, debond_dissipation,
 )
-from debondsim import prescribed, quadrature
-from debondsim.fields import ProblemData, Profile, Toughness, to_h_data
+from debondsim import energy_audit, prescribed, quadrature
+from debondsim.fields import ProblemData, Profile, Toughness, release_rate, to_h_data
 from debondsim.geometry import FrontCurve, GeometryError, corner_wavefronts
 from debondsim.griffith import run
 from debondsim.prescribed import FieldPatch, locate_patch, march
 from debondsim.quadrature import CharLattice
 from reference import (
-    energy_rate, energy_rate_v_form, err_from_energy_quotient, err_gbeta,
-    row_radial_integrals,
+    energy_rate, energy_rate_v_form, err_from_energy_quotient, err_gbeta, front_bracket,
+    rim_power, row_radial_integrals,
 )
 
 
@@ -79,13 +79,14 @@ def test_friction_nondecreasing_and_consistent():
     mid = 0.125
     i = int(round(mid * 64))
     fd = (led.A_fric[i + 2] - led.A_fric[i - 2]) / (2 * step)
-    a_mid = _row_radial_integrals(patches[0], [i], [])[1][0]
+    a_mid = _patch_traces(patches[0], [i], [], np.empty(0), False)[1][0]
     assert fd == pytest.approx(2 * math.pi * 1.0 * a_mid, rel=2e-2)
 
 
 def test_row_integrals_match_the_per_row_construction():
-    # the audit builds every row's cells at once; one row and one segment
-    # at a time gives the same sums.  Beside the corner wavefronts, extra
+    # the audit builds every row's cells at once, in the trace call that
+    # also takes the front and rim points; one row and one segment at a
+    # time gives the same sums.  Beside the corner wavefronts, extra
     # jump lines cross every row at a node, within a bank's width of one,
     # twice in one cell, twice at one radius and in the front cell
     data = bump_data(alpha=0.5, v1=Profile.constant(0.2))
@@ -99,8 +100,8 @@ def test_row_integrals_match_the_per_row_construction():
     for wavefronts in ([], corner_wavefronts(front, 0.375) + extra):
         for p in patches:
             rows = np.arange(p.lattice.nt + 1)
-            for got, ref in zip(_row_radial_integrals(p, rows, wavefronts),
-                                row_radial_integrals(p, rows, wavefronts)):
+            e_a = _patch_traces(p, rows, wavefronts, rows * d, True)[:2]
+            for got, ref in zip(e_a, row_radial_integrals(p, rows, wavefronts)):
                 assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -215,18 +216,21 @@ def test_energy_rate_static_loaded_is_rim_power():
     front = FrontCurve.constant(1.0, 3.0, 3.0)
     patches = march(data, front, horizon=0.25, delta=1.0 / 64)
     t = 0.125
-    w_dot = float(w.deriv(t))
+    # the reference rate against the audit's rim power, read off the traces
+    p = locate_patch(patches, t)
+    _, h_t, h_r = p.local_traces(t - p.t0, 0.0)
     assert energy_rate(patches, front, data, t) == pytest.approx(
-        w_dot * float(_rim_power(locate_patch(patches, t), data, t, w_dot)), rel=1e-14)
+        float(_rim_work_rates(p, data, t, w.deriv(t), h_r + h_t)), rel=1e-14)
 
 
 def test_q_power_zero_field():
     data = zero_data(R=3.0)
     front = FrontCurve.constant(1.0, 3.0, 3.0)
     patches = march(data, front, horizon=0.25, delta=1.0 / 32)
-    gamma = 0.8
-    assert float(_rim_power(patches[0], data, 0.0, gamma)) == pytest.approx(
-        2 * math.pi * 3.0 * gamma, rel=1e-14)
+    gamma = 0.8  # an opening rate: the rim power is gamma * Q = gamma * 2 pi R gamma
+    _, h_t, h_r = patches[0].local_traces(0.0, 0.0)
+    assert float(_rim_work_rates(patches[0], data, 0.0, np.asarray(gamma), h_r + h_t)) == (
+        pytest.approx(gamma * 2 * math.pi * 3.0 * gamma, rel=1e-14))
 
 
 def test_energy_rate_forms_agree():
@@ -281,16 +285,27 @@ def test_external_work_constant_w():
 
 def test_audit_of_a_rim_at_rest_traces_no_rim_bracket(monkeypatch):
     # w = 0: the rim power multiplies w' = 0 on every row, so the audit
-    # never traces the rim bracket and the external work is exactly 0
+    # traces no rim point, only each patch's row points and its front
+    # points (one per row and one per front-segment midpoint), and the
+    # external work is exactly 0
     data = bump_data(amp=0.4, alpha=0.5)
     tough = Toughness.constant(0.15, rho0=1.0, R=3.0)
     res = run(data, tough, horizon=0.25, delta=1.0 / 64)
+    traced = []
+    trace = FieldPatch.local_traces
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("rim bracket traced for a rim at rest")
-    monkeypatch.setattr(FieldPatch, "rim_bracket", refuse)
+    def counted(self, t_loc, r):
+        traced.append(np.size(t_loc))
+        return trace(self, t_loc, r)
+    monkeypatch.setattr(FieldPatch, "local_traces", counted)
     led = audit(res.patches, res.front, data, tough)
     assert np.all(led.W_ext == 0.0)
+
+    wf = corner_wavefronts(res.front, led.times[-1])
+    row_points = sum(p.row_points(ii, wf)[0].size for p, ii, _ in _global_rows(res.patches))
+    midpoints = _segments(res.front, led.times)[2].size
+    assert len(traced) == len(res.patches)
+    assert sum(traced) == row_points + led.times.size + midpoints
 
 
 # -- release rate ---------------------------------------------------------------
@@ -408,13 +423,11 @@ def test_static_load_edp_second_order():
 
 
 def test_audit_batches_traces_per_patch(monkeypatch):
-    # the KKT test scenario: the audit takes every trace and bracket of a
-    # patch from one batched call, whatever its row count; a per-row or
-    # per-point loop multiplies these counts by the rows or the points
-    # (at this step the scenario has 4 patches for 97 rows)
-    data = bump_data(amp=0.4, alpha=0.5)
-    tough = Toughness.constant(0.15, rho0=1.0, R=3.0)
-    res = run(data, tough, horizon=0.375, delta=1.0 / 256)
+    # the KKT test scenario, and the same under a rim load: the audit takes
+    # every trace and bracket of a patch from one batched call, whatever
+    # its row count; a per-row or per-point loop multiplies these counts by
+    # the rows or the points (at this step the scenario has 4 patches for
+    # 97 rows)
     calls = {}
 
     def count(owner, name):
@@ -428,23 +441,26 @@ def test_audit_batches_traces_per_patch(monkeypatch):
     count(CharLattice, "sample")
     count(prescribed, "phi_time_trace")
     count(quadrature, "char_line_integrals")
-    count(prescribed, "char_line_integrals")
-    for name in ("local_traces", "front_bracket", "rim_bracket"):
-        count(FieldPatch, name)
-    led = audit(res.patches, res.front, data, tough)
-    n = len(res.patches)
-    assert len(led.times) > 20 * n
-    # one line-kernel call per patch for each of the traces, the front
-    # bracket and the rim bracket
-    assert calls.get("char_line_integrals", 0) <= 3 * n
-    # local_traces reads h at the wavefront banks with one sample call
-    for name in ("sample", "phi_time_trace", "local_traces", "front_bracket", "rim_bracket"):
-        assert calls.get(name, 0) <= n, name
+    count(FieldPatch, "local_traces")
+    tough = Toughness.constant(0.15, rho0=1.0, R=3.0)
+    for w in (None, Profile.sine(0.1, 2.0)):
+        data = bump_data(amp=0.4, alpha=0.5, w=w)
+        res = run(data, tough, horizon=0.375, delta=1.0 / 256)
+        calls.clear()
+        led = audit(res.patches, res.front, data, tough)
+        n = len(res.patches)
+        assert len(led.times) > 20 * n
+        # one line-kernel call per patch: its one trace call takes the
+        # brackets at the front and the rim with the row points
+        assert calls.get("char_line_integrals", 0) <= n
+        # local_traces reads h at the wavefront banks with one sample call
+        for name in ("sample", "phi_time_trace", "local_traces"):
+            assert calls.get(name, 0) <= n, name
 
 
 def test_one_cumulative_build_per_patch(monkeypatch):
-    # a patch's traces, front bracket and rim bracket (the rim load makes
-    # the audit read it) share one cached build of its diagonal
+    # a patch's traces in the run's seams and in the audit (the rim load
+    # makes it trace the rim too) share one cached build of its diagonal
     # cumulatives: over a run and its audit, at most one build per patch
     data = bump_data(amp=0.3, alpha=0.5, w=Profile.sine(0.1, 2.0))
     tough = Toughness.constant(0.15, rho0=1.0, R=3.0)
@@ -475,11 +491,63 @@ def test_segment_residuals_trace_g0_at_the_midpoint():
     tk = front.t_knots
     seg = np.clip(np.searchsorted(tk, led.times, side="right") - 1, 0, len(tk) - 2)
     mid = 0.5 * (tk[seg] + np.minimum(tk[seg + 1], led.times[-1]))
-    g0 = np.array([float(_release_rate(locate_patch(patches, t), front, np.array([t]))[0])
-                   for t in mid])
+
+    def g0_at(t):  # the audit's route: h_r - h_t traced at the front point
+        p = locate_patch(patches, t)
+        t_loc = t - p.t0
+        _, h_t, h_r = p.local_traces(t_loc, p.rho_local(t_loc))
+        return release_rate(p.hdata, h_r - h_t, front.rho(t), t_loc)
+    g0 = np.array([float(g0_at(t)) for t in mid])
     sigma = front.rho_dot(tk[seg])
     gap = np.abs(sigma - np.maximum(0.0, (g0 - 0.5) / (g0 + 0.5)))
     assert np.allclose(led.mdp_gap, gap, rtol=1e-12, atol=0.0)
+
+
+def test_ledger_brackets_match_the_direct_line_integrals(monkeypatch):
+    # the audit reads G0 and the rim power off each patch's one trace call;
+    # the reference builds each bracket from the window data and one
+    # characteristic line integral of F.  Both routes agree to rounding at
+    # every row and front-segment midpoint, on a front_kkt-like run and on
+    # a statically loaded march
+    static = ProblemData(R=3.0, rho0=1.0, alpha=0.5, horizon=0.75, w=Profile.sine(0.1, 2.0),
+                         v0=Profile.sine_bump(0.3, 1.0), v1=Profile.zero())
+    kkt = bump_data(amp=0.4, alpha=0.5)
+    tough = Toughness.constant(0.15, rho0=1.0, R=3.0)
+    res = run(kkt, tough, horizon=0.75, delta=1.0 / 64)
+    fixed = FrontCurve.constant(1.0, 0.75, 3.0)
+    cases = ((kkt, res.patches, res.front),
+             (static, march(static, fixed, horizon=0.75, delta=1.0 / 64), fixed))
+
+    seen = {}
+    for name in ("_segment_residuals", "_rim_work_rates"):
+        def spy(*args, _orig=getattr(energy_audit, name), _name=name):
+            out = _orig(*args)
+            seen.setdefault(_name, []).append((args, out))
+            return out
+        monkeypatch.setattr(energy_audit, name, spy)
+
+    for data, patches, front in cases:
+        seen.clear()
+        led = audit(patches, front, data, tough)
+        g0_rows = []
+        for p, _, tt in _global_rows(patches):
+            t_loc = tt - p.t0
+            g0_rows.append(release_rate(p.hdata, front_bracket(p, t_loc), front.rho(tt), t_loc))
+        assert np.allclose(led.G0, np.concatenate(g0_rows), rtol=1e-13, atol=0.0)
+
+        (args, _), = seen["_segment_residuals"]
+        mid, g0_mid = args[3], args[4]
+        t0 = np.array([p.t0 for p in patches])
+        for t, g0 in zip(mid, g0_mid):
+            p = patches[int(np.searchsorted(t0, t + 1e-12, side="right")) - 1]
+            ref = release_rate(p.hdata, front_bracket(p, t - p.t0), front.rho(t), t - p.t0)
+            assert g0 == pytest.approx(float(ref), rel=1e-13, abs=0.0), t
+
+        assert len(seen["_rim_work_rates"]) == len(patches)
+        for (p, _, tt, w_dot, _), got in seen["_rim_work_rates"]:
+            ref = np.where(w_dot != 0.0, w_dot * rim_power(p, data, tt, w_dot), 0.0)
+            assert np.allclose(got, ref, rtol=1e-13, atol=0.0)
+        assert np.any(led.W_ext != 0.0) == (data is static)
 
 
 def test_audit_series_shapes():
