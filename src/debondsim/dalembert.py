@@ -23,13 +23,13 @@ and the diagonal t - r = (i - j) delta.  :func:`free_solution` therefore
 evaluates f_plus and f_minus once per line and gathers the node grid from
 the two 1-D arrays; (i + j) delta equals i delta + j delta exactly when
 delta is a power of two, and to rounding otherwise.
-:func:`free_derivatives` takes points in the domain, as the trace entry
-point ``prescribed.FieldPatch.local_traces`` checks and clips them, and
-the lattice step: a point whose branch argument is exactly an index times
-delta (every node when delta is a power of two) takes the branch from one
-evaluation per characteristic index in use, marked over the index range
-without sorting, and every other point (banks, front points) by itself.
-The result is the pointwise one, bitwise, for any delta.  Both read the
+:func:`free_derivatives` does the same on a block of rows lo..hi, columns
+0..J: one branch table per characteristic family, over the block's
+anti-diagonals and diagonals, read through strided views, so a node
+takes (i + j) delta and (i - j) delta, like the free grid.  Its other
+points (banks, front points), in the domain as the trace entry point
+``prescribed.FieldPatch.row_traces`` checks and clips them, each take the
+branches at their own t + r and t - r, in the same call.  Both read the
 front's omega unchecked, at points the trace entry point or the lattice
 has placed in the domain.  The pointwise free solution, with its checks,
 is the test oracle ``free_solution`` in ``tests/reference.py``.
@@ -37,12 +37,11 @@ is the test oracle ``free_solution`` in ``tests/reference.py``.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from .fields import HData
 from .geometry import _asarray
+from .quadrature import _view
 
 # Each branch reads the data at one argument b in [0, rho0] per point:
 # f_plus at s up to the kink s = rho0 and at -omega(s) past it, f_minus at
@@ -106,38 +105,27 @@ def free_solution(hdata: HData, lat) -> np.ndarray:
     return lat.masked(fp[i + j] + fm[i - j + jx])
 
 
-def _per_characteristic(branch: Callable, s: np.ndarray, delta: float) -> np.ndarray:
-    """branch(s) from one call: once for each characteristic index m with
-    s == m * delta exactly, marked over the index range the points span,
-    and once at each other point."""
-    k = np.rint(s / delta)
-    on = k * delta == s
-    off = ~on
-    m = k[on].astype(np.intp)
-    lo = m.min() if m.size else 0
-    m -= lo
-    used = np.zeros(m.max(initial=-1) + 1, dtype=bool)
-    used[m] = True
-    lines = used.nonzero()[0]
-    vals = branch(np.concatenate(((lines + lo) * delta, s[off])))
-    table = np.empty(used.shape)
-    table[lines] = vals[:lines.size]
-    out = np.empty(s.shape)
-    out[on] = table.take(m)
-    out[off] = vals[lines.size:]
-    return out
-
-
-def free_derivatives(hdata: HData, front, delta: float, t, r):
+def free_derivatives(hdata: HData, front, delta: float, block, t, r):
     """(d_t, d_r) of the free solution of ``hdata`` under the window-local
-    ``front`` at points (t, r) in the domain, as
-    ``prescribed.FieldPatch.local_traces`` checks and clips them; t and r
-    broadcast.  Each branch derivative is evaluated once per characteristic
-    of the lattice of step ``delta`` that the points lie on exactly
-    (t + r = m * delta for df_plus, t - r = n * delta for df_minus), and
-    once at each other point, so the result is the pointwise one, bitwise."""
-    t, r = _asarray(t), _asarray(r)
-    fp = _per_characteristic(
-        lambda s: df_plus(hdata, s, front._omega_unchecked(s), front.omega_dot(s)), t + r, delta)
-    fm = _per_characteristic(lambda s: df_minus(hdata, s), t - r, delta)
-    return fp + fm, fp - fm
+    ``front`` on a block of lattice rows and at points (t, r), returned as
+    ((d_t, d_r) on the block, (d_t, d_r) at the points).  ``block`` is
+    (lo, hi, J) of ``CharLattice.row_block`` on the lattice of step
+    ``delta``: every node of rows lo..hi in columns 0..J.  The points are in
+    the domain, as ``prescribed.FieldPatch.row_traces`` checks and clips
+    them; t and r broadcast.  Each branch derivative is evaluated once per
+    call: df_plus on the block's anti-diagonals m * delta, m = lo .. hi + J,
+    and at the points' t + r, df_minus on its diagonals n * delta,
+    n = lo - J .. hi, and at the points' t - r.  The block reads the two
+    branch tables through strided views, node (i, j) at m = i + j and
+    n = i - j; the points take their own evaluations, so they are the
+    pointwise values, bitwise."""
+    lo, hi, J = block
+    t, r = np.broadcast_arrays(_asarray(t), _asarray(r))
+    shape, nb = (hi - lo + 1, J + 1), max(hi - lo + J + 1, 0)
+    sp = np.concatenate((np.arange(lo, hi + J + 1) * delta, (t + r).ravel()))
+    sm = np.concatenate((np.arange(lo - J, hi + 1) * delta, (t - r).ravel()))
+    fp = df_plus(hdata, sp, front._omega_unchecked(sp), front.omega_dot(sp))
+    fm = df_minus(hdata, sm)
+    bp, bm = _view(fp, 0, shape, (1, 1), False), _view(fm, J, shape, (1, -1), False)
+    pp, pm = fp[nb:].reshape(t.shape), fm[nb:].reshape(t.shape)
+    return (bp + bm, bp - bm), (pp + pm, pp - pm)

@@ -2,13 +2,16 @@
 
 :func:`audit` is the only route to these quantities: it fills an
 :class:`EnergyLedger` with every series on the global lattice rows, each
-patch's from one call of its exact traces (``FieldPatch.local_traces``).
-Derivative-bearing quantities (the release rate, the boundary power) are
-evaluated window-locally: the closed-form expressions hold for small times
-past the owning window's seam and read that window's traces at the front
-and at the rim, never a numerical time difference.  The closed-form energy
-rate, the direct bracket routes and the two release-rate routes that the
-ledger is checked against live with the tests, in ``tests/reference.py``.
+patch's from one call of its exact traces (``FieldPatch.row_traces``): its
+rows as one block of lattice nodes, whose row integrals are weighted sums
+over the block, and as points only the banks of the corner wavefronts and
+the front points.  Derivative-bearing quantities (the release rate, the
+boundary power) are evaluated window-locally: the closed-form expressions
+hold for small times past the owning window's seam and read that window's
+traces at the front and at the rim, never a numerical time difference.
+The closed-form energy rate, the direct bracket routes and the two
+release-rate routes that the ledger is checked against live with the
+tests, in ``tests/reference.py``.
 
 The audited identities:
 
@@ -49,9 +52,39 @@ def _energy_integrands(patch: FieldPatch, t_loc: float, h, h_t, h_r, r):
     return e, a
 
 
+def _row_weights(seg, d: float, width: int):
+    """The composite trapezoid of the segments ``seg``
+    (:meth:`FieldPatch.row_segments`) as weights: w, of shape
+    (rows, width), on the nodes, and (row, radius, weight) of the banks.
+    A node takes half of each cell it bounds, so delta inside a segment,
+    half a cell at a segment's end and a bank's half cell next to a bank;
+    a node in no segment, or past its row's front, takes 0.  A bank takes
+    half its one cell."""
+    full = seg.valid & (seg.j_lo <= seg.j_hi)  # segments holding a node
+    k, s = full.nonzero()
+    j_lo, j_hi = seg.j_lo[k, s], seg.j_hi[k, s]
+    # each node-node cell [j, j + 1] of a segment adds delta / 2 to both
+    # ends: count the ends through one difference array per row
+    ends = np.zeros((seg.j_in.size, width + 1), dtype=np.intp)
+    for j, step in ((j_lo, 1), (j_lo + 1, 1), (j_hi, -1), (j_hi + 1, -1)):
+        np.add.at(ends, (k, j), step)
+    w = 0.5 * d * np.cumsum(ends, axis=1)[:, :width]
+    # the banks' cells: to the segment's end node, or bank to bank
+    lead_cell = np.where(full, seg.j_lo * d - seg.lo, seg.hi - seg.lo)
+    tail_cell = np.where(full, seg.hi - seg.j_hi * d, seg.hi - seg.lo)
+    lead_cell = np.where(seg.lead & (full | seg.tail), lead_cell, 0.0)
+    tail_cell = np.where(seg.tail & (full | seg.lead), tail_cell, 0.0)
+    for cell, at in ((lead_cell, seg.j_lo), (tail_cell, seg.j_hi)):
+        np.add.at(w, (k, at[k, s]), 0.5 * cell[k, s])
+    k_bank, s_bank, is_tail = np.nonzero(np.stack((seg.lead, seg.tail), axis=2))
+    r_bank = np.where(is_tail, seg.hi[k_bank, s_bank], seg.lo[k_bank, s_bank])
+    w_bank = 0.5 * np.where(is_tail, tail_cell[k_bank, s_bank], lead_cell[k_bank, s_bank])
+    return w, k_bank, r_bank, w_bank
+
+
 def _patch_traces(patch: FieldPatch, rows, wavefronts, t_front, rim: bool):
-    """All the audit reads of one patch, from one ``local_traces`` call:
-    (E, a) at its local lattice rows ``rows``,
+    """All the audit reads of one patch, from one ``row_traces`` call:
+    (E, a) at its consecutive local lattice rows ``rows``,
 
         E = pi * int (R - r) (v_t^2 + v_r^2) dr
         a =      int (R - r) v_t^2 dr,
@@ -60,37 +93,38 @@ def _patch_traces(patch: FieldPatch, rows, wavefronts, t_front, rim: bool):
     times ``t_front`` (there t - r < 0, so it is the
     :func:`~debondsim.fields.front_bracket` of the data and the +45 line
     integral of F), and, if ``rim``, x_hat = h_r + h_t at (t, 0) on every
-    row (else empty).
+    row, the rows' first column (else empty).
 
     E and a are composite trapezoids over the points of
-    :meth:`FieldPatch.row_points`: the lattice radii, the clipped front
+    :meth:`FieldPatch.row_segments`: the lattice radii, the clipped front
     cell, and cells crossed by a corner wavefront split there, with
     one-sided trace evaluations on both banks: the derivative fields
     genuinely jump across those characteristics and a straddling trapezoid
-    cell would cost an order of accuracy.  Consecutive points of one
-    segment of one row bound a cell, and one reduction sums the cells of
-    all rows, each row in ascending radius.
+    cell would cost an order of accuracy.  Each row's sums are
+    sum_j w_ij e_ij over its nodes (:func:`_row_weights`), the velocities
+    from the separable weight exp(-alpha t / 2) / sqrt(R - r), plus its
+    banks' cells, which the trace call takes as points with the front
+    points.
     """
     rows = np.asarray(rows, dtype=int)
-    p_row, pr, p_seg = patch.row_points(rows, wavefronts)
-    t_row = rows * patch.lattice.delta
-    pt = t_row[p_row]
-    t_rim = t_row if rim else t_row[:0]
-    n, m = pt.size, pt.size + t_front.size
-    h, h_t, h_r = patch.local_traces(
-        np.concatenate((pt, t_front, t_rim)),
-        np.concatenate((pr, patch.rho_local(t_front), np.zeros(t_rim.shape))))
-    e_pt, a_pt = _energy_integrands(patch, pt, h[:n], h_t[:n], h_r[:n], pr)
-
-    # a node in no segment sits between a jump's two banks, so it bounds no cell
-    lo_pt = ((p_row[:-1] == p_row[1:]) & (p_seg[:-1] == p_seg[1:])).nonzero()[0]
-    hi_pt = lo_pt + 1
-    row = p_row.take(lo_pt)
-    dr = pr.take(hi_pt) - pr.take(lo_pt)
-    E, A = (np.bincount(row, weights=dr * (v.take(hi_pt) + v.take(lo_pt)) / 2.0,
-                        minlength=rows.size)
-            for v in (e_pt, a_pt))
-    return math.pi * E, A, (h_r - h_t)[n:m], (h_r + h_t)[m:]
+    d = patch.lattice.delta
+    t_row = rows * d
+    seg = patch.row_segments(rows, wavefronts)
+    width = int(seg.j_in.max()) + 1
+    w, k_bank, r_bank, w_bank = _row_weights(seg, d, width)
+    t_bank = t_row[k_bank]
+    n = t_bank.size
+    (h, h_t, h_r), (hp, hp_t, hp_r) = patch.row_traces(
+        rows, np.concatenate((t_bank, t_front)),
+        np.concatenate((r_bank, patch.rho_local(t_front))))
+    e, a = _energy_integrands(patch, t_row[:, None], h, h_t, h_r,
+                              np.arange(width) * d)
+    e_bank, a_bank = _energy_integrands(patch, t_bank, hp[:n], hp_t[:n], hp_r[:n], r_bank)
+    E, A = ((w * v).sum(axis=1) + np.bincount(k_bank, weights=w_bank * v_bank,
+                                                minlength=rows.size)
+            for v, v_bank in ((e, e_bank), (a, a_bank)))
+    x_hat = (h_r + h_t)[:, 0] if rim else t_row[:0]
+    return math.pi * E, A, (hp_r - hp_t)[n:], x_hat
 
 
 def _global_rows(patches: List[FieldPatch]):

@@ -171,6 +171,7 @@ def plan_windows(front, alpha: float, i0: int, i1: int,
 # ---------------------------------------------------------------------------
 
 FieldSample = namedtuple("FieldSample", "h h_t h_r v v_t v_r")
+RowSegments = namedtuple("RowSegments", "lo hi j_lo j_hi valid lead tail j_in")
 
 
 @dataclass
@@ -202,73 +203,53 @@ class FieldPatch:
     def rho_local(self, t_loc):
         return self.lattice.front.rho(t_loc)
 
-    def row_points(self, rows, wavefronts):
-        """The sample points of the local lattice rows ``rows``: (row index
-        into ``rows``, radius, segment id) of every point, sorted by row and
-        radius.  The audit's row integrals and the seam's profiles both
-        sample a row at these points.
+    def row_segments(self, rows, wavefronts) -> RowSegments:
+        """The trapezoid segments of the local lattice rows ``rows``, one
+        row of arrays per row and one column per segment: the sampling that
+        the audit's row integrals and the seam's profiles share.
 
         ``wavefronts`` are the run's corner-wavefront segments, in the form
         :func:`~debondsim.geometry.corner_wavefronts` returns.  Where one
         crosses a row (:func:`~debondsim.geometry.jump_radii`) the
         derivative fields jump, and the jumps cut the row into segments
-        from 0 to rho; edges closer than two bank widths bound no segment,
-        so a radius crossed twice splits its row once.  A segment's points
-        are its head bank (``_BANK`` past its jump), its nodes and its tail
-        bank (``_BANK`` short of the next jump, or the front point on a
-        row's last segment), a bank only where no node lies within 1e-12 of
-        it.  A node within a bank's width of a jump lies in no segment: its
-        id is -1.  The lattice radii of all rows are one 2-D node mask (row
-        i, columns up to j_in(i) = floor(rho(t_i)/delta + 1e-12)), and the
-        segments are handled for all rows at once by segment index, so no
-        step loops over rows.
+        from 0 to rho; edges closer than two bank widths bound no segment
+        (``valid`` is False), so a radius crossed twice splits its row once.
+        A segment runs from ``lo`` to ``hi``: its head bank (``_BANK`` past
+        its jump) or 0, and its tail bank (``_BANK`` short of the next jump)
+        or the front point on a row's last segment.  Its nodes are columns
+        ``j_lo``..``j_hi``; ``lead`` and ``tail`` say whether its banks are
+        points of their own, which they are only where no node lies within
+        1e-12 of them.  A node within a bank's width of a jump lies in no
+        segment.  ``j_in`` is each row's last inside column,
+        floor(rho(t_i)/delta + 1e-12).  The segments of all rows are found
+        at once, by segment index, so no step loops over rows.
         """
         d = self.lattice.delta
         rows = np.asarray(rows, dtype=int)
-        t = rows * d
         rho = self.lattice.rho_rows[rows]
         j_in = np.floor(rho / d + 1e-12).astype(int)
 
         # segment s of row k runs from edge s to edge s + 1 of: 0, the jumps,
         # rho; the padding repeats rho and leaves empty segments
-        jumps = jump_radii(wavefronts, self.t0 + t, rho)
+        jumps = jump_radii(wavefronts, self.t0 + rows * d, rho)
         edges = np.concatenate((np.zeros((rows.size, 1)), jumps, rho[:, None]), axis=1)
         a_edge, b_edge = edges[:, :-1], edges[:, 1:]
         valid = b_edge - a_edge > 2 * _BANK
         lo = np.where(a_edge > 0.0, a_edge + _BANK, a_edge)
         hi = np.where(b_edge < rho[:, None], b_edge - _BANK, b_edge)
-        j_lo = np.ceil(lo / d - 1e-12)
-        j_hi = np.floor(hi / d + 1e-12)
+        j_lo = np.ceil(lo / d - 1e-12).astype(int)
+        j_hi = np.floor(hi / d + 1e-12).astype(int)
         lead = valid & (j_lo * d - lo > 1e-12)
         tail = valid & (hi - np.where(j_lo <= j_hi, j_hi * d, lo) > 1e-12)
+        return RowSegments(lo, hi, j_lo, j_hi, valid, lead, tail, j_in)
 
-        # the nodes, the lead banks and the tail banks, with row and segment
-        jj = np.arange(int(j_in.max()) + 1)
-        in_row = jj[None, :] <= j_in[:, None]
-        node_seg = np.full(in_row.shape, -1)
-        for s in range(edges.shape[1] - 1):
-            node_seg[valid[:, s, None] & (jj >= j_lo[:, s, None]) & (jj <= j_hi[:, s, None])] = s
-        k_node, j_node = np.nonzero(in_row)
-        k_bank, s_bank, is_tail = np.nonzero(np.concatenate((lead[..., None], tail[..., None]),
-                                                            axis=2))
-        r_bank = np.where(is_tail, hi[k_bank, s_bank], lo[k_bank, s_bank])
-        # both come in row and radius order; a bank goes after the nodes of
-        # the earlier rows and those of its own row at or below its radius,
-        # and after the banks before it
-        n_row = j_in + 1
-        at = (np.cumsum(n_row) - n_row)[k_bank] + np.arange(k_bank.size) + np.minimum(
-            np.searchsorted(jj * d, r_bank, side="right"), n_row[k_bank])
-        bank = np.zeros(k_node.size + k_bank.size, dtype=bool)
-        bank[at] = True
-        node = ~bank
-        out = []
-        for of_nodes, of_banks in ((k_node, k_bank), (j_node * d, r_bank),
-                                   (node_seg[in_row], s_bank)):
-            merged = np.empty(bank.shape, dtype=of_nodes.dtype)
-            merged[node] = of_nodes
-            merged[at] = of_banks
-            out.append(merged)
-        return tuple(out)
+    def row_points(self, row: int, wavefronts) -> np.ndarray:
+        """The sample radii of local lattice row ``row``, ascending, where
+        the seam samples its end row: every node of the row and the banks of
+        its segments (:meth:`row_segments`), which no node coincides with."""
+        seg = self.row_segments([row], wavefronts)
+        nodes = np.arange(seg.j_in[0] + 1) * self.lattice.delta
+        return np.sort(np.concatenate((nodes, seg.lo[seg.lead], seg.hi[seg.tail])))
 
     @functools.cached_property
     def cumulatives(self) -> np.ndarray:
@@ -284,20 +265,38 @@ class FieldPatch:
 
     def local_traces(self, t_loc, r):
         """(h, h_t, h_r) in window-local variables, exact trace formulas, at
-        one point (floats) or at arrays of points (t_loc and r broadcast).
+        one point (floats) or at arrays of points (t_loc and r broadcast):
+        the points of :meth:`row_traces` with no rows."""
+        scalar = np.ndim(t_loc) == 0 and np.ndim(r) == 0
+        _, (h, h_t, h_r) = self.row_traces((), t_loc, r)
+        if scalar:
+            return float(h), float(h_t), float(h_r)
+        return h, h_t, h_r
+
+    def row_traces(self, rows, t_loc, r):
+        """(h, h_t, h_r) in window-local variables, exact trace formulas, on
+        the consecutive local lattice rows ``rows`` and at the points
+        (t_loc, r) (arrays, broadcast): ((h, h_t, h_r) on the rows, each of
+        shape (rows, J + 1) over the columns 0..J of
+        :meth:`~debondsim.quadrature.CharLattice.row_block`, and
+        (h, h_t, h_r) at the points).
+
         The one check of a trace point: it must be window-local
         (t_loc <= rho0/2) and in [0, rho(t_loc)], else GeometryError names
         the first point off and the bound; r is clipped to [0, rho(t_loc)]
         and located on the lattice once, and both kernels take the points as
-        given.  At a lattice node h is the node value; elsewhere it is the
-        lattice's sample, and 0 on the front.  The free part is one
-        :func:`~debondsim.dalembert.free_derivatives` call, one evaluation
-        per lattice characteristic of the nodes and per off-node point, and
-        the memory part one :func:`~debondsim.quadrature.phi_time_trace`
-        call, which reads the nodes off the diagonal cumulatives and sends
-        only reflected anti-diagonals and off-node points to the line kernel."""
+        given.  The nodes are one block of rows, from the rows and from the
+        points that are nodes: the free part is one
+        :func:`~debondsim.dalembert.free_derivatives` call and the memory
+        part one :func:`~debondsim.quadrature.phi_time_trace` call, each
+        reading the block through views of one table per characteristic
+        and sending only the reflected anti-diagonals and the points off
+        the nodes (banks, front points) to the line kernel.  A point on a
+        node takes the block's values there.  At a node h is the node
+        value; elsewhere it is the lattice's sample, and 0 on the front.
+        Columns past a row's front hold values that mean nothing.
+        """
         lat = self.lattice
-        scalar = np.ndim(t_loc) == 0 and np.ndim(r) == 0
         t_loc, r = np.broadcast_arrays(np.asarray(t_loc, dtype=float),
                                        np.asarray(r, dtype=float))
         t_max = 0.5 * lat.front.rho0
@@ -316,18 +315,43 @@ class FieldPatch:
                 f"{r.flat[k]:.6g}) is outside [0, rho(t)] = [0, {rho_t.flat[k]:.6g}]")
         r = np.minimum(np.maximum(r, 0.0), rho_t)
         i, j, node = lat.node_index(t_loc, r)
-        d_t, d_r = free_derivatives(self.hdata, lat.front, lat.delta, t_loc, r)
-        g1, g2 = phi_time_trace(lat, self.F, self.cumulatives, t_loc, r, i, j, node)
-        h_t = d_t + 0.5 * (g1 + g2)
-        h_r = d_r + 0.5 * (g1 - g2)
-        h = np.array(lat.values[i, j])  # replaced off the nodes
-        off = ~node
-        if off.any():
-            h[off] = self.local_value(t_loc[off], r[off])
-        h = np.where(np.abs(r - rho_t) < 1e-14, 0.0, h)
-        if scalar:
-            return float(h), float(h_t), float(h_r)
-        return h, h_t, h_r
+        rows = np.asarray(rows, dtype=int)
+        ends = np.concatenate((rows[:1], rows[-1:], i[node]))
+        block = lat.row_block(ends.min(), ends.max()) if ends.size else lat.row_block(0, -1)
+        lo, hi, J = block
+        far = ~node
+        t_far, r_far = t_loc[far], r[far]
+        (d_t, d_r), free = free_derivatives(self.hdata, lat.front, lat.delta, block,
+                                            t_far, r_far)
+        (g1, g2), memory = phi_time_trace(lat, self.F, self.cumulatives, block, t_far, r_far)
+        # h_t = d_t + (g1 + g2) / 2 and h_r = d_r + (g1 - g2) / 2, in place
+        h_t = g1 + g2
+        h_r = np.subtract(g1, g2, out=g1)
+        for part, d_part in ((h_t, d_t), (h_r, d_r)):
+            part *= 0.5
+            part += d_part
+        h = lat.values[lo:hi + 1, :J + 1].copy()
+        j_front = np.rint(lat.rho_rows[lo:hi + 1] / lat.delta).astype(int)
+        on_front = (np.abs(j_front * lat.delta - lat.rho_rows[lo:hi + 1]) < 1e-14) & (j_front <= J)
+        h[on_front.nonzero()[0], j_front[on_front]] = 0.0
+
+        points = [np.empty(t_loc.shape) for _ in range(3)]
+        at = i[node] - lo, j[node]
+        for out, on_block in zip(points, (h, h_t, h_r)):
+            out[node] = on_block[at]
+        if far.any():
+            (ft, fr), (g1, g2) = free, memory
+            points[0][far] = self.local_value(t_far, r_far)
+            points[1][far] = ft + 0.5 * (g1 + g2)
+            points[2][far] = fr + 0.5 * (g1 - g2)
+        points[0] = np.where(np.abs(r - rho_t) < 1e-14, 0.0, points[0])
+        if rows.size:
+            keep = slice(rows[0] - lo, rows[-1] + 1 - lo), slice(0, lat.row_block(
+                rows[0], rows[-1])[2] + 1)
+            block = h[keep], h_t[keep], h_r[keep]
+        else:
+            block = (np.empty((0, 0)),) * 3
+        return block, tuple(points)
 
 
 class _Workspace:
@@ -416,8 +440,8 @@ def _seam_data(patch: FieldPatch, wavefronts) -> HData:
     traces.
 
     The profiles are sampled at the end row's points of
-    :meth:`FieldPatch.row_points`, the sampler of the audit's row
-    integrals: where a corner wavefront of ``wavefronts`` crosses the seam
+    :meth:`FieldPatch.row_points`, whose segments the audit's row integrals
+    share: where a corner wavefront of ``wavefronts`` crosses the seam
     row they get a bank on each side of the jump, a double knot, so the
     next window inherits a sharp jump instead of a smeared cell.  The last
     point is the front, where h vanishes.
@@ -426,7 +450,7 @@ def _seam_data(patch: FieldPatch, wavefronts) -> HData:
     hd = patch.hdata
     t_end = lat.nt * lat.delta
     rho_end = float(lat.rho_rows[-1])
-    _, rs, _ = patch.row_points([lat.nt], wavefronts)
+    rs = patch.row_points(lat.nt, wavefronts)
     h0_s, h1_s, hd0_s = patch.local_traces(t_end, rs)
     h0_s[-1] = 0.0  # the front point, or a node within 1e-12 of it that stands for it
 

@@ -34,14 +34,17 @@ segment from the column cumulative of the field's sheared layout along the
 segment's family, the cumulative the cone-sum kernel uses, so its work is
 O(segments), and only a segment's two end cells read row values, all
 of a batch's in one gather.
-:func:`phi_time_trace` reads the same cumulatives: at a lattice node,
-where almost all of the audit's trace points lie, it reads every leg that
-runs from row to row along a diagonal as the difference of two cumulative
-reads, reflected nodes included.  A reflected node's g1 starts where its
-anti-diagonal crosses the front, between rows; that part is one value per
-anti-diagonal, shared by its nodes.  Those values and the off-node points
-(banks, front points) take one kernel call per trace call, and a patch
-builds its cumulatives once for all its trace calls.
+:func:`phi_time_trace` reads the same cumulatives on a block of lattice
+rows lo..hi, columns 0..J (:meth:`CharLattice.row_block`), where almost
+all of the audit's trace values lie: every leg that runs from row to row
+along a diagonal is the difference of two cumulative reads, and along a
+row block each read is a strided view of the cumulatives, as the cone
+plan reads its sums, reflected nodes included.  A reflected node's g1
+starts where its anti-diagonal crosses the front, between rows; that part
+is one value per anti-diagonal, shared by its nodes and read through a
+view too.  Those values and the points off the nodes (banks, front
+points) take one kernel call per trace call, and a patch builds its
+cumulatives once for all its trace calls.
 
 All quadrature here integrates the piecewise-linear interpolant of the
 node values; off-lattice cuts (the omega edge, fractional endpoints) are
@@ -107,6 +110,17 @@ class CharLattice:
         d = self.delta
         i, j = np.rint(_asarray(t) / d), np.rint(_asarray(r) / d)
         return i.astype(int), j.astype(int), (i * d == t) & (j * d == r)
+
+    def row_block(self, lo: int, hi: int):
+        """The block of rows lo..hi over columns 0..J, J the largest inside
+        column of those rows (floor(rho / delta + 1e-12), the last node of
+        a row, as ``FieldPatch.row_segments`` counts it): (lo, hi, J), and
+        (0, -1, -1) for no rows (hi < lo).  The front does not reach R, so
+        no column of a block does."""
+        if hi < lo:
+            return 0, -1, -1
+        J = int(np.floor(self.rho_rows[lo:hi + 1].max() / self.delta + 1e-12))
+        return int(lo), int(hi), J
 
     # -- interpolation ----------------------------------------------------
 
@@ -515,13 +529,16 @@ def _line_block(values, d, C, direction, offset, ta, tb):
 # derivative traces
 # ---------------------------------------------------------------------------
 
-def phi_time_trace(lat: CharLattice, values: np.ndarray, C: np.ndarray, t, r, i, j, node):
+def phi_time_trace(lat: CharLattice, values: np.ndarray, C: np.ndarray, block, t, r):
     """Boundary line integrals (g1, g2) with Phi_t = g1 + g2 and
-    Phi_r = g1 - g2 at points (t, r) of one shape, taken as given:
-    ``prescribed.FieldPatch.local_traces`` checks them (t <= rho0 / 2,
-    where these formulas hold, and 0 <= r <= rho(t)), clips r and locates
-    them, (i, j) the nearest node and ``node`` whether it is the point.  So
-    the front's maps are read here unchecked (see :mod:`debondsim.geometry`).
+    Phi_r = g1 - g2 on a block of lattice rows and at points (t, r) off
+    the nodes, returned as ((g1, g2) on the block, (g1, g2) at the points).
+    ``block`` is (lo, hi, J) of :meth:`CharLattice.row_block`: every node
+    of rows lo..hi in columns 0..J, inside the front or not.  The points are
+    taken as given: ``prescribed.FieldPatch.row_traces`` checks them
+    (t <= rho0 / 2, where these formulas hold, and 0 <= r <= rho(t)) and
+    clips r.  So the front's maps are read here unchecked (see
+    :mod:`debondsim.geometry`).
 
     C is both families' diagonal cumulatives of ``values``
     (:func:`_line_cumulatives`), which the caller builds once and keeps.
@@ -530,38 +547,37 @@ def phi_time_trace(lat: CharLattice, values: np.ndarray, C: np.ndarray, t, r, i,
     node has
 
         g1 = M[i, i + j] - S[i + j],
-        g2 = P[i, j] - P[i_rim, .] - M[i_rim, 0],
+        g2 = P[i, j] - P[i - j, 0] - M[i - j, 0],
 
-    g2's legs from row i_rim = i - j, where the +45 line leaves the rim
-    behind the rim echo (j < i), and from row 0 otherwise.  S[m] is 0 on
-    an anti-diagonal m with m * delta <= rho0; past the reflection it is
-    the integral along the anti-diagonal from t = 0 to its crossing t_star
-    with the front, plus omega'(eta) times the reflected +45 line from
+    the last two the rim-echo legs from row i - j, where the +45 line
+    leaves the rim behind the rim echo (j < i), and 0 otherwise.  M along
+    a row block is a strided view of C, S and the rim-echo legs are 1-D in
+    i + j and i - j, and each is read through a view over the block
+    (:func:`_view`, as the cone plan reads its sums), so a block costs a
+    few passes over its nodes and no index arrays.  S[m] is 0 on an
+    anti-diagonal m with m * delta <= rho0; past the reflection it is the
+    integral along the anti-diagonal from t = 0 to its crossing t_star with
+    the front, plus omega'(eta) times the reflected +45 line from
     (0, -omega(eta)) up to t_star, so g1 runs from t_star only.  S takes
-    two segments per reflected anti-diagonal that holds a requested node,
-    and every off-node point (banks, front points) its four characteristic
-    segments; all of them go through one :func:`char_line_integrals` call
-    on the same cumulatives.
+    two segments per reflected anti-diagonal of the block, and every point
+    its four characteristic segments; all of them go through one
+    :func:`char_line_integrals` call on the same cumulatives.
     """
     front = lat.front
     rho0 = front.rho0
     nt, d = lat.nt, lat.delta
-    g1, g2 = np.empty(t.shape), np.empty(t.shape)
+    lo, hi, J = block
+    shape = (hi - lo + 1, J + 1)
+    # the block's anti-diagonals m = lo .. hi + J, the reflected ones, and
+    # the points' reflection
+    m = np.arange(lo, hi + J + 1)
+    diag = m[m * d > rho0 + 1e-14]
     refl = r > rho0 - t + 1e-14
-    i, j = i[node], j[node]
-    m = i + j
-    # the reflected anti-diagonals that hold a node, marked over the -45
-    # layout's columns, and the off-node points
-    marked = np.zeros(C.shape[2], dtype=bool)
-    marked[m[refl[node]]] = True
-    diag = marked.nonzero()[0]
-    far = ~node
-    t, r, refl = t[far], r[far], refl[far]
 
-    # g1 of an off-node point: the -45 line through (t, r), from t = 0 or,
-    # past the reflection, from its crossing t_star with the front, plus
-    # -omega'(eta) times the reflected +45 line from (0, -omega(eta)) up to
-    # t_star; an anti-diagonal's S takes the same t_star, omega and omega'
+    # g1 of a point: the -45 line through (t, r), from t = 0 or, past the
+    # reflection, from its crossing t_star with the front, plus -omega'(eta)
+    # times the reflected +45 line from (0, -omega(eta)) up to t_star; an
+    # anti-diagonal's S takes the same t_star, omega and omega'
     eta = np.concatenate((diag * d, t + r))
     bent = np.concatenate((np.ones(diag.size, dtype=bool), refl))
     t_star, om, om_dot = (np.zeros(eta.shape) for _ in range(3))
@@ -570,15 +586,15 @@ def phi_time_trace(lat: CharLattice, values: np.ndarray, C: np.ndarray, t, r, i,
         t_star[bent] = front._psi_inverse_unchecked(e)
         om[bent] = front._omega_unchecked(e)
         om_dot[bent] = front.omega_dot(e)
-    # g2 of an off-node point: the +45 line through (t, r), from t = 0 or,
-    # behind the rim echo, from the rim at s = t - r, less the -45 echo leg
-    # from (0, s) to the rim
+    # g2 of a point: the +45 line through (t, r), from t = 0 or, behind the
+    # rim echo, from the rim at s = t - r, less the -45 echo leg from (0, s)
+    # to the rim
     s = np.where(r < t - 1e-14, t - r, 0.0)
     n, nf = diag.size, t.size
     ts_d, ts_f = t_star[:n], t_star[n:]
     z_d, z_f = np.zeros(n), np.zeros(nf)
     # segment groups, in order: each anti-diagonal up to t_star, its
-    # reflected +45 leg; each off-node point's g1 legs, then its g2 legs
+    # reflected +45 leg; each point's g1 legs, then its g2 legs
     L = char_line_integrals(
         lat, values, C,
         np.repeat([-1.0, 1.0, -1.0, 1.0, 1.0, -1.0], [n, n, nf, nf, nf, nf]),
@@ -588,17 +604,22 @@ def phi_time_trace(lat: CharLattice, values: np.ndarray, C: np.ndarray, t, r, i,
     L_diag, L_bent = L[:n], L[n:2 * n]
     L0, L1, L2, L3 = L[2 * n:].reshape(4, nf)
 
-    # the nodes, through flat indices into C: row l of family f starts at
-    # (2 l + f) * W
+    # the block: row l of family f of C starts at flat index (2 l + f) W, so
+    # M[i, i + j] steps 2 W + 1 down the rows and P[i, j] (column
+    # j - i + nt) 2 W - 1; the echo legs of i - j = k > 0 sit at
+    # C[k, 1, nt - k] and C[k, 0, k]
     W = C.shape[2]
-    S = np.zeros(W)
-    S[diag] = L_diag + om_dot[:n] * L_bent
+    S = np.zeros(m.shape)
+    S[diag - lo] = L_diag + om_dot[:n] * L_bent
     flat = C.ravel()
-    i_rim = np.maximum(i - j, 0)
-    row, rim = 2 * W * i, 2 * W * i_rim
-    q = j - i + (nt + W)
-    g1[node] = flat.take(row + m) - S.take(m)
-    g2[node] = flat.take(row + q) - flat.take(rim + q) - flat.take(rim + i_rim)
-    g1[far] = -om_dot[n:] * L1 + L0
-    g2[far] = -L3 + L2
-    return g1, g2
+    k = np.arange(lo - J, hi + 1)
+    echo = np.zeros((2, k.size))
+    behind = k > 0
+    echo[0, behind] = flat[W + nt::2 * W - 1][k[behind]]
+    echo[1, behind] = flat[::2 * W + 1][k[behind]]
+    g1 = np.subtract(_view(C, (2 * W + 1) * lo, shape, (2 * W + 1, 1), False),
+                     _view(S, 0, shape, (1, 1), False))
+    g2 = np.subtract(_view(C, (2 * lo + 1) * W + nt - lo, shape, (2 * W - 1, 1), False),
+                     _view(echo, J, shape, (1, -1), False))
+    g2 -= _view(echo, k.size + J, shape, (1, -1), False)
+    return (g1, g2), (-om_dot[n:] * L1 + L0, -L3 + L2)

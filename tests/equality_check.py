@@ -11,8 +11,9 @@ at the benchmark's step the finite-difference oracle on the produced front.
 For every part of every run (the front, the patch values, the kernel
 fields F, the patch scales and windows, the window and patch diagnostics,
 each ledger column and the oracle's H) it prints "bitwise equal" or the
-largest absolute difference, and it exits 1 unless every part is bitwise
-equal.  Given one tree twice, it checks that two processes agree, so that
+largest absolute difference and, beside it, the largest relative one
+(|difference| / max |old| over each array), so that a move at rounding
+level reads as one; it exits 1 unless every part is bitwise equal.  Given one tree twice, it checks that two processes agree, so that
 no result reads a work array it never wrote.
 
 It is a script, not a test module: pytest does not collect it.
@@ -85,8 +86,10 @@ def compare(a: list, b: list) -> str:
         return "differs in layout (array count or shapes)"
     if all(x.tobytes() == y.tobytes() for x, y in zip(a, b)):
         return "bitwise equal"
-    gap = max(float(np.max(np.abs(x - y), initial=0.0)) for x, y in zip(a, b))
-    return f"largest absolute difference {gap:.3e}"
+    gaps = [float(np.max(np.abs(x - y), initial=0.0)) for x, y in zip(a, b)]
+    scales = [float(np.max(np.abs(x), initial=0.0)) for x in a]
+    rel = max((g / s if s > 0 else (np.inf if g > 0 else 0.0)) for g, s in zip(gaps, scales))
+    return f"largest absolute difference {max(gaps):.3e}, relative {rel:.3e}"
 
 
 def main(argv) -> int:

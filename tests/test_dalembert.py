@@ -11,6 +11,16 @@ from debondsim.quadrature import CharLattice
 from reference import free_solution
 
 
+NO_ROWS = (0, -1, -1)  # the empty row block of CharLattice.row_block
+
+
+def points(hd, f, delta, t, r):
+    """free_derivatives at points alone, with no row block."""
+    block, at_points = free_derivatives(hd, f, delta, NO_ROWS, t, r)
+    assert block[0].shape == (0, 0)
+    return at_points
+
+
 def hdata_zero(rho0=1.0, R=3.0, alpha=0.0):
     z = Profile.zero()
     return HData(R=R, rho0=rho0, alpha=alpha, z=z, h0=Profile.zero(),
@@ -134,7 +144,7 @@ def test_initial_derivatives():
     hd = hdata_rich()
     f = FrontCurve.affine(1.0, 0.2, 2.0, 3.0)
     rs = np.linspace(0.05, 0.95, 13)
-    d_t, d_r = free_derivatives(hd, f, 1.0 / 64, 0.0, rs)
+    d_t, d_r = points(hd, f, 1.0 / 64, 0.0, rs)
     assert np.allclose(d_t, hd.h1(rs), atol=1e-13)
     assert np.allclose(d_r, hd.h0.deriv(rs), atol=1e-13)
 
@@ -144,7 +154,7 @@ def test_derivatives_by_richardson_differences():
     f = FrontCurve.affine(1.0, 0.2, 2.0, 3.0)
     pts = [(0.21, 0.33), (0.15, 0.72), (0.37, 0.95), (0.41, 0.30)]
     for t, r in pts:
-        d_t, d_r = free_derivatives(hd, f, 1.0 / 64, t, r)
+        d_t, d_r = points(hd, f, 1.0 / 64, t, r)
         errs = []
         for step in (1e-4, 5e-5):
             fd_t = (float(free_solution(hd, f, t + step, r))
@@ -217,17 +227,33 @@ def assert_bitwise(got, want):
 @given(delta=st.sampled_from([1.0 / 64, 1.0 / 100, 1.0 / 128]),
        nodes=st.lists(st.tuples(st.integers(0, 64), st.integers(0, 160)), max_size=80),
        off=st.lists(st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 1.3)), max_size=12),
+       rows=st.tuples(st.integers(0, 51), st.integers(0, 51)),
        data=st.data())
-def test_free_derivatives_on_mixed_points_are_the_direct_branches(delta, nodes, off, data):
+def test_free_derivatives_on_mixed_points_are_the_direct_branches(delta, nodes, off, rows, data):
     # lattice nodes (many sharing a characteristic), off-node points and
-    # points beyond the front, in drawn order
+    # points beyond the front, in drawn order, are each their own branch
+    # evaluation; a block of rows, with the points in the same call, reads
+    # every node off the two branch tables: bitwise the direct branches at
+    # (i delta, j delta) where (i + j) delta and (i - j) delta are i delta
+    # +- j delta to the bit (delta a power of two), to rounding otherwise
     hd = hdata_seam()
     f = FrontCurve.affine(1.0, 0.3, 0.5, 3.0)
     pts = [(i * delta, j * delta) for i, j in nodes if i * delta <= 0.5] + off
     order = data.draw(st.permutations(range(len(pts))))
     t = np.array([pts[k][0] for k in order], dtype=float)
     r = np.array([pts[k][1] for k in order], dtype=float)
-    assert_bitwise(free_derivatives(hd, f, delta, t, r), direct_derivatives(hd, f, t, r))
+    assert_bitwise(points(hd, f, delta, t, r), direct_derivatives(hd, f, t, r))
+
+    lat = CharLattice(f, delta, int(0.4 / delta))
+    block = lat.row_block(*sorted(min(k, lat.nt) for k in rows))
+    lo, hi, J = block
+    got, at_points = free_derivatives(hd, f, delta, block, t, r)
+    assert_bitwise(at_points, direct_derivatives(hd, f, t, r))
+    want = direct_derivatives(hd, f, lat.times[lo:hi + 1, None], lat.radii[None, :J + 1])
+    if delta != 1.0 / 100:
+        assert_bitwise(got, want)
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
 
 
 def test_free_derivatives_scalars_empty_and_broadcast():
@@ -235,11 +261,11 @@ def test_free_derivatives_scalars_empty_and_broadcast():
     f = FrontCurve.affine(1.0, 0.3, 0.5, 3.0)
     delta = 1.0 / 64
     for t, r in [(0.25, 0.5), (0.2501, 0.3), (0.0, 0.0), (0.5, 1.15), (0.1, 1.4)]:
-        got = free_derivatives(hd, f, delta, t, r)
+        got = points(hd, f, delta, t, r)
         assert np.ndim(got[0]) == 0
         assert_bitwise(got, direct_derivatives(hd, f, t, r))
-    got = free_derivatives(hd, f, delta, np.array([]), np.array([]))
+    got = points(hd, f, delta, np.array([]), np.array([]))
     assert got[0].shape == (0,) and got[1].shape == (0,)
     t = np.arange(0, 33)[:, None] * delta
     r = np.concatenate((np.arange(0, 70) * delta, [0.3, 0.71]))
-    assert_bitwise(free_derivatives(hd, f, delta, t, r), direct_derivatives(hd, f, t, r))
+    assert_bitwise(points(hd, f, delta, t, r), direct_derivatives(hd, f, t, r))

@@ -285,27 +285,31 @@ def test_external_work_constant_w():
 
 def test_audit_of_a_rim_at_rest_traces_no_rim_bracket(monkeypatch):
     # w = 0: the rim power multiplies w' = 0 on every row, so the audit
-    # traces no rim point, only each patch's row points and its front
-    # points (one per row and one per front-segment midpoint), and the
-    # external work is exactly 0
+    # reads no rim trace and the external work is exactly 0.  Each patch
+    # makes one trace call: its rows as one block, and as points only its
+    # row banks and its front points (one per row and one per front-segment
+    # midpoint), so no point at the rim r = 0
     data = bump_data(amp=0.4, alpha=0.5)
     tough = Toughness.constant(0.15, rho0=1.0, R=3.0)
     res = run(data, tough, horizon=0.25, delta=1.0 / 64)
     traced = []
-    trace = FieldPatch.local_traces
+    trace = FieldPatch.row_traces
 
-    def counted(self, t_loc, r):
-        traced.append(np.size(t_loc))
-        return trace(self, t_loc, r)
-    monkeypatch.setattr(FieldPatch, "local_traces", counted)
+    def counted(self, rows, t_loc, r):
+        traced.append((np.size(rows), np.asarray(r)))
+        return trace(self, rows, t_loc, r)
+    monkeypatch.setattr(FieldPatch, "row_traces", counted)
     led = audit(res.patches, res.front, data, tough)
     assert np.all(led.W_ext == 0.0)
 
     wf = corner_wavefronts(res.front, led.times[-1])
-    row_points = sum(p.row_points(ii, wf)[0].size for p, ii, _ in _global_rows(res.patches))
+    segments = [p.row_segments(ii, wf) for p, ii, _ in _global_rows(res.patches)]
+    banks = sum(np.count_nonzero(s.lead) + np.count_nonzero(s.tail) for s in segments)
     midpoints = _segments(res.front, led.times)[2].size
-    assert len(traced) == len(res.patches)
-    assert sum(traced) == row_points + led.times.size + midpoints
+    assert len(traced) == len(res.patches) and banks > len(res.patches)
+    assert sum(rows for rows, _ in traced) == led.times.size
+    assert sum(r.size for _, r in traced) == banks + led.times.size + midpoints
+    assert all(np.all(r > 0.0) for _, r in traced)
 
 
 # -- release rate ---------------------------------------------------------------

@@ -291,7 +291,7 @@ def counting_branch(fn, tally, key):
 def test_free_layer_cost_scales_with_characteristics(monkeypatch):
     # the free grid evaluates the data profiles once per characteristic of
     # the window lattice, not once per node; the node traces evaluate the
-    # branch derivatives once per characteristic the nodes share
+    # branch derivatives once per characteristic of the block of their rows
     hd = to_h_data(make_data(alpha=0.5, w=Profile.sine(0.1, 2.0)))
     front = FrontCurve.affine(1.0, 0.3, 2.0, 3.0)
     delta = 1.0 / 64
@@ -326,8 +326,9 @@ def test_free_layer_cost_scales_with_characteristics(monkeypatch):
         branch = counting_branch(getattr(dalembert, name), tally, name)
         monkeypatch.setattr(dalembert, name, branch)
     patch.local_traces(t, r)
-    assert tally["df_plus"] <= len(np.unique((i + j)[node])) + off
-    assert tally["df_minus"] <= len(np.unique((i - j)[node])) + off
+    lo, hi, J = lat.row_block(0, 16)
+    assert (lo, hi) == (0, 16) and hi - lo + J + 1 < np.count_nonzero(node) / 3
+    assert tally["df_plus"] == tally["df_minus"] == hi - lo + J + 1 + off
 
 
 # -- marching -----------------------------------------------------------------
@@ -469,7 +470,7 @@ def test_trace_points_are_checked_and_located_once(monkeypatch):
     lat = patch.lattice
     wavefronts = corner_wavefronts(front, 0.5)
     t = lat.nt * lat.delta
-    _, rs, _ = patch.row_points([lat.nt], wavefronts)
+    rs = patch.row_points(lat.nt, wavefronts)
     i, j, node = lat.node_index(t, rs)
     assert lat.nt == 16 and np.any(i + j > 64) and np.count_nonzero(~node) >= 5
     calls = []
@@ -479,7 +480,7 @@ def test_trace_points_are_checked_and_located_once(monkeypatch):
             return _fn(*args)
         monkeypatch.setattr(owner, name, counted)
 
-    assert np.array_equal(patch.row_points([lat.nt], wavefronts)[1], rs)
+    assert np.array_equal(patch.row_points(lat.nt, wavefronts), rs)
     assert calls == []
     patch.local_traces(t, rs)
     assert sorted(calls) == ["node_index", "rho"]
@@ -499,7 +500,7 @@ def test_one_range_check_per_trace_call(monkeypatch):
     patch = march(data, front, horizon=0.25, delta=1.0 / 64)[0]
     lat = patch.lattice
     t = lat.nt * lat.delta
-    _, rs, _ = patch.row_points([lat.nt], corner_wavefronts(front, 0.5))
+    rs = patch.row_points(lat.nt, corner_wavefronts(front, 0.5))
     i, j, node = lat.node_index(t, rs)
     assert np.any(i + j > 64) and np.count_nonzero(~node) >= 5
     assert rs[-1] == lat.rho_rows[-1] and not node[-1]

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from debondsim import quadrature
-from debondsim.dalembert import free_derivatives
+from debondsim.dalembert import df_minus, df_plus, free_derivatives
 from debondsim.fields import ProblemData, Profile, Toughness, to_h_data
 from debondsim.geometry import FrontCurve, GeometryError, corner_wavefronts
 from debondsim.griffith import StripWorkspace, solve_coupled_window
@@ -55,11 +55,22 @@ def line_integrals(lat, values, *segments):
 
 def trace(lat, values, t, r):
     """phi_time_trace with the cumulatives built for this one call, at the
-    points broadcast and located on the lattice (floats for one point)."""
+    points broadcast and located on the lattice, as ``row_traces`` sends
+    them: the nodes among them read off the block of their rows, the
+    others as points (floats for one point)."""
     t, r = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(r, dtype=float))
-    g1, g2 = phi_time_trace(lat, values, quadrature._line_cumulatives(values, lat.delta), t, r,
-                            *lat.node_index(t, r))
-    return (float(g1), float(g2)) if t.ndim == 0 else (g1, g2)
+    i, j, node = lat.node_index(t, r)
+    block = lat.row_block(i[node].min(), i[node].max()) if node.any() else lat.row_block(0, -1)
+    on_block, at_points = phi_time_trace(lat, values,
+                                         quadrature._line_cumulatives(values, lat.delta),
+                                         block, t[~node], r[~node])
+    out = []
+    for g_block, g_points in zip(on_block, at_points):
+        g = np.empty(t.shape)
+        g[node] = g_block[i[node] - block[0], j[node]]
+        g[~node] = g_points
+        out.append(g)
+    return tuple(float(g) for g in out) if t.ndim == 0 else tuple(out)
 
 
 # -- lattice ----------------------------------------------------------------
@@ -692,7 +703,8 @@ def test_node_traces_read_the_diagonal_cumulatives(monkeypatch):
     # front on the lattice column j = 32, where h = 0.  Off the reflection
     # band the traces are the row-by-row diagonal cumulatives; the reflected
     # nodes read them too, less one S per anti-diagonal, whose two segments
-    # per reflected anti-diagonal are the kernel's only batch
+    # per reflected anti-diagonal are the kernel's only batch.  The patch's
+    # rows are one block
     data = ProblemData(R=3.0, rho0=0.5, alpha=0.5, horizon=4.0, w=Profile.zero(),
                        v0=Profile.sine_bump(0.4, 0.5), v1=Profile.constant(0.2))
     patch = march(data, FrontCurve.constant(0.5, 2.0, 3.0), horizon=0.125,
@@ -712,7 +724,10 @@ def test_node_traces_read_the_diagonal_cumulatives(monkeypatch):
         segments.append(direction.size)
         return block(values, d, C, direction, *args)
     monkeypatch.setattr(quadrature, "_line_block", counted)
-    g1, g2 = phi_time_trace(lat, F, patch.cumulatives, t, r, *lat.node_index(t, r))
+    rows = lat.row_block(0, lat.nt)
+    none = np.empty(0)
+    (g1, g2), _ = phi_time_trace(lat, F, patch.cumulatives, rows, none, none)
+    g1, g2 = g1[ii, jj], g2[ii, jj]
     assert segments == [2 * len(np.unique((ii + jj)[refl]))]
 
     C, D = diag_cumulatives(F, d)
@@ -725,7 +740,8 @@ def test_node_traces_read_the_diagonal_cumulatives(monkeypatch):
     assert np.max(np.abs(g2 - g2_ref)[refl]) <= 1e-13
 
     h, h_t, h_r = patch.local_traces(t, r)
-    d_t, d_r = free_derivatives(patch.hdata, lat.front, d, t, r)
+    (d_t, d_r), _ = free_derivatives(patch.hdata, lat.front, d, rows, none, none)
+    d_t, d_r = d_t[ii, jj], d_r[ii, jj]
     ref_t = d_t + 0.5 * (D[ii, jj] + C[ii, jj] - echo)
     ref_r = d_r + 0.5 * (D[ii, jj] - C[ii, jj] + echo)
     assert np.max(np.abs(h_t - ref_t)[~refl]) <= 1e-13
@@ -738,18 +754,32 @@ def test_node_traces_read_the_diagonal_cumulatives(monkeypatch):
 
 
 
+_ORACLE_COEF = (1.0, 0.5, 1.2, -0.3, 0.4)
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(delta=st.sampled_from([1.0 / 64, 1.0 / 100, 1.0 / 128]),
        interior=st.lists(st.floats(0.02, 0.48), max_size=2, unique=True),
        slopes=st.lists(st.floats(0.0, 0.6), min_size=3, max_size=3),
        coef=st.tuples(st.floats(0.0, 1.5), st.floats(-3.0, 3.0), st.floats(0.0, 1.5),
                       st.floats(-3.0, 3.0), st.floats(-1.0, 1.0)),
-       nt=st.integers(1, 32))
-def test_trace_matches_four_segment_oracle(delta, interior, slopes, coef, nt):
+       nt=st.integers(1, 32),
+       rows=st.tuples(st.integers(0, 32), st.integers(0, 32)))
+# the seam's end row, the audit's one-row call [i] and a block with lo > 0
+@example(delta=1.0 / 100, interior=[0.25], slopes=[0.3, 0.1, 0.5], coef=_ORACLE_COEF, nt=32,
+         rows=(32, 32))
+@example(delta=1.0 / 64, interior=[0.1, 0.3], slopes=[0.5, 0.0, 0.2], coef=_ORACLE_COEF,
+         nt=24, rows=(9, 9))
+@example(delta=1.0 / 128, interior=[], slopes=[0.45, 0.0, 0.0], coef=_ORACLE_COEF, nt=32,
+         rows=(5, 27))
+def test_trace_matches_four_segment_oracle(delta, interior, slopes, coef, nt, rows):
     # every inside node of rows 0 ... nt, reflected nodes and column 0
     # included, the banks of the corner wavefronts and each row's front
     # point, in one call, against every point's four segments, on fronts
-    # with 2-4 knots
+    # with 2-4 knots.  Then a block of rows lo..hi with the banks and front
+    # points in the same call, as the audit and the seam make it: its
+    # inside nodes against the four segments at (i delta, j delta), and its
+    # free part against the direct branches there
     ts = np.array([0.0] + sorted(interior) + [0.5])
     rhos = 1.0 + np.concatenate(([0.0], np.cumsum(np.array(slopes[:len(ts) - 1]) * np.diff(ts))))
     front = FrontCurve(ts, rhos, 3.0)
@@ -758,7 +788,7 @@ def test_trace_matches_four_segment_oracle(delta, interior, slopes, coef, nt):
     H = fill(lat, lambda t, r: np.sin(b * t + c) * np.cos(e * r + f) + g * t * r)
     ii, jj = np.nonzero(lat.inside)
     assert np.any((ii + jj) * delta > front.rho0 + 1e-12) and np.any((jj == 0) & (ii > 0))
-    pts_t, pts_r = list(ii * delta), list(jj * delta)
+    pts_t, pts_r = [], []
     wf = corner_wavefronts(front, nt * delta)
     for t in lat.times:
         rho_t = float(front.rho(t))
@@ -767,10 +797,40 @@ def test_trace_matches_four_segment_oracle(delta, interior, slopes, coef, nt):
             pts_r += [r_star - 1e-9, r_star + 1e-9]
         pts_t.append(t)
         pts_r.append(rho_t)
-    t, r = np.array(pts_t), np.array(pts_r)
+    t = np.concatenate((ii * delta, pts_t))
+    r = np.concatenate((jj * delta, pts_r))
     got = np.array(trace(lat, H, t, r))
     want = np.array(phi_time_trace_segments(lat, H, t, r))
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    block = lat.row_block(*sorted(min(k, nt) for k in rows))
+    lo, hi, J = block
+    t, r = np.array(pts_t), np.array(pts_r)
+    on_block, at_points = phi_time_trace(lat, H, quadrature._line_cumulatives(H, delta), block,
+                                         t, r)
+    assert on_block[0].shape == (hi - lo + 1, J + 1)
+    rr = np.arange(J + 1) * delta
+    k, j = np.nonzero(rr[None, :] <= lat.rho_rows[lo:hi + 1, None] + 1e-12)
+    tn, rn = lat.times[lo + k], rr[j]
+    got = np.array([np.concatenate((gb[k, j], gp)) for gb, gp in zip(on_block, at_points)])
+    want = np.array(phi_time_trace_segments(lat, H, np.concatenate((tn, t)),
+                                            np.concatenate((rn, r))))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    data = ProblemData(R=3.0, rho0=1.0, alpha=0.5, horizon=1.0, w=Profile.sine(0.1, 2.0),
+                       v0=Profile.sine_bump(0.4, 1.0), v1=Profile.constant(0.2))
+    hd = to_h_data(data)
+    on_block, at_points = free_derivatives(hd, front, delta, block, t, r)
+
+    def direct(t, r):
+        fp = df_plus(hd, t + r, front._omega_unchecked(t + r), front.omega_dot(t + r))
+        fm = df_minus(hd, t - r)
+        return fp + fm, fp - fm
+    for got_b, want_b in zip(on_block, direct(tn, rn)):
+        assert np.max(np.abs(got_b[k, j] - want_b)) <= 1e-13 * np.max(np.abs(want_b))
+    for got_p, want_p in zip(at_points, direct(t, r)):
+        assert np.array_equal(got_p, want_p)
+
 
 def test_trace_consistent_with_cone_difference():
     # centered lattice-step difference of Phi in t approaches g1 + g2 at
