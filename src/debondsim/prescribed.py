@@ -6,9 +6,10 @@ Each marching window solves the representation identity
 
 by Picard iteration on a characteristic lattice, starting from the free
 solution A.  Each window is the longest whole number of rows, up to a
-quarter of the front's radius, whose analytic cone-area contraction bound
-is at most 1/2, so every iteration is a certified contraction.  One window
-loop marches a front in global time: it re-bases the data at every seam
+quarter of the front's radius, whose :func:`contraction_bound`, the
+time-slice integral of the kernel, is at most 1/2.  The bound holds for any
+subsonic front, so every iteration is a certified sup-norm contraction.  One
+window loop marches a front in global time: it re-bases the data at every seam
 using the exact derivative trace formulas (never finite differences), with
 double knots where a corner wavefront crosses the seam, and composes the
 exponential weight so each window works with well-conditioned local
@@ -104,18 +105,28 @@ def certified_step(rho_k: float) -> float:
 
 def contraction_bound(rho_k: float, R: float, alpha: float, T: float) -> float:
     """Analytic sup-norm Lipschitz bound of the operator of a window of
-    length T starting with the front at rho_k, the cone-area bound
-    T^2/8 * (alpha^2 + 1/(R-rho_k-T)^2), and +inf once rho_k + T >= R.
+    length T starting with the front at rho_k: the kernel's time-slice
+    integral
 
-    The backward cone of a point inside the window has area at most T^2,
-    and since the front is subsonic the window stays within r <= rho_k + T,
-    where the kernel (alpha^2 + 1/(R-r)^2)/4, increasing in r, takes its
-    largest value; half the cone integral then gives the T^2/8.  The bound
-    is nondecreasing in T.
+        q = alpha^2 T^2 / 8 + (ln(g / (g - T)) - T / g) / 4,   g = R - rho_k,
+
+    and +inf once T >= g, when the window reaches the rim.
+
+    It certifies under one assumption, that the front is subsonic, so at
+    window time s it lies at r <= rho_k + s.  The kernel
+    K(r) = (alpha^2 + 1/(R-r)^2)/4 increases in r, and the slice at time s
+    of any node's backward cone, with or without its rim echo, is at most
+    2(t - s) wide and lies where K <= K(rho_k + s).  Half the cone integral
+    of K is then at most the integral over s in [0, T] of
+    (T - s) K(rho_k + s), which is q.  It never exceeds the cone-area bound
+    T^2/8 * (alpha^2 + 1/(g - T)^2), the largest value of K times the whole
+    cone area, and is nondecreasing in T.
     """
-    if rho_k + T >= R:
+    g = R - rho_k
+    if T >= g:
         return np.inf
-    return 0.125 * T * T * (alpha * alpha + 1.0 / (R - rho_k - T) ** 2)
+    x = T / g
+    return 0.125 * (alpha * T) ** 2 + 0.25 * (-math.log1p(-x) - x)
 
 
 def _row_count(horizon: float, delta: float) -> int:
@@ -133,11 +144,12 @@ def plan_windows(front, alpha: float, i0: int, i1: int,
     windows snapped to the lattice.
 
     Each window takes the most rows, up to the centre cap of
-    :func:`certified_step`, whose :func:`contraction_bound` is at most 1/2;
-    the bound is nondecreasing in the length, so a bisection finds that
-    count, and near the rim it alone sets the length (it is +inf for a
-    window reaching R).  A one-row window is accepted with any bound below
-    0.999.
+    :func:`certified_step`, whose :func:`contraction_bound` is at most 1/2,
+    so its Picard iteration contracts in the sup norm by at most that factor
+    for a subsonic front.  The bound is nondecreasing in the length, so a
+    bisection finds that count; near the rim it can set the length (it is
+    +inf for a window reaching R).  A one-row window is accepted with any
+    bound below 0.999.
     """
     if i1 * delta > front.horizon + 1e-9:
         raise GeometryError(f"rows up to {i1} reach t = {i1 * delta:.6g}, past the front "

@@ -207,10 +207,15 @@ def _view(a: np.ndarray, offset: int, shape, steps, writeable: bool) -> np.ndarr
     """The view of the contiguous array ``a`` whose element (x, y) is
     ``a.flat[offset + x * steps[0] + y * steps[1]]``; a step may be negative
     as long as every element stays inside ``a``.  Views whose elements
-    repeat must not be writeable."""
+    repeat must not be writeable.  An empty view starts at 0, since the
+    ndarray constructor refuses an offset outside ``a`` even with no
+    elements."""
     n = a.itemsize
-    return np.lib.stride_tricks.as_strided(a.ravel()[offset:], shape,
-                                           (steps[0] * n, steps[1] * n), writeable=writeable)
+    if 0 in shape:
+        offset = 0
+    view = np.ndarray(shape, a.dtype, a, offset * n, (steps[0] * n, steps[1] * n))
+    view.flags.writeable = writeable
+    return view
 
 
 class ConePlan:
@@ -275,7 +280,6 @@ class ConePlan:
         # (the cut would cancel it up to rounding)
         late = np.flatnonzero(self._first > 0)
         self._late = self._first[late] * n + late
-        self._C = np.empty(self.shape)
         self._A = np.zeros((slots, n))
         self._A_cut = np.zeros(n)
         self._steps = (2, n - 1) if by_column else (2 * n + 2, -1)  # of A in (l, k)
@@ -299,18 +303,15 @@ class ConePlan:
         """The running sums A of every anti-diagonal and their values A_cut
         at the cuts, for the field F."""
         d = self.delta
-        # rows: 2 C[l]; half rows: 2 C[l] + d (3 F[l] + F[l + 1]) / 4, in
-        # that order.  Each is computed in place and read from C, never from
-        # the other rows of the table, which numpy would copy first.
-        C = column_cumulative(F, d, self._C)
-        C *= 2.0
+        # rows: 2 C[l], the column cumulative at step 2d, written in place;
+        # half rows: 2 C[l] + d (3 F[l] + F[l + 1]) / 4.  Each is scaled once,
+        # by d times a power of two, so the rows hold 2 C[l] to the bit.
         even, odd = self._half[0::2], self._half[1::2]
-        np.copyto(even, C)
+        column_cumulative(F, 2.0 * d, even)
         np.multiply(F[:-1], 3.0, out=odd)
         odd += F[1:]
-        odd *= d
-        odd /= 4.0
-        odd += C[:-1]
+        odd *= 0.25 * d
+        odd += even[:-1]
 
         A, I = self._A, self._I
         np.add(I[:-1], I[1:], out=A[1:])

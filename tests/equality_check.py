@@ -9,7 +9,8 @@ the benchmark workloads front_kkt, static_load and rim_debond
 step, each a coupled ``griffith.run`` and its ``energy_audit.audit``, and
 at the benchmark's step the finite-difference oracle on the produced front.
 For every part of every run (the front, the patch values, the kernel
-fields F, the patch scales and windows, the window and patch diagnostics,
+fields F, the patch scales and windows, each window's certified
+contraction bound, the window and patch diagnostics but for that bound,
 each ledger column and the oracle's H) it prints "bitwise equal" or the
 largest absolute difference and, beside it, the largest relative one
 (|difference| / max |old| over each array), so that a move at rounding
@@ -66,10 +67,11 @@ def results(src: Path) -> dict:
                 "patch values": _arrays(p.lattice.values for p in ps),
                 "F": _arrays(p.F for p in ps),
                 "scale and window": _arrays(
-                    [p.scale, p.window.t_start, p.window.t_end, p.window.contraction_bound,
-                     p.window.delta] for p in ps),
+                    [p.scale, p.window.t_start, p.window.t_end, p.window.delta] for p in ps),
+                "window bounds": _arrays([p.window.contraction_bound for p in ps]),
                 "diagnostics": [_diagnostics(d) for d in run.window_diagnostics]
-                + [_diagnostics(p.diagnostics) for p in ps],
+                + [_diagnostics({k: v for k, v in p.diagnostics.items()
+                                 if k != "contraction_bound"}) for p in ps],
             }
             for col in dataclasses.fields(ledger):
                 parts[f"ledger {col.name}"] = _arrays([getattr(ledger, col.name)])

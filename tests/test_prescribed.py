@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,12 +34,13 @@ def zero_data(R=3.0, rho0=1.0, alpha=0.0):
 
 def test_first_window_length():
     assert certified_step(1.0) == pytest.approx(0.25)
-    # near the rim the cap stays a quarter of the radius and the cone-area
-    # bound sets the window: at alpha = 0 it is at most 1/2 while
-    # T <= 2/3 (R - rho_k), here 2/15, which floors to 34 rows of 1/256
+    # near the rim the cap stays a quarter of the radius and the time-slice
+    # bound sets the window: at alpha = 0 it is (-ln(1 - x) - x)/4 with
+    # x = T/(R - rho_k), at most 1/2 while x <= 0.94753, here T <= 0.18951,
+    # which floors to 48 rows of 1/256
     assert certified_step(2.8) == pytest.approx(0.7)
     front = FrontCurve.constant(2.8, 1.0, 3.0)
-    assert plan_windows(front, 0.0, 0, 256, 1.0 / 256)[0].nt == 34
+    assert plan_windows(front, 0.0, 0, 256, 1.0 / 256)[0].nt == 48
 
 
 def test_window_shrinks_with_damping():
@@ -75,12 +77,38 @@ def test_errors_name_where_they_happened():
         kappa_eval(tough, np.array([1.5, 0.5, 3.5]))
     with pytest.raises(ValueError, match=r"r = 3 is outside \[1, 3\)"):
         kappa_eval(tough, 3.0)
-    # a front within a lattice step of the rim: no one-row window contracts
-    front = FrontCurve.constant(2.98, 1.0, 3.0)
+    # a front just over a lattice step from the rim: the one-row bound is
+    # finite but at least 0.999, which at alpha = 0 takes
+    # delta < R - rho <= 1.0069 delta (here 1.0048 delta), so no window
+    # contracts
+    front = FrontCurve.constant(2.9843, 1.0, 3.0)
     with pytest.raises(ConvergenceError, match=r"no certified window at t = 0\.5: the front at "
-                       r"rho = 2\.98 is too close to the rim R = 3 \(one-row bound 1\.59\d* "
+                       r"rho = 2\.9843 is too close to the rim R = 3 \(one-row bound 1\.087\d* "
                        r">= 0\.999\)"):
         plan_windows(front, 0.0, 32, 64, delta=1.0 / 64)
+
+
+def _cone_area_bound(rho_k, R, alpha, T):
+    """The former certificate: the kernel's largest value in the window
+    times the whole cone area, T^2/8 * (alpha^2 + 1/(R - rho_k - T)^2)."""
+    if rho_k + T >= R:
+        return np.inf
+    return 0.125 * T * T * (alpha * alpha + 1.0 / (R - rho_k - T) ** 2)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(R=st.floats(1.0, 3.0), frac=st.floats(0.0, 0.9999), alpha=st.floats(0.0, 40.0),
+       rows=st.integers(1, 512), k=st.integers(6, 12))
+def test_contraction_bound_properties(R, frac, alpha, rows, k):
+    # on windows of whole rows of 2^-k: nondecreasing in the length, as the
+    # planner's bisection needs, never above the cone-area bound (to
+    # rounding), and +inf exactly when the window reaches the rim
+    delta = 2.0 ** -k
+    rho_k, T = frac * R, rows * delta
+    q = contraction_bound(rho_k, R, alpha, T)
+    assert q <= contraction_bound(rho_k, R, alpha, T + delta)
+    assert (q == np.inf) == (T >= R - rho_k)
+    assert q <= _cone_area_bound(rho_k, R, alpha, T) * (1 + 1e-12)
 
 
 def _old_first_window_rows(rho_k, R, alpha, rows, delta):
@@ -158,7 +186,7 @@ def test_measured_contraction_below_bound():
     # perturbation has one sign, so the cone integrals cannot cancel
     cases = [  # rho0, alpha, delta, planned rows, the bound sets the rows
         (1.0, 1.0, 1.0 / 32, 8, False),  # the centre cap and the rows left set them
-        (2.8, 0.0, 1.0 / 256, 34, True),  # near the rim
+        (2.8, 0.0, 1.0 / 256, 48, True),  # near the rim
         (1.0, 10.0, 1.0 / 64, 12, True),  # strong damping
     ]
     for rho0, alpha, delta, rows, by_bound in cases:
@@ -182,6 +210,25 @@ def test_measured_contraction_below_bound():
             num = float(np.max(np.abs(out)))
             den = float(np.max(np.abs(d12)))
             assert num <= plan.contraction_bound * den * (1 + 1e-10), (rho0, alpha)
+
+
+@pytest.mark.parametrize("name", ["front_kkt", "static_load", "rim_debond"])
+def test_certified_bound_holds_on_every_workload_window(name, monkeypatch):
+    # the certificate against the window operator applied to all-ones (a
+    # lower bound on its sup norm) on every patch of the benchmark's
+    # workloads at 2, 1 and 1/2 times their step, to rounding: the alpha^2
+    # term alone is tight (0.4404 against 0.4406 at alpha = 10)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from perfbench import workloads
+
+    for scale in (2.0, 1.0, 0.5):
+        wl = workloads.build(name, 0, scale)
+        patches = run(wl.data, wl.tough, wl.horizon, wl.delta).patches
+        for p in patches:
+            ws = _Workspace(p.hdata, p.lattice.front, p.window)
+            ones = ws.lattice.masked(np.ones(ws.lattice.inside.shape))
+            measured = float(np.max(np.abs(apply_L(ones, ws) - ws.free_grid)))
+            assert measured <= p.window.contraction_bound * (1 + 1e-10), (scale, p.t0)
 
 
 def test_solve_window_zero_data_immediate():
