@@ -26,12 +26,12 @@ delta is a power of two, and to rounding otherwise.
 :func:`free_derivatives` does the same on a block of rows lo..hi, columns
 0..J: one branch table per characteristic family, over the block's
 anti-diagonals and diagonals, read through strided views, so a node
-takes (i + j) delta and (i - j) delta, like the free grid.  Its other
-points (banks, front points), in the domain as the trace entry point
-``prescribed.FieldPatch.row_traces`` checks and clips them, each take the
-branches at their own t + r and t - r, in the same call.  Both read the
-front's omega unchecked, at points the trace entry point or the lattice
-has placed in the domain.  The pointwise free solution, with its checks,
+takes (i + j) delta and (i - j) delta, like the free grid.  Its points,
+on nodes or not (banks, front points), in the domain as the trace entry
+point ``prescribed.FieldPatch.row_traces`` checks and clips them, each
+take the branches at their own t + r and t - r, in the same call.  Both
+read the front's omega unchecked, at points the trace entry point or the
+lattice has placed in the domain.  The pointwise free solution, with its checks,
 is the test oracle ``free_solution`` in ``tests/reference.py``.
 """
 

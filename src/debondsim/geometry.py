@@ -17,7 +17,7 @@ strictly increasing and omega a contraction slope-wise.
 The public maps check their arguments against the front's domain and
 range and raise :class:`GeometryError` for the first value off.  The trace
 path does not pay for those checks per call: ``prescribed.FieldPatch.
-local_traces`` checks every trace point once, and the kernels it feeds
+row_traces`` checks every trace point once, and the kernels it feeds
 (``quadrature.phi_time_trace`` and the reflected branch of the free
 layer) take omega, psi^{-1} and omega' of those points from the unchecked
 internals ``_omega_unchecked`` and ``_psi_inverse_unchecked`` and from
@@ -234,17 +234,19 @@ def corner_wavefronts(front, horizon: float):
 
 
 def jump_radii(segs, t, rho_t):
-    """Radii in (0, rho_t) where a corner wavefront crosses each row, at the
+    """Radii in [0, rho_t) where a corner wavefront crosses each row, at the
     times ``t`` (1-D) with front widths ``rho_t``, from one pass over the
     wavefront segments ``segs`` (:func:`corner_wavefronts`) for all rows:
     row k's radii ascending, padded with rho_t[k] to the most any row has.
-    Two wavefronts crossing at one radius give it twice."""
+    Two wavefronts crossing at one radius give it twice.  A wavefront at the
+    rim crosses at r = 0 (to 1e-12) on every row but t = 0, the rim corner."""
     t, rho_t = _asarray(t), _asarray(rho_t)
     X = np.empty((t.size, len(segs)))
     X[...] = rho_t[:, None]
     for w, (ta, tb, kind, c) in enumerate(segs):
         r = c - t if kind == "-" else t - c
-        hit = (ta - 1e-12 <= t) & (t <= tb + 1e-12) & (1e-9 < r) & (r < rho_t - 1e-9)
+        inside = np.where(t > 1e-12, r >= -1e-12, r > 1e-9) & (r < rho_t - 1e-9)
+        hit = (ta - 1e-12 <= t) & (t <= tb + 1e-12) & inside
         X[hit, w] = r[hit]
     X.sort(axis=1)
     return X[:, :(X < rho_t[:, None]).sum(axis=1).max(initial=0)]

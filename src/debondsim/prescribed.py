@@ -247,21 +247,13 @@ class FieldPatch:
         edges = np.concatenate((np.zeros((rows.size, 1)), jumps, rho[:, None]), axis=1)
         a_edge, b_edge = edges[:, :-1], edges[:, 1:]
         valid = b_edge - a_edge > 2 * _BANK
-        lo = np.where(a_edge > 0.0, a_edge + _BANK, a_edge)
+        lo = a_edge + _BANK * (np.arange(a_edge.shape[1]) > 0)  # a jump at 0 is banked too
         hi = np.where(b_edge < rho[:, None], b_edge - _BANK, b_edge)
         j_lo = np.ceil(lo / d - 1e-12).astype(int)
         j_hi = np.floor(hi / d + 1e-12).astype(int)
         lead = valid & (j_lo * d - lo > 1e-12)
         tail = valid & (hi - np.where(j_lo <= j_hi, j_hi * d, lo) > 1e-12)
         return RowSegments(lo, hi, j_lo, j_hi, valid, lead, tail, j_in)
-
-    def row_points(self, row: int, wavefronts) -> np.ndarray:
-        """The sample radii of local lattice row ``row``, ascending, where
-        the seam samples its end row: every node of the row and the banks of
-        its segments (:meth:`row_segments`), which no node coincides with."""
-        seg = self.row_segments([row], wavefronts)
-        nodes = np.arange(seg.j_in[0] + 1) * self.lattice.delta
-        return np.sort(np.concatenate((nodes, seg.lo[seg.lead], seg.hi[seg.tail])))
 
     @functools.cached_property
     def cumulatives(self) -> np.ndarray:
@@ -277,13 +269,10 @@ class FieldPatch:
 
     def local_traces(self, t_loc, r):
         """(h, h_t, h_r) in window-local variables, exact trace formulas, at
-        one point (floats) or at arrays of points (t_loc and r broadcast):
-        the points of :meth:`row_traces` with no rows."""
-        scalar = np.ndim(t_loc) == 0 and np.ndim(r) == 0
-        _, (h, h_t, h_r) = self.row_traces((), t_loc, r)
-        if scalar:
-            return float(h), float(h_t), float(h_r)
-        return h, h_t, h_r
+        one point (floats) or at arrays of points (t_loc and r broadcast),
+        nodes or not: the points of :meth:`row_traces` with no rows."""
+        _, traces = self.row_traces((), t_loc, r)
+        return tuple(map(float, traces)) if traces[0].ndim == 0 else traces
 
     def row_traces(self, rows, t_loc, r):
         """(h, h_t, h_r) in window-local variables, exact trace formulas, on
@@ -291,51 +280,51 @@ class FieldPatch:
         (t_loc, r) (arrays, broadcast): ((h, h_t, h_r) on the rows, each of
         shape (rows, J + 1) over the columns 0..J of
         :meth:`~debondsim.quadrature.CharLattice.row_block`, and
-        (h, h_t, h_r) at the points).
+        (h, h_t, h_r) at the points, of their broadcast shape).
 
-        The one check of a trace point: it must be window-local
-        (t_loc <= rho0/2) and in [0, rho(t_loc)], else GeometryError names
-        the first point off and the bound; r is clipped to [0, rho(t_loc)]
-        and located on the lattice once, and both kernels take the points as
-        given.  The nodes are one block of rows, from the rows and from the
-        points that are nodes: the free part is one
+        The rows must be consecutive and in 0..nt, else GeometryError names
+        them and the bound.  The one check of a trace point: it must be
+        window-local (t_loc <= rho0/2) and in [0, rho(t_loc)], else
+        GeometryError names the first point off and the bound; r is clipped
+        to [0, rho(t_loc)], and both kernels take the points as given.  The
+        rows are one block of nodes: the free part is one
         :func:`~debondsim.dalembert.free_derivatives` call and the memory
         part one :func:`~debondsim.quadrature.phi_time_trace` call, each
-        reading the block through views of one table per characteristic
-        and sending only the reflected anti-diagonals and the points off
-        the nodes (banks, front points) to the line kernel.  A point on a
-        node takes the block's values there.  At a node h is the node
-        value; elsewhere it is the lattice's sample, and 0 on the front.
-        Columns past a row's front hold values that mean nothing.
+        reading the block through views of one table per characteristic and
+        sending the reflected anti-diagonals and every point, on a node or
+        not, to the line kernel.  On the block h is the node value, and at a
+        point the lattice's sample; both are 0 on the front.  Columns past a
+        row's front hold values that mean nothing.
         """
         lat = self.lattice
+        rows = np.asarray(rows, dtype=int)
+        if rows.size and (np.any(np.diff(rows) != 1) or rows[0] < 0 or rows[-1] > lat.nt):
+            raise GeometryError(f"trace rows must be consecutive rows of 0..{lat.nt}: got "
+                                f"{rows.tolist()}")
         t_loc, r = np.broadcast_arrays(np.asarray(t_loc, dtype=float),
                                        np.asarray(r, dtype=float))
+        shape = t_loc.shape
+        t_loc, r = t_loc.ravel(), r.ravel()
         t_max = 0.5 * lat.front.rho0
         late = t_loc > t_max + 1e-9
         if late.any():
-            k = np.flatnonzero(late.ravel())[0]
+            k = np.flatnonzero(late)[0]
             raise GeometryError(
-                f"trace formulas are window-local: the point (t, r) = ({t_loc.flat[k]:.6g}, "
-                f"{r.flat[k]:.6g}) is past t = rho0/2 = {t_max:.6g}")
+                f"trace formulas are window-local: the point (t, r) = ({t_loc[k]:.6g}, "
+                f"{r[k]:.6g}) is past t = rho0/2 = {t_max:.6g}")
         rho_t = np.asarray(self.rho_local(t_loc), dtype=float)
         outside = (r < -1e-12) | (r > rho_t + 1e-9)
         if outside.any():
-            k = np.flatnonzero(outside.ravel())[0]
+            k = np.flatnonzero(outside)[0]
             raise GeometryError(
-                f"trace point outside the domain: window-local (t, r) = ({t_loc.flat[k]:.6g}, "
-                f"{r.flat[k]:.6g}) is outside [0, rho(t)] = [0, {rho_t.flat[k]:.6g}]")
+                f"trace point outside the domain: window-local (t, r) = ({t_loc[k]:.6g}, "
+                f"{r[k]:.6g}) is outside [0, rho(t)] = [0, {rho_t[k]:.6g}]")
         r = np.minimum(np.maximum(r, 0.0), rho_t)
-        i, j, node = lat.node_index(t_loc, r)
-        rows = np.asarray(rows, dtype=int)
-        ends = np.concatenate((rows[:1], rows[-1:], i[node]))
-        block = lat.row_block(ends.min(), ends.max()) if ends.size else lat.row_block(0, -1)
+        block = lat.row_block(rows[0], rows[-1]) if rows.size else lat.row_block(0, -1)
         lo, hi, J = block
-        far = ~node
-        t_far, r_far = t_loc[far], r[far]
-        (d_t, d_r), free = free_derivatives(self.hdata, lat.front, lat.delta, block,
-                                            t_far, r_far)
-        (g1, g2), memory = phi_time_trace(lat, self.F, self.cumulatives, block, t_far, r_far)
+        (d_t, d_r), (p_t, p_r) = free_derivatives(self.hdata, lat.front, lat.delta, block,
+                                                  t_loc, r)
+        (g1, g2), (q1, q2) = phi_time_trace(lat, self.F, self.cumulatives, block, t_loc, r)
         # h_t = d_t + (g1 + g2) / 2 and h_r = d_r + (g1 - g2) / 2, in place
         h_t = g1 + g2
         h_r = np.subtract(g1, g2, out=g1)
@@ -347,23 +336,9 @@ class FieldPatch:
         on_front = (np.abs(j_front * lat.delta - lat.rho_rows[lo:hi + 1]) < 1e-14) & (j_front <= J)
         h[on_front.nonzero()[0], j_front[on_front]] = 0.0
 
-        points = [np.empty(t_loc.shape) for _ in range(3)]
-        at = i[node] - lo, j[node]
-        for out, on_block in zip(points, (h, h_t, h_r)):
-            out[node] = on_block[at]
-        if far.any():
-            (ft, fr), (g1, g2) = free, memory
-            points[0][far] = self.local_value(t_far, r_far)
-            points[1][far] = ft + 0.5 * (g1 + g2)
-            points[2][far] = fr + 0.5 * (g1 - g2)
-        points[0] = np.where(np.abs(r - rho_t) < 1e-14, 0.0, points[0])
-        if rows.size:
-            keep = slice(rows[0] - lo, rows[-1] + 1 - lo), slice(0, lat.row_block(
-                rows[0], rows[-1])[2] + 1)
-            block = h[keep], h_t[keep], h_r[keep]
-        else:
-            block = (np.empty((0, 0)),) * 3
-        return block, tuple(points)
+        points = (np.where(np.abs(r - rho_t) < 1e-14, 0.0, self.local_value(t_loc, r)),
+                  p_t + 0.5 * (q1 + q2), p_r + 0.5 * (q1 - q2))
+        return (h, h_t, h_r), tuple(p.reshape(shape) for p in points)
 
 
 class _Workspace:
@@ -451,19 +426,27 @@ def _seam_data(patch: FieldPatch, wavefronts) -> HData:
     """Window data for the seam at the patch's end from the exact end-row
     traces.
 
-    The profiles are sampled at the end row's points of
-    :meth:`FieldPatch.row_points`, whose segments the audit's row integrals
-    share: where a corner wavefront of ``wavefronts`` crosses the seam
-    row they get a bank on each side of the jump, a double knot, so the
-    next window inherits a sharp jump instead of a smeared cell.  The last
-    point is the front, where h vanishes.
+    The profiles are sampled at the end row's nodes, one block row of
+    :meth:`FieldPatch.row_traces`, and, as points of the same call, at the
+    banks of its segments (:meth:`FieldPatch.row_segments`, which the
+    audit's row integrals share), merged by radius: where a corner
+    wavefront of ``wavefronts`` crosses the seam row there is a bank on
+    each side of the jump, a double knot, so the next window inherits a
+    sharp jump instead of a smeared cell.  The last knot is the front, where
+    h vanishes.
     """
     lat = patch.lattice
     hd = patch.hdata
     t_end = lat.nt * lat.delta
     rho_end = float(lat.rho_rows[-1])
-    rs = patch.row_points(lat.nt, wavefronts)
-    h0_s, h1_s, hd0_s = patch.local_traces(t_end, rs)
+    seg = patch.row_segments([lat.nt], wavefronts)
+    _, s, tail = np.nonzero(np.stack((seg.lead, seg.tail), axis=2))
+    banks = np.where(tail, seg.hi[0, s], seg.lo[0, s])
+    on_row, at_banks = patch.row_traces([lat.nt], t_end, banks)
+    rs = np.concatenate((np.arange(seg.j_in[0] + 1) * lat.delta, banks))
+    order = np.argsort(rs)
+    rs = rs[order]
+    h0_s, h1_s, hd0_s = (np.concatenate((row[0], pt))[order] for row, pt in zip(on_row, at_banks))
     h0_s[-1] = 0.0  # the front point, or a node within 1e-12 of it that stands for it
 
     decay = math.exp(-0.5 * hd.alpha * patch.window.length)

@@ -42,9 +42,9 @@ row block each read is a strided view of the cumulatives, as the cone
 plan reads its sums, reflected nodes included.  A reflected node's g1
 starts where its anti-diagonal crosses the front, between rows; that part
 is one value per anti-diagonal, shared by its nodes and read through a
-view too.  Those values and the points off the nodes (banks, front
-points) take one kernel call per trace call, and a patch builds its
-cumulatives once for all its trace calls.
+view too.  Those values and the trace call's points, on nodes or not,
+take one kernel call per trace call, and a patch builds its cumulatives
+once for all its trace calls.
 
 All quadrature here integrates the piecewise-linear interpolant of the
 node values; off-lattice cuts (the omega edge, fractional endpoints) are
@@ -103,13 +103,6 @@ class CharLattice:
 
     def masked(self, arr: np.ndarray) -> np.ndarray:
         return np.where(self.inside, arr, 0.0)
-
-    def node_index(self, t, r):
-        """Row and column (i, j) of the node nearest to each point (t, r),
-        and whether the point is that node (i * delta, j * delta) exactly."""
-        d = self.delta
-        i, j = np.rint(_asarray(t) / d), np.rint(_asarray(r) / d)
-        return i.astype(int), j.astype(int), (i * d == t) & (j * d == r)
 
     def row_block(self, lo: int, hi: int):
         """The block of rows lo..hi over columns 0..J, J the largest inside
@@ -532,8 +525,9 @@ def _line_block(values, d, C, direction, offset, ta, tb):
 
 def phi_time_trace(lat: CharLattice, values: np.ndarray, C: np.ndarray, block, t, r):
     """Boundary line integrals (g1, g2) with Phi_t = g1 + g2 and
-    Phi_r = g1 - g2 on a block of lattice rows and at points (t, r) off
-    the nodes, returned as ((g1, g2) on the block, (g1, g2) at the points).
+    Phi_r = g1 - g2 on a block of lattice rows and at 1-D arrays of points
+    (t, r), on nodes or not, returned as ((g1, g2) on the block, (g1, g2)
+    at the points).
     ``block`` is (lo, hi, J) of :meth:`CharLattice.row_block`: every node
     of rows lo..hi in columns 0..J, inside the front or not.  The points are
     taken as given: ``prescribed.FieldPatch.row_traces`` checks them

@@ -2,7 +2,7 @@
 
     python tests/line_trace.py SRC
 
-SRC is a directory holding a ``debondsim`` package, such as ``src``.  Two
+SRC is a directory holding a ``debondsim`` package, such as ``src``.  Three
 fresh processes run under ``sys.settrace``, each recording the lines it
 executes in the files under SRC:
 
@@ -12,16 +12,19 @@ executes in the files under SRC:
     their lattice step, each a coupled ``griffith.run`` and its
     ``energy_audit.audit``, and at the benchmark's step the
     finite-difference oracle on the produced front, as the benchmark's
-    oracle check solves it.
+    oracle check solves it;
+  * ``tests/scipy_free_run.py``, a run and audit with every scipy import
+    refused, where the validation module's ``ImportError`` is raised.
 
-For every module it then prints the statements that neither process
-reaches ("unreached") and those that only the tests reach ("tests only"),
-each with its line number and first line.  A statement counts as reached
-when any line of it runs; a compound statement (if, for, while, with)
-counts its header lines only, and a try its body.  Definitions, imports,
-docstrings and ``nonlocal``/``global`` declarations are skipped.  Failing
-tests do not stop the report.  It exits 0; reading the report is left to
-the reader.
+For every module it then prints the statements that no process reaches
+("unreached") and those that only the tests or the scipy-free run reach
+("tests only"), each with its line number and first line.  A statement
+counts as reached when any line of it runs; a compound statement (if, for,
+while, with) counts its header lines only, and a try its body.
+Definitions, imports, docstrings and ``nonlocal``/``global`` declarations
+are skipped.  Failing tests do not stop the report.  It exits 1 if any
+statement is unreached, so that a dead branch fails the check, and 0
+otherwise.
 
 It is a script, not a test module: pytest does not collect it.
 """
@@ -31,6 +34,7 @@ from __future__ import annotations
 import ast
 import os
 import pickle
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -85,16 +89,23 @@ def _run_workloads():
                     oracle.solve_reference(wl.hdata, run.front, run.t_star, dy=wl.delta)
 
 
+def _run_scipy_free():
+    runpy.run_path(str(ROOT / "tests" / "scipy_free_run.py"), run_name="__main__")
+
+
+RUNS = {"tests": _run_tests, "workloads": _run_workloads, "scipy-free": _run_scipy_free}
+
+
 def worker(kind: str, src: Path, dump: str):
-    """Run the tests or the workloads against the tree at src, traced, and
-    pickle the executed lines to ``dump``."""
+    """Run one of ``RUNS`` against the tree at src, traced, and pickle the
+    executed lines to ``dump``."""
     sys.path[:0] = [str(src), str(ROOT)]
     hits = _start_trace(src)
     import debondsim
 
     if not Path(debondsim.__file__).resolve().is_relative_to(src.resolve()):
         raise RuntimeError(f"imported {debondsim.__file__}, not the tree at {src}")
-    (_run_tests if kind == "tests" else _run_workloads)()
+    RUNS[kind]()
     sys.settrace(None)
     with open(dump, "wb") as fh:
         pickle.dump(hits, fh)
@@ -126,7 +137,11 @@ def statements(path: Path):
     return sorted(out)
 
 
-def report(src: Path, tests: dict, runs: dict) -> None:
+def report(src: Path, tests: dict, runs: dict) -> int:
+    """Print each module's statements that the workloads do not reach, and
+    return how many of them nothing reaches; ``tests`` holds the lines of
+    the tests and the scipy-free run."""
+    unreached = 0
     for path in sorted(src.resolve().rglob("*.py")):
         lines = path.read_text().splitlines()
         by_tests, by_runs = tests.get(str(path), set()), runs.get(str(path), set())
@@ -136,14 +151,17 @@ def report(src: Path, tests: dict, runs: dict) -> None:
             if span & by_runs:
                 continue
             verdict = "tests only" if span & by_tests else "unreached"
+            unreached += verdict == "unreached"
             rows.append(f"  {first:5d}  {verdict:<10}  {lines[first - 1].strip()[:80]}")
         print(f"{path.relative_to(src.resolve())}: {len(rows)} statements not reached by "
               f"the workloads")
         print("\n".join(rows))
+    print(f"{unreached} statements unreached")
+    return unreached
 
 
 def main(argv) -> int:
-    if len(argv) == 3 and argv[0] in ("--tests", "--workloads"):
+    if len(argv) == 3 and argv[0][2:] in RUNS:
         worker(argv[0][2:], Path(argv[1]), argv[2])
         return 0
     if len(argv) != 1:
@@ -151,16 +169,18 @@ def main(argv) -> int:
         return 2
     src = Path(argv[0]).resolve()
     env = dict(os.environ, PYTHONPATH=str(src))
-    found = []
+    found = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for kind in ("tests", "workloads"):  # each in a fresh interpreter
+        for kind in RUNS:  # each in a fresh interpreter
             dump = str(Path(tmp) / f"{kind}.pickle")
             subprocess.run([sys.executable, __file__, f"--{kind}", str(src), dump],
                            env=env, cwd=ROOT, check=True)
             with open(dump, "rb") as fh:
-                found.append(pickle.load(fh))
-    report(src, *found)
-    return 0
+                found[kind] = pickle.load(fh)
+    tests = found["tests"]
+    for name, lines in found["scipy-free"].items():
+        tests.setdefault(name, set()).update(lines)
+    return 1 if report(src, tests, found["workloads"]) else 0
 
 
 if __name__ == "__main__":

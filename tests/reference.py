@@ -373,13 +373,15 @@ def phi_time_trace_segments(lat: CharLattice, values: np.ndarray, t, r):
 
 
 def jump_radii(segs, t: float, rho_t: float):
-    """Radii in (0, rho_t) crossed by a corner wavefront at time t, one
-    segment at a time, ascending, radii within 1e-10 of each other merged."""
+    """Radii in [0, rho_t) crossed by a corner wavefront at time t, one
+    segment at a time, ascending, radii within 1e-10 of each other merged:
+    a wavefront reaching the rim at t > 0 crosses there (r >= -1e-12), and
+    on row t = 0 only radii past 1e-9 count."""
     out = []
     for ta, tb, kind, c in segs:
         if ta - 1e-12 <= t <= tb + 1e-12:
             r = c - t if kind == "-" else t - c
-            if 1e-9 < r < rho_t - 1e-9:
+            if (r >= -1e-12 if t > 1e-12 else r > 1e-9) and r < rho_t - 1e-9:
                 out.append(r)
     out.sort()
     dedup = []
@@ -393,9 +395,10 @@ def row_radial_integrals(patch, rows, wavefronts):
     """(E, a) of ``energy_audit._patch_traces``, one row and one
     segment at a time: the jump radii of a row (:func:`jump_radii`) cut
     [0, rho] into segments, each opened and closed by a bank 1e-9 inside
-    its jumps; a segment's trapezoid runs over its bank, its nodes and its
-    bank (or the front point), a bank dropped where a node lies within
-    1e-12 of it, and segments narrower than two banks are left out."""
+    its jumps, a jump at the rim included; a segment's trapezoid runs over
+    its bank (or the rim), its nodes and its bank (or the front point), a
+    bank dropped where a node lies within 1e-12 of it, and segments
+    narrower than two banks are left out."""
     d = patch.lattice.delta
     E, A = [], []
     for i in rows:
@@ -403,10 +406,10 @@ def row_radial_integrals(patch, rows, wavefronts):
         rho = float(patch.rho_local(t))
         edges = [0.0] + jump_radii(wavefronts, patch.t0 + t, rho) + [rho]
         e_row = a_row = 0.0
-        for a, b in zip(edges[:-1], edges[1:]):
+        for s, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
             if b - a <= 2 * _BANK:
                 continue
-            lo = a + _BANK if a > 0.0 else a
+            lo = a + _BANK if s > 0 else a
             hi = b - _BANK if b < rho else b
             rs = [j * d for j in range(math.ceil(lo / d - 1e-12), math.floor(hi / d + 1e-12) + 1)]
             if not rs or rs[0] - lo > 1e-12:

@@ -105,6 +105,28 @@ def test_row_integrals_match_the_per_row_construction():
                 assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+def test_the_row_where_a_corner_wavefront_reaches_the_rim_balances():
+    # the wavefront from the front's corner (0, rho0) reaches the rim on
+    # the row t = rho0 = 1; the rim node lies on the jump, so that row's
+    # energy starts from a bank just past it, like any other jump, and its
+    # balance residual is of the size of its neighbours', not a spike of
+    # the energy jump across the wavefront (3.76e-3 against 2.3e-5 and
+    # 6.8e-5 before the bank).  A front running to the rim across a
+    # toughness breakpoint, with no friction
+    data = ProblemData(R=2.0, rho0=1.0, alpha=0.0, horizon=4.0, w=Profile.zero(),
+                       v0=Profile.sine_bump(0.9, 1.0), v1=Profile.constant(-0.8))
+    tough = Toughness.from_pieces([(1.0, Profile.constant(0.02)),
+                                   (1.3, Profile.constant(0.05))], R=2.0)
+    res = run(data, tough, horizon=4.0, delta=1.0 / 128)
+    led = audit(res.patches, res.front, data, tough)
+    k = int(np.flatnonzero(led.times == 1.0)[0])
+    assert 0 < k < led.times.size - 1
+    wf = corner_wavefronts(res.front, led.times[-1])
+    assert ("-", 1.0) in [(kind, c) for ta, tb, kind, c in wf if tb == 1.0]
+    rel = np.abs(led.edp_residual) / np.abs(led.T_total)
+    assert rel[k] <= 3.0 * min(rel[k - 1], rel[k + 1]), rel[k - 1:k + 2]
+
+
 def test_debond_dissipation_static_front():
     front = FrontCurve.constant(1.0, 3.0, 3.0)
     tough = Toughness.constant(2.0, rho0=1.0, R=3.0)

@@ -376,7 +376,9 @@ def test_annulus_area_derivative_finite_difference():
 def test_jump_radii_of_all_rows_match_the_row_loop():
     # every row of a front off which both corner wavefronts bounce, in one
     # call, against the one-row loop, which merges radii within 1e-10 of
-    # each other; the two wavefronts cross at r = 0.5 on row 64
+    # each other; the two wavefronts cross at r = 0.5 on row 64, and the
+    # one from the front's corner reaches the rim on row 128 (t = rho0),
+    # where its inward and outward legs both cross at r = 0
     front = make_front()
     wf = corner_wavefronts(front, 2.0)
     assert len(wf) == 4
@@ -389,7 +391,9 @@ def test_jump_radii_of_all_rows_match_the_row_loop():
         assert np.all(X[k][row.size:] == rho[k])
         merged = row[np.diff(row, prepend=-1.0) > 1e-10]
         assert merged.tolist() == jump_radii_one_row(wf, t[k], rho[k])
-    assert X[64].tolist() == [0.5, 0.5]
+    assert X[64].tolist() == [0.5, 0.5, rho[64]]
+    assert X[128].tolist() == [0.0, 0.0, 1.0]
+    assert X[0].tolist() == [rho[0]] * 3  # the rim corner's own row crosses nothing
     assert jump_radii((), t, rho).shape == (t.size, 0)
 
 

@@ -15,7 +15,6 @@ from debondsim.prescribed import (
     certified_step, contraction_bound, evaluate_field, march, plan_windows,
     solve_window,
 )
-from debondsim.quadrature import CharLattice
 
 
 def make_data(R=3.0, rho0=1.0, alpha=0.0, amp=0.4, w=None, v1=None):
@@ -357,25 +356,21 @@ def test_free_layer_cost_scales_with_characteristics(monkeypatch):
     assert set(tally) == {"z", "h0", "H1"}
     assert all(n <= 2 * lines for n in tally.values()), (tally, lines)
 
-    # every node of five rows up to the front, plus off-node points: a
-    # bank beside each row's node and the front point of each row
+    # the rows 0..16 as one block, plus off-node points: a bank beside a
+    # node on each of five rows and the front point of each of those rows;
+    # each point takes the branches at its own t + r and t - r
     rows = np.array([0, 3, 8, 12, 16])
-    rho = lat.rho_rows[rows]
-    t = np.concatenate([np.full(int(rho_i / delta) + 1, i * delta) for i, rho_i in zip(rows, rho)])
-    r = np.concatenate([np.arange(int(rho_i / delta) + 1) * delta for rho_i in rho])
-    t = np.concatenate((t, rows * delta, rows * delta))
-    r = np.concatenate((r, np.full(len(rows), 0.3 + 1e-9), rho))
-    i, j, node = lat.node_index(t, r)
-    off = np.count_nonzero(~node)
-    assert off >= len(rows) and np.count_nonzero(node) > 300
+    t = np.concatenate((rows * delta, rows * delta))
+    r = np.concatenate((np.full(len(rows), 0.3 + 1e-9), lat.rho_rows[rows]))
     tally.clear()
     for name in ("df_plus", "df_minus"):
         branch = counting_branch(getattr(dalembert, name), tally, name)
         monkeypatch.setattr(dalembert, name, branch)
-    patch.local_traces(t, r)
+    (h, _, _), _ = patch.row_traces(np.arange(17), t, r)
     lo, hi, J = lat.row_block(0, 16)
-    assert (lo, hi) == (0, 16) and hi - lo + J + 1 < np.count_nonzero(node) / 3
-    assert tally["df_plus"] == tally["df_minus"] == hi - lo + J + 1 + off
+    assert (lo, hi) == (0, 16) and h.shape == (17, J + 1)
+    assert hi - lo + J + 1 < h.size / 10
+    assert tally["df_plus"] == tally["df_minus"] == hi - lo + J + 1 + t.size
 
 
 # -- marching -----------------------------------------------------------------
@@ -505,59 +500,65 @@ def test_evaluate_outside_raises():
         evaluate_field(patches, 0.1, -0.1)
 
 
+def seam_row(patch, wavefronts):
+    """The end row's time, its nodes' radii and the radii of its banks
+    (lead banks, then tail banks), as the seam traces them."""
+    lat = patch.lattice
+    seg = patch.row_segments([lat.nt], wavefronts)
+    nodes = np.arange(seg.j_in[0] + 1) * lat.delta
+    return lat.nt * lat.delta, nodes, np.concatenate((seg.lo[seg.lead], seg.hi[seg.tail]))
+
+
 def test_trace_points_are_checked_and_located_once(monkeypatch):
-    # local_traces is the one check of a trace point: on a seam row's points
-    # (nodes, reflected nodes past t + r = rho0, the banks of both corner
-    # wavefronts and the front point) it evaluates the window front once and
-    # locates the points once; row_points and the seam read the lattice's
-    # rows instead of the front
+    # row_traces is the one check of a trace point: on a seam row as the
+    # block (its nodes, reflected ones past t + r = rho0 included) and its
+    # banks of both corner wavefronts and front point as points, it
+    # evaluates the window front once; the segments read the lattice's rows
+    # instead of the front, so the seam evaluates it once too
     data = make_data(alpha=0.5, v1=Profile.constant(0.2))
     front = FrontCurve.affine(1.0, 0.3, 2.0, 3.0)
     patch = march(data, front, horizon=0.25, delta=1.0 / 64)[0]
     lat = patch.lattice
     wavefronts = corner_wavefronts(front, 0.5)
-    t = lat.nt * lat.delta
-    rs = patch.row_points(lat.nt, wavefronts)
-    i, j, node = lat.node_index(t, rs)
-    assert lat.nt == 16 and np.any(i + j > 64) and np.count_nonzero(~node) >= 5
+    t, nodes, banks = seam_row(patch, wavefronts)
+    assert lat.nt == 16 and lat.nt + nodes.size - 1 > 64 and banks.size >= 5
     calls = []
-    for owner, name in ((FrontCurve, "rho"), (CharLattice, "node_index")):
-        def counted(*args, _fn=getattr(owner, name), _name=name):
-            calls.append(_name)
-            return _fn(*args)
-        monkeypatch.setattr(owner, name, counted)
 
-    assert np.array_equal(patch.row_points(lat.nt, wavefronts), rs)
+    def counted(*args, _fn=FrontCurve.rho):
+        calls.append("rho")
+        return _fn(*args)
+    monkeypatch.setattr(FrontCurve, "rho", counted)
+
+    assert np.array_equal(seam_row(patch, wavefronts)[2], banks)
     assert calls == []
-    patch.local_traces(t, rs)
-    assert sorted(calls) == ["node_index", "rho"]
+    patch.row_traces([lat.nt], t, banks)
+    assert calls == ["rho"]
     calls.clear()
     prescribed._seam_data(patch, wavefronts)
-    assert sorted(calls) == ["node_index", "rho"]
+    assert calls == ["rho"]
 
 
 def test_one_range_check_per_trace_call(monkeypatch):
-    # local_traces checks its points once; the front maps that the kernels
+    # row_traces checks its points once; the front maps that the kernels
     # read at those points (omega, psi^-1 and omega' in phi_time_trace and
     # in the free layer's reflected branch) check nothing again, so a call
-    # on nodes, reflected nodes, banks and the front point of a moving
-    # front runs one range check: the time check of its FrontCurve.rho call
+    # on a row block and, as points, on nodes, reflected nodes, banks and
+    # the front point of a moving front runs one range check: the time
+    # check of its FrontCurve.rho call
     data = make_data(alpha=0.5, v1=Profile.constant(0.2))
     front = FrontCurve.affine(1.0, 0.3, 2.0, 3.0)
     patch = march(data, front, horizon=0.25, delta=1.0 / 64)[0]
     lat = patch.lattice
-    t = lat.nt * lat.delta
-    rs = patch.row_points(lat.nt, corner_wavefronts(front, 0.5))
-    i, j, node = lat.node_index(t, rs)
-    assert np.any(i + j > 64) and np.count_nonzero(~node) >= 5
-    assert rs[-1] == lat.rho_rows[-1] and not node[-1]
+    t, nodes, banks = seam_row(patch, corner_wavefronts(front, 0.5))
+    assert lat.nt + nodes.size - 1 > 64 and banks.size >= 5
+    assert banks.max() == lat.rho_rows[-1] > nodes[-1]
     checks = []
 
     def counted(what, *args, _fn=geometry._check_range):
         checks.append(what)
         return _fn(what, *args)
     monkeypatch.setattr(geometry, "_check_range", counted)
-    patch.local_traces(t, rs)
+    patch.row_traces([lat.nt], t, np.concatenate((nodes, banks)))
     assert checks == ["time"]
 
     # omega' is defined for every argument and checks none: past psi's range
@@ -573,6 +574,85 @@ def test_one_range_check_per_trace_call(monkeypatch):
     assert np.array_equal(got, np.where(s < local.rho0, 0.0, (1.0 - rd) / (1.0 + rd)))
     for x in (-1e6, pk[-1] + 0.5, 1e6):
         assert np.isfinite(local.omega_dot(x))
+
+
+def test_trace_rows_must_be_consecutive_lattice_rows():
+    # the rows of a trace call are one block of consecutive rows in 0..nt:
+    # a gap, rows past the last one and negative rows name the rows and the
+    # bound; no rows at all is the points-only call of local_traces
+    patch = march(make_data(), FrontCurve.affine(1.0, 0.3, 2.0, 3.0), horizon=0.25,
+                  delta=1.0 / 64)[0]
+    assert patch.lattice.nt == 16
+    none = np.empty(0)
+    for rows, named in (([0, 2], r"\[0, 2\]"), ([15, 16, 17, 18], r"\[15, 16, 17, 18\]"),
+                        ([-1, 0], r"\[-1, 0\]"), ([3, 2], r"\[3, 2\]")):
+        with pytest.raises(GeometryError, match=rf"consecutive rows of 0\.\.16: got {named}"):
+            patch.row_traces(rows, none, none)
+    block, points = patch.row_traces((), 0.125, np.array([0.0, 0.5]))
+    assert all(b.shape == (0, 0) for b in block) and all(p.shape == (2,) for p in points)
+    assert patch.row_traces([16], none, none)[0][0].shape == (1, patch.lattice.row_block(16, 16)[2] + 1)
+
+
+@pytest.mark.parametrize("delta, rel", [(1.0 / 64, 1e-15), (1.0 / 128, 1e-15), (1.0 / 100, 1e-13)])
+def test_block_rows_match_local_traces_at_their_nodes(delta, rel):
+    # a row of a row_traces block and local_traces at the same nodes, as
+    # points: the block reads the diagonal cumulatives, the points the line
+    # kernel, which sums the same trapezoid cells in another order.  Every
+    # patch of a two-window march on a two-piece front, its first, middle
+    # and end rows (the seam's), reflected nodes and the front included.  h
+    # is the node value on both paths, bitwise where delta is a power of two
+    data = make_data(alpha=0.5, w=Profile.sine(0.1, 2.0), v1=Profile.constant(0.2))
+    front = FrontCurve(np.array([0.0, 0.2, 0.5]), np.array([1.0, 1.06, 1.11]), 3.0)
+    patches = march(data, front, horizon=0.5, delta=delta)
+    assert len(patches) == 2
+    none = np.empty(0)
+    for p in patches:
+        lat = p.lattice
+        for row in (0, lat.nt // 2, lat.nt):
+            block, _ = p.row_traces([row], none, none)
+            J = block[0].shape[1] - 1
+            assert row == 0 or (row + J) * delta > lat.front.rho0  # reflected nodes
+            points = p.local_traces(np.full(J + 1, row * delta), np.arange(J + 1) * delta)
+            for b, q in zip(block, points):
+                assert np.max(np.abs(b[0] - q)) <= rel * np.max(np.abs(b[0])), (p.t0, row)
+            if delta in (1.0 / 64, 1.0 / 128):
+                assert np.array_equal(block[0][0], points[0])
+
+
+@pytest.mark.parametrize("front", [FrontCurve.affine(1.0, 0.3, 2.0, 3.0),
+                                   FrontCurve.constant(1.0, 2.0, 3.0)])
+def test_seam_knots_are_the_row_nodes_and_banks(monkeypatch, front):
+    # the seam samples its end row at every node (the row traced as a
+    # block) and at the banks of its segments (traced as points), merged by
+    # radius: strictly increasing, with the front last, where h vanishes.
+    # On the moving front the front lies between nodes and is the last
+    # tail bank; on the static one it is the row's last node
+    data = make_data(alpha=0.5, v1=Profile.constant(0.2))
+    patch = march(data, front, horizon=0.25, delta=1.0 / 64)[0]
+    lat = patch.lattice
+    wavefronts = corner_wavefronts(front, 0.5)
+    t, nodes, banks = seam_row(patch, wavefronts)
+    rho = lat.rho_rows[-1]
+    assert banks.size >= 2
+    knots = []
+    from_samples = Profile.from_samples.__func__
+
+    def recorded(cls, x, y, deriv_samples=None):
+        knots.append(np.array(x))
+        return from_samples(cls, x, y, deriv_samples)
+    monkeypatch.setattr(Profile, "from_samples", classmethod(recorded))
+    seam = prescribed._seam_data(patch, wavefronts)
+    assert len(knots) == 2 and np.array_equal(knots[0], knots[1])
+    x = knots[0]
+    assert np.array_equal(x, np.sort(np.concatenate((nodes, banks))))
+    assert np.all(np.diff(x) > 0.0) and x[-1] == rho and seam.rho0 == rho
+    assert (x[-1] in banks) == (nodes[-1] < rho)
+    assert seam.h0(rho) == 0.0
+    # inside, the samples are the decayed traces at the knots
+    decay = math.exp(-0.5 * data.alpha * patch.window.length)
+    h, h_t, h_r = (decay * v for v in patch.local_traces(t, x))
+    for got, want in ((seam.h0(x), h), (seam.h1(x), h_t), (seam.h0.deriv(x), h_r)):
+        assert np.max(np.abs(got - want)[1:-1]) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_interior_pde_residual_shrinks():

@@ -55,22 +55,13 @@ def line_integrals(lat, values, *segments):
 
 def trace(lat, values, t, r):
     """phi_time_trace with the cumulatives built for this one call, at the
-    points broadcast and located on the lattice, as ``row_traces`` sends
-    them: the nodes among them read off the block of their rows, the
-    others as points (floats for one point)."""
+    points broadcast, every one of them, node or not, through the kernel's
+    point path with no rows, as ``row_traces`` sends its points (floats for
+    one point)."""
     t, r = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(r, dtype=float))
-    i, j, node = lat.node_index(t, r)
-    block = lat.row_block(i[node].min(), i[node].max()) if node.any() else lat.row_block(0, -1)
-    on_block, at_points = phi_time_trace(lat, values,
-                                         quadrature._line_cumulatives(values, lat.delta),
-                                         block, t[~node], r[~node])
-    out = []
-    for g_block, g_points in zip(on_block, at_points):
-        g = np.empty(t.shape)
-        g[node] = g_block[i[node] - block[0], j[node]]
-        g[~node] = g_points
-        out.append(g)
-    return tuple(float(g) for g in out) if t.ndim == 0 else tuple(out)
+    _, at_points = phi_time_trace(lat, values, quadrature._line_cumulatives(values, lat.delta),
+                                  lat.row_block(0, -1), t.ravel(), r.ravel())
+    return tuple(float(g[0]) if t.ndim == 0 else g.reshape(t.shape) for g in at_points)
 
 
 # -- lattice ----------------------------------------------------------------
@@ -673,7 +664,7 @@ def test_trace_g2_echo_branch_constant():
 
 
 def test_trace_matches_row_batch():
-    # every inside node of four rows in one batched call, against one call
+    # every inside node of four rows as points of one call, against one call
     # per node and, where g1 needs no reflected leg, against the row-by-row
     # diagonal cumulatives: g1 = D[i, j], and g2 = C[i, j] less the echo
     # leg D[i - j, 0] behind the rim echo (j < i)
@@ -704,7 +695,8 @@ def test_node_traces_read_the_diagonal_cumulatives(monkeypatch):
     # band the traces are the row-by-row diagonal cumulatives; the reflected
     # nodes read them too, less one S per anti-diagonal, whose two segments
     # per reflected anti-diagonal are the kernel's only batch.  The patch's
-    # rows are one block
+    # rows are one block of row_traces, with no points; at the reflected
+    # nodes the block agrees with the point path
     data = ProblemData(R=3.0, rho0=0.5, alpha=0.5, horizon=4.0, w=Profile.zero(),
                        v0=Profile.sine_bump(0.4, 0.5), v1=Profile.constant(0.2))
     patch = march(data, FrontCurve.constant(0.5, 2.0, 3.0), horizon=0.125,
@@ -739,7 +731,10 @@ def test_node_traces_read_the_diagonal_cumulatives(monkeypatch):
     assert np.max(np.abs(g1 - g1_ref)[refl]) <= 1e-13
     assert np.max(np.abs(g2 - g2_ref)[refl]) <= 1e-13
 
-    h, h_t, h_r = patch.local_traces(t, r)
+    segments.clear()
+    (h, h_t, h_r), _ = patch.row_traces(np.arange(lat.nt + 1), none, none)
+    assert segments == [2 * len(np.unique((ii + jj)[refl]))]
+    h, h_t, h_r = h[ii, jj], h_t[ii, jj], h_r[ii, jj]
     (d_t, d_r), _ = free_derivatives(patch.hdata, lat.front, d, rows, none, none)
     d_t, d_r = d_t[ii, jj], d_r[ii, jj]
     ref_t = d_t + 0.5 * (D[ii, jj] + C[ii, jj] - echo)
