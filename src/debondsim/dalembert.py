@@ -121,7 +121,7 @@ def free_derivatives(hdata: HData, front, delta: float, block, t, r):
     pointwise values, bitwise."""
     lo, hi, J = block
     t, r = np.broadcast_arrays(_asarray(t), _asarray(r))
-    shape, nb = (hi - lo + 1, J + 1), max(hi - lo + J + 1, 0)
+    shape, nb = (hi - lo + 1, J + 1), hi - lo + J + 1
     sp = np.concatenate((np.arange(lo, hi + J + 1) * delta, (t + r).ravel()))
     sm = np.concatenate((np.arange(lo - J, hi + 1) * delta, (t - r).ravel()))
     fp = df_plus(hdata, sp, front._omega_unchecked(sp), front.omega_dot(sp))

@@ -4,8 +4,9 @@
 :class:`EnergyLedger` with every series on the global lattice rows, each
 patch's from one call of its exact traces (``FieldPatch.row_traces``): its
 rows as one block of lattice nodes, whose row integrals are weighted sums
-over the block, and as points only the banks of the corner wavefronts and
-the front points.  Derivative-bearing quantities (the release rate, the
+over the block by the patch's row rule (``FieldPatch.row_weights``), and as
+points only the banks of the corner wavefronts the patch records and the
+front points.  Derivative-bearing quantities (the release rate, the
 boundary power) are evaluated window-locally: the closed-form expressions
 hold for small times past the owning window's seam and read that window's
 traces at the front and at the rim, never a numerical time difference.
@@ -36,7 +37,6 @@ from typing import List
 import numpy as np
 
 from .fields import ProblemData, Profile, Toughness, kappa_eval, release_rate, v_from_h
-from .geometry import corner_wavefronts
 from .prescribed import FieldPatch
 
 
@@ -52,37 +52,7 @@ def _energy_integrands(patch: FieldPatch, t_loc: float, h, h_t, h_r, r):
     return e, a
 
 
-def _row_weights(seg, d: float, width: int):
-    """The composite trapezoid of the segments ``seg``
-    (:meth:`FieldPatch.row_segments`) as weights: w, of shape
-    (rows, width), on the nodes, and (row, radius, weight) of the banks.
-    A node takes half of each cell it bounds, so delta inside a segment,
-    half a cell at a segment's end and a bank's half cell next to a bank;
-    a node in no segment, or past its row's front, takes 0.  A bank takes
-    half its one cell."""
-    full = seg.valid & (seg.j_lo <= seg.j_hi)  # segments holding a node
-    k, s = full.nonzero()
-    j_lo, j_hi = seg.j_lo[k, s], seg.j_hi[k, s]
-    # each node-node cell [j, j + 1] of a segment adds delta / 2 to both
-    # ends: count the ends through one difference array per row
-    ends = np.zeros((seg.j_in.size, width + 1), dtype=np.intp)
-    for j, step in ((j_lo, 1), (j_lo + 1, 1), (j_hi, -1), (j_hi + 1, -1)):
-        np.add.at(ends, (k, j), step)
-    w = 0.5 * d * np.cumsum(ends, axis=1)[:, :width]
-    # the banks' cells: to the segment's end node, or bank to bank
-    lead_cell = np.where(full, seg.j_lo * d - seg.lo, seg.hi - seg.lo)
-    tail_cell = np.where(full, seg.hi - seg.j_hi * d, seg.hi - seg.lo)
-    lead_cell = np.where(seg.lead & (full | seg.tail), lead_cell, 0.0)
-    tail_cell = np.where(seg.tail & (full | seg.lead), tail_cell, 0.0)
-    for cell, at in ((lead_cell, seg.j_lo), (tail_cell, seg.j_hi)):
-        np.add.at(w, (k, at[k, s]), 0.5 * cell[k, s])
-    k_bank, s_bank, is_tail = np.nonzero(np.stack((seg.lead, seg.tail), axis=2))
-    r_bank = np.where(is_tail, seg.hi[k_bank, s_bank], seg.lo[k_bank, s_bank])
-    w_bank = 0.5 * np.where(is_tail, tail_cell[k_bank, s_bank], lead_cell[k_bank, s_bank])
-    return w, k_bank, r_bank, w_bank
-
-
-def _patch_traces(patch: FieldPatch, rows, wavefronts, t_front, rim: bool):
+def _patch_traces(patch: FieldPatch, rows, t_front, rim: bool):
     """All the audit reads of one patch, from one ``row_traces`` call:
     (E, a) at its consecutive local lattice rows ``rows``,
 
@@ -95,13 +65,13 @@ def _patch_traces(patch: FieldPatch, rows, wavefronts, t_front, rim: bool):
     integral of F), and, if ``rim``, x_hat = h_r + h_t at (t, 0) on every
     row, the rows' first column (else empty).
 
-    E and a are composite trapezoids over the points of
-    :meth:`FieldPatch.row_segments`: the lattice radii, the clipped front
-    cell, and cells crossed by a corner wavefront split there, with
-    one-sided trace evaluations on both banks: the derivative fields
-    genuinely jump across those characteristics and a straddling trapezoid
-    cell would cost an order of accuracy.  Each row's sums are
-    sum_j w_ij e_ij over its nodes (:func:`_row_weights`), the velocities
+    E and a are composite trapezoids by :meth:`FieldPatch.row_weights`:
+    over the lattice radii and the clipped front cell, with the cells that
+    one of the patch's corner wavefronts crosses split there and one-sided
+    trace evaluations on both banks: the derivative fields genuinely jump
+    across those characteristics and a straddling trapezoid cell would cost
+    an order of accuracy.  Each row's sums are sum_j w_ij e_ij over its
+    nodes, the velocities
     from the separable weight exp(-alpha t / 2) / sqrt(R - r), plus its
     banks' cells, which the trace call takes as points with the front
     points.
@@ -109,16 +79,14 @@ def _patch_traces(patch: FieldPatch, rows, wavefronts, t_front, rim: bool):
     rows = np.asarray(rows, dtype=int)
     d = patch.lattice.delta
     t_row = rows * d
-    seg = patch.row_segments(rows, wavefronts)
-    width = int(seg.j_in.max()) + 1
-    w, k_bank, r_bank, w_bank = _row_weights(seg, d, width)
+    w, (k_bank, r_bank, w_bank) = patch.row_weights(rows)
     t_bank = t_row[k_bank]
     n = t_bank.size
     (h, h_t, h_r), (hp, hp_t, hp_r) = patch.row_traces(
         rows, np.concatenate((t_bank, t_front)),
         np.concatenate((r_bank, patch.rho_local(t_front))))
     e, a = _energy_integrands(patch, t_row[:, None], h, h_t, h_r,
-                              np.arange(width) * d)
+                              np.arange(w.shape[1]) * d)
     e_bank, a_bank = _energy_integrands(patch, t_bank, hp[:n], hp_t[:n], hp_r[:n], r_bank)
     E, A = ((w * v).sum(axis=1) + np.bincount(k_bank, weights=w_bank * v_bank,
                                                 minlength=rows.size)
@@ -264,7 +232,6 @@ def audit(patches: List[FieldPatch], front, data: ProblemData,
 
     # every per-row quantity of a patch comes from one trace call, and the
     # release rate at the midpoints of the segments it holds with it
-    wf = corner_wavefronts(front, times[-1])
     used, seg, mid = _segments(front, times)
     owner = np.searchsorted([p.t0 for p, _, _ in rows], mid + 1e-12, side="right") - 1
     g0_mid = np.empty(mid.shape)
@@ -273,7 +240,7 @@ def audit(patches: List[FieldPatch], front, data: ProblemData,
         w_dot = data.w.deriv(tt)
         t_front = np.concatenate((tt, mid[owner == k]))
         t_loc = t_front - p.t0
-        e, a, bracket, x_hat = _patch_traces(p, ii, wf, t_loc, w_dot.any())
+        e, a, bracket, x_hat = _patch_traces(p, ii, t_loc, w_dot.any())
         E.append(e)
         a_int.append(a)
         qw.append(_rim_work_rates(p, data, tt, w_dot, x_hat))

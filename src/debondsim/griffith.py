@@ -31,9 +31,9 @@ crosses a toughness breakpoint is split there, each side at its own
 toughness.  The window advances by the full rows below its end, or to the
 first full row past a breakpoint, cut there on its cell's quadratic; the
 prescribed window loop then extends the run's patches over the produced
-front, with seams split at the corner wavefronts.  Those patches give
-exact seam traces for the next window and are the run's field, so the
-field is solved once.
+front; each patch records the corner wavefronts of the front it was solved
+on, and its seam is split at them.  Those patches give exact seam traces
+for the next window and are the run's field, so the field is solved once.
 
 The strip is built only as tall as its window can keep.  Its updates are
 causal: a node's free value, inside mask and cone cut read omega on its
@@ -61,7 +61,7 @@ import numpy as np
 from .dalembert import f_minus, f_plus
 from .fields import (HData, ProblemData, Toughness, front_bracket, kappa_eval, kernel_prefactor,
                      release_rate, to_h_data)
-from .geometry import FrontCurve, corner_wavefronts
+from .geometry import FrontCurve
 from .prescribed import FieldPatch, _extend, _row_count, _seam_data, fixed_point
 from .quadrature import ConePlan, column_cumulative
 
@@ -436,7 +436,7 @@ def run(data: ProblemData, tough: Toughness, horizon: float,
 
     while rows_done < n_total and not debonded(rho_knots[-1]):
         if patches:
-            local = _seam_data(patches[-1], corner_wavefronts(front, front.horizon))
+            local = _seam_data(patches[-1])
         rho_bar = rho_knots[-1]
         T_cap = min(0.45 * rho_bar, 0.9 * (R - rho_bar))
         L = max(1, int(math.floor(T_cap / delta + 1e-9)))

@@ -13,8 +13,10 @@ window loop marches a front in global time: it re-bases the data at every seam
 using the exact derivative trace formulas (never finite differences), with
 double knots where a corner wavefront crosses the seam, and composes the
 exponential weight so each window works with well-conditioned local
-values.  :func:`march` runs it from t = 0; the coupled solver extends its
-patches with it after every coupled window.
+values.  Each patch records the corner wavefronts of the front it was
+solved on, where its seam and the audit cut its rows by one row rule,
+:meth:`FieldPatch.row_weights`.  :func:`march` runs it from t = 0; the
+coupled solver extends its patches with it after every coupled window.
 
 Both fixed points of the package, the Picard iteration here and the coupled
 strip iteration of :mod:`debondsim.griffith`, run in :func:`fixed_point`, the
@@ -183,7 +185,6 @@ def plan_windows(front, alpha: float, i0: int, i1: int,
 # ---------------------------------------------------------------------------
 
 FieldSample = namedtuple("FieldSample", "h h_t h_r v v_t v_r")
-RowSegments = namedtuple("RowSegments", "lo hi j_lo j_hi valid lead tail j_in")
 
 
 @dataclass
@@ -191,7 +192,11 @@ class FieldPatch:
     """Converged field on one window lattice, plus everything needed to
     evaluate values and exact derivative traces inside the window: the
     data ``hdata``, whose branches (:mod:`debondsim.dalembert`) under the
-    lattice's front give the free part, and the kernel field ``F``.
+    lattice's front give the free part, the kernel field ``F``, and the
+    corner ``wavefronts`` (:func:`~debondsim.geometry.corner_wavefronts`)
+    of the front it was solved on, up to its end, where the derivative
+    fields jump.  No later window rewrites the front up to a patch's end,
+    so they cross its rows where the final front's do.
 
     ``lattice.values`` stores the locally rescaled field; global values
     carry the factor ``scale`` = exp(alpha * t_start / 2).
@@ -203,6 +208,7 @@ class FieldPatch:
     scale: float
     F: np.ndarray
     diagnostics: dict
+    wavefronts: list
 
     @property
     def t0(self) -> float:
@@ -215,35 +221,36 @@ class FieldPatch:
     def rho_local(self, t_loc):
         return self.lattice.front.rho(t_loc)
 
-    def row_segments(self, rows, wavefronts) -> RowSegments:
-        """The trapezoid segments of the local lattice rows ``rows``, one
-        row of arrays per row and one column per segment: the sampling that
-        the audit's row integrals and the seam's profiles share.
+    def row_weights(self, rows):
+        """The one row rule, the composite trapezoid over the consecutive
+        local lattice rows ``rows`` as weights: w on the nodes, of shape
+        (rows, J + 1) over the columns 0..J of
+        :meth:`~debondsim.quadrature.CharLattice.row_block`, and (k_bank,
+        r_bank, w_bank), each bank's row index, radius and weight.  The
+        audit's row integrals are its weighted sums; the seam's profiles
+        take its end row's nodes and banks as knots.
 
-        ``wavefronts`` are the run's corner-wavefront segments, in the form
-        :func:`~debondsim.geometry.corner_wavefronts` returns.  Where one
-        crosses a row (:func:`~debondsim.geometry.jump_radii`) the
-        derivative fields jump, and the jumps cut the row into segments
-        from 0 to rho; edges closer than two bank widths bound no segment
-        (``valid`` is False), so a radius crossed twice splits its row once.
-        A segment runs from ``lo`` to ``hi``: its head bank (``_BANK`` past
-        its jump) or 0, and its tail bank (``_BANK`` short of the next jump)
-        or the front point on a row's last segment.  Its nodes are columns
-        ``j_lo``..``j_hi``; ``lead`` and ``tail`` say whether its banks are
-        points of their own, which they are only where no node lies within
-        1e-12 of them.  A node within a bank's width of a jump lies in no
-        segment.  ``j_in`` is each row's last inside column,
-        floor(rho(t_i)/delta + 1e-12).  The segments of all rows are found
-        at once, by segment index, so no step loops over rows.
+        Where one of the patch's ``wavefronts`` crosses a row
+        (:func:`~debondsim.geometry.jump_radii`) the derivative fields jump,
+        and the jumps cut the row into segments from 0 to rho; edges closer
+        than two bank widths bound no segment, so a radius crossed twice
+        splits its row once.  A segment runs from its head bank (``_BANK``
+        past its jump) or 0 to its tail bank (``_BANK`` short of the next
+        jump) or the front point.  A bank is a point of its own only where
+        no node lies within 1e-12 of it; a node within a bank's width of a
+        jump lies in no segment.  A node takes half of each cell it bounds
+        (0 in no segment or past its row's front) and a bank half its one
+        cell.  All rows are weighted at once, by segment index.
         """
-        d = self.lattice.delta
+        lat = self.lattice
+        d = lat.delta
         rows = np.asarray(rows, dtype=int)
-        rho = self.lattice.rho_rows[rows]
-        j_in = np.floor(rho / d + 1e-12).astype(int)
+        J = lat.row_block(rows[0], rows[-1])[2]
+        rho = lat.rho_rows[rows]
 
         # segment s of row k runs from edge s to edge s + 1 of: 0, the jumps,
         # rho; the padding repeats rho and leaves empty segments
-        jumps = jump_radii(wavefronts, self.t0 + rows * d, rho)
+        jumps = jump_radii(self.wavefronts, self.t0 + rows * d, rho)
         edges = np.concatenate((np.zeros((rows.size, 1)), jumps, rho[:, None]), axis=1)
         a_edge, b_edge = edges[:, :-1], edges[:, 1:]
         valid = b_edge - a_edge > 2 * _BANK
@@ -253,7 +260,25 @@ class FieldPatch:
         j_hi = np.floor(hi / d + 1e-12).astype(int)
         lead = valid & (j_lo * d - lo > 1e-12)
         tail = valid & (hi - np.where(j_lo <= j_hi, j_hi * d, lo) > 1e-12)
-        return RowSegments(lo, hi, j_lo, j_hi, valid, lead, tail, j_in)
+        full = valid & (j_lo <= j_hi)  # segments holding a node
+        k, s = full.nonzero()
+        # each node-node cell [j, j + 1] of a segment adds delta / 2 to both
+        # ends: count the ends through one difference array per row
+        ends = np.zeros((rows.size, J + 2), dtype=np.intp)
+        for j, step in ((j_lo, 1), (j_lo + 1, 1), (j_hi, -1), (j_hi + 1, -1)):
+            np.add.at(ends, (k, j[k, s]), step)
+        w = 0.5 * d * np.cumsum(ends, axis=1)[:, :J + 1]
+        # the banks' cells: to the segment's end node, or bank to bank
+        lead_cell = np.where(full, j_lo * d - lo, hi - lo)
+        tail_cell = np.where(full, hi - j_hi * d, hi - lo)
+        lead_cell = np.where(lead & (full | tail), lead_cell, 0.0)
+        tail_cell = np.where(tail & (full | lead), tail_cell, 0.0)
+        for cell, at in ((lead_cell, j_lo), (tail_cell, j_hi)):
+            np.add.at(w, (k, at[k, s]), 0.5 * cell[k, s])
+        k_bank, s_bank, is_tail = np.nonzero(np.stack((lead, tail), axis=2))
+        r_bank = np.where(is_tail, hi[k_bank, s_bank], lo[k_bank, s_bank])
+        w_bank = 0.5 * np.where(is_tail, tail_cell[k_bank, s_bank], lead_cell[k_bank, s_bank])
+        return w, (k_bank, r_bank, w_bank)
 
     @functools.cached_property
     def cumulatives(self) -> np.ndarray:
@@ -270,8 +295,9 @@ class FieldPatch:
     def local_traces(self, t_loc, r):
         """(h, h_t, h_r) in window-local variables, exact trace formulas, at
         one point (floats) or at arrays of points (t_loc and r broadcast),
-        nodes or not: the points of :meth:`row_traces` with no rows."""
-        _, traces = self.row_traces((), t_loc, r)
+        nodes or not: the points of :meth:`row_traces` beside row 0, whose
+        anti-diagonals reflect nowhere and add no line segment."""
+        _, traces = self.row_traces([0], t_loc, r)
         return tuple(map(float, traces)) if traces[0].ndim == 0 else traces
 
     def row_traces(self, rows, t_loc, r):
@@ -282,11 +308,11 @@ class FieldPatch:
         :meth:`~debondsim.quadrature.CharLattice.row_block`, and
         (h, h_t, h_r) at the points, of their broadcast shape).
 
-        The rows must be consecutive and in 0..nt, else GeometryError names
-        them and the bound.  The one check of a trace point: it must be
-        window-local (t_loc <= rho0/2) and in [0, rho(t_loc)], else
-        GeometryError names the first point off and the bound; r is clipped
-        to [0, rho(t_loc)], and both kernels take the points as given.  The
+        The rows must be one or more consecutive rows of 0..nt, else
+        GeometryError names them and the bound.  The one check of a trace
+        point: it must be window-local (t_loc <= rho0/2) and in [0, rho],
+        else GeometryError names the first point off and the bound; r is
+        clipped to [0, rho(t_loc)], and both kernels take them as given.  The
         rows are one block of nodes: the free part is one
         :func:`~debondsim.dalembert.free_derivatives` call and the memory
         part one :func:`~debondsim.quadrature.phi_time_trace` call, each
@@ -298,7 +324,7 @@ class FieldPatch:
         """
         lat = self.lattice
         rows = np.asarray(rows, dtype=int)
-        if rows.size and (np.any(np.diff(rows) != 1) or rows[0] < 0 or rows[-1] > lat.nt):
+        if rows.size == 0 or np.any(np.diff(rows) != 1) or rows[0] < 0 or rows[-1] > lat.nt:
             raise GeometryError(f"trace rows must be consecutive rows of 0..{lat.nt}: got "
                                 f"{rows.tolist()}")
         t_loc, r = np.broadcast_arrays(np.asarray(t_loc, dtype=float),
@@ -320,8 +346,7 @@ class FieldPatch:
                 f"trace point outside the domain: window-local (t, r) = ({t_loc[k]:.6g}, "
                 f"{r[k]:.6g}) is outside [0, rho(t)] = [0, {rho_t[k]:.6g}]")
         r = np.minimum(np.maximum(r, 0.0), rho_t)
-        block = lat.row_block(rows[0], rows[-1]) if rows.size else lat.row_block(0, -1)
-        lo, hi, J = block
+        block = lo, hi, J = lat.row_block(rows[0], rows[-1])
         (d_t, d_r), (p_t, p_r) = free_derivatives(self.hdata, lat.front, lat.delta, block,
                                                   t_loc, r)
         (g1, g2), (q1, q2) = phi_time_trace(lat, self.F, self.cumulatives, block, t_loc, r)
@@ -415,35 +440,32 @@ def solve_window(hdata: HData, front, window: WindowPlan,
     diag["contraction_bound"] = window.contraction_bound
     lat.values = h
     return FieldPatch(lattice=lat, window=window, hdata=hdata, scale=scale, F=ws.kern * h,
-                      diagnostics=diag)
+                      diagnostics=diag, wavefronts=corner_wavefronts(front, window.t_end))
 
 
 # ---------------------------------------------------------------------------
 # marching
 # ---------------------------------------------------------------------------
 
-def _seam_data(patch: FieldPatch, wavefronts) -> HData:
+def _seam_data(patch: FieldPatch) -> HData:
     """Window data for the seam at the patch's end from the exact end-row
     traces.
 
     The profiles are sampled at the end row's nodes, one block row of
     :meth:`FieldPatch.row_traces`, and, as points of the same call, at the
-    banks of its segments (:meth:`FieldPatch.row_segments`, which the
-    audit's row integrals share), merged by radius: where a corner
-    wavefront of ``wavefronts`` crosses the seam row there is a bank on
-    each side of the jump, a double knot, so the next window inherits a
-    sharp jump instead of a smeared cell.  The last knot is the front, where
-    h vanishes.
+    banks of :meth:`FieldPatch.row_weights` on that row, merged by radius:
+    where one of the patch's corner wavefronts crosses the seam row there
+    is a bank on each side of the jump, a double knot, so the next window
+    inherits a sharp jump instead of a smeared cell.  The last knot is the
+    front, where h vanishes.
     """
     lat = patch.lattice
     hd = patch.hdata
     t_end = lat.nt * lat.delta
     rho_end = float(lat.rho_rows[-1])
-    seg = patch.row_segments([lat.nt], wavefronts)
-    _, s, tail = np.nonzero(np.stack((seg.lead, seg.tail), axis=2))
-    banks = np.where(tail, seg.hi[0, s], seg.lo[0, s])
+    w, (_, banks, _) = patch.row_weights([lat.nt])
     on_row, at_banks = patch.row_traces([lat.nt], t_end, banks)
-    rs = np.concatenate((np.arange(seg.j_in[0] + 1) * lat.delta, banks))
+    rs = np.concatenate((np.arange(w.shape[1]) * lat.delta, banks))
     order = np.argsort(rs)
     rs = rs[order]
     h0_s, h1_s, hd0_s = (np.concatenate((row[0], pt))[order] for row, pt in zip(on_row, at_banks))
@@ -465,17 +487,16 @@ def _extend(patches: List[FieldPatch], data: HData, front, i1: int,
     of the last patch, or row 0, to lattice row i1.
 
     ``data`` is the window data at that start.  Every later seam is
-    re-based from the previous patch, split at the front's corner
-    wavefronts, and each window's weight ``scale`` follows the previous
-    patch's as scale * exp(alpha * length / 2).
+    re-based from the previous patch (:func:`_seam_data`, split at the
+    corner wavefronts it records), and each window's weight ``scale``
+    follows the previous patch's as scale * exp(alpha * length / 2).
     """
     i0 = int(round(patches[-1].t1 / delta)) if patches else 0
     plans = plan_windows(front, data.alpha, i0, i1, delta)
-    wavefronts = corner_wavefronts(front, plans[-1].t_end)
     for k, plan in enumerate(plans):
         prev = patches[-1] if patches else None
         scale = prev.scale * math.exp(0.5 * data.alpha * prev.window.length) if prev else 1.0
-        local = _seam_data(prev, wavefronts) if k else data
+        local = _seam_data(prev) if k else data
         patches.append(solve_window(local, front, plan, scale=scale))
     return patches
 

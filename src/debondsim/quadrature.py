@@ -107,11 +107,8 @@ class CharLattice:
     def row_block(self, lo: int, hi: int):
         """The block of rows lo..hi over columns 0..J, J the largest inside
         column of those rows (floor(rho / delta + 1e-12), the last node of
-        a row, as ``FieldPatch.row_segments`` counts it): (lo, hi, J), and
-        (0, -1, -1) for no rows (hi < lo).  The front does not reach R, so
+        a row): (lo, hi, J), for lo <= hi.  The front does not reach R, so
         no column of a block does."""
-        if hi < lo:
-            return 0, -1, -1
         J = int(np.floor(self.rho_rows[lo:hi + 1].max() / self.delta + 1e-12))
         return int(lo), int(hi), J
 
@@ -200,12 +197,8 @@ def _view(a: np.ndarray, offset: int, shape, steps, writeable: bool) -> np.ndarr
     """The view of the contiguous array ``a`` whose element (x, y) is
     ``a.flat[offset + x * steps[0] + y * steps[1]]``; a step may be negative
     as long as every element stays inside ``a``.  Views whose elements
-    repeat must not be writeable.  An empty view starts at 0, since the
-    ndarray constructor refuses an offset outside ``a`` even with no
-    elements."""
+    repeat must not be writeable."""
     n = a.itemsize
-    if 0 in shape:
-        offset = 0
     view = np.ndarray(shape, a.dtype, a, offset * n, (steps[0] * n, steps[1] * n))
     view.flags.writeable = writeable
     return view

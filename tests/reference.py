@@ -391,20 +391,20 @@ def jump_radii(segs, t: float, rho_t: float):
     return dedup
 
 
-def row_radial_integrals(patch, rows, wavefronts):
-    """(E, a) of ``energy_audit._patch_traces``, one row and one
-    segment at a time: the jump radii of a row (:func:`jump_radii`) cut
-    [0, rho] into segments, each opened and closed by a bank 1e-9 inside
-    its jumps, a jump at the rim included; a segment's trapezoid runs over
-    its bank (or the rim), its nodes and its bank (or the front point), a
-    bank dropped where a node lies within 1e-12 of it, and segments
-    narrower than two banks are left out."""
+def row_radial_integrals(patch, rows):
+    """(E, a) of ``energy_audit._patch_traces``, one row and one segment
+    at a time: the jump radii of a row (:func:`jump_radii` of the patch's
+    ``wavefronts``) cut [0, rho] into segments, each opened and closed by
+    a bank 1e-9 inside its jumps, a jump at the rim included; a segment's
+    trapezoid runs over its bank (or the rim), its nodes and its bank (or
+    the front point), a bank dropped where a node lies within 1e-12 of it,
+    and segments narrower than two banks are left out."""
     d = patch.lattice.delta
     E, A = [], []
     for i in rows:
         t = int(i) * d
         rho = float(patch.rho_local(t))
-        edges = [0.0] + jump_radii(wavefronts, patch.t0 + t, rho) + [rho]
+        edges = [0.0] + jump_radii(patch.wavefronts, patch.t0 + t, rho) + [rho]
         e_row = a_row = 0.0
         for s, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
             if b - a <= 2 * _BANK:

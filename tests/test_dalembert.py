@@ -11,13 +11,13 @@ from debondsim.quadrature import CharLattice
 from reference import free_solution
 
 
-NO_ROWS = (0, -1, -1)  # the empty row block of CharLattice.row_block
+ONE_NODE = (0, 0, 0)  # the block of the node (0, 0) alone, row 0 through column 0
 
 
 def points(hd, f, delta, t, r):
-    """free_derivatives at points alone, with no row block."""
-    block, at_points = free_derivatives(hd, f, delta, NO_ROWS, t, r)
-    assert block[0].shape == (0, 0)
+    """free_derivatives at the points, beside the smallest row block."""
+    block, at_points = free_derivatives(hd, f, delta, ONE_NODE, t, r)
+    assert block[0].shape == (1, 1)
     return at_points
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -79,16 +80,17 @@ def test_friction_nondecreasing_and_consistent():
     mid = 0.125
     i = int(round(mid * 64))
     fd = (led.A_fric[i + 2] - led.A_fric[i - 2]) / (2 * step)
-    a_mid = _patch_traces(patches[0], [i], [], np.empty(0), False)[1][0]
+    a_mid = _patch_traces(patches[0], [i], np.empty(0), False)[1][0]
     assert fd == pytest.approx(2 * math.pi * 1.0 * a_mid, rel=2e-2)
 
 
 def test_row_integrals_match_the_per_row_construction():
     # the audit builds every row's cells at once, in the trace call that
     # also takes the front and rim points; one row and one segment at a
-    # time gives the same sums.  Beside the corner wavefronts, extra
-    # jump lines cross every row at a node, within a bank's width of one,
-    # twice in one cell, twice at one radius and in the front cell
+    # time gives the same sums.  With no jumps, and with extra jump lines
+    # beside the patch's corner wavefronts: they cross every row at a node,
+    # within a bank's width of one, twice in one cell, twice at one radius
+    # and in the front cell
     data = bump_data(alpha=0.5, v1=Profile.constant(0.2))
     front = FrontCurve.affine(1.0, 0.3, 2.0, 3.0)
     d = 1.0 / 64
@@ -97,11 +99,12 @@ def test_row_integrals_match_the_per_row_construction():
     # crosses on row 5 and 73.05 d - t on row 7)
     extra = [(0.0, 0.375, "-", c * d) for c in (40, 24 + 5e-10 / d, 20.3, 20.6, 70.3, 73.05)]
     extra += [(0.0, 0.375, "+", c) for c in (-10.5 * d, -10.5 * d, -1.0 + 0.2 * d)]
-    for wavefronts in ([], corner_wavefronts(front, 0.375) + extra):
-        for p in patches:
-            rows = np.arange(p.lattice.nt + 1)
-            e_a = _patch_traces(p, rows, wavefronts, rows * d, True)[:2]
-            for got, ref in zip(e_a, row_radial_integrals(p, rows, wavefronts)):
+    for p in patches:
+        for jumps in ([], p.wavefronts + extra):
+            q = replace(p, wavefronts=jumps)
+            rows = np.arange(q.lattice.nt + 1)
+            e_a = _patch_traces(q, rows, rows * d, True)[:2]
+            for got, ref in zip(e_a, row_radial_integrals(q, rows)):
                 assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -324,9 +327,7 @@ def test_audit_of_a_rim_at_rest_traces_no_rim_bracket(monkeypatch):
     led = audit(res.patches, res.front, data, tough)
     assert np.all(led.W_ext == 0.0)
 
-    wf = corner_wavefronts(res.front, led.times[-1])
-    segments = [p.row_segments(ii, wf) for p, ii, _ in _global_rows(res.patches)]
-    banks = sum(np.count_nonzero(s.lead) + np.count_nonzero(s.tail) for s in segments)
+    banks = sum(p.row_weights(ii)[1][1].size for p, ii, _ in _global_rows(res.patches))
     midpoints = _segments(res.front, led.times)[2].size
     assert len(traced) == len(res.patches) and banks > len(res.patches)
     assert sum(rows for rows, _ in traced) == led.times.size

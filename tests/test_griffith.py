@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from debondsim import griffith, prescribed
 from debondsim.energy_audit import audit
 from debondsim.fields import ProblemData, Profile, Toughness, to_h_data
-from debondsim.geometry import FrontCurve, GeometryError, corner_wavefronts
+from debondsim.geometry import FrontCurve, GeometryError, corner_wavefronts, jump_radii
 from debondsim.griffith import (
     GriffithRun, StripWorkspace, _front_point, _start_slope, _strip_rows, run,
     solve_coupled_window,
@@ -354,17 +355,45 @@ def test_run_consistency_with_prescribed():
         data = bump_data(amp=0.4, alpha=alpha)
         res = run(data, tough, horizon=0.25, delta=delta)
         assert len(res.window_diagnostics) > 1
-        wf = corner_wavefronts(res.front, res.front.horizon)
         chain, local, row = [], to_h_data(data), 0
         for wd in res.window_diagnostics:
             if chain:
-                local = _seam_data(chain[-1], wf)
+                local = _seam_data(chain[-1])
             row += wd["rows"]
             _extend(chain, local, res.front, row, delta)
         assert len(chain) == len(res.patches)
         for mine, theirs in zip(chain, res.patches):
             assert np.array_equal(mine.lattice.values, theirs.lattice.values)
             assert (mine.scale, mine.t0, mine.t1) == (theirs.scale, theirs.t0, theirs.t1)
+
+
+@pytest.mark.parametrize("name, delta", [("front_kkt", 1.0 / 64), ("static_load", 1.0 / 64),
+                                         ("rim_debond", 1.0 / 64), ("march", 1.0 / 64),
+                                         ("march", 1.0 / 80)])
+def test_recorded_wavefronts_cross_rows_as_the_final_fronts(monkeypatch, name, delta):
+    # a patch records the corner wavefronts of the front it was solved on,
+    # up to its end, and its seam and the audit split its rows there: on
+    # every row of every patch they cross where those of the final front
+    # do, bitwise, because no later window rewrites the front up to a
+    # patch's end.  The runs of the three workloads, and a march whose '+'
+    # corner leg reflects off the front inside the horizon, at t = 1.45
+    if name == "march":
+        front = FrontCurve(np.array([0.0, 0.7, 1.6]), np.array([1.0, 1.2, 1.5]), 3.0)
+        patches = march(bump_data(alpha=0.5), front, horizon=1.5, delta=delta)
+        legs = [(ta, kind, c) for ta, _, kind, c in corner_wavefronts(front, front.horizon)]
+        assert legs[2:] == [(0.0, "+", 0.0), (pytest.approx(1.45), "-", pytest.approx(2.9))]
+        assert any(p.t0 < 1.45 < p.t1 for p in patches)
+    else:
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+        from perfbench import workloads
+        wl = workloads.build(name, 0, delta / workloads.build(name, 0).delta)
+        res = run(wl.data, wl.tough, wl.horizon, wl.delta)
+        patches, front = res.patches, res.front
+        assert len(res.window_diagnostics) > 1
+    final = corner_wavefronts(front, front.horizon)
+    for p in patches:
+        t, rho = p.t0 + p.lattice.times, p.lattice.rho_rows
+        assert np.array_equal(jump_radii(p.wavefronts, t, rho), jump_radii(final, t, rho)), p.t0
 
 
 def test_run_solves_each_window_once(monkeypatch):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from debondsim import dalembert, geometry, prescribed
 from debondsim.fields import HData, ProblemData, Profile, Toughness, kappa_eval, to_h_data
-from debondsim.geometry import FrontCurve, GeometryError, corner_wavefronts
+from debondsim.geometry import FrontCurve, GeometryError
 from debondsim.griffith import run
 from debondsim.prescribed import (
     ConvergenceError, _Workspace, apply_L,
@@ -500,27 +500,26 @@ def test_evaluate_outside_raises():
         evaluate_field(patches, 0.1, -0.1)
 
 
-def seam_row(patch, wavefronts):
-    """The end row's time, its nodes' radii and the radii of its banks
-    (lead banks, then tail banks), as the seam traces them."""
+def seam_row(patch):
+    """The end row's time, its nodes' radii and the radii of its banks, as
+    the seam traces them: the columns and banks of the end row's
+    ``row_weights``, split at the patch's own wavefronts."""
     lat = patch.lattice
-    seg = patch.row_segments([lat.nt], wavefronts)
-    nodes = np.arange(seg.j_in[0] + 1) * lat.delta
-    return lat.nt * lat.delta, nodes, np.concatenate((seg.lo[seg.lead], seg.hi[seg.tail]))
+    w, (_, banks, _) = patch.row_weights([lat.nt])
+    return lat.nt * lat.delta, np.arange(w.shape[1]) * lat.delta, banks
 
 
 def test_trace_points_are_checked_and_located_once(monkeypatch):
     # row_traces is the one check of a trace point: on a seam row as the
     # block (its nodes, reflected ones past t + r = rho0 included) and its
     # banks of both corner wavefronts and front point as points, it
-    # evaluates the window front once; the segments read the lattice's rows
-    # instead of the front, so the seam evaluates it once too
+    # evaluates the window front once; the row weights read the lattice's
+    # rows instead of the front, so the seam evaluates it once too
     data = make_data(alpha=0.5, v1=Profile.constant(0.2))
     front = FrontCurve.affine(1.0, 0.3, 2.0, 3.0)
     patch = march(data, front, horizon=0.25, delta=1.0 / 64)[0]
     lat = patch.lattice
-    wavefronts = corner_wavefronts(front, 0.5)
-    t, nodes, banks = seam_row(patch, wavefronts)
+    t, nodes, banks = seam_row(patch)
     assert lat.nt == 16 and lat.nt + nodes.size - 1 > 64 and banks.size >= 5
     calls = []
 
@@ -529,12 +528,12 @@ def test_trace_points_are_checked_and_located_once(monkeypatch):
         return _fn(*args)
     monkeypatch.setattr(FrontCurve, "rho", counted)
 
-    assert np.array_equal(seam_row(patch, wavefronts)[2], banks)
+    assert np.array_equal(seam_row(patch)[2], banks)
     assert calls == []
     patch.row_traces([lat.nt], t, banks)
     assert calls == ["rho"]
     calls.clear()
-    prescribed._seam_data(patch, wavefronts)
+    prescribed._seam_data(patch)
     assert calls == ["rho"]
 
 
@@ -549,7 +548,7 @@ def test_one_range_check_per_trace_call(monkeypatch):
     front = FrontCurve.affine(1.0, 0.3, 2.0, 3.0)
     patch = march(data, front, horizon=0.25, delta=1.0 / 64)[0]
     lat = patch.lattice
-    t, nodes, banks = seam_row(patch, corner_wavefronts(front, 0.5))
+    t, nodes, banks = seam_row(patch)
     assert lat.nt + nodes.size - 1 > 64 and banks.size >= 5
     assert banks.max() == lat.rho_rows[-1] > nodes[-1]
     checks = []
@@ -578,18 +577,18 @@ def test_one_range_check_per_trace_call(monkeypatch):
 
 def test_trace_rows_must_be_consecutive_lattice_rows():
     # the rows of a trace call are one block of consecutive rows in 0..nt:
-    # a gap, rows past the last one and negative rows name the rows and the
-    # bound; no rows at all is the points-only call of local_traces
+    # no rows, a gap, rows past the last one and negative rows name the rows
+    # and the bound; local_traces takes its points beside the block of row 0
     patch = march(make_data(), FrontCurve.affine(1.0, 0.3, 2.0, 3.0), horizon=0.25,
                   delta=1.0 / 64)[0]
     assert patch.lattice.nt == 16
     none = np.empty(0)
-    for rows, named in (([0, 2], r"\[0, 2\]"), ([15, 16, 17, 18], r"\[15, 16, 17, 18\]"),
-                        ([-1, 0], r"\[-1, 0\]"), ([3, 2], r"\[3, 2\]")):
+    for rows, named in (([], r"\[\]"), ([0, 2], r"\[0, 2\]"),
+                        ([15, 16, 17, 18], r"\[15, 16, 17, 18\]"), ([-1, 0], r"\[-1, 0\]"),
+                        ([3, 2], r"\[3, 2\]")):
         with pytest.raises(GeometryError, match=rf"consecutive rows of 0\.\.16: got {named}"):
             patch.row_traces(rows, none, none)
-    block, points = patch.row_traces((), 0.125, np.array([0.0, 0.5]))
-    assert all(b.shape == (0, 0) for b in block) and all(p.shape == (2,) for p in points)
+    assert all(p.shape == (2,) for p in patch.local_traces(0.125, np.array([0.0, 0.5])))
     assert patch.row_traces([16], none, none)[0][0].shape == (1, patch.lattice.row_block(16, 16)[2] + 1)
 
 
@@ -630,8 +629,7 @@ def test_seam_knots_are_the_row_nodes_and_banks(monkeypatch, front):
     data = make_data(alpha=0.5, v1=Profile.constant(0.2))
     patch = march(data, front, horizon=0.25, delta=1.0 / 64)[0]
     lat = patch.lattice
-    wavefronts = corner_wavefronts(front, 0.5)
-    t, nodes, banks = seam_row(patch, wavefronts)
+    t, nodes, banks = seam_row(patch)
     rho = lat.rho_rows[-1]
     assert banks.size >= 2
     knots = []
@@ -641,7 +639,7 @@ def test_seam_knots_are_the_row_nodes_and_banks(monkeypatch, front):
         knots.append(np.array(x))
         return from_samples(cls, x, y, deriv_samples)
     monkeypatch.setattr(Profile, "from_samples", classmethod(recorded))
-    seam = prescribed._seam_data(patch, wavefronts)
+    seam = prescribed._seam_data(patch)
     assert len(knots) == 2 and np.array_equal(knots[0], knots[1])
     x = knots[0]
     assert np.array_equal(x, np.sort(np.concatenate((nodes, banks))))

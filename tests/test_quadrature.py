@@ -56,11 +56,11 @@ def line_integrals(lat, values, *segments):
 def trace(lat, values, t, r):
     """phi_time_trace with the cumulatives built for this one call, at the
     points broadcast, every one of them, node or not, through the kernel's
-    point path with no rows, as ``row_traces`` sends its points (floats for
-    one point)."""
+    point path beside the block of row 0, as ``local_traces`` sends its
+    points (floats for one point)."""
     t, r = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(r, dtype=float))
     _, at_points = phi_time_trace(lat, values, quadrature._line_cumulatives(values, lat.delta),
-                                  lat.row_block(0, -1), t.ravel(), r.ravel())
+                                  lat.row_block(0, 0), t.ravel(), r.ravel())
     return tuple(float(g[0]) if t.ndim == 0 else g.reshape(t.shape) for g in at_points)
 
 
