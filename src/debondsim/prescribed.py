@@ -5,15 +5,15 @@ Each marching window solves the representation identity
     h = A + (1/2) Phi[F[h]],      F[h] = (alpha^2 + 1/(R-r)^2)/4 * h
 
 by Picard iteration on a characteristic lattice, starting from the free
-solution A.  Each window is the longest whole number of rows, up to a
-quarter of the front's radius, whose :func:`contraction_bound`, the
-time-slice integral of the kernel, is at most 1/2.  The bound holds for any
-subsonic front, so every iteration is a certified sup-norm contraction.  One
-window loop marches a front in global time: it re-bases the data at every seam
-using the exact derivative trace formulas (never finite differences), with
-double knots where a corner wavefront crosses the seam, and composes the
-exponential weight so each window works with well-conditioned local
-values.  Each patch records the corner wavefronts of the front it was
+solution A.  Each window is the longest whole number of rows, up to the
+representation's own limit, window-local t <= rho0/2 (``_REACH``), whose
+:func:`contraction_bound`, the time-slice integral of the kernel, is at most
+1/2.  The bound holds for any subsonic front, so every iteration is a
+certified sup-norm contraction.  One window loop marches a front in global
+time: it re-bases the data at every seam using the exact derivative trace
+formulas (never finite differences), with double knots where a corner
+wavefront crosses the seam, and composes the exponential weight so each
+window works with well-conditioned local values.  Each patch records the corner wavefronts of the front it was
 solved on, where its seam and the audit cut its rows by one row rule,
 :meth:`FieldPatch.row_weights`.  :func:`march` runs it from t = 0; the
 coupled solver extends its patches with it after every coupled window.
@@ -74,6 +74,12 @@ def fixed_point(sweep, where: str) -> dict:
 # one-sided trace offset from a corner wavefront's jump radius
 _BANK = 1e-9
 
+# a window's reach, as a fraction of its front's radius rho0 at its start:
+# for window-local t <= _REACH * rho0 no backward characteristic meets both
+# the rim and the front, so the trace formulas hold and the cone plan's
+# rim-echo rule is exact; plan_windows, solve_window and row_traces read it
+_REACH = 0.5
+
 
 # ---------------------------------------------------------------------------
 # window planning
@@ -95,14 +101,6 @@ class WindowPlan:
     @property
     def nt(self) -> int:
         return int(round(self.length / self.delta))
-
-
-def certified_step(rho_k: float) -> float:
-    """Cap on a window's length: a quarter of the front's radius, which
-    keeps the window within t <= rho0/2, where the trace formulas of
-    :func:`~debondsim.quadrature.phi_time_trace` hold.  Towards the rim the
-    window is sized by :func:`contraction_bound` alone."""
-    return 0.25 * rho_k
 
 
 def contraction_bound(rho_k: float, R: float, alpha: float, T: float) -> float:
@@ -145,13 +143,13 @@ def plan_windows(front, alpha: float, i0: int, i1: int,
     """Cover lattice rows i0..i1 of the front's time with certified
     windows snapped to the lattice.
 
-    Each window takes the most rows, up to the centre cap of
-    :func:`certified_step`, whose :func:`contraction_bound` is at most 1/2,
-    so its Picard iteration contracts in the sup norm by at most that factor
-    for a subsonic front.  The bound is nondecreasing in the length, so a
-    bisection finds that count; near the rim it can set the length (it is
-    +inf for a window reaching R).  A one-row window is accepted with any
-    bound below 0.999.
+    Each window takes the most rows, up to the reach rho_k/2 (``_REACH``,
+    rho_k the front's radius at the window's start), whose
+    :func:`contraction_bound` is at most 1/2, so its Picard iteration
+    contracts in the sup norm by at most that factor for a subsonic front.
+    The bound is nondecreasing in the length, so a bisection finds that
+    count; near the rim it can set the length (it is +inf for a window
+    reaching R).  A one-row window is accepted with any bound below 0.999.
     """
     if i1 * delta > front.horizon + 1e-9:
         raise GeometryError(f"rows up to {i1} reach t = {i1 * delta:.6g}, past the front "
@@ -161,7 +159,7 @@ def plan_windows(front, alpha: float, i0: int, i1: int,
     while i0 < i1:
         t0 = i0 * delta
         rho_k = float(front.rho(t0))
-        cap = int(math.floor(certified_step(rho_k) / delta + 1e-9))
+        cap = int(math.floor(_REACH * rho_k / delta + 1e-9))
         lo, hi = 1, max(1, min(cap, i1 - i0))
         while lo < hi:  # the largest count in [lo, hi] bounded by 1/2, or 1
             mid = (lo + hi + 1) // 2
@@ -295,9 +293,9 @@ class FieldPatch:
     def local_traces(self, t_loc, r):
         """(h, h_t, h_r) in window-local variables, exact trace formulas, at
         one point (floats) or at arrays of points (t_loc and r broadcast),
-        nodes or not: the points of :meth:`row_traces` beside row 0, whose
-        anti-diagonals reflect nowhere and add no line segment."""
-        _, traces = self.row_traces([0], t_loc, r)
+        nodes or not: the points of :meth:`row_traces`'s checked body beside
+        the one-node block (0, 0, 0), so a point costs no row of nodes."""
+        _, traces = self._traces((0, 0, 0), t_loc, r)
         return tuple(map(float, traces)) if traces[0].ndim == 0 else traces
 
     def row_traces(self, rows, t_loc, r):
@@ -310,10 +308,11 @@ class FieldPatch:
 
         The rows must be one or more consecutive rows of 0..nt, else
         GeometryError names them and the bound.  The one check of a trace
-        point: it must be window-local (t_loc <= rho0/2) and in [0, rho],
-        else GeometryError names the first point off and the bound; r is
-        clipped to [0, rho(t_loc)], and both kernels take them as given.  The
-        rows are one block of nodes: the free part is one
+        point: it must be window-local (t_loc <= rho0/2, ``_REACH``, the
+        limit of the representation formulas and the reach of every window)
+        and in [0, rho], else GeometryError names the first point off and
+        the bound; r is clipped to [0, rho(t_loc)], and both kernels take
+        them as given.  The rows are one block of nodes: the free part is one
         :func:`~debondsim.dalembert.free_derivatives` call and the memory
         part one :func:`~debondsim.quadrature.phi_time_trace` call, each
         reading the block through views of one table per characteristic and
@@ -327,11 +326,17 @@ class FieldPatch:
         if rows.size == 0 or np.any(np.diff(rows) != 1) or rows[0] < 0 or rows[-1] > lat.nt:
             raise GeometryError(f"trace rows must be consecutive rows of 0..{lat.nt}: got "
                                 f"{rows.tolist()}")
+        return self._traces(lat.row_block(rows[0], rows[-1]), t_loc, r)
+
+    def _traces(self, block, t_loc, r):
+        """The checked body of :meth:`row_traces` on the node block
+        (lo, hi, J)."""
+        lat = self.lattice
         t_loc, r = np.broadcast_arrays(np.asarray(t_loc, dtype=float),
                                        np.asarray(r, dtype=float))
         shape = t_loc.shape
         t_loc, r = t_loc.ravel(), r.ravel()
-        t_max = 0.5 * lat.front.rho0
+        t_max = _REACH * lat.front.rho0
         late = t_loc > t_max + 1e-9
         if late.any():
             k = np.flatnonzero(late)[0]
@@ -346,7 +351,7 @@ class FieldPatch:
                 f"trace point outside the domain: window-local (t, r) = ({t_loc[k]:.6g}, "
                 f"{r[k]:.6g}) is outside [0, rho(t)] = [0, {rho_t[k]:.6g}]")
         r = np.minimum(np.maximum(r, 0.0), rho_t)
-        block = lo, hi, J = lat.row_block(rows[0], rows[-1])
+        lo, hi, J = block
         (d_t, d_r), (p_t, p_r) = free_derivatives(self.hdata, lat.front, lat.delta, block,
                                                   t_loc, r)
         (g1, g2), (q1, q2) = phi_time_trace(lat, self.F, self.cumulatives, block, t_loc, r)
@@ -420,8 +425,15 @@ def solve_window(hdata: HData, front, window: WindowPlan,
                  scale: float = 1.0) -> FieldPatch:
     """Picard-iterate the window operator from the free solution until the
     sup-norm update drops below ``_TOL`` (:func:`fixed_point`).  The
-    iterate and the update swap between two buffers."""
+    iterate and the update swap between two buffers.  A window longer than
+    the reach rho0/2 (``_REACH``, rho0 the front's radius at its start),
+    past which the representation formulas fail, raises GeometryError."""
     front_local = front.window(window.t_start, window.t_end)
+    reach = _REACH * front_local.rho0
+    if window.length > reach + 1e-9:
+        raise GeometryError(
+            f"window at t = {window.t_start:.6g} of length {window.length:.6g} reaches past "
+            f"the representation's limit rho0/2 = {reach:.6g}")
     ws = _Workspace(hdata, front_local, window)
     lat = ws.lattice
 

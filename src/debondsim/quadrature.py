@@ -338,6 +338,10 @@ class LatticeConePlan:
     is removed, and with it the half cells the zeros before the rim add.
     Node (i, j) is ``0.5 * (A[2i, nt + i + j] - A_cut[nt + i + j])`` less,
     behind the rim echo, the same at (i - j, 0), and 0 outside the domain.
+    The echo is removed where i + j <= rho0 / delta, which is exact for
+    t <= rho0 / 2, the reach of every window (``prescribed._REACH``): no
+    node there has both t > r and t + r > rho0, where the echo's cone would
+    meet the front.
 
     The plan holds the cut, the rim-echo and outside indices and the
     sheared field, on top of the kernel's work arrays; a window builds one

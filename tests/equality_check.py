@@ -14,8 +14,12 @@ contraction bound, the window and patch diagnostics but for that bound,
 each ledger column and the oracle's H) it prints "bitwise equal" or the
 largest absolute difference and, beside it, the largest relative one
 (|difference| / max |old| over each array), so that a move at rounding
-level reads as one; it exits 1 unless every part is bitwise equal.  Given one tree twice, it checks that two processes agree, so that
-no result reads a work array it never wrote.
+level reads as one.  A part whose arrays differ in count or shape prints
+both trees' array counts and the first shape that differs, and a run whose
+patch count changed says so first ("rim_debond delta x 1: 5 patches → 4").
+It exits 1 unless every part is bitwise equal.  Given one tree twice, it
+checks that two processes agree, so that no result reads a work array it
+never wrote.
 
 It is a script, not a test module: pytest does not collect it.
 """
@@ -85,7 +89,10 @@ def results(src: Path) -> dict:
 def compare(a: list, b: list) -> str:
     """'bitwise equal', or how two parts differ."""
     if len(a) != len(b) or any(x.shape != y.shape for x, y in zip(a, b)):
-        return "differs in layout (array count or shapes)"
+        first = next((k for k, (x, y) in enumerate(zip(a, b)) if x.shape != y.shape), None)
+        shape = ("the shapes they share agree" if first is None else
+                 f"array {first} is {a[first].shape} → {b[first].shape}")
+        return f"differs in layout: {len(a)} arrays → {len(b)}, {shape}"
     if all(x.tobytes() == y.tobytes() for x, y in zip(a, b)):
         return "bitwise equal"
     gaps = [float(np.max(np.abs(x - y), initial=0.0)) for x, y in zip(a, b)]
@@ -119,6 +126,9 @@ def main(argv) -> int:
             print(f"{name} delta x {scale:g}: the trees report different parts")
             unequal += 1
             continue
+        patches = len(parts["patch values"]), len(new[key]["patch values"])
+        if patches[0] != patches[1]:
+            print(f"{name} delta x {scale:g}: {patches[0]} patches → {patches[1]}")
         for part, arrays in parts.items():
             verdict = compare(arrays, new[key][part])
             unequal += verdict != "bitwise equal"

@@ -11,8 +11,8 @@ from debondsim.fields import HData, ProblemData, Profile, Toughness, kappa_eval,
 from debondsim.geometry import FrontCurve, GeometryError
 from debondsim.griffith import run
 from debondsim.prescribed import (
-    ConvergenceError, _Workspace, apply_L,
-    certified_step, contraction_bound, evaluate_field, march, plan_windows,
+    ConvergenceError, WindowPlan, _Workspace, apply_L,
+    contraction_bound, evaluate_field, march, plan_windows,
     solve_window,
 )
 
@@ -32,14 +32,40 @@ def zero_data(R=3.0, rho0=1.0, alpha=0.0):
 # -- planning ---------------------------------------------------------------
 
 def test_first_window_length():
-    assert certified_step(1.0) == pytest.approx(0.25)
-    # near the rim the cap stays a quarter of the radius and the time-slice
-    # bound sets the window: at alpha = 0 it is (-ln(1 - x) - x)/4 with
-    # x = T/(R - rho_k), at most 1/2 while x <= 0.94753, here T <= 0.18951,
-    # which floors to 48 rows of 1/256
-    assert certified_step(2.8) == pytest.approx(0.7)
+    # far from the rim the reach rho_k/2 sets the window: 64 rows of 1/128
+    # for rho_k = 1, where the time-slice bound is 0.0094
+    assert prescribed._REACH == 0.5
+    assert plan_windows(FrontCurve.constant(1.0, 1.0, 3.0), 0.0, 0, 128, 1.0 / 128)[0].nt == 64
+    # near the rim the reach is 1.4 and the time-slice bound sets the
+    # window: at alpha = 0 it is (-ln(1 - x) - x)/4 with x = T/(R - rho_k),
+    # at most 1/2 while x <= 0.94753, here T <= 0.18951, which floors to 48
+    # rows of 1/256
     front = FrontCurve.constant(2.8, 1.0, 3.0)
     assert plan_windows(front, 0.0, 0, 256, 1.0 / 256)[0].nt == 48
+
+
+def test_windows_reach_rho0_over_two_and_no_further():
+    # far from the rim a window is floor(rho_k / (2 delta)) rows, rho_k the
+    # front's radius at its start: the reach of the representation formulas,
+    # up to which its end row traces and seeds the next window.  A trace
+    # point past the reach raises, and so does a window one row longer
+    hd = to_h_data(make_data(alpha=0.5, v1=Profile.constant(0.2)))
+    front = FrontCurve.affine(1.0, 0.3, 2.0, 3.0)
+    delta = 1.0 / 64
+    first, second = plan_windows(front, hd.alpha, 0, 128, delta)[:2]
+    assert first.nt == math.floor(1.0 / (2 * delta)) == 32
+    assert second.nt == math.floor(float(front.rho(0.5)) / (2 * delta)) == 36
+    patch = solve_window(hd, front, first)
+    (h, h_t, h_r), _ = patch.row_traces([first.nt], np.empty(0), np.empty(0))
+    assert all(np.isfinite(v).all() for v in (h, h_t, h_r))
+    assert prescribed._seam_data(patch).rho0 == float(front.rho(0.5))
+    with pytest.raises(GeometryError, match=r"window-local.*\(0\.5, 0\.1\).*rho0/2 = 0\.5"):
+        patch.local_traces(0.5 + 2e-9, 0.1)
+    longer = WindowPlan(t_start=0.0, t_end=(first.nt + 1) * delta,
+                        contraction_bound=first.contraction_bound, delta=delta)
+    with pytest.raises(GeometryError, match=r"window at t = 0 of length 0\.515625 reaches past "
+                       r"the representation's limit rho0/2 = 0\.5"):
+        solve_window(hd, front, longer)
 
 
 def test_window_shrinks_with_damping():
@@ -60,7 +86,7 @@ def test_plan_covers_horizon():
     assert plans[-1].t_end == pytest.approx(1.0)
     for a, b in zip(plans[:-1], plans[1:]):
         assert b.t_start == pytest.approx(a.t_end)
-    assert plans[0].t_end == pytest.approx(0.25)  # certified first step
+    assert plans[0].t_end == pytest.approx(0.5)  # the reach rho0/2
 
 
 def test_short_horizon_truncates():
@@ -139,8 +165,8 @@ def test_planned_windows_never_shorter_than_the_strip_rule():
 
 def test_planned_windows_are_the_longest_bounded_by_one_half():
     # every window of more than one row has a bound of at most 1/2, and one
-    # row more would pass the centre cap, the rows left or that bound; near
-    # the rim the centre cap no longer binds
+    # row more would pass the reach rho/2, the rows left or that bound; near
+    # the rim the reach no longer binds
     for rho_k, R, alpha, delta in PLANNER_GRID:
         speed = min(0.9, (R - rho_k - 2 * delta) / 0.5)
         front = FrontCurve.affine(rho_k, speed, 0.5, R)
@@ -148,7 +174,7 @@ def test_planned_windows_are_the_longest_bounded_by_one_half():
         for plan in plan_windows(front, alpha, 0, i1, delta):
             rho = float(front.rho(plan.t_start))
             rows_left = i1 - int(round(plan.t_start / delta))
-            cap = int(math.floor(certified_step(rho) / delta + 1e-9))
+            cap = int(math.floor(prescribed._REACH * rho / delta + 1e-9))
             q = contraction_bound(rho, R, alpha, plan.nt * delta)
             assert plan.contraction_bound == q
             if plan.nt > 1:
@@ -184,7 +210,7 @@ def test_measured_contraction_below_bound():
     # sup-norm factor over random pairs sharing boundary data; the last
     # perturbation has one sign, so the cone integrals cannot cancel
     cases = [  # rho0, alpha, delta, planned rows, the bound sets the rows
-        (1.0, 1.0, 1.0 / 32, 8, False),  # the centre cap and the rows left set them
+        (1.0, 1.0, 1.0 / 32, 8, False),  # the rows left set them
         (2.8, 0.0, 1.0 / 256, 48, True),  # near the rim
         (1.0, 10.0, 1.0 / 64, 12, True),  # strong damping
     ]
@@ -306,9 +332,9 @@ def test_every_patch_is_exactly_zero_outside_the_domain():
     # (one strip front per window) and in a march on a curved front
     data = make_data(alpha=0.5)
     coupled = run(data, Toughness.constant(0.15, rho0=1.0, R=3.0), 0.5, delta=1.0 / 64)
-    t = np.linspace(0.0, 0.75, 25)
-    curve = FrontCurve(t, 1.0 + 0.3 * t + 0.4 * t * t, 3.0)
-    marched = march(data, curve, 0.75, delta=1.0 / 64)
+    t = np.linspace(0.0, 1.25, 41)
+    curve = FrontCurve(t, 1.0 + 0.3 * t + 0.2 * t * t, 3.0)
+    marched = march(data, curve, 1.25, delta=1.0 / 64)
     assert len(coupled.patches) > 2 and len(marched) > 2
     for patch in coupled.patches + marched:
         outside = ~patch.lattice.inside
@@ -352,23 +378,23 @@ def test_free_layer_cost_scales_with_characteristics(monkeypatch):
     patch = solve_window(counted, front, plan)
     lat = patch.lattice
     lines = lat.nt + lat.j_ext + 1
-    assert lat.nt == 16 and 4 * lines < (lat.nt + 1) * (lat.j_ext + 1) / 3
+    assert lat.nt == 32 and 4 * lines < (lat.nt + 1) * (lat.j_ext + 1) / 3
     assert set(tally) == {"z", "h0", "H1"}
     assert all(n <= 2 * lines for n in tally.values()), (tally, lines)
 
-    # the rows 0..16 as one block, plus off-node points: a bank beside a
+    # the rows 0..32 as one block, plus off-node points: a bank beside a
     # node on each of five rows and the front point of each of those rows;
     # each point takes the branches at its own t + r and t - r
-    rows = np.array([0, 3, 8, 12, 16])
+    rows = np.array([0, 6, 16, 24, 32])
     t = np.concatenate((rows * delta, rows * delta))
     r = np.concatenate((np.full(len(rows), 0.3 + 1e-9), lat.rho_rows[rows]))
     tally.clear()
     for name in ("df_plus", "df_minus"):
         branch = counting_branch(getattr(dalembert, name), tally, name)
         monkeypatch.setattr(dalembert, name, branch)
-    (h, _, _), _ = patch.row_traces(np.arange(17), t, r)
-    lo, hi, J = lat.row_block(0, 16)
-    assert (lo, hi) == (0, 16) and h.shape == (17, J + 1)
+    (h, _, _), _ = patch.row_traces(np.arange(33), t, r)
+    lo, hi, J = lat.row_block(0, 32)
+    assert (lo, hi) == (0, 32) and h.shape == (33, J + 1)
     assert hi - lo + J + 1 < h.size / 10
     assert tally["df_plus"] == tally["df_minus"] == hi - lo + J + 1 + t.size
 
@@ -387,7 +413,7 @@ def test_march_single_window_matches_solve_window():
 
 def test_march_zero_data_stays_zero():
     front = FrontCurve.constant(1.0, 3.0, 3.0)
-    patches = march(zero_data(), front, horizon=0.5, delta=1.0 / 32)
+    patches = march(zero_data(), front, horizon=0.75, delta=1.0 / 32)
     assert len(patches) >= 2
     for p in patches:
         assert np.all(p.lattice.values == 0.0)
@@ -398,7 +424,7 @@ def test_march_seam_continuity():
     data = make_data(alpha=1.0, amp=0.5,
                      w=Profile.sine(0.2, 2.0), v1=Profile.constant(0.3))
     front = FrontCurve.affine(1.0, 0.3, 3.0, 3.0)
-    patches = march(data, front, horizon=0.5, delta=1.0 / 64)
+    patches = march(data, front, horizon=0.75, delta=1.0 / 64)
     assert len(patches) >= 2
     for a, b in zip(patches[:-1], patches[1:]):
         seam_cols = min(a.lattice.j_ext, b.lattice.j_ext) + 1
@@ -498,6 +524,45 @@ def test_evaluate_outside_raises():
         evaluate_field(patches, -0.1, 0.5)
     with pytest.raises(GeometryError, match=r"\(t, r\) = \(0\.1, -0\.1\).*\[0, 1\]"):
         evaluate_field(patches, 0.1, -0.1)
+
+
+def test_one_window_to_the_reach_converges_at_second_order():
+    # one prescribed window from t = 0 to rho0/2, with no seam: h at
+    # (0.45, 0.40), behind the rim echo with t + r near rho0, has
+    # self-differences that fall by at least 3.5 per halving of delta
+    data = ProblemData(R=3.0, rho0=1.0, alpha=0.5, horizon=4.0, w=Profile.zero(),
+                       v0=Profile.sine_bump(0.4, 1.0), v1=Profile.constant(0.2))
+    front = FrontCurve.affine(1.0, 0.3, 2.0, 3.0)
+    vals = []
+    for delta in (1.0 / 64, 1.0 / 128, 1.0 / 256):
+        patches = march(data, front, horizon=0.5, delta=delta)
+        assert len(patches) == 1
+        vals.append(evaluate_field(patches, 0.45, 0.40).h)
+    coarse, fine = vals[1] - vals[0], vals[2] - vals[1]
+    assert abs(coarse) >= 3.5 * abs(fine), (vals, abs(coarse) / abs(fine))
+
+
+def test_point_traces_take_the_one_node_block(monkeypatch):
+    # a point of evaluate_field is traced beside the one-node block
+    # (0, 0, 0), not a row of nodes, through the checked body of row_traces:
+    # its values are bitwise the points of a row_traces([0], ...) call
+    data = make_data(alpha=0.5, v1=Profile.constant(0.2))
+    patches = march(data, FrontCurve.affine(1.0, 0.3, 2.0, 3.0), horizon=0.75, delta=1.0 / 64)
+    t, r = 0.625, 0.7
+    patch = prescribed.locate_patch(patches, t)
+    assert patch.t0 == 0.5
+    blocks = []
+    for name in ("free_derivatives", "phi_time_trace"):
+        def seen(*args, _fn=getattr(prescribed, name)):
+            blocks.append(args[3])
+            return _fn(*args)
+        monkeypatch.setattr(prescribed, name, seen)
+    sample = evaluate_field(patches, t, r)
+    assert blocks == [(0, 0, 0), (0, 0, 0)]
+    _, (h, h_t, h_r) = patch.row_traces([0], t - patch.t0, r)
+    assert patch.local_traces(t - patch.t0, r) == (float(h), float(h_t), float(h_r))
+    s = patch.scale
+    assert (sample.h, sample.h_t, sample.h_r) == (s * float(h), s * float(h_t), s * float(h_r))
 
 
 def seam_row(patch):
@@ -601,8 +666,8 @@ def test_block_rows_match_local_traces_at_their_nodes(delta, rel):
     # and end rows (the seam's), reflected nodes and the front included.  h
     # is the node value on both paths, bitwise where delta is a power of two
     data = make_data(alpha=0.5, w=Profile.sine(0.1, 2.0), v1=Profile.constant(0.2))
-    front = FrontCurve(np.array([0.0, 0.2, 0.5]), np.array([1.0, 1.06, 1.11]), 3.0)
-    patches = march(data, front, horizon=0.5, delta=delta)
+    front = FrontCurve(np.array([0.0, 0.2, 0.75]), np.array([1.0, 1.06, 1.15]), 3.0)
+    patches = march(data, front, horizon=0.75, delta=delta)
     assert len(patches) == 2
     none = np.empty(0)
     for p in patches:

@@ -391,7 +391,7 @@ def test_march_keeps_no_plan(monkeypatch):
     data = ProblemData(R=3.0, rho0=1.0, alpha=0.5, horizon=4.0, w=Profile.zero(),
                        v0=Profile.sine_bump(0.4, 1.0), v1=Profile.constant(0.2))
     log = _record_plans(monkeypatch)
-    patches = march(data, FrontCurve.affine(1.0, 0.3, 2.0, 3.0), horizon=0.375, delta=1.0 / 64)
+    patches = march(data, FrontCurve.affine(1.0, 0.3, 2.0, 3.0), horizon=0.75, delta=1.0 / 64)
     gc.collect()
     assert len(patches) > 1
     assert [name for name, _, _ in log].count("LatticeConePlan") == len(patches)
@@ -550,8 +550,8 @@ def test_local_traces_batch_matches_points():
     data = ProblemData(R=3.0, rho0=1.0, alpha=0.5, horizon=4.0, w=Profile.zero(),
                        v0=Profile.sine_bump(0.4, 1.0), v1=Profile.constant(0.2))
     front = FrontCurve.affine(1.0, 0.3, 2.0, 3.0)
-    patches = march(data, front, horizon=0.375, delta=1.0 / 64)
-    wf = corner_wavefronts(front, 0.375)
+    patches = march(data, front, horizon=0.75, delta=1.0 / 64)
+    wf = corner_wavefronts(front, 0.75)
     assert len(patches) > 1
     for p in patches:
         pts_t, pts_r = [], []
